@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Measure core simulator performance and write (or check) BENCH_core.json.
 
-Seven measurements:
+Six measurements:
 
 * protocol simulation events/second over the water trace used by
   ``benchmarks/bench_simulator_throughput.py`` (n_procs=8, 96 molecules,
@@ -18,12 +18,11 @@ Seven measurements:
   the legacy per-event format, and
 * telemetry overhead: LI/LU with the telemetry layer disabled (the
   default null recorder) vs a full ``RecordingProbe`` — the *disabled*
-  overhead is the acceptance bar (< 3% vs plain throughput), and
-* timed-mode throughput: LI/LU with a link model attached (ideal and
-  a lossy ethernet_1992), against the per-event counting interpreter
-  the timed path extends. Timed runs trade the batched fast path for
-  virtual clocks by design, so they carry no absolute floor; the
-  counting floors above are the ``--check`` gate and stay unchanged.
+  overhead is the acceptance bar (< 3% vs plain throughput).
+
+Timed mode is measured by lrcbench's ``timed_lossy`` workload
+(``benchmarks/lrcbench``): a best-of loop over repeated timed runs
+here would only time send-log cache hits.
 
 The JSON lands at the repo root so successive PRs accumulate a
 performance trajectory — re-run ``scripts/bench.sh`` after simulator
@@ -56,7 +55,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.apps import water  # noqa: E402
 from repro.config import _default_batched_kernels  # noqa: E402
-from repro.network.link import LinkModel  # noqa: E402
 from repro.obs.manifest import git_sha  # noqa: E402
 from repro.obs.probe import RecordingProbe  # noqa: E402
 from repro.obs.sinks import ColumnarSink  # noqa: E402
@@ -102,12 +100,6 @@ BATCHED_PROTOCOLS = ("LI", "LU", "EI", "EU", "EW")
 #: regression tolerance these do not drift with the committed numbers:
 #: --check fails if the lazy family falls back under 1M events/s.
 BATCHED_FLOOR_EVENTS_PER_S = {"LI": 1_000_000, "LU": 1_000_000}
-#: Protocols measured by the timed-mode section (the lazy family the
-#: batched floors pin, so the counting-vs-timed contrast is direct).
-TIMED_PROTOCOLS = ("LI", "LU")
-#: The lossy link the timed bench exercises: every timed mechanism
-#: (overhead, serialization, loss/retry, jitter) engaged at once.
-TIMED_LOSSY_LINK = dict(loss=0.02, timeout_s=2e-3, jitter_s=5e-5)
 
 
 def best_of(fn, rounds: int = ROUNDS) -> float:
@@ -304,60 +296,6 @@ def measure_telemetry(trace) -> dict:
     return out
 
 
-def measure_timed(trace) -> dict:
-    """Timed-mode throughput vs the per-event counting interpreter.
-
-    Timed runs certify the batched fast paths off (per-message send
-    order feeds the virtual clocks), so the honest baseline is the
-    per-event counting path they extend — the overhead percentages
-    below are the cost of the clock arithmetic itself, not of losing
-    the tape kernels. The ledger equality asserted here is the bench's
-    smoke copy of the equivalence suite.
-    """
-    n_events = len(trace)
-    ideal = LinkModel.ideal()
-    lossy = LinkModel.ethernet_1992(**TIMED_LOSSY_LINK)
-    out = {"lossy_link": lossy.to_dict(), "protocols": {}}
-    for protocol in TIMED_PROTOCOLS:
-        per_event_s = best_of(
-            lambda: simulate(
-                trace, protocol, page_size=PAGE_SIZE, use_batched_kernels=False
-            )
-        )
-        ideal_s = best_of(
-            lambda: simulate(trace, protocol, page_size=PAGE_SIZE, link_model=ideal)
-        )
-        lossy_result = simulate(trace, protocol, page_size=PAGE_SIZE, link_model=lossy)
-        counting = simulate(trace, protocol, page_size=PAGE_SIZE)
-        assert lossy_result.messages == counting.messages, "timed ledger drift"
-        assert lossy_result.data_bytes == counting.data_bytes, "timed ledger drift"
-        lossy_s = best_of(
-            lambda: simulate(trace, protocol, page_size=PAGE_SIZE, link_model=lossy)
-        )
-        per_event = round(n_events / per_event_s)
-        ideal_rate = round(n_events / ideal_s)
-        lossy_rate = round(n_events / lossy_s)
-        ideal_pct = (per_event - ideal_rate) / per_event * 100.0
-        lossy_pct = (per_event - lossy_rate) / per_event * 100.0
-        print(
-            f"timed {protocol}: per-event counting {per_event:,} events/s, "
-            f"ideal link {ideal_rate:,} ({ideal_pct:+.1f}%), "
-            f"lossy link {lossy_rate:,} ({lossy_pct:+.1f}%, "
-            f"{lossy_result.timing['retries']} retries, "
-            f"{lossy_result.timing['completion_s']:.3f}s simulated)"
-        )
-        out["protocols"][protocol] = {
-            "per_event_counting_events_per_s": per_event,
-            "timed_ideal_events_per_s": ideal_rate,
-            "timed_lossy_events_per_s": lossy_rate,
-            "timed_ideal_overhead_pct": round(ideal_pct, 2),
-            "timed_lossy_overhead_pct": round(lossy_pct, 2),
-            "lossy_retries": lossy_result.timing["retries"],
-            "lossy_completion_s": round(lossy_result.timing["completion_s"], 6),
-        }
-    return out
-
-
 def profile_protocols(trace, top: int) -> Path:
     """cProfile each protocol's simulation; write top-``top`` by tottime.
 
@@ -522,7 +460,6 @@ def main(argv=None) -> int:
     # the pre-telemetry baseline.
     telemetry = measure_telemetry(trace)
     batched = measure_batched(trace)
-    timed = measure_timed(trace)
 
     serial_s = best_of(lambda: run_sweep(trace), rounds=2)
     jobs4_s = best_of(lambda: run_sweep(trace, jobs=4), rounds=2)
@@ -559,7 +496,6 @@ def main(argv=None) -> int:
             ),
         },
         "batched_kernels": batched,
-        "timed_mode": timed,
         "generation": generation,
         "trcb_load": trcb_load,
         "telemetry": telemetry,

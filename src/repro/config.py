@@ -89,17 +89,20 @@ class SimConfig:
             ``False`` as the equivalence baseline. Defaults to on, or to
             the ``REPRO_BATCHED_KERNELS`` environment variable when set
             (``0`` disables — CI's reference-interpreter leg uses this).
-        link_model: when set, the run is *timed*: the engine drives
-            per-processor virtual clocks from this
+        link_model: when set, the run is *timed*: per-processor virtual
+            clocks are advanced from this
             :class:`~repro.network.link.LinkModel` (latency, jitter,
             bandwidth, loss→timeout→retry) and the result carries a
             ``timing`` report (simulated completion time, busy/stall
             decomposition, retry counts) alongside the counts. None
             (the default) is counting mode. The ledgers are identical
-            either way — timing is an observer, never an actor — but a
-            timed run replays per event (the batched/tape fast paths
-            certify themselves off, since merged accounting has no send
-            order for the clocks to consume).
+            either way — timing is an observer, never an actor — so
+            what the clocks consume (every send and compute charge, in
+            order) does not depend on the link: the first timed run of
+            a cell records it with one per-event replay, and every
+            later run of that cell under any link takes the counting
+            run's own path (batched when certified) plus one fold over
+            the cached log (see :mod:`repro.network.timed`).
     """
 
     n_procs: int = PAPER_N_PROCS

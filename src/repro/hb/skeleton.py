@@ -60,8 +60,8 @@ consuming kernels.
 
 :func:`batch_plan` memoizes one :class:`BatchPlan` (skeleton + run
 program + eager tapes + shared fetch planners, each built lazily on
-first use) per n_procs on the compiled trace itself, so every protocol
-replay of a sweep reuses it.
+first use, plus the send logs timed runs record) per n_procs on the
+compiled trace itself, so every protocol replay of a sweep reuses it.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ from repro.hb.store import IntervalStore
 from repro.memory.diff import Diff
 from repro.network.costs import CostModel
 from repro.network.message import MessageKind
+from repro.network.timed import SendLog
 from repro.sync.barrier import BarrierMaster
 from repro.sync.lock_manager import LockDirectory
 from repro.trace.precompile import (
@@ -105,6 +106,8 @@ PLAN_STATS: Dict[str, int] = {
     "lazy_tape_hits": 0,
     "eager_tape_builds": 0,
     "eager_tape_hits": 0,
+    "send_log_builds": 0,
+    "send_log_hits": 0,
 }
 
 
@@ -339,7 +342,11 @@ class BatchPlan:
     pays for the lazy interval store, and vice versa. The fetch
     planners (one per (cost model, pruning flag) actually used) are
     memo caches over the immutable store, so sharing them across
-    protocol instances only widens the memo hit rate.
+    protocol instances only widens the memo hit rate. Send logs (the
+    link-independent input of a timed run's clock fold, see
+    :mod:`repro.network.timed`) are recorded by the engine, one per
+    (protocol class, config without its link), and kept here so every
+    other link over that cell only folds.
     """
 
     __slots__ = (
@@ -350,6 +357,7 @@ class BatchPlan:
         "_planners",
         "_eager_tapes",
         "_lazy_tapes",
+        "_send_logs",
     )
 
     def __init__(
@@ -366,6 +374,7 @@ class BatchPlan:
         self._planners: Dict[Tuple[CostModel, bool], FetchPlanner] = {}
         self._eager_tapes: Dict[str, EagerTape] = {}
         self._lazy_tapes: Dict[Tuple[CostModel, bool, bool], LazyTape] = {}
+        self._send_logs: Dict[tuple, SendLog] = {}
 
     @property
     def runs(self) -> RunProgram:
@@ -424,6 +433,23 @@ class BatchPlan:
         else:
             PLAN_STATS["lazy_tape_hits"] += 1
         return tape
+
+    def send_log(self, key: tuple) -> Optional[SendLog]:
+        """The send log recorded under ``key``, or None — the caller
+        then records one and hands it to :meth:`add_send_log`.
+
+        ``key`` is (protocol class, config with ``link_model=None``) —
+        everything that can change send order or wire sizes, nothing
+        the fold reads.
+        """
+        log = self._send_logs.get(key)
+        if log is not None:
+            PLAN_STATS["send_log_hits"] += 1
+        return log
+
+    def add_send_log(self, key: tuple, log: SendLog) -> None:
+        PLAN_STATS["send_log_builds"] += 1
+        self._send_logs[key] = log
 
     def planner_for(self, cost_model: CostModel, prune_overwritten: bool) -> FetchPlanner:
         key = (cost_model, prune_overwritten)

@@ -13,7 +13,7 @@ from repro.network.costs import CostModel
 from repro.network.link import LinkModel, derive_network_seed, parse_link_spec
 from repro.network.stats import NetworkStats, CategoryStats
 from repro.network.network import Network
-from repro.network.timed import NetworkTiming, TIMED_STALL_CATEGORIES
+from repro.network.timed import NetworkTiming, SendLog, TIMED_STALL_CATEGORIES
 
 __all__ = [
     "Message",
@@ -25,6 +25,7 @@ __all__ = [
     "CategoryStats",
     "Network",
     "NetworkTiming",
+    "SendLog",
     "TIMED_STALL_CATEGORIES",
     "derive_network_seed",
     "parse_link_spec",

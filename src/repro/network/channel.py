@@ -27,43 +27,6 @@ class Channel:
         self.dst = dst
         self._queue: Deque[Message] = deque()
         self.delivered_count = 0
-        # Timed-mode state (see :mod:`repro.network.timed`): delivery
-        # times of messages still in flight, the arrival time of the
-        # newest (the FIFO floor for everything behind it), and when the
-        # wire frees up (serialization/queueing under finite bandwidth).
-        self._in_flight: Deque[float] = deque()
-        self.last_arrival = 0.0
-        self.busy_until = 0.0
-
-    # -- timed delivery queue -------------------------------------------------
-
-    def schedule(self, arrival: float) -> float:
-        """Enqueue a timed delivery; returns the FIFO-clamped arrival.
-
-        The paper's channels are FIFO (§5.1), and jitter must not let a
-        later message overtake an earlier one on the same link — so the
-        arrival time is clamped to the newest in-flight arrival before
-        it is queued.
-        """
-        if arrival < self.last_arrival:
-            arrival = self.last_arrival
-        self.last_arrival = arrival
-        self._in_flight.append(arrival)
-        return arrival
-
-    def deliver_due(self, now: float) -> int:
-        """Retire every in-flight delivery with arrival <= ``now``."""
-        queue = self._in_flight
-        delivered = 0
-        while queue and queue[0] <= now:
-            queue.popleft()
-            delivered += 1
-        return delivered
-
-    @property
-    def in_flight_times(self) -> tuple:
-        """Arrival times still scheduled (oldest first)."""
-        return tuple(self._in_flight)
 
     def push(self, message: Message) -> None:
         """Enqueue a message; the message's endpoints must match the channel."""

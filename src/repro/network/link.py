@@ -19,6 +19,7 @@ previously lived — duplicated, and drifting — in
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
@@ -99,8 +100,11 @@ class LinkModel:
 
     def __post_init__(self) -> None:
         for name in ("latency_s", "jitter_s", "bandwidth", "timeout_s", "overhead_s", "access_s"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"LinkModel.{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            # NaN passes every comparison and inf poisons the clocks;
+            # infinite bandwidth is spelled 0.
+            if not math.isfinite(value) or value < 0:
+                raise ConfigError(f"LinkModel.{name} must be finite and >= 0, got {value}")
         if not 0.0 <= self.loss < 1.0:
             raise ConfigError(f"LinkModel.loss must be in [0, 1), got {self.loss}")
         if self.max_retries < 0:

@@ -43,10 +43,10 @@ class Network:
         #: attribute load + identity check per message.
         self._probe = None
         self._probe_stages = False
-        #: Virtual-clock observer (see :mod:`repro.network.timed`);
-        #: None in counting mode — same one-check-per-send discipline
-        #: as the probe.
-        self._timing = None
+        #: Send-order recorder (see :class:`repro.network.timed.SendLog`);
+        #: None except during a timed cell's one recording replay —
+        #: same one-check-per-send discipline as the probe.
+        self._send_log = None
         # Cost-model policy flags, hoisted: send() runs once per message
         # of every sweep cell and the model is immutable.
         self._count_acks = self.cost_model.count_acks
@@ -96,15 +96,14 @@ class Network:
             and type(probe).on_message is RecordingProbe.on_message
         )
 
-    def attach_timing(self, timing) -> None:
-        """Install a :class:`~repro.network.timed.NetworkTiming` observer.
+    def attach_send_log(self, log) -> None:
+        """Install a :class:`~repro.network.timed.SendLog` recorder.
 
-        Every non-local send then advances the virtual clocks via
-        ``timing.on_send`` — after the ledger update, so the accounting
-        is identical to counting mode by construction. Pass None to
-        detach.
+        Every non-local send is then appended to it via ``log.on_send``
+        — after the ledger update, so the accounting is identical to
+        counting mode by construction. Pass None to detach.
         """
-        self._timing = timing
+        self._send_log = log
 
     # -- sending ---------------------------------------------------------------
 
@@ -118,15 +117,15 @@ class Network:
         preconditions as the send fast path (no handlers, no log, every
         kind counted, locals already excluded); probe staging, when a
         probe is attached, is the caller's responsibility — the tape
-        carries matching row totals. Timed runs never reach this path —
-        merged accounting has no per-message send order for the virtual
-        clocks to consume, so the engine certifies the batched kernels
-        off when a link model is configured and this guard backstops it.
+        carries matching row totals. A timed run reaches this path only
+        once its cell's send log is cached: merged accounting has no
+        per-message send order to record, so the engine records per
+        event and this guard backstops it.
         """
-        if self._timing is not None:
+        if self._send_log is not None:
             raise RuntimeError(
-                "apply_tape is a counting-mode fast path; timed runs "
-                "(Network.attach_timing) must replay per message"
+                "apply_tape is a counting-mode fast path; a send-log "
+                "recording (Network.attach_send_log) must replay per message"
             )
         buckets = self._fast_buckets
         for slot, messages, data_bytes, control_bytes in deltas:
@@ -184,9 +183,9 @@ class Network:
                     row[2] += control_bytes
                 else:
                     probe.on_message(kind, src, dst, data, control_bytes, counted)
-            timing = self._timing
-            if timing is not None:
-                timing.on_send(
+            recorder = self._send_log
+            if recorder is not None:
+                recorder.on_send(
                     src, dst, payload_bytes + control_bytes + self._header_bytes
                 )
             return None
@@ -216,9 +215,9 @@ class Network:
                     row[2] += control_bytes
                 else:
                     probe.on_message(kind, src, dst, data, control_bytes, counted)
-            timing = self._timing
-            if timing is not None:
-                timing.on_send(
+            recorder = self._send_log
+            if recorder is not None:
+                recorder.on_send(
                     src, dst, payload_bytes + control_bytes + self._header_bytes
                 )
             if self.keep_log:

@@ -1,25 +1,32 @@
-"""Virtual-clock timing over the counting network.
+"""Virtual-clock timing as a fold over a cell's recorded send order.
 
 The trace-driven simulator replays a *global order* of events and
 delivers every message synchronously — that is the paper's counting
-instrument, and it stays untouched. :class:`NetworkTiming` is a pure
-observer layered on :meth:`Network.send <repro.network.network.Network.send>`:
-it advances per-processor virtual clocks from the
+instrument, and it stays untouched. Timing is a pure observer of it, so
+what the virtual clocks consume — every non-local send ``(src, dst,
+wire_bytes)`` and every ordinary-access compute charge ``(proc,
+words)``, in global order — does not depend on the link at all. A
+:class:`SendLog` records that stream once per cell (the engine attaches
+it to :meth:`Network.attach_send_log
+<repro.network.network.Network.attach_send_log>` for one per-event
+replay and memoizes it on the batch plan); :meth:`NetworkTiming.fold`
+then advances per-processor virtual clocks over the log from one
 :class:`~repro.network.link.LinkModel` (sender software overhead, link
 serialization and queueing, loss → timeout → retransmit penalties,
-propagation latency with seeded jitter) and never touches the ledgers.
-Lock-grant chains and barrier arrival/exit fan-outs are plain messages,
-so causality — the acquirer cannot proceed before the releaser's clock,
-nobody leaves a barrier before the last arrival — emerges from clock
-propagation along message edges, with no protocol changes.
+propagation latency with seeded jitter). Lock-grant chains and barrier
+arrival/exit fan-outs are plain messages, so causality — the acquirer
+cannot proceed before the releaser's clock, nobody leaves a barrier
+before the last arrival — emerges from clock propagation along message
+edges, with no protocol changes.
 
 Two invariants the tests pin:
 
 * **Ledger invariance.** Message/byte counts are identical between a
-  counting run and a timed run of *any* link configuration — drops are
-  transport-level (they cost ``timeout_s`` each and bump the retry
-  counter, the channels stay reliable as §5.1 assumes), so lossy runs
-  remain comparable to the paper's numbers.
+  counting run and a timed run of *any* link configuration — the fold
+  never touches the ledgers, and drops are transport-level (they cost
+  ``timeout_s`` each and bump the retry counter, the channels stay
+  reliable as §5.1 assumes), so lossy runs remain comparable to the
+  paper's numbers.
 * **Accounting closure.** Per processor, ``finish == busy + Σ stalls``:
   every clock advance is attributed to exactly one stall category or to
   compute.
@@ -28,9 +35,9 @@ Two invariants the tests pin:
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Tuple
+from array import array
+from typing import Dict, List, Optional, Tuple
 
-from repro.network.channel import Channel
 from repro.network.link import LinkModel
 
 #: Stall vocabulary of the timed run report, aligned with the span
@@ -48,15 +55,50 @@ TIMED_STALL_CATEGORIES: Tuple[str, ...] = (
 _OVERHEAD, _SERIALIZATION, _LATENCY, _RETRANSMIT, _SYNC_WAIT = range(5)
 
 
-class NetworkTiming:
-    """Per-processor virtual clocks driven by message traffic.
+class SendLog:
+    """Everything one cell's virtual clocks consume, in global order.
 
-    Attach via :meth:`Network.attach_timing
-    <repro.network.network.Network.attach_timing>`; the network then
-    calls :meth:`on_send` once per non-local message (local sends are
-    free, exactly as in counting mode). The engine calls
-    :meth:`compute` for ordinary accesses; :meth:`report` renders the
-    run's timing summary after the replay.
+    Three parallel typed arrays, one entry per record: a non-local send
+    is ``(src, dst, wire_bytes)``; an ordinary-access compute charge is
+    ``(proc, proc, words)`` — sends never have ``src == dst`` (local
+    sends are free, exactly as in counting mode), so the equal pair is
+    the record tag. The log is independent of the link model: one
+    recording serves every :meth:`NetworkTiming.fold` over that cell.
+    """
+
+    __slots__ = ("src", "dst", "amount")
+
+    def __init__(self) -> None:
+        self.src = array("H")
+        self.dst = array("H")
+        self.amount = array("I")
+
+    def on_send(self, src: int, dst: int, wire_bytes: int) -> None:
+        """Record one non-local message (called by ``Network.send``)."""
+        self.src.append(src)
+        self.dst.append(dst)
+        self.amount.append(wire_bytes)
+
+    def compute(self, proc: int, words: int) -> None:
+        """Record ``words`` of ordinary-access compute on ``proc``."""
+        self.src.append(proc)
+        self.dst.append(proc)
+        self.amount.append(words)
+
+    def __len__(self) -> int:
+        return len(self.amount)
+
+    def __repr__(self) -> str:
+        return f"SendLog({len(self)} records)"
+
+
+class NetworkTiming:
+    """Per-processor virtual clocks advanced over a :class:`SendLog`.
+
+    :meth:`fold` is the only implementation of the per-message clock
+    arithmetic; :meth:`report` renders the run's timing summary after
+    it. One instance folds one log (the per-link queueing state lives
+    and dies inside the fold).
     """
 
     def __init__(
@@ -64,23 +106,21 @@ class NetworkTiming:
         link: LinkModel,
         n_procs: int,
         network_seed: int,
-        channel_of: Callable[[int, int], Channel],
         keep_delays: bool = False,
     ):
         self.link = link
         self.n_procs = n_procs
         self.network_seed = network_seed
-        self._channel = channel_of
         self._rng = random.Random(network_seed)
         #: Virtual clock per processor (seconds since run start).
         self.clock: List[float] = [0.0] * n_procs
-        #: Compute seconds per processor (``compute`` advances).
+        #: Compute seconds per processor.
         self.busy: List[float] = [0.0] * n_procs
         #: Stall seconds per processor per category (list-indexed by
-        #: the ``TIMED_STALL_CATEGORIES`` position — this runs once per
-        #: message).
+        #: the ``TIMED_STALL_CATEGORIES`` position — the fold touches a
+        #: row once per message).
         self.stall_rows: List[List[float]] = [[0.0] * 5 for _ in range(n_procs)]
-        #: Timed (non-local) messages observed.
+        #: Timed (non-local) messages folded.
         self.messages = 0
         #: Total retransmissions across all messages.
         self.retries = 0
@@ -91,85 +131,103 @@ class NetworkTiming:
             [] if keep_delays else None
         )
 
-    # -- hot hooks -------------------------------------------------------------
-
-    def on_send(self, src: int, dst: int, wire_bytes: int) -> None:
-        """Advance clocks for one non-local message of ``wire_bytes``."""
+    def fold(self, log: SendLog) -> None:
+        """Advance the clocks over every record of ``log``, in order."""
         link = self.link
-        clock = self.clock
-        depart = now = clock[src]
         overhead = link.overhead_s
-        if overhead:
-            now += overhead
-            clock[src] = now
-            self.stall_rows[src][_OVERHEAD] += overhead
-        channel = self._channel(src, dst)
-        # Serialization: the link carries one message at a time, so a
-        # burst from the same sender queues behind its own traffic.
         bandwidth = link.bandwidth
-        if bandwidth:
-            start = channel.busy_until
-            if start < now:
-                start = now
-            channel.busy_until = start + wire_bytes / bandwidth
-            ser_wait = channel.busy_until - now
-        else:
-            ser_wait = 0.0
-        # Loss → timeout → retransmit: geometric in the seeded RNG,
-        # capped at max_retries; the post-budget attempt always succeeds
-        # (reliable channels — loss costs time, never delivery).
-        penalty = 0.0
         loss = link.loss
-        if loss:
-            lost = 0
-            budget = link.max_retries
-            draw = self._rng.random
-            while lost < budget and draw() < loss:
-                lost += 1
-            if lost:
-                penalty = lost * link.timeout_s
-                self.retries += lost
-        latency = link.latency_s
-        if link.jitter_s:
-            latency += self._rng.random() * link.jitter_s
-        # FIFO clamp lives in the channel: a fast message never passes
-        # an earlier slow one on the same link.
-        arrival = channel.schedule(now + ser_wait + penalty + latency)
-        self.messages += 1
-        if self.delay_log is not None:
-            self.delay_log.append((arrival - depart, ser_wait, penalty))
-        # Receiver advance, decomposed from the tail of the delay
-        # backwards: the network components of *this* message first,
-        # anything earlier is time spent waiting for the sender to get
-        # this far (sync_wait).
-        recv = clock[dst]
-        if arrival > recv:
-            row = self.stall_rows[dst]
-            rem = arrival - recv
-            take = penalty if penalty < rem else rem
-            if take > 0.0:
-                row[_RETRANSMIT] += take
-                rem -= take
-            take = ser_wait if ser_wait < rem else rem
-            if take > 0.0:
-                row[_SERIALIZATION] += take
-                rem -= take
-            take = latency if latency < rem else rem
-            if take > 0.0:
-                row[_LATENCY] += take
-                rem -= take
-            if rem > 0.0:
-                row[_SYNC_WAIT] += rem
-            clock[dst] = arrival
-        channel.deliver_due(clock[dst])
-
-    def compute(self, proc: int, words: int) -> None:
-        """Charge ``words`` of ordinary-access compute to ``proc``."""
-        access = self.link.access_s
-        if access:
-            cost = words * access
-            self.clock[proc] += cost
-            self.busy[proc] += cost
+        budget = link.max_retries
+        timeout = link.timeout_s
+        base_latency = link.latency_s
+        jitter = link.jitter_s
+        access = link.access_s
+        draw = self._rng.random
+        clock = self.clock
+        busy = self.busy
+        stall_rows = self.stall_rows
+        delay_log = self.delay_log
+        n_procs = self.n_procs
+        # Per-link state, indexed src * n_procs + dst: when the wire
+        # frees up (serialization/queueing under finite bandwidth), and
+        # the newest arrival (the FIFO floor for everything behind it).
+        busy_until = [0.0] * (n_procs * n_procs)
+        last_arrival = [0.0] * (n_procs * n_procs)
+        messages = retries = 0
+        for src, dst, amount in zip(log.src, log.dst, log.amount):
+            if src == dst:
+                if access:
+                    cost = amount * access
+                    clock[src] += cost
+                    busy[src] += cost
+                continue
+            depart = now = clock[src]
+            if overhead:
+                now += overhead
+                clock[src] = now
+                stall_rows[src][_OVERHEAD] += overhead
+            wire = src * n_procs + dst
+            # Serialization: the link carries one message at a time, so
+            # a burst from the same sender queues behind its own traffic.
+            if bandwidth:
+                start = busy_until[wire]
+                if start < now:
+                    start = now
+                busy_until[wire] = until = start + amount / bandwidth
+                ser_wait = until - now
+            else:
+                ser_wait = 0.0
+            # Loss → timeout → retransmit: geometric in the seeded RNG,
+            # capped at max_retries; the post-budget attempt always
+            # succeeds (reliable channels — loss costs time, never
+            # delivery).
+            penalty = 0.0
+            if loss:
+                lost = 0
+                while lost < budget and draw() < loss:
+                    lost += 1
+                if lost:
+                    penalty = lost * timeout
+                    retries += lost
+            latency = base_latency
+            if jitter:
+                latency += draw() * jitter
+            # FIFO clamp (§5.1): jitter must not let a later message
+            # overtake an earlier one on the same link.
+            arrival = now + ser_wait + penalty + latency
+            floor = last_arrival[wire]
+            if arrival < floor:
+                arrival = floor
+            else:
+                last_arrival[wire] = arrival
+            messages += 1
+            if delay_log is not None:
+                delay_log.append((arrival - depart, ser_wait, penalty))
+            # Receiver advance, decomposed from the tail of the delay
+            # backwards: the network components of *this* message first,
+            # anything earlier is time spent waiting for the sender to
+            # get this far (sync_wait).
+            recv = clock[dst]
+            if arrival > recv:
+                row = stall_rows[dst]
+                rem = arrival - recv
+                take = penalty if penalty < rem else rem
+                if take > 0.0:
+                    row[_RETRANSMIT] += take
+                    rem -= take
+                take = ser_wait if ser_wait < rem else rem
+                if take > 0.0:
+                    row[_SERIALIZATION] += take
+                    rem -= take
+                take = latency if latency < rem else rem
+                if take > 0.0:
+                    row[_LATENCY] += take
+                    rem -= take
+                if rem > 0.0:
+                    row[_SYNC_WAIT] += rem
+                clock[dst] = arrival
+        self.messages = messages
+        self.retries = retries
 
     # -- summary ---------------------------------------------------------------
 

@@ -80,12 +80,16 @@ def build_manifest(
     timings: Optional[Dict[str, float]] = None,
     plan_cache: Optional[Dict[str, int]] = None,
     network: Optional[Dict[str, object]] = None,
+    execution_path: Optional[str] = None,
+    send_log: Optional[str] = None,
 ) -> Dict[str, object]:
     """Assemble the provenance record for one simulation of ``trace``.
 
     ``timings`` maps phase name -> seconds (``simulate_s`` always;
-    ``compile_s`` when the engine compiled the trace itself; callers may
-    add ``generate_s``). ``plan_cache`` is this run's delta of the
+    ``compile_s`` when the engine compiled the trace itself; timed runs
+    split ``simulate_s`` into the ledger replay — ``record_s`` when it
+    also recorded the send log — plus ``fold_s``; callers may add
+    ``generate_s``). ``plan_cache`` is this run's delta of the
     batch-plan/tape cache counters (``repro.hb.skeleton.PLAN_STATS``) —
     whether the sync skeleton and cost-resolved tapes were rebuilt or
     reused, the first thing to check when two "identical" runs time
@@ -93,7 +97,11 @@ def build_manifest(
     20 cells hashes the columns once. ``network`` is the timed-run
     replay key — the derived ``network_seed`` feeding the loss/jitter
     RNG plus the full link configuration — making lossy runs replayable
-    from the manifest alone.
+    from the manifest alone. ``execution_path`` names the engine loop
+    that produced the ledger (``per_event`` or ``batched``) and
+    ``send_log`` whether a timed run ``recorded`` its send log or
+    ``reused`` a cached one — the first timed run of a cell records per
+    event, every later one takes the counting run's path.
     """
     params = trace.meta.params
     seed = params.get("seed")
@@ -113,4 +121,8 @@ def build_manifest(
         manifest["plan_cache"] = dict(plan_cache)
     if network:
         manifest["network"] = dict(network)
+    if execution_path:
+        manifest["execution_path"] = execution_path
+    if send_log:
+        manifest["send_log"] = send_log
     return manifest

@@ -23,9 +23,9 @@ import time
 from typing import Dict, List, Optional, Tuple, Type, Union
 
 from repro.common.errors import SimulatorError
-from repro.hb.skeleton import plan_stats
+from repro.hb.skeleton import batch_plan, plan_stats
 from repro.network.link import derive_network_seed
-from repro.network.timed import NetworkTiming
+from repro.network.timed import NetworkTiming, SendLog
 from repro.obs.manifest import build_manifest
 from repro.obs.probe import Probe
 from repro.protocols.base import Protocol
@@ -79,27 +79,11 @@ class Engine:
         self.probe = probe
         if probe is not None and probe.enabled:
             self.protocol.attach_probe(probe)
-        # Timed run mode: attach the virtual-clock observer to the
-        # protocol's network. The RNG seed is derived from the workload
-        # seed, protocol, and link config (recorded in the manifest), so
-        # lossy runs replay exactly. A probe keeps the per-message delay
-        # log, which the span builder consumes in place of synthetic
-        # costs.
+        #: Timed runs: the folded clocks, and whether their send log was
+        #: ``recorded`` by this run or ``reused`` from the plan cache.
         self._timing: Optional[NetworkTiming] = None
-        link = config.link_model
-        if link is not None:
-            seed = trace.meta.params.get("seed")
-            network_seed = derive_network_seed(
-                int(seed) if seed is not None else None, self.protocol.name, link
-            )
-            self._timing = NetworkTiming(
-                link,
-                config.n_procs,
-                network_seed,
-                self.protocol.network.channel,
-                keep_delays=probe is not None and probe.enabled,
-            )
-            self.protocol.network.attach_timing(self._timing)
+        self._send_log_source: Optional[str] = None
+        self._execution_path = "per_event"
         self._compiled = compiled
         self._ran = False
         if validate:
@@ -118,7 +102,16 @@ class Engine:
         self._plan_stats_before = plan_stats()
 
     def run(self) -> SimulationResult:
-        """Replay the whole trace and return the accounting."""
+        """Replay the whole trace and return the accounting.
+
+        A timed run (``config.link_model`` set) is the counting run plus
+        a fold: the ledger comes from the same dispatch a counting run
+        of this cell takes, and the virtual clocks from
+        :meth:`NetworkTiming.fold <repro.network.timed.NetworkTiming.fold>`
+        over the cell's cached send log. Only the first timed run of a
+        cell replays per event, with a :class:`SendLog` recording — and
+        that replay supplies its ledger too, so nothing runs twice.
+        """
         self._claim_run()
         timings: Dict[str, float] = {}
         compiled = self._compiled
@@ -127,20 +120,74 @@ class Engine:
             compiled = self.trace.compiled(self.config.page_size)
             timings["compile_s"] = time.perf_counter() - t0
         config = self.config
-        if self._timing is not None:
-            # Timed mode replays per event: the virtual clocks consume
-            # the send order, which the batched/tape fast paths merge
-            # away (Network.apply_tape refuses timed runs outright).
-            return self._run_timed(compiled, timings)
-        # The coherence-index requirement is per-family: the lazy
-        # protocols answer supports_batched_runs() False when the index
-        # is off, while the eager tapes never need it.
-        if (
+        protocol = self.protocol
+        read_values = None
+        plan = log = None
+        if config.link_model is not None:
+            plan = batch_plan(compiled, self.trace.n_procs, trace=self.trace)
+            # Everything that can change send order or wire sizes is in
+            # the key; the link, which only the fold reads, is not.
+            log_key = (type(protocol), config.with_options(link_model=None))
+            log = plan.send_log(log_key)
+            self._send_log_source = "recorded" if log is None else "reused"
+        if plan is not None and log is None:
+            log = SendLog()
+            protocol.network.attach_send_log(log)
+            try:
+                read_values = self._run_per_event(compiled, timings, log.compute)
+            finally:
+                protocol.network.attach_send_log(None)
+            plan.add_send_log(log_key, log)
+            timings["record_s"] = timings["simulate_s"]
+        elif (
+            # The coherence-index requirement is per-family: the lazy
+            # protocols answer supports_batched_runs() False when the
+            # index is off, while the eager tapes never need it.
             config.use_batched_kernels
             and not config.record_values
-            and self.protocol.supports_batched_runs()
+            and protocol.supports_batched_runs()
         ):
-            return self._run_batched(compiled, timings)
+            self._run_batched(compiled, timings, plan)
+        else:
+            read_values = self._run_per_event(compiled, timings)
+        if log is not None:
+            self._fold(log, timings)
+        return self._result(read_values, timings)
+
+    def _fold(self, log: SendLog, timings: Dict[str, float]) -> None:
+        """Advance the virtual clocks over ``log`` under the run's link.
+
+        The RNG seed is derived from the workload seed, protocol, and
+        link config (recorded in the manifest), so lossy runs replay
+        exactly. A probe keeps the per-message delay log, which the
+        span builder consumes in place of synthetic costs.
+        """
+        link = self.config.link_model
+        seed = self.trace.meta.params.get("seed")
+        probe = self.probe
+        t0 = time.perf_counter()
+        self._timing = timing = NetworkTiming(
+            link,
+            self.config.n_procs,
+            derive_network_seed(
+                int(seed) if seed is not None else None, self.protocol.name, link
+            ),
+            keep_delays=probe is not None and probe.enabled,
+        )
+        timing.fold(log)
+        timings["fold_s"] = elapsed = time.perf_counter() - t0
+        timings["simulate_s"] += elapsed
+
+    def _run_per_event(
+        self, compiled: CompiledTrace, timings: Dict[str, float], compute=None
+    ) -> Optional[List[Tuple[int, List[int]]]]:
+        """Interpret every event; returns the read values when recorded.
+
+        ``compute``, when given, is a send log's
+        :meth:`~repro.network.timed.SendLog.compute`: each ordinary
+        access then also records its ``(proc, words)`` charge, in order
+        with the sends the access caused.
+        """
         protocol = self.protocol
         record = self.config.record_values
         read_values: Optional[List[Tuple[int, List[int]]]] = [] if record else None
@@ -158,11 +205,15 @@ class Engine:
             code = op[0]
             if code == OP_WRITE:
                 write(op[1], op[2], op[3], op[4])
+                if compute is not None:
+                    compute(op[1], len(op[3]))
             elif code == OP_READ:
                 if record:
                     read_values.append((op[4], read(op[1], op[2], op[3])))
                 else:
                     read_touch(op[1], op[2])
+                if compute is not None:
+                    compute(op[1], len(op[3]))
             elif code == OP_ACQUIRE:
                 acquire(op[1], op[2])
             elif code == OP_RELEASE:
@@ -178,10 +229,14 @@ class Engine:
                 else:
                     for page, _ in op[2]:
                         read_touch(op[1], page)
+                if compute is not None:
+                    compute(op[1], sum(len(words) for _, words in op[2]))
             else:  # OP_WRITE_N
                 proc, token = op[1], op[3]
                 for page, words in op[2]:
                     write(proc, page, words, token)
+                if compute is not None:
+                    compute(proc, sum(len(words) for _, words in op[2]))
 
         protocol.finish()
         timings["simulate_s"] = elapsed = time.perf_counter() - t0
@@ -193,97 +248,20 @@ class Engine:
                 len(self.trace),
                 elapsed,
             )
-        return self._result(read_values, timings)
+        return read_values
 
-    def _run_timed(self, compiled: CompiledTrace, timings: Dict[str, float]) -> SimulationResult:
-        """The per-event loop of :meth:`run` plus virtual-clock compute.
-
-        Identical protocol calls in identical order — the ledgers are
-        bit-identical to counting mode by construction (the equivalence
-        suite pins it) — with one addition: after each ordinary access,
-        the touching processor's clock advances by the link model's
-        per-word compute cost. All network time is charged by the
-        :class:`~repro.network.timed.NetworkTiming` observer inside
-        ``Network.send``.
-        """
-        protocol = self.protocol
-        timing = self._timing
-        assert timing is not None
-        compute = timing.compute
-        charge = timing.link.access_s > 0.0
-        record = self.config.record_values
-        read_values: Optional[List[Tuple[int, List[int]]]] = [] if record else None
-        read = protocol.read
-        read_touch = protocol.read_touch
-        write = protocol.write
-        acquire = protocol.acquire
-        release = protocol.release
-        barrier = protocol.barrier
-
-        t0 = time.perf_counter()
-        for op in compiled.ops:
-            code = op[0]
-            if code == OP_WRITE:
-                write(op[1], op[2], op[3], op[4])
-                if charge:
-                    compute(op[1], len(op[3]))
-            elif code == OP_READ:
-                if record:
-                    read_values.append((op[4], read(op[1], op[2], op[3])))
-                else:
-                    read_touch(op[1], op[2])
-                if charge:
-                    compute(op[1], len(op[3]))
-            elif code == OP_ACQUIRE:
-                acquire(op[1], op[2])
-            elif code == OP_RELEASE:
-                release(op[1], op[2])
-            elif code == OP_BARRIER:
-                barrier(op[1], op[2])
-            elif code == OP_READ_N:
-                if record:
-                    values = []
-                    for page, words in op[2]:
-                        values.extend(read(op[1], page, words))
-                    read_values.append((op[3], values))
-                else:
-                    for page, _ in op[2]:
-                        read_touch(op[1], page)
-                if charge:
-                    compute(op[1], sum(len(words) for _, words in op[2]))
-            else:  # OP_WRITE_N
-                proc, token = op[1], op[3]
-                nwords = 0
-                for page, words in op[2]:
-                    write(proc, page, words, token)
-                    nwords += len(words)
-                if charge:
-                    compute(proc, nwords)
-
-        protocol.finish()
-        timings["simulate_s"] = elapsed = time.perf_counter() - t0
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug(
-                "replayed %s/%s (timed): %d events in %.3fs, %.6f simulated s",
-                self.trace.meta.app,
-                protocol.name,
-                len(self.trace),
-                elapsed,
-                timing.completion_s,
-            )
-        return self._result(read_values, timings)
-
-    def _run_batched(self, compiled: CompiledTrace, timings: Dict[str, float]) -> SimulationResult:
+    def _run_batched(
+        self, compiled: CompiledTrace, timings: Dict[str, float], plan=None
+    ) -> None:
         """Replay via the access-run program and the batched kernels.
 
         One instruction per contiguous per-page access run (see
         :mod:`repro.trace.runs`); synchronization replays from the
         precomputed happened-before skeleton. Reached only when the
         config and the protocol instance both certify support — results
-        are bit-identical to :meth:`run`'s per-event loop, which remains
+        are bit-identical to :meth:`_run_per_event`, which remains
         available behind ``use_batched_kernels=False``.
         """
-        from repro.hb.skeleton import batch_plan
         from repro.trace.runs import (
             R_ACQUIRE,
             R_BARRIER,
@@ -293,8 +271,10 @@ class Engine:
             R_WRITE,
         )
 
+        self._execution_path = "batched"
         t0 = time.perf_counter()
-        plan = batch_plan(compiled, self.trace.n_procs, trace=self.trace)
+        if plan is None:
+            plan = batch_plan(compiled, self.trace.n_procs, trace=self.trace)
         protocol = self.protocol
         # Binding is part of plan preparation (eager protocols may build
         # their replay tape here), so it shares the timing bucket.
@@ -339,7 +319,6 @@ class Engine:
                 len(self.trace),
                 elapsed,
             )
-        return self._result(None, timings)
 
     def run_reference(self) -> SimulationResult:
         """The original event-by-event interpreter, kept as the baseline.
@@ -347,9 +326,11 @@ class Engine:
         Splits every access at replay time instead of dispatching on the
         precompiled form. Slower, but structurally closest to the paper's
         description — the equivalence tests assert :meth:`run` matches
-        this path field for field.
+        this path field for field. Counting only: a configured
+        ``link_model`` is ignored here.
         """
         self._claim_run()
+        self._execution_path = "reference"
         protocol = self.protocol
         page_size = self.config.page_size
         record = self.config.record_values
@@ -450,6 +431,8 @@ class Engine:
                 timings,
                 plan_cache=self._plan_cache_delta(),
                 network=network_manifest,
+                execution_path=self._execution_path,
+                send_log=self._send_log_source,
             ),
             metrics=metrics_snapshot,
             timing=timing_report,

@@ -8,6 +8,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.network.message import CATEGORIES
 from repro.network.stats import NetworkStats
 
+#: Manifest keys ``to_dict`` drops: wall-clock values, and whatever
+#: depends on what earlier runs in the process left in the plan cache
+#: (a cell's first timed run records per event, later ones reuse).
+_VOLATILE_MANIFEST_KEYS = ("created", "timings_s", "plan_cache", "execution_path", "send_log")
+
 
 @dataclass
 class SimulationResult:
@@ -113,13 +118,12 @@ class SimulationResult:
             # derives from the counts and the seeded network RNG.
             out["timing"] = self.timing
         if self.manifest is not None:
-            # Drop the wall-clock and process-order-dependent keys so
             # to_dict stays deterministic across identical replays
             # (pinned by the integration tests).
             out["manifest"] = {
                 k: v
                 for k, v in self.manifest.items()
-                if k not in ("created", "timings_s", "plan_cache")
+                if k not in _VOLATILE_MANIFEST_KEYS
             }
         return out
 

@@ -53,6 +53,14 @@ class TestLinkModel:
             {"loss": -0.1},
             {"max_retries": -1},
             {"loss": 0.5, "timeout_s": 0.0},
+            {"latency_s": float("nan")},
+            {"jitter_s": float("nan")},
+            {"bandwidth": float("nan")},
+            {"bandwidth": float("inf")},
+            {"timeout_s": float("inf")},
+            {"overhead_s": float("nan")},
+            {"access_s": float("inf")},
+            {"loss": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
@@ -99,6 +107,13 @@ class TestParseLinkSpec:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad --network value"):
             parse_link_spec("latency=fast")
+
+    @pytest.mark.parametrize(
+        "spec", ["latency=nan", "bw=nan", "timeout=nanms", "latency=1e400", "jitter=inf"]
+    )
+    def test_non_finite_value_rejected(self, spec):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_link_spec(spec)
 
 
 class TestNetworkSeed:

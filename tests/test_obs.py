@@ -256,6 +256,31 @@ class TestManifest:
         assert manifest["config"]["page_size"] == 1024
         assert manifest["timings_s"]["simulate_s"] >= 0
 
+    def test_timed_manifest_names_path_and_send_log(self):
+        from repro.config import SimConfig
+        from repro.network.link import LinkModel
+
+        trace = small_trace("water", n_procs=4)
+        config = SimConfig(
+            n_procs=4, page_size=1024, use_batched_kernels=True,
+            link_model=LinkModel.ethernet_1992(loss=0.02, timeout_s=2e-3),
+        )
+        counting = simulate(trace, "LI", config=config.with_options(link_model=None))
+        assert counting.manifest["execution_path"] == "batched"
+        assert "send_log" not in counting.manifest
+        # Cold: one per-event replay records the log and supplies the ledger.
+        cold = simulate(trace, "LI", config=config).manifest
+        assert (cold["execution_path"], cold["send_log"]) == ("per_event", "recorded")
+        assert cold["plan_cache"]["send_log_builds"] == 1
+        assert cold["timings_s"].keys() >= {"record_s", "fold_s", "simulate_s"}
+        # Warm: the counting run's own path, plus a fold.
+        warm = simulate(trace, "LI", config=config).manifest
+        assert (warm["execution_path"], warm["send_log"]) == ("batched", "reused")
+        assert warm["plan_cache"]["send_log_hits"] == 1
+        assert "send_log_builds" not in warm["plan_cache"]
+        assert "record_s" not in warm["timings_s"]
+        assert warm["timings_s"]["simulate_s"] >= warm["timings_s"]["fold_s"] > 0
+
     def test_to_dict_uniform_provenance(self, app_trace):
         row = simulate(app_trace, "EI", page_size=2048).to_dict()
         for key in ("app", "protocol", "page_size", "seed", "trace_digest"):
@@ -264,6 +289,7 @@ class TestManifest:
         # to_dict stays deterministic: no wall-clock keys.
         assert "timings_s" not in row["manifest"]
         assert "created" not in row["manifest"]
+        assert "execution_path" not in row["manifest"]
 
     def test_digest_stable_and_seed_sensitive(self):
         a1 = small_trace("water", n_procs=4, seed=1)
