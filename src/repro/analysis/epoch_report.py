@@ -16,6 +16,7 @@ import logging
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import SimConfig
+from repro.obs.manifest import execution_line
 from repro.obs.metrics import EPOCH_FIELDS
 from repro.obs.probe import RecordingProbe
 from repro.simulator.engine import Engine
@@ -203,4 +204,7 @@ def format_report(result: SimulationResult, timeline=None) -> str:
             f"{key}={value}" for key, value in sorted(plan_cache.items())
         )
         sections.append(cache_line)
+    path_line = execution_line(result.manifest)
+    if path_line:
+        sections.append(path_line)
     return "\n".join(sections)

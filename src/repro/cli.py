@@ -31,6 +31,7 @@ from repro.apps import APPS, generate
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.table1 import run_table1
 from repro.obs import JsonlSink, RecordingProbe, logging_setup
+from repro.obs.manifest import execution_line
 from repro.protocols.registry import all_protocol_names, protocol_names
 from repro.simulator.timing import TimingModel, estimate_runtime
 from repro.simulator.config import PAPER_PAGE_SIZES
@@ -275,6 +276,9 @@ def _cmd_run(args) -> int:
         print(format_timing_detail(result.timing))
     if args.trace_out:
         print(f"event trace -> {args.trace_out}")
+    line = execution_line(result.manifest)
+    if line:
+        print(line)
     return 0
 
 

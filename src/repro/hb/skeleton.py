@@ -28,13 +28,16 @@ once per (compiled trace, n_procs), producing:
 Sync record shapes (plain tuples, hot-path friendly)::
 
     close_rec = (index, vc_after_close, interval_or_None)
-    (K_ACQUIRE, close_rec, grantor, manager, n_notices, grouped, vc_after)
-    (K_RELEASE, close_rec)
-    (K_BARRIER, close_rec, n_to_master, complete_or_None)
+    (K_ACQUIRE, close_rec, grantor, manager, n_notices, grouped, vc_after, proc)
+    (K_RELEASE, close_rec, proc)
+    (K_BARRIER, close_rec, n_to_master, complete_or_None, proc)
         n_to_master: notice count the arrival carries (-1 for the
         master's own arrival, which sends nothing)
         complete: tuple over procs of (n_notices, grouped, vc_after),
         present only on the completing arrival
+        proc: the acting processor (last field of every record) — the
+        replay kernels get it from the instruction stream, the tape
+        builder from here
 
 ``grouped`` is the gap's notices as ``(page, (interval_id, ...))`` pairs
 in first-occurrence order — the order the per-event receive loop would
@@ -56,12 +59,16 @@ remote flush can invalidate a page (or revoke EW write permission)
 *mid-span*, so the resulting extra misses belong to instructions the run
 program never anchors; the tape replays them at exactly the per-event
 point. See :class:`repro.protocols.eager_base.BatchedEagerMixin` for the
-consuming kernels.
+consuming kernels. A run nothing watches per message never replays that
+tape record by record: :func:`build_priced_eager_tape` resolves it once
+per cost key into one merged ledger record per synchronization
+instruction and per inter-sync gap (:class:`PricedEagerTape`).
 
 :func:`batch_plan` memoizes one :class:`BatchPlan` (skeleton + run
-program + eager tapes + shared fetch planners, each built lazily on
-first use, plus the send logs timed runs record) per n_procs on the
-compiled trace itself, so every protocol replay of a sweep reuses it.
+program + eager tapes, raw and priced + lazy tapes + shared fetch
+planners, each built lazily on first use, plus the send logs timed runs
+record) per n_procs on the compiled trace itself, so every protocol
+replay of a sweep reuses it.
 """
 
 from __future__ import annotations
@@ -90,7 +97,14 @@ from repro.trace.precompile import (
     OP_WRITE_N,
     CompiledTrace,
 )
-from repro.trace.runs import CACHE_ENV_VAR, RunProgram, cached_run_program, segment_runs
+from repro.trace.runs import (
+    CACHE_ENV_VAR,
+    R_ACQUIRE,
+    R_RELEASE,
+    RunProgram,
+    cached_run_program,
+    segment_runs,
+)
 
 K_ACQUIRE = 0
 K_RELEASE = 1
@@ -106,6 +120,8 @@ PLAN_STATS: Dict[str, int] = {
     "lazy_tape_hits": 0,
     "eager_tape_builds": 0,
     "eager_tape_hits": 0,
+    "priced_tape_builds": 0,
+    "priced_tape_hits": 0,
     "send_log_builds": 0,
     "send_log_hits": 0,
 }
@@ -168,6 +184,250 @@ class EagerTape:
         )
 
 
+#: ``cause`` codes of a priced record: which staged probe row it charges.
+P_MISS = 0
+P_LOCK = 1
+P_BARRIER = 2
+
+
+class PricedEagerTape:
+    """An :class:`EagerTape` resolved into ledger records at one cost key.
+
+    Nothing about an eager run depends on the run itself — the tape
+    fixes every message, the key ``(cost model, free_local_lock_
+    reacquire)`` its wire sizes and the lock hops (the page size is the
+    plan's) — so a run nothing watches per message needs only the
+    merged accounting. ``records`` holds, in global order, one record
+    per synchronization instruction and one per inter-sync gap whose
+    misses or write faults charged anything::
+
+        (cause, ident, deltas, rowadd, complete)
+            cause, ident: P_MISS, -1 for a gap; P_LOCK / P_BARRIER and
+            the lock / barrier id for a sync instruction
+            deltas: ((kind slot, messages, data_bytes, control_bytes),
+            ...) merged per kind, locals skipped, uncounted acks
+            contributing bytes but no message — exactly what
+            ``Network.send`` would have added one message at a time
+            (see :meth:`repro.network.network.Network.apply_tape`)
+            rowadd: the matching (messages, data, control, faults) add
+            for a probe's staged row, None when all four are zero
+            complete: True on the arrival that completes a barrier
+            episode (the probe's epoch advances after it)
+
+    ``counters`` is the run's final value of every protocol counter the
+    policy moves (``cold_misses``, ``invalid_misses``, ``flushes``,
+    ``reconciles``, ``write_faults``, ``ping_pongs``) — nothing reads
+    them mid-run, so they are not split per record.
+    """
+
+    __slots__ = ("policy", "records", "counters")
+
+    def __init__(self, policy: str, records: List[tuple], counters: Dict[str, int]):
+        self.policy = policy
+        self.records = records
+        self.counters = counters
+
+    def __repr__(self) -> str:
+        return f"PricedEagerTape({self.policy}, {len(self.records)} records)"
+
+
+def build_priced_eager_tape(
+    tape: EagerTape,
+    syncs: List[tuple],
+    n_procs: int,
+    page_size: int,
+    cost_model: CostModel,
+    free_reacquire: bool,
+) -> PricedEagerTape:
+    """Price ``tape`` against one cost key, one record per sync and gap.
+
+    Charges exactly what the per-message kernels of
+    :class:`~repro.protocols.eager_base.BatchedEagerMixin` send (and the
+    per-event hooks before them): access records drain into the gap
+    before the instruction they are tagged at or before, flush outcomes
+    pair with release/barrier instructions in program order, and the
+    lock hops come from a :class:`LockDirectory` walked over ``syncs``
+    (:attr:`BatchPlan.syncs`) — which also rejects a malformed lock or barrier
+    sequence here, as the live directory would during a replay. Fan-outs
+    whose hops are never local (flush pushes, invalidations, barrier
+    exits) are charged per kind in one step, since a priced record only
+    keeps per-kind sums anyway.
+    """
+    update = tape.policy == "EU"
+    page_bytes = cost_model.page_bytes(page_size)
+    notice_bytes = cost_model.write_notice_bytes
+    run_header = cost_model.diff_run_header_bytes
+    word_bytes = cost_model.word_bytes
+    header = cost_model.header_bytes if cost_model.count_header_in_data else 0
+    count_control = cost_model.count_control_in_data
+    # Acks move bytes but, under ``count_acks=False``, no message count.
+    uncounted = () if cost_model.count_acks else tuple(
+        kind.slot for kind in MessageKind if kind.is_ack
+    )
+
+    #: The record being accumulated: per-kind [messages, data, control],
+    #: and the same summed over kinds plus the fault count (its row add).
+    by_slot: Dict[int, List[int]] = {}
+    row = [0, 0, 0, 0]
+    counters: Dict[str, int] = {}
+    records: List[tuple] = []
+
+    def bump(name: str, n: int = 1) -> None:
+        if n:
+            counters[name] = counters.get(name, 0) + n
+
+    def charge(kind: MessageKind, n: int, payload: int = 0, control: int = 0) -> None:
+        """``n`` non-local messages of ``kind``; byte arguments are their sums."""
+        if not n:
+            return
+        slot = kind.slot
+        acc = by_slot.get(slot)
+        if acc is None:
+            by_slot[slot] = acc = [0, 0, 0]
+        if slot not in uncounted:
+            acc[0] += n
+            row[0] += n
+        data = payload + n * header + (control if count_control else 0)
+        acc[1] += data
+        acc[2] += control
+        row[1] += data
+        row[2] += control
+
+    #: Most records repeat (a lock's three hops, a barrier arrival), and
+    #: their parts more so: equal tuples are stored once.
+    shared: Dict[tuple, tuple] = {}
+    share = shared.setdefault
+
+    def emit(cause: int, ident: int, complete: bool = False) -> None:
+        """Close the record being accumulated; an empty gap leaves none."""
+        if by_slot or row[3]:
+            deltas = tuple([(slot, *acc) for slot, acc in by_slot.items()])
+            rowadd = tuple(row) if any(row) else None
+            record = (cause, ident, share(deltas, deltas), share(rowadd, rowadd), complete)
+            by_slot.clear()
+            row[:] = (0, 0, 0, 0)
+        elif cause != P_MISS:
+            record = (cause, ident, (), None, complete)
+        else:
+            return
+        records.append(share(record, record))
+
+    accesses = tape.accesses
+    n_accesses = len(accesses)
+    ptr = 0
+
+    def drain(upto: int) -> None:
+        """Price every access record tagged at or before ``upto``."""
+        nonlocal ptr
+        cold = invalid = requests = forwards = replies = 0
+        write_faults = ping_pongs = invalidations = 0
+        while ptr < n_accesses and accesses[ptr][0] <= upto:
+            rec = accesses[ptr]
+            ptr += 1
+            if rec[1] == E_MISS:
+                _, _, proc, _page, is_cold, server, forward = rec
+            else:  # E_WFAULT (EW only): an optional nested miss, then
+                # one invalidation and its ack per other holder.
+                _, _, proc, _page, nested, holders, ping = rec
+                write_faults += 1
+                invalidations += len(holders)
+                ping_pongs += ping
+                if nested is None:
+                    continue
+                is_cold, server, forward = nested
+            if is_cold:
+                cold += 1
+            else:
+                invalid += 1
+            # bool arithmetic: a hop counts unless it is local.
+            if forward is None:
+                requests += proc != server
+            else:
+                requests += proc != forward
+                forwards += forward != server
+            replies += server != proc
+        bump("cold_misses", cold)
+        bump("invalid_misses", invalid)
+        bump("write_faults", write_faults)
+        bump("ping_pongs", ping_pongs)
+        row[3] += cold + invalid
+        charge(MessageKind.PAGE_REQUEST, requests)
+        charge(MessageKind.PAGE_FORWARD, forwards)
+        charge(MessageKind.PAGE_REPLY, replies, payload=replies * page_bytes)
+        charge(MessageKind.WRITE_NOTICE, invalidations, control=invalidations * notice_bytes)
+        charge(MessageKind.RELEASE_ACK, invalidations)
+
+    next_flush = iter(tape.flushes).__next__
+
+    def flush(notice_kind, update_kind, ack_kind, reconcile_kind) -> None:
+        """One flush outcome: no hop of a flush is ever local."""
+        outcome = next_flush()
+        if outcome is None:
+            return
+        _count, excess, pushes = outcome
+        bump("flushes")
+        bump("reconciles", len(excess))
+        for _page, _owner, n_runs, n_words, dests in excess:
+            charge(reconcile_kind, 1, payload=n_runs * run_header + n_words * word_bytes)
+            charge(notice_kind, len(dests), control=len(dests) * notice_bytes)
+            charge(ack_kind, 1 + len(dests))
+        if update:
+            payload = sum(
+                runs_total * run_header + words_total * word_bytes
+                for _dest, _n_diffs, runs_total, words_total in pushes
+            )
+            charge(update_kind, len(pushes), payload=payload)
+        else:
+            n_notices = sum(n_diffs for _dest, n_diffs, _runs, _words in pushes)
+            charge(notice_kind, len(pushes), control=n_notices * notice_bytes)
+        charge(ack_kind, len(pushes))
+
+    flushes = tape.policy != "EW"
+    locks = LockDirectory(n_procs)
+    barriers = BarrierMaster(n_procs)
+    master = barriers.master
+    for i, kind, proc, value in syncs:
+        if ptr < n_accesses and accesses[ptr][0] <= i:
+            drain(i)
+            emit(P_MISS, -1)
+        if kind == R_ACQUIRE:
+            grantor = locks.grantor_of(value)
+            if grantor != proc or not free_reacquire:
+                manager = locks.manager_of(value)
+                charge(MessageKind.LOCK_REQUEST, proc != manager)
+                charge(MessageKind.LOCK_FORWARD, manager != grantor)
+                charge(MessageKind.LOCK_GRANT, grantor != proc)
+            locks.record_acquire(proc, value)
+            emit(P_LOCK, value)
+        elif kind == R_RELEASE:
+            if flushes:
+                flush(
+                    MessageKind.WRITE_NOTICE,
+                    MessageKind.UPDATE,
+                    MessageKind.RELEASE_ACK,
+                    MessageKind.OWNER_RECONCILE,
+                )
+            locks.record_release(proc, value)
+            emit(P_LOCK, value)
+        else:  # R_BARRIER
+            if flushes:
+                flush(
+                    MessageKind.BARRIER_NOTICE,
+                    MessageKind.BARRIER_UPDATE,
+                    MessageKind.BARRIER_ACK,
+                    MessageKind.BARRIER_RECONCILE,
+                )
+            charge(MessageKind.BARRIER_ARRIVAL, proc != master)
+            complete = barriers.record_arrival(proc, value)
+            if complete:
+                charge(MessageKind.BARRIER_EXIT, len(barriers.exit_targets()))
+            emit(P_BARRIER, value, complete)
+    # Records past the last sync instruction (tags up to n_instructions).
+    drain(tape.n_instructions)
+    emit(P_MISS, -1)
+    return PricedEagerTape(tape.policy, records, counters)
+
+
 class LazyTape:
     """Cost-resolved replay tape for the lazy sync records.
 
@@ -215,20 +475,13 @@ class LazyTape:
 
 
 def build_lazy_tape(
-    compiled: CompiledTrace,
     n_procs: int,
     skeleton: Skeleton,
     cost_model: CostModel,
     piggyback: bool,
     free_reacquire: bool,
 ) -> LazyTape:
-    """Resolve ``skeleton``'s sync records against one cost/config key.
-
-    The skeleton records carry no processor ids (the kernels get them
-    from the instruction stream), so the builder walks the compiled ops
-    alongside the records to recover each sync operation's actor — the
-    same pairing the replay loop performs.
-    """
+    """Resolve ``skeleton``'s sync records against one cost/config key."""
     vcb = cost_model.vclock_bytes(n_procs)
     nb = cost_model.write_notice_bytes
     header = cost_model.header_bytes if cost_model.count_header_in_data else 0
@@ -290,12 +543,10 @@ def build_lazy_tape(
 
     records: List[tuple] = []
     append = records.append
-    next_record = iter(skeleton.records).__next__
-    for op in compiled.ops:
-        code = op[0]
-        if code == OP_ACQUIRE:
-            rec = next_record()
-            proc = op[1]
+    for rec in skeleton.records:
+        kind = rec[0]
+        proc = rec[-1]
+        if kind == K_ACQUIRE:
             close = make_close(rec[1])
             grantor = rec[2]
             if grantor == proc and free_reacquire:
@@ -306,11 +557,9 @@ def build_lazy_tape(
             sends += sync_pair(grant_slot, lnote_slot, grantor, proc, n)
             deltas, rowadd = merge(sends)
             append((close, deltas, rowadd, n, rec[5], rec[6]))
-        elif code == OP_RELEASE:
-            append(make_close(next_record()[1]))
-        elif code == OP_BARRIER:
-            rec = next_record()
-            proc = op[1]
+        elif kind == K_RELEASE:
+            append(make_close(rec[1]))
+        else:  # K_BARRIER
             close = make_close(rec[1])
             n_to_master = rec[2]
             if n_to_master >= 0:
@@ -337,9 +586,11 @@ def build_lazy_tape(
 class BatchPlan:
     """Everything a batched replay of one compiled trace shares.
 
-    The run program, skeleton, and eager tapes are immutable during
-    replays and built lazily on first use — an eager-only replay never
-    pays for the lazy interval store, and vice versa. The fetch
+    The run program, skeleton, and tapes are immutable during replays
+    and built lazily on first use — an eager-only replay never pays for
+    the lazy interval store, and vice versa; cost-resolved tapes
+    (:class:`LazyTape`, :class:`PricedEagerTape`) are kept per cost
+    key. The fetch
     planners (one per (cost model, pruning flag) actually used) are
     memo caches over the immutable store, so sharing them across
     protocol instances only widens the memo hit rate. Send logs (the
@@ -353,9 +604,11 @@ class BatchPlan:
         "compiled",
         "n_procs",
         "_runs",
+        "_syncs",
         "_skeleton",
         "_planners",
         "_eager_tapes",
+        "_priced_tapes",
         "_lazy_tapes",
         "_send_logs",
     )
@@ -370,9 +623,11 @@ class BatchPlan:
         self.compiled = compiled
         self.n_procs = n_procs
         self._runs = runs
+        self._syncs: Optional[List[tuple]] = None
         self._skeleton = skeleton
         self._planners: Dict[Tuple[CostModel, bool], FetchPlanner] = {}
         self._eager_tapes: Dict[str, EagerTape] = {}
+        self._priced_tapes: Dict[Tuple[str, CostModel, bool], PricedEagerTape] = {}
         self._lazy_tapes: Dict[Tuple[CostModel, bool, bool], LazyTape] = {}
         self._send_logs: Dict[tuple, SendLog] = {}
 
@@ -382,6 +637,19 @@ class BatchPlan:
         if runs is None:
             runs = self._runs = segment_runs(self.compiled, self.n_procs)
         return runs
+
+    @property
+    def syncs(self) -> List[tuple]:
+        """The run program's synchronization instructions, as
+        ``(instruction index, R_* kind, proc, lock or barrier id)``."""
+        syncs = self._syncs
+        if syncs is None:
+            syncs = self._syncs = [
+                (i, kind, proc, value)
+                for i, (kind, proc, value, _words) in enumerate(self.runs.instructions())
+                if kind >= R_ACQUIRE
+            ]
+        return syncs
 
     @property
     def skeleton(self) -> Skeleton:
@@ -409,6 +677,34 @@ class BatchPlan:
             PLAN_STATS["eager_tape_hits"] += 1
         return tape
 
+    def priced_eager_tape(
+        self, policy: str, cost_model: CostModel, free_reacquire: bool
+    ) -> PricedEagerTape:
+        """The (memoized) priced tape of ``policy`` for one cost key.
+
+        Counted under its own ``priced_tape_*`` stats: a hit here never
+        looks the unpriced tape up, a build looks it up once.
+        """
+        key = (policy, cost_model, free_reacquire)
+        tape = self._priced_tapes.get(key)
+        if tape is None:
+            PLAN_STATS["priced_tape_builds"] += 1
+            eager = self.eager_tape(policy)
+            assert eager.n_instructions == len(self.runs), (
+                "eager tape out of step with the run program"
+            )
+            tape = self._priced_tapes[key] = build_priced_eager_tape(
+                eager,
+                self.syncs,
+                self.n_procs,
+                self.compiled.page_size,
+                cost_model,
+                free_reacquire,
+            )
+        else:
+            PLAN_STATS["priced_tape_hits"] += 1
+        return tape
+
     def lazy_tape(
         self, cost_model: CostModel, piggyback: bool, free_reacquire: bool
     ) -> LazyTape:
@@ -423,7 +719,6 @@ class BatchPlan:
         if tape is None:
             PLAN_STATS["lazy_tape_builds"] += 1
             tape = self._lazy_tapes[key] = build_lazy_tape(
-                self.compiled,
                 self.n_procs,
                 self.skeleton,
                 cost_model,
@@ -550,7 +845,9 @@ def build_skeleton(compiled: CompiledTrace, n_procs: int) -> Skeleton:
             grantor_vc = vcs[grantor]
             n, grouped = _grouped_gap(store, grantor_vc, vcs[proc])
             vc_after = vcs[proc].merged(grantor_vc)
-            append_record((K_ACQUIRE, close_rec, grantor, manager, n, grouped, vc_after))
+            append_record(
+                (K_ACQUIRE, close_rec, grantor, manager, n, grouped, vc_after, proc)
+            )
             # Config-independent: when free_local_lock_reacquire skips
             # the merge at runtime, grantor == proc and the merge is the
             # identity anyway (a clock always covers its own intervals).
@@ -558,7 +855,7 @@ def build_skeleton(compiled: CompiledTrace, n_procs: int) -> Skeleton:
             locks.record_acquire(proc, lock)
         elif code == OP_RELEASE:
             proc, lock = op[1], op[2]
-            append_record((K_RELEASE, close(proc)))
+            append_record((K_RELEASE, close(proc), proc))
             locks.record_release(proc, lock)
         else:  # OP_BARRIER
             proc, barrier = op[1], op[2]
@@ -585,7 +882,7 @@ def build_skeleton(compiled: CompiledTrace, n_procs: int) -> Skeleton:
                 for p in range(n_procs):
                     vcs[p] = per_proc[p][2]
                 complete = tuple(per_proc)
-            append_record((K_BARRIER, close_rec, n_to_master, complete))
+            append_record((K_BARRIER, close_rec, n_to_master, complete, proc))
     return Skeleton(n_procs, store, records)
 
 

@@ -113,7 +113,8 @@ class Network:
         ``deltas`` is a sequence of ``(kind slot, messages, data_bytes,
         control_bytes)`` tuples — the merged accounting of several
         :meth:`send` calls, resolved at tape-build time (see
-        :class:`~repro.hb.skeleton.LazyTape`). Callers certify the same
+        :class:`~repro.hb.skeleton.LazyTape` and
+        :class:`~repro.hb.skeleton.PricedEagerTape`). Callers certify the same
         preconditions as the send fast path (no handlers, no log, every
         kind counted, locals already excluded); probe staging, when a
         probe is attached, is the caller's responsibility — the tape

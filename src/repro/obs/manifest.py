@@ -82,6 +82,7 @@ def build_manifest(
     network: Optional[Dict[str, object]] = None,
     execution_path: Optional[str] = None,
     send_log: Optional[str] = None,
+    decline_reason: Optional[str] = None,
 ) -> Dict[str, object]:
     """Assemble the provenance record for one simulation of ``trace``.
 
@@ -98,8 +99,10 @@ def build_manifest(
     replay key — the derived ``network_seed`` feeding the loss/jitter
     RNG plus the full link configuration — making lossy runs replayable
     from the manifest alone. ``execution_path`` names the engine loop
-    that produced the ledger (``per_event`` or ``batched``) and
-    ``send_log`` whether a timed run ``recorded`` its send log or
+    that produced the ledger (``tape``, ``batched``, ``per_event`` or
+    ``reference``), ``decline_reason`` why it was not the tape replay
+    (see :func:`repro.protocols.base.certify_replay`; absent on a tape
+    run), and ``send_log`` whether a timed run ``recorded`` its send log or
     ``reused`` a cached one — the first timed run of a cell records per
     event, every later one takes the counting run's path.
     """
@@ -123,6 +126,22 @@ def build_manifest(
         manifest["network"] = dict(network)
     if execution_path:
         manifest["execution_path"] = execution_path
+    if decline_reason:
+        manifest["decline_reason"] = decline_reason
     if send_log:
         manifest["send_log"] = send_log
     return manifest
+
+
+def execution_line(manifest: Optional[Dict[str, object]]) -> Optional[str]:
+    """The ``execution path:`` footer line of ``run`` and ``report``.
+
+    Names the loop that produced the ledger and, when it was not the
+    tape replay, what made the run decline it — so a run that took a
+    slower path says so where the user is looking.
+    """
+    path = (manifest or {}).get("execution_path")
+    if not path:
+        return None
+    reason = manifest.get("decline_reason")
+    return f"execution path: {path}" + (f" (tape declined: {reason})" if reason else "")

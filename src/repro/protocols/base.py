@@ -10,7 +10,7 @@ specific hooks.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.common.types import BarrierId, LockId, PageId, ProcId
@@ -21,6 +21,57 @@ from repro.obs.probe import NULL_PROBE, Probe
 from repro.config import SimConfig
 from repro.sync.barrier import BarrierMaster
 from repro.sync.lock_manager import LockDirectory
+
+
+def certify_replay(
+    protocol: "Protocol", recording: bool = False
+) -> Tuple[str, Optional[str]]:
+    """Which engine loop may replay ``protocol``, and why not a faster one.
+
+    Returns ``(execution_path, decline_reason)``:
+
+    - ``"tape"``: nothing watches individual messages, so the run is
+      replayed from cost-resolved tape records through
+      :meth:`Network.apply_tape <repro.network.network.Network.apply_tape>`
+      bulk updates (lazy family: per sync operation and diff fetch;
+      eager family: the whole run). The reason is None.
+    - ``"batched"``: the access-run kernels, one ``Network.send`` per
+      message — the run needs per-message order or emission:
+      ``subclassed_probe`` (a probe that is not a stock staging
+      :class:`~repro.obs.probe.RecordingProbe`, e.g. ``SpanProbe``),
+      ``event_sink``, ``handler`` (a registered message handler) or
+      ``keep_log``.
+    - ``"per_event"``: the interpreter — ``send_log_recording`` (a timed
+      cell's first run; ``recording`` is the engine's word for it),
+      ``record_values``, ``batched_off`` (``use_batched_kernels``),
+      ``index_off`` (a lazy protocol without the coherence index) or
+      ``subclass_override`` (a subclass overrides a hook the kernels
+      bypass, see ``supports_batched_runs``).
+
+    The engine dispatches on the path and hands it to
+    ``bind_batch_plan``; the pair goes into the run's manifest.
+    """
+    config = protocol.config
+    if recording:
+        return "per_event", "send_log_recording"
+    if config.record_values:
+        return "per_event", "record_values"
+    if not config.use_batched_kernels:
+        return "per_event", "batched_off"
+    if protocol.lazy and not config.use_coherence_index:
+        return "per_event", "index_off"
+    if not protocol.supports_batched_runs():
+        return "per_event", "subclass_override"
+    network = protocol.network
+    if protocol._obs and not (protocol._probe_fast and network._probe_stages):
+        return "batched", "subclassed_probe"
+    if protocol._obs_events:
+        return "batched", "event_sink"
+    if network._handlers:
+        return "batched", "handler"
+    if network.keep_log:
+        return "batched", "keep_log"
+    return "tape", None
 
 
 class ProcState:
@@ -68,6 +119,11 @@ class Protocol(abc.ABC):
         self._obs = False
         self._obs_events = False
         self._probe_fast = False
+        # Set by a batched replay (bind_batch_plan): nothing there can
+        # observe page contents, twins or dirty words — record_values
+        # forces the per-event path, which alone maintains them — so the
+        # kernels keep page *state* and the ledger only.
+        self._value_free = False
 
     def attach_probe(self, probe: Probe) -> None:
         """Install ``probe`` on this protocol and its network.
@@ -243,7 +299,8 @@ class Protocol(abc.ABC):
         access-run kernels (see :mod:`repro.hb.skeleton`). Both families
         certify their concrete classes (lazy via the skeleton kernels,
         eager via the replay tapes); the base answer is No, so anything
-        uncertified falls back to the per-event interpreter."""
+        uncertified falls back to the per-event interpreter. One input
+        of :func:`certify_replay`, which has the whole decision."""
         return False
 
     # -- miss handling --------------------------------------------------------
@@ -293,10 +350,11 @@ class Protocol(abc.ABC):
             proc,
             payload_bytes=self.costs.page_bytes(self.page_size),
         )
-        server_entry = self.procs[server].pages.lookup(page)
-        words: Dict[int, int] = dict(server_entry.page.words) if server_entry else {}
-        words.update(entry.dirty_words)
-        entry.page.words = words
+        if not self._value_free:
+            server_entry = self.procs[server].pages.lookup(page)
+            words: Dict[int, int] = dict(server_entry.page.words) if server_entry else {}
+            words.update(entry.dirty_words)
+            entry.page.words = words
         entry.state = PageState.VALID
         if self._obs_events:
             self.probe.emit(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.types import BarrierId, LockId, PageId, ProcId
-from repro.hb.skeleton import E_MISS
+from repro.hb.skeleton import E_MISS, P_LOCK, P_MISS
 from repro.memory.diff import Diff
 from repro.memory.page import PageEntry, PageState
 from repro.network.message import MessageKind
@@ -85,8 +85,16 @@ class BatchedEagerMixin:
 
     Certification mirrors the lazy family: a subclass is driven by the
     kernels only if it *is* the certified class or overrides none of the
-    ``_BATCHED_GUARDED`` hooks; anything else silently falls back to the
+    ``_BATCHED_GUARDED`` hooks; anything else falls back to the
     per-event interpreter, which stays the bit-identical reference.
+
+    Those kernels still pay one ``Network.send`` per message, which only
+    a run that watches messages needs (event sinks, ``SpanProbe``,
+    handlers). Every other run is certified for the **priced** tape
+    (:class:`~repro.hb.skeleton.PricedEagerTape`): ``_t_run`` folds one
+    merged ledger record per sync instruction and inter-sync gap into
+    the network, the counters and — under a stock metrics probe — the
+    staged attribution rows, without walking the run program.
     """
 
     #: The class whose per-event semantics the tape encodes; subclasses
@@ -105,14 +113,27 @@ class BatchedEagerMixin:
             getattr(cls, name) is getattr(kernel, name) for name in self._BATCHED_GUARDED
         )
 
-    def bind_batch_plan(self, plan) -> None:
-        """Swap the per-event entry points for the tape-replay kernels."""
-        tape = plan.eager_tape(self._batched_kernel_class.name)
-        assert tape.n_instructions == len(plan.runs), (
+    def bind_batch_plan(self, plan, tape: bool) -> None:
+        """Swap the per-event entry points for the tape-replay kernels.
+
+        ``tape`` is :func:`~repro.protocols.base.certify_replay`'s
+        verdict: when set, the priced tape for this run's cost key is
+        bound as ``_b_run`` and the engine calls that instead of
+        walking the run program.
+        """
+        policy = self._batched_kernel_class.name
+        if tape:
+            self._priced = plan.priced_eager_tape(
+                policy, self.costs, self.config.free_local_lock_reacquire
+            )
+            self._b_run = self._t_run_obs if self._obs else self._t_run
+            return
+        eager = plan.eager_tape(policy)
+        assert eager.n_instructions == len(plan.runs), (
             "eager tape out of step with the run program"
         )
-        self._tape = tape.accesses
-        self._tape_len = len(tape.accesses)
+        self._tape = eager.accesses
+        self._tape_len = len(eager.accesses)
         self._tape_ptr = 0
         self._ins_i = 0
         self._page_fetch_bytes = self.costs.page_bytes(self.page_size)
@@ -123,12 +144,61 @@ class BatchedEagerMixin:
         self.release = self._k_release
         self.barrier = self._k_barrier
         self.finish = self._k_finish
-        self._bind_flush_replay(tape)
+        self._bind_flush_replay(eager)
 
     def _bind_flush_replay(self, tape) -> None:
         """EI/EU hook their sync flushes onto the tape's flush records;
         EW's per-event sync hooks are already replay-exact (no flushes),
         so its override is a no-op."""
+
+    # -- priced tape replay ----------------------------------------------------
+
+    def _t_run(self) -> None:
+        """The whole run: fold the priced records into the ledger."""
+        apply_tape = self.network.apply_tape
+        for _cause, _ident, deltas, _rowadd, _complete in self._priced.records:
+            if deltas:
+                apply_tape(deltas)
+        self._t_counters()
+
+    def _t_run_obs(self) -> None:
+        """:meth:`_t_run` under a stock metrics probe.
+
+        Charges each record's row add to the staged row the sync
+        wrappers would have swapped in — created on first use, in the
+        same order — and advances the epoch after a completing barrier
+        arrival, so the metrics snapshot matches the per-message path.
+        """
+        probe = self.probe
+        apply_tape = self.network.apply_tape
+        # No sync operation is in progress: this is the miss-cause row.
+        miss_row = probe._seg_row
+        lock_rows = probe._lock_rows
+        barrier_rows = probe._barrier_rows
+        for cause, ident, deltas, rowadd, complete in self._priced.records:
+            if cause == P_MISS:
+                row = miss_row
+            elif cause == P_LOCK:
+                row = lock_rows.get(ident)
+                if row is None:
+                    row = lock_rows[ident] = probe._cause_row("lock", ident)
+            else:
+                row = barrier_rows.get(ident)
+                if row is None:
+                    row = barrier_rows[ident] = probe._cause_row("barrier", ident)
+            if rowadd is not None:
+                apply_tape(deltas)
+                row[0] += rowadd[0]
+                row[1] += rowadd[1]
+                row[2] += rowadd[2]
+                row[3] += rowadd[3]
+            if complete:
+                probe.advance_epoch()
+        self._t_counters()
+
+    def _t_counters(self) -> None:
+        for name, total in self._priced.counters.items():
+            setattr(self, name, getattr(self, name) + total)
 
     # -- run kernels ---------------------------------------------------------
 
@@ -504,4 +574,7 @@ EagerProtocol._BATCHED_GUARDED = (
     "_k_flush",
     "_k_flush_release",
     "_k_flush_barrier",
+    "_t_run",
+    "_t_run_obs",
+    "_t_counters",
 )

@@ -173,5 +173,8 @@ ExclusiveWriter._BATCHED_GUARDED = (
     "_k_barrier",
     "_k_finish",
     "_k_replay",
+    "_t_run",
+    "_t_run_obs",
+    "_t_counters",
 )
 ExclusiveWriter._batched_kernel_class = ExclusiveWriter

@@ -64,9 +64,10 @@ class HomeLazy(LazyProtocol):
             for page in by_home[home]:
                 diff = interval.diffs[page]
                 payload += diff.wire_bytes(self.costs)
-                home_entry = self.entry(home, page)
-                diff.apply_to(home_entry.page.words)
-                home_entry.page.words.update(home_entry.dirty_words)
+                if not self._value_free:
+                    home_entry = self.entry(home, page)
+                    diff.apply_to(home_entry.page.words)
+                    home_entry.page.words.update(home_entry.dirty_words)
             self.network.send(
                 MessageKind.UPDATE, proc, home, payload_bytes=payload
             )

@@ -392,15 +392,19 @@ class LazyProtocol(Protocol):
                     self.probe.emit(
                         "diff_fetch", proc=proc, server=server, count=count, bytes=payload
                     )
+        value_free = self._value_free
+        if value_free and not obs:
+            return m
         table = self.procs[proc].pages
         for plan in plans:
-            entry = table.entry(plan.page)
-            words = entry.page.words
-            for diff in plan.apply:
-                words.update(diff.words)
-            # A concurrent local writer's uncommitted words survive merges.
-            if entry.dirty_words:
-                words.update(entry.dirty_words)
+            if not value_free:
+                entry = table.entry(plan.page)
+                words = entry.page.words
+                for diff in plan.apply:
+                    words.update(diff.words)
+                # A concurrent local writer's uncommitted words survive merges.
+                if entry.dirty_words:
+                    words.update(entry.dirty_words)
             if obs:
                 self.probe.emit(
                     "diff_apply", proc=proc, page=plan.page, count=len(plan.apply)
@@ -833,43 +837,40 @@ class LazyProtocol(Protocol):
             getattr(cls, name) is getattr(kernel, name) for name in _BATCHED_GUARDED
         )
 
-    def bind_batch_plan(self, plan) -> None:
+    def bind_batch_plan(self, plan, tape: bool) -> None:
         """Attach a prebuilt :class:`~repro.hb.skeleton.BatchPlan`.
 
         Replaces the (empty) per-run store with the skeleton's fully
         populated one, shares the plan's fetch planner for this config's
         cost model, and installs the record-driven sync kernels. Called
-        by the engine before its batched replay loop.
+        by the engine before its batched replay loop, with the path
+        :func:`~repro.protocols.base.certify_replay` chose.
 
-        Two kernel sets exist. Whenever every sync-time ``Network.send``
-        of a replay would take the pure-accounting fast path (no
-        handlers, no log) and the probe — if any — is a stock
-        :class:`~repro.obs.probe.RecordingProbe` staging rows inline,
+        Two kernel sets exist. With ``tape`` — every sync-time
+        ``Network.send`` would take the pure-accounting fast path and
+        the probe, if any, is a stock
+        :class:`~repro.obs.probe.RecordingProbe` staging rows inline —
         the **tape** kernels replay the cost-resolved
         :class:`~repro.hb.skeleton.LazyTape` via ``_b_acquire`` /
         ``_b_release`` / ``_b_barrier`` entry points the engine binds
         directly (bypassing the base wrappers; lock/barrier directory
         upkeep is dead state in a batched run). Otherwise — event sinks
-        attached, subclassed probes, message handlers — the legacy
+        attached, subclassed probes, message handlers — the per-message
         ``_k_*`` kernels shadow the ``_on_*`` hooks and every message is
-        sent individually, exactly as before.
+        sent individually. Either way the replay is value-free: page
+        *state* is maintained, contents, twins and dirty words are not.
         """
         self.store = plan.store
         self._planner = plan.planner_for(self.costs, self.config.skip_overwritten_diffs)
         self._notices_for_gap = self.store.gap_notices
         self._pending_complete = None
+        self._value_free = True
         config = self.config
-        network = self.network
-        if (
-            not self._obs_events
-            and not network._handlers
-            and not network.keep_log
-            and (not self._obs or (self._probe_fast and network._probe_stages))
-        ):
-            tape = plan.lazy_tape(
+        if tape:
+            records = plan.lazy_tape(
                 self.costs, config.piggyback_notices, config.free_local_lock_reacquire
-            )
-            self._tape_next = iter(tape.records).__next__
+            ).records
+            self._tape_next = iter(records).__next__
             self._bulk_fetch = True
             # The tape's retained_after prefix sums are the retention
             # series only while retention is monotone: no barrier GC and
@@ -898,8 +899,9 @@ class LazyProtocol(Protocol):
 
         The interval (diffs included) was built by the skeleton pass;
         here only the run-dependent bookkeeping happens: retention
-        accounting at this run's wire costs, the dirty-registry reset,
-        the clock step, and telemetry.
+        accounting at this run's wire costs, the clock step, and
+        telemetry. The run kernels register no dirty words, so there is
+        no registry to drain.
         """
         index, vc, interval = close_rec
         if interval is not None:
@@ -916,11 +918,6 @@ class LazyProtocol(Protocol):
             self.retained_diff_bytes = retained
             if retained > self.peak_retained_diff_bytes:
                 self.peak_retained_diff_bytes = retained
-        dirty_registry = self.procs[proc].pages._dirty
-        if dirty_registry:
-            for entry in dirty_registry.values():
-                entry.clear_dirty()
-            dirty_registry.clear()
         self.lazy_state[proc].vc = vc
         self.intervals_closed += 1
         if self._obs_events:
@@ -932,46 +929,24 @@ class LazyProtocol(Protocol):
         """Batched-close hook for modifying intervals (HLRC flushes here)."""
 
     def _k_write_run(self, proc: ProcId, page: PageId, words: Dict[int, int]) -> None:
-        """Apply one write run to a page already touched this span.
+        """One write run to a page already touched this span: nothing to do.
 
         No miss check: between two synchronization points nothing can
         invalidate the span owner's page (notices arrive only at its own
         sync operations, and runs end at every global barrier
         completion), so a page that serviced its miss at the span's
-        first access stays VALID for the rest of the span. ``words``
-        carries the final token per word in first-write order — exactly
-        the dict the per-event writes would accumulate.
-
-        Page contents and twins are unobservable under a batched replay
-        (``record_values`` is off and the closes take prebuilt diffs
-        from the skeleton), so only the dirty registry is maintained.
-        The run's word dict is adopted as the interval's dirty set
-        without copying — safe because interval closes *rebind*
-        ``dirty_words`` (``clear_dirty``), never mutate it, leaving the
-        program's dict intact for the next replay.
+        first access stays VALID for the rest of the span. And no value
+        bookkeeping: page contents, twins and the dirty registry are
+        unobservable under a batched replay (``record_values`` forces
+        the per-event path, and the closes take prebuilt diffs from the
+        skeleton). LH overrides this to note the page was used.
         """
-        table = self.procs[proc].pages
-        entry = table.entry(page)
-        if entry.dirty_words:
-            # Unreachable for programs built by segment_runs (one write
-            # run per (proc, page) span; spans end at every sync that
-            # could close the interval), but kept safe regardless.
-            entry.dirty_words = {**entry.dirty_words, **words}
-        else:
-            table.mark_dirty(page, entry)
-            entry.dirty_words = words
 
     def _k_full_run(self, proc: ProcId, page: PageId, words: Dict[int, int]) -> None:
-        """A span whose first access to ``page`` is a write: miss check, then write."""
-        table = self.procs[proc].pages
-        entry = table.entry(page)
+        """A span whose first access to ``page`` is a write: the miss check."""
+        entry = self.procs[proc].pages.entry(page)
         if entry.state is not PageState.VALID:
             self._service_miss(proc, page, entry)
-        if entry.dirty_words:
-            entry.dirty_words = {**entry.dirty_words, **words}
-        else:
-            table.mark_dirty(page, entry)
-            entry.dirty_words = words
 
     def _k_receive(
         self,
@@ -1094,11 +1069,6 @@ class LazyProtocol(Protocol):
 
     def _t_close_fast(self, proc: ProcId, close: tuple) -> None:
         """Monotone-retention close: the tape's prefix sum is the series."""
-        dirty_registry = self.procs[proc].pages._dirty
-        if dirty_registry:
-            for entry in dirty_registry.values():
-                entry.clear_dirty()
-            dirty_registry.clear()
         self.lazy_state[proc].vc = close[0]
         self.intervals_closed += 1
         self.retained_diff_bytes = self.peak_retained_diff_bytes = close[4]
@@ -1117,11 +1087,6 @@ class LazyProtocol(Protocol):
                 if page_live is None:
                     live[page] = page_live = []
                 page_live.append((interval, wire))
-        dirty_registry = self.procs[proc].pages._dirty
-        if dirty_registry:
-            for entry in dirty_registry.values():
-                entry.clear_dirty()
-            dirty_registry.clear()
         self.lazy_state[proc].vc = close[0]
         self.intervals_closed += 1
         if interval is not None:

@@ -28,7 +28,7 @@ from repro.network.link import derive_network_seed
 from repro.network.timed import NetworkTiming, SendLog
 from repro.obs.manifest import build_manifest
 from repro.obs.probe import Probe
-from repro.protocols.base import Protocol
+from repro.protocols.base import Protocol, certify_replay
 from repro.protocols.registry import protocol_class
 from repro.config import SimConfig
 from repro.simulator.results import SimulationResult
@@ -83,7 +83,10 @@ class Engine:
         #: ``recorded`` by this run or ``reused`` from the plan cache.
         self._timing: Optional[NetworkTiming] = None
         self._send_log_source: Optional[str] = None
+        #: The loop that produced the ledger and, unless it was the tape
+        #: replay, why not (see :func:`certify_replay`).
         self._execution_path = "per_event"
+        self._decline_reason: Optional[str] = None
         self._compiled = compiled
         self._ran = False
         if validate:
@@ -130,7 +133,9 @@ class Engine:
             log_key = (type(protocol), config.with_options(link_model=None))
             log = plan.send_log(log_key)
             self._send_log_source = "recorded" if log is None else "reused"
-        if plan is not None and log is None:
+        recording = plan is not None and log is None
+        path, self._decline_reason = certify_replay(protocol, recording)
+        if recording:
             log = SendLog()
             protocol.network.attach_send_log(log)
             try:
@@ -139,15 +144,8 @@ class Engine:
                 protocol.network.attach_send_log(None)
             plan.add_send_log(log_key, log)
             timings["record_s"] = timings["simulate_s"]
-        elif (
-            # The coherence-index requirement is per-family: the lazy
-            # protocols answer supports_batched_runs() False when the
-            # index is off, while the eager tapes never need it.
-            config.use_batched_kernels
-            and not config.record_values
-            and protocol.supports_batched_runs()
-        ):
-            self._run_batched(compiled, timings, plan)
+        elif path != "per_event":
+            self._run_batched(compiled, timings, plan, tape=path == "tape")
         else:
             read_values = self._run_per_event(compiled, timings)
         if log is not None:
@@ -251,51 +249,66 @@ class Engine:
         return read_values
 
     def _run_batched(
-        self, compiled: CompiledTrace, timings: Dict[str, float], plan=None
+        self, compiled: CompiledTrace, timings: Dict[str, float], plan, tape: bool
     ) -> None:
         """Replay via the access-run program and the batched kernels.
 
         One instruction per contiguous per-page access run (see
         :mod:`repro.trace.runs`); synchronization replays from the
-        precomputed happened-before skeleton. Reached only when the
-        config and the protocol instance both certify support — results
+        precomputed happened-before skeleton. Reached only when
+        :func:`~repro.protocols.base.certify_replay` allows it — results
         are bit-identical to :meth:`_run_per_event`, which remains
-        available behind ``use_batched_kernels=False``.
+        available behind ``use_batched_kernels=False``. With ``tape``
+        the kernels apply cost-resolved tape records in bulk; the eager
+        family then needs no instruction walk at all and binds the
+        whole run as ``_b_run``.
         """
-        from repro.trace.runs import (
-            R_ACQUIRE,
-            R_BARRIER,
-            R_FULL,
-            R_RELEASE,
-            R_TOUCH,
-            R_WRITE,
-        )
-
-        self._execution_path = "batched"
+        self._execution_path = "tape" if tape else "batched"
         t0 = time.perf_counter()
         if plan is None:
             plan = batch_plan(compiled, self.trace.n_procs, trace=self.trace)
         protocol = self.protocol
-        # Binding is part of plan preparation (eager protocols may build
-        # their replay tape here), so it shares the timing bucket.
-        protocol.bind_batch_plan(plan)
+        # Binding is part of plan preparation (the tapes are built here
+        # on first use), so it shares the timing bucket.
+        protocol.bind_batch_plan(plan, tape)
         timings["batch_plan_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        whole_run = getattr(protocol, "_b_run", None)
+        if whole_run is not None:
+            whole_run()
+        else:
+            self._walk_runs(plan.runs.instructions())
+        protocol.finish()
+        timings["simulate_s"] = elapsed = time.perf_counter() - t0
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "replayed %s/%s (%s): %d events in %.3fs",
+                self.trace.meta.app,
+                protocol.name,
+                self._execution_path,
+                len(self.trace),
+                elapsed,
+            )
+
+    def _walk_runs(self, instructions: List[tuple]) -> None:
+        """Drive the bound run and sync kernels over the run program."""
+        from repro.trace.runs import R_ACQUIRE, R_FULL, R_RELEASE, R_TOUCH, R_WRITE
+
+        protocol = self.protocol
         read_touch = protocol.read_touch
         write_run = protocol._k_write_run
         full_run = protocol._k_full_run
-        # Lazy tape replay (bind_batch_plan certifies and installs the
-        # ``_b_*`` kernels); everything else keeps the public wrappers.
+        # Lazy tape replay (bind_batch_plan installs the ``_b_*``
+        # kernels); everything else keeps the public wrappers.
         acquire = getattr(protocol, "_b_acquire", None) or protocol.acquire
         release = getattr(protocol, "_b_release", None) or protocol.release
         barrier = getattr(protocol, "_b_barrier", None) or protocol.barrier
-
-        t0 = time.perf_counter()
         # Instructions iterate as pre-unpacked 4-tuples: one C-level
         # UNPACK_SEQUENCE per run beats repeated ins[n] indexing, and
         # beat an arrays()-indexed variant (array reads box fresh ints
         # per column) when measured — see PERFORMANCE.md. Branches are
         # ordered by instruction frequency in the app traces.
-        for kind, proc, value, words in plan.runs.instructions():
+        for kind, proc, value, words in instructions:
             if kind == R_TOUCH:
                 read_touch(proc, value)
             elif kind == R_WRITE:
@@ -308,17 +321,6 @@ class Engine:
                 release(proc, value)
             else:  # R_BARRIER
                 barrier(proc, value)
-
-        protocol.finish()
-        timings["simulate_s"] = elapsed = time.perf_counter() - t0
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug(
-                "replayed %s/%s (batched): %d events in %.3fs",
-                self.trace.meta.app,
-                protocol.name,
-                len(self.trace),
-                elapsed,
-            )
 
     def run_reference(self) -> SimulationResult:
         """The original event-by-event interpreter, kept as the baseline.
@@ -432,6 +434,7 @@ class Engine:
                 plan_cache=self._plan_cache_delta(),
                 network=network_manifest,
                 execution_path=self._execution_path,
+                decline_reason=self._decline_reason,
                 send_log=self._send_log_source,
             ),
             metrics=metrics_snapshot,

@@ -11,7 +11,14 @@ from repro.network.stats import NetworkStats
 #: Manifest keys ``to_dict`` drops: wall-clock values, and whatever
 #: depends on what earlier runs in the process left in the plan cache
 #: (a cell's first timed run records per event, later ones reuse).
-_VOLATILE_MANIFEST_KEYS = ("created", "timings_s", "plan_cache", "execution_path", "send_log")
+_VOLATILE_MANIFEST_KEYS = (
+    "created",
+    "timings_s",
+    "plan_cache",
+    "execution_path",
+    "decline_reason",
+    "send_log",
+)
 
 
 @dataclass

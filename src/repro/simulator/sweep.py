@@ -274,21 +274,29 @@ def _log_plan_cache(stats: Dict[str, int]) -> None:
     everywhere else. A hit rate near zero here means cells are
     rebuilding per-cell state that should be shared.
     """
-    builds = stats["plan_builds"] + stats["lazy_tape_builds"] + stats["eager_tape_builds"]
-    hits = stats["plan_hits"] + stats["lazy_tape_hits"] + stats["eager_tape_hits"]
+    kinds = ("plan", "lazy_tape", "eager_tape", "priced_tape")
+    builds = sum(stats[kind + "_builds"] for kind in kinds)
+    hits = sum(stats[kind + "_hits"] for kind in kinds)
     total = builds + hits
     if not total:
         return
     logger.info(
         "sweep plan cache: %d lookups, %d builds (%d plan / %d lazy tape / "
-        "%d eager tape), %.0f%% hit rate",
+        "%d eager tape / %d priced tape), %.0f%% hit rate",
         total,
         builds,
-        stats["plan_builds"],
-        stats["lazy_tape_builds"],
-        stats["eager_tape_builds"],
+        *(stats[kind + "_builds"] for kind in kinds),
         100.0 * hits / total,
     )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the affinity mask where the
+    platform has one (it reflects ``taskset`` and cgroup cpusets, which
+    ``os.cpu_count()`` ignores), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
 
 #: (jobs, cpus) pairs already logged by the clamp below — bench loops
@@ -326,7 +334,7 @@ def run_sweep(
     if jobs is not None and jobs > 1:
         # More workers than cores only adds scheduling churn (each cell
         # is pure CPU), so oversubscribed requests are clamped.
-        cpus = os.cpu_count() or 1
+        cpus = _usable_cpus()
         if jobs > cpus:
             if (jobs, cpus) not in _clamp_logged:
                 _clamp_logged.add((jobs, cpus))

@@ -292,6 +292,58 @@ class TestBatchedGate:
         assert off.manifest["config"]["use_batched_kernels"] is False
 
 
+class TestValueTrackingLivesOnOnePath:
+    """Page contents are the value path's job, never the batched replay's."""
+
+    @staticmethod
+    def handoff_trace():
+        # p1 then p2 write word 0 (p2 also word 16) under one lock; after
+        # a barrier every processor reads both words back.
+        n_procs = 3
+        events = [
+            Event.acquire(1, 0),
+            Event.write(1, 0x0),
+            Event.release(1, 0),
+            Event.acquire(2, 0),
+            Event.write(2, 0x0),
+            Event.write(2, 0x40),
+            Event.release(2, 0),
+        ]
+        events += [Event.at_barrier(proc, 0) for proc in range(n_procs)]
+        events += [Event.read(proc, 0x0, 0x44) for proc in range(n_procs)]
+        return build_trace(n_procs, events), n_procs
+
+    @pytest.mark.parametrize("protocol", ALL_BATCHED)
+    def test_value_path_keeps_contents_and_passes_the_checker(self, protocol):
+        from repro.analysis.checker import check_protocol
+
+        trace, n_procs = self.handoff_trace()
+        config = SimConfig(n_procs=n_procs, page_size=1024, record_values=True)
+        engine = Engine(trace, config, protocol)
+        result = engine.run()
+        assert result.manifest["execution_path"] == "per_event"
+        assert result.manifest["decline_reason"] == "record_values"
+        # Write tokens are event sequence numbers: p2's two writes.
+        for proc in range(n_procs):
+            page = engine.protocol.entry(proc, 0).page
+            assert (page.read(0), page.read(16)) == (4, 5), proc
+        report = check_protocol(trace, protocol, page_size=1024)
+        assert report.ok and report.reads_checked == 17 * n_procs
+
+    @pytest.mark.parametrize("protocol", ALL_BATCHED)
+    def test_batched_replay_leaves_contents_untouched(self, water_trace, protocol):
+        config = SimConfig(n_procs=water_trace.n_procs, page_size=1024)
+        engine = Engine(water_trace, config, protocol)
+        result = engine.run()
+        assert result.manifest["execution_path"] == "tape"
+        assert result.messages > 0
+        for state in engine.protocol.procs:
+            for entry in state.pages:
+                assert not entry.page.words
+                assert not entry.dirty_words and entry.twin is None
+            assert not state.pages._dirty
+
+
 class TestBatchedEdgeTraces:
     def test_sync_only_trace(self):
         # Every interval is empty (IntervalStore.add_empty path).

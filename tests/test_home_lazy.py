@@ -30,8 +30,10 @@ class TestRegistry:
 class TestHomeFlush:
     def test_release_flushes_diffs_home(self):
         # Page 1's home is p1; the writer is p2.
+        # Page contents live on the value-tracking path only.
         protocol, result = run(
-            [Event.acquire(2, 0), Event.write(2, PAGE), Event.release(2, 0)]
+            [Event.acquire(2, 0), Event.write(2, PAGE), Event.release(2, 0)],
+            record_values=True,
         )
         assert result.stats.messages_of(MessageKind.UPDATE) == 1
         assert protocol.home_flushes == 1

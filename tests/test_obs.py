@@ -266,20 +266,63 @@ class TestManifest:
             link_model=LinkModel.ethernet_1992(loss=0.02, timeout_s=2e-3),
         )
         counting = simulate(trace, "LI", config=config.with_options(link_model=None))
-        assert counting.manifest["execution_path"] == "batched"
+        assert counting.manifest["execution_path"] == "tape"
+        assert "decline_reason" not in counting.manifest
         assert "send_log" not in counting.manifest
         # Cold: one per-event replay records the log and supplies the ledger.
         cold = simulate(trace, "LI", config=config).manifest
         assert (cold["execution_path"], cold["send_log"]) == ("per_event", "recorded")
+        assert cold["decline_reason"] == "send_log_recording"
         assert cold["plan_cache"]["send_log_builds"] == 1
         assert cold["timings_s"].keys() >= {"record_s", "fold_s", "simulate_s"}
         # Warm: the counting run's own path, plus a fold.
         warm = simulate(trace, "LI", config=config).manifest
-        assert (warm["execution_path"], warm["send_log"]) == ("batched", "reused")
+        assert (warm["execution_path"], warm["send_log"]) == ("tape", "reused")
         assert warm["plan_cache"]["send_log_hits"] == 1
         assert "send_log_builds" not in warm["plan_cache"]
         assert "record_s" not in warm["timings_s"]
         assert warm["timings_s"]["simulate_s"] >= warm["timings_s"]["fold_s"] > 0
+
+    @pytest.mark.parametrize(
+        "reason, path, protocol, setup",
+        [
+            (None, "tape", "EI", {}),
+            ("event_sink", "batched", "LI", {"probe": "sink"}),
+            ("subclassed_probe", "batched", "EU", {"probe": "span"}),
+            ("handler", "batched", "LU", {"handler": True}),
+            ("keep_log", "batched", "EW", {"keep_log": True}),
+            ("record_values", "per_event", "LI", {"config": {"record_values": True}}),
+            ("batched_off", "per_event", "EI", {"config": {"use_batched_kernels": False}}),
+            ("index_off", "per_event", "LU", {"config": {"use_coherence_index": False}}),
+            ("subclass_override", "per_event", "override", {}),
+        ],
+    )
+    def test_execution_path_and_decline_reason(self, reason, path, protocol, setup):
+        from repro.config import SimConfig
+        from repro.obs.spans import SpanProbe
+        from repro.protocols.lazy_invalidate import LazyInvalidate
+        from repro.simulator.engine import Engine
+
+        class Overriding(LazyInvalidate):
+            def _on_notice(self, proc, notice):
+                super()._on_notice(proc, notice)
+
+        trace = small_trace("water", n_procs=4)
+        config = SimConfig(n_procs=4, page_size=1024, use_batched_kernels=True)
+        config = config.with_options(**setup.get("config", {}))
+        probe = {
+            "sink": lambda: RecordingProbe(sinks=[MemorySink()]),
+            "span": SpanProbe,
+        }.get(setup.get("probe"), lambda: None)()
+        engine = Engine(
+            trace, config, Overriding if protocol == "override" else protocol, probe=probe
+        )
+        if setup.get("handler"):
+            engine.protocol.network.register_handler(0, lambda message: None)
+        engine.protocol.network.keep_log = bool(setup.get("keep_log"))
+        manifest = engine.run().manifest
+        assert manifest["execution_path"] == path
+        assert manifest.get("decline_reason") == reason
 
     def test_to_dict_uniform_provenance(self, app_trace):
         row = simulate(app_trace, "EI", page_size=2048).to_dict()
@@ -290,6 +333,7 @@ class TestManifest:
         assert "timings_s" not in row["manifest"]
         assert "created" not in row["manifest"]
         assert "execution_path" not in row["manifest"]
+        assert "decline_reason" not in row["manifest"]
 
     def test_digest_stable_and_seed_sensitive(self):
         a1 = small_trace("water", n_procs=4, seed=1)

@@ -274,7 +274,8 @@ class TestConcurrentLastModifiers:
             LazyInvalidate, events, len(events) - 2, MessageKind.DIFF_REQUEST
         )
         assert delta == 1
-        protocol, _ = run(LazyInvalidate, events)
+        # Page contents live on the value-tracking path only.
+        protocol, _ = run(LazyInvalidate, events, record_values=True)
         # The single reply still carries both modifications' words.
         assert protocol.entry(3, 0).page.read(0) == 2  # p1's write seq
         assert protocol.entry(3, 0).page.read(16) == 5  # p2's write seq
@@ -293,8 +294,13 @@ class TestConcurrentLastModifiers:
             Event.read(3, 0x0),
             Event.release(3, 0),
         ]
-        on_protocol, _ = run(LazyInvalidate, events, skip_overwritten_diffs=True)
-        off_protocol, _ = run(LazyInvalidate, events, skip_overwritten_diffs=False)
+        # Page contents live on the value-tracking path only.
+        on_protocol, _ = run(
+            LazyInvalidate, events, skip_overwritten_diffs=True, record_values=True
+        )
+        off_protocol, _ = run(
+            LazyInvalidate, events, skip_overwritten_diffs=False, record_values=True
+        )
         assert on_protocol.diffs_fetched < off_protocol.diffs_fetched
         # Both end up with the final value.
         assert on_protocol.entry(3, 0).page.read(0) == 5

@@ -7,8 +7,8 @@ a worker dies mid-sweep, no resource-tracker leaks at interpreter exit,
 and the jobs clamp.
 
 The host running the suite may have a single core; tests that need a
-real pool monkeypatch ``os.cpu_count`` (the start method is fork on
-Linux, so workers inherit the patch).
+real pool patch the CPU set ``run_sweep`` clamps to (``_patch_cpus``;
+the start method is fork on Linux, so workers inherit the patch).
 """
 
 from __future__ import annotations
@@ -47,9 +47,17 @@ def _propagate_repro_logs():
     logger.propagate = previous
 
 
+def _patch_cpus(monkeypatch, n: int) -> None:
+    """Make the jobs clamp see ``n`` usable CPUs: the affinity mask
+    where the platform has one, ``os.cpu_count`` otherwise."""
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 @pytest.fixture
 def many_cores(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _patch_cpus(monkeypatch, 4)
 
 
 def _crash_cell(cell):
@@ -178,6 +186,7 @@ class TestParallelSweepShm:
         script.write_text(
             "import os\n"
             "os.cpu_count = lambda: 4\n"
+            "os.sched_getaffinity = lambda pid: set(range(4))\n"
             "from tests.conftest import small_trace\n"
             "from repro.simulator.sweep import run_sweep\n"
             "sweep = run_sweep(small_trace('water'), protocols=['LI', 'LU'],\n"
@@ -208,7 +217,7 @@ class TestJobsClamp:
         monkeypatch.setattr(sweep_module, "_clamp_logged", set())
 
     def test_jobs_clamped_to_cpu_count(self, water_trace, monkeypatch, caplog):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        _patch_cpus(monkeypatch, 1)
         with caplog.at_level(logging.INFO, logger="repro.simulator.sweep"):
             sweep = run_sweep(water_trace, protocols=["LI"], page_sizes=[512], jobs=8)
         assert any("clamping jobs=8 to effective cpu_count=1" in record.getMessage()
@@ -217,7 +226,7 @@ class TestJobsClamp:
         assert set(sweep.grid) == {("LI", 512)}
 
     def test_clamp_logged_once_per_process(self, water_trace, monkeypatch, caplog):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        _patch_cpus(monkeypatch, 1)
         with caplog.at_level(logging.INFO, logger="repro.simulator.sweep"):
             for _ in range(3):
                 run_sweep(water_trace, protocols=["LI"], page_sizes=[512], jobs=8)
@@ -226,9 +235,28 @@ class TestJobsClamp:
 
     @NEEDS_FORK
     def test_clamp_keeps_pool_when_cores_allow(self, water_trace, monkeypatch, caplog):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _patch_cpus(monkeypatch, 2)
         with caplog.at_level(logging.INFO, logger="repro.simulator.sweep"):
             sweep = run_sweep(water_trace, protocols=["LI"], page_sizes=[512], jobs=5)
         assert any("clamping jobs=5 to effective cpu_count=2" in record.getMessage()
                    for record in caplog.records)
         assert set(sweep.grid) == {("LI", 512)}
+
+    def test_clamp_follows_the_affinity_mask(self, water_trace, monkeypatch, caplog):
+        # A cgroup cpuset or taskset leaves os.cpu_count() at the
+        # machine's count; the clamp must follow the mask instead.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert sweep_module._usable_cpus() == 1
+        with caplog.at_level(logging.INFO, logger="repro.simulator.sweep"):
+            sweep = run_sweep(water_trace, protocols=["LI"], page_sizes=[512], jobs=8)
+        assert any("clamping jobs=8 to effective cpu_count=1" in record.getMessage()
+                   for record in caplog.records)
+        assert set(sweep.grid) == {("LI", 512)}
+
+    def test_clamp_without_affinity_support_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert sweep_module._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sweep_module._usable_cpus() == 1
