@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.errors import ConsistencyViolation
 from repro.common.types import WORD_SIZE
 from repro.hb.graph import HbGraph
-from repro.simulator.config import SimConfig
+from repro.config import SimConfig
 from repro.simulator.engine import Engine
 from repro.simulator.results import SimulationResult
 from repro.trace.events import EventType

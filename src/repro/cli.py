@@ -31,10 +31,10 @@ from repro.apps import APPS, generate
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.table1 import run_table1
 from repro.obs import JsonlSink, RecordingProbe, logging_setup
-from repro.obs.manifest import execution_line
+from repro.obs.manifest import execution_line, execution_paths_line
 from repro.protocols.registry import all_protocol_names, protocol_names
 from repro.simulator.timing import TimingModel, estimate_runtime
-from repro.simulator.config import PAPER_PAGE_SIZES
+from repro.config import PAPER_PAGE_SIZES, SimConfig
 from repro.simulator.engine import simulate
 from repro.trace.codec import load_trace, save_trace
 
@@ -290,8 +290,6 @@ def _cmd_sweep(args) -> int:
     link = _parse_network(args)
     config = None
     if link is not None:
-        from repro.simulator.config import SimConfig
-
         config = SimConfig(n_procs=trace.n_procs, link_model=link)
     sweep = run_figure(
         args.app, page_sizes=args.page_sizes, trace=trace, jobs=args.jobs,
@@ -309,6 +307,7 @@ def _cmd_sweep(args) -> int:
 
         export_sweep_rollups_csv(sweep, args.rollups_csv)
         print(f"shape rollups -> {args.rollups_csv}")
+    print(execution_paths_line(sweep.execution_paths()))
     return 0
 
 

@@ -9,7 +9,6 @@ paper leaves as design choices (the diff-to-invalid-copy optimization of
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -18,12 +17,6 @@ from repro.common.types import is_power_of_two
 from repro.network.costs import CostModel
 from repro.network.link import LinkModel
 
-
-def _default_batched_kernels() -> bool:
-    """Batched kernels default on; REPRO_BATCHED_KERNELS=0 flips the
-    whole process to the per-event reference interpreters (used by the
-    CI leg that keeps them exercised)."""
-    return os.environ.get("REPRO_BATCHED_KERNELS", "1") != "0"
 
 #: Page sizes swept in the paper's figures (bytes).
 PAPER_PAGE_SIZES = (512, 1024, 2048, 4096, 8192)
@@ -66,29 +59,10 @@ class SimConfig:
             either way.
         record_values: record the values returned by every read so the
             consistency checker can audit the run (memory-proportional to
-            the number of reads; off for large sweeps).
-        use_coherence_index: serve the lazy protocols' happened-before
-            queries from the incremental coherence index (write-notice
-            index + memoized fetch plans, see :mod:`repro.hb.index`)
-            instead of rescanning the interval store per acquire and
-            miss. Results are bit-identical either way — the reference
-            scan survives behind ``False`` as the equivalence baseline,
-            mirroring ``Engine.run_reference``.
-        use_batched_kernels: replay certified protocols with the batched
-            access-run kernels instead of interpreting every event. The
-            lazy family runs one page-table/planner operation per
-            contiguous per-page access run, driven by the precomputed
-            happened-before skeleton; the eager family (EI/EU/EW)
-            replays a precomputed per-policy tape of misses, write
-            faults, and flush outcomes — see :mod:`repro.hb.skeleton`
-            for both. Applies only when ``record_values`` is off and the
-            protocol certifies support (the lazy kernels additionally
-            need the coherence index on; hook-overriding subclasses fall
-            back to per-event silently). Results are bit-identical
-            either way; the per-event interpreters remain behind
-            ``False`` as the equivalence baseline. Defaults to on, or to
-            the ``REPRO_BATCHED_KERNELS`` environment variable when set
-            (``0`` disables — CI's reference-interpreter leg uses this).
+            the number of reads; off for large sweeps). Values exist
+            only on the per-event interpreter, so recording them is what
+            selects it — no field names an execution path (see the path
+            table in ``docs/OBSERVABILITY.md``).
         link_model: when set, the run is *timed*: per-processor virtual
             clocks are advanced from this
             :class:`~repro.network.link.LinkModel` (latency, jitter,
@@ -114,8 +88,6 @@ class SimConfig:
     piggyback_notices: bool = True
     gc_at_barriers: bool = False
     record_values: bool = False
-    use_coherence_index: bool = True
-    use_batched_kernels: bool = field(default_factory=lambda: _default_batched_kernels())
     link_model: Optional[LinkModel] = None
 
     def __post_init__(self) -> None:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 from repro.apps import APPS
 from repro.apps.synthetic import false_sharing
 from repro.network.costs import CostModel
-from repro.simulator.config import SimConfig
+from repro.config import SimConfig
 from repro.simulator.engine import simulate
 from repro.simulator.results import SimulationResult
 from repro.trace.stream import TraceStream

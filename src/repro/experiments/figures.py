@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.apps import APPS
 from repro.apps.synthetic import single_lock_chain
-from repro.simulator.config import PAPER_PAGE_SIZES, SimConfig
+from repro.config import PAPER_PAGE_SIZES, SimConfig
 from repro.simulator.engine import simulate
 from repro.simulator.results import SimulationResult
 from repro.simulator.sweep import SweepResult, run_sweep

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.simulator.config import SimConfig
+from repro.config import SimConfig
 from repro.simulator.costs import CostConventions
 from repro.simulator.engine import Engine
 from repro.trace.events import Event

@@ -11,7 +11,7 @@ observable in our runs:
   structured events into. The default :data:`NULL_PROBE` is a
   do-nothing recorder; the hot paths guard every emission behind a
   cached boolean, so a run without telemetry pays nothing but the
-  guard (measured <3%, see ``BENCH_core.json``).
+  guard (measured <3% when the layer went in).
 - :mod:`~repro.obs.sinks` — pluggable event sinks: in-memory, JSONL,
   and columnar typed-array storage.
 - :mod:`~repro.obs.metrics` — :class:`MetricsRegistry`: cheap counters

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -68,8 +68,6 @@ def config_dict(config) -> Dict[str, object]:
         "piggyback_notices": config.piggyback_notices,
         "gc_at_barriers": config.gc_at_barriers,
         "record_values": config.record_values,
-        "use_coherence_index": config.use_coherence_index,
-        "use_batched_kernels": config.use_batched_kernels,
         "link_model": link.to_dict() if link is not None else None,
     }
 
@@ -133,6 +131,10 @@ def build_manifest(
     return manifest
 
 
+def _describe_path(path: str, reason: Optional[str]) -> str:
+    return path + (f" (tape declined: {reason})" if reason else "")
+
+
 def execution_line(manifest: Optional[Dict[str, object]]) -> Optional[str]:
     """The ``execution path:`` footer line of ``run`` and ``report``.
 
@@ -143,5 +145,13 @@ def execution_line(manifest: Optional[Dict[str, object]]) -> Optional[str]:
     path = (manifest or {}).get("execution_path")
     if not path:
         return None
-    reason = manifest.get("decline_reason")
-    return f"execution path: {path}" + (f" (tape declined: {reason})" if reason else "")
+    return "execution path: " + _describe_path(path, manifest.get("decline_reason"))
+
+
+def execution_paths_line(paths: Dict[Tuple[str, Optional[str]], int]) -> str:
+    """The ``execution paths:`` footer line of ``sweep``, from
+    :meth:`~repro.simulator.sweep.SweepResult.execution_paths`."""
+    return "execution paths: " + ", ".join(
+        f"{cells} x {_describe_path(path, reason)}"
+        for (path, reason), cells in paths.items()
+    )

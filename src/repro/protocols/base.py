@@ -28,40 +28,37 @@ def certify_replay(
 ) -> Tuple[str, Optional[str]]:
     """Which engine loop may replay ``protocol``, and why not a faster one.
 
-    Returns ``(execution_path, decline_reason)``:
+    Decided from what the run observes and from one fact the protocol's
+    class declares — nothing a user sets. Returns
+    ``(execution_path, decline_reason)``:
 
-    - ``"tape"``: nothing watches individual messages, so the run is
-      replayed from cost-resolved tape records through
-      :meth:`Network.apply_tape <repro.network.network.Network.apply_tape>`
-      bulk updates (lazy family: per sync operation and diff fetch;
-      eager family: the whole run). The reason is None.
+    - ``"per_event"``: the interpreter, for a run that observes send
+      order (``send_log_recording`` — a timed cell's first run;
+      ``recording`` is the engine's word for it) or values
+      (``record_values``), and for any class that has not set
+      ``replay_certified = True`` in its own body (``uncertified_class``).
     - ``"batched"``: the access-run kernels, one ``Network.send`` per
-      message — the run needs per-message order or emission:
+      message, for a run that watches individual messages:
       ``subclassed_probe`` (a probe that is not a stock staging
       :class:`~repro.obs.probe.RecordingProbe`, e.g. ``SpanProbe``),
       ``event_sink``, ``handler`` (a registered message handler) or
       ``keep_log``.
-    - ``"per_event"``: the interpreter — ``send_log_recording`` (a timed
-      cell's first run; ``recording`` is the engine's word for it),
-      ``record_values``, ``batched_off`` (``use_batched_kernels``),
-      ``index_off`` (a lazy protocol without the coherence index) or
-      ``subclass_override`` (a subclass overrides a hook the kernels
-      bypass, see ``supports_batched_runs``).
+    - ``"tape"``: nothing is watched, so the run is replayed from
+      cost-resolved tape records through
+      :meth:`Network.apply_tape <repro.network.network.Network.apply_tape>`
+      bulk updates (lazy family: per sync operation and diff fetch;
+      eager family: the whole run). The reason is None.
 
     The engine dispatches on the path and hands it to
     ``bind_batch_plan``; the pair goes into the run's manifest.
+    (``reference`` is ``Engine.run_reference``, never chosen here.)
     """
-    config = protocol.config
     if recording:
         return "per_event", "send_log_recording"
-    if config.record_values:
+    if protocol.config.record_values:
         return "per_event", "record_values"
-    if not config.use_batched_kernels:
-        return "per_event", "batched_off"
-    if protocol.lazy and not config.use_coherence_index:
-        return "per_event", "index_off"
-    if not protocol.supports_batched_runs():
-        return "per_event", "subclass_override"
+    if not type(protocol).__dict__.get("replay_certified", False):
+        return "per_event", "uncertified_class"
     network = protocol.network
     if protocol._obs and not (protocol._probe_fast and network._probe_stages):
         return "batched", "subclassed_probe"
@@ -93,6 +90,10 @@ class Protocol(abc.ABC):
     lazy: bool = False
     #: True for update protocols, False for invalidate.
     update: bool = False
+    #: Set True in a class's *own body* to declare that the kernels and
+    #: tapes replay it exactly. Read from the class ``__dict__``, never
+    #: inherited: a subclass is interpreted until it vouches for itself.
+    replay_certified: bool = False
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -294,14 +295,9 @@ class Protocol(abc.ABC):
     def finish(self) -> None:
         """Called once after the last trace event (default: no-op)."""
 
-    def supports_batched_runs(self) -> bool:
-        """True when the engine may drive this instance with the batched
-        access-run kernels (see :mod:`repro.hb.skeleton`). Both families
-        certify their concrete classes (lazy via the skeleton kernels,
-        eager via the replay tapes); the base answer is No, so anything
-        uncertified falls back to the per-event interpreter. One input
-        of :func:`certify_replay`, which has the whole decision."""
-        return False
+    def use_reference_scans(self) -> None:
+        """Switch to the family's reference bookkeeping before the first
+        event (:meth:`Engine.run_reference`); only the lazy family has one."""
 
     # -- miss handling --------------------------------------------------------
 

@@ -83,10 +83,10 @@ class BatchedEagerMixin:
     remote flush replays at the per-event point — outside the following
     sync's probe attribution window, in the pre-completion epoch.
 
-    Certification mirrors the lazy family: a subclass is driven by the
-    kernels only if it *is* the certified class or overrides none of the
-    ``_BATCHED_GUARDED`` hooks; anything else falls back to the
-    per-event interpreter, which stays the bit-identical reference.
+    The tape encodes the stock class's per-event semantics, so only a
+    class that declares ``replay_certified`` in its own body is driven
+    by it (:func:`~repro.protocols.base.certify_replay`); anything else
+    stays on the per-event interpreter, the bit-identical reference.
 
     Those kernels still pay one ``Network.send`` per message, which only
     a run that watches messages needs (event sinks, ``SpanProbe``,
@@ -97,38 +97,20 @@ class BatchedEagerMixin:
     staged attribution rows, without walking the run program.
     """
 
-    #: The class whose per-event semantics the tape encodes; subclasses
-    #: that override nothing guarded inherit its certification.
-    _batched_kernel_class: Optional[type] = None
-    _BATCHED_GUARDED: Tuple[str, ...] = ()
-
-    def supports_batched_runs(self) -> bool:
-        kernel = self._batched_kernel_class
-        if kernel is None:
-            return False
-        cls = type(self)
-        if cls is kernel:
-            return True
-        return all(
-            getattr(cls, name) is getattr(kernel, name) for name in self._BATCHED_GUARDED
-        )
-
-    def bind_batch_plan(self, plan, tape: bool) -> None:
-        """Swap the per-event entry points for the tape-replay kernels.
+    def bind_batch_plan(self, plan, tape: bool):
+        """Bind the tape-replay kernels; returns what the engine drives.
 
         ``tape`` is :func:`~repro.protocols.base.certify_replay`'s
         verdict: when set, the priced tape for this run's cost key is
-        bound as ``_b_run`` and the engine calls that instead of
-        walking the run program.
+        bound and the whole run is one call (``_t_run``). Otherwise the
+        six run-walk kernels come back, as from the lazy family.
         """
-        policy = self._batched_kernel_class.name
         if tape:
             self._priced = plan.priced_eager_tape(
-                policy, self.costs, self.config.free_local_lock_reacquire
+                self.name, self.costs, self.config.free_local_lock_reacquire
             )
-            self._b_run = self._t_run_obs if self._obs else self._t_run
-            return
-        eager = plan.eager_tape(policy)
+            return self._t_run
+        eager = plan.eager_tape(self.name)
         assert eager.n_instructions == len(plan.runs), (
             "eager tape out of step with the run program"
         )
@@ -137,14 +119,10 @@ class BatchedEagerMixin:
         self._tape_ptr = 0
         self._ins_i = 0
         self._page_fetch_bytes = self.costs.page_bytes(self.page_size)
-        self.read_touch = self._k_touch_run
-        self._k_write_run = self._k_span_run
-        self._k_full_run = self._k_span_run
-        self.acquire = self._k_acquire
-        self.release = self._k_release
-        self.barrier = self._k_barrier
         self.finish = self._k_finish
         self._bind_flush_replay(eager)
+        run = self._k_run
+        return run, run, run, self._k_acquire, self._k_release, self._k_barrier
 
     def _bind_flush_replay(self, tape) -> None:
         """EI/EU hook their sync flushes onto the tape's flush records;
@@ -154,85 +132,63 @@ class BatchedEagerMixin:
     # -- priced tape replay ----------------------------------------------------
 
     def _t_run(self) -> None:
-        """The whole run: fold the priced records into the ledger."""
+        """The whole run: fold the priced records into the ledger.
+
+        Under a stock metrics probe each record's row add is also
+        charged to the staged row the sync wrappers would have swapped
+        in — created on first use, in the same order — and the epoch
+        advances after a completing barrier arrival, so the metrics
+        snapshot matches the per-message path.
+        """
         apply_tape = self.network.apply_tape
-        for _cause, _ident, deltas, _rowadd, _complete in self._priced.records:
+        probe = self.probe if self._obs else None
+        if probe is not None:
+            # No sync operation is in progress: this is the miss-cause row.
+            miss_row = probe._seg_row
+            lock_rows = ("lock", probe._lock_rows)
+            barrier_rows = ("barrier", probe._barrier_rows)
+        for cause, ident, deltas, rowadd, complete in self._priced.records:
             if deltas:
                 apply_tape(deltas)
-        self._t_counters()
-
-    def _t_run_obs(self) -> None:
-        """:meth:`_t_run` under a stock metrics probe.
-
-        Charges each record's row add to the staged row the sync
-        wrappers would have swapped in — created on first use, in the
-        same order — and advances the epoch after a completing barrier
-        arrival, so the metrics snapshot matches the per-message path.
-        """
-        probe = self.probe
-        apply_tape = self.network.apply_tape
-        # No sync operation is in progress: this is the miss-cause row.
-        miss_row = probe._seg_row
-        lock_rows = probe._lock_rows
-        barrier_rows = probe._barrier_rows
-        for cause, ident, deltas, rowadd, complete in self._priced.records:
+            if probe is None:
+                continue
             if cause == P_MISS:
                 row = miss_row
-            elif cause == P_LOCK:
-                row = lock_rows.get(ident)
-                if row is None:
-                    row = lock_rows[ident] = probe._cause_row("lock", ident)
             else:
-                row = barrier_rows.get(ident)
+                kind, rows = lock_rows if cause == P_LOCK else barrier_rows
+                row = rows.get(ident)
                 if row is None:
-                    row = barrier_rows[ident] = probe._cause_row("barrier", ident)
+                    row = rows[ident] = probe._cause_row(kind, ident)
             if rowadd is not None:
-                apply_tape(deltas)
                 row[0] += rowadd[0]
                 row[1] += rowadd[1]
                 row[2] += rowadd[2]
                 row[3] += rowadd[3]
             if complete:
                 probe.advance_epoch()
-        self._t_counters()
-
-    def _t_counters(self) -> None:
         for name, total in self._priced.counters.items():
             setattr(self, name, getattr(self, name) + total)
 
     # -- run kernels ---------------------------------------------------------
 
-    def _k_touch_run(self, proc: ProcId, page: PageId) -> None:
-        i = self._ins_i
-        self._ins_i = i + 1
-        if self._tape_ptr < self._tape_len and self._tape[self._tape_ptr][0] <= i:
-            self._k_replay(i)
-
-    def _k_span_run(self, proc: ProcId, page: PageId, words) -> None:
+    def _k_run(self, proc=None, page=None, words=None) -> None:
+        """One run instruction: replay every tape record due at or before
+        it (an access run itself does nothing else)."""
         i = self._ins_i
         self._ins_i = i + 1
         if self._tape_ptr < self._tape_len and self._tape[self._tape_ptr][0] <= i:
             self._k_replay(i)
 
     def _k_acquire(self, proc: ProcId, lock: LockId) -> None:
-        i = self._ins_i
-        self._ins_i = i + 1
-        if self._tape_ptr < self._tape_len and self._tape[self._tape_ptr][0] <= i:
-            self._k_replay(i)
+        self._k_run()
         Protocol.acquire(self, proc, lock)
 
     def _k_release(self, proc: ProcId, lock: LockId) -> None:
-        i = self._ins_i
-        self._ins_i = i + 1
-        if self._tape_ptr < self._tape_len and self._tape[self._tape_ptr][0] <= i:
-            self._k_replay(i)
+        self._k_run()
         Protocol.release(self, proc, lock)
 
     def _k_barrier(self, proc: ProcId, barrier: BarrierId) -> None:
-        i = self._ins_i
-        self._ins_i = i + 1
-        if self._tape_ptr < self._tape_len and self._tape[self._tape_ptr][0] <= i:
-            self._k_replay(i)
+        self._k_run()
         Protocol.barrier(self, proc, barrier)
 
     def _k_finish(self) -> None:
@@ -535,46 +491,3 @@ class EagerProtocol(BatchedEagerMixin, Protocol):
                         "notices_send", proc=proc, dest=dest, count=n_diffs, bytes=control
                     )
                 send(ack_kind, dest, proc)
-
-
-#: Hooks whose override invalidates the eager tape: everything the tape
-#: precomputes (miss routing, flush fan-out, directory evolution) and
-#: everything the kernels bypass (the per-event entry points). A
-#: subclass touching any of these silently falls back to per-event.
-EagerProtocol._BATCHED_GUARDED = (
-    "read",
-    "read_touch",
-    "write",
-    "acquire",
-    "release",
-    "barrier",
-    "finish",
-    "_note_write",
-    "_service_miss",
-    "_handle_miss",
-    "_fetch_page_copy",
-    "_flush",
-    "_reconcile",
-    "_apply_updates",
-    "_apply_invalidations",
-    "_post_flush_page",
-    "_on_acquire",
-    "_on_release",
-    "_on_barrier_arrive",
-    "_on_barrier_complete",
-    "bind_batch_plan",
-    "_bind_flush_replay",
-    "_k_touch_run",
-    "_k_span_run",
-    "_k_acquire",
-    "_k_release",
-    "_k_barrier",
-    "_k_finish",
-    "_k_replay",
-    "_k_flush",
-    "_k_flush_release",
-    "_k_flush_barrier",
-    "_t_run",
-    "_t_run_obs",
-    "_t_counters",
-)

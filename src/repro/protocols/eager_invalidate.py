@@ -18,8 +18,4 @@ class EagerInvalidate(EagerProtocol):
 
     name = "EI"
     update = False
-
-
-# EI is certified for the tape-driven batched kernels; subclasses keep
-# the certification only while every guarded hook stays untouched.
-EagerInvalidate._batched_kernel_class = EagerInvalidate
+    replay_certified = True

@@ -18,8 +18,4 @@ class EagerUpdate(EagerProtocol):
 
     name = "EU"
     update = True
-
-
-# EU is certified for the tape-driven batched kernels; subclasses keep
-# the certification only while every guarded hook stays untouched.
-EagerUpdate._batched_kernel_class = EagerUpdate
+    replay_certified = True

@@ -43,6 +43,7 @@ class ExclusiveWriter(BatchedEagerMixin, Protocol):
     name = "EW"
     lazy = False
     update = False
+    replay_certified = True
 
     def __init__(self, config: SimConfig):
         super().__init__(config)
@@ -141,40 +142,3 @@ class ExclusiveWriter(BatchedEagerMixin, Protocol):
     def _on_barrier_complete(self, barrier: BarrierId) -> None:
         for proc in self.barriers.exit_targets():
             self.network.send(MessageKind.BARRIER_EXIT, self.barriers.master, proc)
-
-
-#: EW's tape precomputes miss routing and write-fault fan-out, and its
-#: per-event sync hooks stay live at replay (they touch no page state),
-#: so the guard list covers the access paths plus the hooks themselves.
-ExclusiveWriter._BATCHED_GUARDED = (
-    "read",
-    "read_touch",
-    "write",
-    "acquire",
-    "release",
-    "barrier",
-    "finish",
-    "_note_write",
-    "_service_miss",
-    "_handle_miss",
-    "_fetch",
-    "_fetch_page_copy",
-    "_acquire_ownership",
-    "_on_acquire",
-    "_on_release",
-    "_on_barrier_arrive",
-    "_on_barrier_complete",
-    "bind_batch_plan",
-    "_bind_flush_replay",
-    "_k_touch_run",
-    "_k_span_run",
-    "_k_acquire",
-    "_k_release",
-    "_k_barrier",
-    "_k_finish",
-    "_k_replay",
-    "_t_run",
-    "_t_run_obs",
-    "_t_counters",
-)
-ExclusiveWriter._batched_kernel_class = ExclusiveWriter

@@ -41,6 +41,8 @@ class HomeLazy(LazyProtocol):
 
     name = "HLRC"
     update = False
+    replay_certified = True
+    drops_retained_at_close = True  # _post_close flushes to the home
 
     def __init__(self, config: SimConfig):
         super().__init__(config)
@@ -145,6 +147,3 @@ class HomeLazy(LazyProtocol):
                     entry.state = invalid
         state.vc = vc_after
         self._after_notices(proc, pull_kinds)
-
-
-HomeLazy._batched_kernel_class = HomeLazy

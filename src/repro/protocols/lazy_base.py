@@ -10,17 +10,18 @@ and applied in happened-before order.
 
 Two implementations of the happened-before bookkeeping coexist:
 
-* the **indexed** path (default, ``config.use_coherence_index``) answers
-  notice-gap, last-modifier, and aggregate-size queries from the
-  incremental coherence index — the store's write-notice index plus the
-  memoized :class:`~repro.hb.index.FetchPlanner`;
-* the **reference** path (``use_coherence_index=False``) keeps the
+* the **indexed** path (every :meth:`Engine.run`) answers notice-gap,
+  last-modifier, and aggregate-size queries from the incremental
+  coherence index — the store's write-notice index plus the memoized
+  :class:`~repro.hb.index.FetchPlanner`;
+* the **reference** path (``use_reference_scans``, which
+  ``Engine.run_reference`` calls before the first event) keeps the
   original per-fetch scans over ``intervals_of`` and pairwise
   ``precedes``, structurally closest to the paper's description.
 
 Both produce bit-identical :class:`~repro.simulator.results
-.SimulationResult` fields — the equivalence suite asserts it, exactly as
-``Engine.run_reference`` anchors the precompiled trace fast path.
+.SimulationResult` fields — the equivalence suite asserts it: the oracle
+is one entry point, raw-event loop and reference scans together.
 """
 
 from __future__ import annotations
@@ -82,16 +83,13 @@ class LazyProtocol(Protocol):
         self._live_diffs: List[Tuple[Interval, PageId, int]] = []
         #: Indexed-path retention log, per page in interval-close order.
         self._live_by_page: Dict[PageId, List[Tuple[Interval, int]]] = {}
-        self._indexed = config.use_coherence_index
-        self._planner: Optional[FetchPlanner] = (
-            FetchPlanner(self.store, self.costs, config.skip_overwritten_diffs)
-            if self._indexed
-            else None
+        self._indexed = True
+        self._planner: Optional[FetchPlanner] = FetchPlanner(
+            self.store, self.costs, config.skip_overwritten_diffs
         )
-        if self._indexed:
-            # Shadow the dispatcher with the store's bound method: one
-            # less call layer on every lock grant and barrier message.
-            self._notices_for_gap = self.store.gap_notices
+        #: Notices for every interval the sender knows and the receiver
+        #: lacks, as ``(sender_vc, receiver_vc) -> notices``.
+        self._notices_for_gap = self.store.gap_notices
         # True when a subclass installed a per-notice hook; when False
         # the notice-receive loop skips the no-op calls entirely.
         self._has_notice_hook = type(self)._on_notice is not LazyProtocol._on_notice
@@ -110,6 +108,11 @@ class LazyProtocol(Protocol):
         # (modifiers per eager pull): value -> occurrence count.
         self.miss_m_histogram: Dict[int, int] = {}
         self.pull_h_histogram: Dict[int, int] = {}
+
+    def use_reference_scans(self) -> None:
+        self._indexed = False
+        self._planner = None
+        self._notices_for_gap = self._notices_for_gap_reference
 
     # -- interval management -----------------------------------------------
 
@@ -241,16 +244,6 @@ class LazyProtocol(Protocol):
         self._live_diffs = kept
 
     # -- write-notice machinery ----------------------------------------------
-
-    def _notices_for_gap(
-        self, sender_vc: VectorClock, receiver_vc: VectorClock
-    ) -> List[WriteNotice]:
-        """Notices for every interval the sender knows and the receiver lacks.
-
-        ``__init__`` rebinds this name to :meth:`IntervalStore.gap_notices`
-        on indexed instances — this body is the reference path.
-        """
-        return self._notices_for_gap_reference(sender_vc, receiver_vc)
 
     def _notices_for_gap_reference(
         self, sender_vc: VectorClock, receiver_vc: VectorClock
@@ -819,46 +812,30 @@ class LazyProtocol(Protocol):
     # Every counter, message, and probe emission matches the per-event
     # hooks bit for bit — the equivalence suite pins it.
 
-    #: The class whose kernel set a concrete protocol certifies; see
-    #: supports_batched_runs. None means no batched support.
-    _batched_kernel_class = None
+    #: True on a class whose closes drop retained diffs (HLRC's home
+    #: flush in ``_post_close``): the tape's retention prefix sums then
+    #: do not describe the run and closes keep live retention books.
+    drops_retained_at_close = False
 
-    def supports_batched_runs(self) -> bool:
-        kernel = self._batched_kernel_class
-        if kernel is None or not self._indexed:
-            return False
-        cls = type(self)
-        if cls is kernel:
-            return True
-        # A subclass (e.g. a test double) that overrides any per-event
-        # hook the batched path bypasses gets the per-event interpreter,
-        # silently — overridden behaviour is never skipped.
-        return all(
-            getattr(cls, name) is getattr(kernel, name) for name in _BATCHED_GUARDED
-        )
-
-    def bind_batch_plan(self, plan, tape: bool) -> None:
+    def bind_batch_plan(self, plan, tape: bool) -> tuple:
         """Attach a prebuilt :class:`~repro.hb.skeleton.BatchPlan`.
 
         Replaces the (empty) per-run store with the skeleton's fully
         populated one, shares the plan's fetch planner for this config's
-        cost model, and installs the record-driven sync kernels. Called
-        by the engine before its batched replay loop, with the path
-        :func:`~repro.protocols.base.certify_replay` chose.
+        cost model, and returns the six kernels the engine's run walk
+        drives, in run-instruction order: ``(touch, write_run, full_run,
+        acquire, release, barrier)``.
 
-        Two kernel sets exist. With ``tape`` — every sync-time
-        ``Network.send`` would take the pure-accounting fast path and
-        the probe, if any, is a stock
-        :class:`~repro.obs.probe.RecordingProbe` staging rows inline —
-        the **tape** kernels replay the cost-resolved
-        :class:`~repro.hb.skeleton.LazyTape` via ``_b_acquire`` /
-        ``_b_release`` / ``_b_barrier`` entry points the engine binds
-        directly (bypassing the base wrappers; lock/barrier directory
-        upkeep is dead state in a batched run). Otherwise — event sinks
-        attached, subclassed probes, message handlers — the per-message
-        ``_k_*`` kernels shadow the ``_on_*`` hooks and every message is
-        sent individually. Either way the replay is value-free: page
-        *state* is maintained, contents, twins and dirty words are not.
+        Two sync kernel sets exist. With ``tape``
+        (:func:`~repro.protocols.base.certify_replay`: nothing watches
+        individual messages) the **tape** kernels replay the
+        cost-resolved :class:`~repro.hb.skeleton.LazyTape` in place of
+        the base wrappers (lock/barrier directory upkeep is dead state
+        in a batched run). Otherwise the per-message ``_k_*`` kernels
+        shadow the ``_on_*`` hooks under the public wrappers and every
+        message is sent individually. Either way the replay is
+        value-free: page *state* is maintained, contents, twins and
+        dirty words are not.
         """
         self.store = plan.store
         self._planner = plan.planner_for(self.costs, self.config.skip_overwritten_diffs)
@@ -866,6 +843,7 @@ class LazyProtocol(Protocol):
         self._pending_complete = None
         self._value_free = True
         config = self.config
+        runs = (self.read_touch, self._k_write_run, self._k_full_run)
         if tape:
             records = plan.lazy_tape(
                 self.costs, config.piggyback_notices, config.free_local_lock_reacquire
@@ -874,25 +852,18 @@ class LazyProtocol(Protocol):
             self._bulk_fetch = True
             # The tape's retained_after prefix sums are the retention
             # series only while retention is monotone: no barrier GC and
-            # no per-close hook dropping diffs (HLRC's home flush).
-            if config.gc_at_barriers or type(self)._post_close is not LazyProtocol._post_close:
+            # no close dropping diffs.
+            if config.gc_at_barriers or self.drops_retained_at_close:
                 self._t_close = self._t_close_live
             else:
                 self._t_close = self._t_close_fast
-            if self._obs:
-                self._b_acquire = self._t_acquire_obs
-                self._b_release = self._t_release_obs
-                self._b_barrier = self._t_barrier_obs
-            else:
-                self._b_acquire = self._t_acquire
-                self._b_release = self._t_release
-                self._b_barrier = self._t_barrier
-            return
+            return runs + (self._t_acquire, self._t_release, self._t_barrier)
         self._next_record = iter(plan.records).__next__
         self._on_acquire = self._k_acquire
         self._on_release = self._k_release
         self._on_barrier_arrive = self._k_barrier_arrive
         self._on_barrier_complete = self._k_barrier_complete
+        return runs + (self.acquire, self.release, self.barrier)
 
     def _k_close(self, proc: ProcId, close_rec: tuple) -> None:
         """Close ``proc``'s interval from its prebuilt record.
@@ -1061,11 +1032,12 @@ class LazyProtocol(Protocol):
     # tape-build time (hb/skeleton.build_lazy_tape), so replaying a sync
     # operation is a handful of array reads, one bulk ledger update
     # (Network.apply_tape), and the run-dependent pending/planner work in
-    # _k_receive. The _obs variants additionally swap the probe's staged
-    # segment row exactly as the base Protocol wrappers would and add the
-    # tape's precomputed row totals. Installed by bind_batch_plan only
-    # when the certification there holds; counters, ledger, metrics
-    # snapshots all stay bit-identical to the per-event interpreters.
+    # _k_receive. Under a stock metrics probe (``self._obs``; nothing
+    # else reaches the tape) each kernel also stages the operation's
+    # attribution row exactly as the base Protocol wrappers would and
+    # charges it the tape's precomputed row add. Counters, ledger and
+    # metrics snapshots all stay bit-identical to the per-event
+    # interpreters.
 
     def _t_close_fast(self, proc: ProcId, close: tuple) -> None:
         """Monotone-retention close: the tape's prefix sum is the series."""
@@ -1092,107 +1064,81 @@ class LazyProtocol(Protocol):
         if interval is not None:
             self._post_close(proc, interval)
 
+    def _stage_row(self, rows: Dict[int, List[int]], cause: str, ident: int):
+        """Swap in ``(cause, ident)``'s staged row; returns it and the one
+        to restore. Rows are created on first use, in wrapper order."""
+        probe = self.probe
+        saved = probe._seg_row
+        row = rows.get(ident)
+        if row is None:
+            row = rows[ident] = probe._cause_row(cause, ident)
+        probe._seg_row = row
+        return row, saved
+
     def _t_acquire(self, proc: ProcId, lock: LockId) -> None:
+        row = None
+        if self._obs:
+            row, saved = self._stage_row(self.probe._lock_rows, "lock", lock)
         record = self._tape_next()
         self._t_close(proc, record[0])
         deltas = record[1]
-        if deltas is None:  # free local reacquire: close only
-            return
-        if deltas:
-            self.network.apply_tape(deltas)
-        self.notices_sent += record[3]
-        self._k_receive(proc, record[4], record[5], _ACQUIRE_PULL_KINDS)
+        if deltas is not None:  # None: free local reacquire, close only
+            if deltas:
+                self.network.apply_tape(deltas)
+                if row is not None:
+                    add = record[2]
+                    row[0] += add[0]
+                    row[1] += add[1]
+                    row[2] += add[2]
+            self.notices_sent += record[3]
+            self._k_receive(proc, record[4], record[5], _ACQUIRE_PULL_KINDS)
+        if row is not None:
+            self.probe._seg_row = saved
 
     def _t_release(self, proc: ProcId, lock: LockId) -> None:
+        obs = self._obs
+        if obs:
+            _row, saved = self._stage_row(self.probe._lock_rows, "lock", lock)
         self._t_close(proc, self._tape_next())
+        if obs:
+            self.probe._seg_row = saved
 
     def _t_barrier(self, proc: ProcId, barrier: BarrierId) -> None:
+        row = None
+        if self._obs:
+            row, saved = self._stage_row(self.probe._barrier_rows, "barrier", barrier)
         record = self._tape_next()
         self._t_close(proc, record[0])
         deltas = record[1]
         if deltas:
             self.network.apply_tape(deltas)
-            self.notices_sent += record[3]
-        complete = record[4]
-        if complete is not None:
-            cdeltas, _crowadd, cnotices, per_proc = complete
-            if cdeltas:
-                self.network.apply_tape(cdeltas)
-            self.notices_sent += cnotices
-            receive = self._k_receive
-            for p, (_n, grouped, vc_after) in enumerate(per_proc):
-                receive(p, grouped, vc_after, _BARRIER_PULL_KINDS)
-            if self.config.gc_at_barriers:
-                self._collect_garbage()
-
-    def _t_acquire_obs(self, proc: ProcId, lock: LockId) -> None:
-        probe = self.probe
-        saved = probe._seg_row
-        row = probe._lock_rows.get(lock)
-        if row is None:
-            row = probe._lock_rows[lock] = probe._cause_row("lock", lock)
-        probe._seg_row = row
-        record = self._tape_next()
-        self._t_close(proc, record[0])
-        deltas = record[1]
-        if deltas is None:
-            probe._seg_row = saved
-            return
-        if deltas:
-            self.network.apply_tape(deltas)
-            add = record[2]
-            row[0] += add[0]
-            row[1] += add[1]
-            row[2] += add[2]
-        self.notices_sent += record[3]
-        self._k_receive(proc, record[4], record[5], _ACQUIRE_PULL_KINDS)
-        probe._seg_row = saved
-
-    def _t_release_obs(self, proc: ProcId, lock: LockId) -> None:
-        probe = self.probe
-        saved = probe._seg_row
-        row = probe._lock_rows.get(lock)
-        if row is None:
-            row = probe._lock_rows[lock] = probe._cause_row("lock", lock)
-        probe._seg_row = row
-        self._t_close(proc, self._tape_next())
-        probe._seg_row = saved
-
-    def _t_barrier_obs(self, proc: ProcId, barrier: BarrierId) -> None:
-        probe = self.probe
-        saved = probe._seg_row
-        row = probe._barrier_rows.get(barrier)
-        if row is None:
-            row = probe._barrier_rows[barrier] = probe._cause_row("barrier", barrier)
-        probe._seg_row = row
-        record = self._tape_next()
-        self._t_close(proc, record[0])
-        deltas = record[1]
-        if deltas:
-            self.network.apply_tape(deltas)
-            add = record[2]
-            row[0] += add[0]
-            row[1] += add[1]
-            row[2] += add[2]
+            if row is not None:
+                add = record[2]
+                row[0] += add[0]
+                row[1] += add[1]
+                row[2] += add[2]
             self.notices_sent += record[3]
         complete = record[4]
         if complete is not None:
             cdeltas, crowadd, cnotices, per_proc = complete
             if cdeltas:
                 self.network.apply_tape(cdeltas)
-                row[0] += crowadd[0]
-                row[1] += crowadd[1]
-                row[2] += crowadd[2]
+                if row is not None:
+                    row[0] += crowadd[0]
+                    row[1] += crowadd[1]
+                    row[2] += crowadd[2]
             self.notices_sent += cnotices
             receive = self._k_receive
             for p, (_n, grouped, vc_after) in enumerate(per_proc):
                 receive(p, grouped, vc_after, _BARRIER_PULL_KINDS)
             if self.config.gc_at_barriers:
                 self._collect_garbage()
-            # Exit traffic belongs to the episode it closes; the staged
-            # rows are zeroed in place, so ``saved`` stays live.
-            probe.advance_epoch()
-        probe._seg_row = saved
+            if row is not None:
+                # Exit traffic belongs to the episode it closes; the
+                # staged rows are zeroed in place, so ``saved`` stays live.
+                self.probe.advance_epoch()
+        if row is not None:
+            self.probe._seg_row = saved
 
     def _collect_garbage_reference(self) -> None:
         min_entries = [
@@ -1228,39 +1174,3 @@ class LazyProtocol(Protocol):
                 survivors.append((interval, page, wire))
         self._live_diffs = survivors
         self.gc_runs += 1
-
-
-#: Per-event hooks and kernels a batched replay bypasses or substitutes.
-#: supports_batched_runs compares these against the certified kernel
-#: class so subclass overrides force the per-event fallback.
-_BATCHED_GUARDED = (
-    "write",
-    "_sync_send",
-    "_close_interval",
-    "_receive_notices",
-    "_note_write",
-    "_on_notice",
-    "_after_notices",
-    "_on_acquire",
-    "_on_release",
-    "_on_barrier_arrive",
-    "_on_barrier_complete",
-    "acquire",
-    "release",
-    "barrier",
-    "_k_close",
-    "_k_receive",
-    "_k_write_run",
-    "_k_full_run",
-    "_post_close",
-    "_t_close_fast",
-    "_t_close_live",
-    "_t_acquire",
-    "_t_release",
-    "_t_barrier",
-    "_t_acquire_obs",
-    "_t_release_obs",
-    "_t_barrier_obs",
-)
-
-LazyProtocol._batched_kernel_class = LazyProtocol

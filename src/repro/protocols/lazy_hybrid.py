@@ -48,6 +48,7 @@ class LazyHybrid(LazyProtocol):
 
     name = "LH"
     update = True  # pulls eagerly for update-mode pages
+    replay_certified = True
 
     #: Invalidate->miss cycles before a page promotes to update mode.
     PROMOTE_AFTER = 2
@@ -163,6 +164,3 @@ class LazyHybrid(LazyProtocol):
                     entry.state = invalid
         state.vc = vc_after
         self._after_notices(proc, pull_kinds)
-
-
-LazyHybrid._batched_kernel_class = LazyHybrid

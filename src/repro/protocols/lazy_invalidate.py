@@ -23,6 +23,7 @@ class LazyInvalidate(LazyProtocol):
 
     name = "LI"
     update = False
+    replay_certified = True
 
     def _on_notice(self, proc: ProcId, notice: WriteNotice) -> None:
         # Runs once per received notice: reach into the page table's dict
@@ -90,6 +91,3 @@ class LazyInvalidate(LazyProtocol):
                     entry.state = invalid
         state.vc = vc_after
         self._after_notices(proc, pull_kinds)
-
-
-LazyInvalidate._batched_kernel_class = LazyInvalidate

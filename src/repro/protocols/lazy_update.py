@@ -24,6 +24,9 @@ class LazyUpdate(LazyProtocol):
 
     name = "LU"
     update = True
+    # LU's only divergence from the base is _after_notices, which the
+    # batched _k_receive calls unchanged.
+    replay_certified = True
 
     def _after_notices(self, proc: ProcId, pull_kinds: Tuple[MessageKind, MessageKind]) -> None:
         state = self.lazy_state[proc]
@@ -41,8 +44,3 @@ class LazyUpdate(LazyProtocol):
         if cached:
             h = self._collect_diffs(proc, cached, pull_kinds[0], pull_kinds[1])
             self.pull_h_histogram[h] = self.pull_h_histogram.get(h, 0) + 1
-
-
-# LU's only divergence from the base is _after_notices, which the batched
-# _k_receive calls unchanged — the base kernel set is already correct.
-LazyUpdate._batched_kernel_class = LazyUpdate

@@ -1,7 +1,7 @@
 """Trace-driven protocol simulator (§5.1).
 
 Feed a :class:`~repro.trace.stream.TraceStream` and a
-:class:`~repro.simulator.config.SimConfig` to :class:`Engine` (or the
+:class:`~repro.config.SimConfig` to :class:`Engine` (or the
 :func:`simulate` convenience wrapper) to obtain a
 :class:`~repro.simulator.results.SimulationResult` with the message and
 data totals the paper plots. :mod:`repro.simulator.sweep` reruns one trace

@@ -10,10 +10,11 @@ The hot loop dispatches on a precompiled instruction list (see
 :mod:`repro.trace.precompile`): page splits are computed once per
 (trace, page size) and shared by every protocol replay at that page
 size, and the single-page common case reaches the protocol without any
-per-event list building. :meth:`Engine.run_reference` keeps the original
-event-by-event interpreter as the equivalence baseline — both paths must
-produce bit-identical :class:`SimulationResult` fields, and the test
-suite asserts they do.
+per-event list building. Which loop replays a run follows from what it
+observes (:func:`~repro.protocols.base.certify_replay`; path table in
+``docs/OBSERVABILITY.md``). :meth:`Engine.run_reference` is the oracle —
+the original event-by-event interpreter — and every path must produce
+bit-identical :class:`SimulationResult` fields; the suite asserts it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import logging
 import time
 from typing import Dict, List, Optional, Tuple, Type, Union
 
-from repro.common.errors import SimulatorError
+from repro.common.errors import ConfigError, SimulatorError
 from repro.hb.skeleton import batch_plan, plan_stats
 from repro.network.link import derive_network_seed
 from repro.network.timed import NetworkTiming, SendLog
@@ -33,6 +34,7 @@ from repro.protocols.registry import protocol_class
 from repro.config import SimConfig
 from repro.simulator.results import SimulationResult
 from repro.trace.events import EventType
+from repro.trace.runs import R_ACQUIRE, R_FULL, R_RELEASE, R_TOUCH, R_WRITE
 from repro.trace.precompile import (
     OP_ACQUIRE,
     OP_BARRIER,
@@ -127,14 +129,14 @@ class Engine:
         read_values = None
         plan = log = None
         if config.link_model is not None:
-            plan = batch_plan(compiled, self.trace.n_procs, trace=self.trace)
+            plan = self._plan(compiled)
             # Everything that can change send order or wire sizes is in
             # the key; the link, which only the fold reads, is not.
             log_key = (type(protocol), config.with_options(link_model=None))
             log = plan.send_log(log_key)
             self._send_log_source = "recorded" if log is None else "reused"
         recording = plan is not None and log is None
-        path, self._decline_reason = certify_replay(protocol, recording)
+        self._execution_path, self._decline_reason = certify_replay(protocol, recording)
         if recording:
             log = SendLog()
             protocol.network.attach_send_log(log)
@@ -144,13 +146,17 @@ class Engine:
                 protocol.network.attach_send_log(None)
             plan.add_send_log(log_key, log)
             timings["record_s"] = timings["simulate_s"]
-        elif path != "per_event":
-            self._run_batched(compiled, timings, plan, tape=path == "tape")
+        elif self._execution_path != "per_event":
+            self._run_batched(compiled, timings, plan)
         else:
             read_values = self._run_per_event(compiled, timings)
         if log is not None:
             self._fold(log, timings)
         return self._result(read_values, timings)
+
+    def _plan(self, compiled: CompiledTrace):
+        """The cell's batch plan, sized by the config like the protocol."""
+        return batch_plan(compiled, self.config.n_procs, trace=self.trace)
 
     def _fold(self, log: SendLog, timings: Dict[str, float]) -> None:
         """Advance the virtual clocks over ``log`` under the run's link.
@@ -236,104 +242,69 @@ class Engine:
                 if compute is not None:
                     compute(proc, sum(len(words) for _, words in op[2]))
 
-        protocol.finish()
+        self._finish(timings, t0)
+        return read_values
+
+    def _finish(self, timings: Dict[str, float], t0: float) -> None:
+        """The end of every loop: the protocol's finish hook, then the clock."""
+        self.protocol.finish()
         timings["simulate_s"] = elapsed = time.perf_counter() - t0
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
-                "replayed %s/%s: %d events in %.3fs",
+                "replayed %s/%s (%s): %d events in %.3fs",
                 self.trace.meta.app,
-                protocol.name,
+                self.protocol.name,
+                self._execution_path,
                 len(self.trace),
                 elapsed,
             )
-        return read_values
 
-    def _run_batched(
-        self, compiled: CompiledTrace, timings: Dict[str, float], plan, tape: bool
-    ) -> None:
+    def _run_batched(self, compiled: CompiledTrace, timings: Dict[str, float], plan) -> None:
         """Replay via the access-run program and the batched kernels.
 
         One instruction per contiguous per-page access run (see
         :mod:`repro.trace.runs`); synchronization replays from the
         precomputed happened-before skeleton. Reached only when
         :func:`~repro.protocols.base.certify_replay` allows it — results
-        are bit-identical to :meth:`_run_per_event`, which remains
-        available behind ``use_batched_kernels=False``. With ``tape``
-        the kernels apply cost-resolved tape records in bulk; the eager
-        family then needs no instruction walk at all and binds the
-        whole run as ``_b_run``.
+        are bit-identical to :meth:`_run_per_event`. On the ``tape``
+        path the kernels apply cost-resolved tape records in bulk; the
+        eager family then needs no instruction walk at all and binds
+        the whole run as one call.
         """
-        self._execution_path = "tape" if tape else "batched"
         t0 = time.perf_counter()
         if plan is None:
-            plan = batch_plan(compiled, self.trace.n_procs, trace=self.trace)
+            plan = self._plan(compiled)
         protocol = self.protocol
         # Binding is part of plan preparation (the tapes are built here
         # on first use), so it shares the timing bucket.
-        protocol.bind_batch_plan(plan, tape)
+        bound = protocol.bind_batch_plan(plan, self._execution_path == "tape")
         timings["batch_plan_s"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        whole_run = getattr(protocol, "_b_run", None)
-        if whole_run is not None:
-            whole_run()
+        if callable(bound):
+            bound()
         else:
-            self._walk_runs(plan.runs.instructions())
-        protocol.finish()
-        timings["simulate_s"] = elapsed = time.perf_counter() - t0
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug(
-                "replayed %s/%s (%s): %d events in %.3fs",
-                self.trace.meta.app,
-                protocol.name,
-                self._execution_path,
-                len(self.trace),
-                elapsed,
-            )
-
-    def _walk_runs(self, instructions: List[tuple]) -> None:
-        """Drive the bound run and sync kernels over the run program."""
-        from repro.trace.runs import R_ACQUIRE, R_FULL, R_RELEASE, R_TOUCH, R_WRITE
-
-        protocol = self.protocol
-        read_touch = protocol.read_touch
-        write_run = protocol._k_write_run
-        full_run = protocol._k_full_run
-        # Lazy tape replay (bind_batch_plan installs the ``_b_*``
-        # kernels); everything else keeps the public wrappers.
-        acquire = getattr(protocol, "_b_acquire", None) or protocol.acquire
-        release = getattr(protocol, "_b_release", None) or protocol.release
-        barrier = getattr(protocol, "_b_barrier", None) or protocol.barrier
-        # Instructions iterate as pre-unpacked 4-tuples: one C-level
-        # UNPACK_SEQUENCE per run beats repeated ins[n] indexing, and
-        # beat an arrays()-indexed variant (array reads box fresh ints
-        # per column) when measured — see PERFORMANCE.md. Branches are
-        # ordered by instruction frequency in the app traces.
-        for kind, proc, value, words in instructions:
-            if kind == R_TOUCH:
-                read_touch(proc, value)
-            elif kind == R_WRITE:
-                write_run(proc, value, words)
-            elif kind == R_FULL:
-                full_run(proc, value, words)
-            elif kind == R_ACQUIRE:
-                acquire(proc, value)
-            elif kind == R_RELEASE:
-                release(proc, value)
-            else:  # R_BARRIER
-                barrier(proc, value)
+            _walk_runs(plan.runs.instructions(), *bound)
+        self._finish(timings, t0)
 
     def run_reference(self) -> SimulationResult:
-        """The original event-by-event interpreter, kept as the baseline.
+        """The oracle: the original event-by-event interpreter.
 
         Splits every access at replay time instead of dispatching on the
-        precompiled form. Slower, but structurally closest to the paper's
+        precompiled form, and switches the lazy family to its reference
+        scans (no coherence index, no fetch planner) before the first
+        event. Slower, but structurally closest to the paper's
         description — the equivalence tests assert :meth:`run` matches
         this path field for field. Counting only: a configured
-        ``link_model`` is ignored here.
+        ``link_model`` is refused, since no clock would be folded.
         """
+        if self.config.link_model is not None:
+            raise ConfigError(
+                "run_reference() is counting-only; drop link_model or call run()"
+            )
         self._claim_run()
         self._execution_path = "reference"
         protocol = self.protocol
+        protocol.use_reference_scans()
         page_size = self.config.page_size
         record = self.config.record_values
         read_values: Optional[List[Tuple[int, List[int]]]] = [] if record else None
@@ -364,8 +335,8 @@ class Engine:
                 assert event.barrier is not None
                 protocol.barrier(event.proc, event.barrier)
 
-        protocol.finish()
-        timings = {"simulate_s": time.perf_counter() - t0}
+        timings: Dict[str, float] = {}
+        self._finish(timings, t0)
         return self._result(read_values, timings)
 
     def _result(
@@ -449,6 +420,30 @@ class Engine:
             for key, value in plan_stats().items()
             if value - before.get(key, 0)
         }
+
+
+def _walk_runs(
+    instructions: List[tuple], touch, write_run, full_run, acquire, release, barrier
+) -> None:
+    """Drive the kernels ``bind_batch_plan`` returned over the run program."""
+    # Instructions iterate as pre-unpacked 4-tuples: one C-level
+    # UNPACK_SEQUENCE per run beats repeated ins[n] indexing, and
+    # beat an arrays()-indexed variant (array reads box fresh ints
+    # per column) when measured — see PERFORMANCE.md. Branches are
+    # ordered by instruction frequency in the app traces.
+    for kind, proc, value, words in instructions:
+        if kind == R_TOUCH:
+            touch(proc, value)
+        elif kind == R_WRITE:
+            write_run(proc, value, words)
+        elif kind == R_FULL:
+            full_run(proc, value, words)
+        elif kind == R_ACQUIRE:
+            acquire(proc, value)
+        elif kind == R_RELEASE:
+            release(proc, value)
+        else:  # R_BARRIER
+            barrier(proc, value)
 
 
 #: Per-page-size caches backing :func:`_split_access`; bounded so a long

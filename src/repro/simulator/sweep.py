@@ -100,6 +100,16 @@ class SweepResult:
                     return manifest
         return None
 
+    def execution_paths(self) -> Dict[Tuple[str, Optional[str]], int]:
+        """Cells per ``(execution_path, decline_reason)``, in grid order
+        (the ``sweep`` footer; see :func:`~repro.protocols.base.certify_replay`)."""
+        counts: Dict[Tuple[str, Optional[str]], int] = {}
+        for result in self.grid.values():
+            manifest = result.manifest or {}
+            key = (manifest.get("execution_path"), manifest.get("decline_reason"))
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
     def rollup_table(self) -> Dict[str, Dict[int, Dict[str, float]]]:
         """Per-cell critical-path rollups (``run_sweep(spans=True)``).
 

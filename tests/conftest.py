@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import cholesky, locusroute, mp3d, pthor, water
+from repro.config import SimConfig
+from repro.simulator.engine import Engine
+from repro.simulator.results import SimulationResult
 from repro.trace.events import Event
 from repro.trace.stream import TraceMeta, TraceStream
 
@@ -67,3 +70,43 @@ def lock_chain_trace(n_procs: int = 3, rounds: int = 2, addr: int = 0x100) -> Tr
                 Event.release(proc, 0),
             ]
     return build_trace(n_procs, events)
+
+
+def ledger_fields(result: SimulationResult) -> dict:
+    """Every accounting field of one result: all but read values and manifest."""
+    return {
+        "messages": result.messages,
+        "data_bytes": result.data_bytes,
+        "control_bytes": result.control_bytes,
+        "cold_misses": result.cold_misses,
+        "invalid_misses": result.invalid_misses,
+        "diffs_fetched": result.diffs_fetched,
+        "diff_bytes_fetched": result.diff_bytes_fetched,
+        "counters": result.counters,
+        "by_kind": result.stats.snapshot(),
+    }
+
+
+def interpreter_engine(trace, protocol, config=None, probe=None, **options) -> Engine:
+    """An engine whose ``run()`` is the per-event interpreter for this cell.
+
+    No option selects a loop; values exist only on the interpreter, so a
+    run that records them is one — the only loop that keeps page tables,
+    copysets and contents for a white-box test to inspect afterwards.
+    """
+    if config is None:
+        config = SimConfig(n_procs=trace.n_procs)
+    config = config.with_options(**{**options, "record_values": True})
+    return Engine(trace, config, protocol, probe=probe)
+
+
+def interpreter_result(trace, protocol, config=None, probe=None, **options) -> SimulationResult:
+    """The interpreter's result for this cell (see :func:`interpreter_engine`).
+
+    Compare with :func:`ledger_fields`, ``result.metrics`` or
+    ``to_dict()`` minus its manifest — everything but ``read_values``
+    matches what the tape and batched loops report.
+    """
+    result = interpreter_engine(trace, protocol, config, probe, **options).run()
+    assert result.manifest["execution_path"] == "per_event"
+    return result

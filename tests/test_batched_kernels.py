@@ -1,11 +1,11 @@
 """Equivalence suite for the batched access-run kernels.
 
-The acceptance bar of the batched-kernel overhaul: with
-``use_batched_kernels=True`` (the default) every accounting field, every
-counter, and every emitted telemetry event must be bit-identical to the
-per-event interpreters, which survive behind
-``use_batched_kernels=False`` — across all lazy protocols, all apps, the
-full sweep grid, and every protocol-option ablation.
+The acceptance bar of the batched-kernel overhaul: on the path a plain
+run certifies (tape, or batched under a sink) every accounting field,
+every counter, and every emitted telemetry event must be bit-identical
+to the per-event interpreter — the loop a value-recording run takes —
+across all protocols, all apps, the full sweep grid, and every
+protocol-option ablation.
 """
 
 from __future__ import annotations
@@ -16,12 +16,17 @@ from repro.config import SimConfig
 from repro.network.costs import CostModel
 from repro.obs.probe import RecordingProbe
 from repro.obs.sinks import MemorySink
+from repro.protocols.base import certify_replay
 from repro.protocols.registry import protocol_class
 from repro.simulator.engine import Engine, simulate
 from repro.simulator.sweep import run_sweep
 from repro.trace.events import Event
-from tests.conftest import build_trace, lock_chain_trace, small_trace
-from tests.test_fastpath_equivalence import result_fields
+from tests.conftest import (
+    build_trace,
+    interpreter_result,
+    ledger_fields,
+    lock_chain_trace,
+)
 
 LAZY_PROTOCOLS = ("LI", "LU", "LH", "HLRC")
 EAGER_PROTOCOLS = ("EI", "EU", "EW")
@@ -29,12 +34,10 @@ ALL_BATCHED = LAZY_PROTOCOLS + EAGER_PROTOCOLS
 
 
 def run_batched_and_reference(trace, protocol, **options):
-    base = SimConfig(n_procs=trace.n_procs, **options)
-    batched = Engine(trace, base.with_options(use_batched_kernels=True), protocol).run()
-    reference = Engine(
-        trace, base.with_options(use_batched_kernels=False), protocol
-    ).run()
-    return batched, reference
+    config = SimConfig(n_procs=trace.n_procs, **options)
+    batched = Engine(trace, config, protocol).run()
+    assert batched.manifest["execution_path"] == "tape"
+    return batched, interpreter_result(trace, protocol, config)
 
 
 class TestBatchedEquivalence:
@@ -44,13 +47,13 @@ class TestBatchedEquivalence:
         batched, reference = run_batched_and_reference(
             app_trace, protocol, page_size=page_size
         )
-        assert result_fields(batched) == result_fields(reference)
+        assert ledger_fields(batched) == ledger_fields(reference)
 
     @pytest.mark.parametrize("protocol", ALL_BATCHED)
     def test_lock_chain_bit_identical(self, protocol):
         trace = lock_chain_trace(n_procs=4, rounds=3)
         batched, reference = run_batched_and_reference(trace, protocol, page_size=512)
-        assert result_fields(batched) == result_fields(reference)
+        assert ledger_fields(batched) == ledger_fields(reference)
 
     @pytest.mark.parametrize(
         "options",
@@ -68,52 +71,49 @@ class TestBatchedEquivalence:
         batched, reference = run_batched_and_reference(
             water_trace, protocol, page_size=1024, **options
         )
-        assert result_fields(batched) == result_fields(reference)
+        assert ledger_fields(batched) == ledger_fields(reference)
 
     def test_full_sweep_grid_bit_identical(self, water_trace):
         base = SimConfig(n_procs=water_trace.n_procs)
-        batched = run_sweep(
-            water_trace, config=base.with_options(use_batched_kernels=True)
-        )
-        reference = run_sweep(
-            water_trace, config=base.with_options(use_batched_kernels=False)
-        )
+        batched = run_sweep(water_trace, config=base)
+        reference = run_sweep(water_trace, config=base.with_options(record_values=True))
+        assert batched.execution_paths() == {("tape", None): len(batched.grid)}
+        assert reference.execution_paths() == {
+            ("per_event", "record_values"): len(reference.grid)
+        }
         assert batched.grid.keys() == reference.grid.keys()
         for key in batched.grid:
-            assert result_fields(batched.grid[key]) == result_fields(
+            assert ledger_fields(batched.grid[key]) == ledger_fields(
                 reference.grid[key]
             ), key
+
+
+def assert_event_streams_identical(trace, protocol, **options):
+    """A sink-watched run (batched kernels) emits the interpreter's stream."""
+    batched_sink, interpreter_sink = MemorySink(), MemorySink()
+    batched = simulate(
+        trace, protocol, probe=RecordingProbe(sinks=[batched_sink]), **options
+    )
+    assert batched.manifest["execution_path"] == "batched"
+    interpreter_result(
+        trace, protocol, probe=RecordingProbe(sinks=[interpreter_sink]), **options
+    )
+    assert batched_sink.events == interpreter_sink.events
 
 
 class TestBatchedTelemetry:
     @pytest.mark.parametrize("protocol", ALL_BATCHED)
     def test_event_streams_identical(self, water_trace, protocol):
-        streams = []
-        for flag in (True, False):
-            sink = MemorySink()
-            simulate(
-                water_trace,
-                protocol,
-                page_size=1024,
-                probe=RecordingProbe(sinks=[sink]),
-                use_batched_kernels=flag,
-            )
-            streams.append(sink.events)
         # Full dict equality: kinds, fields, seq numbering, and epochs.
-        assert streams[0] == streams[1]
+        assert_event_streams_identical(water_trace, protocol, page_size=1024)
 
     def test_metrics_snapshots_identical(self, water_trace):
-        snapshots = []
-        for flag in (True, False):
-            result = simulate(
-                water_trace,
-                "LI",
-                page_size=1024,
-                probe=RecordingProbe(),
-                use_batched_kernels=flag,
-            )
-            snapshots.append(result.metrics)
-        assert snapshots[0] == snapshots[1]
+        tape = simulate(water_trace, "LI", page_size=1024, probe=RecordingProbe())
+        interpreted = interpreter_result(
+            water_trace, "LI", page_size=1024, probe=RecordingProbe()
+        )
+        assert tape.manifest["execution_path"] == "tape"
+        assert tape.metrics == interpreted.metrics
 
 
 #: Cost models spanning the constants the lazy tape bakes in at build
@@ -160,48 +160,67 @@ class TestLazyTapeCostGrid:
             piggyback_notices=piggyback,
             free_local_lock_reacquire=free_reacquire,
         )
-        engines = [
-            Engine(
-                water_trace,
-                base.with_options(use_batched_kernels=flag),
-                protocol,
-                probe=RecordingProbe(),
-            )
-            for flag in (True, False)
-        ]
-        batched, reference = (engine.run() for engine in engines)
-        # Not vacuous: the batched engine really replayed the tape (a
-        # certification miss would silently fall back to per-event).
-        assert "_tape_next" in engines[0].protocol.__dict__
+        batched = Engine(water_trace, base, protocol, probe=RecordingProbe()).run()
+        reference = interpreter_result(
+            water_trace, protocol, base, probe=RecordingProbe()
+        )
+        # Not vacuous: the first run really replayed the tape.
+        assert batched.manifest["execution_path"] == "tape"
         for counter in ("retained_diff_bytes", "peak_retained_diff_bytes"):
             assert batched.counters[counter] == reference.counters[counter], counter
-        assert result_fields(batched) == result_fields(reference)
+        assert ledger_fields(batched) == ledger_fields(reference)
         # Per-epoch metrics rows, lock/barrier attribution included —
-        # the metrics-only probe also exercises the _t_*_obs kernels.
+        # the metrics-only probe makes the tape kernels stage rows.
         assert batched.metrics == reference.metrics
 
 
+def run_uncertified(trace, cls, stock):
+    """A subclass run and the stock run it must match; asserts its path."""
+    config = SimConfig(n_procs=trace.n_procs, page_size=1024)
+    assert certify_replay(cls(config)) == ("per_event", "uncertified_class")
+    result = Engine(trace, config, cls).run()
+    assert result.manifest["execution_path"] == "per_event"
+    assert result.manifest["decline_reason"] == "uncertified_class"
+    return result, Engine(trace, config, stock).run()
+
+
 class TestBatchedGate:
+    """The path is declared by the class and observed from the run, never set."""
+
     @pytest.mark.parametrize("protocol", EAGER_PROTOCOLS)
     def test_eager_family_reports_support(self, protocol):
         instance = protocol_class(protocol)(SimConfig(n_procs=4))
-        assert instance.supports_batched_runs()
+        assert certify_replay(instance) == ("tape", None)
 
     @pytest.mark.parametrize("protocol", EAGER_PROTOCOLS)
     def test_eager_family_flag_equivalence(self, water_trace, protocol):
         batched, reference = run_batched_and_reference(
             water_trace, protocol, page_size=1024
         )
-        assert result_fields(batched) == result_fields(reference)
+        assert ledger_fields(batched) == ledger_fields(reference)
 
-    def test_eager_supports_without_coherence_index(self):
-        # The eager tapes never consult the interval store, so the
-        # coherence-index flag (a lazy-family concern) must not gate them.
-        for protocol in EAGER_PROTOCOLS:
-            instance = protocol_class(protocol)(
-                SimConfig(n_procs=4, use_coherence_index=False)
-            )
-            assert instance.supports_batched_runs(), protocol
+    def test_lazy_family_reports_support(self):
+        for protocol in LAZY_PROTOCOLS:
+            instance = protocol_class(protocol)(SimConfig(n_procs=4))
+            assert certify_replay(instance) == ("tape", None), protocol
+
+    @pytest.mark.parametrize("protocol", ALL_BATCHED)
+    def test_certification_is_declared_in_the_class_body(self, water_trace, protocol):
+        stock = protocol_class(protocol)
+        assert stock.__dict__["replay_certified"] is True
+
+        class Alias(stock):
+            pass
+
+        # Inheriting the declaration is not making it: an alias that
+        # overrides nothing is still interpreted until it vouches.
+        alias, result = run_uncertified(water_trace, Alias, protocol)
+        assert ledger_fields(alias) == ledger_fields(result)
+
+        class Vouched(stock):
+            replay_certified = True
+
+        assert certify_replay(Vouched(SimConfig(n_procs=4))) == ("tape", None)
 
     def test_eager_hook_overriding_subclass_falls_back(self, water_trace):
         from repro.protocols.eager_invalidate import EagerInvalidate
@@ -213,23 +232,9 @@ class TestBatchedGate:
                 seen.append((proc, page))
                 super()._handle_miss(proc, page, entry)
 
-        instance = Counting(SimConfig(n_procs=4))
-        assert not instance.supports_batched_runs()
-        config = SimConfig(n_procs=water_trace.n_procs, page_size=1024)
-        counted = Engine(water_trace, config, Counting).run()
-        stock = Engine(water_trace, config, "EI").run()
+        counted, stock = run_uncertified(water_trace, Counting, "EI")
         assert seen
-        assert result_fields(counted) == result_fields(stock)
-
-    def test_reference_index_config_reports_no_support(self):
-        cls = protocol_class("LI")
-        instance = cls(SimConfig(n_procs=4, use_coherence_index=False))
-        assert not instance.supports_batched_runs()
-
-    def test_lazy_family_reports_support(self):
-        for protocol in LAZY_PROTOCOLS:
-            instance = protocol_class(protocol)(SimConfig(n_procs=4))
-            assert instance.supports_batched_runs(), protocol
+        assert ledger_fields(counted) == ledger_fields(stock)
 
     def test_hook_overriding_subclass_falls_back(self, water_trace):
         from repro.protocols.lazy_invalidate import LazyInvalidate
@@ -241,21 +246,16 @@ class TestBatchedGate:
                 seen.append((proc, notice.page))
                 super()._on_notice(proc, notice)
 
-        instance = Doubled(SimConfig(n_procs=4))
-        assert not instance.supports_batched_runs()
-        # The engine silently takes the per-event path, so the override
-        # still observes every notice and the results match stock LI.
-        config = SimConfig(n_procs=water_trace.n_procs, page_size=1024)
-        doubled = Engine(water_trace, config, Doubled).run()
-        stock = Engine(water_trace, config, "LI").run()
+        # The engine takes the per-event path, so the override still
+        # observes every notice and the results match stock LI.
+        doubled, stock = run_uncertified(water_trace, Doubled, "LI")
         assert seen
-        assert result_fields(doubled) == result_fields(stock)
+        assert ledger_fields(doubled) == ledger_fields(stock)
 
     def test_public_wrapper_override_falls_back(self, water_trace):
         # Tape replay bypasses the public acquire/release/barrier
-        # wrappers entirely, so those are guarded hooks too: a subclass
-        # adding behavior there must force the per-event path or its
-        # override would be silently skipped.
+        # wrappers entirely: a subclass adding behavior there must run
+        # per event or its override would be silently skipped.
         from repro.protocols.lazy_invalidate import LazyInvalidate
 
         seen = []
@@ -265,31 +265,18 @@ class TestBatchedGate:
                 seen.append((proc, lock))
                 super().acquire(proc, lock)
 
-        instance = Wrapped(SimConfig(n_procs=4))
-        assert not instance.supports_batched_runs()
-        config = SimConfig(n_procs=water_trace.n_procs, page_size=1024)
-        wrapped = Engine(water_trace, config, Wrapped).run()
-        stock = Engine(water_trace, config, "LI").run()
+        wrapped, stock = run_uncertified(water_trace, Wrapped, "LI")
         assert seen
-        assert result_fields(wrapped) == result_fields(stock)
+        assert ledger_fields(wrapped) == ledger_fields(stock)
 
     def test_record_values_forces_per_event(self, water_trace):
         # The batched path cannot record read values (page contents are
         # only span-final); the gate must route around it.
         config = SimConfig(
-            n_procs=water_trace.n_procs,
-            page_size=1024,
-            record_values=True,
-            use_batched_kernels=True,
+            n_procs=water_trace.n_procs, page_size=1024, record_values=True
         )
         result = Engine(water_trace, config, "LI").run()
         assert result.read_values  # per-event path ran and recorded
-
-    def test_manifest_records_the_flag(self, water_trace):
-        on = simulate(water_trace, "LI", page_size=1024, use_batched_kernels=True)
-        off = simulate(water_trace, "LI", page_size=1024, use_batched_kernels=False)
-        assert on.manifest["config"]["use_batched_kernels"] is True
-        assert off.manifest["config"]["use_batched_kernels"] is False
 
 
 class TestValueTrackingLivesOnOnePath:
@@ -356,7 +343,7 @@ class TestBatchedEdgeTraces:
             batched, reference = run_batched_and_reference(
                 trace, protocol, page_size=512
             )
-            assert result_fields(batched) == result_fields(reference)
+            assert ledger_fields(batched) == ledger_fields(reference)
 
     def test_no_sync_trace(self):
         # No sync operations at all: nothing ever closes, nothing is
@@ -367,7 +354,7 @@ class TestBatchedEdgeTraces:
             batched, reference = run_batched_and_reference(
                 trace, protocol, page_size=512
             )
-            assert result_fields(batched) == result_fields(reference)
+            assert ledger_fields(batched) == ledger_fields(reference)
 
     def test_page_straddling_writes(self):
         events = [
@@ -384,7 +371,7 @@ class TestBatchedEdgeTraces:
             batched, reference = run_batched_and_reference(
                 trace, protocol, page_size=512
             )
-            assert result_fields(batched) == result_fields(reference)
+            assert ledger_fields(batched) == ledger_fields(reference)
 
     def test_run_once_guard_still_enforced(self, water_trace):
         from repro.common.errors import SimulatorError
@@ -460,20 +447,20 @@ class TestEagerHandTraces:
         # The trace actually exercises the path it was built for.
         assert reference.counters["reconciles"] > 0
         assert reference.invalid_misses > 0
-        assert result_fields(batched) == result_fields(reference)
+        assert ledger_fields(batched) == ledger_fields(reference)
 
     def test_ew_ping_pong(self):
         trace = ping_pong_trace()
         batched, reference = run_batched_and_reference(trace, "EW", page_size=512)
         assert reference.counters["write_faults"] > 0
         assert reference.counters["ping_pongs"] > 0
-        assert result_fields(batched) == result_fields(reference)
+        assert ledger_fields(batched) == ledger_fields(reference)
 
     @pytest.mark.parametrize("protocol", EAGER_PROTOCOLS)
     def test_multi_page_flush(self, protocol):
         trace = multi_page_flush_trace()
         batched, reference = run_batched_and_reference(trace, protocol, page_size=512)
-        assert result_fields(batched) == result_fields(reference)
+        assert ledger_fields(batched) == ledger_fields(reference)
 
     @pytest.mark.parametrize("protocol", EAGER_PROTOCOLS)
     @pytest.mark.parametrize(
@@ -482,15 +469,4 @@ class TestEagerHandTraces:
         ids=["excess", "pingpong", "multipage"],
     )
     def test_telemetry_streams_identical(self, protocol, make_trace):
-        streams = []
-        for flag in (True, False):
-            sink = MemorySink()
-            simulate(
-                make_trace(),
-                protocol,
-                page_size=512,
-                probe=RecordingProbe(sinks=[sink]),
-                use_batched_kernels=flag,
-            )
-            streams.append(sink.events)
-        assert streams[0] == streams[1]
+        assert_event_streams_identical(make_trace(), protocol, page_size=512)

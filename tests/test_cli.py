@@ -34,6 +34,8 @@ class TestCommands:
         assert main(["sweep", *small_args("cholesky"), "--page-sizes", "512", "1024"]) == 0
         out = capsys.readouterr().out
         assert "Figure 7" in out and "Figure 8" in out
+        # Four protocols x two page sizes, nothing watching: all on the tape.
+        assert out.rstrip().endswith("execution paths: 8 x tape")
 
     def test_table1(self, capsys):
         assert main(["table1"]) == 0

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.checker import check_protocol
 from repro.apps.synthetic import false_sharing, single_lock_chain
-from repro.config import SimConfig
 from repro.memory.page import PageState
 from repro.network.message import MessageKind
 from repro.protocols.exclusive_writer import ExclusiveWriter
@@ -14,16 +13,17 @@ from repro.protocols.registry import (
     protocol_class,
     protocol_names,
 )
-from repro.simulator.engine import Engine, simulate
+from repro.simulator.engine import simulate
 from repro.trace.events import Event
-from tests.conftest import build_trace
+from tests.conftest import build_trace, interpreter_engine
 
 
 def run(events, n_procs=4, page_size=1024):
-    # White-box suites pin the per-event reference path: batched eager
-    # kernels replay a tape without maintaining page-table state.
-    config = SimConfig(n_procs=n_procs, page_size=page_size, use_batched_kernels=False)
-    engine = Engine(build_trace(n_procs, events), config, ExclusiveWriter)
+    # White-box suites need the interpreter: the tapes replay without
+    # maintaining page-table state.
+    engine = interpreter_engine(
+        build_trace(n_procs, events), ExclusiveWriter, page_size=page_size
+    )
     return engine.protocol, engine.run()
 
 

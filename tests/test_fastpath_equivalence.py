@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import SimulatorError
+from repro.apps.synthetic import migratory, producer_consumer
+from repro.common.errors import ConfigError, SimulatorError
 from repro.config import SimConfig
+from repro.network.link import LinkModel
+from repro.protocols.registry import all_protocol_names
 from repro.simulator.engine import Engine, simulate
 from repro.simulator.results import SimulationResult
 from repro.simulator.sweep import run_sweep
@@ -24,25 +27,19 @@ from repro.trace.precompile import (
     OP_WRITE,
     compile_trace,
 )
-from tests.conftest import build_trace, lock_chain_trace, small_trace
+from tests.conftest import (
+    build_trace,
+    interpreter_result,
+    ledger_fields,
+    lock_chain_trace,
+)
 
 PROTOCOLS = ("LI", "LU", "EI", "EU")
 
 
 def result_fields(result: SimulationResult) -> dict:
-    """Every accounting field of one result, for exact comparison."""
-    return {
-        "messages": result.messages,
-        "data_bytes": result.data_bytes,
-        "control_bytes": result.control_bytes,
-        "cold_misses": result.cold_misses,
-        "invalid_misses": result.invalid_misses,
-        "diffs_fetched": result.diffs_fetched,
-        "diff_bytes_fetched": result.diff_bytes_fetched,
-        "counters": result.counters,
-        "by_kind": result.stats.snapshot(),
-        "read_values": result.read_values,
-    }
+    """Every accounting field of one result plus the values every read saw."""
+    return {**ledger_fields(result), "read_values": result.read_values}
 
 
 class TestFastPathEquivalence:
@@ -92,26 +89,25 @@ LAZY_PROTOCOLS = ("LI", "LU", "LH", "HLRC")
 
 
 def run_indexed_and_reference(trace, protocol, **overrides):
-    """One simulation per coherence path, same trace/protocol/options."""
-    results = []
-    for indexed in (True, False):
-        config = SimConfig(
-            n_procs=trace.n_procs,
-            record_values=True,
-            use_coherence_index=indexed,
-            **overrides,
-        )
-        results.append(Engine(trace, config, protocol).run())
+    """``run()`` (coherence index) and the oracle (reference scans), same cell."""
+    config = SimConfig(n_procs=trace.n_procs, record_values=True, **overrides)
+    indexed = Engine(trace, config, protocol)
+    reference = Engine(trace, config, protocol)
+    results = indexed.run(), reference.run_reference()
+    # Not vacuous: the oracle really left the index and the planner behind.
+    assert indexed.protocol._indexed and indexed.protocol._planner is not None
+    assert not reference.protocol._indexed and reference.protocol._planner is None
+    assert results[1].manifest["execution_path"] == "reference"
     return results
 
 
 class TestCoherenceIndexEquivalence:
     """Indexed lazy bookkeeping is bit-identical to the reference scans.
 
-    ``use_coherence_index=False`` keeps the original full-scan
+    ``Engine.run_reference`` keeps the original full-scan
     implementations of notice gaps, diff-server assignment, overwrite
-    pruning, and garbage collection; these tests pin the indexed default
-    to it field-by-field.
+    pruning, and garbage collection; these tests pin the indexed
+    ``run()`` to it field-by-field.
     """
 
     @pytest.mark.parametrize("protocol", LAZY_PROTOCOLS)
@@ -142,18 +138,13 @@ class TestCoherenceIndexEquivalence:
         assert result_fields(indexed) == result_fields(reference)
 
     def test_full_sweep_grid_identical(self, water_trace):
-        base = dict(n_procs=water_trace.n_procs, record_values=True)
-        indexed = run_sweep(
-            water_trace, config=SimConfig(use_coherence_index=True, **base)
-        )
-        reference = run_sweep(
-            water_trace, config=SimConfig(use_coherence_index=False, **base)
-        )
-        assert list(indexed.grid) == list(reference.grid)
-        for key in indexed.grid:
-            assert result_fields(indexed.grid[key]) == result_fields(
-                reference.grid[key]
-            ), key
+        config = SimConfig(n_procs=water_trace.n_procs, record_values=True)
+        indexed = run_sweep(water_trace, config=config)
+        for (protocol, page_size), cell in indexed.grid.items():
+            reference = Engine(
+                water_trace, config.with_page_size(page_size), protocol
+            ).run_reference()
+            assert result_fields(cell) == result_fields(reference), (protocol, page_size)
 
     @pytest.mark.parametrize("protocol", LAZY_PROTOCOLS)
     def test_gc_accounting_bit_identical(self, water_trace, protocol):
@@ -195,6 +186,61 @@ class TestCoherenceIndexEquivalence:
             reference.counters["gc_collected_bytes"]
         )
         assert indexed.counters["gc_collected_bytes"] > 0
+
+
+def run_every_path(trace, protocol, config):
+    """``{execution path: run}`` — one thunk per loop the engine has."""
+
+    def tape():
+        return Engine(trace, config, protocol).run()
+
+    def batched():
+        engine = Engine(trace, config, protocol)
+        engine.protocol.network.keep_log = True  # watches every message
+        return engine.run()
+
+    def per_event():
+        return interpreter_result(trace, protocol, config)
+
+    def reference():
+        return Engine(trace, config, protocol).run_reference()
+
+    return {"tape": tape, "batched": batched, "per_event": per_event, "reference": reference}
+
+
+class TestPlansAreSizedByTheConfig:
+    """The protocol is sized by ``config.n_procs``, which may exceed the
+    trace's; plans and tapes built for the trace's count diverged from
+    the interpreter (vector-clock width, barrier fan-in)."""
+
+    @pytest.mark.parametrize("n_procs", [4, 7])
+    @pytest.mark.parametrize("protocol", all_protocol_names())
+    def test_lock_only_trace_same_ledger_on_every_path(self, protocol, n_procs):
+        trace = migratory(n_procs=4)
+        config = SimConfig(n_procs=n_procs, page_size=1024)
+        ledgers = {}
+        for path, run in run_every_path(trace, protocol, config).items():
+            result = run()
+            assert result.manifest["execution_path"] == path
+            ledgers[path] = ledger_fields(result)
+        assert ledgers["tape"] == ledgers["batched"] == ledgers["per_event"]
+        assert ledgers["tape"] == ledgers["reference"]
+
+    @pytest.mark.parametrize("protocol", all_protocol_names())
+    def test_barrier_trace_fails_alike_on_every_path(self, protocol):
+        # Four of seven processors can never complete a barrier episode.
+        trace = producer_consumer(n_procs=4)
+        config = SimConfig(n_procs=7, page_size=1024)
+        for path, run in run_every_path(trace, protocol, config).items():
+            with pytest.raises(ValueError, match="arrived twice at barrier 0"):
+                run()
+
+
+class TestOracle:
+    def test_reference_is_counting_only(self, water_trace):
+        config = SimConfig(n_procs=water_trace.n_procs, link_model=LinkModel.ideal())
+        with pytest.raises(ConfigError, match="counting-only"):
+            Engine(water_trace, config, "LI").run_reference()
 
 
 class TestParallelSweepEquivalence:

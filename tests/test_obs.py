@@ -26,6 +26,7 @@ from repro.obs import (
     merge_metrics,
     read_jsonl,
 )
+from repro.network.link import LinkModel
 from repro.obs.metrics import EPOCH_FIELDS
 from repro.obs.probe import EVENT_KINDS
 from repro.protocols.registry import all_protocol_names
@@ -258,11 +259,10 @@ class TestManifest:
 
     def test_timed_manifest_names_path_and_send_log(self):
         from repro.config import SimConfig
-        from repro.network.link import LinkModel
 
         trace = small_trace("water", n_procs=4)
         config = SimConfig(
-            n_procs=4, page_size=1024, use_batched_kernels=True,
+            n_procs=4, page_size=1024,
             link_model=LinkModel.ethernet_1992(loss=0.02, timeout_s=2e-3),
         )
         counting = simulate(trace, "LI", config=config.with_options(link_model=None))
@@ -292,9 +292,13 @@ class TestManifest:
             ("handler", "batched", "LU", {"handler": True}),
             ("keep_log", "batched", "EW", {"keep_log": True}),
             ("record_values", "per_event", "LI", {"config": {"record_values": True}}),
-            ("batched_off", "per_event", "EI", {"config": {"use_batched_kernels": False}}),
-            ("index_off", "per_event", "LU", {"config": {"use_coherence_index": False}}),
-            ("subclass_override", "per_event", "override", {}),
+            ("uncertified_class", "per_event", "override", {}),
+            (
+                "send_log_recording",
+                "per_event",
+                "EI",
+                {"config": {"link_model": LinkModel.ideal()}},
+            ),
         ],
     )
     def test_execution_path_and_decline_reason(self, reason, path, protocol, setup):
@@ -308,8 +312,7 @@ class TestManifest:
                 super()._on_notice(proc, notice)
 
         trace = small_trace("water", n_procs=4)
-        config = SimConfig(n_procs=4, page_size=1024, use_batched_kernels=True)
-        config = config.with_options(**setup.get("config", {}))
+        config = SimConfig(n_procs=4, page_size=1024, **setup.get("config", {}))
         probe = {
             "sink": lambda: RecordingProbe(sinks=[MemorySink()]),
             "span": SpanProbe,

@@ -23,8 +23,7 @@ from repro.network.network import Network
 from repro.obs.probe import RecordingProbe
 from repro.obs.sinks import MemorySink
 from repro.simulator.engine import Engine, simulate
-from tests.conftest import small_trace
-from tests.test_fastpath_equivalence import result_fields
+from tests.conftest import interpreter_result, ledger_fields, small_trace
 from tests.test_protocol_properties import N_PROCS, interleave, race_free_programs
 from tests.test_send_log import GOLDEN, LINKS
 
@@ -48,7 +47,8 @@ PATHS = {
     # A kept message log needs every send; nothing else about the run
     # (probe, sinks, config) differs from the priced one.
     "per_message": ({}, True, ("batched", "keep_log")),
-    "per_event": ({"use_batched_kernels": False}, False, ("per_event", "batched_off")),
+    # Values exist only on the interpreter; recording them asks for it.
+    "per_event": ({"record_values": True}, False, ("per_event", "record_values")),
 }
 
 
@@ -65,7 +65,7 @@ def observe(trace, protocol, config, path):
     body.pop("manifest")
     return {
         "body": body,
-        "fields": result_fields(result),
+        "fields": ledger_fields(result),
         "metrics": result.metrics,
         # Creation order of the staged rows and of the registry's tables.
         "segments": list(probe._segments),
@@ -101,11 +101,9 @@ class TestThreeWayEquivalence:
     def test_without_a_probe(self, app_trace, protocol):
         config = SimConfig(n_procs=app_trace.n_procs, page_size=1024)
         priced = simulate(app_trace, protocol, config=config)
-        reference = simulate(
-            app_trace, protocol, config=config.with_options(use_batched_kernels=False)
-        )
+        reference = interpreter_result(app_trace, protocol, config)
         assert priced.manifest["execution_path"] == "tape"
-        assert result_fields(priced) == result_fields(reference)
+        assert ledger_fields(priced) == ledger_fields(reference)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -156,21 +154,20 @@ class TestNoSends:
 
     @pytest.mark.parametrize("protocol", EAGER)
     def test_sink_attached_run_still_sends_every_message(self, water_trace, sends, protocol):
-        def watched(**overrides):
+        def watched(run):
             del sends[:]
-            result = simulate(
+            result = run(
                 water_trace,
                 protocol,
                 page_size=1024,
                 probe=RecordingProbe(sinks=[MemorySink()]),
-                **overrides,
             )
             return result, list(sends)
 
-        batched, batched_sends = watched()
+        batched, batched_sends = watched(simulate)
         assert batched.manifest["execution_path"] == "batched"
         assert batched.manifest["decline_reason"] == "event_sink"
-        per_event, per_event_sends = watched(use_batched_kernels=False)
+        per_event, per_event_sends = watched(interpreter_result)
         # Same messages, same order, as the interpreter — local hops included.
         assert batched_sends == per_event_sends
         remote = [call for call in batched_sends if call[1] != call[2]]
@@ -235,4 +232,4 @@ class TestTimedWarmCell:
             "reused",
         )
         assert warm.timing == cold.timing == GOLDEN[f"{protocol}/{link_name}"]
-        assert result_fields(warm) == result_fields(cold) == result_fields(counting)
+        assert ledger_fields(warm) == ledger_fields(cold) == ledger_fields(counting)

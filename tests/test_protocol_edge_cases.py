@@ -2,26 +2,25 @@
 
 import pytest
 
-from repro.config import SimConfig
 from repro.memory.page import PageState
 from repro.network.message import MessageKind
 from repro.protocols.eager_invalidate import EagerInvalidate
 from repro.protocols.eager_update import EagerUpdate
 from repro.protocols.lazy_invalidate import LazyInvalidate
 from repro.protocols.lazy_update import LazyUpdate
-from repro.simulator.engine import Engine, simulate
+from repro.simulator.engine import simulate
 from repro.trace.events import Event
-from tests.conftest import build_trace
+from tests.conftest import build_trace, interpreter_engine
 
 PAGE = 1024
 
 
 def run(protocol_cls, events, n_procs=4, **options):
-    # White-box suites pin the per-event reference path: batched eager
-    # kernels replay a tape without maintaining page-table state.
-    options.setdefault("use_batched_kernels", False)
-    config = SimConfig(n_procs=n_procs, page_size=PAGE, **options)
-    engine = Engine(build_trace(n_procs, events), config, protocol_cls)
+    # White-box suites need the interpreter: the tapes replay without
+    # maintaining page-table state.
+    engine = interpreter_engine(
+        build_trace(n_procs, events), protocol_cls, page_size=PAGE, **options
+    )
     return engine.protocol, engine.run()
 
 

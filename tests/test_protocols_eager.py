@@ -9,20 +9,19 @@ from repro.protocols.eager_invalidate import EagerInvalidate
 from repro.protocols.eager_update import EagerUpdate
 from repro.simulator.engine import Engine, simulate
 from repro.trace.events import Event
-from tests.conftest import build_trace
+from tests.conftest import build_trace, interpreter_engine
 
 PAGE = 1024
 
 
 def run(protocol_cls, events, n_procs=4, **options):
     # These suites inspect protocol internals (page tables, copysets)
-    # after the run, so they pin the per-event reference path: the
-    # batched eager kernels replay a precomputed tape and do not
-    # maintain that state (equivalence of results is pinned separately
-    # in tests/test_batched_kernels.py).
-    options.setdefault("use_batched_kernels", False)
-    config = SimConfig(n_procs=n_procs, page_size=PAGE, **options)
-    engine = Engine(build_trace(n_procs, events), config, protocol_cls)
+    # after the run, so they need the interpreter: the eager tapes do
+    # not maintain that state (equivalence of results is pinned
+    # separately in tests/test_batched_kernels.py).
+    engine = interpreter_engine(
+        build_trace(n_procs, events), protocol_cls, page_size=PAGE, **options
+    )
     result = engine.run()
     return engine.protocol, result
 

@@ -159,7 +159,6 @@ class TestCacheKey:
             {"piggyback_notices": False},
             {"gc_at_barriers": True},
             {"record_values": True},
-            {"use_coherence_index": False},
         ],
         ids=lambda change: next(iter(change)),
     )

@@ -128,6 +128,20 @@ class TestParallelSweepShm:
                 parallel.grid[key]
             ), key
 
+    def test_execution_paths_match_serial(self, water_trace, many_cores):
+        from repro.obs.manifest import execution_paths_line
+
+        for options, expected in (
+            ({}, {("tape", None): 8}),
+            ({"spans": True}, {("batched", "subclassed_probe"): 8}),
+        ):
+            serial = run_sweep(water_trace, page_sizes=[512, 1024], **options)
+            parallel = run_sweep(water_trace, page_sizes=[512, 1024], jobs=2, **options)
+            assert serial.execution_paths() == parallel.execution_paths() == expected
+        assert execution_paths_line(parallel.execution_paths()) == (
+            "execution paths: 8 x batched (tape declined: subclassed_probe)"
+        )
+
     def test_sweep_unlinks_segment_on_success(self, water_trace, many_cores, monkeypatch):
         created = []
 

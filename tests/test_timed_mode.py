@@ -77,9 +77,7 @@ class TestIdealEquivalence:
         # recorded per message the first time a link is set, and takes
         # the tape path again once the cell's send log is cached — with
         # the same ledger and the same clocks either way.
-        config = SimConfig(
-            n_procs=water_trace.n_procs, page_size=1024, use_batched_kernels=True
-        )
+        config = SimConfig(n_procs=water_trace.n_procs, page_size=1024)
         counting = Engine(water_trace, config, protocol).run()
         timed_config = config.with_options(link_model=LOSSY)
         cold = Engine(water_trace, timed_config, protocol).run()
