@@ -6,9 +6,10 @@ Two things the paper flags but does not measure: LRC's memory cost
 
 import pytest
 
+from repro.analysis.timing_report import estimate_runtime
 from repro.apps import APPS
+from repro.network.link import LinkModel
 from repro.simulator.engine import simulate
-from repro.simulator.timing import TimingModel, estimate_runtime
 
 
 @pytest.fixture(scope="module")
@@ -45,12 +46,12 @@ def test_estimated_runtime_cost(benchmark, mp3d_trace):
         }
 
     results = benchmark.pedantic(runs, rounds=1, iterations=1)
-    model = TimingModel.ethernet_1992()
+    link = LinkModel.ethernet_1992()
     print()
     print("estimated communication cost, 1992 Ethernet-class constants:")
     estimates = {}
     for name, result in results.items():
-        estimates[name] = estimate_runtime(result, model)
+        estimates[name] = estimate_runtime(result, link)
         print("  " + estimates[name].format())
     # With 1 ms messages and 10 Mbit wire, LRC's extra bookkeeping is
     # dwarfed by the message savings: LI cheapest end to end.

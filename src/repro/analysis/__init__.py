@@ -7,7 +7,8 @@
   data structures using the trace's region map.
 - :mod:`repro.analysis.report` renders experiment tables.
 - :mod:`repro.analysis.timing_report` renders timed-run completion and
-  stall-decomposition tables (``lrc-sim report --timing``).
+  stall-decomposition tables (``lrc-sim report --timing``) and the
+  quick count-based runtime estimate (``lrc-sim compare``).
 """
 
 from repro.analysis.checker import CheckReport, check_consistency, check_protocol
@@ -18,7 +19,10 @@ from repro.analysis.protocol_stats import Distribution, ProtocolStats, instrumen
 from repro.analysis.charts import render_series_chart, render_sweep_chart
 from repro.analysis.timeline import Timeline, message_timeline
 from repro.analysis.timing_report import (
+    TimingEstimate,
+    compare_runtimes,
     compare_timed,
+    estimate_runtime,
     format_timing_detail,
     format_timing_table,
     run_timed,
@@ -43,7 +47,10 @@ __all__ = [
     "render_sweep_chart",
     "Timeline",
     "message_timeline",
+    "TimingEstimate",
+    "compare_runtimes",
     "compare_timed",
+    "estimate_runtime",
     "format_timing_detail",
     "format_timing_table",
     "run_timed",

@@ -12,16 +12,23 @@ and ``retransmit`` buckets), plus the per-processor detail for one run.
 ``lrc-sim report --timing`` prints both; sweeps surface the same
 numbers per grid cell through ``SweepResult.rollup_table`` and the
 ``--rollups-csv`` export.
+
+:func:`estimate_runtime` is the quick post-hoc alternative (``lrc-sim
+compare``): a serial lower bound from a finished run's message and byte
+totals under a link's constants — deliberately a *model*, whose
+absolute values are only as good as the constants, but protocol
+*rankings* under a cost model are exactly what the paper left open.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import SimConfig
-from repro.network.link import LinkModel
+from repro.network.link import PRESET_CONSTANTS, LinkModel
 from repro.network.timed import TIMED_STALL_CATEGORIES
 from repro.protocols.registry import all_protocol_names
 from repro.simulator.engine import simulate
@@ -174,3 +181,84 @@ def format_timing_detail(timing: Dict[str, object], per_proc_limit: int = 32) ->
     if len(per_proc) > per_proc_limit:
         lines.append(f"  ... {len(per_proc) - per_proc_limit} more processors")
     return "\n".join(lines)
+
+
+@dataclass
+class TimingEstimate:
+    """Estimated communication cost of one simulation run."""
+
+    protocol: str
+    message_seconds: float
+    byte_seconds: float
+    diff_seconds: float
+    bookkeeping_seconds: float
+
+    @property
+    def total_seconds(self) -> float:
+        return (
+            self.message_seconds
+            + self.byte_seconds
+            + self.diff_seconds
+            + self.bookkeeping_seconds
+        )
+
+    def breakdown(self) -> Dict[str, float]:
+        return {
+            "messages": self.message_seconds,
+            "bytes": self.byte_seconds,
+            "diffs": self.diff_seconds,
+            "bookkeeping": self.bookkeeping_seconds,
+        }
+
+    def format(self) -> str:
+        parts = ", ".join(f"{k}={v:.3f}s" for k, v in self.breakdown().items())
+        return f"{self.protocol}: {self.total_seconds:.3f}s ({parts})"
+
+
+def estimate_runtime(
+    result: SimulationResult, link: LinkModel, preset: str = "ethernet_1992"
+) -> TimingEstimate:
+    """Estimate the communication seconds of one finished run.
+
+    The wire constants come from ``link`` — ``overhead_s + latency_s``
+    per message (the §1 software overhead that makes DSM messages
+    expensive), ``per_byte_s`` per payload+control byte. The CPU
+    constants the link model does not carry (making a diff, applying a
+    fetched one, and the interval bookkeeping at a special access that
+    is LRC's "more complex to implement" overhead) come from
+    :data:`~repro.network.link.PRESET_CONSTANTS` ``[preset]``.
+    """
+    constants = PRESET_CONSTANTS[preset]
+    return TimingEstimate(
+        protocol=result.protocol,
+        message_seconds=result.messages * (link.overhead_s + link.latency_s),
+        byte_seconds=(result.data_bytes + result.control_bytes) * link.per_byte_s,
+        diff_seconds=(
+            _diffs_created(result) * constants["diff_create_s"]
+            + result.diffs_fetched * constants["diff_apply_s"]
+        ),
+        bookkeeping_seconds=result.counters.get("intervals_closed", 0)
+        * constants["interval_s"],
+    )
+
+
+def _diffs_created(result: SimulationResult) -> int:
+    """Diff creations: flush count for eager, fetched diffs bound lazy.
+
+    Lazy protocols create a diff per (modified page, interval); the
+    simulator's ``diffs_fetched`` counts each transferred diff once per
+    fetch, an upper bound on distinct creations actually needed. Eager
+    protocols diff every dirty page per flush.
+    """
+    if result.counters.get("flushes") is not None:
+        return result.counters.get("flushes", 0)
+    return result.diffs_fetched
+
+
+def compare_runtimes(
+    results: Dict[str, SimulationResult], link: LinkModel, preset: str = "ethernet_1992"
+) -> Dict[str, TimingEstimate]:
+    """Estimate every protocol's cost under one link and preset."""
+    return {
+        name: estimate_runtime(result, link, preset) for name, result in results.items()
+    }

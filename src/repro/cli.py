@@ -27,13 +27,13 @@ from typing import List, Optional
 from repro.analysis.checker import check_protocol
 from repro.analysis.report import format_figure_table, format_table1
 from repro.analysis.sharing import analyze_sharing
+from repro.analysis.timing_report import estimate_runtime
 from repro.apps import APPS, generate
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.table1 import run_table1
 from repro.obs import JsonlSink, RecordingProbe, logging_setup
 from repro.obs.manifest import execution_line, execution_paths_line
 from repro.protocols.registry import all_protocol_names, protocol_names
-from repro.simulator.timing import TimingModel, estimate_runtime
 from repro.config import PAPER_PAGE_SIZES, SimConfig
 from repro.simulator.engine import simulate
 from repro.trace.codec import load_trace, save_trace
@@ -391,20 +391,20 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.network.link import LinkModel
+
     trace = _generate(args)
     link = _parse_network(args)
-    if link is not None:
-        model = TimingModel.from_link(link)
-    else:
-        model = (
-            TimingModel.ethernet_1992() if args.era == "1992"
-            else TimingModel.modern_cluster()
-        )
+    # The estimate's wire constants come from the --network link when
+    # one is given (CPU constants then stay the 1992 preset's), else
+    # from the --era preset.
+    preset = "modern_cluster" if link is None and args.era == "modern" else "ethernet_1992"
+    estimate_link = link if link is not None else LinkModel.from_preset(preset)
     overrides = {"link_model": link} if link is not None else {}
     print(f"{args.app}, {args.n_procs} processors, {args.page_size}-byte pages:")
     for protocol in all_protocol_names():
         result = simulate(trace, protocol, page_size=args.page_size, **overrides)
-        estimate = estimate_runtime(result, model)
+        estimate = estimate_runtime(result, estimate_link, preset)
         line = (
             f"  {protocol:<3} msgs={result.messages:<9} data={result.data_kbytes:>9.1f}kB "
             f"misses={result.misses:<7} est={estimate.total_seconds:>8.3f}s"

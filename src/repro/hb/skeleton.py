@@ -51,18 +51,23 @@ and all three are fully determined by (compiled trace, n_procs, policy).
 The per-run config only changes *wire sizes*, which the replay computes
 from linear cost-model formulas. :func:`build_eager_tape` therefore
 simulates the eager state machines (directory, page states, dirty sets)
-once per policy and records a *tape*: miss/write-fault records in global
-order, each tagged with the run-program instruction during whose batched
-replay it must fire, plus one flush-outcome record per release/barrier.
-The tags are what makes run batching sound for the eager family — a
-remote flush can invalidate a page (or revoke EW write permission)
-*mid-span*, so the resulting extra misses belong to instructions the run
-program never anchors; the tape replays them at exactly the per-event
-point. See :class:`repro.protocols.eager_base.BatchedEagerMixin` for the
-consuming kernels. A run nothing watches per message never replays that
+once per policy and records a *tape* ordered by synchronization
+operations, not by run instructions: in the eager protocols every
+consistency action happens at a release or barrier and every other
+message is a miss (or an EW write fault), so the tape is one step per
+special access — the
+misses and write faults of the gap before it, in global order, then the
+operation with its flush outcome. That order is what makes replaying a
+gap in one go sound — a remote flush can invalidate a page (or revoke EW
+write permission) *mid-span*, so the same (proc, page) span may miss
+twice, but both misses precede the next synchronization operation and
+nothing else happens in between. The tape is built from the compiled
+ops alone; no eager replay needs the run program. See
+:class:`repro.protocols.eager_base.BatchedEagerMixin` for the per-message
+replay. A run nothing watches per message never replays that
 tape record by record: :func:`build_priced_eager_tape` resolves it once
 per cost key into one merged ledger record per synchronization
-instruction and per inter-sync gap (:class:`PricedEagerTape`).
+operation and per inter-sync gap (:class:`PricedEagerTape`).
 
 :func:`batch_plan` memoizes one :class:`BatchPlan` (skeleton + run
 program + eager tapes, raw and priced + lazy tapes + shared fetch
@@ -99,8 +104,6 @@ from repro.trace.precompile import (
 )
 from repro.trace.runs import (
     CACHE_ENV_VAR,
-    R_ACQUIRE,
-    R_RELEASE,
     RunProgram,
     cached_run_program,
     segment_runs,
@@ -153,35 +156,54 @@ class Skeleton:
 class EagerTape:
     """Precomputed replay tape for one eager policy over one trace.
 
-    ``accesses`` holds miss and write-fault records in global trace
-    order, each tagged with the run-program instruction index whose
-    batched kernel must replay it (records past the last instruction
-    carry tag ``n_instructions`` and drain in ``finish()``). ``flushes``
-    holds one outcome per R_RELEASE/R_BARRIER instruction in program
-    order (``None`` when the flush found nothing dirty); EW tapes have
-    no flush records. Record shapes::
+    Ordered by synchronization operations (the module docstring says
+    why that is enough): three parallel columns with one entry per
+    special access of the trace, in trace order — walk them together
+    with :meth:`steps` — plus the gap after the last one::
 
-        (tag, E_MISS, proc, page, cold, server, forward_or_None)
-        (tag, E_WFAULT, proc, page, miss_or_None, holders, ping)
+        syncs[i]:   the compiled op itself, (OP_ACQUIRE | OP_RELEASE |
+                    OP_BARRIER, proc, lock or barrier id) — the tuple
+                    ``compiled.ops`` already holds, not a copy
+        gaps[i]:    the miss / write-fault records of every processor
+                    between sync i-1 and sync i, in global order
+        flushes[i]: the release's or barrier arrival's flush outcome;
+                    None when nothing was dirty, on acquires and on EW
+        tail:       the gap after the last synchronization operation
+
+    Columns rather than one tuple per step: most steps have an empty gap
+    and nothing to flush, and a run's full collections get dearer with
+    every container object a tape keeps alive. Record shapes::
+
+        (E_MISS, proc, page, cold, server, forward_or_None)
+        (E_WFAULT, proc, page, miss_or_None, holders, ping)
             miss: (cold, server, forward_or_None) for the nested fetch
-        flush: None | (count, excess, pushes)
+        flush: (count, excess, pushes)
             excess: ((page, owner, n_runs, n_words, dests), ...)
             pushes: ((dest, n_diffs, total_runs, total_words), ...)
     """
 
-    __slots__ = ("policy", "accesses", "flushes", "n_instructions")
+    __slots__ = ("policy", "syncs", "gaps", "flushes", "tail")
 
-    def __init__(self, policy: str, accesses: List[tuple], flushes: List[Optional[tuple]], n_instructions: int):
+    def __init__(
+        self,
+        policy: str,
+        syncs: List[tuple],
+        gaps: List[tuple],
+        flushes: List[Optional[tuple]],
+        tail: tuple,
+    ):
         self.policy = policy
-        self.accesses = accesses
+        self.syncs = syncs
+        self.gaps = gaps
         self.flushes = flushes
-        self.n_instructions = n_instructions
+        self.tail = tail
+
+    def steps(self):
+        """``((op, proc, ident), gap, flush)`` per synchronization operation."""
+        return zip(self.syncs, self.gaps, self.flushes)
 
     def __repr__(self) -> str:
-        return (
-            f"EagerTape({self.policy}, {len(self.accesses)} accesses, "
-            f"{len(self.flushes)} flushes)"
-        )
+        return f"EagerTape({self.policy}, {len(self.syncs)} sync steps)"
 
 
 #: ``cause`` codes of a priced record: which staged probe row it charges.
@@ -233,7 +255,6 @@ class PricedEagerTape:
 
 def build_priced_eager_tape(
     tape: EagerTape,
-    syncs: List[tuple],
     n_procs: int,
     page_size: int,
     cost_model: CostModel,
@@ -241,17 +262,16 @@ def build_priced_eager_tape(
 ) -> PricedEagerTape:
     """Price ``tape`` against one cost key, one record per sync and gap.
 
-    Charges exactly what the per-message kernels of
-    :class:`~repro.protocols.eager_base.BatchedEagerMixin` send (and the
-    per-event hooks before them): access records drain into the gap
-    before the instruction they are tagged at or before, flush outcomes
-    pair with release/barrier instructions in program order, and the
-    lock hops come from a :class:`LockDirectory` walked over ``syncs``
-    (:attr:`BatchPlan.syncs`) — which also rejects a malformed lock or barrier
-    sequence here, as the live directory would during a replay. Fan-outs
-    whose hops are never local (flush pushes, invalidations, barrier
-    exits) are charged per kind in one step, since a priced record only
-    keeps per-kind sums anyway.
+    Charges exactly what the per-message replay of
+    :class:`~repro.protocols.eager_base.BatchedEagerMixin` sends (and
+    the per-event hooks before it), walking the same ``tape.steps()``:
+    each step's gap, then its synchronization operation with its flush
+    outcome; the lock hops come from a :class:`LockDirectory` walked
+    along — which also rejects a malformed lock or barrier sequence
+    here, as the live directory would during a replay. Fan-outs whose
+    hops are never local (flush pushes, invalidations, barrier exits)
+    are charged per kind in one step, since a priced record only keeps
+    per-kind sums anyway.
     """
     update = tape.policy == "EU"
     page_bytes = cost_model.page_bytes(page_size)
@@ -312,23 +332,16 @@ def build_priced_eager_tape(
             return
         records.append(share(record, record))
 
-    accesses = tape.accesses
-    n_accesses = len(accesses)
-    ptr = 0
-
-    def drain(upto: int) -> None:
-        """Price every access record tagged at or before ``upto``."""
-        nonlocal ptr
+    def price_gap(gap: tuple) -> None:
+        """Price one gap's miss and write-fault records."""
         cold = invalid = requests = forwards = replies = 0
         write_faults = ping_pongs = invalidations = 0
-        while ptr < n_accesses and accesses[ptr][0] <= upto:
-            rec = accesses[ptr]
-            ptr += 1
-            if rec[1] == E_MISS:
-                _, _, proc, _page, is_cold, server, forward = rec
+        for rec in gap:
+            if rec[0] == E_MISS:
+                _, proc, _page, is_cold, server, forward = rec
             else:  # E_WFAULT (EW only): an optional nested miss, then
                 # one invalidation and its ack per other holder.
-                _, _, proc, _page, nested, holders, ping = rec
+                _, proc, _page, nested, holders, ping = rec
                 write_faults += 1
                 invalidations += len(holders)
                 ping_pongs += ping
@@ -356,12 +369,10 @@ def build_priced_eager_tape(
         charge(MessageKind.PAGE_REPLY, replies, payload=replies * page_bytes)
         charge(MessageKind.WRITE_NOTICE, invalidations, control=invalidations * notice_bytes)
         charge(MessageKind.RELEASE_ACK, invalidations)
+        emit(P_MISS, -1)
 
-    next_flush = iter(tape.flushes).__next__
-
-    def flush(notice_kind, update_kind, ack_kind, reconcile_kind) -> None:
+    def price_flush(outcome, notice_kind, update_kind, ack_kind, reconcile_kind) -> None:
         """One flush outcome: no hop of a flush is ever local."""
-        outcome = next_flush()
         if outcome is None:
             return
         _count, excess, pushes = outcome
@@ -382,15 +393,13 @@ def build_priced_eager_tape(
             charge(notice_kind, len(pushes), control=n_notices * notice_bytes)
         charge(ack_kind, len(pushes))
 
-    flushes = tape.policy != "EW"
     locks = LockDirectory(n_procs)
     barriers = BarrierMaster(n_procs)
     master = barriers.master
-    for i, kind, proc, value in syncs:
-        if ptr < n_accesses and accesses[ptr][0] <= i:
-            drain(i)
-            emit(P_MISS, -1)
-        if kind == R_ACQUIRE:
+    for (op, proc, value), gap, outcome in tape.steps():
+        if gap:
+            price_gap(gap)
+        if op == OP_ACQUIRE:
             grantor = locks.grantor_of(value)
             if grantor != proc or not free_reacquire:
                 manager = locks.manager_of(value)
@@ -399,32 +408,31 @@ def build_priced_eager_tape(
                 charge(MessageKind.LOCK_GRANT, grantor != proc)
             locks.record_acquire(proc, value)
             emit(P_LOCK, value)
-        elif kind == R_RELEASE:
-            if flushes:
-                flush(
-                    MessageKind.WRITE_NOTICE,
-                    MessageKind.UPDATE,
-                    MessageKind.RELEASE_ACK,
-                    MessageKind.OWNER_RECONCILE,
-                )
+        elif op == OP_RELEASE:
+            price_flush(
+                outcome,
+                MessageKind.WRITE_NOTICE,
+                MessageKind.UPDATE,
+                MessageKind.RELEASE_ACK,
+                MessageKind.OWNER_RECONCILE,
+            )
             locks.record_release(proc, value)
             emit(P_LOCK, value)
-        else:  # R_BARRIER
-            if flushes:
-                flush(
-                    MessageKind.BARRIER_NOTICE,
-                    MessageKind.BARRIER_UPDATE,
-                    MessageKind.BARRIER_ACK,
-                    MessageKind.BARRIER_RECONCILE,
-                )
+        else:  # OP_BARRIER
+            price_flush(
+                outcome,
+                MessageKind.BARRIER_NOTICE,
+                MessageKind.BARRIER_UPDATE,
+                MessageKind.BARRIER_ACK,
+                MessageKind.BARRIER_RECONCILE,
+            )
             charge(MessageKind.BARRIER_ARRIVAL, proc != master)
             complete = barriers.record_arrival(proc, value)
             if complete:
                 charge(MessageKind.BARRIER_EXIT, len(barriers.exit_targets()))
             emit(P_BARRIER, value, complete)
-    # Records past the last sync instruction (tags up to n_instructions).
-    drain(tape.n_instructions)
-    emit(P_MISS, -1)
+    if tape.tail:
+        price_gap(tape.tail)
     return PricedEagerTape(tape.policy, records, counters)
 
 
@@ -588,9 +596,9 @@ class BatchPlan:
 
     The run program, skeleton, and tapes are immutable during replays
     and built lazily on first use — an eager-only replay never pays for
-    the lazy interval store, and vice versa; cost-resolved tapes
-    (:class:`LazyTape`, :class:`PricedEagerTape`) are kept per cost
-    key. The fetch
+    the run program or the lazy interval store, and vice versa;
+    cost-resolved tapes (:class:`LazyTape`, :class:`PricedEagerTape`)
+    are kept per cost key. The fetch
     planners (one per (cost model, pruning flag) actually used) are
     memo caches over the immutable store, so sharing them across
     protocol instances only widens the memo hit rate. Send logs (the
@@ -603,8 +611,8 @@ class BatchPlan:
     __slots__ = (
         "compiled",
         "n_procs",
+        "_trace",
         "_runs",
-        "_syncs",
         "_skeleton",
         "_planners",
         "_eager_tapes",
@@ -619,11 +627,12 @@ class BatchPlan:
         n_procs: int,
         runs: Optional[RunProgram] = None,
         skeleton: Optional[Skeleton] = None,
+        trace=None,
     ):
         self.compiled = compiled
         self.n_procs = n_procs
+        self._trace = trace
         self._runs = runs
-        self._syncs: Optional[List[tuple]] = None
         self._skeleton = skeleton
         self._planners: Dict[Tuple[CostModel, bool], FetchPlanner] = {}
         self._eager_tapes: Dict[str, EagerTape] = {}
@@ -633,23 +642,17 @@ class BatchPlan:
 
     @property
     def runs(self) -> RunProgram:
+        """The run program, segmented on first use — or, for a plan that
+        knows its trace while ``REPRO_TRACE_CACHE`` is set, loaded from
+        the on-disk ``.runsb`` cache (written on first build)."""
         runs = self._runs
         if runs is None:
-            runs = self._runs = segment_runs(self.compiled, self.n_procs)
+            if self._trace is not None and os.environ.get(CACHE_ENV_VAR):
+                runs = cached_run_program(self._trace, self.compiled.page_size, self.n_procs)
+            else:
+                runs = segment_runs(self.compiled, self.n_procs)
+            self._runs = runs
         return runs
-
-    @property
-    def syncs(self) -> List[tuple]:
-        """The run program's synchronization instructions, as
-        ``(instruction index, R_* kind, proc, lock or barrier id)``."""
-        syncs = self._syncs
-        if syncs is None:
-            syncs = self._syncs = [
-                (i, kind, proc, value)
-                for i, (kind, proc, value, _words) in enumerate(self.runs.instructions())
-                if kind >= R_ACQUIRE
-            ]
-        return syncs
 
     @property
     def skeleton(self) -> Skeleton:
@@ -666,16 +669,26 @@ class BatchPlan:
     def records(self) -> List[tuple]:
         return self.skeleton.records
 
-    def eager_tape(self, policy: str) -> EagerTape:
-        tape = self._eager_tapes.get(policy)
-        if tape is None:
-            PLAN_STATS["eager_tape_builds"] += 1
-            tape = self._eager_tapes[policy] = build_eager_tape(
-                self.compiled, self.n_procs, policy
-            )
+    def _memo(self, cache: dict, key, build, kind: Optional[str] = None):
+        """``cache[key]``, built on first use; ``kind`` names the
+        ``PLAN_STATS`` pair that counts the build or the hit."""
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = build()
+            outcome = "builds"
         else:
-            PLAN_STATS["eager_tape_hits"] += 1
-        return tape
+            outcome = "hits"
+        if kind is not None:
+            PLAN_STATS[f"{kind}_{outcome}"] += 1
+        return value
+
+    def eager_tape(self, policy: str) -> EagerTape:
+        return self._memo(
+            self._eager_tapes,
+            policy,
+            lambda: build_eager_tape(self.compiled, self.n_procs, policy),
+            "eager_tape",
+        )
 
     def priced_eager_tape(
         self, policy: str, cost_model: CostModel, free_reacquire: bool
@@ -685,25 +698,18 @@ class BatchPlan:
         Counted under its own ``priced_tape_*`` stats: a hit here never
         looks the unpriced tape up, a build looks it up once.
         """
-        key = (policy, cost_model, free_reacquire)
-        tape = self._priced_tapes.get(key)
-        if tape is None:
-            PLAN_STATS["priced_tape_builds"] += 1
-            eager = self.eager_tape(policy)
-            assert eager.n_instructions == len(self.runs), (
-                "eager tape out of step with the run program"
-            )
-            tape = self._priced_tapes[key] = build_priced_eager_tape(
-                eager,
-                self.syncs,
+        return self._memo(
+            self._priced_tapes,
+            (policy, cost_model, free_reacquire),
+            lambda: build_priced_eager_tape(
+                self.eager_tape(policy),
                 self.n_procs,
                 self.compiled.page_size,
                 cost_model,
                 free_reacquire,
-            )
-        else:
-            PLAN_STATS["priced_tape_hits"] += 1
-        return tape
+            ),
+            "priced_tape",
+        )
 
     def lazy_tape(
         self, cost_model: CostModel, piggyback: bool, free_reacquire: bool
@@ -714,46 +720,31 @@ class BatchPlan:
         consume it as-is and HLRC only adds live per-close flushing on
         top (see ``LazyProtocol.bind_batch_plan``).
         """
-        key = (cost_model, piggyback, free_reacquire)
-        tape = self._lazy_tapes.get(key)
-        if tape is None:
-            PLAN_STATS["lazy_tape_builds"] += 1
-            tape = self._lazy_tapes[key] = build_lazy_tape(
-                self.n_procs,
-                self.skeleton,
-                cost_model,
-                piggyback,
-                free_reacquire,
-            )
-        else:
-            PLAN_STATS["lazy_tape_hits"] += 1
-        return tape
+        return self._memo(
+            self._lazy_tapes,
+            (cost_model, piggyback, free_reacquire),
+            lambda: build_lazy_tape(
+                self.n_procs, self.skeleton, cost_model, piggyback, free_reacquire
+            ),
+            "lazy_tape",
+        )
 
-    def send_log(self, key: tuple) -> Optional[SendLog]:
-        """The send log recorded under ``key``, or None — the caller
-        then records one and hands it to :meth:`add_send_log`.
+    def send_log(self, key: tuple, record) -> SendLog:
+        """The send log of ``key``; ``record()`` replays the cell once,
+        per event, to produce it when no run has yet.
 
         ``key`` is (protocol class, config with ``link_model=None``) —
         everything that can change send order or wire sizes, nothing
         the fold reads.
         """
-        log = self._send_logs.get(key)
-        if log is not None:
-            PLAN_STATS["send_log_hits"] += 1
-        return log
-
-    def add_send_log(self, key: tuple, log: SendLog) -> None:
-        PLAN_STATS["send_log_builds"] += 1
-        self._send_logs[key] = log
+        return self._memo(self._send_logs, key, record, "send_log")
 
     def planner_for(self, cost_model: CostModel, prune_overwritten: bool) -> FetchPlanner:
-        key = (cost_model, prune_overwritten)
-        planner = self._planners.get(key)
-        if planner is None:
-            planner = self._planners[key] = FetchPlanner(
-                self.skeleton.store, cost_model, prune_overwritten
-            )
-        return planner
+        return self._memo(
+            self._planners,
+            (cost_model, prune_overwritten),
+            lambda: FetchPlanner(self.skeleton.store, cost_model, prune_overwritten),
+        )
 
     def __repr__(self) -> str:
         return f"BatchPlan({self.compiled!r}, n_procs={self.n_procs})"
@@ -888,7 +879,6 @@ def build_skeleton(compiled: CompiledTrace, n_procs: int) -> Skeleton:
 
 #: Page-table states mirrored during eager tape builds. Absent from a
 #: proc's page dict means MISSING (never fetched), matching PageState.
-_MISSING = 0
 _VALID = 1
 _INVALID = 2
 
@@ -916,33 +906,53 @@ def build_eager_tape(compiled: CompiledTrace, n_procs: int, policy: str) -> Eage
 
     ``policy`` is ``"EI"``, ``"EU"``, or ``"EW"``. EI and EU need
     separate tapes: EI's flush invalidations change which later accesses
-    miss. The builder duplicates two orderings the per-event path
-    depends on: ``segment_runs``'s span bookkeeping (to tag each record
-    with the instruction whose kernel replays it) and the page tables'
-    entry-creation iteration order (which fixes flush/excess ordering).
+    miss. One walk over the compiled ops drives the policy's ``read`` /
+    ``write`` / ``flush`` closures; whatever they record between two
+    synchronization operations is that gap, closed by the operation.
     """
+    gap: List[tuple] = []
     if policy == "EW":
-        return _build_ew_tape(compiled, n_procs)
-    if policy not in ("EI", "EU"):
+        read, write, flush = _ew_policy(n_procs, gap.append)
+    elif policy in ("EI", "EU"):
+        read, write, flush = _flush_policy(n_procs, gap.append, update=(policy == "EU"))
+    else:
         raise ValueError(f"unknown eager tape policy: {policy!r}")
-    return _build_flush_tape(compiled, n_procs, update=(policy == "EU"))
-
-
-def _build_flush_tape(compiled: CompiledTrace, n_procs: int, update: bool) -> EagerTape:
-    """EI/EU tape: misses plus one flush outcome per release/barrier."""
-    states: List[Dict[int, int]] = [{} for _ in range(n_procs)]
-    dirty: List[Dict[int, Set[int]]] = [{} for _ in range(n_procs)]
-    copyset: Dict[int, Set[int]] = {}
-    owner: Dict[int, Optional[int]] = {}
-    accesses: List[tuple] = []
+    syncs: List[tuple] = []
+    gaps: List[tuple] = []
     flushes: List[Optional[tuple]] = []
+    for op in compiled.ops:
+        code = op[0]
+        if code == OP_READ:
+            read(op[1], op[2])
+        elif code == OP_WRITE:
+            write(op[1], op[2], op[3])
+        elif code == OP_READ_N:
+            proc = op[1]
+            for page, _ in op[2]:
+                read(proc, page)
+        elif code == OP_WRITE_N:
+            proc = op[1]
+            for page, words in op[2]:
+                write(proc, page, words)
+        else:  # OP_ACQUIRE / OP_RELEASE / OP_BARRIER
+            syncs.append(op)
+            gaps.append(tuple(gap))
+            del gap[:]
+            flushes.append(flush(op[1]) if code != OP_ACQUIRE else None)
+    return EagerTape(policy, syncs, gaps, flushes, tuple(gap))
 
-    # Span bookkeeping duplicated from segment_runs: 3 states per
-    # (proc, page) — absent (no open span), 0 (touch-only), 1 (written).
-    open_runs: Dict[Tuple[int, int], int] = {}
-    open_by_proc: List[List[int]] = [[] for _ in range(n_procs)]
-    arrivals: Dict[int, int] = {}
-    n_ins = 0
+
+def _directory(n_procs: int):
+    """Per-proc page states, the global copyset/owner directory, and the
+    miss routing every eager policy shares.
+
+    Returns ``(states, owner, cachers, fetch, invalidate)``;
+    ``states[proc]`` gains pages in first-access order, which is the
+    page tables' entry-creation order (it fixes flush/excess ordering).
+    """
+    states: List[Dict[int, int]] = [{} for _ in range(n_procs)]
+    copyset: Dict[int, Set[int]] = {}
+    owner: Dict[int, int] = {}
 
     def cachers(page: int) -> Set[int]:
         s = copyset.get(page)
@@ -950,34 +960,58 @@ def _build_flush_tape(compiled: CompiledTrace, n_procs: int, update: bool) -> Ea
             s = copyset[page] = set()
         return s
 
-    def access(proc: int, page: int, tag: int, words) -> None:
-        st = states[proc].get(page, _MISSING)
-        if st != _VALID:
-            page_cachers = cachers(page)
-            own = owner.get(page)
-            manager = page % n_procs
-            if manager in page_cachers or own is None:
-                server, forward = manager, None
-            else:
-                server = own if own != proc else manager
-                forward = manager
-            accesses.append((tag, E_MISS, proc, page, st == _MISSING, server, forward))
-            page_cachers.add(proc)
-            if owner.get(page) is None:
-                owner[page] = proc
-            states[proc][page] = _VALID
-        if words is not None:
-            d = dirty[proc].get(page)
-            if d is None:
-                dirty[proc][page] = d = set()
-            d.update(words)
+    def fetch(proc: int, page: int) -> tuple:
+        """One miss through the page's manager: ``(cold, server,
+        forward_or_None)`` — two messages when the manager can supply
+        the page, three when it forwards to the owner — plus its
+        effects: ``proc`` holds a valid copy and owns a page nobody did."""
+        cold = page not in states[proc]
+        page_cachers = cachers(page)
+        own = owner.get(page)
+        manager = page % n_procs
+        if own is None or manager in page_cachers:
+            server, forward = manager, None
+        else:
+            server = own if own != proc else manager
+            forward = manager
+        page_cachers.add(proc)
+        if own is None:
+            owner[page] = proc
+        states[proc][page] = _VALID
+        return (cold, server, forward)
 
-    def flush(proc: int) -> None:
+    def invalidate(dest: int, page: int) -> None:
+        """``dest`` loses its copy: out of the copyset, and INVALID if
+        it was VALID (``_apply_invalidations``)."""
+        if states[dest].get(page) == _VALID:
+            states[dest][page] = _INVALID
+        cachers(page).discard(dest)
+
+    return states, owner, cachers, fetch, invalidate
+
+
+def _flush_policy(n_procs: int, record, update: bool):
+    """EI/EU: misses, plus one flush outcome per release/barrier."""
+    states, owner, cachers, fetch, invalidate = _directory(n_procs)
+    dirty: List[Dict[int, Set[int]]] = [{} for _ in range(n_procs)]
+
+    def read(proc: int, page: int) -> None:
+        if states[proc].get(page) != _VALID:
+            record((E_MISS, proc, page) + fetch(proc, page))
+
+    def write(proc: int, page: int, words) -> None:
+        if states[proc].get(page) != _VALID:
+            record((E_MISS, proc, page) + fetch(proc, page))
+        d = dirty[proc].get(page)
+        if d is None:
+            dirty[proc][page] = d = set()
+        d.update(words)
+
+    def flush(proc: int) -> Optional[tuple]:
         proc_states = states[proc]
         proc_dirty = dirty[proc]
         if not proc_dirty:
-            flushes.append(None)
-            return
+            return None
         # Dirty entries in page-table (first-access) order, fixed once
         # up front — exactly like _flush's dirty_entries list.
         dirty_pages = [p for p in proc_states if p in proc_dirty]
@@ -992,13 +1026,10 @@ def _build_flush_tape(compiled: CompiledTrace, n_procs: int, update: bool) -> Ea
                 assert own is not None and own != proc, (
                     "excess invalidator flush with no distinct owner"
                 )
-                page_cachers = cachers(page)
-                dests = tuple(sorted(page_cachers - {proc, own}))
+                dests = tuple(sorted(cachers(page) - {proc, own}))
                 excess.append((page, own, n_runs, n_words, dests))
                 for dest in dests:
-                    if states[dest].get(page, _MISSING) == _VALID:
-                        states[dest][page] = _INVALID
-                    page_cachers.discard(dest)
+                    invalidate(dest, page)
             else:
                 for dest in cachers(page) - {proc}:
                     acc = per_dest.get(dest)
@@ -1015,241 +1046,53 @@ def _build_flush_tape(compiled: CompiledTrace, n_procs: int, update: bool) -> Ea
             pushes.append((dest, count, runs_total, words_total))
             if not update:
                 # EI applies the invalidations as part of the push.
-                dest_states = states[dest]
                 for page in pages:
-                    if dest_states.get(page, _MISSING) == _VALID:
-                        dest_states[page] = _INVALID
-                    cachers(page).discard(dest)
-        flushes.append((len(dirty_pages), tuple(excess), tuple(pushes)))
+                    invalidate(dest, page)
+        return (len(dirty_pages), tuple(excess), tuple(pushes))
 
-    for op in compiled.ops:
-        code = op[0]
-        if code == OP_READ:
-            proc, page = op[1], op[2]
-            key = (proc, page)
-            if key not in open_runs:
-                open_runs[key] = 0
-                open_by_proc[proc].append(page)
-                n_ins += 1
-                access(proc, page, n_ins - 1, None)
-            else:
-                access(proc, page, n_ins, None)
-        elif code == OP_WRITE:
-            proc, page = op[1], op[2]
-            key = (proc, page)
-            st = open_runs.get(key, -1)
-            if st == 1:
-                access(proc, page, n_ins, op[3])
-            else:
-                if st == -1:
-                    open_by_proc[proc].append(page)
-                open_runs[key] = 1
-                n_ins += 1
-                access(proc, page, n_ins - 1, op[3])
-        elif code == OP_READ_N:
-            proc = op[1]
-            spans = open_by_proc[proc]
-            for page, _ in op[2]:
-                key = (proc, page)
-                if key not in open_runs:
-                    open_runs[key] = 0
-                    spans.append(page)
-                    n_ins += 1
-                    access(proc, page, n_ins - 1, None)
-                else:
-                    access(proc, page, n_ins, None)
-        elif code == OP_WRITE_N:
-            proc = op[1]
-            spans = open_by_proc[proc]
-            for page, op_words in op[2]:
-                key = (proc, page)
-                st = open_runs.get(key, -1)
-                if st == 1:
-                    access(proc, page, n_ins, op_words)
-                else:
-                    if st == -1:
-                        spans.append(page)
-                    open_runs[key] = 1
-                    n_ins += 1
-                    access(proc, page, n_ins - 1, op_words)
-        elif code == OP_ACQUIRE:
-            proc = op[1]
-            spans = open_by_proc[proc]
-            if spans:
-                for page in spans:
-                    del open_runs[(proc, page)]
-                spans.clear()
-            n_ins += 1
-        elif code == OP_RELEASE:
-            proc = op[1]
-            spans = open_by_proc[proc]
-            if spans:
-                for page in spans:
-                    del open_runs[(proc, page)]
-                spans.clear()
-            n_ins += 1
-            flush(proc)
-        else:  # OP_BARRIER
-            proc, barrier = op[1], op[2]
-            spans = open_by_proc[proc]
-            if spans:
-                for page in spans:
-                    del open_runs[(proc, page)]
-                spans.clear()
-            n_ins += 1
-            flush(proc)
-            count = arrivals.get(barrier, 0) + 1
-            if count == n_procs:
-                arrivals[barrier] = 0
-                if open_runs:
-                    open_runs.clear()
-                    for spans in open_by_proc:
-                        spans.clear()
-            else:
-                arrivals[barrier] = count
-    return EagerTape("EU" if update else "EI", accesses, flushes, n_ins)
+    return read, write, flush
 
 
-def _build_ew_tape(compiled: CompiledTrace, n_procs: int) -> EagerTape:
-    """EW tape: misses plus write-fault records; no flush outcomes."""
-    states: List[Dict[int, int]] = [{} for _ in range(n_procs)]
-    copyset: Dict[int, Set[int]] = {}
-    owner: Dict[int, Optional[int]] = {}
+def _ew_policy(n_procs: int, record):
+    """EW: misses plus write-fault records; its flush finds nothing,
+    every write having propagated at fault time."""
+    states, owner, cachers, fetch, invalidate = _directory(n_procs)
     writable: Set[Tuple[int, int]] = set()
     last_owner: Dict[int, int] = {}
-    accesses: List[tuple] = []
 
-    open_runs: Dict[Tuple[int, int], int] = {}
-    open_by_proc: List[List[int]] = [[] for _ in range(n_procs)]
-    arrivals: Dict[int, int] = {}
-    n_ins = 0
-
-    def cachers(page: int) -> Set[int]:
-        s = copyset.get(page)
-        if s is None:
-            s = copyset[page] = set()
-        return s
-
-    def fetch(proc: int, page: int) -> tuple:
-        """ExclusiveWriter._fetch: (cold, server, forward) + effects."""
-        st = states[proc].get(page, _MISSING)
-        page_cachers = cachers(page)
+    def fetch_copy(proc: int, page: int) -> tuple:
+        """ExclusiveWriter._fetch: a new reader costs the owner its
+        write permission."""
         own = owner.get(page)
-        manager = page % n_procs
-        if own is None or manager in page_cachers:
-            server, forward = manager, None
-        else:
-            server = own if own != proc else manager
-            forward = manager
-        page_cachers.add(proc)
-        if owner.get(page) is None:
-            owner[page] = proc
-        elif own is not None and own != proc:
+        miss = fetch(proc, page)
+        if own is not None and own != proc:
             writable.discard((own, page))
-        states[proc][page] = _VALID
-        return (st == _MISSING, server, forward)
+        return miss
 
-    def read_access(proc: int, page: int, tag: int) -> None:
-        if states[proc].get(page, _MISSING) != _VALID:
-            cold, server, forward = fetch(proc, page)
-            accesses.append((tag, E_MISS, proc, page, cold, server, forward))
+    def read(proc: int, page: int) -> None:
+        if states[proc].get(page) != _VALID:
+            record((E_MISS, proc, page) + fetch_copy(proc, page))
 
-    def write_access(proc: int, page: int, tag: int) -> None:
+    def write(proc: int, page: int, _words) -> None:
         if (proc, page) in writable:
             return
         # _acquire_ownership
         miss = None
-        if states[proc].get(page, _MISSING) != _VALID:
-            miss = fetch(proc, page)
+        if states[proc].get(page) != _VALID:
+            miss = fetch_copy(proc, page)
         holders = tuple(sorted(cachers(page) - {proc}))
         for holder in holders:
-            if states[holder].get(page, _MISSING) == _VALID:
-                states[holder][page] = _INVALID
+            invalidate(holder, page)
             writable.discard((holder, page))
-        copyset[page] = {proc}
+        # The copyset is now {proc}: a valid or just-fetched copy is in it.
         previous = last_owner.get(page)
         ping = previous is not None and previous != proc
         last_owner[page] = proc
         owner[page] = proc
         writable.add((proc, page))
-        accesses.append((tag, E_WFAULT, proc, page, miss, holders, ping))
+        record((E_WFAULT, proc, page, miss, holders, ping))
 
-    for op in compiled.ops:
-        code = op[0]
-        if code == OP_READ:
-            proc, page = op[1], op[2]
-            key = (proc, page)
-            if key not in open_runs:
-                open_runs[key] = 0
-                open_by_proc[proc].append(page)
-                n_ins += 1
-                read_access(proc, page, n_ins - 1)
-            else:
-                read_access(proc, page, n_ins)
-        elif code == OP_WRITE:
-            proc, page = op[1], op[2]
-            key = (proc, page)
-            st = open_runs.get(key, -1)
-            if st == 1:
-                write_access(proc, page, n_ins)
-            else:
-                if st == -1:
-                    open_by_proc[proc].append(page)
-                open_runs[key] = 1
-                n_ins += 1
-                write_access(proc, page, n_ins - 1)
-        elif code == OP_READ_N:
-            proc = op[1]
-            spans = open_by_proc[proc]
-            for page, _ in op[2]:
-                key = (proc, page)
-                if key not in open_runs:
-                    open_runs[key] = 0
-                    spans.append(page)
-                    n_ins += 1
-                    read_access(proc, page, n_ins - 1)
-                else:
-                    read_access(proc, page, n_ins)
-        elif code == OP_WRITE_N:
-            proc = op[1]
-            spans = open_by_proc[proc]
-            for page, _ in op[2]:
-                key = (proc, page)
-                st = open_runs.get(key, -1)
-                if st == 1:
-                    write_access(proc, page, n_ins)
-                else:
-                    if st == -1:
-                        spans.append(page)
-                    open_runs[key] = 1
-                    n_ins += 1
-                    write_access(proc, page, n_ins - 1)
-        elif code == OP_ACQUIRE or code == OP_RELEASE:
-            proc = op[1]
-            spans = open_by_proc[proc]
-            if spans:
-                for page in spans:
-                    del open_runs[(proc, page)]
-                spans.clear()
-            n_ins += 1
-        else:  # OP_BARRIER
-            proc, barrier = op[1], op[2]
-            spans = open_by_proc[proc]
-            if spans:
-                for page in spans:
-                    del open_runs[(proc, page)]
-                spans.clear()
-            n_ins += 1
-            count = arrivals.get(barrier, 0) + 1
-            if count == n_procs:
-                arrivals[barrier] = 0
-                if open_runs:
-                    open_runs.clear()
-                    for spans in open_by_proc:
-                        spans.clear()
-            else:
-                arrivals[barrier] = count
-    return EagerTape("EW", accesses, [], n_ins)
+    return read, write, lambda proc: None
 
 
 def sync_compute_profile(compiled: CompiledTrace, n_procs: int) -> List[List[int]]:
@@ -1293,19 +1136,16 @@ def batch_plan(compiled: CompiledTrace, n_procs: int, trace=None) -> BatchPlan:
 
     Cached on the compiled trace itself, so all protocols of a sweep
     cell — and every best-of round of a benchmark — share one plan per
-    (trace, page size, n_procs). When ``trace`` is given and the
-    ``REPRO_TRACE_CACHE`` environment variable is set, the run program
-    comes from the on-disk ``.runsb`` cache (written on first build), so
-    repeated tool invocations over the same trace skip segmentation.
+    (trace, page size, n_procs). ``trace``, when given, lets the plan
+    take its run program from the on-disk cache (see
+    :attr:`BatchPlan.runs`), so repeated tool invocations over the same
+    trace skip segmentation.
     """
     plans = compiled._batch_plans
     plan = plans.get(n_procs)
     if plan is None:
         PLAN_STATS["plan_builds"] += 1
-        runs = None
-        if trace is not None and os.environ.get(CACHE_ENV_VAR):
-            runs = cached_run_program(trace, compiled.page_size, n_procs)
-        plan = plans[n_procs] = BatchPlan(compiled, n_procs, runs=runs)
+        plan = plans[n_procs] = BatchPlan(compiled, n_procs, trace=trace)
     else:
         PLAN_STATS["plan_hits"] += 1
     return plan

@@ -10,10 +10,10 @@ probabilistic drop with timeout/retransmit. The timed run mode (see
 these parameters; counting mode ignores them entirely, so the message
 and byte ledgers stay bit-identical whatever the link looks like.
 
-This module is also the single home of the hardware cost constants that
-previously lived — duplicated, and drifting — in
-``simulator/timing.py`` (:class:`TimingModel`) and ``obs/spans.py``
-(:class:`SpanCosts`). Both now read :data:`PRESET_CONSTANTS`.
+This module is also the single home of the hardware cost constants:
+the runtime estimate (:func:`repro.analysis.timing_report.estimate_runtime`)
+and the span cost model (:class:`repro.obs.spans.SpanCosts`) both read
+:data:`PRESET_CONSTANTS`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Dict, Optional
 from repro.common.errors import ConfigError
 
 #: Canonical per-preset cost constants, shared by :class:`LinkModel`,
-#: :class:`~repro.simulator.timing.TimingModel`, and
+#: :func:`~repro.analysis.timing_report.estimate_runtime`, and
 #: :class:`~repro.obs.spans.SpanCosts`. ``overhead_s`` is the fixed
 #: per-message software cost (kernel traps, interrupts, protocol
 #: handling — the §1 overhead that makes software DSM messages

@@ -82,19 +82,14 @@ class Network:
 
         Only recording probes are kept — attaching the null probe (or
         None) leaves the accounting fast path untouched. A stock
-        :class:`~repro.obs.probe.RecordingProbe` (no ``on_message``
-        override) is recognized here and its staged segment row is
-        updated inline on the send fast path — three list adds instead
-        of a Python method call per message.
+        staging probe (:func:`~repro.obs.probe.is_stock_staging`) has
+        its staged segment row updated inline on the send fast path —
+        three list adds instead of a Python method call per message.
         """
-        from repro.obs.probe import RecordingProbe
+        from repro.obs.probe import is_stock_staging
 
         self._probe = probe if probe is not None and probe.enabled else None
-        self._probe_stages = (
-            self._probe is not None
-            and isinstance(probe, RecordingProbe)
-            and type(probe).on_message is RecordingProbe.on_message
-        )
+        self._probe_stages = is_stock_staging(probe)
 
     def attach_send_log(self, log) -> None:
         """Install a :class:`~repro.network.timed.SendLog` recorder.

@@ -299,3 +299,27 @@ class RecordingProbe(Probe):
             f"RecordingProbe(events={self._seq}, epoch={self._epoch}, "
             f"sinks={len(self.sinks)})"
         )
+
+
+#: Every probe hook a fast path bypasses: the sync wrappers and tape
+#: kernels swap ``_seg_row`` instead of calling ``begin``/``end``,
+#: ``Network.send`` adds to it instead of calling ``on_message``, and
+#: the priced eager tape folds faults, epochs and (sink-less) events in
+#: without ``page_fault``/``advance_epoch``/``emit``.
+_BYPASSED_HOOKS = ("begin", "end", "on_message", "page_fault", "advance_epoch", "emit")
+
+
+def is_stock_staging(probe: Optional[Probe]) -> bool:
+    """True for a live :class:`RecordingProbe` that overrides none of
+    the hooks the fast paths bypass — the one place that is decided.
+
+    Such a probe's staged rows may be charged inline
+    (``Protocol.attach_probe``, ``Network.attach_probe``) and a run
+    under it may replay from the tape; any other live probe gets every
+    hook called and declines the tape as ``subclassed_probe``
+    (:func:`repro.protocols.base.certify_replay`).
+    """
+    if probe is None or not probe.enabled or not isinstance(probe, RecordingProbe):
+        return False
+    cls = type(probe)
+    return all(getattr(cls, hook) is getattr(RecordingProbe, hook) for hook in _BYPASSED_HOOKS)

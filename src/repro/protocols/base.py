@@ -17,7 +17,7 @@ from repro.common.types import BarrierId, LockId, PageId, ProcId
 from repro.memory.page import PageEntry, PageState, PageTable
 from repro.network.message import MessageKind
 from repro.network.network import Network
-from repro.obs.probe import NULL_PROBE, Probe
+from repro.obs.probe import NULL_PROBE, Probe, is_stock_staging
 from repro.config import SimConfig
 from repro.sync.barrier import BarrierMaster
 from repro.sync.lock_manager import LockDirectory
@@ -40,7 +40,9 @@ def certify_replay(
     - ``"batched"``: the access-run kernels, one ``Network.send`` per
       message, for a run that watches individual messages:
       ``subclassed_probe`` (a probe that is not a stock staging
-      :class:`~repro.obs.probe.RecordingProbe`, e.g. ``SpanProbe``),
+      :class:`~repro.obs.probe.RecordingProbe` — it overrides a hook the
+      tape would bypass, :func:`~repro.obs.probe.is_stock_staging` —
+      e.g. ``SpanProbe``),
       ``event_sink``, ``handler`` (a registered message handler) or
       ``keep_log``.
     - ``"tape"``: nothing is watched, so the run is replayed from
@@ -60,7 +62,7 @@ def certify_replay(
     if not type(protocol).__dict__.get("replay_certified", False):
         return "per_event", "uncertified_class"
     network = protocol.network
-    if protocol._obs and not (protocol._probe_fast and network._probe_stages):
+    if protocol._obs and not protocol._probe_fast:
         return "batched", "subclassed_probe"
     if protocol._obs_events:
         return "batched", "event_sink"
@@ -132,21 +134,14 @@ class Protocol(abc.ABC):
         Called by the engine before replay; attaching the null probe is
         a supported no-op (the guards stay off).
         """
-        from repro.obs.probe import RecordingProbe
-
         self.probe = probe
         self._obs = probe.enabled
         self._obs_events = probe.enabled and probe.events
-        # A stock RecordingProbe (no begin/end override) lets the sync
-        # wrappers swap the staged attribution row inline — two
-        # attribute stores per sync operation instead of two method
-        # calls. Subclassed probes keep the full begin/end protocol.
-        self._probe_fast = (
-            probe.enabled
-            and isinstance(probe, RecordingProbe)
-            and type(probe).begin is RecordingProbe.begin
-            and type(probe).end is RecordingProbe.end
-        )
+        # A stock RecordingProbe lets the sync wrappers swap the staged
+        # attribution row inline — two attribute stores per sync
+        # operation instead of two method calls — and the network add to
+        # it per message. Subclassed probes keep the full hook protocol.
+        self._probe_fast = is_stock_staging(probe)
         self.network.attach_probe(probe)
 
     # -- helpers -----------------------------------------------------------

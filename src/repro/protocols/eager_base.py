@@ -27,6 +27,7 @@ from repro.memory.page import PageEntry, PageState
 from repro.network.message import MessageKind
 from repro.protocols.base import Protocol
 from repro.config import SimConfig
+from repro.trace.precompile import OP_ACQUIRE, OP_BARRIER, OP_RELEASE
 
 
 class PageDirectory:
@@ -73,61 +74,54 @@ class BatchedEagerMixin:
     """Tape-driven batched replay shared by the eager family (EI/EU/EW).
 
     Unlike the lazy kernels, the eager ones keep no page tables or
-    directory at replay time: every miss, write fault, and flush outcome
-    was precomputed into an :class:`~repro.hb.skeleton.EagerTape` (one
-    per policy, memoized on the batch plan), because eager state
-    evolution depends only on (compiled trace, n_procs, policy) and the
-    cost model only sizes wires. Each run instruction maps to exactly
-    one kernel call; the kernel drains every tape record tagged at or
-    before its instruction index *first*, so a miss forced mid-span by a
-    remote flush replays at the per-event point — outside the following
-    sync's probe attribution window, in the pre-completion epoch.
+    directory at replay time and never see the run program: every miss,
+    write fault, and flush outcome was precomputed into an
+    :class:`~repro.hb.skeleton.EagerTape` (one per policy, memoized on
+    the batch plan), because eager state evolution depends only on
+    (compiled trace, n_procs, policy) and the cost model only sizes
+    wires. The tape is ordered by synchronization operations — one step
+    per special access, carrying the misses of the gap before it — so a
+    miss forced mid-span by a remote flush replays where the per-event
+    path sends it: before the following sync, outside its probe
+    attribution window, in the pre-completion epoch.
 
     The tape encodes the stock class's per-event semantics, so only a
     class that declares ``replay_certified`` in its own body is driven
     by it (:func:`~repro.protocols.base.certify_replay`); anything else
     stays on the per-event interpreter, the bit-identical reference.
 
-    Those kernels still pay one ``Network.send`` per message, which only
-    a run that watches messages needs (event sinks, ``SpanProbe``,
-    handlers). Every other run is certified for the **priced** tape
+    Two replays walk the same steps. A run that watches messages (event
+    sinks, ``SpanProbe``, handlers, ``keep_log``) takes ``_k_run``: one
+    ``Network.send`` per message, each sync operation through the
+    public wrapper. Every other run is certified for the **priced** tape
     (:class:`~repro.hb.skeleton.PricedEagerTape`): ``_t_run`` folds one
-    merged ledger record per sync instruction and inter-sync gap into
+    merged ledger record per sync operation and inter-sync gap into
     the network, the counters and — under a stock metrics probe — the
-    staged attribution rows, without walking the run program.
+    staged attribution rows.
     """
 
     def bind_batch_plan(self, plan, tape: bool):
-        """Bind the tape-replay kernels; returns what the engine drives.
+        """Bind the plan's tape; returns the whole run as one callable.
 
         ``tape`` is :func:`~repro.protocols.base.certify_replay`'s
         verdict: when set, the priced tape for this run's cost key is
-        bound and the whole run is one call (``_t_run``). Otherwise the
-        six run-walk kernels come back, as from the lazy family.
+        folded (``_t_run``); otherwise the unpriced tape is replayed
+        message by message (``_k_run``).
         """
         if tape:
             self._priced = plan.priced_eager_tape(
                 self.name, self.costs, self.config.free_local_lock_reacquire
             )
             return self._t_run
-        eager = plan.eager_tape(self.name)
-        assert eager.n_instructions == len(plan.runs), (
-            "eager tape out of step with the run program"
-        )
-        self._tape = eager.accesses
-        self._tape_len = len(eager.accesses)
-        self._tape_ptr = 0
-        self._ins_i = 0
+        self._tape = plan.eager_tape(self.name)
         self._page_fetch_bytes = self.costs.page_bytes(self.page_size)
-        self.finish = self._k_finish
-        self._bind_flush_replay(eager)
-        run = self._k_run
-        return run, run, run, self._k_acquire, self._k_release, self._k_barrier
+        self._bind_flush_replay()
+        return self._k_run
 
-    def _bind_flush_replay(self, tape) -> None:
-        """EI/EU hook their sync flushes onto the tape's flush records;
+    def _bind_flush_replay(self) -> None:
+        """EI/EU hook their sync flushes onto the tape's flush outcomes;
         EW's per-event sync hooks are already replay-exact (no flushes),
-        so its override is a no-op."""
+        so it keeps this no-op."""
 
     # -- priced tape replay ----------------------------------------------------
 
@@ -169,100 +163,64 @@ class BatchedEagerMixin:
         for name, total in self._priced.counters.items():
             setattr(self, name, getattr(self, name) + total)
 
-    # -- run kernels ---------------------------------------------------------
+    # -- per-message tape replay ----------------------------------------------
 
-    def _k_run(self, proc=None, page=None, words=None) -> None:
-        """One run instruction: replay every tape record due at or before
-        it (an access run itself does nothing else)."""
-        i = self._ins_i
-        self._ins_i = i + 1
-        if self._tape_ptr < self._tape_len and self._tape[self._tape_ptr][0] <= i:
-            self._k_replay(i)
+    def _k_run(self) -> None:
+        """The whole run, message by message: each step's gap records,
+        then its sync operation through the public wrapper (whose hooks
+        read the step's flush outcome)."""
+        sync = {OP_ACQUIRE: self.acquire, OP_RELEASE: self.release, OP_BARRIER: self.barrier}
+        replay = self._k_replay
+        for (op, proc, ident), gap, flush in self._tape.steps():
+            if gap:
+                replay(gap)
+            self._flush_outcome = flush
+            sync[op](proc, ident)
+        replay(self._tape.tail)
 
-    def _k_acquire(self, proc: ProcId, lock: LockId) -> None:
-        self._k_run()
-        Protocol.acquire(self, proc, lock)
+    def _k_replay(self, gap: tuple) -> None:
+        """Replay one gap's miss and write-fault records."""
+        for rec in gap:
+            if rec[0] == E_MISS:
+                self._k_miss(*rec[1:])
+                continue
+            # E_WFAULT (EW only): an optional nested miss, then one
+            # invalidation and its ack per other holder.
+            _, proc, page, miss, holders, ping = rec
+            self.write_faults += 1
+            if self._obs_events:
+                self.probe.emit("write_fault", proc=proc, page=page)
+            if miss is not None:
+                self._k_miss(proc, page, *miss)
+            send = self.network.send
+            notice_bytes = self.costs.write_notice_bytes
+            for holder in holders:
+                send(MessageKind.WRITE_NOTICE, proc, holder, control_bytes=notice_bytes)
+                send(MessageKind.RELEASE_ACK, holder, proc)
+            if ping:
+                self.ping_pongs += 1
 
-    def _k_release(self, proc: ProcId, lock: LockId) -> None:
-        self._k_run()
-        Protocol.release(self, proc, lock)
-
-    def _k_barrier(self, proc: ProcId, barrier: BarrierId) -> None:
-        self._k_run()
-        Protocol.barrier(self, proc, barrier)
-
-    def _k_finish(self) -> None:
-        # Records past the last instruction carry tag n_instructions.
-        if self._tape_ptr < self._tape_len:
-            self._k_replay(self._ins_i)
-
-    def _k_replay(self, i: int) -> None:
-        """Replay every tape record tagged at or before instruction ``i``."""
-        tape = self._tape
-        ptr = self._tape_ptr
-        n = self._tape_len
-        obs = self._obs
-        events = self._obs_events
-        probe = self.probe
+    def _k_miss(self, proc: ProcId, page: PageId, cold: bool, server: ProcId, forward) -> None:
+        """One recorded miss: what ``_service_miss`` counts and emits and
+        ``_fetch_page_copy`` sends, without the page tables."""
+        if cold:
+            self.cold_misses += 1
+        else:
+            self.invalid_misses += 1
+        if self._obs:
+            self.probe.page_fault(proc, page, cold)
         send = self.network.send
         page_bytes = self._page_fetch_bytes
-        while ptr < n:
-            rec = tape[ptr]
-            if rec[0] > i:
-                break
-            ptr += 1
-            if rec[1] == E_MISS:
-                _, _, proc, page, cold, server, forward = rec
-                if cold:
-                    self.cold_misses += 1
-                else:
-                    self.invalid_misses += 1
-                if obs:
-                    probe.page_fault(proc, page, cold)
-                if forward is None:
-                    send(MessageKind.PAGE_REQUEST, proc, server)
-                else:
-                    send(MessageKind.PAGE_REQUEST, proc, forward)
-                    send(MessageKind.PAGE_FORWARD, forward, server)
-                send(MessageKind.PAGE_REPLY, server, proc, payload_bytes=page_bytes)
-                if events:
-                    probe.emit(
-                        "page_fetch", proc=proc, page=page, server=server, bytes=page_bytes
-                    )
-            else:  # E_WFAULT (EW only)
-                _, _, proc, page, miss, holders, ping = rec
-                self.write_faults += 1
-                if events:
-                    probe.emit("write_fault", proc=proc, page=page)
-                if miss is not None:
-                    cold, server, forward = miss
-                    if cold:
-                        self.cold_misses += 1
-                    else:
-                        self.invalid_misses += 1
-                    if obs:
-                        probe.page_fault(proc, page, cold)
-                    if forward is None:
-                        send(MessageKind.PAGE_REQUEST, proc, server)
-                    else:
-                        send(MessageKind.PAGE_REQUEST, proc, forward)
-                        send(MessageKind.PAGE_FORWARD, forward, server)
-                    send(MessageKind.PAGE_REPLY, server, proc, payload_bytes=page_bytes)
-                    if events:
-                        probe.emit(
-                            "page_fetch",
-                            proc=proc,
-                            page=page,
-                            server=server,
-                            bytes=page_bytes,
-                        )
-                notice_bytes = self.costs.write_notice_bytes
-                for holder in holders:
-                    send(MessageKind.WRITE_NOTICE, proc, holder, control_bytes=notice_bytes)
-                    send(MessageKind.RELEASE_ACK, holder, proc)
-                if ping:
-                    self.ping_pongs += 1
-        self._tape_ptr = ptr
+        if forward is None:
+            send(MessageKind.PAGE_REQUEST, proc, server)
+        else:
+            send(MessageKind.PAGE_REQUEST, proc, forward)
+            send(MessageKind.PAGE_FORWARD, forward, server)
+        send(MessageKind.PAGE_REPLY, server, proc, payload_bytes=page_bytes)
+        if self._obs_events:
+            self.probe.emit(
+                "page_fetch", proc=proc, page=page, server=server, bytes=page_bytes
+            )
 
 
 class EagerProtocol(BatchedEagerMixin, Protocol):
@@ -425,11 +383,10 @@ class EagerProtocol(BatchedEagerMixin, Protocol):
 
     # -- batched flush replay ------------------------------------------------
 
-    def _bind_flush_replay(self, tape) -> None:
+    def _bind_flush_replay(self) -> None:
         # Rebinding the sync *hooks* (not the wrappers) keeps the flush
         # replay inside the acquire/release/barrier probe attribution
         # window, exactly like the per-event path.
-        self._next_flush = iter(tape.flushes).__next__
         self._on_release = self._k_flush_release
         self._on_barrier_arrive = self._k_flush_barrier
 
@@ -442,8 +399,8 @@ class EagerProtocol(BatchedEagerMixin, Protocol):
             self.network.send(MessageKind.BARRIER_ARRIVAL, proc, self.barriers.master)
 
     def _k_flush(self, proc: ProcId, kinds: FlushKinds) -> None:
-        """Replay one precomputed flush outcome (see EagerTape)."""
-        rec = self._next_flush()
+        """Replay the current step's flush outcome (see EagerTape)."""
+        rec = self._flush_outcome
         if rec is None:
             return
         notice_kind, update_kind, ack_kind, reconcile_kind = kinds

@@ -26,7 +26,8 @@ is one entry point, raw-event loop and reference scans together.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.types import BarrierId, LockId, PageId, ProcId
 from repro.common.vector_clock import VectorClock
@@ -39,6 +40,7 @@ from repro.memory.page import PageEntry, PageState
 from repro.network.message import MessageKind
 from repro.protocols.base import Protocol
 from repro.config import SimConfig
+from repro.trace.runs import R_ACQUIRE, R_FULL, R_RELEASE, R_TOUCH, R_WRITE
 
 #: Request/reply kinds for update-protocol diff pulls, hoisted for the
 #: tape replay kernels (tuple construction is visible at 1M+ events/s).
@@ -817,14 +819,14 @@ class LazyProtocol(Protocol):
     #: do not describe the run and closes keep live retention books.
     drops_retained_at_close = False
 
-    def bind_batch_plan(self, plan, tape: bool) -> tuple:
+    def bind_batch_plan(self, plan, tape: bool) -> Callable[[], None]:
         """Attach a prebuilt :class:`~repro.hb.skeleton.BatchPlan`.
 
         Replaces the (empty) per-run store with the skeleton's fully
         populated one, shares the plan's fetch planner for this config's
-        cost model, and returns the six kernels the engine's run walk
-        drives, in run-instruction order: ``(touch, write_run, full_run,
-        acquire, release, barrier)``.
+        cost model, and returns the whole run as one callable:
+        :func:`_walk_runs` over the plan's run program and six kernels,
+        ``(touch, write_run, full_run, acquire, release, barrier)``.
 
         Two sync kernel sets exist. With ``tape``
         (:func:`~repro.protocols.base.certify_replay`: nothing watches
@@ -843,7 +845,6 @@ class LazyProtocol(Protocol):
         self._pending_complete = None
         self._value_free = True
         config = self.config
-        runs = (self.read_touch, self._k_write_run, self._k_full_run)
         if tape:
             records = plan.lazy_tape(
                 self.costs, config.piggyback_notices, config.free_local_lock_reacquire
@@ -857,13 +858,22 @@ class LazyProtocol(Protocol):
                 self._t_close = self._t_close_live
             else:
                 self._t_close = self._t_close_fast
-            return runs + (self._t_acquire, self._t_release, self._t_barrier)
-        self._next_record = iter(plan.records).__next__
-        self._on_acquire = self._k_acquire
-        self._on_release = self._k_release
-        self._on_barrier_arrive = self._k_barrier_arrive
-        self._on_barrier_complete = self._k_barrier_complete
-        return runs + (self.acquire, self.release, self.barrier)
+            syncs = (self._t_acquire, self._t_release, self._t_barrier)
+        else:
+            self._next_record = iter(plan.records).__next__
+            self._on_acquire = self._k_acquire
+            self._on_release = self._k_release
+            self._on_barrier_arrive = self._k_barrier_arrive
+            self._on_barrier_complete = self._k_barrier_complete
+            syncs = (self.acquire, self.release, self.barrier)
+        return partial(
+            _walk_runs,
+            plan.runs.instructions(),
+            self.read_touch,
+            self._k_write_run,
+            self._k_full_run,
+            *syncs,
+        )
 
     def _k_close(self, proc: ProcId, close_rec: tuple) -> None:
         """Close ``proc``'s interval from its prebuilt record.
@@ -1174,3 +1184,27 @@ class LazyProtocol(Protocol):
                 survivors.append((interval, page, wire))
         self._live_diffs = survivors
         self.gc_runs += 1
+
+
+def _walk_runs(
+    instructions: List[tuple], touch, write_run, full_run, acquire, release, barrier
+) -> None:
+    """Drive the kernels ``bind_batch_plan`` chose over the run program."""
+    # Instructions iterate as pre-unpacked 4-tuples: one C-level
+    # UNPACK_SEQUENCE per run beats repeated ins[n] indexing, and
+    # beat an arrays()-indexed variant (array reads box fresh ints
+    # per column) when measured — see PERFORMANCE.md. Branches are
+    # ordered by instruction frequency in the app traces.
+    for kind, proc, value, words in instructions:
+        if kind == R_TOUCH:
+            touch(proc, value)
+        elif kind == R_WRITE:
+            write_run(proc, value, words)
+        elif kind == R_FULL:
+            full_run(proc, value, words)
+        elif kind == R_ACQUIRE:
+            acquire(proc, value)
+        elif kind == R_RELEASE:
+            release(proc, value)
+        else:  # R_BARRIER
+            barrier(proc, value)

@@ -13,7 +13,6 @@ from repro.config import SimConfig, PAPER_PAGE_SIZES, PAPER_N_PROCS
 from repro.simulator.engine import Engine, simulate
 from repro.simulator.results import SimulationResult
 from repro.simulator.sweep import SweepResult, run_sweep
-from repro.simulator.timing import TimingEstimate, TimingModel, compare_runtimes, estimate_runtime
 from repro.simulator.execution import (
     ExecutionEstimate,
     ExecutionModel,
@@ -30,10 +29,6 @@ __all__ = [
     "SimulationResult",
     "SweepResult",
     "run_sweep",
-    "TimingModel",
-    "TimingEstimate",
-    "estimate_runtime",
-    "compare_runtimes",
     "ExecutionModel",
     "ExecutionEstimate",
     "ExecutionSimulator",

@@ -34,7 +34,6 @@ from repro.protocols.registry import protocol_class
 from repro.config import SimConfig
 from repro.simulator.results import SimulationResult
 from repro.trace.events import EventType
-from repro.trace.runs import R_ACQUIRE, R_FULL, R_RELEASE, R_TOUCH, R_WRITE
 from repro.trace.precompile import (
     OP_ACQUIRE,
     OP_BARRIER,
@@ -128,28 +127,36 @@ class Engine:
         protocol = self.protocol
         read_values = None
         plan = log = None
-        if config.link_model is not None:
-            plan = self._plan(compiled)
-            # Everything that can change send order or wire sizes is in
-            # the key; the link, which only the fold reads, is not.
-            log_key = (type(protocol), config.with_options(link_model=None))
-            log = plan.send_log(log_key)
-            self._send_log_source = "recorded" if log is None else "reused"
-        recording = plan is not None and log is None
-        self._execution_path, self._decline_reason = certify_replay(protocol, recording)
-        if recording:
+
+        def record() -> SendLog:
+            """A cold timed cell: one per-event replay with a send log
+            recording, which supplies this run's ledger too."""
+            nonlocal read_values
+            self._send_log_source = "recorded"
+            self._execution_path, self._decline_reason = certify_replay(
+                protocol, recording=True
+            )
             log = SendLog()
             protocol.network.attach_send_log(log)
             try:
                 read_values = self._run_per_event(compiled, timings, log.compute)
             finally:
                 protocol.network.attach_send_log(None)
-            plan.add_send_log(log_key, log)
             timings["record_s"] = timings["simulate_s"]
-        elif self._execution_path != "per_event":
-            self._run_batched(compiled, timings, plan)
-        else:
-            read_values = self._run_per_event(compiled, timings)
+            return log
+
+        if config.link_model is not None:
+            plan = self._plan(compiled)
+            self._send_log_source = "reused"
+            # Everything that can change send order or wire sizes is in
+            # the key; the link, which only the fold reads, is not.
+            log = plan.send_log((type(protocol), config.with_options(link_model=None)), record)
+        if self._send_log_source != "recorded":
+            self._execution_path, self._decline_reason = certify_replay(protocol)
+            if self._execution_path != "per_event":
+                self._run_batched(compiled, timings, plan)
+            else:
+                read_values = self._run_per_event(compiled, timings)
         if log is not None:
             self._fold(log, timings)
         return self._result(read_values, timings)
@@ -260,30 +267,27 @@ class Engine:
             )
 
     def _run_batched(self, compiled: CompiledTrace, timings: Dict[str, float], plan) -> None:
-        """Replay via the access-run program and the batched kernels.
+        """Replay from the batch plan: whatever the protocol binds.
 
-        One instruction per contiguous per-page access run (see
-        :mod:`repro.trace.runs`); synchronization replays from the
-        precomputed happened-before skeleton. Reached only when
-        :func:`~repro.protocols.base.certify_replay` allows it — results
-        are bit-identical to :meth:`_run_per_event`. On the ``tape``
-        path the kernels apply cost-resolved tape records in bulk; the
-        eager family then needs no instruction walk at all and binds
-        the whole run as one call.
+        Reached only when :func:`~repro.protocols.base.certify_replay`
+        allows it — results are bit-identical to :meth:`_run_per_event`.
+        ``bind_batch_plan`` returns the whole run as one callable: the
+        lazy family walks the access-run program (see
+        :mod:`repro.trace.runs`) over kernels that replay
+        synchronization from the happened-before skeleton or, on the
+        ``tape`` path, its cost-resolved tape; the eager family replays
+        or folds its sync-ordered tape and needs no run program at all.
         """
         t0 = time.perf_counter()
         if plan is None:
             plan = self._plan(compiled)
-        protocol = self.protocol
-        # Binding is part of plan preparation (the tapes are built here
-        # on first use), so it shares the timing bucket.
-        bound = protocol.bind_batch_plan(plan, self._execution_path == "tape")
+        # Binding is part of plan preparation (the run program and the
+        # tapes are built here on first use), so it shares the timing
+        # bucket.
+        replay = self.protocol.bind_batch_plan(plan, self._execution_path == "tape")
         timings["batch_plan_s"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        if callable(bound):
-            bound()
-        else:
-            _walk_runs(plan.runs.instructions(), *bound)
+        replay()
         self._finish(timings, t0)
 
     def run_reference(self) -> SimulationResult:
@@ -420,30 +424,6 @@ class Engine:
             for key, value in plan_stats().items()
             if value - before.get(key, 0)
         }
-
-
-def _walk_runs(
-    instructions: List[tuple], touch, write_run, full_run, acquire, release, barrier
-) -> None:
-    """Drive the kernels ``bind_batch_plan`` returned over the run program."""
-    # Instructions iterate as pre-unpacked 4-tuples: one C-level
-    # UNPACK_SEQUENCE per run beats repeated ins[n] indexing, and
-    # beat an arrays()-indexed variant (array reads box fresh ints
-    # per column) when measured — see PERFORMANCE.md. Branches are
-    # ordered by instruction frequency in the app traces.
-    for kind, proc, value, words in instructions:
-        if kind == R_TOUCH:
-            touch(proc, value)
-        elif kind == R_WRITE:
-            write_run(proc, value, words)
-        elif kind == R_FULL:
-            full_run(proc, value, words)
-        elif kind == R_ACQUIRE:
-            acquire(proc, value)
-        elif kind == R_RELEASE:
-            release(proc, value)
-        else:  # R_BARRIER
-            barrier(proc, value)
 
 
 #: Per-page-size caches backing :func:`_split_access`; bounded so a long

@@ -10,8 +10,8 @@ complete before the previous holder's release; a barrier releases
 everyone at the latest arrival. The result is a critical-path estimate
 of parallel execution time, the serial time of the same work, and the
 protocol-dependent speedup — the full version of §7's "assess the
-runtime cost" (see also :mod:`repro.simulator.timing` for the simpler
-aggregate model).
+runtime cost" (see also :func:`repro.analysis.timing_report.estimate_runtime`
+for the simpler aggregate model).
 """
 
 from __future__ import annotations

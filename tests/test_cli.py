@@ -82,6 +82,26 @@ class TestCommands:
             assert protocol in out
         assert "est=" in out
 
+    @pytest.mark.parametrize(
+        "extra, estimates",
+        [
+            ([], "1.693 1.764 2.324 2.079 2.040 1.729 1.723"),
+            (["--era", "modern"], "0.008 0.008 0.010 0.010 0.009 0.008 0.008"),
+            (
+                ["--network", "latency=100us,bandwidth=10MB/s"],
+                "0.521 0.582 0.492 0.463 0.210 0.541 0.227",
+            ),
+        ],
+        ids=["era-1992", "era-modern", "network"],
+    )
+    def test_compare_estimates_pinned(self, capsys, extra, estimates):
+        """``est=`` per protocol (LI LU EI EU EW LH HLRC), as printed
+        before ``TimingModel`` was replaced by ``LinkModel`` presets."""
+        assert main(["compare", *small_args("cholesky"), "--page-size", "1024", *extra]) == 0
+        out = capsys.readouterr().out
+        printed = [line.split("est=")[1].split("s")[0].strip() for line in out.splitlines()[1:]]
+        assert " ".join(printed) == estimates
+
     def test_locks(self, capsys):
         assert main(["locks", *small_args("cholesky")]) == 0
         assert "handoff rate" in capsys.readouterr().out

@@ -11,7 +11,7 @@ from repro.network.link import (
     derive_network_seed,
     parse_link_spec,
 )
-from repro.simulator.timing import TimingModel
+from repro.obs.spans import SpanCosts
 
 
 class TestLinkModel:
@@ -137,25 +137,19 @@ class TestNetworkSeed:
         assert derive_network_seed(None, "LI", link) == derive_network_seed(0, "LI", link)
 
 
-class TestTimingModelShim:
+class TestSpanCostPresets:
+    """The presets' historical literals, read through ``PRESET_CONSTANTS``."""
+
     def test_ethernet_preset_matches_historical_literals(self):
-        model = TimingModel.ethernet_1992()
-        assert model.per_message_s == 1e-3
-        assert model.per_byte_s == 8e-7  # 1 / 1.25e6 exactly, in IEEE doubles
-        assert model.per_diff_create_s == 5e-4
-        assert model.per_diff_apply_s == 2e-4
-        assert model.per_interval_s == 5e-5
+        assert SpanCosts.ethernet_1992() == SpanCosts(
+            message_s=1e-3,
+            byte_s=8e-7,  # 1 / 1.25e6 exactly, in IEEE doubles
+            access_s=5e-8,
+            diff_create_s=5e-4,
+            diff_apply_s=2e-4,
+        )
 
     def test_modern_preset_matches_historical_literals(self):
-        model = TimingModel.modern_cluster()
-        assert model.per_message_s == 5e-6
-        assert model.per_byte_s == 1e-10
-        assert model.per_diff_create_s == 2e-6
-
-    def test_from_link_uses_link_wire_constants(self):
-        link = LinkModel(latency_s=1e-4, bandwidth=1e7, overhead_s=2e-4)
-        model = TimingModel.from_link(link)
-        assert model.per_message_s == pytest.approx(3e-4)
-        assert model.per_byte_s == pytest.approx(1e-7)
-        # CPU-side constants still come from the named preset.
-        assert model.per_diff_create_s == PRESET_CONSTANTS["ethernet_1992"]["diff_create_s"]
+        assert SpanCosts.modern_cluster() == SpanCosts(
+            message_s=5e-6, byte_s=1e-10, access_s=1e-9, diff_create_s=2e-6, diff_apply_s=1e-6
+        )

@@ -327,6 +327,32 @@ class TestManifest:
         assert manifest["execution_path"] == path
         assert manifest.get("decline_reason") == reason
 
+    @pytest.mark.parametrize("protocol", ["LI", "LU", "LH", "HLRC", "EI", "EU", "EW"])
+    def test_an_overridden_probe_hook_is_always_called(self, protocol):
+        """A probe that overrides a hook the tapes bypass — here only
+        ``page_fault`` — sees every call the interpreter makes, whichever
+        path ran, and the manifest says why the tape was declined."""
+
+        class FaultCounter(RecordingProbe):
+            faults = 0
+
+            def page_fault(self, proc, page, cold):
+                self.faults += 1
+                super().page_fault(proc, page, cold)
+
+        trace = small_trace("water", n_procs=4)
+        probe = FaultCounter()
+        result = simulate(trace, protocol, page_size=1024, probe=probe)
+        assert probe.faults == result.cold_misses + result.invalid_misses > 0
+        manifest = result.manifest
+        assert (manifest["execution_path"], manifest["decline_reason"]) == (
+            "batched",
+            "subclassed_probe",
+        )
+        stock = simulate(trace, protocol, page_size=1024, probe=RecordingProbe())
+        assert stock.manifest["execution_path"] == "tape"
+        assert result.metrics == stock.metrics
+
     def test_to_dict_uniform_provenance(self, app_trace):
         row = simulate(app_trace, "EI", page_size=2048).to_dict()
         for key in ("app", "protocol", "page_size", "seed", "trace_digest"):

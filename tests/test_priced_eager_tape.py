@@ -1,12 +1,13 @@
 """The priced eager tape: three replays of one eager run agree on everything.
 
 A certified eager run folds one merged ledger record per synchronization
-instruction and inter-sync gap (:class:`repro.hb.skeleton.PricedEagerTape`)
+operation and inter-sync gap (:class:`repro.hb.skeleton.PricedEagerTape`)
 instead of sending message by message. These tests pin that fold against
-the two paths it bypasses — the per-message ``_k_*`` tape kernels and the
-per-event interpreter — on the result, every counter, and the metrics
-probe's rows down to the order they were created in; that the fold really
-sends nothing while a watched run still sends everything; and that a warm
+the two paths it bypasses — the per-message replay of the same
+sync-ordered tape and the per-event interpreter — on the result, every
+counter, and the metrics probe's rows down to the order they were created
+in; that the fold really sends nothing while a watched run still sends
+everything; that no eager replay builds the run program; and that a warm
 timed cell, which now replays the priced tape before folding its send
 log, still produces the golden clocks.
 """
@@ -21,9 +22,11 @@ from repro.hb.skeleton import batch_plan, plan_stats
 from repro.network.costs import CostModel
 from repro.network.network import Network
 from repro.obs.probe import RecordingProbe
-from repro.obs.sinks import MemorySink
+from repro.obs.sinks import ColumnarSink, MemorySink
+from repro.obs.spans import SpanProbe
 from repro.simulator.engine import Engine, simulate
-from tests.conftest import interpreter_result, ledger_fields, small_trace
+from repro.trace.events import Event
+from tests.conftest import SMALL_SCALE, build_trace, interpreter_result, ledger_fields, small_trace
 from tests.test_protocol_properties import N_PROCS, interleave, race_free_programs
 from tests.test_send_log import GOLDEN, LINKS
 
@@ -50,6 +53,47 @@ PATHS = {
     # Values exist only on the interpreter; recording them asks for it.
     "per_event": ({"record_values": True}, False, ("per_event", "record_values")),
 }
+
+
+def midspan_trace():
+    """A remote flush lands in the middle of another processor's span.
+
+    Both words share a page at every page size. p0 opens a span on the
+    page and p1's release flushes into it — EI invalidates p0's copy, EW
+    had already revoked its ownership — so p0's next access misses
+    *again*, with no synchronization of its own in between: the same
+    (proc, page) span misses twice, which is what a sync-ordered tape
+    has to replay at the right point. The second round leaves p0 an
+    excess invalidator (dirty and invalidated when it flushes); the
+    accesses after the barrier are the tape's tail.
+    """
+    a, b = 0x0, 0x8
+    p1_writes_under_lock = [Event.acquire(1, 0), Event.write(1, b), Event.release(1, 0)]
+    return build_trace(
+        2,
+        [
+            Event.write(0, a),
+            *p1_writes_under_lock,
+            Event.write(0, a),
+            Event.read(0, a),
+            Event.acquire(0, 0),
+            Event.release(0, 0),
+            Event.write(0, a),
+            *p1_writes_under_lock,
+            Event.acquire(0, 0),
+            Event.release(0, 0),
+            Event.at_barrier(0, 0),
+            Event.at_barrier(1, 0),
+            Event.read(1, a),
+            Event.write(0, b),
+        ],
+    )
+
+
+@pytest.fixture(scope="module", params=[*sorted(SMALL_SCALE), "midspan"])
+def app_trace(request):
+    """conftest's one small trace per application, plus the hand trace."""
+    return midspan_trace() if request.param == "midspan" else small_trace(request.param)
 
 
 def observe(trace, protocol, config, path):
@@ -104,6 +148,61 @@ class TestThreeWayEquivalence:
         reference = interpreter_result(app_trace, protocol, config)
         assert priced.manifest["execution_path"] == "tape"
         assert ledger_fields(priced) == ledger_fields(reference)
+
+
+class TestMidSpanRemiss:
+    """The one case the tape's old run-instruction tags existed for."""
+
+    # Three processors: the config may be wider than the trace (the
+    # barrier then never completes, on any path).
+    @pytest.mark.parametrize("n_procs", [2, 3])
+    @pytest.mark.parametrize("protocol", EAGER)
+    def test_every_path_sends_the_same_things_in_the_same_order(self, protocol, n_procs):
+        trace = midspan_trace()
+        config = SimConfig(n_procs=n_procs, page_size=512)
+        tape = Engine(trace, config, protocol).run()
+        assert tape.manifest["execution_path"] == "tape"
+        if protocol != "EU":  # an update protocol never invalidates
+            assert tape.invalid_misses >= 2
+
+        def watched(path):
+            probe = SpanProbe(sinks=[MemorySink()])
+            engine = Engine(
+                trace, config.with_options(record_values=path == "per_event"), protocol, probe=probe
+            )
+            engine.protocol.network.keep_log = True
+            result = engine.run_reference() if path == "reference" else engine.run()
+            assert result.manifest["execution_path"] == path
+            assert ledger_fields(result) == ledger_fields(tape)
+            return engine.protocol.network.log, probe.sinks[0].events, probe.records
+
+        batched = watched("batched")
+        assert batched == watched("per_event") == watched("reference")
+        assert len(batched[0]) == tape.messages
+
+
+class TestNoRunProgram:
+    @pytest.mark.parametrize("protocol", EAGER)
+    def test_eager_replays_leave_the_run_program_unbuilt(self, protocol):
+        trace = small_trace("water")
+        config = SimConfig(n_procs=trace.n_procs, page_size=1024)
+        runs = {
+            "tape": Engine(trace, config, protocol),
+            "event_sink": Engine(
+                trace, config, protocol, probe=RecordingProbe(sinks=[ColumnarSink()])
+            ),
+            "subclassed_probe": Engine(trace, config, protocol, probe=SpanProbe()),
+            "keep_log": Engine(trace, config, protocol),
+        }
+        runs["keep_log"].protocol.network.keep_log = True
+        for reason, engine in runs.items():
+            manifest = engine.run().manifest
+            assert manifest.get("decline_reason", "tape") == reason
+        plan = batch_plan(trace.compiled(1024), trace.n_procs)
+        assert plan._eager_tapes and plan._runs is None and plan._skeleton is None
+        # The lazy family is what needs it.
+        simulate(trace, "LI", config=config)
+        assert plan._runs is not None
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -210,6 +309,8 @@ class TestPlanCache:
         plan = batch_plan(trace.compiled(1024), trace.n_procs)
         syncs = [ins for ins in plan.runs.instructions() if ins[0] >= R_ACQUIRE]
         for policy in EAGER:
+            tape_syncs = plan.eager_tape(policy).syncs
+            assert [op[1:] for op in tape_syncs] == [ins[1:3] for ins in syncs]
             records = plan.priced_eager_tape(policy, CostModel(), True).records
             sync_records = [rec for rec in records if rec[0] != P_MISS]
             assert [rec[1] for rec in sync_records] == [ins[2] for ins in syncs]

@@ -182,6 +182,10 @@ class TestEdgeCases:
     def test_merged_reuses_dominating_side(self):
         # The allocation-free fast path: when one clock already covers the
         # other, merged() returns an existing instance, never a copy.
+        # The memo is process-wide and keyed by entries: an earlier
+        # (Hypothesis-drawn) merge of equal entries would answer with
+        # that test's instance.
+        VectorClock._merge_memo.clear()
         low = VectorClock([0, 1, 2])
         high = VectorClock([3, 1, 2])
         assert high.merged(low) is high
