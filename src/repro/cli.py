@@ -33,7 +33,7 @@ from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.table1 import run_table1
 from repro.obs import JsonlSink, RecordingProbe, logging_setup
 from repro.obs.manifest import execution_line, execution_paths_line
-from repro.protocols.registry import all_protocol_names, protocol_names
+from repro.protocols.registry import all_protocol_names
 from repro.config import PAPER_PAGE_SIZES, SimConfig
 from repro.simulator.engine import simulate
 from repro.trace.codec import load_trace, save_trace
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="simulate one configuration")
     _add_workload_args(run_p)
-    run_p.add_argument("--protocol", choices=protocol_names(), default="LI")
+    run_p.add_argument("--protocol", choices=all_protocol_names(), default="LI")
     run_p.add_argument("--page-size", type=int, default=4096)
     run_p.add_argument("--trace-file", help="replay a saved trace instead of generating")
     run_p.add_argument(

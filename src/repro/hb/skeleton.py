@@ -78,7 +78,6 @@ replay of a sweep reuses it.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.types import BarrierId, ProcId
@@ -102,12 +101,7 @@ from repro.trace.precompile import (
     OP_WRITE_N,
     CompiledTrace,
 )
-from repro.trace.runs import (
-    CACHE_ENV_VAR,
-    RunProgram,
-    cached_run_program,
-    segment_runs,
-)
+from repro.trace.runs import segment_runs
 
 K_ACQUIRE = 0
 K_RELEASE = 1
@@ -611,7 +605,6 @@ class BatchPlan:
     __slots__ = (
         "compiled",
         "n_procs",
-        "_trace",
         "_runs",
         "_skeleton",
         "_planners",
@@ -621,19 +614,11 @@ class BatchPlan:
         "_send_logs",
     )
 
-    def __init__(
-        self,
-        compiled: CompiledTrace,
-        n_procs: int,
-        runs: Optional[RunProgram] = None,
-        skeleton: Optional[Skeleton] = None,
-        trace=None,
-    ):
+    def __init__(self, compiled: CompiledTrace, n_procs: int):
         self.compiled = compiled
         self.n_procs = n_procs
-        self._trace = trace
-        self._runs = runs
-        self._skeleton = skeleton
+        self._runs: Optional[List[tuple]] = None
+        self._skeleton: Optional[Skeleton] = None
         self._planners: Dict[Tuple[CostModel, bool], FetchPlanner] = {}
         self._eager_tapes: Dict[str, EagerTape] = {}
         self._priced_tapes: Dict[Tuple[str, CostModel, bool], PricedEagerTape] = {}
@@ -641,17 +626,11 @@ class BatchPlan:
         self._send_logs: Dict[tuple, SendLog] = {}
 
     @property
-    def runs(self) -> RunProgram:
-        """The run program, segmented on first use — or, for a plan that
-        knows its trace while ``REPRO_TRACE_CACHE`` is set, loaded from
-        the on-disk ``.runsb`` cache (written on first build)."""
+    def runs(self) -> List[tuple]:
+        """The run program's instruction list, segmented on first use."""
         runs = self._runs
         if runs is None:
-            if self._trace is not None and os.environ.get(CACHE_ENV_VAR):
-                runs = cached_run_program(self._trace, self.compiled.page_size, self.n_procs)
-            else:
-                runs = segment_runs(self.compiled, self.n_procs)
-            self._runs = runs
+            runs = self._runs = segment_runs(self.compiled, self.n_procs)
         return runs
 
     @property
@@ -1136,16 +1115,14 @@ def batch_plan(compiled: CompiledTrace, n_procs: int, trace=None) -> BatchPlan:
 
     Cached on the compiled trace itself, so all protocols of a sweep
     cell — and every best-of round of a benchmark — share one plan per
-    (trace, page size, n_procs). ``trace``, when given, lets the plan
-    take its run program from the on-disk cache (see
-    :attr:`BatchPlan.runs`), so repeated tool invocations over the same
-    trace skip segmentation.
+    (trace, page size, n_procs). ``trace`` is unused; only the frozen
+    benchmark harness (``benchmarks/lrcbench``) still passes it.
     """
     plans = compiled._batch_plans
     plan = plans.get(n_procs)
     if plan is None:
         PLAN_STATS["plan_builds"] += 1
-        plan = plans[n_procs] = BatchPlan(compiled, n_procs, trace=trace)
+        plan = plans[n_procs] = BatchPlan(compiled, n_procs)
     else:
         PLAN_STATS["plan_hits"] += 1
     return plan

@@ -238,13 +238,16 @@ def parse_link_spec(spec: str) -> LinkModel:
     tokens override fields on top of it. Time values accept ``s``,
     ``ms``, ``us``, ``ns`` suffixes (bare numbers are seconds);
     bandwidth accepts ``KB/s``, ``MB/s``, ``GB/s`` (bare numbers are
-    bytes/s); loss accepts a probability or a percentage::
+    bytes/s); loss accepts a probability or a percentage. A second
+    preset, or a key (under either alias) given twice, is an error
+    rather than last-one-wins — a typo must not become a different
+    experiment::
 
         --network ethernet_1992
         --network latency=200us,bw=100MB/s,loss=1%
         --network ethernet_1992,jitter=50us,loss=0.02,timeout=5ms
     """
-    base = "ideal"
+    base: Optional[str] = None
     overrides: Dict[str, object] = {}
     for token in spec.split(","):
         token = token.strip()
@@ -255,6 +258,8 @@ def parse_link_spec(spec: str) -> LinkModel:
                 raise ConfigError(
                     f"preset {token!r} must come first in a --network spec"
                 )
+            if base is not None:
+                raise ConfigError(f"second --network preset {token!r} (after {base!r})")
             base = token
             continue
         key, _, raw = token.partition("=")
@@ -274,8 +279,10 @@ def parse_link_spec(spec: str) -> LinkModel:
                 value = int(raw.strip())
         except ValueError:
             raise ConfigError(f"bad --network value {raw!r} for {key!r}") from None
+        if field_name in overrides:
+            raise ConfigError(f"repeated --network key {token!r} ({field_name} is already set)")
         overrides[field_name] = value
-    return LinkModel.from_preset(base, **overrides)
+    return LinkModel.from_preset(base or "ideal", **overrides)
 
 
 def derive_network_seed(

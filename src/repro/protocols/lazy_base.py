@@ -40,7 +40,7 @@ from repro.memory.page import PageEntry, PageState
 from repro.network.message import MessageKind
 from repro.protocols.base import Protocol
 from repro.config import SimConfig
-from repro.trace.runs import R_ACQUIRE, R_FULL, R_RELEASE, R_TOUCH, R_WRITE
+from repro.trace.runs import R_ACQUIRE, R_RELEASE, R_TOUCH
 
 #: Request/reply kinds for update-protocol diff pulls, hoisted for the
 #: tape replay kernels (tuple construction is visible at 1M+ events/s).
@@ -809,8 +809,9 @@ class LazyProtocol(Protocol):
     # repro.trace.runs) drives the same public acquire/release/barrier
     # wrappers, but bind_batch_plan shadows the family hooks with the
     # _k_* kernels below: they consume the precomputed sync records of
-    # the happened-before skeleton instead of querying the store, and
-    # they process a whole per-page access run per page-table lookup.
+    # the happened-before skeleton instead of querying the store. An
+    # access run needs no kernel of its own: it is its span's first
+    # touch, and read_touch is the miss check.
     # Every counter, message, and probe emission matches the per-event
     # hooks bit for bit — the equivalence suite pins it.
 
@@ -825,8 +826,9 @@ class LazyProtocol(Protocol):
         Replaces the (empty) per-run store with the skeleton's fully
         populated one, shares the plan's fetch planner for this config's
         cost model, and returns the whole run as one callable:
-        :func:`_walk_runs` over the plan's run program and six kernels,
-        ``(touch, write_run, full_run, acquire, release, barrier)``.
+        :func:`_walk_runs` over the plan's run program and four kernels,
+        ``(touch, acquire, release, barrier)`` — ``read_touch`` is the
+        only access kernel on either path.
 
         Two sync kernel sets exist. With ``tape``
         (:func:`~repro.protocols.base.certify_replay`: nothing watches
@@ -866,14 +868,7 @@ class LazyProtocol(Protocol):
             self._on_barrier_arrive = self._k_barrier_arrive
             self._on_barrier_complete = self._k_barrier_complete
             syncs = (self.acquire, self.release, self.barrier)
-        return partial(
-            _walk_runs,
-            plan.runs.instructions(),
-            self.read_touch,
-            self._k_write_run,
-            self._k_full_run,
-            *syncs,
-        )
+        return partial(_walk_runs, plan.runs, self.read_touch, *syncs)
 
     def _k_close(self, proc: ProcId, close_rec: tuple) -> None:
         """Close ``proc``'s interval from its prebuilt record.
@@ -881,8 +876,8 @@ class LazyProtocol(Protocol):
         The interval (diffs included) was built by the skeleton pass;
         here only the run-dependent bookkeeping happens: retention
         accounting at this run's wire costs, the clock step, and
-        telemetry. The run kernels register no dirty words, so there is
-        no registry to drain.
+        telemetry. A batched replay registers no dirty words, so there
+        is no registry to drain.
         """
         index, vc, interval = close_rec
         if interval is not None:
@@ -908,26 +903,6 @@ class LazyProtocol(Protocol):
 
     def _post_close(self, proc: ProcId, interval: Interval) -> None:
         """Batched-close hook for modifying intervals (HLRC flushes here)."""
-
-    def _k_write_run(self, proc: ProcId, page: PageId, words: Dict[int, int]) -> None:
-        """One write run to a page already touched this span: nothing to do.
-
-        No miss check: between two synchronization points nothing can
-        invalidate the span owner's page (notices arrive only at its own
-        sync operations, and runs end at every global barrier
-        completion), so a page that serviced its miss at the span's
-        first access stays VALID for the rest of the span. And no value
-        bookkeeping: page contents, twins and the dirty registry are
-        unobservable under a batched replay (``record_values`` forces
-        the per-event path, and the closes take prebuilt diffs from the
-        skeleton). LH overrides this to note the page was used.
-        """
-
-    def _k_full_run(self, proc: ProcId, page: PageId, words: Dict[int, int]) -> None:
-        """A span whose first access to ``page`` is a write: the miss check."""
-        entry = self.procs[proc].pages.entry(page)
-        if entry.state is not PageState.VALID:
-            self._service_miss(proc, page, entry)
 
     def _k_receive(
         self,
@@ -1186,22 +1161,26 @@ class LazyProtocol(Protocol):
         self.gc_runs += 1
 
 
-def _walk_runs(
-    instructions: List[tuple], touch, write_run, full_run, acquire, release, barrier
-) -> None:
-    """Drive the kernels ``bind_batch_plan`` chose over the run program."""
-    # Instructions iterate as pre-unpacked 4-tuples: one C-level
-    # UNPACK_SEQUENCE per run beats repeated ins[n] indexing, and
-    # beat an arrays()-indexed variant (array reads box fresh ints
-    # per column) when measured — see PERFORMANCE.md. Branches are
-    # ordered by instruction frequency in the app traces.
-    for kind, proc, value, words in instructions:
+def _walk_runs(instructions: List[tuple], touch, acquire, release, barrier) -> None:
+    """Drive the kernels ``bind_batch_plan`` chose over the run program.
+
+    ``touch`` is all an access run needs. Between two of its own
+    synchronization operations nothing can invalidate the span owner's
+    page (notices arrive only at its acquires and at barrier
+    completions, and both end the span), so a page that serviced its
+    miss at the span's first access stays VALID for the rest of it; LH's
+    used-since-pull flag, set by that touch, is cleared only at the same
+    two places. And the span's writes need no bookkeeping: page
+    contents, twins and the dirty registry are unobservable under a
+    batched replay (``record_values`` forces the per-event path, and the
+    closes take prebuilt diffs from the skeleton).
+    """
+    # Instructions iterate as pre-unpacked 3-tuples: one C-level
+    # UNPACK_SEQUENCE per run beats repeated ins[n] indexing. Branches
+    # are ordered by instruction frequency in the app traces.
+    for kind, proc, value in instructions:
         if kind == R_TOUCH:
             touch(proc, value)
-        elif kind == R_WRITE:
-            write_run(proc, value, words)
-        elif kind == R_FULL:
-            full_run(proc, value, words)
         elif kind == R_ACQUIRE:
             acquire(proc, value)
         elif kind == R_RELEASE:

@@ -126,14 +126,6 @@ class LazyHybrid(LazyProtocol):
 
     # -- batched kernels ------------------------------------------------------
 
-    def _k_write_run(self, proc, page, words):
-        self._page_policy(proc, page).used_since_pull = True
-        super()._k_write_run(proc, page, words)
-
-    def _k_full_run(self, proc, page, words):
-        self._page_policy(proc, page).used_since_pull = True
-        super()._k_full_run(proc, page, words)
-
     def _k_receive(self, proc, grouped, vc_after, pull_kinds):
         # Per-page policy decisions are idempotent within a batch (a
         # demote flips update_mode off, making every later notice for

@@ -13,12 +13,6 @@ from repro.config import SimConfig, PAPER_PAGE_SIZES, PAPER_N_PROCS
 from repro.simulator.engine import Engine, simulate
 from repro.simulator.results import SimulationResult
 from repro.simulator.sweep import SweepResult, run_sweep
-from repro.simulator.execution import (
-    ExecutionEstimate,
-    ExecutionModel,
-    ExecutionSimulator,
-    estimate_execution,
-)
 
 __all__ = [
     "SimConfig",
@@ -29,8 +23,4 @@ __all__ = [
     "SimulationResult",
     "SweepResult",
     "run_sweep",
-    "ExecutionModel",
-    "ExecutionEstimate",
-    "ExecutionSimulator",
-    "estimate_execution",
 ]

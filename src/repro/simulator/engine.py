@@ -163,7 +163,7 @@ class Engine:
 
     def _plan(self, compiled: CompiledTrace):
         """The cell's batch plan, sized by the config like the protocol."""
-        return batch_plan(compiled, self.config.n_procs, trace=self.trace)
+        return batch_plan(compiled, self.config.n_procs)
 
     def _fold(self, log: SendLog, timings: Dict[str, float]) -> None:
         """Advance the virtual clocks over ``log`` under the run's link.

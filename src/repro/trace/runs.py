@@ -1,51 +1,40 @@
-"""Access-run segmentation: the batched kernels' instruction stream.
+"""Access-run segmentation: the lazy family's batched instruction stream.
 
 A compiled trace (:mod:`repro.trace.precompile`) still carries one
-instruction per ordinary access. Between two synchronization points a
-processor touches the same pages over and over, and the lazy protocols'
-per-access work is idempotent within such a span: the first access pays
-the miss check, the first write snapshots the twin, and every later
-access of the span only appends words to the same open diff. The *run
-program* built here collapses each (processor, page) span into at most
-two instructions, so the batched protocol kernels
-(:meth:`repro.protocols.lazy_base.LazyProtocol._k_write_run` etc.) do
-one page-table lookup per run instead of one per event.
+instruction per ordinary access. Under lazy release consistency that is
+far more than the protocol can see: consistency information reaches a
+processor only at its own acquires and at barrier exits (§4.2), so
+between two of its synchronization operations a page that has serviced
+its miss stays valid, and every later access of that (processor, page)
+*span* — read or write, LH's used-since-pull flag included — finds
+nothing left to do. What the span writes is already in the
+happened-before skeleton's prebuilt diffs. An access run is therefore
+its span's first touch and nothing else, and the *run program* built
+here is the trace with each span collapsed to that one instruction.
 
-Run instruction encoding (``(kind, proc, value, words)`` tuples):
+Run instruction encoding (``(kind, proc, value)`` 3-tuples):
 
 ==============  ==========================================================
 kind            meaning
 ==============  ==========================================================
-``R_TOUCH``     first access of the span is a read: one miss check
-``R_FULL``      first access of the span is a write: miss check, then the
-                span's writes to this page (``words``: word -> last token)
-``R_WRITE``     first *write* of a span whose page was already touched by
-                a read: the page is provably VALID, no miss check
-``R_ACQUIRE``   lock acquire (``value`` is the lock id, ``words`` None)
+``R_TOUCH``     first access of a (proc, page) span, read or write alike:
+                one miss check on page ``value``
+``R_ACQUIRE``   lock acquire (``value`` is the lock id)
 ``R_RELEASE``   lock release
-``R_BARRIER``   barrier arrival
+``R_BARRIER``   barrier arrival (``value`` is the barrier id)
 ==============  ==========================================================
 
-Spans end at the owning processor's own synchronization operations and,
-conservatively, at every global barrier completion (any processor's
-completing arrival invalidates pages everywhere, so no run may straddle
-one). ``words`` dicts carry the *final* token per word in first-write
-order — exactly the dict the per-event interpreter accumulates in
-``entry.dirty_words``, which is what makes the batched path bit-identical.
-
-A :class:`RunProgram` lowers to seven typed arrays (and back), giving it
-a compact ``.runsb`` on-disk form cached next to the ``.trcb`` trace
-cache — see :func:`cached_run_program`.
+The three synchronization kinds *are* the compiled opcodes, and a sync
+instruction is the compiled op tuple itself, not a copy (as in
+``EagerTape.syncs``). A span ends at its processor's own synchronization
+operations and, for everyone, at each barrier completion. The program
+carries no values: page contents exist only on the ``record_values``
+interpreter (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
-import logging
-import os
-import struct
-from array import array
-from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Set
 
 from repro.trace.precompile import (
     OP_ACQUIRE,
@@ -58,304 +47,52 @@ from repro.trace.precompile import (
     CompiledTrace,
 )
 
-logger = logging.getLogger(__name__)
-
-R_TOUCH = 0
-R_WRITE = 1
-R_FULL = 2
-R_ACQUIRE = 3
-R_RELEASE = 4
-R_BARRIER = 5
-
-#: Typed-array layout of a lowered program, in serialization order:
-#: per-instruction columns, then the flat word/token pool write runs
-#: index into via (wstart, wcount).
-_ARRAY_TYPECODES = ("b", "h", "q", "q", "i", "i", "q")
-_MAGIC = b"LRCRUNS1"
-#: Fixed header after the magic: the seven array itemsizes, then
-#: page_size, n_procs, instruction count, word-pool length.
-_HEADER = struct.Struct("<7BxIIQQ")
-
-_ABSENT = object()
+R_TOUCH = 0  # any code the three sync opcodes do not use
+R_ACQUIRE = OP_ACQUIRE
+R_RELEASE = OP_RELEASE
+R_BARRIER = OP_BARRIER
 
 
-class RunProgram:
-    """One trace's access runs, specialized to (page size, n_procs).
-
-    Holds the instruction list (built directly by :func:`segment_runs`,
-    or materialized lazily from the typed arrays after
-    :meth:`from_bytes`) and lowers to the array form on demand for
-    serialization.
-    """
-
-    __slots__ = ("page_size", "n_procs", "_instructions", "_arrays")
-
-    def __init__(
-        self,
-        page_size: int,
-        n_procs: int,
-        instructions: Optional[List[tuple]] = None,
-        arrays: Optional[Tuple[array, ...]] = None,
-    ):
-        if instructions is None and arrays is None:
-            raise ValueError("RunProgram needs instructions or arrays")
-        self.page_size = page_size
-        self.n_procs = n_procs
-        self._instructions = instructions
-        self._arrays = arrays
-
-    def __len__(self) -> int:
-        if self._instructions is not None:
-            return len(self._instructions)
-        return len(self._arrays[0])
-
-    def instructions(self) -> List[tuple]:
-        """The ``(kind, proc, value, words)`` tuples, in trace order."""
-        if self._instructions is None:
-            self._instructions = self._materialize()
-        return self._instructions
-
-    def _materialize(self) -> List[tuple]:
-        kinds, procs, values, wstart, wcount, words, tokens = self._arrays
-        out: List[tuple] = []
-        append = out.append
-        for i in range(len(kinds)):
-            start = wstart[i]
-            if start >= 0:
-                count = wcount[i]
-                wdict = dict(zip(words[start : start + count], tokens[start : start + count]))
-            else:
-                wdict = None
-            append((kinds[i], procs[i], values[i], wdict))
-        return out
-
-    def arrays(self) -> Tuple[array, ...]:
-        """The seven-column lowered form (see ``_ARRAY_TYPECODES``)."""
-        if self._arrays is None:
-            self._arrays = self._lower()
-        return self._arrays
-
-    def _lower(self) -> Tuple[array, ...]:
-        kinds = array("b")
-        procs = array("h")
-        values = array("q")
-        wstart = array("q")
-        wcount = array("i")
-        words = array("i")
-        tokens = array("q")
-        for kind, proc, value, wdict in self._instructions:
-            kinds.append(kind)
-            procs.append(proc)
-            values.append(value)
-            if wdict is not None:
-                wstart.append(len(words))
-                wcount.append(len(wdict))
-                words.extend(wdict.keys())
-                tokens.extend(wdict.values())
-            else:
-                wstart.append(-1)
-                wcount.append(0)
-        return (kinds, procs, values, wstart, wcount, words, tokens)
-
-    # -- codec ---------------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        arrays = self.arrays()
-        header = _HEADER.pack(
-            *(a.itemsize for a in arrays),
-            self.page_size,
-            self.n_procs,
-            len(arrays[0]),
-            len(arrays[5]),
-        )
-        return b"".join([_MAGIC, header] + [a.tobytes() for a in arrays])
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "RunProgram":
-        if blob[: len(_MAGIC)] != _MAGIC:
-            raise ValueError("not a run-program blob (bad magic)")
-        offset = len(_MAGIC)
-        fields = _HEADER.unpack_from(blob, offset)
-        itemsizes, (page_size, n_procs, n_instr, n_words) = fields[:7], fields[7:]
-        offset += _HEADER.size
-        arrays = []
-        for typecode, itemsize in zip(_ARRAY_TYPECODES, itemsizes):
-            column = array(typecode)
-            if column.itemsize != itemsize:
-                raise ValueError(
-                    f"run-program column '{typecode}' written with "
-                    f"{itemsize}-byte items, host uses {column.itemsize}"
-                )
-            count = n_words if len(arrays) >= 5 else n_instr
-            end = offset + count * itemsize
-            if end > len(blob):
-                raise ValueError("truncated run-program blob")
-            column.frombytes(blob[offset:end])
-            offset = end
-            arrays.append(column)
-        return cls(page_size, n_procs, arrays=tuple(arrays))
-
-    def __repr__(self) -> str:
-        return (
-            f"RunProgram(page_size={self.page_size}, n_procs={self.n_procs}, "
-            f"{len(self)} instructions)"
-        )
-
-
-def segment_runs(compiled: CompiledTrace, n_procs: int) -> RunProgram:
+def segment_runs(compiled: CompiledTrace, n_procs: int) -> List[tuple]:
     """Segment ``compiled`` into the run program for ``n_procs``.
 
-    One pass over the compiled ops. ``open_runs`` maps each live
-    (proc, page) span to its write dict (or ``None`` for touch-only
-    spans); the dict object is *shared* with the already-emitted run
-    instruction, so a later write in the same span lands in the
-    instruction retroactively — the program stays in strict trace order
-    with every run anchored at its span's first access.
+    One pass over the compiled ops; ``open_pages[proc]`` holds the pages
+    of ``proc``'s live spans. The program stays in strict trace order
+    with every touch at its span's first access.
 
     Barrier completions are detected by counting arrivals per barrier id
-    (mirroring :class:`~repro.sync.barrier.BarrierMaster`); a completion
-    ends every processor's open spans, since the exit notices may
-    invalidate any page anywhere.
+    against ``n_procs`` (mirroring :class:`~repro.sync.barrier.BarrierMaster`,
+    which is sized by the simulated processor count, not the trace's); a
+    completion ends every processor's open spans, since the exit notices
+    may invalidate any page anywhere.
     """
     instructions: List[tuple] = []
     append = instructions.append
-    open_runs: dict = {}
-    open_by_proc: List[List[int]] = [[] for _ in range(n_procs)]
-    arrivals: dict = {}
-    open_get = open_runs.get
-
-    def close_proc(proc: int) -> None:
-        opened = open_by_proc[proc]
-        if opened:
-            for page in opened:
-                open_runs.pop((proc, page), None)
-            del opened[:]
-
+    open_pages: List[Set[int]] = [set() for _ in range(n_procs)]
+    arrivals: Dict[int, int] = {}
     for op in compiled.ops:
         code = op[0]
-        if code == OP_READ:
+        if code == OP_READ or code == OP_WRITE:
+            proc, page = op[1], op[2]
+            opened = open_pages[proc]
+            if page not in opened:
+                opened.add(page)
+                append((R_TOUCH, proc, page))
+        elif code == OP_READ_N or code == OP_WRITE_N:  # one span per page
             proc = op[1]
-            key = (proc, op[2])
-            if key not in open_runs:
-                open_runs[key] = None
-                open_by_proc[proc].append(op[2])
-                append((R_TOUCH, proc, op[2], None))
-        elif code == OP_WRITE:
-            proc = op[1]
-            page = op[2]
-            key = (proc, page)
-            words = open_get(key, _ABSENT)
-            if words is None:
-                # Touched earlier in the span: the page is VALID, the
-                # write run needs no miss check.
-                open_runs[key] = words = {}
-                append((R_WRITE, proc, page, words))
-            elif words is _ABSENT:
-                open_runs[key] = words = {}
-                open_by_proc[proc].append(page)
-                append((R_FULL, proc, page, words))
-            token = op[4]
-            for word in op[3]:
-                words[word] = token
-        elif code == OP_READ_N:
-            proc = op[1]
+            opened = open_pages[proc]
             for page, _words in op[2]:
-                key = (proc, page)
-                if key not in open_runs:
-                    open_runs[key] = None
-                    open_by_proc[proc].append(page)
-                    append((R_TOUCH, proc, page, None))
-        elif code == OP_WRITE_N:
-            proc = op[1]
-            token = op[3]
-            for page, op_words in op[2]:
-                key = (proc, page)
-                words = open_get(key, _ABSENT)
-                if words is None:
-                    open_runs[key] = words = {}
-                    append((R_WRITE, proc, page, words))
-                elif words is _ABSENT:
-                    open_runs[key] = words = {}
-                    open_by_proc[proc].append(page)
-                    append((R_FULL, proc, page, words))
-                for word in op_words:
-                    words[word] = token
-        elif code == OP_ACQUIRE:
-            proc = op[1]
-            close_proc(proc)
-            append((R_ACQUIRE, proc, op[2], None))
-        elif code == OP_RELEASE:
-            proc = op[1]
-            close_proc(proc)
-            append((R_RELEASE, proc, op[2], None))
-        else:  # OP_BARRIER
-            proc = op[1]
-            barrier = op[2]
-            close_proc(proc)
-            append((R_BARRIER, proc, barrier, None))
-            count = arrivals.get(barrier, 0) + 1
-            if count == n_procs:
-                arrivals[barrier] = 0
-                if open_runs:
-                    open_runs.clear()
-                    for opened in open_by_proc:
-                        del opened[:]
-            else:
-                arrivals[barrier] = count
-    return RunProgram(compiled.page_size, n_procs, instructions=instructions)
-
-
-# -- on-disk cache (.trcb-adjacent) -----------------------------------------
-
-#: Environment variable naming the shared trace/run-program cache
-#: directory. Also consulted by :func:`repro.hb.skeleton.batch_plan` to
-#: decide whether batched replays may read/write ``.runsb`` files.
-CACHE_ENV_VAR = "REPRO_TRACE_CACHE"
-_ENV_VAR = CACHE_ENV_VAR
-_DEFAULT_DIR = Path.home() / ".cache" / "repro-lrc" / "traces"
-
-
-def run_program_path(
-    trace, page_size: int, n_procs: int, cache_dir: Optional[Union[str, Path]] = None
-) -> Path:
-    """Where the cached ``.runsb`` for this combination lives (may not exist).
-
-    Keyed by the trace's content digest plus the two specialization
-    parameters, in the same directory as the ``.trcb`` trace cache (same
-    resolution order: argument, ``REPRO_TRACE_CACHE``, the default).
-    """
-    if cache_dir is None:
-        cache_dir = os.environ.get(_ENV_VAR) or _DEFAULT_DIR
-    name = f"runs-{trace.digest()[:24]}-p{page_size}-n{n_procs}.runsb"
-    return Path(cache_dir) / name
-
-
-def cached_run_program(
-    trace,
-    page_size: int,
-    n_procs: int,
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> RunProgram:
-    """The trace's run program, loaded from the on-disk cache when possible.
-
-    On a miss (or an unreadable cache file) the program is segmented
-    from the trace's compiled form and saved for the next caller, with
-    the same atomic temp-and-rename discipline as the trace cache.
-    """
-    path = run_program_path(trace, page_size, n_procs, cache_dir=cache_dir)
-    if path.exists():
-        try:
-            program = RunProgram.from_bytes(path.read_bytes())
-            if program.page_size == page_size and program.n_procs == n_procs:
-                logger.debug("run-program cache hit: %s", path.name)
-                return program
-            logger.warning("mismatched run-program cache file %s; regenerating", path)
-        except Exception:
-            logger.warning("unreadable run-program cache file %s; regenerating", path)
-        path.unlink(missing_ok=True)
-    program = segment_runs(trace.compiled(page_size), n_procs)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".{path.stem}.{os.getpid()}.runsb"
-    tmp.write_bytes(program.to_bytes())
-    tmp.replace(path)
-    return program
+                if page not in opened:
+                    opened.add(page)
+                    append((R_TOUCH, proc, page))
+        else:
+            open_pages[op[1]].clear()
+            append(op)
+            if code == OP_BARRIER:
+                count = arrivals.get(op[2], 0) + 1
+                if count == n_procs:
+                    count = 0
+                    for opened in open_pages:
+                        opened.clear()
+                arrivals[op[2]] = count
+    return instructions

@@ -1,46 +1,38 @@
-"""Access-run segmentation, its codec, and the ``.runsb`` disk cache."""
+"""Access-run segmentation: one touch per (processor, page) span."""
 
 from __future__ import annotations
 
-import pytest
-
+from repro.config import SimConfig
+from repro.hb.skeleton import batch_plan
+from repro.simulator.engine import simulate
 from repro.trace.events import Event
-from repro.trace.runs import (
-    R_ACQUIRE,
-    R_BARRIER,
-    R_FULL,
-    R_RELEASE,
-    R_TOUCH,
-    R_WRITE,
-    RunProgram,
-    cached_run_program,
-    run_program_path,
-    segment_runs,
-)
-from tests.conftest import build_trace, small_trace
+from repro.trace.runs import R_ACQUIRE, R_BARRIER, R_RELEASE, R_TOUCH, segment_runs
+from tests.conftest import build_trace, ledger_fields, small_trace
+
+SYNC_KINDS = (R_ACQUIRE, R_RELEASE, R_BARRIER)
 
 
 def runs_of(trace, page_size=512, n_procs=None):
     return segment_runs(trace.compiled(page_size), n_procs or trace.n_procs)
 
 
+def touches_of(program):
+    return [ins[1:] for ins in program if ins[0] == R_TOUCH]
+
+
 class TestSegmentation:
     def test_repeated_accesses_collapse_to_one_run(self):
         events = [Event.read(0, 64) for _ in range(5)]
         events += [Event.write(0, 64) for _ in range(5)]
-        program = runs_of(build_trace(1, events))
-        kinds = [ins[0] for ins in program.instructions()]
-        # Five reads -> one touch; five writes to a touched page -> one
-        # checked-free write run.
-        assert kinds == [R_TOUCH, R_WRITE]
+        # Five reads -> one touch; the writes that follow in the same
+        # span add nothing.
+        assert runs_of(build_trace(1, events)) == [(R_TOUCH, 0, 0)]
 
-    def test_write_first_span_gets_full_run(self):
-        events = [Event.write(0, 64), Event.read(0, 64)]
-        program = runs_of(build_trace(1, events))
-        kinds = [ins[0] for ins in program.instructions()]
-        # The write anchors the span (miss check included); the read is
-        # subsumed — no separate touch.
-        assert kinds == [R_FULL]
+    def test_write_first_span_gets_one_touch(self):
+        write_first = build_trace(1, [Event.write(0, 64), Event.read(0, 64)])
+        read_first = build_trace(1, [Event.read(0, 64), Event.write(0, 64)])
+        # Whichever access opens the span, the program is the same.
+        assert runs_of(write_first) == runs_of(read_first) == [(R_TOUCH, 0, 0)]
 
     def test_single_event_runs(self):
         events = [
@@ -52,23 +44,25 @@ class TestSegmentation:
             Event.release(0, 0),
         ]
         program = runs_of(build_trace(1, events))
-        kinds = [ins[0] for ins in program.instructions()]
-        assert kinds == [
+        assert [ins[0] for ins in program] == [
             R_ACQUIRE,
             R_TOUCH,
             R_RELEASE,
             R_ACQUIRE,
-            R_FULL,
+            R_TOUCH,
             R_RELEASE,
         ]
 
-    def test_words_carry_final_token_in_first_write_order(self):
-        trace = build_trace(1, [Event.write(0, 8), Event.write(0, 16), Event.write(0, 8)])
-        # seq numbers are the tokens: 0, 1, 2 — word 2 (=addr 8 at 4-byte
-        # words) is rewritten by event 2.
-        (ins,) = runs_of(trace).instructions()
-        assert ins[0] == R_FULL
-        assert list(ins[3].items()) == [(2, 2), (4, 1)]
+    def test_instructions_are_value_free_and_syncs_are_the_compiled_ops(self):
+        trace = small_trace("water")
+        compiled = trace.compiled(1024)
+        program = segment_runs(compiled, trace.n_procs)
+        assert all(type(ins) is tuple and len(ins) == 3 for ins in program)
+        assert all(type(field) is int for ins in program for field in ins)
+        # Sync instructions are the compiled op tuples, not copies.
+        syncs = [ins for ins in program if ins[0] != R_TOUCH]
+        ops = [op for op in compiled.ops if op[0] in SYNC_KINDS]
+        assert len(syncs) == len(ops) and all(a is b for a, b in zip(syncs, ops))
 
     def test_sync_ops_split_runs_per_proc_only(self):
         events = [
@@ -78,19 +72,18 @@ class TestSegmentation:
             Event.read(0, 64),
             Event.read(1, 64),  # proc 1's span is still open: no new run
             Event.release(0, 0),
+            Event.write(0, 64),  # its own release reopened proc 0's span
         ]
         program = runs_of(build_trace(2, events))
-        touches = [ins for ins in program.instructions() if ins[0] == R_TOUCH]
-        assert [(ins[1], ins[2]) for ins in touches] == [(0, 0), (1, 0), (0, 0)]
+        assert touches_of(program) == [(0, 0), (1, 0), (0, 0), (0, 0)]
 
     def test_barrier_completion_closes_all_spans(self):
         events = [Event.read(0, 64), Event.read(1, 64)]
         events += [Event.at_barrier(p, 0) for p in range(2)]
-        events += [Event.read(0, 64), Event.read(1, 64)]
+        events += [Event.write(0, 64), Event.read(1, 64)]
         program = runs_of(build_trace(2, events))
-        touches = [ins for ins in program.instructions() if ins[0] == R_TOUCH]
         # Both processors touch again after the episode completes.
-        assert len(touches) == 4
+        assert touches_of(program) == [(0, 0), (1, 0), (0, 0), (1, 0)]
 
     def test_partial_barrier_does_not_close_other_procs(self):
         events = [
@@ -101,124 +94,60 @@ class TestSegmentation:
             Event.read(1, 64),  # proc 1's span survives
         ]
         program = runs_of(build_trace(3, events))
-        touches = [ins for ins in program.instructions() if ins[0] == R_TOUCH]
-        assert [(ins[1], ins[2]) for ins in touches] == [(0, 0), (1, 0), (0, 0)]
+        assert touches_of(program) == [(0, 0), (1, 0), (0, 0)]
+
+    def test_completion_counted_against_n_procs_not_trace_n_procs(self):
+        events = [
+            Event.at_barrier(1, 0),
+            Event.at_barrier(0, 0),  # arrival 2: completes a 2-processor episode
+            Event.read(1, 64),
+            Event.at_barrier(0, 0),  # arrival 3: completes a 3-processor episode
+            Event.read(1, 64),  # a new span only if that arrival completed
+        ]
+        trace = build_trace(2, events)
+        assert trace.n_procs == 2
+        assert touches_of(runs_of(trace, n_procs=2)) == [(1, 0)]
+        assert touches_of(runs_of(trace, n_procs=3)) == [(1, 0), (1, 0)]
 
     def test_page_straddling_write_spawns_one_run_per_page(self):
-        # Bytes 500..1549 at page_size=512 cover pages 0 through 3.
-        trace = build_trace(1, [Event.write(0, 500, 1050)])
-        program = runs_of(trace, page_size=512)
-        instructions = program.instructions()
-        assert [ins[0] for ins in instructions] == [R_FULL] * 4
-        assert [ins[2] for ins in instructions] == [0, 1, 2, 3]
+        # Bytes 500..1549 at page_size=512 cover pages 0 through 3; the
+        # overlapping read that follows reopens none of them.
+        trace = build_trace(1, [Event.write(0, 500, 1050), Event.read(0, 400, 700)])
+        assert runs_of(trace, page_size=512) == [(R_TOUCH, 0, page) for page in range(4)]
 
     def test_empty_interval_trace_has_only_sync_instructions(self):
         events = []
         for proc in range(2):
             events += [Event.acquire(proc, 0), Event.release(proc, 0)]
         program = runs_of(build_trace(2, events))
-        assert [ins[0] for ins in program.instructions()] == [
-            R_ACQUIRE,
-            R_RELEASE,
-            R_ACQUIRE,
-            R_RELEASE,
-        ]
+        assert [ins[0] for ins in program] == [R_ACQUIRE, R_RELEASE, R_ACQUIRE, R_RELEASE]
 
     def test_zero_sync_trace(self):
         events = [Event.read(0, 0), Event.write(0, 0), Event.read(1, 4096)]
         program = runs_of(build_trace(2, events))
-        kinds = [ins[0] for ins in program.instructions()]
-        assert kinds == [R_TOUCH, R_WRITE, R_TOUCH]
-        assert not any(k in (R_ACQUIRE, R_RELEASE, R_BARRIER) for k in kinds)
+        assert program == [(R_TOUCH, 0, 0), (R_TOUCH, 1, 8)]
 
     def test_event_coverage_against_app_trace(self):
         # Every compiled op is represented: sync ops one-to-one, ordinary
-        # accesses by the runs covering their (proc, page) spans.
+        # accesses by the touch opening their (proc, page) span.
         trace = small_trace("water")
         program = runs_of(trace, page_size=1024)
-        instructions = program.instructions()
         n_sync = sum(1 for e in trace if not e.type.is_ordinary)
-        n_sync_runs = sum(
-            1 for ins in instructions if ins[0] in (R_ACQUIRE, R_RELEASE, R_BARRIER)
-        )
-        assert n_sync_runs == n_sync
-        assert len(instructions) < len(trace.compiled(1024).ops)
+        assert sum(1 for ins in program if ins[0] in SYNC_KINDS) == n_sync
+        assert len(program) < len(trace.compiled(1024).ops)
 
 
-class TestCodec:
-    def roundtrip(self, program):
-        return RunProgram.from_bytes(program.to_bytes())
+class TestNoDiskCache:
+    def test_trace_cache_env_does_not_change_the_run_program(self, tmp_path, monkeypatch):
+        config = SimConfig(n_procs=4, page_size=1024)
 
-    def test_roundtrip_app_trace(self):
-        trace = small_trace("water")
-        program = runs_of(trace, page_size=1024)
-        restored = self.roundtrip(program)
-        assert restored.page_size == program.page_size
-        assert restored.n_procs == program.n_procs
-        assert restored.instructions() == program.instructions()
+        def lazy_cell():
+            trace = small_trace("water")
+            result = simulate(trace, "LI", config=config)
+            return ledger_fields(result), batch_plan(trace.compiled(1024), 4).runs
 
-    def test_roundtrip_preserves_word_dict_order(self):
-        trace = build_trace(1, [Event.write(0, 8), Event.write(0, 16), Event.write(0, 8)])
-        program = runs_of(trace)
-        (ins,) = self.roundtrip(program).instructions()
-        assert list(ins[3].items()) == [(2, 2), (4, 1)]
-
-    def test_roundtrip_empty_program(self):
-        program = RunProgram(512, 2, instructions=[])
-        assert self.roundtrip(program).instructions() == []
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError, match="magic"):
-            RunProgram.from_bytes(b"NOTRUNS1" + b"\x00" * 64)
-
-    def test_truncated_blob_rejected(self):
-        blob = runs_of(small_trace("water"), page_size=1024).to_bytes()
-        with pytest.raises(ValueError, match="truncated"):
-            RunProgram.from_bytes(blob[: len(blob) // 2])
-
-
-class TestDiskCache:
-    def test_cache_roundtrip(self, tmp_path):
-        trace = small_trace("water")
-        path = run_program_path(trace, 1024, trace.n_procs, cache_dir=tmp_path)
-        assert not path.exists()
-        first = cached_run_program(trace, 1024, trace.n_procs, cache_dir=tmp_path)
-        assert path.exists()
-        second = cached_run_program(trace, 1024, trace.n_procs, cache_dir=tmp_path)
-        assert second.instructions() == first.instructions()
-
-    def test_cache_keyed_by_specialization(self, tmp_path):
-        trace = small_trace("water")
-        p1 = run_program_path(trace, 1024, 4, cache_dir=tmp_path)
-        p2 = run_program_path(trace, 2048, 4, cache_dir=tmp_path)
-        p3 = run_program_path(trace, 1024, 8, cache_dir=tmp_path)
-        assert len({p1, p2, p3}) == 3
-
-    def test_corrupt_cache_file_regenerated(self, tmp_path):
-        trace = small_trace("water")
-        expected = cached_run_program(trace, 1024, trace.n_procs, cache_dir=tmp_path)
-        path = run_program_path(trace, 1024, trace.n_procs, cache_dir=tmp_path)
-        path.write_bytes(b"garbage")
-        regenerated = cached_run_program(trace, 1024, trace.n_procs, cache_dir=tmp_path)
-        assert regenerated.instructions() == expected.instructions()
-        # And the cache healed itself.
-        assert path.read_bytes() == expected.to_bytes()
-
-    def test_cached_program_drives_identical_run(self, tmp_path):
-        from repro.config import SimConfig
-        from repro.hb.skeleton import BatchPlan, build_skeleton
-        from repro.simulator.engine import Engine
-        from tests.test_fastpath_equivalence import result_fields
-
-        trace = small_trace("water")
-        compiled = trace.compiled(1024)
-        cached = cached_run_program(trace, 1024, trace.n_procs, cache_dir=tmp_path)
-        # Hand the engine a plan built over the disk-cached program.
-        compiled._batch_plans[trace.n_procs] = BatchPlan(
-            compiled, trace.n_procs, runs=cached, skeleton=build_skeleton(compiled, trace.n_procs)
-        )
-        config = SimConfig(n_procs=trace.n_procs, page_size=1024)
-        from_disk = Engine(trace, config, "LI", compiled=compiled).run()
-        compiled._batch_plans.clear()
-        from_scratch = Engine(trace, config, "LI", compiled=compiled).run()
-        assert result_fields(from_disk) == result_fields(from_scratch)
+        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+        unset = lazy_cell()
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        assert lazy_cell() == unset
+        assert not list(tmp_path.rglob("*.runsb"))

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.apps import generate
 from repro.cli import build_parser, main
+from repro.simulator.engine import simulate
 from tests.conftest import SMALL_SCALE
 
 
@@ -29,6 +31,15 @@ class TestCommands:
         assert main(["run", *small_args("water"), "--protocol", "LI", "--page-size", "512"]) == 0
         out = capsys.readouterr().out
         assert "water" in out and "msgs=" in out
+
+    @pytest.mark.parametrize("protocol", ["LH", "HLRC", "EW"])
+    def test_run_accepts_the_extension_protocols(self, protocol, capsys):
+        args = ["run", *small_args("water"), "--scale", "0.25", "--page-size", "512"]
+        assert main([*args, "--protocol", protocol]) == 0
+        out = capsys.readouterr().out
+        trace = generate("water", n_procs=2, seed=1, scale=0.25)
+        assert out.startswith(simulate(trace, protocol, page_size=512).summary_row())
+        assert out.rstrip().endswith("execution path: tape")
 
     def test_sweep(self, capsys):
         assert main(["sweep", *small_args("cholesky"), "--page-sizes", "512", "1024"]) == 0

@@ -100,6 +100,22 @@ class TestParseLinkSpec:
         with pytest.raises(ConfigError, match="must come first"):
             parse_link_spec("loss=1%,ethernet_1992")
 
+    def test_second_preset_rejected(self):
+        with pytest.raises(ConfigError, match="second --network preset 'ideal'"):
+            parse_link_spec("ethernet_1992,ideal")
+
+    @pytest.mark.parametrize(
+        "spec, token",
+        [
+            ("latency=1ms,latency=2ms", "latency=2ms"),
+            ("bw=1MB/s,loss=1%,bandwidth=2MB/s", "bandwidth=2MB/s"),
+            ("ethernet_1992,max_retries=3,retries=3", "retries=3"),
+        ],
+    )
+    def test_repeated_key_or_alias_rejected(self, spec, token):
+        with pytest.raises(ConfigError, match=f"repeated --network key '{token}'"):
+            parse_link_spec(spec)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown --network key"):
             parse_link_spec("warp=9")

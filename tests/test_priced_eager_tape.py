@@ -9,7 +9,9 @@ counter, and the metrics probe's rows down to the order they were created
 in; that the fold really sends nothing while a watched run still sends
 everything; that no eager replay builds the run program; and that a warm
 timed cell, which now replays the priced tape before folding its send
-log, still produces the golden clocks.
+log, still produces the golden clocks. The random-trace property at the
+end runs the same comparison, oracle included, over all seven protocols:
+it is also what fuzzes the lazy family's first-touch run program.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.network.network import Network
 from repro.obs.probe import RecordingProbe
 from repro.obs.sinks import ColumnarSink, MemorySink
 from repro.obs.spans import SpanProbe
+from repro.protocols.registry import all_protocol_names
 from repro.simulator.engine import Engine, simulate
 from repro.trace.events import Event
 from tests.conftest import SMALL_SCALE, build_trace, interpreter_result, ledger_fields, small_trace
@@ -52,7 +55,11 @@ PATHS = {
     "per_message": ({}, True, ("batched", "keep_log")),
     # Values exist only on the interpreter; recording them asks for it.
     "per_event": ({"record_values": True}, False, ("per_event", "record_values")),
+    # The oracle is asked for by name (``Engine.run_reference()``).
+    "reference": ({}, False, ("reference", None)),
 }
+#: The three loops ``Engine.run()`` chooses between.
+RUN_PATHS = ("priced", "per_message", "per_event")
 
 
 def midspan_trace():
@@ -102,7 +109,7 @@ def observe(trace, protocol, config, path):
     probe = RecordingProbe()
     engine = Engine(trace, config.with_options(**overrides), protocol, probe=probe)
     engine.protocol.network.keep_log = keep_log
-    result = engine.run()
+    result = engine.run_reference() if path == "reference" else engine.run()
     manifest = result.manifest
     assert (manifest["execution_path"], manifest.get("decline_reason")) == expected
     body = result.to_dict()
@@ -135,7 +142,7 @@ class TestThreeWayEquivalence:
             free_local_lock_reacquire=free_reacquire,
         )
         priced, per_message, per_event = (
-            observe(app_trace, protocol, config, path) for path in PATHS
+            observe(app_trace, protocol, config, path) for path in RUN_PATHS
         )
         assert priced == per_message
         assert priced == per_event
@@ -208,12 +215,15 @@ class TestNoRunProgram:
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     race_free_programs(),
-    st.sampled_from(EAGER),
     st.sampled_from([64, 1024]),
     st.booleans(),
     st.sampled_from(sorted(COST_MODELS)),
 )
-def test_random_race_free_traces(program, protocol, page_size, free_reacquire, cost_key):
+def test_random_race_free_traces(program, page_size, free_reacquire, cost_key):
+    """All seven protocols, all four loops: the lazy family's tape and
+    batched replays see a span only through its first touch, the
+    interpreter and the oracle see every access — and nothing a run
+    reports (ledger, counters, metrics, staged-row order) can tell."""
     scripts, seed = program
     trace = interleave(scripts, seed)
     config = SimConfig(
@@ -222,10 +232,11 @@ def test_random_race_free_traces(program, protocol, page_size, free_reacquire, c
         cost_model=COST_MODELS[cost_key],
         free_local_lock_reacquire=free_reacquire,
     )
-    priced, per_message, per_event = (
-        observe(trace, protocol, config, path) for path in PATHS
-    )
-    assert priced == per_message == per_event
+    for protocol in all_protocol_names():
+        tape, per_message, per_event, reference = (
+            observe(trace, protocol, config, path) for path in PATHS
+        )
+        assert tape == per_message == per_event == reference, protocol
 
 
 class TestNoSends:
@@ -307,10 +318,10 @@ class TestPlanCache:
 
         trace = small_trace("water")
         plan = batch_plan(trace.compiled(1024), trace.n_procs)
-        syncs = [ins for ins in plan.runs.instructions() if ins[0] >= R_ACQUIRE]
+        syncs = [ins for ins in plan.runs if ins[0] >= R_ACQUIRE]
         for policy in EAGER:
             tape_syncs = plan.eager_tape(policy).syncs
-            assert [op[1:] for op in tape_syncs] == [ins[1:3] for ins in syncs]
+            assert tape_syncs == syncs
             records = plan.priced_eager_tape(policy, CostModel(), True).records
             sync_records = [rec for rec in records if rec[0] != P_MISS]
             assert [rec[1] for rec in sync_records] == [ins[2] for ins in syncs]

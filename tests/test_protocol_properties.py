@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.analysis.checker import check_consistency
 from repro.config import SimConfig
 from repro.hb.graph import HbGraph
+from repro.protocols.registry import all_protocol_names
 from repro.simulator.engine import Engine
 from repro.trace.events import Event
 from repro.trace.stream import TraceMeta, TraceStream
@@ -19,6 +20,8 @@ from repro.trace.stream import TraceMeta, TraceStream
 N_PROCS = 3
 N_LOCKS = 3
 N_WORDS = 24  # shared words, at 4 bytes each
+#: What a burst does to one word, under its lock.
+WORD_SHAPES = (("read",), ("read", "write"), ("write", "read"))
 
 
 @st.composite
@@ -26,8 +29,9 @@ def race_free_programs(draw):
     """A random properly-labeled program as per-processor scripts.
 
     Structure: a sequence of *phases*. In each phase every processor
-    performs a few lock-protected RMW bursts on randomly chosen shared
-    words (each word is statically assigned to a lock, so all conflicting
+    performs a few lock-protected bursts on randomly chosen shared words
+    — each word read, read then written, or written then read back
+    (each word is statically assigned to a lock, so all conflicting
     accesses are ordered), and phases end with a barrier.
     """
     n_phases = draw(st.integers(1, 3))
@@ -58,9 +62,11 @@ def race_free_programs(draw):
                     words = []
                 burst = [("acquire", lock)]
                 for word in words:
-                    burst.append(("read", word))
-                    if draw(st.booleans()):
-                        burst.append(("write", word))
+                    # Read-only, read-then-write, or write-first (the
+                    # burst's first word opens its page's span, so spans
+                    # open with writes too; the read-back must see it).
+                    for access in draw(st.sampled_from(WORD_SHAPES)):
+                        burst.append((access, word))
                 burst.append(("release", lock))
                 scripts[proc].extend(burst)
             scripts[proc].append(("barrier",))
@@ -133,7 +139,7 @@ def test_all_protocols_release_consistent(program, page_size):
     scripts, seed = program
     trace = interleave(scripts, seed)
     assert HbGraph(trace).races(max_reported=1) == [], "generator produced a racy trace"
-    for protocol in ("LI", "LU", "EI", "EU"):
+    for protocol in all_protocol_names():
         config = SimConfig(n_procs=N_PROCS, page_size=page_size, record_values=True)
         result = Engine(trace, config, protocol).run()
         report = check_consistency(trace, result)

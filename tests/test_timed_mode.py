@@ -18,6 +18,7 @@ from repro.analysis.timing_report import (
     run_timed,
     timing_rows,
 )
+from repro.apps import generate
 from repro.config import SimConfig
 from repro.network.link import LinkModel
 from repro.network.timed import TIMED_STALL_CATEGORIES, NetworkTiming, SendLog
@@ -26,7 +27,8 @@ from repro.protocols.registry import all_protocol_names
 from repro.simulator.engine import Engine, simulate
 from repro.simulator.results import SimulationResult
 from repro.simulator.sweep import run_sweep
-from tests.conftest import small_trace
+from repro.trace.events import Event
+from tests.conftest import build_trace, lock_chain_trace, small_trace
 
 ALL = all_protocol_names()
 
@@ -202,6 +204,70 @@ class TestVirtualClocks:
         )
         plain = simulate(water_trace, "LI", page_size=1024, record_values=True)
         assert result.read_values == plain.read_values
+
+
+class TestClockMechanics:
+    """Causality is clock propagation along message edges, nothing
+    else — checked on hand traces small enough to work out on paper."""
+
+    WORD = 1e-6
+    COMPUTE_ONLY = LinkModel(access_s=WORD)
+
+    def timing(self, trace, protocol="LI", link=COMPUTE_ONLY):
+        return simulate(trace, protocol, page_size=512, link_model=link).timing
+
+    def test_independent_procs_overlap(self):
+        # Each processor writes a page it manages itself: no messages,
+        # so the two clocks never meet.
+        timing = self.timing(build_trace(2, [Event.write(0, 0x0), Event.write(1, 0x200)]))
+        assert timing["completion_s"] == pytest.approx(self.WORD)
+        assert timing["busy_s"] == pytest.approx(2 * self.WORD)
+
+    def test_lock_serializes_clocks(self):
+        # A lock chain forces each acquire after the previous release:
+        # three processors' work strictly serialized, parallel == serial.
+        timing = self.timing(lock_chain_trace(n_procs=3, rounds=1))
+        assert timing["completion_s"] == pytest.approx(timing["busy_s"])
+        assert timing["busy_s"] == pytest.approx(6 * self.WORD)
+        assert timing["stall_s"]["sync_wait"] > 0
+
+    def test_barrier_aligns_clocks(self):
+        events = [Event.write(0, 0x0)] * 3
+        events += [Event.at_barrier(0, 0), Event.at_barrier(1, 0)]
+        waiter = self.timing(build_trace(2, events))["per_proc"][1]
+        # p1 arrives with an empty clock and leaves with p0's three writes.
+        assert waiter["busy_s"] == 0.0
+        assert waiter["finish_s"] == pytest.approx(3 * self.WORD)
+        assert waiter["stall_s"]["sync_wait"] == pytest.approx(3 * self.WORD)
+
+    def test_comm_stall_charged_to_faulting_proc(self):
+        # A cold miss is two messages (request to the manager, the page
+        # back); the faulting processor waits out both latencies.
+        trace = build_trace(2, [Event.read(1, 0x0)])
+        timing = self.timing(trace, "EI", LinkModel(latency_s=1.0))
+        faulting = timing["per_proc"][1]
+        assert faulting["busy_s"] == 0.0
+        assert faulting["finish_s"] == sum(faulting["stall_s"].values()) == 2.0
+        assert timing["completion_s"] == 2.0
+
+
+class TestLazyBeatsEager:
+    """§7's conjecture, end to end: "LRC will outperform eager RC in a
+    software DSM environment" — and both beat the SC baseline."""
+
+    @pytest.mark.parametrize("app", ["locusroute", "mp3d"])
+    def test_completion_ranks_lazy_eager_exclusive_writer(self, app):
+        trace = generate(app)  # the default 16-processor trace
+        link = LinkModel.from_preset("ethernet_1992")
+        completion = {
+            protocol: simulate(
+                trace, protocol, page_size=2048, link_model=link
+            ).timing["completion_s"]
+            for protocol in ("LI", "LU", "EI", "EU", "EW")
+        }
+        lazy_best = min(completion["LI"], completion["LU"])
+        eager_best = min(completion["EI"], completion["EU"])
+        assert lazy_best < eager_best < completion["EW"], completion
 
 
 class TestChannelFifo:
