@@ -18,63 +18,47 @@ Quickstart::
         print(result.summary_row())
 """
 
-from repro.common import VectorClock
-from repro.memory import AddressSpace, Diff, Page, PageTable
-from repro.network import CostModel, Network, NetworkStats
-from repro.protocols import (
-    EagerInvalidate,
-    EagerUpdate,
-    LazyInvalidate,
-    LazyUpdate,
-    PROTOCOLS,
-    Protocol,
-    protocol_class,
-    protocol_names,
-)
-from repro.simulator import (
-    Engine,
-    PAPER_N_PROCS,
-    PAPER_PAGE_SIZES,
-    SimConfig,
-    SimulationResult,
-    SweepResult,
-    run_sweep,
-    simulate,
-)
-from repro.trace import Event, EventType, TraceMeta, TraceStream, load_trace, save_trace
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "VectorClock",
-    "AddressSpace",
-    "Diff",
-    "Page",
-    "PageTable",
-    "CostModel",
-    "Network",
-    "NetworkStats",
-    "Protocol",
-    "LazyInvalidate",
-    "LazyUpdate",
-    "EagerInvalidate",
-    "EagerUpdate",
-    "PROTOCOLS",
-    "protocol_class",
-    "protocol_names",
-    "Engine",
-    "SimConfig",
-    "SimulationResult",
-    "SweepResult",
-    "run_sweep",
-    "simulate",
-    "PAPER_PAGE_SIZES",
-    "PAPER_N_PROCS",
-    "Event",
-    "EventType",
-    "TraceMeta",
-    "TraceStream",
-    "load_trace",
-    "save_trace",
-    "__version__",
-]
+#: The re-exports, by the subpackage that defines them. Resolved on
+#: first attribute access (PEP 562), so ``import repro`` — which every
+#: ``python -m repro.cli`` start pays — imports no simulator module.
+_EXPORTS = {
+    "repro.common": ("VectorClock",),
+    "repro.memory": ("AddressSpace", "Diff", "Page", "PageTable"),
+    "repro.network": ("CostModel", "Network", "NetworkStats"),
+    "repro.protocols": (
+        "Protocol",
+        "LazyInvalidate",
+        "LazyUpdate",
+        "EagerInvalidate",
+        "EagerUpdate",
+        "PROTOCOLS",
+        "protocol_class",
+        "protocol_names",
+    ),
+    "repro.simulator": (
+        "Engine",
+        "SimConfig",
+        "SimulationResult",
+        "SweepResult",
+        "run_sweep",
+        "simulate",
+        "PAPER_PAGE_SIZES",
+        "PAPER_N_PROCS",
+    ),
+    "repro.trace": ("Event", "EventType", "TraceMeta", "TraceStream", "load_trace", "save_trace"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(module), name)
+    return value

@@ -13,6 +13,10 @@ Subcommands::
 
 Global flags: ``-v/--verbose`` (repeatable) and ``-q/--quiet`` control
 the ``repro`` logger via :func:`repro.obs.logconfig.logging_setup`.
+
+Building the parser imports nothing of the simulator — each handler
+imports what its command needs — so ``-h`` and argument errors answer
+at interpreter-start speed.
 """
 
 from __future__ import annotations
@@ -24,27 +28,19 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.analysis.checker import check_protocol
-from repro.analysis.report import format_figure_table, format_table1
-from repro.analysis.sharing import analyze_sharing
-from repro.analysis.timing_report import estimate_runtime
-from repro.apps import APPS, generate
-from repro.experiments.figures import FIGURES, run_figure
-from repro.experiments.table1 import run_table1
-from repro.obs import JsonlSink, RecordingProbe, logging_setup
-from repro.obs.manifest import execution_line, execution_paths_line
-from repro.protocols.registry import all_protocol_names
-from repro.config import PAPER_PAGE_SIZES, SimConfig
-from repro.simulator.engine import simulate
-from repro.trace.codec import load_trace, save_trace
-
 # Named explicitly (not __name__): ``python -m repro.cli`` runs this
 # module as __main__, which would escape the ``repro`` logger hierarchy.
 logger = logging.getLogger("repro.cli")
 
+#: ``--app`` / ``--protocol`` choices as plain names: ``sorted(APPS)``
+#: and ``all_protocol_names()`` without importing a generator or a
+#: protocol class (tests/test_cli.py pins the equality).
+APP_NAMES = ("cholesky", "locusroute", "mp3d", "pthor", "water")
+PROTOCOL_NAMES = ("LI", "LU", "EI", "EU", "EW", "LH", "HLRC")
+
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--app", choices=sorted(APPS), default="locusroute")
+    parser.add_argument("--app", choices=APP_NAMES, default="locusroute")
     parser.add_argument("--n-procs", type=int, default=16)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -73,6 +69,8 @@ def _parse_network(args):
 
 def _generate(args):
     """Generate the workload selected by the common CLI arguments."""
+    from repro.apps import generate
+
     t0 = time.perf_counter()
     trace = generate(args.app, n_procs=args.n_procs, seed=args.seed, scale=args.scale)
     logger.info(
@@ -97,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="simulate one configuration")
     _add_workload_args(run_p)
-    run_p.add_argument("--protocol", choices=all_protocol_names(), default="LI")
+    run_p.add_argument("--protocol", choices=PROTOCOL_NAMES, default="LI")
     run_p.add_argument("--page-size", type=int, default=4096)
     run_p.add_argument("--trace-file", help="replay a saved trace instead of generating")
     run_p.add_argument(
@@ -113,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="one app across protocols and page sizes")
     _add_workload_args(sweep_p)
     sweep_p.add_argument(
-        "--page-sizes", type=int, nargs="+", default=list(PAPER_PAGE_SIZES)
+        "--page-sizes", type=int, nargs="+", help="default: the paper's five sizes"
     )
     sweep_p.add_argument(
         "--jobs", type=int, default=1,
@@ -131,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_arg(sweep_p)
 
     figures_p = sub.add_parser("figures", help="regenerate Figures 5-14")
-    figures_p.add_argument("--apps", nargs="+", choices=sorted(APPS), default=sorted(APPS))
+    figures_p.add_argument("--apps", nargs="+", choices=APP_NAMES, default=list(APP_NAMES))
     figures_p.add_argument("--n-procs", type=int, default=16)
     figures_p.add_argument("--seed", type=int, default=0)
     figures_p.add_argument(
@@ -152,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace-event JSON (open at ui.perfetto.dev)",
     )
     trace_p.add_argument(
-        "--protocol", choices=all_protocol_names(), default="LI",
+        "--protocol", choices=PROTOCOL_NAMES, default="LI",
         help="protocol to span-trace (with --spans)",
     )
     trace_p.add_argument("--page-size", type=int, default=4096)
@@ -168,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check_p = sub.add_parser("check", help="audit release consistency end-to-end")
     _add_workload_args(check_p)
-    check_p.add_argument("--protocol", choices=all_protocol_names(), default="LI")
+    check_p.add_argument("--protocol", choices=PROTOCOL_NAMES, default="LI")
     check_p.add_argument("--page-size", type=int, default=1024)
 
     compare_p = sub.add_parser(
@@ -186,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     export_p = sub.add_parser("export", help="write all figures + Table 1 as CSV/JSON")
     export_p.add_argument("--out", required=True, help="output directory")
-    export_p.add_argument("--apps", nargs="+", choices=sorted(APPS), default=sorted(APPS))
+    export_p.add_argument("--apps", nargs="+", choices=APP_NAMES, default=list(APP_NAMES))
     export_p.add_argument("--n-procs", type=int, default=16)
     export_p.add_argument("--seed", type=int, default=0)
 
@@ -203,21 +201,21 @@ def build_parser() -> argparse.ArgumentParser:
     chart_p = sub.add_parser("chart", help="render one app's figures as text charts")
     _add_workload_args(chart_p)
     chart_p.add_argument(
-        "--page-sizes", type=int, nargs="+", default=list(PAPER_PAGE_SIZES)
+        "--page-sizes", type=int, nargs="+", help="default: the paper's five sizes"
     )
 
     timeline_p = sub.add_parser("timeline", help="traffic-over-time sparklines")
     _add_workload_args(timeline_p)
     timeline_p.add_argument("--page-size", type=int, default=4096)
     timeline_p.add_argument(
-        "--protocols", nargs="+", choices=all_protocol_names(), default=["LI", "EU"]
+        "--protocols", nargs="+", choices=PROTOCOL_NAMES, default=["LI", "EU"]
     )
 
     report_p = sub.add_parser(
         "report", help="per-barrier-epoch and per-lock traffic decomposition"
     )
     _add_workload_args(report_p)
-    report_p.add_argument("--protocol", choices=all_protocol_names(), default="LI")
+    report_p.add_argument("--protocol", choices=PROTOCOL_NAMES, default="LI")
     report_p.add_argument("--page-size", type=int, default=4096)
     report_p.add_argument("--trace-file", help="replay a saved trace instead of generating")
     report_p.add_argument(
@@ -240,11 +238,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _load_or_generate(args):
     if args.trace_file:
-        trace = load_trace(args.trace_file)
-    else:
-        trace = _generate(args)
+        from repro.trace.codec import load_trace
+
+        return load_trace(args.trace_file)
+    return _generate(args)
+
+
+def _cmd_run(args) -> int:
+    from repro.obs import JsonlSink, RecordingProbe
+    from repro.obs.manifest import execution_line
+    from repro.simulator.engine import simulate
+
+    trace = _load_or_generate(args)
     link = _parse_network(args)
     probe = None
     if args.metrics or args.trace_out:
@@ -283,6 +290,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from repro.analysis.report import format_figure_table
+    from repro.config import SimConfig
+    from repro.experiments.figures import FIGURES, run_figure
+    from repro.obs.manifest import execution_paths_line
+
     if args.rollups_csv and not args.spans:
         logger.error("--rollups-csv requires --spans")
         return 2
@@ -312,6 +324,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figures(args) -> int:
+    from repro.analysis.report import format_figure_table
+    from repro.experiments.figures import FIGURES, run_figure
+
     for app in args.apps:
         sweep = run_figure(app, n_procs=args.n_procs, seed=args.seed, jobs=args.jobs)
         spec = FIGURES[app]
@@ -323,6 +338,8 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from repro.experiments.table1 import run_table1
+
     rows = run_table1()
     failures = 0
     print(f"{'':<5}{'proto':<6}{'operation':<10}{'params':<22}{'sim':>6}{'model':>7}")
@@ -343,6 +360,8 @@ def _cmd_trace(args) -> int:
         return 2
     trace = _generate(args)
     if args.out:
+        from repro.trace.codec import save_trace
+
         save_trace(trace, args.out)
         print(f"saved {trace!r} -> {args.out}")
     if args.spans:
@@ -375,12 +394,16 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from repro.analysis.sharing import analyze_sharing
+
     trace = _generate(args)
     print(analyze_sharing(trace, args.page_size).format())
     return 0
 
 
 def _cmd_check(args) -> int:
+    from repro.analysis.checker import check_protocol
+
     trace = _generate(args)
     report = check_protocol(trace, args.protocol, page_size=args.page_size)
     print(
@@ -391,7 +414,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.analysis.timing_report import estimate_runtime
     from repro.network.link import LinkModel
+    from repro.simulator.engine import simulate
 
     trace = _generate(args)
     link = _parse_network(args)
@@ -402,7 +427,7 @@ def _cmd_compare(args) -> int:
     estimate_link = link if link is not None else LinkModel.from_preset(preset)
     overrides = {"link_model": link} if link is not None else {}
     print(f"{args.app}, {args.n_procs} processors, {args.page_size}-byte pages:")
-    for protocol in all_protocol_names():
+    for protocol in PROTOCOL_NAMES:
         result = simulate(trace, protocol, page_size=args.page_size, **overrides)
         estimate = estimate_runtime(result, estimate_link, preset)
         line = (
@@ -446,6 +471,7 @@ def _cmd_mstats(args) -> int:
 
 def _cmd_chart(args) -> int:
     from repro.analysis.charts import render_sweep_chart
+    from repro.experiments.figures import run_figure
 
     trace = _generate(args)
     sweep = run_figure(args.app, page_sizes=args.page_sizes, trace=trace)
@@ -473,10 +499,7 @@ def _cmd_report(args) -> int:
         run_with_spans,
     )
 
-    if args.trace_file:
-        trace = load_trace(args.trace_file)
-    else:
-        trace = _generate(args)
+    trace = _load_or_generate(args)
     link = _parse_network(args)
     if args.timing and link is None:
         from repro.network.link import LinkModel
@@ -503,12 +526,12 @@ def _cmd_report(args) -> int:
         others = compare_timed(
             trace,
             link,
-            [p for p in all_protocol_names() if p != args.protocol],
+            [p for p in PROTOCOL_NAMES if p != args.protocol],
             page_size=args.page_size,
         )
         ordered = {
             p: (result if p == args.protocol else others[p])
-            for p in all_protocol_names()
+            for p in PROTOCOL_NAMES
         }
         print()
         print(format_timing_table(ordered))
@@ -540,6 +563,8 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    from repro.obs.logconfig import logging_setup
+
     logging_setup(-1 if args.quiet else args.verbose)
     return _COMMANDS[args.command](args)
 

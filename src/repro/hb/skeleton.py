@@ -448,9 +448,10 @@ class LazyTape:
             retained_after: prefix sum of ``wire`` over all closes in
             record order — the retained *and* peak series whenever
             retention is monotone (no barrier GC, no home flushes)
-        acquire = (close, deltas_or_None, rowadd, n_notices, grouped, vc_after)
+        acquire = (close, deltas_or_None, rowadd, n_notices, grouped, vc_after, grantor)
             deltas None: the free-local-reacquire skip (close only — no
             merge, no notice receive); deltas (): every hop was local
+            grantor: who sent the notices (the ``notices_send`` event)
         release = close
         barrier = (close, deltas, rowadd, n_notices, complete_or_None)
             deltas (): the master's own message-free arrival
@@ -552,13 +553,13 @@ def build_lazy_tape(
             close = make_close(rec[1])
             grantor = rec[2]
             if grantor == proc and free_reacquire:
-                append((close, None, None, 0, (), None))
+                append((close, None, None, 0, (), None, grantor))
                 continue
             n = rec[4]
             sends = [(req_slot, proc, rec[3], vcb), (fwd_slot, rec[3], grantor, vcb)]
             sends += sync_pair(grant_slot, lnote_slot, grantor, proc, n)
             deltas, rowadd = merge(sends)
-            append((close, deltas, rowadd, n, rec[5], rec[6]))
+            append((close, deltas, rowadd, n, rec[5], rec[6], grantor))
         elif kind == K_RELEASE:
             append(make_close(rec[1]))
         else:  # K_BARRIER

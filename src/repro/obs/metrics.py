@@ -56,7 +56,7 @@ class MetricsRegistry:
         #: Lock id -> [messages, data_bytes, control_bytes].
         self._locks: Dict[int, List[int]] = {}
         #: Drain callbacks for probes that stage counts locally
-        #: (:meth:`RecordingProbe._flush_segment`); invoked before any
+        #: (:meth:`RecordingProbe._drain`); invoked before any
         #: read so snapshots never miss a partially staged segment.
         self._stagers: List[Callable[[], None]] = []
 

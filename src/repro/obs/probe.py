@@ -10,10 +10,16 @@ into :meth:`repro.network.network.Network.send`. Two implementations:
   ``self._obs`` and guard every emission site behind it, so the
   telemetry layer costs a disabled run one boolean check on the (rare)
   miss/sync paths and nothing at all on hits.
-- :class:`RecordingProbe` stamps each event with a monotonically
-  increasing sequence number and the current *barrier epoch*, fans it
-  out to its sinks, and feeds the message hook into a
-  :class:`~repro.obs.metrics.MetricsRegistry`.
+- :class:`RecordingProbe` stages each event as a row ``kind, proc,
+  fields_or_None`` — the *barrier epoch* is constant between
+  ``advance_epoch`` calls and the sequence number is the row's position
+  — and stages the message hook's accounting per cause. Both drain
+  together: at every epoch boundary, whenever the
+  :class:`~repro.obs.metrics.MetricsRegistry` is read (``Engine.run()``
+  does, so ``sink.events`` is complete when ``simulate()`` returns) and
+  on ``close()`` (so a run that raises still leaves a parseable file).
+  Event dicts exist only for sinks that take them, built at drain time
+  (:func:`repro.obs.sinks.event_dict`).
 
 Attribution model: the probe tracks the synchronization operation in
 progress (``begin``/``end`` around acquire/release/barrier) so every
@@ -43,6 +49,8 @@ from __future__ import annotations
 
 import logging
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.obs.sinks import event_dict
 
 logger = logging.getLogger(__name__)
 
@@ -150,12 +158,12 @@ class RecordingProbe(Probe):
         from repro.obs.metrics import MetricsRegistry
 
         self.sinks: List[Any] = list(sinks) if sinks else []
-        #: Sinks that stage internally (ColumnarSink) get drained at
-        #: every epoch boundary and on close; resolved once here so the
-        #: epoch path doesn't re-inspect sinks.
-        self._flush_sinks: List[Any] = [
-            sink.flush for sink in self.sinks if hasattr(sink, "flush")
-        ]
+        #: Event rows staged since the last drain, in emission order:
+        #: three slots per row (kind, proc, fields or None) of one flat
+        #: list. Not a tuple per row — one holding a dict stays tracked
+        #: by the cyclic collector, and a run's worth of those brings on
+        #: full collections over the whole plan heap.
+        self._rows: List[Any] = []
         #: Event emission is only worth the call-site work with sinks
         #: attached; metrics-only probes leave this False (captured at
         #: attach time by Protocol.attach_probe).
@@ -186,28 +194,16 @@ class RecordingProbe(Probe):
         #: ``Protocol.attach_probe``), skipping tuple construction.
         self._lock_rows: Dict[int, List[int]] = {}
         self._barrier_rows: Dict[int, List[int]] = {}
-        self.metrics.attach_stager(self._flush_segments)
+        self.metrics.attach_stager(self._drain)
 
     # -- structured events ---------------------------------------------------
 
     def emit(self, kind: str, proc: int = -1, **fields: Any) -> None:
-        sinks = self.sinks
-        if not sinks:
-            # Metrics-only probe: keep the sequence numbering (repr,
-            # subclass hooks) but skip building the event dict.
-            self._seq += 1
-            return
-        event: Dict[str, Any] = {
-            "seq": self._seq,
-            "kind": kind,
-            "epoch": self._epoch,
-            "proc": proc,
-        }
-        if fields:
-            event.update(fields)
+        # A metrics-only probe keeps the sequence numbering (repr,
+        # subclass hooks) and stages nothing.
         self._seq += 1
-        for sink in sinks:
-            sink.record(event)
+        if self.sinks:
+            self._rows += (kind, proc, fields or None)
 
     # -- attribution context -------------------------------------------------
 
@@ -233,11 +229,9 @@ class RecordingProbe(Probe):
 
     def advance_epoch(self) -> None:
         # Drain before the bump: the completing episode's staged traffic
-        # belongs to the epoch it closes.
-        self._flush_segments()
+        # and events belong to the epoch it closes.
+        self._drain()
         self._epoch += 1
-        for flush in self._flush_sinks:
-            flush()
 
     @property
     def epoch(self) -> int:
@@ -267,13 +261,14 @@ class RecordingProbe(Probe):
         """
         return self._segments.setdefault((kind, ident), [0, 0, 0, 0])
 
-    def _flush_segments(self) -> None:
-        """Drain the staged per-cause rows into the registry.
+    def _drain(self) -> None:
+        """Drain what the current epoch staged: the per-cause rows into
+        the registry, the event rows into the sinks.
 
-        Rows are zeroed in place, never discarded: stacked and inlined
-        references (``_cause_stack``, ``Network``'s fast path) stay
-        valid across drains, and the cause set per run is small so the
-        retained dict costs nothing.
+        Cause rows are zeroed in place, never discarded: stacked and
+        inlined references (``_cause_stack``, ``Network``'s fast path)
+        stay valid across drains, and the cause set per run is small so
+        the retained dict costs nothing.
         """
         segments = self._segments
         record = self.metrics.record_segment
@@ -282,13 +277,29 @@ class RecordingProbe(Probe):
             if row[0] or row[1] or row[2] or row[3]:
                 record(epoch, cause, row[0], row[1], row[2], row[3])
                 row[0] = row[1] = row[2] = row[3] = 0
+        rows = self._rows
+        if not rows:
+            return
+        kinds, procs, fields = rows[0::3], rows[1::3], rows[2::3]
+        del rows[:]
+        events = None
+        for sink in self.sinks:
+            record_rows = getattr(sink, "record_rows", None)
+            if record_rows is not None:
+                record_rows(kinds, procs, fields, epoch)
+                continue
+            if events is None:
+                seqs = range(self._seq - len(kinds), self._seq)
+                events = [
+                    event_dict(*row, epoch) for row in zip(seqs, kinds, procs, fields)
+                ]
+            for event in events:
+                sink.record(event)
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        self._flush_segments()
-        for flush in self._flush_sinks:
-            flush()
+        self._drain()
         for sink in self.sinks:
             close = getattr(sink, "close", None)
             if close is not None:
@@ -303,9 +314,9 @@ class RecordingProbe(Probe):
 
 #: Every probe hook a fast path bypasses: the sync wrappers and tape
 #: kernels swap ``_seg_row`` instead of calling ``begin``/``end``,
-#: ``Network.send`` adds to it instead of calling ``on_message``, and
-#: the priced eager tape folds faults, epochs and (sink-less) events in
-#: without ``page_fault``/``advance_epoch``/``emit``.
+#: ``Network.send`` adds to it instead of calling ``on_message``, the
+#: priced eager tape folds faults in without ``page_fault``, and no path
+#: calls ``emit`` without sinks. ``advance_epoch`` frames them all.
 _BYPASSED_HOOKS = ("begin", "end", "on_message", "page_fault", "advance_epoch", "emit")
 
 

@@ -1,17 +1,21 @@
 """Event sinks: where a RecordingProbe's structured events land.
 
-Three built-ins, all sharing the one-method contract ``record(event)``
-(plus optional ``close()``):
+A :class:`~repro.obs.probe.RecordingProbe` stages each event as a row
+``kind, proc, fields_or_None`` and drains the staged rows at every
+epoch boundary, whenever its metrics registry is read (``Engine.run()``
+does, to build its result) and on ``close()``. A sink takes a drained
+batch in one of two forms:
 
-- :class:`MemorySink` — a list of event dicts; the default for tests
-  and the in-process report renderer.
-- :class:`JsonlSink` — one JSON object per line, the interchange format
-  (``lrc-sim run --trace-out events.jsonl``); :func:`read_jsonl` loads
-  it back losslessly.
-- :class:`ColumnarSink` — the four universal int fields in parallel
-  typed arrays (mirroring :class:`~repro.trace.stream.TraceStream`'s
-  storage) with kind names interned to small codes; kind-specific extra
-  fields ride in a parallel list only for events that have them.
+- ``record_rows(kinds, procs, fields, epoch)`` — the rows themselves,
+  as three parallel lists; the epoch is constant over a batch and
+  ``seq`` is the row's position in the run. :class:`ColumnarSink`
+  extends its typed columns from them directly.
+- ``record(event)`` — one flat dict per event (the schema in
+  :mod:`repro.obs.probe`), built by :func:`event_dict`, the one place
+  an event dict is made. :class:`MemorySink` (tests, the in-process
+  report renderer), :class:`JsonlSink` (``lrc-sim run --trace-out``;
+  :func:`read_jsonl` loads it back losslessly) and any user sink with
+  only this method get exactly these.
 """
 
 from __future__ import annotations
@@ -23,6 +27,17 @@ from pathlib import Path
 from typing import IO, Any, Dict, Iterator, List, Optional, Union
 
 logger = logging.getLogger(__name__)
+
+
+def event_dict(
+    seq: int, kind: str, proc: int, fields: Optional[Dict[str, Any]], epoch: int
+) -> Dict[str, Any]:
+    """One event in the dict form ``record(event)`` sinks receive: its
+    position in the run, its staged row, its batch's epoch."""
+    event: Dict[str, Any] = {"seq": seq, "kind": kind, "epoch": epoch, "proc": proc}
+    if fields:
+        event.update(fields)
+    return event
 
 
 class MemorySink:
@@ -109,78 +124,35 @@ class ColumnarSink:
         self._epochs = array("q")
         self._procs = array("h")
         self.extras: List[Optional[Dict[str, Any]]] = []
-        #: Events staged since the last flush. ``record`` is on the
-        #: probe's emit path, so it does the cheapest possible thing —
-        #: one list append — and the interning/filtering work runs once
-        #: per epoch (:class:`~repro.obs.probe.RecordingProbe` flushes
-        #: at every epoch boundary and on close).
-        self._staged: List[Dict[str, Any]] = []
 
-    def record(self, event: Dict[str, Any]) -> None:
-        self._staged.append(event)
-
-    def flush(self) -> None:
-        """Drain staged events into the typed columns."""
-        staged = self._staged
-        if not staged:
-            return
-        self._staged = []
+    def record_rows(
+        self, kinds: List[str], procs: List[int], fields: List[Optional[dict]], epoch: int
+    ) -> None:
+        """Append one drained batch, column by column."""
         kind_codes = self.kind_codes
-        names = self._kind_names
-        kinds_append = self._kinds.append
-        epochs_append = self._epochs.append
-        procs_append = self._procs.append
-        extras_append = self.extras.append
-        for event in staged:
-            kind = event["kind"]
-            code = kind_codes.get(kind)
-            if code is None:
-                code = kind_codes[kind] = len(names)
-                names.append(kind)
-            kinds_append(code)
-            epochs_append(event["epoch"])
-            procs_append(event["proc"])
-            extra = {
-                key: value
-                for key, value in event.items()
-                if key not in ("seq", "kind", "epoch", "proc")
-            }
-            extras_append(extra or None)
-
-    def close(self) -> None:
-        """Drain anything still staged; safe to call repeatedly."""
-        self.flush()
-
-    def __enter__(self) -> "ColumnarSink":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        for kind in dict.fromkeys(kinds):  # first-appearance order
+            if kind not in kind_codes:
+                kind_codes[kind] = len(self._kind_names)
+                self._kind_names.append(kind)
+        self._kinds.extend(map(kind_codes.__getitem__, kinds))
+        self._epochs.extend(array("q", (epoch,)) * len(kinds))
+        self._procs.extend(procs)
+        self.extras.extend(fields)
 
     def __len__(self) -> int:
-        self.flush()
         return len(self._kinds)
 
     def to_events(self) -> List[Dict[str, Any]]:
         """Materialize back into the dict form other sinks record."""
-        self.flush()
         names = self._kind_names
-        out: List[Dict[str, Any]] = []
-        for index in range(len(self._kinds)):
-            event: Dict[str, Any] = {
-                "seq": index,
-                "kind": names[self._kinds[index]],
-                "epoch": self._epochs[index],
-                "proc": self._procs[index],
-            }
-            extra = self.extras[index]
-            if extra:
-                event.update(extra)
-            out.append(event)
-        return out
+        return [
+            event_dict(seq, names[code], proc, extra, epoch)
+            for seq, (code, proc, extra, epoch) in enumerate(
+                zip(self._kinds, self._procs, self.extras, self._epochs)
+            )
+        ]
 
     def counts_by_kind(self) -> Dict[str, int]:
-        self.flush()
         return {
             name: self._kinds.count(code)
             for name, code in sorted(self.kind_codes.items())

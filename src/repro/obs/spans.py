@@ -16,12 +16,12 @@ Two pieces:
   events, per-message accounting, epoch bumps) to one globally ordered
   record list while delegating to the stock implementations, so the
   metrics snapshot of an instrumented run stays *exact*. Because it
-  overrides ``begin``/``end``/``on_message`` and forces ``events``,
+  overrides ``emit``/``begin``/``end``/``on_message``/``advance_epoch``,
   every fast-path certification (``Protocol._probe_fast``,
-  ``Network._probe_stages``, the lazy tape bind) declines it
-  automatically: span-traced runs replay through the fully emitting
-  per-message paths, and **tracing-off runs are untouched** — the
-  certified batched kernels never see this class.
+  ``Network._probe_stages``, the tape bind) declines it automatically
+  (``subclassed_probe``): span-traced runs replay through the
+  per-message paths, where every hook is called, and **tracing-off
+  runs are untouched** — the tape kernels never see this class.
 - :class:`SpanBuilder` — replays the record stream once, against a
   :class:`SpanCosts` model and the compute profile from
   :func:`repro.hb.skeleton.sync_compute_profile`, advancing one virtual
@@ -246,16 +246,14 @@ class SpanProbe(RecordingProbe):
 
     Every override calls the stock implementation, so metrics stay
     exact; ``events`` is forced True so protocols route all emission
-    sites through :meth:`emit` even with no sinks attached — which is
-    also what keeps the certified tape/bulk fast paths disengaged.
+    sites through :meth:`emit` even with no sinks attached.
     """
 
     def __init__(self, sinks: Optional[Sequence[Any]] = None, metrics=None):
         super().__init__(sinks=sinks, metrics=metrics)
         self.records: List[tuple] = []
         # Protocol.attach_probe caches this as _obs_events; True routes
-        # every emission site through emit() and de-certifies the
-        # events-off tape fast paths.
+        # every emission site through emit().
         self.events = True
 
     def emit(self, kind: str, proc: int = -1, **fields: Any) -> None:

@@ -42,14 +42,14 @@ def certify_replay(
       ``subclassed_probe`` (a probe that is not a stock staging
       :class:`~repro.obs.probe.RecordingProbe` — it overrides a hook the
       tape would bypass, :func:`~repro.obs.probe.is_stock_staging` —
-      e.g. ``SpanProbe``),
-      ``event_sink``, ``handler`` (a registered message handler) or
-      ``keep_log``.
-    - ``"tape"``: nothing is watched, so the run is replayed from
-      cost-resolved tape records through
+      e.g. ``SpanProbe``), ``handler`` (a registered message handler)
+      or ``keep_log``.
+    - ``"tape"``: no individual message is watched, so the run is
+      replayed from cost-resolved tape records through
       :meth:`Network.apply_tape <repro.network.network.Network.apply_tape>`
       bulk updates (lazy family: per sync operation and diff fetch;
-      eager family: the whole run). The reason is None.
+      eager family: the whole run). A stock probe's metrics rows and
+      event sinks are fed from the same records. The reason is None.
 
     The engine dispatches on the path and hands it to
     ``bind_batch_plan``; the pair goes into the run's manifest.
@@ -64,8 +64,6 @@ def certify_replay(
     network = protocol.network
     if protocol._obs and not protocol._probe_fast:
         return "batched", "subclassed_probe"
-    if protocol._obs_events:
-        return "batched", "event_sink"
     if network._handlers:
         return "batched", "handler"
     if network.keep_log:

@@ -70,6 +70,10 @@ BARRIER_KINDS: FlushKinds = (
 )
 
 
+#: The transition event a sync step's wrapper emits, by compiled op.
+_SYNC_EVENTS = {OP_ACQUIRE: "acquire", OP_RELEASE: "release", OP_BARRIER: "barrier_arrive"}
+
+
 class BatchedEagerMixin:
     """Tape-driven batched replay shared by the eager family (EI/EU/EW).
 
@@ -90,14 +94,15 @@ class BatchedEagerMixin:
     by it (:func:`~repro.protocols.base.certify_replay`); anything else
     stays on the per-event interpreter, the bit-identical reference.
 
-    Two replays walk the same steps. A run that watches messages (event
-    sinks, ``SpanProbe``, handlers, ``keep_log``) takes ``_k_run``: one
+    Two replays walk the same steps. A run that watches messages
+    (``SpanProbe``, handlers, ``keep_log``) takes ``_k_run``: one
     ``Network.send`` per message, each sync operation through the
     public wrapper. Every other run is certified for the **priced** tape
     (:class:`~repro.hb.skeleton.PricedEagerTape`): ``_t_run`` folds one
     merged ledger record per sync operation and inter-sync gap into
-    the network, the counters and — under a stock metrics probe — the
-    staged attribution rows.
+    the network, the counters and — under a stock probe — the staged
+    attribution rows; with sinks it walks the unpriced steps alongside
+    and emits each one's events.
     """
 
     def bind_batch_plan(self, plan, tape: bool):
@@ -108,13 +113,15 @@ class BatchedEagerMixin:
         folded (``_t_run``); otherwise the unpriced tape is replayed
         message by message (``_k_run``).
         """
+        self._page_fetch_bytes = self.costs.page_bytes(self.page_size)
         if tape:
             self._priced = plan.priced_eager_tape(
                 self.name, self.costs, self.config.free_local_lock_reacquire
             )
+            if self._obs_events:
+                self._tape = plan.eager_tape(self.name)
             return self._t_run
         self._tape = plan.eager_tape(self.name)
-        self._page_fetch_bytes = self.costs.page_bytes(self.page_size)
         self._bind_flush_replay()
         return self._k_run
 
@@ -128,19 +135,25 @@ class BatchedEagerMixin:
     def _t_run(self) -> None:
         """The whole run: fold the priced records into the ledger.
 
-        Under a stock metrics probe each record's row add is also
-        charged to the staged row the sync wrappers would have swapped
-        in — created on first use, in the same order — and the epoch
-        advances after a completing barrier arrival, so the metrics
-        snapshot matches the per-message path.
+        Under a stock probe each record's row add is also charged to
+        the staged row the sync wrappers would have swapped in — created
+        on first use, in the same order — and the epoch advances after a
+        completing barrier arrival, so the metrics snapshot matches the
+        per-message path. With sinks, each sync record also emits its
+        step of the unpriced tape: the gap's events land at the sync
+        record that follows them (a gap of bare write faults has no
+        priced record of its own), still before it and inside its epoch.
         """
         apply_tape = self.network.apply_tape
         probe = self.probe if self._obs else None
+        steps = None
         if probe is not None:
             # No sync operation is in progress: this is the miss-cause row.
             miss_row = probe._seg_row
             lock_rows = ("lock", probe._lock_rows)
             barrier_rows = ("barrier", probe._barrier_rows)
+            if self._obs_events:
+                steps = self._tape.steps()
         for cause, ident, deltas, rowadd, complete in self._priced.records:
             if deltas:
                 apply_tape(deltas)
@@ -153,15 +166,58 @@ class BatchedEagerMixin:
                 row = rows.get(ident)
                 if row is None:
                     row = rows[ident] = probe._cause_row(kind, ident)
+                if steps is not None:
+                    (op, proc, _ident), gap, flush = next(steps)
+                    self._emit_gap(gap)
+                    # The cause kind names the event's id field too.
+                    probe.emit(_SYNC_EVENTS[op], proc=proc, **{kind: ident})
+                    self._emit_flush(proc, flush)
             if rowadd is not None:
                 row[0] += rowadd[0]
                 row[1] += rowadd[1]
                 row[2] += rowadd[2]
                 row[3] += rowadd[3]
             if complete:
+                if steps is not None:
+                    probe.emit("barrier_complete", proc=proc, barrier=ident)
                 probe.advance_epoch()
+        if steps is not None:
+            self._emit_gap(self._tape.tail)
         for name, total in self._priced.counters.items():
             setattr(self, name, getattr(self, name) + total)
+
+    def _emit_gap(self, gap: tuple) -> None:
+        """The events of one gap's misses and write faults, in the order
+        ``_service_miss`` / ``_fetch_page_copy`` / EW's fault emit them."""
+        emit = self.probe.emit
+        page_bytes = self._page_fetch_bytes
+        for rec in gap:
+            if rec[0] == E_MISS:
+                _, proc, page, cold, server, _forward = rec
+            else:  # E_WFAULT, with an optional nested miss
+                _, proc, page, miss, _holders, _ping = rec
+                emit("write_fault", proc=proc, page=page)
+                if miss is None:
+                    continue
+                cold, server, _forward = miss
+            emit("page_fault", proc=proc, page=page, cold=int(cold))
+            emit("page_fetch", proc=proc, page=page, server=server, bytes=page_bytes)
+
+    def _emit_flush(self, proc: ProcId, flush: Optional[tuple]) -> None:
+        """The events of one flush outcome (``EagerProtocol._flush``)."""
+        if flush is None:
+            return
+        emit = self.probe.emit
+        costs = self.costs
+        count, _excess, pushes = flush
+        emit("flush", proc=proc, count=count)
+        for dest, n_diffs, runs_total, words_total in pushes:
+            if self.update:
+                payload = runs_total * costs.diff_run_header_bytes + words_total * costs.word_bytes
+                emit("update_push", proc=proc, dest=dest, count=n_diffs, bytes=payload)
+            else:
+                control = costs.notices_bytes(n_diffs)
+                emit("notices_send", proc=proc, dest=dest, count=n_diffs, bytes=control)
 
     # -- per-message tape replay ----------------------------------------------
 

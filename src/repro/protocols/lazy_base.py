@@ -183,7 +183,9 @@ class LazyProtocol(Protocol):
         index = state.vc[proc] + 1
         vc = state.vc.advanced(proc, index)
         interval = Interval(proc, index, vc)
-        for entry in self.procs[proc].pages:
+        # First-write order, like every other loop: it fixes the order of
+        # the interval's diffs, hence of its notices and their events.
+        for entry in self.procs[proc].pages.drain_dirty():
             if entry.is_dirty:
                 diff = Diff(entry.page_id, proc, index, entry.dirty_words)
                 interval.add_diff(diff)
@@ -204,23 +206,19 @@ class LazyProtocol(Protocol):
 
     def _emit_interval_close(self, proc: ProcId, index: int, interval: Optional[Interval]) -> None:
         """Telemetry for one interval close (probe-enabled runs only)."""
-        probe = self.probe
-        if interval is None:
-            probe.emit("interval_close", proc=proc, interval=index, pages=0, bytes=0)
-            return
         costs = self.costs
+        diffs = interval.diffs.items() if interval is not None else ()
+        self._emit_close(proc, index, [(page, diff.wire_bytes(costs)) for page, diff in diffs])
+
+    def _emit_close(self, proc: ProcId, index: int, items) -> None:
+        """One close's events from its ``(page, diff wire bytes)`` items
+        — what a tape close record already holds."""
+        emit = self.probe.emit
         total = 0
-        for page, diff in interval.diffs.items():
-            wire = diff.wire_bytes(costs)
+        for page, wire in items:
             total += wire
-            probe.emit("diff_create", proc=proc, interval=index, page=page, bytes=wire)
-        probe.emit(
-            "interval_close",
-            proc=proc,
-            interval=index,
-            pages=len(interval.diffs),
-            bytes=total,
-        )
+            emit("diff_create", proc=proc, interval=index, page=page, bytes=wire)
+        emit("interval_close", proc=proc, interval=index, pages=len(items), bytes=total)
 
     def _drop_retained(self, interval: Interval, pages: Iterable[PageId]) -> None:
         """Forget retained diffs of ``interval`` for ``pages`` (HLRC flushes)."""
@@ -358,10 +356,10 @@ class LazyProtocol(Protocol):
         m = len(by_server)
         if self._bulk_fetch:
             # Certified in bind_batch_plan: every send below would take
-            # the pure-accounting fast path, no event emission, and a
-            # server is never its own client — so the whole fetch's
-            # ledger updates collapse into one apply_tape call, with the
-            # probe's staged row (when attached) updated to match.
+            # the pure-accounting fast path and a server is never its
+            # own client — so the whole fetch's ledger updates collapse
+            # into one apply_tape call, with the probe's staged row
+            # (when attached) updated to match.
             payload = run_plan.total_payload
             header = self._fetch_header
             self.network.apply_tape(
@@ -376,6 +374,10 @@ class LazyProtocol(Protocol):
                 row[1] += payload + 2 * m * header
             self.diffs_fetched += run_plan.total_diffs
             self.diff_bytes_fetched += payload
+            if obs:
+                emit = self.probe.emit
+                for server, count, served in by_server:
+                    emit("diff_fetch", proc=proc, server=server, count=count, bytes=served)
         else:
             send = self.network.send
             for server, count, payload in by_server:
@@ -1017,12 +1019,14 @@ class LazyProtocol(Protocol):
     # tape-build time (hb/skeleton.build_lazy_tape), so replaying a sync
     # operation is a handful of array reads, one bulk ledger update
     # (Network.apply_tape), and the run-dependent pending/planner work in
-    # _k_receive. Under a stock metrics probe (``self._obs``; nothing
-    # else reaches the tape) each kernel also stages the operation's
-    # attribution row exactly as the base Protocol wrappers would and
-    # charges it the tape's precomputed row add. Counters, ledger and
-    # metrics snapshots all stay bit-identical to the per-event
-    # interpreters.
+    # _k_receive. Under a stock probe (``self._obs``; nothing else
+    # reaches the tape) each kernel also stages the operation's
+    # attribution row exactly as the base Protocol wrappers would,
+    # charges it the tape's precomputed row add and, with sinks
+    # (``self._obs_events``), emits the events the wrappers and hooks
+    # would have, from the same record. Counters, ledger, metrics
+    # snapshots and event streams all stay bit-identical to the
+    # per-event interpreters.
 
     def _t_close_fast(self, proc: ProcId, close: tuple) -> None:
         """Monotone-retention close: the tape's prefix sum is the series."""
@@ -1060,11 +1064,19 @@ class LazyProtocol(Protocol):
         probe._seg_row = row
         return row, saved
 
+    def _emit_tape_close(self, proc: ProcId, close: tuple) -> None:
+        """A tape close's events: its index is its clock's own entry."""
+        self._emit_close(proc, close[0]._entries[proc], close[2])
+
     def _t_acquire(self, proc: ProcId, lock: LockId) -> None:
-        row = None
+        row = emit = None
+        record = self._tape_next()
         if self._obs:
             row, saved = self._stage_row(self.probe._lock_rows, "lock", lock)
-        record = self._tape_next()
+            if self._obs_events:
+                emit = self.probe.emit
+                emit("acquire", proc=proc, lock=lock)
+                self._emit_tape_close(proc, record[0])
         self._t_close(proc, record[0])
         deltas = record[1]
         if deltas is not None:  # None: free local reacquire, close only
@@ -1075,24 +1087,42 @@ class LazyProtocol(Protocol):
                     row[0] += add[0]
                     row[1] += add[1]
                     row[2] += add[2]
-            self.notices_sent += record[3]
+            n = record[3]
+            self.notices_sent += n
+            if emit is not None and n:
+                emit(
+                    "notices_send",
+                    proc=record[6],
+                    dest=proc,
+                    count=n,
+                    bytes=n * self._notice_bytes_each,
+                )
+                emit("notices_apply", proc=proc, count=n)
             self._k_receive(proc, record[4], record[5], _ACQUIRE_PULL_KINDS)
         if row is not None:
             self.probe._seg_row = saved
 
     def _t_release(self, proc: ProcId, lock: LockId) -> None:
         obs = self._obs
+        close = self._tape_next()
         if obs:
             _row, saved = self._stage_row(self.probe._lock_rows, "lock", lock)
-        self._t_close(proc, self._tape_next())
+            if self._obs_events:
+                self.probe.emit("release", proc=proc, lock=lock)
+                self._emit_tape_close(proc, close)
+        self._t_close(proc, close)
         if obs:
             self.probe._seg_row = saved
 
     def _t_barrier(self, proc: ProcId, barrier: BarrierId) -> None:
-        row = None
+        row = emit = None
+        record = self._tape_next()
         if self._obs:
             row, saved = self._stage_row(self.probe._barrier_rows, "barrier", barrier)
-        record = self._tape_next()
+            if self._obs_events:
+                emit = self.probe.emit
+                emit("barrier_arrive", proc=proc, barrier=barrier)
+                self._emit_tape_close(proc, record[0])
         self._t_close(proc, record[0])
         deltas = record[1]
         if deltas:
@@ -1102,7 +1132,16 @@ class LazyProtocol(Protocol):
                 row[0] += add[0]
                 row[1] += add[1]
                 row[2] += add[2]
-            self.notices_sent += record[3]
+            n = record[3]
+            self.notices_sent += n
+            if emit is not None and n:
+                emit(
+                    "notices_send",
+                    proc=proc,
+                    dest=self.barriers.master,
+                    count=n,
+                    bytes=n * self._notice_bytes_each,
+                )
         complete = record[4]
         if complete is not None:
             cdeltas, crowadd, cnotices, per_proc = complete
@@ -1114,7 +1153,13 @@ class LazyProtocol(Protocol):
                     row[2] += crowadd[2]
             self.notices_sent += cnotices
             receive = self._k_receive
-            for p, (_n, grouped, vc_after) in enumerate(per_proc):
+            if emit is not None:
+                emit("barrier_complete", proc=proc, barrier=barrier)
+                master = self.barriers.master
+            for p, (n, grouped, vc_after) in enumerate(per_proc):
+                if emit is not None and n:
+                    emit("notices_send", proc=master, dest=p, count=n)
+                    emit("notices_apply", proc=p, count=n)
                 receive(p, grouped, vc_after, _BARRIER_PULL_KINDS)
             if self.config.gc_at_barriers:
                 self._collect_garbage()

@@ -1,11 +1,12 @@
 """Equivalence suite for the batched access-run kernels.
 
 The acceptance bar of the batched-kernel overhaul: on the path a plain
-run certifies (tape, or batched under a sink) every accounting field,
-every counter, and every emitted telemetry event must be bit-identical
-to the per-event interpreter — the loop a value-recording run takes —
-across all protocols, all apps, the full sweep grid, and every
-protocol-option ablation.
+run certifies (the tape, sinks attached or not) and on the batched
+kernels a message watcher forces, every accounting field, every counter,
+and every emitted telemetry event must be bit-identical to the per-event
+interpreter — the loop a value-recording run takes — across all
+protocols, all apps, the full sweep grid, and every protocol-option
+ablation.
 """
 
 from __future__ import annotations
@@ -89,23 +90,51 @@ class TestBatchedEquivalence:
 
 
 def assert_event_streams_identical(trace, protocol, **options):
-    """A sink-watched run (batched kernels) emits the interpreter's stream."""
-    batched_sink, interpreter_sink = MemorySink(), MemorySink()
-    batched = simulate(
-        trace, protocol, probe=RecordingProbe(sinks=[batched_sink]), **options
-    )
-    assert batched.manifest["execution_path"] == "batched"
+    """A sink-watched run emits the interpreter's stream — from the tape,
+    which is where a stock probe with sinks runs, and from the batched
+    kernels a kept message log forces. Full dict equality: kinds,
+    fields, ``seq`` numbering and epochs."""
+    config = SimConfig(n_procs=trace.n_procs, **options)
+    streams = {}
+    for path, keep_log in (("tape", False), ("batched", True)):
+        sink = MemorySink()
+        engine = Engine(trace, config, protocol, probe=RecordingProbe(sinks=[sink]))
+        engine.protocol.network.keep_log = keep_log
+        manifest = engine.run().manifest
+        assert manifest["execution_path"] == path
+        assert manifest.get("decline_reason") == ("keep_log" if keep_log else None)
+        streams[path] = sink.events
+    interpreter_sink = MemorySink()
     interpreter_result(
-        trace, protocol, probe=RecordingProbe(sinks=[interpreter_sink]), **options
+        trace, protocol, config, probe=RecordingProbe(sinks=[interpreter_sink])
     )
-    assert batched_sink.events == interpreter_sink.events
+    assert interpreter_sink.events
+    assert streams["tape"] == interpreter_sink.events
+    assert streams["batched"] == interpreter_sink.events
 
 
 class TestBatchedTelemetry:
     @pytest.mark.parametrize("protocol", ALL_BATCHED)
     def test_event_streams_identical(self, water_trace, protocol):
-        # Full dict equality: kinds, fields, seq numbering, and epochs.
         assert_event_streams_identical(water_trace, protocol, page_size=1024)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"piggyback_notices": False},
+            {"free_local_lock_reacquire": False},
+            {"gc_at_barriers": True},
+        ],
+        ids=lambda options: next(iter(options)),
+    )
+    @pytest.mark.parametrize("protocol", ALL_BATCHED)
+    def test_event_streams_identical_under_kernel_ablations(
+        self, water_trace, protocol, options
+    ):
+        # Each option flips a branch the tape kernels emit from: split
+        # notice messages, the paid local reacquire, the gc_sweep event
+        # and live retention closes.
+        assert_event_streams_identical(water_trace, protocol, page_size=1024, **options)
 
     def test_metrics_snapshots_identical(self, water_trace):
         tape = simulate(water_trace, "LI", page_size=1024, probe=RecordingProbe())

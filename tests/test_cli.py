@@ -25,6 +25,46 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--protocol", "MESI"])
 
+    def test_choice_tuples_name_the_registries(self):
+        from repro.apps import APPS
+        from repro.cli import APP_NAMES, PROTOCOL_NAMES
+        from repro.protocols.registry import all_protocol_names
+
+        assert list(APP_NAMES) == sorted(APPS)
+        assert list(PROTOCOL_NAMES) == all_protocol_names()
+
+    def test_help_does_not_import_the_simulator(self):
+        """``-h`` answers from the parser alone: no simulator package,
+        no worker-pool machinery (checked in a fresh interpreter)."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        code = (
+            "import sys, repro.cli\n"
+            "try:\n"
+            "    repro.cli.main(['-h'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print('loaded=' + ','.join(sorted(sys.modules)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "usage: lrc-sim" in done.stdout
+        loaded = done.stdout.rsplit("loaded=", 1)[1].strip().split(",")
+        assert "repro.cli" in loaded
+        for module in ("repro.simulator", "repro.protocols", "repro.hb", "multiprocessing"):
+            assert module not in loaded, module
+
 
 class TestCommands:
     def test_run(self, capsys):

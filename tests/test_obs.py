@@ -148,7 +148,37 @@ class TestEvents:
         probe = RecordingProbe(sinks=[memory, columnar])
         simulate(water_trace, "HLRC", page_size=1024, probe=probe)
         assert columnar.to_events() == memory.events
+        assert len(columnar) == len(memory.events) > 0
         assert sum(columnar.counts_by_kind().values()) == len(memory.events)
+
+    @pytest.mark.parametrize("protocol", ["LU", "EI"])
+    def test_sinks_are_complete_when_simulate_returns(self, water_trace, protocol):
+        """No ``probe.close()`` needed: the rows staged since the last
+        epoch boundary are drained when the engine builds its result.
+        A duck-typed sink with only ``record(event)`` gets the same
+        dicts as ``MemorySink``."""
+
+        class RecordOnly:
+            def __init__(self):
+                self.seen = []
+
+            def record(self, event):
+                self.seen.append(event)
+
+        memory, duck = MemorySink(), RecordOnly()
+        probe = RecordingProbe(sinks=[memory, duck])
+        result = simulate(water_trace, protocol, page_size=1024, probe=probe)
+        assert result.manifest["execution_path"] == "tape"
+        assert not probe._rows
+        assert [event["seq"] for event in memory.events] == list(range(len(memory.events)))
+        # The tail after the last barrier is there too.
+        assert memory.events[-1]["epoch"] == len(result.metrics["epochs"]) - 1
+        assert duck.seen == memory.events
+        closed = MemorySink()
+        probe = RecordingProbe(sinks=[closed])
+        simulate(water_trace, protocol, page_size=1024, probe=probe)
+        probe.close()
+        assert closed.events == memory.events
 
     def test_event_schema(self, water_trace):
         sink = MemorySink()
@@ -287,7 +317,8 @@ class TestManifest:
         "reason, path, protocol, setup",
         [
             (None, "tape", "EI", {}),
-            ("event_sink", "batched", "LI", {"probe": "sink"}),
+            # A stock probe's sinks are fed from the tape records.
+            (None, "tape", "LI", {"probe": "sink"}),
             ("subclassed_probe", "batched", "EU", {"probe": "span"}),
             ("handler", "batched", "LU", {"handler": True}),
             ("keep_log", "batched", "EW", {"keep_log": True}),
@@ -326,6 +357,32 @@ class TestManifest:
         manifest = engine.run().manifest
         assert manifest["execution_path"] == path
         assert manifest.get("decline_reason") == reason
+
+    @pytest.mark.parametrize("protocol", ["LI", "EU"])
+    def test_an_emit_only_override_sees_every_event(self, protocol):
+        """``emit`` is a hook the tapes bypass when they stage rows, so
+        a probe overriding only it declines the tape and is called for
+        every event a stock probe's sink receives."""
+
+        class EmitCounter(RecordingProbe):
+            def __init__(self, sinks):
+                super().__init__(sinks=sinks)
+                self.kinds = []
+
+            def emit(self, kind, proc=-1, **fields):
+                self.kinds.append(kind)
+                super().emit(kind, proc, **fields)
+
+        trace = small_trace("water", n_procs=4)
+        probe, stock = EmitCounter([MemorySink()]), MemorySink()
+        manifest = simulate(trace, protocol, page_size=1024, probe=probe).manifest
+        assert (manifest["execution_path"], manifest["decline_reason"]) == (
+            "batched",
+            "subclassed_probe",
+        )
+        simulate(trace, protocol, page_size=1024, probe=RecordingProbe(sinks=[stock]))
+        assert probe.kinds == [event["kind"] for event in stock.events]
+        assert probe.sinks[0].events == stock.events
 
     @pytest.mark.parametrize("protocol", ["LI", "LU", "LH", "HLRC", "EI", "EU", "EW"])
     def test_an_overridden_probe_hook_is_always_called(self, protocol):

@@ -16,6 +16,8 @@ it is also what fuzzes the lazy family's first-touch run program.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -29,7 +31,14 @@ from repro.obs.spans import SpanProbe
 from repro.protocols.registry import all_protocol_names
 from repro.simulator.engine import Engine, simulate
 from repro.trace.events import Event
-from tests.conftest import SMALL_SCALE, build_trace, interpreter_result, ledger_fields, small_trace
+from tests.conftest import (
+    SMALL_SCALE,
+    build_trace,
+    interpreter_engine,
+    interpreter_result,
+    ledger_fields,
+    small_trace,
+)
 from tests.test_protocol_properties import N_PROCS, interleave, race_free_programs
 from tests.test_send_log import GOLDEN, LINKS
 
@@ -103,10 +112,11 @@ def app_trace(request):
     return midspan_trace() if request.param == "midspan" else small_trace(request.param)
 
 
-def observe(trace, protocol, config, path):
-    """One run under a stock metrics probe: everything a run can show."""
+def observe(trace, protocol, config, path, sink=None):
+    """One run under a stock probe: everything a run can show — with
+    ``sink`` attached, its event stream too."""
     overrides, keep_log, expected = PATHS[path]
-    probe = RecordingProbe()
+    probe = RecordingProbe(sinks=[sink] if sink is not None else None)
     engine = Engine(trace, config.with_options(**overrides), protocol, probe=probe)
     engine.protocol.network.keep_log = keep_log
     result = engine.run_reference() if path == "reference" else engine.run()
@@ -124,6 +134,7 @@ def observe(trace, protocol, config, path):
         "barrier_rows": list(probe._barrier_rows),
         "registry_locks": list(probe.metrics._locks),
         "registry_epochs": probe.metrics._epochs,
+        "events": sink.events if sink is not None else None,
     }
 
 
@@ -193,16 +204,19 @@ class TestNoRunProgram:
     def test_eager_replays_leave_the_run_program_unbuilt(self, protocol):
         trace = small_trace("water")
         config = SimConfig(n_procs=trace.n_procs, page_size=1024)
-        runs = {
-            "tape": Engine(trace, config, protocol),
-            "event_sink": Engine(
-                trace, config, protocol, probe=RecordingProbe(sinks=[ColumnarSink()])
-            ),
-            "subclassed_probe": Engine(trace, config, protocol, probe=SpanProbe()),
-            "keep_log": Engine(trace, config, protocol),
-        }
-        runs["keep_log"].protocol.network.keep_log = True
-        for reason, engine in runs.items():
+
+        def sink_probe():
+            return RecordingProbe(sinks=[ColumnarSink()])
+
+        runs = [
+            ("tape", Engine(trace, config, protocol)),
+            # Sinks ride the priced fold and walk the unpriced steps.
+            ("tape", Engine(trace, config, protocol, probe=sink_probe())),
+            ("subclassed_probe", Engine(trace, config, protocol, probe=SpanProbe())),
+            ("keep_log", Engine(trace, config, protocol, probe=sink_probe())),
+        ]
+        runs[-1][1].protocol.network.keep_log = True
+        for reason, engine in runs:
             manifest = engine.run().manifest
             assert manifest.get("decline_reason", "tape") == reason
         plan = batch_plan(trace.compiled(1024), trace.n_procs)
@@ -223,7 +237,8 @@ def test_random_race_free_traces(program, page_size, free_reacquire, cost_key):
     """All seven protocols, all four loops: the lazy family's tape and
     batched replays see a span only through its first touch, the
     interpreter and the oracle see every access — and nothing a run
-    reports (ledger, counters, metrics, staged-row order) can tell."""
+    reports (ledger, counters, metrics, staged-row order, the event
+    stream a ``MemorySink`` receives) can tell."""
     scripts, seed = program
     trace = interleave(scripts, seed)
     config = SimConfig(
@@ -234,7 +249,7 @@ def test_random_race_free_traces(program, page_size, free_reacquire, cost_key):
     )
     for protocol in all_protocol_names():
         tape, per_message, per_event, reference = (
-            observe(trace, protocol, config, path) for path in PATHS
+            observe(trace, protocol, config, path, MemorySink()) for path in PATHS
         )
         assert tape == per_message == per_event == reference, protocol
 
@@ -252,7 +267,11 @@ class TestNoSends:
         monkeypatch.setattr(Network, "send", spy)
         return calls
 
-    @pytest.mark.parametrize("probe", [None, RecordingProbe], ids=["bare", "metrics"])
+    @pytest.mark.parametrize(
+        "probe",
+        [None, RecordingProbe, lambda: RecordingProbe(sinks=[MemorySink()])],
+        ids=["bare", "metrics", "sink"],
+    )
     @pytest.mark.parametrize("protocol", EAGER)
     def test_certified_counting_run_never_calls_send(self, water_trace, sends, protocol, probe):
         result = simulate(
@@ -264,20 +283,25 @@ class TestNoSends:
 
     @pytest.mark.parametrize("protocol", EAGER)
     def test_sink_attached_run_still_sends_every_message(self, water_trace, sends, protocol):
-        def watched(run):
-            del sends[:]
-            result = run(
-                water_trace,
-                protocol,
-                page_size=1024,
-                probe=RecordingProbe(sinks=[MemorySink()]),
-            )
-            return result, list(sends)
+        """...once something watches the messages themselves: the sink
+        alone rides the tape (the ``sink`` case above), a kept message
+        log puts the same run on the per-message replay."""
 
-        batched, batched_sends = watched(simulate)
+        config = SimConfig(n_procs=water_trace.n_procs, page_size=1024)
+
+        def watched(make_engine):
+            del sends[:]
+            engine = make_engine(probe=RecordingProbe(sinks=[MemorySink()]))
+            engine.protocol.network.keep_log = True
+            return engine.run(), list(sends)
+
+        batched, batched_sends = watched(partial(Engine, water_trace, config, protocol))
         assert batched.manifest["execution_path"] == "batched"
-        assert batched.manifest["decline_reason"] == "event_sink"
-        per_event, per_event_sends = watched(interpreter_result)
+        assert batched.manifest["decline_reason"] == "keep_log"
+        per_event, per_event_sends = watched(
+            partial(interpreter_engine, water_trace, protocol, config)
+        )
+        assert per_event.manifest["execution_path"] == "per_event"
         # Same messages, same order, as the interpreter — local hops included.
         assert batched_sends == per_event_sends
         remote = [call for call in batched_sends if call[1] != call[2]]

@@ -293,11 +293,41 @@ class TestSinkExceptionSafety:
         with pytest.raises(ValueError):
             sink.record({"kind": "release"})
 
-    def test_columnar_context_manager_drains_staged(self):
-        with ColumnarSink() as sink:
-            sink.record({"seq": 0, "kind": "acquire", "epoch": 0, "proc": 1})
-        assert len(sink) == 1
-        assert sink.to_events()[0]["kind"] == "acquire"
+    def test_close_after_a_mid_epoch_raise_keeps_every_event(self, tmp_path):
+        """A replay that dies between two epoch boundaries: the rows it
+        staged since the last one reach the file on ``probe.close()``."""
+        from repro.obs import read_jsonl
+        from repro.simulator.engine import Engine
+        from repro.config import SimConfig
+
+        trace = small_trace("water")
+        config = SimConfig(n_procs=trace.n_procs, page_size=1024)
+        whole = MemorySink()
+        Engine(trace, config, "LI", probe=RecordingProbe(sinks=[whole])).run()
+
+        path = tmp_path / "partial.jsonl"
+        columnar = ColumnarSink()
+        probe = RecordingProbe(sinks=[JsonlSink(path), columnar])
+        engine = Engine(trace, config, "LI", probe=probe)
+        real_emit, budget = probe.emit, len(whole.events) // 2
+
+        def dying_emit(kind, proc=-1, **fields):
+            if probe._seq == budget:
+                raise RuntimeError("replay died")
+            real_emit(kind, proc, **fields)
+
+        # An instance attribute, not a subclass: the run stays on the tape.
+        probe.emit = dying_emit
+        try:
+            with pytest.raises(RuntimeError):
+                engine.run()
+        finally:
+            probe.close()
+        assert engine._execution_path == "tape"
+        events = read_jsonl(path)
+        assert events == whole.events[:budget]
+        assert 0 < events[-1]["epoch"] and probe._rows == []
+        assert columnar.to_events() == events
 
     def test_probe_close_after_failed_run_drains_sinks(self, tmp_path):
         path = tmp_path / "partial.jsonl"
