@@ -366,6 +366,7 @@ def _cmd_trace(args) -> int:
         print(f"saved {trace!r} -> {args.out}")
     if args.spans:
         from repro.analysis.critical_path import analyze_critical_path
+        from repro.obs.manifest import execution_line
         from repro.obs.spans import SpanCosts, build_span_timeline, to_chrome_trace
 
         link = _parse_network(args)
@@ -377,7 +378,7 @@ def _cmd_trace(args) -> int:
                 SpanCosts.ethernet_1992() if args.era == "1992"
                 else SpanCosts.modern_cluster()
             )
-        _result, timeline = build_span_timeline(
+        result, timeline = build_span_timeline(
             trace, args.protocol, page_size=args.page_size, costs=costs,
             link_model=link,
         )
@@ -390,6 +391,9 @@ def _cmd_trace(args) -> int:
             f"{len(timeline.flows)} flow edges, "
             f"critical path {report.makespan * 1e3:.3f} ms)"
         )
+        line = execution_line(result.manifest)
+        if line:
+            print(line)
     return 0
 
 

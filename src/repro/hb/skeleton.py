@@ -613,6 +613,7 @@ class BatchPlan:
         "_priced_tapes",
         "_lazy_tapes",
         "_send_logs",
+        "_compute_profile",
     )
 
     def __init__(self, compiled: CompiledTrace, n_procs: int):
@@ -625,6 +626,8 @@ class BatchPlan:
         self._priced_tapes: Dict[Tuple[str, CostModel, bool], PricedEagerTape] = {}
         self._lazy_tapes: Dict[Tuple[CostModel, bool, bool], LazyTape] = {}
         self._send_logs: Dict[tuple, SendLog] = {}
+        #: Kept by :func:`sync_compute_profile`, not a tape: no stats.
+        self._compute_profile: Optional[List[List[int]]] = None
 
     @property
     def runs(self) -> List[tuple]:
@@ -1092,8 +1095,14 @@ def sync_compute_profile(compiled: CompiledTrace, n_procs: int) -> List[List[int
     :mod:`repro.obs.spans`: the record stream fixes *when* each sync
     window opens, and this profile fixes how much local work precedes
     it. Like the skeleton itself it depends only on (compiled trace,
-    n_procs), never on the protocol or per-run config.
+    n_procs), never on the protocol or per-run config — so it is kept
+    (shared, never mutated) on the batch plan once a replay has made
+    one; every timeline asks again. The plan is read past
+    :func:`batch_plan`: this is not a plan lookup, ``PLAN_STATS`` stays.
     """
+    plan = compiled._batch_plans.get(n_procs)
+    if plan is not None and plan._compute_profile is not None:
+        return plan._compute_profile
     profile: List[List[int]] = [[] for _ in range(n_procs)]
     acc = [0] * n_procs
     for op in compiled.ops:
@@ -1108,6 +1117,8 @@ def sync_compute_profile(compiled: CompiledTrace, n_procs: int) -> List[List[int
             acc[proc] = 0
     for proc in range(n_procs):
         profile[proc].append(acc[proc])
+    if plan is not None:
+        plan._compute_profile = profile
     return profile
 
 

@@ -66,6 +66,10 @@ for _slot, _kind in enumerate(MessageKind):
     _kind.slot = _slot
 del _slot, _kind
 
+#: ``kind.name`` by ``kind.slot``, for the same reason: ``Enum.name`` is
+#: a Python-level descriptor, and span recording names every message.
+KIND_NAMES = tuple(kind.name for kind in MessageKind)
+
 
 #: The paper's four operation categories, in Table-1 column order.
 CATEGORIES = ("miss", "lock", "unlock", "barrier")

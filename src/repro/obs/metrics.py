@@ -66,6 +66,11 @@ class MetricsRegistry:
         """Register a drain callback flushed before every read."""
         self._stagers.append(drain)
 
+    def detach_stager(self, drain: Callable[[], None]) -> None:
+        """Forget ``drain`` (a closed probe's: it has nothing left to stage)."""
+        if drain in self._stagers:
+            self._stagers.remove(drain)
+
     def _drain(self) -> None:
         for drain in self._stagers:
             drain()

@@ -304,6 +304,11 @@ class RecordingProbe(Probe):
             close = getattr(sink, "close", None)
             if close is not None:
                 close()
+        # Closing ends the probe's life. The registry's callback is the
+        # one reference cycle a probe sits in; without it a closed probe
+        # (and a span probe's record stream) is freed when its last user
+        # lets go, not at the next full collection.
+        self.metrics.detach_stager(self._drain)
 
     def __repr__(self) -> str:
         return (
@@ -320,17 +325,20 @@ class RecordingProbe(Probe):
 _BYPASSED_HOOKS = ("begin", "end", "on_message", "page_fault", "advance_epoch", "emit")
 
 
-def is_stock_staging(probe: Optional[Probe]) -> bool:
-    """True for a live :class:`RecordingProbe` that overrides none of
-    the hooks the fast paths bypass — the one place that is decided.
+def is_stock_staging(probe: Optional[Probe], stock: type = RecordingProbe) -> bool:
+    """True for a live ``stock`` probe that overrides none of the hooks
+    the fast paths bypass — the one place that is decided.
 
-    Such a probe's staged rows may be charged inline
+    A stock :class:`RecordingProbe`'s staged rows may be charged inline
     (``Protocol.attach_probe``, ``Network.attach_probe``) and a run
-    under it may replay from the tape; any other live probe gets every
-    hook called and declines the tape as ``subclassed_probe``
-    (:func:`repro.protocols.base.certify_replay`).
+    under it may replay from the tape. The other stock class is
+    :class:`~repro.obs.spans.SpanProbe` (``stock=SpanProbe``): its hooks
+    are called wherever a stock probe's are charged inline, and the
+    tape kernels write its record stream themselves. Any other live
+    probe gets every hook called and declines the tape as
+    ``subclassed_probe`` (:func:`repro.protocols.base.certify_replay`).
     """
-    if probe is None or not probe.enabled or not isinstance(probe, RecordingProbe):
+    if probe is None or not probe.enabled or not isinstance(probe, stock):
         return False
     cls = type(probe)
-    return all(getattr(cls, hook) is getattr(RecordingProbe, hook) for hook in _BYPASSED_HOOKS)
+    return all(getattr(cls, hook) is getattr(stock, hook) for hook in _BYPASSED_HOOKS)

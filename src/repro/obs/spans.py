@@ -12,16 +12,16 @@ stall-attribution breakdown per protocol.
 Two pieces:
 
 - :class:`SpanProbe` — a :class:`~repro.obs.probe.RecordingProbe`
-  subclass that appends every probe call (begin/end windows, structured
-  events, per-message accounting, epoch bumps) to one globally ordered
-  record list while delegating to the stock implementations, so the
-  metrics snapshot of an instrumented run stays *exact*. Because it
-  overrides ``emit``/``begin``/``end``/``on_message``/``advance_epoch``,
-  every fast-path certification (``Protocol._probe_fast``,
-  ``Network._probe_stages``, the tape bind) declines it automatically
-  (``subclassed_probe``): span-traced runs replay through the
-  per-message paths, where every hook is called, and **tracing-off
-  runs are untouched** — the tape kernels never see this class.
+  subclass that also keeps every probe call (begin/end windows,
+  structured events, per-message accounting, epoch bumps) in one
+  globally ordered :class:`SpanRecords` stream, the metrics snapshot of
+  an instrumented run staying *exact*. The stream has one set of row
+  writers and two callers: the probe's hooks wherever hooks are called
+  (the interpreters, the ``batched`` kernels, every ``Network.send``),
+  and the tape kernels, which write the rows the hooks they bypass
+  would have, from the records they replay. So a span-traced run takes
+  the ``tape`` path like any other, and **tracing-off runs are
+  untouched** — a kernel tests for the stream behind its probe test.
 - :class:`SpanBuilder` — replays the record stream once, against a
   :class:`SpanCosts` model and the compute profile from
   :func:`repro.hb.skeleton.sync_compute_profile`, advancing one virtual
@@ -52,13 +52,13 @@ pinned across all seven protocols by ``tests/test_spans.py``.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.probe import MISS_CAUSE, RecordingProbe
-
-logger = logging.getLogger(__name__)
+from repro.common.errors import SimulatorError
+from repro.network.message import KIND_NAMES, MessageKind
+from repro.obs.metrics import EPOCH_FIELDS
+from repro.obs.probe import RecordingProbe
 
 #: Stall-attribution categories, in report order. Every span's duration
 #: decomposes exactly into these buckets.
@@ -153,10 +153,6 @@ class SpanCosts:
     def modern_cluster(cls) -> "SpanCosts":
         return cls.from_preset("modern_cluster")
 
-    def message(self, data_bytes: int, control_bytes: int) -> float:
-        """Latency of one counted-or-not network message."""
-        return self.message_s + (data_bytes + control_bytes) * self.byte_s
-
 
 class Span:
     """One weighted interval on one processor's timeline.
@@ -223,9 +219,6 @@ class SpanTimeline:
                 totals[category] += seconds
         return totals
 
-    def proc_spans(self, proc: int) -> List[Span]:
-        return [span for span in self.spans if span.proc == proc]
-
     def __repr__(self) -> str:
         return (
             f"SpanTimeline({self.app!r}, {self.protocol}, {len(self.spans)} spans, "
@@ -233,10 +226,19 @@ class SpanTimeline:
         )
 
 
-class SpanProbe(RecordingProbe):
-    """A RecordingProbe that additionally keeps the raw call stream.
+#: Slots per record in :class:`SpanRecords`' flat storage; the widest
+#: kind ("msg") sets it, the others pad with None.
+_WIDTH = 7
+_ARITY = {"begin": 3, "end": 1, "ev": 4, "msg": 7, "epoch": 1}
+_END_ROW = ("end",) + (None,) * (_WIDTH - 1)
+_EPOCH_ROW = ("epoch",) + (None,) * (_WIDTH - 1)
 
-    Record shapes (plain tuples, in global emission order)::
+
+class SpanRecords:
+    """The span record stream: every probe call of one run, in order.
+
+    Five record kinds; the stream iterates as these tuples and
+    ``len()`` counts them::
 
         ("begin", cause_kind, cause_id)       sync window opens
         ("end",)                              sync window closes
@@ -244,45 +246,161 @@ class SpanProbe(RecordingProbe):
         ("msg", kind_name, src, dst, data_bytes, control_bytes, counted)
         ("epoch",)                            barrier episode completed
 
-    Every override calls the stock implementation, so metrics stay
+    Stored as ``_WIDTH`` slots per record of one flat list, not as a
+    tuple each: an ``ev`` tuple holds its fields dict, so the cyclic
+    collector would track a run's worth of them and start full
+    collections over the whole plan heap (``RecordingProbe._rows``'
+    lesson). The methods below are the only writers —
+    :class:`SpanProbe`'s hooks call them on the paths that call hooks,
+    the tape kernels directly — and :meth:`padded` is how
+    :class:`SpanBuilder` walks the stream at tuple-unpacking speed.
+    Streams compare equal record for record, whichever path wrote them.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self) -> None:
+        self.rows: List[Any] = []
+
+    def begin(self, cause_kind: str, cause_id: int) -> None:
+        self.rows += ("begin", cause_kind, cause_id, None, None, None, None)
+
+    def end(self) -> None:
+        self.rows += _END_ROW
+
+    def ev(self, kind: str, proc: int, fields: Optional[Dict[str, Any]]) -> None:
+        self.rows += ("ev", kind, proc, fields, None, None, None)
+
+    def msg(self, name, src, dst, data_bytes, control_bytes, counted) -> None:
+        self.rows += ("msg", name, src, dst, data_bytes, control_bytes, counted)
+
+    def epoch(self) -> None:
+        self.rows += _EPOCH_ROW
+
+    def sender(self, cost_model):
+        """:meth:`msg` behind ``Network.send``'s signature: writes the
+        row ``on_message`` would have been handed by a network that
+        accounts by ``cost_model``, and touches no ledger."""
+        rows = self.rows
+        count_control = cost_model.count_control_in_data
+        header = cost_model.header_bytes if cost_model.count_header_in_data else 0
+        counted = [cost_model.count_acks or not kind.is_ack for kind in MessageKind]
+
+        def send(kind, src, dst, payload_bytes=0, control_bytes=0):
+            if src != dst:  # local sends are free and invisible
+                slot = kind.slot
+                data = payload_bytes + header
+                if count_control:
+                    data += control_bytes
+                rows.extend(("msg", KIND_NAMES[slot], src, dst, data, control_bytes, counted[slot]))
+
+        return send
+
+    def padded(self):
+        """Every record as a ``_WIDTH``-tuple, its unused slots None."""
+        return zip(*[iter(self.rows)] * _WIDTH)
+
+    def __len__(self) -> int:
+        return len(self.rows) // _WIDTH
+
+    def __iter__(self):
+        for row in self.padded():
+            yield row[: _ARITY[row[0]]]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SpanRecords):
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __repr__(self) -> str:
+        return f"SpanRecords({len(self)} records)"
+
+
+class SpanProbe(RecordingProbe):
+    """A RecordingProbe that additionally keeps the raw call stream.
+
+    ``records`` is the run's :class:`SpanRecords`. Every override
+    writes its row and does what the stock hook does, so metrics stay
     exact; ``events`` is forced True so protocols route all emission
-    sites through :meth:`emit` even with no sinks attached.
+    sites through :meth:`emit` even with no sinks attached. A subclass
+    that overrides one of these hooks again is a ``subclassed_probe``
+    and has every one of them called (the ``batched`` path).
     """
 
     def __init__(self, sinks: Optional[Sequence[Any]] = None, metrics=None):
         super().__init__(sinks=sinks, metrics=metrics)
-        self.records: List[tuple] = []
+        self.records = SpanRecords()
         # Protocol.attach_probe caches this as _obs_events; True routes
         # every emission site through emit().
         self.events = True
 
     def emit(self, kind: str, proc: int = -1, **fields: Any) -> None:
-        self.records.append(("ev", kind, proc, fields or None))
-        super().emit(kind, proc, **fields)
+        # The stock emit, inlined: one fields dict serves the record
+        # and the staged sink row.
+        fields = fields or None
+        self.records.ev(kind, proc, fields)
+        self._seq += 1
+        if self.sinks:
+            self._rows += (kind, proc, fields)
 
     def begin(self, cause_kind: str, cause_id: int) -> None:
-        self.records.append(("begin", cause_kind, cause_id))
+        self.records.begin(cause_kind, cause_id)
         super().begin(cause_kind, cause_id)
 
     def end(self) -> None:
-        self.records.append(("end",))
+        self.records.end()
         super().end()
 
     def advance_epoch(self) -> None:
-        # Appended before the epoch counter bumps: traffic recorded
+        # Written before the epoch counter bumps: traffic recorded
         # before this marker belongs to the episode it closes, exactly
         # like the stock drain-then-bump order.
-        self.records.append(("epoch",))
+        self.records.epoch()
         super().advance_epoch()
 
     def on_message(self, kind, src, dst, data_bytes, control_bytes, counted) -> None:
-        self.records.append(
-            ("msg", kind.name, src, dst, data_bytes, control_bytes, counted)
-        )
+        self.records.msg(KIND_NAMES[kind.slot], src, dst, data_bytes, control_bytes, counted)
         super().on_message(kind, src, dst, data_bytes, control_bytes, counted)
 
     def __repr__(self) -> str:
         return f"SpanProbe(records={len(self.records)}, epoch={self._epoch})"
+
+
+#: The stall sums of a sync window, as indices into one list.
+_FLUSH, _REQUEST, _GRANT, _PAGE, _DIFF, _ARRIVAL = range(6)
+
+#: Which sum a message lands in, by the window's marker event and then
+#: its kind name: ``(table, sum of every other kind)``. An acquire's
+#: default is its diff pulls (LU/LH), a release only ever flushes, a
+#: barrier arrival's default is BARRIER_ARRIVAL and the notices split off it.
+_WINDOW_SUMS = {
+    "acquire": (
+        {
+            **dict.fromkeys(_LOCK_REQ_KINDS, _REQUEST),
+            **dict.fromkeys(_LOCK_GRANT_KINDS, _GRANT),
+            **dict.fromkeys(_UNLOCK_KINDS, _FLUSH),  # HLRC home flush at interval close
+            **dict.fromkeys((n for n in KIND_NAMES if n.startswith("PAGE")), _PAGE),
+        },
+        _DIFF,
+    ),
+    "release": ({}, _FLUSH),
+    "barrier_arrive": (
+        {  # eager barrier-time flush
+            **dict.fromkeys(_UNLOCK_KINDS, _FLUSH),
+            **dict.fromkeys(
+                ("BARRIER_NOTICE", "BARRIER_UPDATE", "BARRIER_ACK", "BARRIER_RECONCILE"),
+                _FLUSH,
+            ),
+        },
+        _ARRIVAL,
+    ),
+}
+_NO_FIELDS: Dict[str, Any] = {}
+
+
+def _buckets(*sums: Tuple[str, float]) -> Dict[str, float]:
+    """A span's stall decomposition: the non-zero ``(category, seconds)``."""
+    return {category: seconds for category, seconds in sums if seconds}
 
 
 class SpanBuilder:
@@ -290,13 +408,15 @@ class SpanBuilder:
 
     One virtual clock per processor advances through compute chunks
     (from the sync compute profile), sync windows, and miss contexts in
-    global record order. The same pass re-derives the per-epoch traffic
-    rows, making the timeline self-auditing against the run's metrics.
+    global record order; a window is folded where it lies in the
+    stream, into a handful of sums that place its spans at its "end".
+    The same pass re-derives the per-epoch traffic rows, making the
+    timeline self-auditing against the run's metrics.
     """
 
     def __init__(
         self,
-        records: Sequence[tuple],
+        records: SpanRecords,
         profile: Sequence[Sequence[int]],
         costs: SpanCosts,
         n_procs: int,
@@ -311,9 +431,10 @@ class SpanBuilder:
         # Measured per-message delays from a timed run (see
         # NetworkTiming.delay_log): ``(total_s, serialization_s,
         # retransmit_s)`` aligned one-to-one with the stream's "msg"
-        # records. When present they replace the synthetic
-        # ``costs.message`` charge, and the serialization/retransmit
-        # portions land in their own stall categories.
+        # records, consumed in stream order. When present they replace
+        # the synthetic per-message charge, and the
+        # serialization/retransmit portions land in their own stall
+        # categories.
         self._delays = delays
         self._delay_idx = 0
         self.timeline = SpanTimeline(app, protocol, n_procs, costs)
@@ -326,43 +447,26 @@ class SpanBuilder:
         self._release_point: Dict[int, Tuple[float, int]] = {}
         self._episodes: Dict[int, List[Tuple[int, float, int]]] = {}
         # -- parsing state --
-        self._window: Optional[Tuple[Tuple[str, int], List[tuple]]] = None
         self._ctx: Optional[Dict[str, Any]] = None
-        # -- epoch accounting (mirrors RecordingProbe staging exactly) --
-        self._epoch = 0
-        self._cause: Tuple[str, int] = MISS_CAUSE
-        self._cause_stack: List[Tuple[str, int]] = []
-        self._erows: Dict[int, List[int]] = {}
+        # -- epoch accounting (mirrors RecordingProbe staging exactly):
+        # one row per epoch, the last one current --
+        self._erows: List[List[int]] = [[0] * _ROW_WIDTH]
 
     # -- epoch accounting ----------------------------------------------------
 
-    def _erow(self, epoch: int) -> List[int]:
-        row = self._erows.get(epoch)
-        if row is None:
-            row = self._erows[epoch] = [0] * _ROW_WIDTH
-        return row
-
-    def _account_msg(self, data: int, ctrl: int, counted: bool) -> None:
-        row = self._erow(self._epoch)
-        if counted:
-            row[0] += 1
+    def _account(self, cause_kind: str, messages: int, data: int, ctrl: int, faults: int) -> None:
+        """Charge one cause's traffic to the current epoch's row. Cause
+        and epoch are constant inside a window (and between windows), so
+        callers sum first and charge once."""
+        row = self._erows[-1]
+        row[0] += messages
         row[1] += data
         row[2] += ctrl
-        cols = _CAUSE_COLS.get(self._cause[0])
+        row[3] += faults
+        cols = _CAUSE_COLS.get(cause_kind)
         if cols is not None:
-            if counted:
-                row[cols[0]] += 1
+            row[cols[0]] += messages
             row[cols[1]] += data
-
-    def _finish_epoch_rows(self) -> None:
-        from repro.obs.metrics import EPOCH_FIELDS
-
-        rows = self._erows
-        top = max((e for e, row in rows.items() if any(row)), default=0)
-        self.timeline.epoch_rows = [
-            dict(zip(EPOCH_FIELDS, rows.get(epoch, [0] * _ROW_WIDTH)))
-            for epoch in range(top + 1)
-        ]
 
     # -- compute chunks ------------------------------------------------------
 
@@ -377,13 +481,10 @@ class SpanBuilder:
         weight = chunks[k] if k < len(chunks) else 0
         if weight:
             dur = weight * self.costs.access_s
-            t0 = self.clock[proc]
-            sid = self._add_span(
-                proc, "compute", t0, t0 + dur, self.prev[proc],
+            self._extend(
+                proc, "compute", self.clock[proc] + dur, self.prev[proc],
                 {"compute": dur}, f"compute ({weight} words)",
             )
-            self.clock[proc] = t0 + dur
-            self.prev[proc] = sid
 
     def _end_sync(self, proc: int) -> None:
         self._ptr[proc] += 1
@@ -391,24 +492,23 @@ class SpanBuilder:
 
     # -- message costs -------------------------------------------------------
 
-    def _msg_cost(self, data: int, ctrl: int) -> Tuple[float, float, float]:
-        """``(total_s, serialization_s, retransmit_s)`` of the next message.
-
-        Consumed exactly once per "msg" record, in stream order — stray
-        messages at encounter, window messages at dispatch (which runs
-        at the window's "end", before any later record) — so the index
-        into the measured delay log stays aligned. Without a delay log
-        this is the synthetic ``costs.message`` charge with no
-        serialization/retransmit components.
-        """
-        delays = self._delays
-        if delays is None:
-            return self.costs.message(data, ctrl), 0.0, 0.0
+    def _next_delay(self) -> Tuple[float, float, float]:
+        """``(total_s, serialization_s, retransmit_s)`` of the next
+        message, from the measured delay log: consumed once per "msg"
+        record, in stream order. A stream with more messages than the
+        log raises here, one with fewer at the end of :meth:`build` — a
+        timeline weighted with another message's delay is quietly wrong
+        from there on. (Without a log the loops charge the synthetic
+        per-message cost inline.)"""
         index = self._delay_idx
         self._delay_idx = index + 1
-        if index < len(delays):
-            return delays[index]
-        return self.costs.message(data, ctrl), 0.0, 0.0
+        try:
+            return self._delays[index]
+        except IndexError:
+            raise SimulatorError(
+                f"span stream and delay log are misaligned: message {index + 1} "
+                f"consumed, {len(self._delays)} delays available"
+            ) from None
 
     # -- span helpers --------------------------------------------------------
 
@@ -418,18 +518,18 @@ class SpanBuilder:
         spans.append(Span(sid, proc, kind, start, end, pred, buckets, label, args))
         return sid
 
+    def _extend(self, proc, kind, end, pred, buckets, label, args=None) -> int:
+        """Add the span that takes ``proc``'s clock from where it is to ``end``."""
+        sid = self._add_span(proc, kind, self.clock[proc], end, pred, buckets, label, args)
+        self.clock[proc] = end
+        self.prev[proc] = sid
+        return sid
+
     # -- miss / write-fault contexts -----------------------------------------
 
     def _open_ctx(self, proc: int, kind: str, label: str) -> Dict[str, Any]:
         self._ensure_compute(proc)
-        ctx: Dict[str, Any] = {
-            "proc": proc,
-            "kind": kind,
-            "label": label,
-            "buckets": {},
-            "servers": set(),
-        }
-        self._ctx = ctx
+        ctx = self._ctx = dict(proc=proc, kind=kind, label=label, buckets={}, servers=set())
         return ctx
 
     def _close_ctx(self) -> None:
@@ -439,17 +539,13 @@ class SpanBuilder:
         self._ctx = None
         proc = ctx["proc"]
         buckets = ctx["buckets"]
-        dur = sum(buckets.values())
-        t0 = self.clock[proc]
-        sid = self._add_span(
-            proc, ctx["kind"], t0, t0 + dur, self.prev[proc], buckets, ctx["label"]
+        sid = self._extend(
+            proc, ctx["kind"], self.clock[proc] + sum(buckets.values()), self.prev[proc],
+            buckets, ctx["label"],
         )
         for server in sorted(ctx["servers"]):
-            source = self.prev[server] if server < self.n_procs else None
-            if server != proc and source is not None:
-                self.timeline.flows.append((source, sid))
-        self.clock[proc] = t0 + dur
-        self.prev[proc] = sid
+            if server != proc and server < self.n_procs and self.prev[server] is not None:
+                self.timeline.flows.append((self.prev[server], sid))
 
     def _ctx_add(self, ctx: Dict[str, Any], category: str, seconds: float) -> None:
         buckets = ctx["buckets"]
@@ -458,46 +554,48 @@ class SpanBuilder:
     # -- main pass -----------------------------------------------------------
 
     def build(self) -> SpanTimeline:
-        for rec in self.records:
-            tag = rec[0]
+        stream = self.records.padded()
+        # Traffic outside sync windows is the miss cause's; summed
+        # here and charged whenever a window (where alone the epoch can
+        # advance) or the stream's end comes up.
+        messages = data = ctrl = faults = 0
+        for tag, a, b, c, d, e, f in stream:
             if tag == "msg":
-                _, name, src, dst, data, ctrl, counted = rec
-                self._account_msg(data, ctrl, counted)
-                if self._window is not None:
-                    self._window[1].append(rec)
-                else:
-                    self._stray_msg(name, src, dst, data, ctrl)
+                if f:
+                    messages += 1
+                data += d
+                ctrl += e
+                self._stray_msg(a, b, c, d, e)
             elif tag == "ev":
-                kind = rec[1]
-                if kind == "page_fault":
-                    self._erow(self._epoch)[3] += 1
-                if self._window is not None:
-                    self._window[1].append(rec)
+                if a == "page_fault":
+                    faults += 1
+                self._stray_event(a, b, c or _NO_FIELDS)
+            elif tag != "end":  # "begin", or an "epoch" outside any window
+                self._account("miss", messages, data, ctrl, faults)
+                messages = data = ctrl = faults = 0
+                if tag == "begin":
+                    self._close_ctx()
+                    self._window(a, b, stream)
                 else:
-                    self._stray_event(rec)
-            elif tag == "begin":
-                self._close_ctx()
-                self._window = ((rec[1], rec[2]), [])
-                self._cause_stack.append(self._cause)
-                self._cause = (rec[1], rec[2])
-            elif tag == "end":
-                window = self._window
-                self._window = None
-                self._cause = self._cause_stack.pop() if self._cause_stack else MISS_CAUSE
-                if window is not None:
-                    self._dispatch_window(window[0], window[1])
-            else:  # "epoch"
-                self._epoch += 1
+                    self._erows.append([0] * _ROW_WIDTH)
+        self._account("miss", messages, data, ctrl, faults)
         self._close_ctx()
         for proc in range(self.n_procs):
             self._ensure_compute(proc)  # lay the tail chunks
-        self._finish_epoch_rows()
+        rows = self._erows
+        while len(rows) > 1 and not any(rows[-1]):
+            del rows[-1]  # like the registry's snapshot: no trailing empty epochs
+        self.timeline.epoch_rows = [dict(zip(EPOCH_FIELDS, row)) for row in rows]
+        if self._delays is not None and self._delay_idx != len(self._delays):
+            raise SimulatorError(
+                f"span stream and delay log are misaligned: {self._delay_idx} "
+                f"messages consumed, {len(self._delays)} delays available"
+            )
         return self.timeline
 
     # -- records outside sync windows ----------------------------------------
 
-    def _stray_event(self, rec: tuple) -> None:
-        kind, proc, fields = rec[1], rec[2], rec[3] or {}
+    def _stray_event(self, kind: str, proc: int, fields: Dict[str, Any]) -> None:
         ctx = self._ctx
         if kind == "page_fault":
             if ctx is not None and ctx["kind"] == "write_fault" and ctx["proc"] == proc:
@@ -520,8 +618,12 @@ class SpanBuilder:
             # Traffic with no announcing fault event; attribute to the
             # sender so nothing is silently dropped.
             ctx = self._open_ctx(src, "other", "unattributed traffic")
-        cost, ser_s, rtx_s = self._msg_cost(data, ctrl)
-        cost -= ser_s + rtx_s
+        if self._delays is None:
+            cost = self.costs.message_s + (data + ctrl) * self.costs.byte_s
+            ser_s = rtx_s = 0.0
+        else:
+            cost, ser_s, rtx_s = self._next_delay()
+            cost -= ser_s + rtx_s
         if name.startswith("PAGE"):
             category = "page_fetch"
         elif name in _DIFF_PULL_KINDS:
@@ -541,62 +643,95 @@ class SpanBuilder:
 
     # -- sync windows --------------------------------------------------------
 
-    def _dispatch_window(self, cause: Tuple[str, int], wrecs: List[tuple]) -> None:
-        marker = None
-        for rec in wrecs:
-            if rec[0] == "ev" and rec[1] in ("acquire", "release", "barrier_arrive"):
-                marker = rec
-                break
-        if marker is None:
-            # Empty window: nothing to place on the timeline, but the
-            # delay-log cursor must still pass over its messages.
-            for rec in wrecs:
-                if rec[0] == "msg":
-                    self._msg_cost(rec[4], rec[5])
-            return
-        if marker[1] == "acquire":
-            self._window_acquire(cause[1], marker[2], wrecs)
-        elif marker[1] == "release":
-            self._window_release(cause[1], marker[2], wrecs)
-        else:
-            self._window_barrier(cause[1], marker[2], wrecs)
+    def _window(self, cause_kind: str, ident: int, stream) -> None:
+        """Fold the window ``stream`` has just entered, through its "end".
 
-    def _window_acquire(self, lock: int, proc: int, wrecs: List[tuple]) -> None:
-        self._ensure_compute(proc)
+        The sync wrappers emit the window's marker event (``acquire``,
+        ``release`` or ``barrier_arrive``) first; it names the acting
+        processor and picks the sums its messages land in. A window
+        without one places nothing on the timeline, but its messages
+        still count and still pass the delay-log cursor over. After
+        ``barrier_complete`` the sums are per exiting client.
+        """
         costs = self.costs
-        close_s = flush_s = transfer_s = grant_s = page_s = diff_s = 0.0
-        ser_s = rtx_s = 0.0
-        grantor: Optional[int] = None
-        for rec in wrecs:
-            if rec[0] == "msg":
-                _, name, src, dst, data, ctrl, _counted = rec
-                cost, m_ser, m_rtx = self._msg_cost(data, ctrl)
-                cost -= m_ser + m_rtx
-                ser_s += m_ser
-                rtx_s += m_rtx
-                if name in _LOCK_REQ_KINDS:
-                    transfer_s += cost
-                    if name == "LOCK_FORWARD":
-                        grantor = dst
-                elif name in _LOCK_GRANT_KINDS:
-                    grant_s += cost
-                    if name == "LOCK_GRANT":
-                        grantor = src
-                elif name in _UNLOCK_KINDS:
-                    flush_s += cost  # HLRC home flush at interval close
-                elif name.startswith("PAGE"):
-                    page_s += cost
+        message_s, byte_s = costs.message_s, costs.byte_s
+        delays = self._delays
+        messages = data = ctrl = faults = 0
+        marker = proc = grantor = table = default = per = None
+        sums = [0.0] * 6
+        close_s = ser_s = rtx_s = m_ser = m_rtx = 0.0
+        for tag, a, b, c, d, e, f in stream:
+            if tag == "msg":
+                if f:
+                    messages += 1
+                data += d
+                ctrl += e
+                if delays is None:
+                    cost = message_s + (d + e) * byte_s
                 else:
-                    diff_s += cost  # acquire-time diff pulls (LU/LH)
-            else:  # "ev"
-                kind = rec[1]
-                if kind == "diff_create":
-                    close_s += costs.diff_create_s
-                elif kind == "diff_apply":
-                    diff_s += ((rec[3] or {}).get("count", 1)) * costs.diff_apply_s
-        t0 = self.clock[proc]
-        t_request = t0 + close_s + flush_s
-        arrival = t_request + transfer_s
+                    cost, m_ser, m_rtx = self._next_delay()
+                    if marker == "release":  # subtracted one by one: kept to the bit
+                        cost = cost - m_ser - m_rtx
+                    else:
+                        cost -= m_ser + m_rtx
+                if per is not None:
+                    client = b if a.endswith("_REQUEST") else c
+                    slot = per.setdefault(client, [0.0, 0.0, 0.0, 0.0])
+                    # BARRIER_EXIT / bare notices, or the client's pulls
+                    slot[1 if a in _DIFF_PULL_KINDS else 0] += cost
+                    slot[2] += m_ser
+                    slot[3] += m_rtx
+                elif marker is not None:
+                    ser_s += m_ser
+                    rtx_s += m_rtx
+                    which = table.get(a, default)
+                    sums[which] += cost
+                    if which == _REQUEST:
+                        if a == "LOCK_FORWARD":
+                            grantor = c
+                    elif which == _GRANT and a == "LOCK_GRANT":
+                        grantor = b
+            elif tag == "ev":
+                if a == "diff_create":
+                    if marker is not None and per is None:
+                        close_s += costs.diff_create_s
+                elif a == "diff_apply":
+                    seconds = (c or _NO_FIELDS).get("count", 1) * costs.diff_apply_s
+                    if per is not None:
+                        per.setdefault(b, [0.0, 0.0, 0.0, 0.0])[1] += seconds
+                    elif marker == "acquire":
+                        sums[_DIFF] += seconds
+                elif a == "page_fault":
+                    faults += 1
+                elif marker is None:
+                    if a in _WINDOW_SUMS:
+                        marker, proc = a, b
+                        table, default = _WINDOW_SUMS[a]
+                        self._ensure_compute(proc)
+                elif a == "barrier_complete" and marker == "barrier_arrive" and per is None:
+                    episode = self._barrier_arrive(ident, proc, close_s, sums, ser_s, rtx_s)
+                    per = {p: [0.0, 0.0, 0.0, 0.0] for p, _, _ in episode}
+            elif tag == "end":
+                break
+            elif tag == "epoch":
+                # After the window's last message: what it sent belongs
+                # to the episode this closes.
+                self._account(cause_kind, messages, data, ctrl, faults)
+                messages = data = ctrl = faults = 0
+                self._erows.append([0] * _ROW_WIDTH)
+        self._account(cause_kind, messages, data, ctrl, faults)
+        if marker == "acquire":
+            self._acquire(ident, proc, grantor, close_s, sums, ser_s, rtx_s)
+        elif marker == "release":
+            self._release(ident, proc, close_s, sums[_FLUSH], ser_s, rtx_s)
+        elif per is not None:
+            self._complete_barrier(ident, self._episodes.pop(ident), per)
+        elif marker is not None:
+            self._barrier_arrive(ident, proc, close_s, sums, ser_s, rtx_s)
+
+    def _acquire(self, lock, proc, grantor, close_s, sums, ser_s, rtx_s) -> None:
+        flush_s, transfer_s, grant_s, page_s, diff_s, _ = sums
+        arrival = self.clock[proc] + close_s + flush_s + transfer_s
         available = arrival
         serial_s = 0.0
         pred = self.prev[proc]
@@ -608,142 +743,62 @@ class SpanBuilder:
                 serial_s = available - arrival
                 if serial_s > 0.0:
                     pred = flow_src = release[1]
-        end = available + grant_s + page_s + diff_s + ser_s + rtx_s
-        buckets: Dict[str, float] = {}
-        for category, seconds in (
-            ("diff_create", close_s),
-            ("flush", flush_s),
-            ("lock_transfer", transfer_s + grant_s),
-            ("lock_serialization", serial_s),
-            ("page_fetch", page_s),
-            ("diff_fetch", diff_s),
-            ("serialization", ser_s),
-            ("retransmit", rtx_s),
-        ):
-            if seconds:
-                buckets[category] = seconds
-        sid = self._add_span(
-            proc, "acquire", t0, end, pred, buckets, f"acquire L{lock}",
+        sid = self._extend(
+            proc, "acquire", available + grant_s + page_s + diff_s + ser_s + rtx_s, pred,
+            _buckets(
+                ("diff_create", close_s), ("flush", flush_s),
+                ("lock_transfer", transfer_s + grant_s), ("lock_serialization", serial_s),
+                ("page_fetch", page_s), ("diff_fetch", diff_s),
+                ("serialization", ser_s), ("retransmit", rtx_s),
+            ),
+            f"acquire L{lock}",
             args={"lock": lock, "grantor": grantor if grantor is not None else proc},
         )
         if flow_src is not None:
             self.timeline.flows.append((flow_src, sid))
-        self.clock[proc] = end
-        self.prev[proc] = sid
         self._end_sync(proc)
 
-    def _window_release(self, lock: int, proc: int, wrecs: List[tuple]) -> None:
-        self._ensure_compute(proc)
-        costs = self.costs
-        close_s = flush_s = ser_s = rtx_s = 0.0
-        for rec in wrecs:
-            if rec[0] == "msg":
-                cost, m_ser, m_rtx = self._msg_cost(rec[4], rec[5])
-                flush_s += cost - m_ser - m_rtx
-                ser_s += m_ser
-                rtx_s += m_rtx
-            elif rec[1] == "diff_create":
-                close_s += costs.diff_create_s
-        t0 = self.clock[proc]
-        end = t0 + close_s + flush_s + ser_s + rtx_s
-        buckets = {}
-        if close_s:
-            buckets["diff_create"] = close_s
-        if flush_s:
-            buckets["flush"] = flush_s
-        if ser_s:
-            buckets["serialization"] = ser_s
-        if rtx_s:
-            buckets["retransmit"] = rtx_s
-        sid = self._add_span(
-            proc, "release", t0, end, self.prev[proc], buckets, f"release L{lock}",
-            args={"lock": lock},
+    def _release(self, lock, proc, close_s, flush_s, ser_s, rtx_s) -> None:
+        end = self.clock[proc] + close_s + flush_s + ser_s + rtx_s
+        sid = self._extend(
+            proc, "release", end, self.prev[proc],
+            _buckets(
+                ("diff_create", close_s), ("flush", flush_s),
+                ("serialization", ser_s), ("retransmit", rtx_s),
+            ),
+            f"release L{lock}", args={"lock": lock},
         )
-        self.clock[proc] = end
-        self.prev[proc] = sid
         self._release_point[lock] = (end, sid)
         self._end_sync(proc)
 
-    def _window_barrier(self, bid: int, proc: int, wrecs: List[tuple]) -> None:
-        self._ensure_compute(proc)
-        costs = self.costs
-        complete_at: Optional[int] = None
-        for index, rec in enumerate(wrecs):
-            if rec[0] == "ev" and rec[1] == "barrier_complete":
-                complete_at = index
-                break
-        arrive_recs = wrecs if complete_at is None else wrecs[:complete_at]
-        close_s = flush_s = arrival_s = ser_s = rtx_s = 0.0
-        for rec in arrive_recs:
-            if rec[0] == "msg":
-                name = rec[1]
-                cost, m_ser, m_rtx = self._msg_cost(rec[4], rec[5])
-                cost -= m_ser + m_rtx
-                ser_s += m_ser
-                rtx_s += m_rtx
-                if name in _UNLOCK_KINDS or name in (
-                    "BARRIER_NOTICE", "BARRIER_UPDATE", "BARRIER_ACK", "BARRIER_RECONCILE"
-                ):
-                    flush_s += cost  # eager barrier-time flush
-                else:
-                    arrival_s += cost  # BARRIER_ARRIVAL (+ piggyback)
-            elif rec[1] == "diff_create":
-                close_s += costs.diff_create_s
-        t0 = self.clock[proc]
-        t_arrive = t0 + close_s + flush_s + arrival_s + ser_s + rtx_s
-        buckets = {}
-        for category, seconds in (
-            ("diff_create", close_s),
-            ("flush", flush_s),
-            ("barrier_transfer", arrival_s),
-            ("serialization", ser_s),
-            ("retransmit", rtx_s),
-        ):
-            if seconds:
-                buckets[category] = seconds
-        arrive_sid = self._add_span(
-            proc, "barrier_arrive", t0, t_arrive, self.prev[proc], buckets,
+    def _barrier_arrive(self, bid, proc, close_s, sums, ser_s, rtx_s):
+        """Place ``proc``'s arrival; returns the episode so far."""
+        flush_s, arrival_s = sums[_FLUSH], sums[_ARRIVAL]  # BARRIER_ARRIVAL (+ piggyback)
+        t_arrive = self.clock[proc] + close_s + flush_s + arrival_s + ser_s + rtx_s
+        arrive_sid = self._extend(
+            proc, "barrier_arrive", t_arrive, self.prev[proc],
+            _buckets(
+                ("diff_create", close_s), ("flush", flush_s), ("barrier_transfer", arrival_s),
+                ("serialization", ser_s), ("retransmit", rtx_s),
+            ),
             f"barrier {bid} arrive", args={"barrier": bid},
         )
-        self.clock[proc] = t_arrive
-        self.prev[proc] = arrive_sid
         episode = self._episodes.setdefault(bid, [])
         episode.append((proc, t_arrive, arrive_sid))
         self._end_sync(proc)
-        if complete_at is None:
-            return
-        self._complete_barrier(bid, episode, wrecs[complete_at + 1 :])
-        del self._episodes[bid]
+        return episode
 
     def _complete_barrier(
-        self, bid: int, episode: List[Tuple[int, float, int]], comp_recs: List[tuple]
+        self, bid: int, episode: List[Tuple[int, float, int]], per: Dict[int, List[float]]
     ) -> None:
-        costs = self.costs
+        """Place every client's wait and exit; ``per`` holds its exit
+        costs as [barrier_transfer, diff_fetch, serialization,
+        retransmit] seconds."""
         completion = max(t for _, t, _ in episode)
         last_sid = next(sid for _, t, sid in episode if t == completion)
         arrivals = [t for _, t, _ in episode]
         self.timeline.barrier_imbalance_s += completion - sum(arrivals) / len(arrivals)
         self.timeline.barrier_episodes += 1
-        # Per-client exit costs: [barrier_transfer, diff_fetch,
-        # serialization, retransmit] seconds.
-        per: Dict[int, List[float]] = {p: [0.0, 0.0, 0.0, 0.0] for p, _, _ in episode}
-        for rec in comp_recs:
-            if rec[0] == "msg":
-                _, name, src, dst, data, ctrl, _counted = rec
-                client = src if name.endswith("_REQUEST") else dst
-                cost, m_ser, m_rtx = self._msg_cost(data, ctrl)
-                cost -= m_ser + m_rtx
-                slot = per.setdefault(client, [0.0, 0.0, 0.0, 0.0])
-                if name in _DIFF_PULL_KINDS:
-                    slot[1] += cost
-                else:
-                    slot[0] += cost  # BARRIER_EXIT / bare notices
-                slot[2] += m_ser
-                slot[3] += m_rtx
-            elif rec[0] == "ev" and rec[1] == "diff_apply":
-                client = rec[2]
-                slot = per.setdefault(client, [0.0, 0.0, 0.0, 0.0])
-                slot[1] += ((rec[3] or {}).get("count", 1)) * costs.diff_apply_s
         for proc, t_arrive, arrive_sid in episode:
             wait = completion - t_arrive
             if wait > 0.0:
@@ -751,29 +806,22 @@ class SpanBuilder:
                     proc, "barrier_wait", t_arrive, completion, arrive_sid,
                     {"barrier_wait": wait}, f"barrier {bid} wait",
                 )
-            transfer_s, fetch_s, ser_s, rtx_s = per.get(proc, (0.0, 0.0, 0.0, 0.0))
-            buckets = {}
-            if transfer_s:
-                buckets["barrier_transfer"] = transfer_s
-            if fetch_s:
-                buckets["diff_fetch"] = fetch_s
-            if ser_s:
-                buckets["serialization"] = ser_s
-            if rtx_s:
-                buckets["retransmit"] = rtx_s
-            exit_end = completion + transfer_s + fetch_s + ser_s + rtx_s
-            exit_sid = self._add_span(
-                proc, "barrier_exit", completion, exit_end,
-                last_sid, buckets, f"barrier {bid} exit", args={"barrier": bid},
+            transfer_s, fetch_s, ser_s, rtx_s = per[proc]
+            self.clock[proc] = completion  # nobody leaves before the last arrival
+            exit_sid = self._extend(
+                proc, "barrier_exit", completion + transfer_s + fetch_s + ser_s + rtx_s, last_sid,
+                _buckets(
+                    ("barrier_transfer", transfer_s), ("diff_fetch", fetch_s),
+                    ("serialization", ser_s), ("retransmit", rtx_s),
+                ),
+                f"barrier {bid} exit", args={"barrier": bid},
             )
             if arrive_sid != last_sid:
                 self.timeline.flows.append((last_sid, exit_sid))
-            self.clock[proc] = exit_end
-            self.prev[proc] = exit_sid
 
 
 def timeline_from_records(
-    records: Sequence[tuple],
+    records: SpanRecords,
     compiled,
     n_procs: int,
     costs: Optional[SpanCosts] = None,
@@ -787,19 +835,14 @@ def timeline_from_records(
     (``NetworkTiming.delay_log``, one ``(total, serialization,
     retransmit)`` triple per "msg" record in stream order); when given,
     message weights come from the simulated network instead of the
-    synthetic ``costs.message`` charge.
+    synthetic ``costs`` charge; a log that is not one entry per message
+    raises :class:`~repro.common.errors.SimulatorError`.
     """
     from repro.hb.skeleton import sync_compute_profile
 
-    return SpanBuilder(
-        records,
-        sync_compute_profile(compiled, n_procs),
-        costs or SpanCosts.ethernet_1992(),
-        n_procs,
-        app=app,
-        protocol=protocol,
-        delays=delays,
-    ).build()
+    profile = sync_compute_profile(compiled, n_procs)
+    costs = costs or SpanCosts.ethernet_1992()
+    return SpanBuilder(records, profile, costs, n_procs, app, protocol, delays).build()
 
 
 def build_span_timeline(
@@ -839,14 +882,9 @@ def build_span_timeline(
         result = engine.run()
     finally:
         probe.close()
+    delays = getattr(probe, "link_delays", None)
     timeline = timeline_from_records(
-        probe.records,
-        compiled,
-        config.n_procs,
-        costs,
-        app=trace.meta.app,
-        protocol=result.protocol,
-        delays=getattr(probe, "link_delays", None),
+        probe.records, compiled, config.n_procs, costs, trace.meta.app, result.protocol, delays
     )
     return result, timeline
 
@@ -859,25 +897,13 @@ def to_chrome_trace(timeline: SpanTimeline) -> Dict[str, Any]:
     stall buckets in ``args``; flow edges become "s"/"f" pairs so
     Perfetto draws the message-causality arrows.
     """
-    events: List[Dict[str, Any]] = [
-        {
-            "ph": "M",
-            "pid": 0,
-            "tid": 0,
-            "name": "process_name",
-            "args": {"name": f"{timeline.app} under {timeline.protocol}"},
-        }
-    ]
+    def event(ph: str, tid: int, name: str, **rest: Any) -> Dict[str, Any]:
+        return {"ph": ph, "pid": 0, "tid": tid, "name": name, **rest}
+
+    title = f"{timeline.app} under {timeline.protocol}"
+    events = [event("M", 0, "process_name", args={"name": title})]
     for proc in range(timeline.n_procs):
-        events.append(
-            {
-                "ph": "M",
-                "pid": 0,
-                "tid": proc,
-                "name": "thread_name",
-                "args": {"name": f"proc {proc}"},
-            }
-        )
+        events.append(event("M", proc, "thread_name", args={"name": f"proc {proc}"}))
     for span in timeline.spans:
         args: Dict[str, Any] = {
             category: round(seconds * 1e6, 3)
@@ -886,41 +912,15 @@ def to_chrome_trace(timeline: SpanTimeline) -> Dict[str, Any]:
         if span.args:
             args.update(span.args)
         events.append(
-            {
-                "ph": "X",
-                "pid": 0,
-                "tid": span.proc,
-                "name": span.label,
-                "cat": span.kind,
-                "ts": round(span.start * 1e6, 3),
-                "dur": round(span.duration * 1e6, 3),
-                "args": args,
-            }
+            event(
+                "X", span.proc, span.label, cat=span.kind, ts=round(span.start * 1e6, 3),
+                dur=round(span.duration * 1e6, 3), args=args,
+            )
         )
     spans = timeline.spans
     for flow_id, (src_sid, dst_sid) in enumerate(timeline.flows):
         src, dst = spans[src_sid], spans[dst_sid]
-        events.append(
-            {
-                "ph": "s",
-                "pid": 0,
-                "tid": src.proc,
-                "name": "hb",
-                "cat": "flow",
-                "id": flow_id,
-                "ts": round(src.end * 1e6, 3),
-            }
-        )
-        events.append(
-            {
-                "ph": "f",
-                "bp": "e",
-                "pid": 0,
-                "tid": dst.proc,
-                "name": "hb",
-                "cat": "flow",
-                "id": flow_id,
-                "ts": round(dst.start * 1e6, 3),
-            }
-        )
+        start = event("s", src.proc, "hb", cat="flow", id=flow_id, ts=round(src.end * 1e6, 3))
+        finish = event("f", dst.proc, "hb", cat="flow", id=flow_id, ts=round(dst.start * 1e6, 3))
+        events += (start, {"ph": "f", "bp": "e", **finish})
     return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -18,6 +18,7 @@ from repro.memory.page import PageEntry, PageState, PageTable
 from repro.network.message import MessageKind
 from repro.network.network import Network
 from repro.obs.probe import NULL_PROBE, Probe, is_stock_staging
+from repro.obs.spans import SpanProbe
 from repro.config import SimConfig
 from repro.sync.barrier import BarrierMaster
 from repro.sync.lock_manager import LockDirectory
@@ -39,17 +40,19 @@ def certify_replay(
       ``replay_certified = True`` in its own body (``uncertified_class``).
     - ``"batched"``: the access-run kernels, one ``Network.send`` per
       message, for a run that watches individual messages:
-      ``subclassed_probe`` (a probe that is not a stock staging
-      :class:`~repro.obs.probe.RecordingProbe` — it overrides a hook the
+      ``subclassed_probe`` (a probe that is neither a stock staging
+      :class:`~repro.obs.probe.RecordingProbe` nor a stock
+      :class:`~repro.obs.spans.SpanProbe` — it overrides a hook the
       tape would bypass, :func:`~repro.obs.probe.is_stock_staging` —
-      e.g. ``SpanProbe``), ``handler`` (a registered message handler)
-      or ``keep_log``.
+      e.g. a subclass counting ``on_message`` calls), ``handler`` (a
+      registered message handler) or ``keep_log``.
     - ``"tape"``: no individual message is watched, so the run is
       replayed from cost-resolved tape records through
       :meth:`Network.apply_tape <repro.network.network.Network.apply_tape>`
       bulk updates (lazy family: per sync operation and diff fetch;
       eager family: the whole run). A stock probe's metrics rows and
-      event sinks are fed from the same records. The reason is None.
+      event sinks, and a span probe's record stream, are fed from the
+      same records. The reason is None.
 
     The engine dispatches on the path and hands it to
     ``bind_batch_plan``; the pair goes into the run's manifest.
@@ -62,7 +65,7 @@ def certify_replay(
     if not type(protocol).__dict__.get("replay_certified", False):
         return "per_event", "uncertified_class"
     network = protocol.network
-    if protocol._obs and not protocol._probe_fast:
+    if protocol._obs and not protocol._probe_fast and protocol._span is None:
         return "batched", "subclassed_probe"
     if network._handlers:
         return "batched", "handler"
@@ -120,6 +123,7 @@ class Protocol(abc.ABC):
         self._obs = False
         self._obs_events = False
         self._probe_fast = False
+        self._span = self._span_send = None
         # Set by a batched replay (bind_batch_plan): nothing there can
         # observe page contents, twins or dirty words — record_values
         # forces the per-event path, which alone maintains them — so the
@@ -140,6 +144,15 @@ class Protocol(abc.ABC):
         # operation instead of two method calls — and the network add to
         # it per message. Subclassed probes keep the full hook protocol.
         self._probe_fast = is_stock_staging(probe)
+        # A stock SpanProbe's record stream. Its hooks write it wherever
+        # hooks are called; the tape kernels, which bypass them, write
+        # the same rows: windows through _span, messages through
+        # _span_send. That one has Network.send's signature — a kernel
+        # expands its record's merged deltas into one call per message,
+        # in send order — so anything else that needs the tape's message
+        # sequence (a send log) is a second callable, not a second expansion.
+        self._span = probe.records if is_stock_staging(probe, SpanProbe) else None
+        self._span_send = self._span.sender(self.costs) if self._span is not None else None
         self.network.attach_probe(probe)
 
     # -- helpers -----------------------------------------------------------

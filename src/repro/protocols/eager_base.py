@@ -95,14 +95,16 @@ class BatchedEagerMixin:
     stays on the per-event interpreter, the bit-identical reference.
 
     Two replays walk the same steps. A run that watches messages
-    (``SpanProbe``, handlers, ``keep_log``) takes ``_k_run``: one
-    ``Network.send`` per message, each sync operation through the
-    public wrapper. Every other run is certified for the **priced** tape
-    (:class:`~repro.hb.skeleton.PricedEagerTape`): ``_t_run`` folds one
-    merged ledger record per sync operation and inter-sync gap into
-    the network, the counters and — under a stock probe — the staged
-    attribution rows; with sinks it walks the unpriced steps alongside
-    and emits each one's events.
+    (a handler, ``keep_log``, a probe subclass overriding a hook)
+    takes ``_k_run``: one ``Network.send`` per message, each sync
+    operation through the public wrapper. Every other run is certified
+    for the **priced** tape (:class:`~repro.hb.skeleton.PricedEagerTape`):
+    ``_t_run`` folds one merged ledger record per sync operation and
+    inter-sync gap into the network, the counters and — under a stock
+    probe — the staged attribution rows; with sinks it walks the
+    unpriced steps alongside and emits each one's events, and under a
+    ``SpanProbe`` it also writes each step's messages and window into
+    the probe's record stream.
     """
 
     def bind_batch_plan(self, plan, tape: bool):
@@ -143,10 +145,13 @@ class BatchedEagerMixin:
         step of the unpriced tape: the gap's events land at the sync
         record that follows them (a gap of bare write faults has no
         priced record of its own), still before it and inside its epoch.
+        A span probe gets, between those events, each step's messages
+        as ``_span_send`` calls in the order ``_k_run`` sends them, and
+        the operation's window around them.
         """
         apply_tape = self.network.apply_tape
         probe = self.probe if self._obs else None
-        steps = None
+        steps = send = None
         if probe is not None:
             # No sync operation is in progress: this is the miss-cause row.
             miss_row = probe._seg_row
@@ -154,6 +159,7 @@ class BatchedEagerMixin:
             barrier_rows = ("barrier", probe._barrier_rows)
             if self._obs_events:
                 steps = self._tape.steps()
+                send = self._span_send
         for cause, ident, deltas, rowadd, complete in self._priced.records:
             if deltas:
                 apply_tape(deltas)
@@ -168,10 +174,14 @@ class BatchedEagerMixin:
                     row = rows[ident] = probe._cause_row(kind, ident)
                 if steps is not None:
                     (op, proc, _ident), gap, flush = next(steps)
-                    self._emit_gap(gap)
+                    self._emit_gap(gap, send)
+                    if send is not None:
+                        self._span.begin(kind, ident)
                     # The cause kind names the event's id field too.
                     probe.emit(_SYNC_EVENTS[op], proc=proc, **{kind: ident})
-                    self._emit_flush(proc, flush)
+                    self._emit_flush(proc, flush, op, send)
+                    if send is not None:
+                        self._span_sync(op, proc, ident, send)
             if rowadd is not None:
                 row[0] += rowadd[0]
                 row[1] += rowadd[1]
@@ -180,44 +190,98 @@ class BatchedEagerMixin:
             if complete:
                 if steps is not None:
                     probe.emit("barrier_complete", proc=proc, barrier=ident)
+                    if send is not None:
+                        for target in self.barriers.exit_targets():
+                            send(MessageKind.BARRIER_EXIT, self.barriers.master, target)
                 probe.advance_epoch()
+            if send is not None and cause != P_MISS:
+                self._span.end()
         if steps is not None:
-            self._emit_gap(self._tape.tail)
+            self._emit_gap(self._tape.tail, send)
         for name, total in self._priced.counters.items():
             setattr(self, name, getattr(self, name) + total)
 
-    def _emit_gap(self, gap: tuple) -> None:
+    def _span_sync(self, op: int, proc: ProcId, ident: int, send) -> None:
+        """The hops of one sync operation itself, as the ``_on_*`` hooks
+        send them after any flush; the protocol's own (otherwise idle)
+        lock directory is walked along for the grantors."""
+        locks = self.locks
+        if op == OP_ACQUIRE:
+            grantor = locks.grantor_of(ident)
+            if grantor != proc or not self.config.free_local_lock_reacquire:
+                manager = locks.manager_of(ident)
+                send(MessageKind.LOCK_REQUEST, proc, manager)
+                send(MessageKind.LOCK_FORWARD, manager, grantor)
+                send(MessageKind.LOCK_GRANT, grantor, proc)
+            locks.record_acquire(proc, ident)
+        elif op == OP_RELEASE:
+            locks.record_release(proc, ident)
+        else:
+            send(MessageKind.BARRIER_ARRIVAL, proc, self.barriers.master)
+
+    def _emit_gap(self, gap: tuple, send=None) -> None:
         """The events of one gap's misses and write faults, in the order
-        ``_service_miss`` / ``_fetch_page_copy`` / EW's fault emit them."""
+        ``_service_miss`` / ``_fetch_page_copy`` / EW's fault emit them
+        — and, given ``send``, their messages in between."""
         emit = self.probe.emit
         page_bytes = self._page_fetch_bytes
         for rec in gap:
+            holders = ()
             if rec[0] == E_MISS:
-                _, proc, page, cold, server, _forward = rec
-            else:  # E_WFAULT, with an optional nested miss
-                _, proc, page, miss, _holders, _ping = rec
+                _, proc, page, *miss = rec
+            else:  # E_WFAULT: an optional nested miss, then the invalidations
+                _, proc, page, miss, holders, _ping = rec
                 emit("write_fault", proc=proc, page=page)
-                if miss is None:
-                    continue
-                cold, server, _forward = miss
-            emit("page_fault", proc=proc, page=page, cold=int(cold))
-            emit("page_fetch", proc=proc, page=page, server=server, bytes=page_bytes)
+            if miss is not None:
+                cold, server, forward = miss
+                emit("page_fault", proc=proc, page=page, cold=int(cold))
+                if send is not None:
+                    if forward is None:
+                        send(MessageKind.PAGE_REQUEST, proc, server)
+                    else:
+                        send(MessageKind.PAGE_REQUEST, proc, forward)
+                        send(MessageKind.PAGE_FORWARD, forward, server)
+                    send(MessageKind.PAGE_REPLY, server, proc, page_bytes)
+                emit("page_fetch", proc=proc, page=page, server=server, bytes=page_bytes)
+            if send is not None:
+                for holder in holders:
+                    send(MessageKind.WRITE_NOTICE, proc, holder, 0, self.costs.write_notice_bytes)
+                    send(MessageKind.RELEASE_ACK, holder, proc)
 
-    def _emit_flush(self, proc: ProcId, flush: Optional[tuple]) -> None:
-        """The events of one flush outcome (``EagerProtocol._flush``)."""
+    def _emit_flush(self, proc: ProcId, flush: Optional[tuple], op: int, send=None) -> None:
+        """The events of one flush outcome (``EagerProtocol._flush``)
+        and, given ``send``, its messages (``_k_flush``'s order)."""
         if flush is None:
             return
         emit = self.probe.emit
         costs = self.costs
-        count, _excess, pushes = flush
+        header_bytes, word_bytes = costs.diff_run_header_bytes, costs.word_bytes
+        notice_kind, update_kind, ack_kind, reconcile_kind = (
+            UNLOCK_KINDS if op == OP_RELEASE else BARRIER_KINDS
+        )
+        count, excess, pushes = flush
         emit("flush", proc=proc, count=count)
+        if send is not None:
+            for _page, owner, n_runs, n_words, dests in excess:
+                send(reconcile_kind, proc, owner, n_runs * header_bytes + n_words * word_bytes)
+                send(ack_kind, owner, proc)
+                for dest in dests:
+                    send(notice_kind, proc, dest, 0, costs.notices_bytes(1))
+                    send(ack_kind, dest, proc)
+        update = self.update
         for dest, n_diffs, runs_total, words_total in pushes:
-            if self.update:
-                payload = runs_total * costs.diff_run_header_bytes + words_total * costs.word_bytes
+            if update:
+                payload = runs_total * header_bytes + words_total * word_bytes
+                if send is not None:
+                    send(update_kind, proc, dest, payload)
                 emit("update_push", proc=proc, dest=dest, count=n_diffs, bytes=payload)
             else:
                 control = costs.notices_bytes(n_diffs)
+                if send is not None:
+                    send(notice_kind, proc, dest, 0, control)
                 emit("notices_send", proc=proc, dest=dest, count=n_diffs, bytes=control)
+            if send is not None:
+                send(ack_kind, dest, proc)
 
     # -- per-message tape replay ----------------------------------------------
 

@@ -376,7 +376,11 @@ class LazyProtocol(Protocol):
             self.diff_bytes_fetched += payload
             if obs:
                 emit = self.probe.emit
+                span_send = self._span_send
                 for server, count, served in by_server:
+                    if span_send is not None:
+                        span_send(request_kind, proc, server)
+                        span_send(reply_kind, server, proc, served)
                     emit("diff_fetch", proc=proc, server=server, count=count, bytes=served)
         else:
             send = self.network.send
@@ -609,14 +613,17 @@ class LazyProtocol(Protocol):
         fields differ per hop.
         """
         self.notices_sent += n_notices
+        self._sync_hops(self.network.send, kind, notice_kind, src, dst, n_notices)
+
+    def _sync_hops(self, send, kind, notice_kind, src, dst, n_notices: int) -> None:
+        """The messages of one sync hop, each handed to ``send`` —
+        ``Network.send``, or on the tape path ``_span_send``."""
         notice_bytes = n_notices * self._notice_bytes_each
         if self.config.piggyback_notices or not n_notices:
-            self.network.send(
-                kind, src, dst, control_bytes=self._vc_bytes + notice_bytes
-            )
+            send(kind, src, dst, 0, self._vc_bytes + notice_bytes)
         else:
-            self.network.send(kind, src, dst, control_bytes=self._vc_bytes)
-            self.network.send(notice_kind, src, dst, control_bytes=notice_bytes)
+            send(kind, src, dst, 0, self._vc_bytes)
+            send(notice_kind, src, dst, 0, notice_bytes)
 
     # -- locks -------------------------------------------------------------------
 
@@ -1024,9 +1031,12 @@ class LazyProtocol(Protocol):
     # attribution row exactly as the base Protocol wrappers would,
     # charges it the tape's precomputed row add and, with sinks
     # (``self._obs_events``), emits the events the wrappers and hooks
-    # would have, from the same record. Counters, ledger, metrics
-    # snapshots and event streams all stay bit-identical to the
-    # per-event interpreters.
+    # would have, from the same record; under a SpanProbe
+    # (``self._span``) it also writes the window and, expanded back out
+    # of the merged deltas, the messages the bypassed hooks would have
+    # recorded. Counters, ledger, metrics snapshots, event streams and
+    # span record streams all stay bit-identical to the per-event
+    # interpreters.
 
     def _t_close_fast(self, proc: ProcId, close: tuple) -> None:
         """Monotone-retention close: the tape's prefix sum is the series."""
@@ -1055,14 +1065,24 @@ class LazyProtocol(Protocol):
 
     def _stage_row(self, rows: Dict[int, List[int]], cause: str, ident: int):
         """Swap in ``(cause, ident)``'s staged row; returns it and the one
-        to restore. Rows are created on first use, in wrapper order."""
+        to restore. Rows are created on first use, in wrapper order.
+        Under a span probe this opens the operation's window, which
+        :meth:`_unstage` closes."""
         probe = self.probe
         saved = probe._seg_row
         row = rows.get(ident)
         if row is None:
             row = rows[ident] = probe._cause_row(cause, ident)
         probe._seg_row = row
+        if self._span is not None:
+            self._span.begin(cause, ident)
         return row, saved
+
+    def _unstage(self, saved: List[int]) -> None:
+        """Restore the staged row ``_stage_row`` swapped out."""
+        self.probe._seg_row = saved
+        if self._span is not None:
+            self._span.end()
 
     def _emit_tape_close(self, proc: ProcId, close: tuple) -> None:
         """A tape close's events: its index is its clock's own entry."""
@@ -1089,18 +1109,32 @@ class LazyProtocol(Protocol):
                     row[2] += add[2]
             n = record[3]
             self.notices_sent += n
-            if emit is not None and n:
-                emit(
-                    "notices_send",
-                    proc=record[6],
-                    dest=proc,
-                    count=n,
-                    bytes=n * self._notice_bytes_each,
-                )
-                emit("notices_apply", proc=proc, count=n)
+            if emit is not None:
+                # A span probe (it always takes events) also gets the
+                # hops ``deltas`` merged, around the notice events as
+                # _on_acquire sends them.
+                span_send = self._span_send
+                grantor = record[6]
+                if span_send is not None:
+                    manager = self.locks.manager_of(lock)
+                    span_send(MessageKind.LOCK_REQUEST, proc, manager, 0, self._vc_bytes)
+                    span_send(MessageKind.LOCK_FORWARD, manager, grantor, 0, self._vc_bytes)
+                if n:
+                    emit(
+                        "notices_send",
+                        proc=grantor,
+                        dest=proc,
+                        count=n,
+                        bytes=n * self._notice_bytes_each,
+                    )
+                    emit("notices_apply", proc=proc, count=n)
+                if span_send is not None:
+                    self._sync_hops(
+                        span_send, MessageKind.LOCK_GRANT, MessageKind.LOCK_NOTICE, grantor, proc, n
+                    )
             self._k_receive(proc, record[4], record[5], _ACQUIRE_PULL_KINDS)
         if row is not None:
-            self.probe._seg_row = saved
+            self._unstage(saved)
 
     def _t_release(self, proc: ProcId, lock: LockId) -> None:
         obs = self._obs
@@ -1112,7 +1146,7 @@ class LazyProtocol(Protocol):
                 self._emit_tape_close(proc, close)
         self._t_close(proc, close)
         if obs:
-            self.probe._seg_row = saved
+            self._unstage(saved)
 
     def _t_barrier(self, proc: ProcId, barrier: BarrierId) -> None:
         row = emit = None
@@ -1123,6 +1157,8 @@ class LazyProtocol(Protocol):
                 emit = self.probe.emit
                 emit("barrier_arrive", proc=proc, barrier=barrier)
                 self._emit_tape_close(proc, record[0])
+                master = self.barriers.master
+                span_send = self._span_send
         self._t_close(proc, record[0])
         deltas = record[1]
         if deltas:
@@ -1134,14 +1170,20 @@ class LazyProtocol(Protocol):
                 row[2] += add[2]
             n = record[3]
             self.notices_sent += n
-            if emit is not None and n:
-                emit(
-                    "notices_send",
-                    proc=proc,
-                    dest=self.barriers.master,
-                    count=n,
-                    bytes=n * self._notice_bytes_each,
-                )
+            if emit is not None:
+                if n:
+                    emit(
+                        "notices_send",
+                        proc=proc,
+                        dest=master,
+                        count=n,
+                        bytes=n * self._notice_bytes_each,
+                    )
+                if span_send is not None:
+                    self._sync_hops(
+                        span_send, MessageKind.BARRIER_ARRIVAL, MessageKind.BARRIER_NOTICE,
+                        proc, master, n,
+                    )
         complete = record[4]
         if complete is not None:
             cdeltas, crowadd, cnotices, per_proc = complete
@@ -1155,11 +1197,16 @@ class LazyProtocol(Protocol):
             receive = self._k_receive
             if emit is not None:
                 emit("barrier_complete", proc=proc, barrier=barrier)
-                master = self.barriers.master
             for p, (n, grouped, vc_after) in enumerate(per_proc):
-                if emit is not None and n:
-                    emit("notices_send", proc=master, dest=p, count=n)
-                    emit("notices_apply", proc=p, count=n)
+                if emit is not None:
+                    if n:
+                        emit("notices_send", proc=master, dest=p, count=n)
+                        emit("notices_apply", proc=p, count=n)
+                    if span_send is not None:  # (the master's own exit is local)
+                        self._sync_hops(
+                            span_send, MessageKind.BARRIER_EXIT, MessageKind.BARRIER_NOTICE,
+                            master, p, n,
+                        )
                 receive(p, grouped, vc_after, _BARRIER_PULL_KINDS)
             if self.config.gc_at_barriers:
                 self._collect_garbage()
@@ -1168,7 +1215,7 @@ class LazyProtocol(Protocol):
                 # staged rows are zeroed in place, so ``saved`` stays live.
                 self.probe.advance_epoch()
         if row is not None:
-            self.probe._seg_row = saved
+            self._unstage(saved)
 
     def _collect_garbage_reference(self) -> None:
         min_entries = [

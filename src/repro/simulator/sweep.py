@@ -217,13 +217,13 @@ def _init_sweep_worker_shm(
     _worker_spans = spans
 
 
-def _cell_probe():
+def _cell_probe(metrics: bool, spans: bool):
     """The probe a sweep cell runs under (span tracing implies metrics)."""
-    if _worker_spans:
+    if spans:
         from repro.obs.spans import SpanProbe
 
         return SpanProbe()
-    if _worker_metrics:
+    if metrics:
         return RecordingProbe()
     return None
 
@@ -262,7 +262,7 @@ def _run_sweep_cell(cell: Tuple[str, int]) -> Tuple[str, int, SimulationResult, 
     assert _worker_trace is not None and _worker_config is not None
     config = _worker_config.with_page_size(page_size)
     compiled = _worker_trace.compiled(page_size)
-    probe = _cell_probe()
+    probe = _cell_probe(_worker_metrics, _worker_spans)
     engine = Engine(_worker_trace, config, protocol, compiled=compiled, probe=probe)
     # Plan/tape cache traffic happens inside this worker process; ship
     # the per-cell delta back so the parent can report the sweep-wide
@@ -417,14 +417,7 @@ def run_sweep(
         for page_size in page_sizes:
             cell_config = base.with_page_size(page_size)
             compiled = trace.compiled(page_size)
-            if spans:
-                from repro.obs.spans import SpanProbe
-
-                probe = SpanProbe()
-            elif metrics:
-                probe = RecordingProbe()
-            else:
-                probe = None
+            probe = _cell_probe(metrics, spans)
             engine = Engine(trace, cell_config, protocol, compiled=compiled, probe=probe)
             result = engine.run()
             if spans:

@@ -87,6 +87,19 @@ def ledger_fields(result: SimulationResult) -> dict:
     }
 
 
+def timeline_fields(timeline) -> dict:
+    """Everything a built span timeline holds, as plain comparable values."""
+    return {
+        "spans": [
+            (s.proc, s.kind, s.start, s.end, s.pred, s.buckets, s.label, s.args)
+            for s in timeline.spans
+        ],
+        "flows": timeline.flows,
+        "epoch_rows": timeline.epoch_rows,
+        "barrier_imbalance_s": timeline.barrier_imbalance_s,
+    }
+
+
 def interpreter_engine(trace, protocol, config=None, probe=None, **options) -> Engine:
     """An engine whose ``run()`` is the per-event interpreter for this cell.
 

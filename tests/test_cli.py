@@ -88,6 +88,33 @@ class TestCommands:
         # Four protocols x two page sizes, nothing watching: all on the tape.
         assert out.rstrip().endswith("execution paths: 8 x tape")
 
+    def test_sweep_spans_stays_on_the_tape(self, capsys):
+        args = ["sweep", *small_args("water"), "--page-sizes", "1024", "--spans"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "crit_path_len" in out
+        # A span probe per cell, and still nothing off the tape.
+        assert out.rstrip().endswith("execution paths: 4 x tape")
+
+    @pytest.mark.parametrize(
+        "network, footer",
+        [
+            ([], "execution path: tape"),
+            # A cold timed cell records its send log on the interpreter.
+            (
+                ["--network", "ethernet_1992"],
+                "execution path: per_event (tape declined: send_log_recording)",
+            ),
+        ],
+        ids=["untimed", "cold_timed"],
+    )
+    def test_trace_spans_says_which_path_it_took(self, tmp_path, capsys, network, footer):
+        args = ["trace", *small_args("water"), "--scale", "0.3", "--protocol", "LU"]
+        assert main([*args, "--spans", str(tmp_path / "spans.json"), *network]) == 0
+        lines = capsys.readouterr().out.rstrip().splitlines()
+        assert lines[-2].startswith("span timeline -> ")
+        assert lines[-1] == footer
+
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
         out = capsys.readouterr().out

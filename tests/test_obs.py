@@ -319,7 +319,8 @@ class TestManifest:
             (None, "tape", "EI", {}),
             # A stock probe's sinks are fed from the tape records.
             (None, "tape", "LI", {"probe": "sink"}),
-            ("subclassed_probe", "batched", "EU", {"probe": "span"}),
+            # A hook override on top of either stock class declines.
+            ("subclassed_probe", "batched", "EU", {"probe": "counting_span"}),
             ("handler", "batched", "LU", {"handler": True}),
             ("keep_log", "batched", "EW", {"keep_log": True}),
             ("record_values", "per_event", "LI", {"config": {"record_values": True}}),
@@ -330,6 +331,8 @@ class TestManifest:
                 "EI",
                 {"config": {"link_model": LinkModel.ideal()}},
             ),
+            # The span record stream is written by the tape kernels.
+            (None, "tape", "EU", {"probe": "span"}),
         ],
     )
     def test_execution_path_and_decline_reason(self, reason, path, protocol, setup):
@@ -342,11 +345,19 @@ class TestManifest:
             def _on_notice(self, proc, notice):
                 super()._on_notice(proc, notice)
 
+        class CountingSpanProbe(SpanProbe):
+            messages = 0
+
+            def on_message(self, *args):
+                self.messages += 1
+                super().on_message(*args)
+
         trace = small_trace("water", n_procs=4)
         config = SimConfig(n_procs=4, page_size=1024, **setup.get("config", {}))
         probe = {
             "sink": lambda: RecordingProbe(sinks=[MemorySink()]),
             "span": SpanProbe,
+            "counting_span": CountingSpanProbe,
         }.get(setup.get("probe"), lambda: None)()
         engine = Engine(
             trace, config, Overriding if protocol == "override" else protocol, probe=probe
@@ -354,9 +365,14 @@ class TestManifest:
         if setup.get("handler"):
             engine.protocol.network.register_handler(0, lambda message: None)
         engine.protocol.network.keep_log = bool(setup.get("keep_log"))
-        manifest = engine.run().manifest
+        result = engine.run()
+        manifest = result.manifest
         assert manifest["execution_path"] == path
         assert manifest.get("decline_reason") == reason
+        if isinstance(probe, CountingSpanProbe):
+            # Every hook is called there: it saw, and recorded, every message.
+            tags = [record[0] for record in probe.records]
+            assert probe.messages == tags.count("msg") == result.messages > 0
 
     @pytest.mark.parametrize("protocol", ["LI", "EU"])
     def test_an_emit_only_override_sees_every_event(self, protocol):

@@ -27,7 +27,7 @@ from repro.network.costs import CostModel
 from repro.network.network import Network
 from repro.obs.probe import RecordingProbe
 from repro.obs.sinks import ColumnarSink, MemorySink
-from repro.obs.spans import SpanProbe
+from repro.obs.spans import SpanProbe, timeline_from_records
 from repro.protocols.registry import all_protocol_names
 from repro.simulator.engine import Engine, simulate
 from repro.trace.events import Event
@@ -38,6 +38,7 @@ from tests.conftest import (
     interpreter_result,
     ledger_fields,
     small_trace,
+    timeline_fields,
 )
 from tests.test_protocol_properties import N_PROCS, interleave, race_free_programs
 from tests.test_send_log import GOLDEN, LINKS
@@ -112,11 +113,12 @@ def app_trace(request):
     return midspan_trace() if request.param == "midspan" else small_trace(request.param)
 
 
-def observe(trace, protocol, config, path, sink=None):
+def observe(trace, protocol, config, path, sink=None, make_probe=RecordingProbe):
     """One run under a stock probe: everything a run can show — with
-    ``sink`` attached, its event stream too."""
+    ``sink`` attached, its event stream too, and under a ``SpanProbe``
+    its record stream and the timeline built from it."""
     overrides, keep_log, expected = PATHS[path]
-    probe = RecordingProbe(sinks=[sink] if sink is not None else None)
+    probe = make_probe(sinks=[sink] if sink is not None else None)
     engine = Engine(trace, config.with_options(**overrides), protocol, probe=probe)
     engine.protocol.network.keep_log = keep_log
     result = engine.run_reference() if path == "reference" else engine.run()
@@ -124,6 +126,7 @@ def observe(trace, protocol, config, path, sink=None):
     assert (manifest["execution_path"], manifest.get("decline_reason")) == expected
     body = result.to_dict()
     body.pop("manifest")
+    records = getattr(probe, "records", None)
     return {
         "body": body,
         "fields": ledger_fields(result),
@@ -135,6 +138,12 @@ def observe(trace, protocol, config, path, sink=None):
         "registry_locks": list(probe.metrics._locks),
         "registry_epochs": probe.metrics._epochs,
         "events": sink.events if sink is not None else None,
+        "records": records,
+        "timeline": records and timeline_fields(
+            timeline_from_records(
+                records, engine._compiled or trace.compiled(config.page_size), config.n_procs
+            )
+        ),
     }
 
 
@@ -188,7 +197,9 @@ class TestMidSpanRemiss:
             engine = Engine(
                 trace, config.with_options(record_values=path == "per_event"), protocol, probe=probe
             )
-            engine.protocol.network.keep_log = True
+            # A kept message log is what puts a span probe's run on the
+            # per-message replay; without one it rides the tape.
+            engine.protocol.network.keep_log = path != "tape"
             result = engine.run_reference() if path == "reference" else engine.run()
             assert result.manifest["execution_path"] == path
             assert ledger_fields(result) == ledger_fields(tape)
@@ -197,6 +208,8 @@ class TestMidSpanRemiss:
         batched = watched("batched")
         assert batched == watched("per_event") == watched("reference")
         assert len(batched[0]) == tape.messages
+        # The tape kernels write the record stream the hooks would have.
+        assert watched("tape")[1:] == batched[1:]
 
 
 class TestNoRunProgram:
@@ -208,11 +221,17 @@ class TestNoRunProgram:
         def sink_probe():
             return RecordingProbe(sinks=[ColumnarSink()])
 
+        class EpochWatcher(SpanProbe):
+            def advance_epoch(self):
+                super().advance_epoch()
+
         runs = [
             ("tape", Engine(trace, config, protocol)),
-            # Sinks ride the priced fold and walk the unpriced steps.
+            # Sinks and span records ride the priced fold and walk the
+            # unpriced steps.
             ("tape", Engine(trace, config, protocol, probe=sink_probe())),
-            ("subclassed_probe", Engine(trace, config, protocol, probe=SpanProbe())),
+            ("tape", Engine(trace, config, protocol, probe=SpanProbe())),
+            ("subclassed_probe", Engine(trace, config, protocol, probe=EpochWatcher())),
             ("keep_log", Engine(trace, config, protocol, probe=sink_probe())),
         ]
         runs[-1][1].protocol.network.keep_log = True
@@ -238,7 +257,9 @@ def test_random_race_free_traces(program, page_size, free_reacquire, cost_key):
     batched replays see a span only through its first touch, the
     interpreter and the oracle see every access — and nothing a run
     reports (ledger, counters, metrics, staged-row order, the event
-    stream a ``MemorySink`` receives) can tell."""
+    stream a ``MemorySink`` receives; under a ``SpanProbe`` the record
+    stream and every span, flow and epoch row of the timeline built
+    from it) can tell."""
     scripts, seed = program
     trace = interleave(scripts, seed)
     config = SimConfig(
@@ -248,10 +269,18 @@ def test_random_race_free_traces(program, page_size, free_reacquire, cost_key):
         free_local_lock_reacquire=free_reacquire,
     )
     for protocol in all_protocol_names():
-        tape, per_message, per_event, reference = (
-            observe(trace, protocol, config, path, MemorySink()) for path in PATHS
-        )
-        assert tape == per_message == per_event == reference, protocol
+        for make_probe in (RecordingProbe, SpanProbe):
+            tape, per_message, per_event, reference = (
+                observe(trace, protocol, config, path, MemorySink(), make_probe) for path in PATHS
+            )
+            if make_probe is SpanProbe:
+                # The per-id row caches belong to the inline row swap: off
+                # the tape a span probe's windows open through begin().
+                for hooked in (per_message, per_event, reference):
+                    assert hooked.pop("lock_rows") == hooked.pop("barrier_rows") == []
+                del tape["lock_rows"], tape["barrier_rows"]
+            assert tape == per_message == per_event == reference, protocol
+        assert len(tape["records"]) > 0 and tape["timeline"]["spans"]
 
 
 class TestNoSends:

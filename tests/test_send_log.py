@@ -97,9 +97,15 @@ class TestColdEqualsWarm:
                 trace, protocol, page_size=page_size, link_model=link, probe=probe, **overrides
             )
             observed = (body(result), result.read_values)
+            manifest = result.manifest
             if isinstance(probe, SpanProbe):
                 observed += (probe.link_delays, probe.records)
-            return result.manifest["send_log"], observed
+                # Hooks wrote the recording run's stream, the tape kernels
+                # every reused run's: that is what cold == warm compares.
+                assert manifest["execution_path"] == (
+                    "tape" if manifest["send_log"] == "reused" else "per_event"
+                )
+            return manifest["send_log"], observed
 
         first, second = small_trace("water"), small_trace("water")
         source, cold = run(first, LOSSY)

@@ -36,7 +36,7 @@ from repro.obs.metrics import EPOCH_FIELDS
 from repro.obs.spans import STALL_CATEGORIES
 from repro.protocols.registry import all_protocol_names
 from repro.trace.events import Event
-from tests.conftest import build_trace, lock_chain_trace, small_trace
+from tests.conftest import build_trace, lock_chain_trace, small_trace, timeline_fields
 
 ALL = all_protocol_names()
 
@@ -208,6 +208,112 @@ class TestSpanProbeExactness:
         simulate(trace, "LI", page_size=1024, probe=probe)
         tags = {record[0] for record in probe.records}
         assert tags == {"begin", "end", "ev", "msg", "epoch"}
+
+
+#: One config per branch of the tape kernels that write span rows.
+KERNEL_BRANCHES = {
+    "default": {},
+    "split_notices": {"piggyback_notices": False},
+    "paid_reacquire": {"free_local_lock_reacquire": False},
+    "gc_at_barriers": {"gc_at_barriers": True},
+    "full_page_refetch": {"diff_to_invalid_copy": False},
+    # A barrier that never completes: no exit hops, no epoch record.
+    "wider_than_the_trace": {"n_procs": 5},
+}
+
+
+def one_episode_trace():
+    """Lock hand-offs, then one arrival each at a single barrier — all a
+    config wider than the trace can replay (the episode stays open)."""
+    events = list(lock_chain_trace(n_procs=3, rounds=2))
+    events += [Event.at_barrier(proc, 0) for proc in (2, 0, 1)]
+    events += [Event.read(1, 0x100), Event.write(0, 0x900)]
+    return build_trace(3, events)
+
+
+class TestTapeWritesTheStream:
+    @pytest.mark.parametrize("branch", sorted(KERNEL_BRANCHES))
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_tape_timeline_equals_the_oracles(self, protocol, branch):
+        from repro.config import SimConfig
+        from repro.obs.spans import timeline_from_records
+        from repro.simulator.engine import Engine
+
+        overrides = KERNEL_BRANCHES[branch]
+        trace = one_episode_trace() if "n_procs" in overrides else small_trace("water")
+        config = SimConfig(**{"n_procs": trace.n_procs, "page_size": 1024, **overrides})
+
+        def traced(oracle):
+            probe = SpanProbe()
+            engine = Engine(trace, config, protocol, probe=probe)
+            result = engine.run_reference() if oracle else engine.run()
+            assert result.manifest["execution_path"] == ("reference" if oracle else "tape")
+            timeline = timeline_from_records(
+                probe.records, trace.compiled(1024), config.n_procs
+            )
+            return probe.records, timeline_fields(timeline), result.metrics
+
+        tape, reference = traced(oracle=False), traced(oracle=True)
+        assert tape == reference
+        assert len(tape[0]) > 0 and tape[1]["epoch_rows"] == tape[2]["epochs"]
+
+    @pytest.mark.parametrize("protocol", ALL)
+    def test_timed_timeline_recorded_equals_reused_on_the_tape(self, protocol):
+        from repro.network.link import LinkModel
+
+        lossy = LinkModel.ethernet_1992(loss=0.05, timeout_s=5e-3, jitter_s=1e-4)
+        trace = small_trace("water", seed=19)  # its own trace: its own send log
+        runs = {}
+        for source, path in (("recorded", "per_event"), ("reused", "tape")):
+            result, timeline = build_span_timeline(
+                trace, protocol, page_size=1024, link_model=lossy
+            )
+            assert (result.manifest["send_log"], result.manifest["execution_path"]) == (
+                source, path
+            )
+            runs[source] = (
+                timeline_fields(timeline), analyze_critical_path(timeline).rollups()
+            )
+        assert runs["recorded"] == runs["reused"]
+        assert runs["reused"][0]["spans"]
+
+
+class TestDelayLogAlignment:
+    """A timed timeline consumes one measured delay per message; a log
+    that is one entry off must not be papered over with synthetic costs."""
+
+    @pytest.fixture(scope="class")
+    def timed(self):
+        from repro.network.link import LinkModel
+        from repro.simulator.engine import simulate
+
+        trace = small_trace("water")
+        probe = SpanProbe()
+        simulate(trace, "LU", page_size=1024, link_model=LinkModel.ethernet_1992(), probe=probe)
+        return trace, probe
+
+    def build(self, trace, probe, delays):
+        from repro.obs.spans import timeline_from_records
+
+        return timeline_from_records(
+            probe.records, trace.compiled(1024), trace.n_procs, delays=delays
+        )
+
+    def test_aligned_log_builds(self, timed):
+        trace, probe = timed
+        messages = sum(record[0] == "msg" for record in probe.records)
+        assert len(probe.link_delays) == messages > 0
+        assert self.build(trace, probe, probe.link_delays).spans
+
+    @pytest.mark.parametrize("off_by", [-1, 1], ids=["one_short", "one_over"])
+    def test_misaligned_log_raises(self, timed, off_by):
+        from repro.common.errors import SimulatorError
+
+        trace, probe = timed
+        delays = list(probe.link_delays)
+        delays = delays[:-1] if off_by < 0 else delays + delays[-1:]
+        with pytest.raises(SimulatorError, match=f"{len(delays)} delays available"):
+            self.build(trace, probe, delays)
 
 
 class TestChromeExport:

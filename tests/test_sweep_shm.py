@@ -22,6 +22,7 @@ from multiprocessing import shared_memory
 
 import pytest
 
+from repro.config import SimConfig
 from repro.simulator import sweep as sweep_module
 from repro.simulator.shm import SharedTraceColumns, attach_trace
 from repro.simulator.sweep import run_sweep
@@ -131,15 +132,17 @@ class TestParallelSweepShm:
     def test_execution_paths_match_serial(self, water_trace, many_cores):
         from repro.obs.manifest import execution_paths_line
 
+        valued = SimConfig(n_procs=water_trace.n_procs, record_values=True)
         for options, expected in (
             ({}, {("tape", None): 8}),
-            ({"spans": True}, {("batched", "subclassed_probe"): 8}),
+            ({"spans": True}, {("tape", None): 8}),
+            ({"config": valued}, {("per_event", "record_values"): 8}),
         ):
             serial = run_sweep(water_trace, page_sizes=[512, 1024], **options)
             parallel = run_sweep(water_trace, page_sizes=[512, 1024], jobs=2, **options)
             assert serial.execution_paths() == parallel.execution_paths() == expected
         assert execution_paths_line(parallel.execution_paths()) == (
-            "execution paths: 8 x batched (tape declined: subclassed_probe)"
+            "execution paths: 8 x per_event (tape declined: record_values)"
         )
 
     def test_sweep_unlinks_segment_on_success(self, water_trace, many_cores, monkeypatch):
