@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from typing import List, Sequence, Tuple
 
+from repro.common.errors import ConfigError
 from repro.common.types import ProcId
 
 
@@ -15,7 +16,7 @@ def scaled(default: int, scale: float, minimum: int = 1) -> int:
     tiny scales still produce a runnable problem.
     """
     if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+        raise ConfigError(f"scale must be positive, got {scale}")
     return max(minimum, int(round(default * scale)))
 
 

@@ -224,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_p.add_argument(
         "--no-spans", action="store_true",
-        help="skip span tracing (omit the critical-path section; "
-        "keeps the batched fast path engaged on large traces)",
+        help="skip span tracing: no span timeline is built and the "
+        "critical-path section is omitted",
     )
     report_p.add_argument(
         "--timing", action="store_true",
@@ -569,8 +569,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     from repro.obs.logconfig import logging_setup
 
+    from repro.common.errors import ConfigError, TraceError
+
     logging_setup(-1 if args.quiet else args.verbose)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ConfigError, TraceError, OSError) as exc:
+        # What the user typed, not a bug: one line, no traceback.
+        # (ProtocolError / SimulatorError mean a bug and keep theirs.)
+        print(f"lrc-sim: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -75,7 +75,7 @@ class SimConfig:
             order) does not depend on the link: the first timed run of
             a cell records it with one per-event replay, and every
             later run of that cell under any link takes the counting
-            run's own path (batched when certified) plus one fold over
+            run's own path (the tape when certified) plus one fold over
             the cached log (see :mod:`repro.network.timed`).
     """
 

@@ -21,9 +21,9 @@ once per (compiled trace, n_procs), producing:
   ids they are asked about);
 * one *sync record* per special access, carrying the closed interval,
   the pre-merged clocks, and the notice batches already grouped by page
-  — everything the batched kernels in
-  :mod:`repro.protocols.lazy_base` need to replay a sync operation
-  without touching the store.
+  — everything :func:`build_lazy_tape` needs to resolve a sync
+  operation into the record the tape kernels in
+  :mod:`repro.protocols.lazy_base` replay without touching the store.
 
 Sync record shapes (plain tuples, hot-path friendly)::
 
@@ -35,9 +35,8 @@ Sync record shapes (plain tuples, hot-path friendly)::
         master's own arrival, which sends nothing)
         complete: tuple over procs of (n_notices, grouped, vc_after),
         present only on the completing arrival
-        proc: the acting processor (last field of every record) — the
-        replay kernels get it from the instruction stream, the tape
-        builder from here
+        proc: the acting processor (last field of every record), for
+        the tape builder
 
 ``grouped`` is the gap's notices as ``(page, (interval_id, ...))`` pairs
 in first-occurrence order — the order the per-event receive loop would
@@ -62,12 +61,12 @@ gap in one go sound — a remote flush can invalidate a page (or revoke EW
 write permission) *mid-span*, so the same (proc, page) span may miss
 twice, but both misses precede the next synchronization operation and
 nothing else happens in between. The tape is built from the compiled
-ops alone; no eager replay needs the run program. See
-:class:`repro.protocols.eager_base.BatchedEagerMixin` for the per-message
-replay. A run nothing watches per message never replays that
-tape record by record: :func:`build_priced_eager_tape` resolves it once
+ops alone; no eager replay needs the run program. No run replays that
+tape message by message (one that watches individual messages is
+interpreted): :func:`build_priced_eager_tape` resolves it once
 per cost key into one merged ledger record per synchronization
-operation and per inter-sync gap (:class:`PricedEagerTape`).
+operation and per inter-sync gap (:class:`PricedEagerTape`), which
+:class:`repro.protocols.eager_base.EagerTapeMixin` folds.
 
 :func:`batch_plan` memoizes one :class:`BatchPlan` (skeleton + run
 program + eager tapes, raw and priced + lazy tapes + shared fetch
@@ -212,10 +211,10 @@ class PricedEagerTape:
     Nothing about an eager run depends on the run itself — the tape
     fixes every message, the key ``(cost model, free_local_lock_
     reacquire)`` its wire sizes and the lock hops (the page size is the
-    plan's) — so a run nothing watches per message needs only the
-    merged accounting. ``records`` holds, in global order, one record
-    per synchronization instruction and one per inter-sync gap whose
-    misses or write faults charged anything::
+    plan's) — so a run on the tape (nothing watches individual
+    messages) needs only the merged accounting. ``records`` holds, in
+    global order, one record per synchronization instruction and one
+    per inter-sync gap whose misses or write faults charged anything::
 
         (cause, ident, deltas, rowadd, complete)
             cause, ident: P_MISS, -1 for a gap; P_LOCK / P_BARRIER and
@@ -256,9 +255,8 @@ def build_priced_eager_tape(
 ) -> PricedEagerTape:
     """Price ``tape`` against one cost key, one record per sync and gap.
 
-    Charges exactly what the per-message replay of
-    :class:`~repro.protocols.eager_base.BatchedEagerMixin` sends (and
-    the per-event hooks before it), walking the same ``tape.steps()``:
+    Charges exactly what the per-event hooks send, walking
+    ``tape.steps()``:
     each step's gap, then its synchronization operation with its flush
     outcome; the lock hops come from a :class:`LockDirectory` walked
     along — which also rejects a malformed lock or barrier sequence
@@ -436,7 +434,7 @@ class LazyTape:
     One record per skeleton sync record, same order, with everything
     config/cost-dependent but run-independent already resolved against
     one ``(cost model, piggyback_notices, free_local_lock_reacquire)``
-    key — the tape is what lets the batched lazy kernels replay a sync
+    key — the tape is what lets the lazy ``_t_*`` kernels replay a sync
     operation with array reads plus one bulk ledger update instead of
     re-deriving wire bytes and message sequences per event. Record
     shapes (plain tuples)::
@@ -587,7 +585,7 @@ def build_lazy_tape(
 
 
 class BatchPlan:
-    """Everything a batched replay of one compiled trace shares.
+    """Everything the tape replays of one compiled trace share.
 
     The run program, skeleton, and tapes are immutable during replays
     and built lazily on first use — an eager-only replay never pays for
@@ -647,10 +645,6 @@ class BatchPlan:
     @property
     def store(self) -> IntervalStore:
         return self.skeleton.store
-
-    @property
-    def records(self) -> List[tuple]:
-        return self.skeleton.records
 
     def _memo(self, cache: dict, key, build, kind: Optional[str] = None):
         """``cache[key]``, built on first use; ``kind`` names the

@@ -97,7 +97,7 @@ def build_manifest(
     replay key — the derived ``network_seed`` feeding the loss/jitter
     RNG plus the full link configuration — making lossy runs replayable
     from the manifest alone. ``execution_path`` names the engine loop
-    that produced the ledger (``tape``, ``batched``, ``per_event`` or
+    that produced the ledger (``tape``, ``per_event`` or
     ``reference``), ``decline_reason`` why it was not the tape replay
     (see :func:`repro.protocols.base.certify_replay`; absent on a tape
     run), and ``send_log`` whether a timed run ``recorded`` its send log or

@@ -188,10 +188,9 @@ class RecordingProbe(Probe):
         #: inline on its send fast path, bypassing ``on_message``.
         self._segments: Dict[Tuple[str, int], List[int]] = {}
         self._seg_row: List[int] = self._segments.setdefault(MISS_CAUSE, [0, 0, 0, 0])
-        #: Per-kind row caches keyed by the bare id — the protocol sync
-        #: wrappers swap ``_seg_row`` through these on the certified
-        #: fast path instead of calling begin/end (see
-        #: ``Protocol.attach_probe``), skipping tuple construction.
+        #: Per-kind row caches keyed by the bare id — the tape kernels
+        #: swap ``_seg_row`` through these instead of calling begin/end
+        #: (``LazyProtocol._stage_row``), skipping tuple construction.
         self._lock_rows: Dict[int, List[int]] = {}
         self._barrier_rows: Dict[int, List[int]] = {}
         self.metrics.attach_stager(self._drain)
@@ -255,9 +254,8 @@ class RecordingProbe(Probe):
     def _cause_row(self, kind: str, ident: int) -> List[int]:
         """The staged row charging ``(kind, ident)``, created on demand.
 
-        Shared with :meth:`begin` through ``_segments``, so the inlined
-        wrapper fast path and explicit begin/end calls stage into the
-        same row.
+        Shared with :meth:`begin` through ``_segments``, so the tape
+        kernels and explicit begin/end calls stage into the same row.
         """
         return self._segments.setdefault((kind, ident), [0, 0, 0, 0])
 
@@ -317,9 +315,9 @@ class RecordingProbe(Probe):
         )
 
 
-#: Every probe hook a fast path bypasses: the sync wrappers and tape
-#: kernels swap ``_seg_row`` instead of calling ``begin``/``end``,
-#: ``Network.send`` adds to it instead of calling ``on_message``, the
+#: Every probe hook a fast path bypasses: the tape kernels swap
+#: ``_seg_row`` instead of calling ``begin``/``end``, ``Network.send``
+#: adds to it instead of calling ``on_message``, the
 #: priced eager tape folds faults in without ``page_fault``, and no path
 #: calls ``emit`` without sinks. ``advance_epoch`` frames them all.
 _BYPASSED_HOOKS = ("begin", "end", "on_message", "page_fault", "advance_epoch", "emit")
@@ -335,8 +333,9 @@ def is_stock_staging(probe: Optional[Probe], stock: type = RecordingProbe) -> bo
     :class:`~repro.obs.spans.SpanProbe` (``stock=SpanProbe``): its hooks
     are called wherever a stock probe's are charged inline, and the
     tape kernels write its record stream themselves. Any other live
-    probe gets every hook called and declines the tape as
-    ``subclassed_probe`` (:func:`repro.protocols.base.certify_replay`).
+    probe declines the tape as ``subclassed_probe``
+    (:func:`repro.protocols.base.certify_replay`) and is interpreted,
+    every hook called.
     """
     if probe is None or not probe.enabled or not isinstance(probe, stock):
         return False

@@ -17,7 +17,7 @@ Two pieces:
   globally ordered :class:`SpanRecords` stream, the metrics snapshot of
   an instrumented run staying *exact*. The stream has one set of row
   writers and two callers: the probe's hooks wherever hooks are called
-  (the interpreters, the ``batched`` kernels, every ``Network.send``),
+  (the interpreters and their every ``Network.send``),
   and the tape kernels, which write the rows the hooks they bypass
   would have, from the records they replay. So a span-traced run takes
   the ``tape`` path like any other, and **tracing-off runs are
@@ -324,7 +324,7 @@ class SpanProbe(RecordingProbe):
     exact; ``events`` is forced True so protocols route all emission
     sites through :meth:`emit` even with no sinks attached. A subclass
     that overrides one of these hooks again is a ``subclassed_probe``
-    and has every one of them called (the ``batched`` path).
+    and has every one of them called (by the interpreter).
     """
 
     def __init__(self, sinks: Optional[Sequence[Any]] = None, metrics=None):

@@ -33,19 +33,18 @@ def certify_replay(
     class declares — nothing a user sets. Returns
     ``(execution_path, decline_reason)``:
 
-    - ``"per_event"``: the interpreter, for a run that observes send
-      order (``send_log_recording`` — a timed cell's first run;
-      ``recording`` is the engine's word for it) or values
-      (``record_values``), and for any class that has not set
-      ``replay_certified = True`` in its own body (``uncertified_class``).
-    - ``"batched"``: the access-run kernels, one ``Network.send`` per
-      message, for a run that watches individual messages:
-      ``subclassed_probe`` (a probe that is neither a stock staging
-      :class:`~repro.obs.probe.RecordingProbe` nor a stock
-      :class:`~repro.obs.spans.SpanProbe` — it overrides a hook the
-      tape would bypass, :func:`~repro.obs.probe.is_stock_staging` —
-      e.g. a subclass counting ``on_message`` calls), ``handler`` (a
-      registered message handler) or ``keep_log``.
+    - ``"per_event"``: the interpreter, the only loop that calls hooks.
+      In this order: a run that observes send order
+      (``send_log_recording`` — a timed cell's first run; ``recording``
+      is the engine's word for it) or values (``record_values``); any
+      class that has not set ``replay_certified = True`` in its own body
+      (``uncertified_class``); and a run that watches individual
+      messages — ``subclassed_probe`` (a probe that is neither a stock
+      staging :class:`~repro.obs.probe.RecordingProbe` nor a stock
+      :class:`~repro.obs.spans.SpanProbe`: it overrides a hook the tape
+      would bypass, :func:`~repro.obs.probe.is_stock_staging` — e.g. a
+      subclass counting ``on_message`` calls), ``handler`` (a registered
+      message handler) or ``keep_log``.
     - ``"tape"``: no individual message is watched, so the run is
       replayed from cost-resolved tape records through
       :meth:`Network.apply_tape <repro.network.network.Network.apply_tape>`
@@ -54,9 +53,9 @@ def certify_replay(
       event sinks, and a span probe's record stream, are fed from the
       same records. The reason is None.
 
-    The engine dispatches on the path and hands it to
-    ``bind_batch_plan``; the pair goes into the run's manifest.
-    (``reference`` is ``Engine.run_reference``, never chosen here.)
+    The engine dispatches on the path; the pair goes into the run's
+    manifest. (``reference`` is ``Engine.run_reference``, never chosen
+    here.)
     """
     if recording:
         return "per_event", "send_log_recording"
@@ -66,11 +65,11 @@ def certify_replay(
         return "per_event", "uncertified_class"
     network = protocol.network
     if protocol._obs and not protocol._probe_fast and protocol._span is None:
-        return "batched", "subclassed_probe"
+        return "per_event", "subclassed_probe"
     if network._handlers:
-        return "batched", "handler"
+        return "per_event", "handler"
     if network.keep_log:
-        return "batched", "keep_log"
+        return "per_event", "keep_log"
     return "tape", None
 
 
@@ -124,7 +123,7 @@ class Protocol(abc.ABC):
         self._obs_events = False
         self._probe_fast = False
         self._span = self._span_send = None
-        # Set by a batched replay (bind_batch_plan): nothing there can
+        # Set by a tape replay (bind_batch_plan): nothing there can
         # observe page contents, twins or dirty words — record_values
         # forces the per-event path, which alone maintains them — so the
         # kernels keep page *state* and the ledger only.
@@ -139,10 +138,9 @@ class Protocol(abc.ABC):
         self.probe = probe
         self._obs = probe.enabled
         self._obs_events = probe.enabled and probe.events
-        # A stock RecordingProbe lets the sync wrappers swap the staged
-        # attribution row inline — two attribute stores per sync
-        # operation instead of two method calls — and the network add to
-        # it per message. Subclassed probes keep the full hook protocol.
+        # What certify_replay reads: a stock RecordingProbe may ride the
+        # tape (the kernels stage its rows themselves); any other live
+        # probe gets every hook called, which only the interpreter does.
         self._probe_fast = is_stock_staging(probe)
         # A stock SpanProbe's record stream. Its hooks write it wherever
         # hooks are called; the tape kernels, which bypass them, write
@@ -221,82 +219,47 @@ class Protocol(abc.ABC):
         obs = self._obs
         if obs:
             probe = self.probe
-            if self._probe_fast:
-                saved = probe._seg_row
-                row = probe._lock_rows.get(lock)
-                if row is None:
-                    row = probe._lock_rows[lock] = probe._cause_row("lock", lock)
-                probe._seg_row = row
-            else:
-                saved = None
-                probe.begin("lock", lock)
+            probe.begin("lock", lock)
             if self._obs_events:
                 probe.emit("acquire", proc=proc, lock=lock)
         self._on_acquire(proc, lock)
         self.locks.record_acquire(proc, lock)
         if obs:
-            if saved is not None:
-                probe._seg_row = saved
-            else:
-                probe.end()
+            probe.end()
 
     def release(self, proc: ProcId, lock: LockId) -> None:
         obs = self._obs
         if obs:
             probe = self.probe
-            if self._probe_fast:
-                saved = probe._seg_row
-                row = probe._lock_rows.get(lock)
-                if row is None:
-                    row = probe._lock_rows[lock] = probe._cause_row("lock", lock)
-                probe._seg_row = row
-            else:
-                saved = None
-                probe.begin("lock", lock)
+            probe.begin("lock", lock)
             if self._obs_events:
                 probe.emit("release", proc=proc, lock=lock)
         self._on_release(proc, lock)
         self.locks.record_release(proc, lock)
         if obs:
-            if saved is not None:
-                probe._seg_row = saved
-            else:
-                probe.end()
+            probe.end()
 
     def barrier(self, proc: ProcId, barrier: BarrierId) -> None:
         """Barrier arrival; the family hook sends the arrival message."""
         obs = self._obs
         if obs:
             probe = self.probe
-            if self._probe_fast:
-                saved = probe._seg_row
-                row = probe._barrier_rows.get(barrier)
-                if row is None:
-                    row = probe._barrier_rows[barrier] = probe._cause_row(
-                        "barrier", barrier
-                    )
-                probe._seg_row = row
-            else:
-                saved = None
-                probe.begin("barrier", barrier)
+            probe.begin("barrier", barrier)
             if self._obs_events:
                 probe.emit("barrier_arrive", proc=proc, barrier=barrier)
         self._on_barrier_arrive(proc, barrier)
         if self.barriers.record_arrival(proc, barrier):
             if self._obs_events:
-                self.probe.emit("barrier_complete", proc=proc, barrier=barrier)
+                probe.emit("barrier_complete", proc=proc, barrier=barrier)
             self._on_barrier_complete(barrier)
             if obs:
                 # Exit traffic above belongs to the episode it closes;
                 # everything after is the next epoch's. advance_epoch
-                # zeroes staged rows in place, so the saved reference
-                # restored below stays live.
-                self.probe.advance_epoch()
+                # zeroes staged rows in place, so the row end() restores
+                # below stays live.
+                probe.advance_epoch()
         if obs:
-            if saved is not None:
-                probe._seg_row = saved
-            else:
-                probe.end()
+            probe.end()
 
     def finish(self) -> None:
         """Called once after the last trace event (default: no-op)."""

@@ -74,11 +74,11 @@ BARRIER_KINDS: FlushKinds = (
 _SYNC_EVENTS = {OP_ACQUIRE: "acquire", OP_RELEASE: "release", OP_BARRIER: "barrier_arrive"}
 
 
-class BatchedEagerMixin:
-    """Tape-driven batched replay shared by the eager family (EI/EU/EW).
+class EagerTapeMixin:
+    """Tape-driven replay shared by the eager family (EI/EU/EW).
 
-    Unlike the lazy kernels, the eager ones keep no page tables or
-    directory at replay time and never see the run program: every miss,
+    Unlike the lazy kernels, the eager one keeps no page tables or
+    directory at replay time and never sees the run program: every miss,
     write fault, and flush outcome was precomputed into an
     :class:`~repro.hb.skeleton.EagerTape` (one per policy, memoized on
     the batch plan), because eager state evolution depends only on
@@ -91,46 +91,31 @@ class BatchedEagerMixin:
 
     The tape encodes the stock class's per-event semantics, so only a
     class that declares ``replay_certified`` in its own body is driven
-    by it (:func:`~repro.protocols.base.certify_replay`); anything else
-    stays on the per-event interpreter, the bit-identical reference.
+    by it, and only in a run that watches no individual message
+    (:func:`~repro.protocols.base.certify_replay`); anything else stays
+    on the per-event interpreter, the bit-identical reference.
 
-    Two replays walk the same steps. A run that watches messages
-    (a handler, ``keep_log``, a probe subclass overriding a hook)
-    takes ``_k_run``: one ``Network.send`` per message, each sync
-    operation through the public wrapper. Every other run is certified
-    for the **priced** tape (:class:`~repro.hb.skeleton.PricedEagerTape`):
-    ``_t_run`` folds one merged ledger record per sync operation and
-    inter-sync gap into the network, the counters and — under a stock
-    probe — the staged attribution rows; with sinks it walks the
-    unpriced steps alongside and emits each one's events, and under a
-    ``SpanProbe`` it also writes each step's messages and window into
-    the probe's record stream.
+    A certified run is a fold over the **priced** tape
+    (:class:`~repro.hb.skeleton.PricedEagerTape`): ``_t_run`` folds one
+    merged ledger record per sync operation and inter-sync gap into the
+    network, the counters and — under a stock probe — the staged
+    attribution rows; with sinks it walks the unpriced steps alongside
+    and emits each one's events, and under a ``SpanProbe`` it also
+    writes each step's messages and window into the probe's record
+    stream.
     """
 
-    def bind_batch_plan(self, plan, tape: bool):
-        """Bind the plan's tape; returns the whole run as one callable.
-
-        ``tape`` is :func:`~repro.protocols.base.certify_replay`'s
-        verdict: when set, the priced tape for this run's cost key is
-        folded (``_t_run``); otherwise the unpriced tape is replayed
-        message by message (``_k_run``).
-        """
+    def bind_batch_plan(self, plan):
+        """Bind the priced tape for this run's cost key (and, with
+        sinks, the unpriced one beside it); returns the whole run as
+        one callable."""
         self._page_fetch_bytes = self.costs.page_bytes(self.page_size)
-        if tape:
-            self._priced = plan.priced_eager_tape(
-                self.name, self.costs, self.config.free_local_lock_reacquire
-            )
-            if self._obs_events:
-                self._tape = plan.eager_tape(self.name)
-            return self._t_run
-        self._tape = plan.eager_tape(self.name)
-        self._bind_flush_replay()
-        return self._k_run
-
-    def _bind_flush_replay(self) -> None:
-        """EI/EU hook their sync flushes onto the tape's flush outcomes;
-        EW's per-event sync hooks are already replay-exact (no flushes),
-        so it keeps this no-op."""
+        self._priced = plan.priced_eager_tape(
+            self.name, self.costs, self.config.free_local_lock_reacquire
+        )
+        if self._obs_events:
+            self._tape = plan.eager_tape(self.name)
+        return self._t_run
 
     # -- priced tape replay ----------------------------------------------------
 
@@ -146,8 +131,8 @@ class BatchedEagerMixin:
         record that follows them (a gap of bare write faults has no
         priced record of its own), still before it and inside its epoch.
         A span probe gets, between those events, each step's messages
-        as ``_span_send`` calls in the order ``_k_run`` sends them, and
-        the operation's window around them.
+        as ``_span_send`` calls in the order the per-event hooks send
+        them, and the operation's window around them.
         """
         apply_tape = self.network.apply_tape
         probe = self.probe if self._obs else None
@@ -250,7 +235,7 @@ class BatchedEagerMixin:
 
     def _emit_flush(self, proc: ProcId, flush: Optional[tuple], op: int, send=None) -> None:
         """The events of one flush outcome (``EagerProtocol._flush``)
-        and, given ``send``, its messages (``_k_flush``'s order)."""
+        and, given ``send``, its messages in the same order."""
         if flush is None:
             return
         emit = self.probe.emit
@@ -283,67 +268,8 @@ class BatchedEagerMixin:
             if send is not None:
                 send(ack_kind, dest, proc)
 
-    # -- per-message tape replay ----------------------------------------------
 
-    def _k_run(self) -> None:
-        """The whole run, message by message: each step's gap records,
-        then its sync operation through the public wrapper (whose hooks
-        read the step's flush outcome)."""
-        sync = {OP_ACQUIRE: self.acquire, OP_RELEASE: self.release, OP_BARRIER: self.barrier}
-        replay = self._k_replay
-        for (op, proc, ident), gap, flush in self._tape.steps():
-            if gap:
-                replay(gap)
-            self._flush_outcome = flush
-            sync[op](proc, ident)
-        replay(self._tape.tail)
-
-    def _k_replay(self, gap: tuple) -> None:
-        """Replay one gap's miss and write-fault records."""
-        for rec in gap:
-            if rec[0] == E_MISS:
-                self._k_miss(*rec[1:])
-                continue
-            # E_WFAULT (EW only): an optional nested miss, then one
-            # invalidation and its ack per other holder.
-            _, proc, page, miss, holders, ping = rec
-            self.write_faults += 1
-            if self._obs_events:
-                self.probe.emit("write_fault", proc=proc, page=page)
-            if miss is not None:
-                self._k_miss(proc, page, *miss)
-            send = self.network.send
-            notice_bytes = self.costs.write_notice_bytes
-            for holder in holders:
-                send(MessageKind.WRITE_NOTICE, proc, holder, control_bytes=notice_bytes)
-                send(MessageKind.RELEASE_ACK, holder, proc)
-            if ping:
-                self.ping_pongs += 1
-
-    def _k_miss(self, proc: ProcId, page: PageId, cold: bool, server: ProcId, forward) -> None:
-        """One recorded miss: what ``_service_miss`` counts and emits and
-        ``_fetch_page_copy`` sends, without the page tables."""
-        if cold:
-            self.cold_misses += 1
-        else:
-            self.invalid_misses += 1
-        if self._obs:
-            self.probe.page_fault(proc, page, cold)
-        send = self.network.send
-        page_bytes = self._page_fetch_bytes
-        if forward is None:
-            send(MessageKind.PAGE_REQUEST, proc, server)
-        else:
-            send(MessageKind.PAGE_REQUEST, proc, forward)
-            send(MessageKind.PAGE_FORWARD, forward, server)
-        send(MessageKind.PAGE_REPLY, server, proc, payload_bytes=page_bytes)
-        if self._obs_events:
-            self.probe.emit(
-                "page_fetch", proc=proc, page=page, server=server, bytes=page_bytes
-            )
-
-
-class EagerProtocol(BatchedEagerMixin, Protocol):
+class EagerProtocol(EagerTapeMixin, Protocol):
     """Common eager implementation; EI/EU differ in what a flush pushes."""
 
     lazy = False
@@ -500,71 +426,3 @@ class EagerProtocol(BatchedEagerMixin, Protocol):
     def _on_barrier_complete(self, barrier: BarrierId) -> None:
         for proc in self.barriers.exit_targets():
             self.network.send(MessageKind.BARRIER_EXIT, self.barriers.master, proc)
-
-    # -- batched flush replay ------------------------------------------------
-
-    def _bind_flush_replay(self) -> None:
-        # Rebinding the sync *hooks* (not the wrappers) keeps the flush
-        # replay inside the acquire/release/barrier probe attribution
-        # window, exactly like the per-event path.
-        self._on_release = self._k_flush_release
-        self._on_barrier_arrive = self._k_flush_barrier
-
-    def _k_flush_release(self, proc: ProcId, lock: LockId) -> None:
-        self._k_flush(proc, UNLOCK_KINDS)
-
-    def _k_flush_barrier(self, proc: ProcId, barrier: BarrierId) -> None:
-        self._k_flush(proc, BARRIER_KINDS)
-        if proc != self.barriers.master:
-            self.network.send(MessageKind.BARRIER_ARRIVAL, proc, self.barriers.master)
-
-    def _k_flush(self, proc: ProcId, kinds: FlushKinds) -> None:
-        """Replay the current step's flush outcome (see EagerTape)."""
-        rec = self._flush_outcome
-        if rec is None:
-            return
-        notice_kind, update_kind, ack_kind, reconcile_kind = kinds
-        count, excess, pushes = rec
-        self.flushes += 1
-        obs = self._obs_events
-        probe = self.probe
-        if obs:
-            probe.emit("flush", proc=proc, count=count)
-        costs = self.costs
-        send = self.network.send
-        header_bytes = costs.diff_run_header_bytes
-        word_bytes = costs.word_bytes
-        for page, owner, n_runs, n_words, dests in excess:
-            self.reconciles += 1
-            send(
-                reconcile_kind,
-                proc,
-                owner,
-                payload_bytes=n_runs * header_bytes + n_words * word_bytes,
-            )
-            send(ack_kind, owner, proc)
-            if dests:
-                one_notice = costs.notices_bytes(1)
-                for dest in dests:
-                    send(notice_kind, proc, dest, control_bytes=one_notice)
-                    send(ack_kind, dest, proc)
-        if not pushes:
-            return
-        if self.update:
-            for dest, n_diffs, runs_total, words_total in pushes:
-                payload = runs_total * header_bytes + words_total * word_bytes
-                send(update_kind, proc, dest, payload_bytes=payload)
-                if obs:
-                    probe.emit(
-                        "update_push", proc=proc, dest=dest, count=n_diffs, bytes=payload
-                    )
-                send(ack_kind, dest, proc)
-        else:
-            for dest, n_diffs, _runs_total, _words_total in pushes:
-                control = costs.notices_bytes(n_diffs)
-                send(notice_kind, proc, dest, control_bytes=control)
-                if obs:
-                    probe.emit(
-                        "notices_send", proc=proc, dest=dest, count=n_diffs, bytes=control
-                    )
-                send(ack_kind, dest, proc)

@@ -34,10 +34,10 @@ from repro.config import SimConfig
 from repro.memory.page import PageEntry, PageState
 from repro.network.message import MessageKind
 from repro.protocols.base import Protocol
-from repro.protocols.eager_base import BatchedEagerMixin
+from repro.protocols.eager_base import EagerTapeMixin
 
 
-class ExclusiveWriter(BatchedEagerMixin, Protocol):
+class ExclusiveWriter(EagerTapeMixin, Protocol):
     """Ivy-style sequentially consistent, single-writer protocol."""
 
     name = "EW"

@@ -114,15 +114,15 @@ class HomeLazy(LazyProtocol):
         home = self.page_manager(page)
         self._fetch_page_copy(proc, page, entry, server=home)
 
-    # -- batched kernels ------------------------------------------------------
+    # -- tape kernels ---------------------------------------------------------
 
     def _post_close(self, proc: ProcId, interval: Interval) -> None:
         # The skeleton only materializes intervals with diffs, so every
-        # batched close of a real interval flushes (mirrors the
+        # tape close of a real interval flushes (mirrors the
         # _close_interval override above).
         self._flush_home(proc, interval)
 
-    def _k_receive(self, proc, grouped, vc_after, pull_kinds):
+    def _t_receive(self, proc, grouped, vc_after, pull_kinds):
         # Home pages are skipped outright: the per-event loop adds their
         # ids to pending and _on_notice immediately discards them (the
         # home already holds the flushed data), so the key is transient

@@ -99,10 +99,6 @@ class LazyProtocol(Protocol):
         # per-acquire/per-barrier paths.
         self._vc_bytes = self.costs.vclock_bytes(config.n_procs)
         self._notice_bytes_each = self.costs.write_notice_bytes
-        # Tape-mode diff fetches apply whole-plan accounting in one
-        # Network.apply_tape call instead of two sends per server; set
-        # by bind_batch_plan once the certification there holds.
-        self._bulk_fetch = False
         self._fetch_header = (
             self.costs.header_bytes if self.costs.count_header_in_data else 0
         )
@@ -354,12 +350,13 @@ class LazyProtocol(Protocol):
             plans = run_plan.plans
         by_server = run_plan.by_server
         m = len(by_server)
-        if self._bulk_fetch:
-            # Certified in bind_batch_plan: every send below would take
-            # the pure-accounting fast path and a server is never its
-            # own client — so the whole fetch's ledger updates collapse
-            # into one apply_tape call, with the probe's staged row
-            # (when attached) updated to match.
+        value_free = self._value_free
+        if value_free:
+            # A tape replay (certify_replay): every send below would
+            # take the pure-accounting fast path and a server is never
+            # its own client — so the whole fetch's ledger updates
+            # collapse into one apply_tape call, with the probe's staged
+            # row (when attached) updated to match.
             payload = run_plan.total_payload
             header = self._fetch_header
             self.network.apply_tape(
@@ -393,7 +390,6 @@ class LazyProtocol(Protocol):
                     self.probe.emit(
                         "diff_fetch", proc=proc, server=server, count=count, bytes=payload
                     )
-        value_free = self._value_free
         if value_free and not obs:
             return m
         table = self.procs[proc].pages
@@ -812,108 +808,70 @@ class LazyProtocol(Protocol):
         self.retained_diff_bytes -= collected
         self.gc_runs += 1
 
-    # -- batched access-run kernels ---------------------------------------------
+    # -- tape replay kernels -----------------------------------------------------
     #
-    # The engine's batched loop (one instruction per access run, see
-    # repro.trace.runs) drives the same public acquire/release/barrier
-    # wrappers, but bind_batch_plan shadows the family hooks with the
-    # _k_* kernels below: they consume the precomputed sync records of
-    # the happened-before skeleton instead of querying the store. An
-    # access run needs no kernel of its own: it is its span's first
-    # touch, and read_touch is the miss check.
-    # Every counter, message, and probe emission matches the per-event
-    # hooks bit for bit — the equivalence suite pins it.
+    # A certified run (certify_replay: nothing watches individual
+    # messages, values or send order) never calls the public wrappers or
+    # the _on_* hooks: _walk_runs drives the _t_* kernels below over the
+    # run program. Every close's wire bytes, every sync message sequence
+    # and the whole retention series were resolved at tape-build time
+    # (hb/skeleton.build_lazy_tape), so replaying a sync operation is a
+    # handful of array reads, one bulk ledger update (Network.apply_tape),
+    # and the run-dependent pending/planner work in _t_receive; an access
+    # run needs no kernel of its own — it is its span's first touch, and
+    # read_touch is the miss check. Under a stock probe (``self._obs``;
+    # nothing else reaches the tape) each kernel also stages the
+    # operation's attribution row exactly as the base Protocol wrappers
+    # would, charges it the tape's precomputed row add and, with sinks
+    # (``self._obs_events``), emits the events the wrappers and hooks
+    # would have, from the same record; under a SpanProbe
+    # (``self._span``) it also writes the window and, expanded back out
+    # of the merged deltas, the messages the bypassed hooks would have
+    # recorded. Counters, ledger, metrics snapshots, event streams and
+    # span record streams all stay bit-identical to the per-event
+    # interpreters — the equivalence suite pins it.
 
     #: True on a class whose closes drop retained diffs (HLRC's home
     #: flush in ``_post_close``): the tape's retention prefix sums then
     #: do not describe the run and closes keep live retention books.
     drops_retained_at_close = False
 
-    def bind_batch_plan(self, plan, tape: bool) -> Callable[[], None]:
+    def bind_batch_plan(self, plan) -> Callable[[], None]:
         """Attach a prebuilt :class:`~repro.hb.skeleton.BatchPlan`.
 
         Replaces the (empty) per-run store with the skeleton's fully
         populated one, shares the plan's fetch planner for this config's
         cost model, and returns the whole run as one callable:
         :func:`_walk_runs` over the plan's run program and four kernels,
-        ``(touch, acquire, release, barrier)`` — ``read_touch`` is the
-        only access kernel on either path.
-
-        Two sync kernel sets exist. With ``tape``
-        (:func:`~repro.protocols.base.certify_replay`: nothing watches
-        individual messages) the **tape** kernels replay the
-        cost-resolved :class:`~repro.hb.skeleton.LazyTape` in place of
-        the base wrappers (lock/barrier directory upkeep is dead state
-        in a batched run). Otherwise the per-message ``_k_*`` kernels
-        shadow the ``_on_*`` hooks under the public wrappers and every
-        message is sent individually. Either way the replay is
-        value-free: page *state* is maintained, contents, twins and
-        dirty words are not.
+        ``(touch, acquire, release, barrier)``. ``read_touch`` is the
+        only access kernel; the sync kernels replay the cost-resolved
+        :class:`~repro.hb.skeleton.LazyTape` in place of the base
+        wrappers (lock/barrier directory upkeep is dead state here).
+        The replay is value-free: page *state* is maintained, contents,
+        twins and dirty words are not.
         """
         self.store = plan.store
         self._planner = plan.planner_for(self.costs, self.config.skip_overwritten_diffs)
         self._notices_for_gap = self.store.gap_notices
-        self._pending_complete = None
         self._value_free = True
         config = self.config
-        if tape:
-            records = plan.lazy_tape(
-                self.costs, config.piggyback_notices, config.free_local_lock_reacquire
-            ).records
-            self._tape_next = iter(records).__next__
-            self._bulk_fetch = True
-            # The tape's retained_after prefix sums are the retention
-            # series only while retention is monotone: no barrier GC and
-            # no close dropping diffs.
-            if config.gc_at_barriers or self.drops_retained_at_close:
-                self._t_close = self._t_close_live
-            else:
-                self._t_close = self._t_close_fast
-            syncs = (self._t_acquire, self._t_release, self._t_barrier)
-        else:
-            self._next_record = iter(plan.records).__next__
-            self._on_acquire = self._k_acquire
-            self._on_release = self._k_release
-            self._on_barrier_arrive = self._k_barrier_arrive
-            self._on_barrier_complete = self._k_barrier_complete
-            syncs = (self.acquire, self.release, self.barrier)
-        return partial(_walk_runs, plan.runs, self.read_touch, *syncs)
-
-    def _k_close(self, proc: ProcId, close_rec: tuple) -> None:
-        """Close ``proc``'s interval from its prebuilt record.
-
-        The interval (diffs included) was built by the skeleton pass;
-        here only the run-dependent bookkeeping happens: retention
-        accounting at this run's wire costs, the clock step, and
-        telemetry. A batched replay registers no dirty words, so there
-        is no registry to drain.
-        """
-        index, vc, interval = close_rec
-        if interval is not None:
-            costs = self.costs
-            live = self._live_by_page
-            retained = self.retained_diff_bytes
-            for page, diff in interval.diffs.items():
-                wire = diff.wire_bytes(costs)
-                retained += wire
-                page_live = live.get(page)
-                if page_live is None:
-                    live[page] = page_live = []
-                page_live.append((interval, wire))
-            self.retained_diff_bytes = retained
-            if retained > self.peak_retained_diff_bytes:
-                self.peak_retained_diff_bytes = retained
-        self.lazy_state[proc].vc = vc
-        self.intervals_closed += 1
-        if self._obs_events:
-            self._emit_interval_close(proc, index, interval)
-        if interval is not None:
-            self._post_close(proc, interval)
+        records = plan.lazy_tape(
+            self.costs, config.piggyback_notices, config.free_local_lock_reacquire
+        ).records
+        self._tape_next = iter(records).__next__
+        # The tape's retained_after prefix sums are the retention series
+        # only while retention is monotone: no barrier GC and no close
+        # dropping diffs.
+        self._live_retention = config.gc_at_barriers or self.drops_retained_at_close
+        return partial(
+            _walk_runs, plan.runs, self.read_touch,
+            self._t_acquire, self._t_release, self._t_barrier,
+        )
 
     def _post_close(self, proc: ProcId, interval: Interval) -> None:
-        """Batched-close hook for modifying intervals (HLRC flushes here)."""
+        """Tape-close hook for modifying intervals (HLRC flushes here)."""
 
-    def _k_receive(
+    def _t_receive(
         self,
         proc: ProcId,
         grouped: tuple,
@@ -939,113 +897,15 @@ class LazyProtocol(Protocol):
         state.vc = vc_after
         self._after_notices(proc, pull_kinds)
 
-    def _k_acquire(self, proc: ProcId, lock: LockId) -> None:
-        record = self._next_record()
-        self._k_close(proc, record[1])
-        grantor = record[2]
-        if grantor == proc and self.config.free_local_lock_reacquire:
-            return
-        vc_bytes = self._vc_bytes
-        send = self.network.send
-        send(MessageKind.LOCK_REQUEST, proc, record[3], control_bytes=vc_bytes)
-        send(MessageKind.LOCK_FORWARD, record[3], grantor, control_bytes=vc_bytes)
-        n_notices = record[4]
-        if self._obs_events and n_notices:
-            self.probe.emit(
-                "notices_send",
-                proc=grantor,
-                dest=proc,
-                count=n_notices,
-                bytes=n_notices * self._notice_bytes_each,
-            )
-            self.probe.emit("notices_apply", proc=proc, count=n_notices)
-        self._sync_send(
-            MessageKind.LOCK_GRANT, MessageKind.LOCK_NOTICE, grantor, proc, n_notices
-        )
-        self._k_receive(
-            proc,
-            record[5],
-            record[6],
-            (MessageKind.ACQUIRE_DIFF_REQUEST, MessageKind.ACQUIRE_DIFF_REPLY),
-        )
-
-    def _k_release(self, proc: ProcId, lock: LockId) -> None:
-        self._k_close(proc, self._next_record()[1])
-
-    def _k_barrier_arrive(self, proc: ProcId, barrier: BarrierId) -> None:
-        record = self._next_record()
-        self._k_close(proc, record[1])
-        n_notices = record[2]
-        if n_notices >= 0:  # -1 marks the master's own (message-free) arrival
-            master = self.barriers.master
-            if self._obs_events and n_notices:
-                self.probe.emit(
-                    "notices_send",
-                    proc=proc,
-                    dest=master,
-                    count=n_notices,
-                    bytes=n_notices * self._notice_bytes_each,
-                )
-            self._sync_send(
-                MessageKind.BARRIER_ARRIVAL,
-                MessageKind.BARRIER_NOTICE,
-                proc,
-                master,
-                n_notices,
-            )
-        self._pending_complete = record[3]
-
-    def _k_barrier_complete(self, barrier: BarrierId) -> None:
-        per_proc = self._pending_complete
-        self._pending_complete = None
-        master = self.barriers.master
-        obs = self._obs_events
-        pull_kinds = (MessageKind.BARRIER_UPDATE_REQUEST, MessageKind.BARRIER_UPDATE)
-        for proc, (n_notices, grouped, vc_after) in enumerate(per_proc):
-            if obs and n_notices:
-                self.probe.emit(
-                    "notices_send", proc=master, dest=proc, count=n_notices
-                )
-                self.probe.emit("notices_apply", proc=proc, count=n_notices)
-            if proc != master:
-                self._sync_send(
-                    MessageKind.BARRIER_EXIT,
-                    MessageKind.BARRIER_NOTICE,
-                    master,
-                    proc,
-                    n_notices,
-                )
-            self._k_receive(proc, grouped, vc_after, pull_kinds)
-        if self.config.gc_at_barriers:
-            self._collect_garbage()
-
-    # -- tape replay kernels -----------------------------------------------------
-    #
-    # The fastest batched path: every close's wire bytes, every sync
-    # message sequence, and the whole retention series were resolved at
-    # tape-build time (hb/skeleton.build_lazy_tape), so replaying a sync
-    # operation is a handful of array reads, one bulk ledger update
-    # (Network.apply_tape), and the run-dependent pending/planner work in
-    # _k_receive. Under a stock probe (``self._obs``; nothing else
-    # reaches the tape) each kernel also stages the operation's
-    # attribution row exactly as the base Protocol wrappers would,
-    # charges it the tape's precomputed row add and, with sinks
-    # (``self._obs_events``), emits the events the wrappers and hooks
-    # would have, from the same record; under a SpanProbe
-    # (``self._span``) it also writes the window and, expanded back out
-    # of the merged deltas, the messages the bypassed hooks would have
-    # recorded. Counters, ledger, metrics snapshots, event streams and
-    # span record streams all stay bit-identical to the per-event
-    # interpreters.
-
-    def _t_close_fast(self, proc: ProcId, close: tuple) -> None:
-        """Monotone-retention close: the tape's prefix sum is the series."""
+    def _t_close(self, proc: ProcId, close: tuple) -> None:
+        """Close ``proc``'s interval from its tape record."""
         self.lazy_state[proc].vc = close[0]
         self.intervals_closed += 1
-        self.retained_diff_bytes = self.peak_retained_diff_bytes = close[4]
-
-    def _t_close_live(self, proc: ProcId, close: tuple) -> None:
-        """Close with live retention bookkeeping (barrier GC / home flushes)."""
+        if not self._live_retention:
+            # Monotone retention: the tape's prefix sum is the series.
+            self.retained_diff_bytes = self.peak_retained_diff_bytes = close[4]
+            return
+        # Live retention bookkeeping (barrier GC / home flushes).
         interval = close[1]
         if interval is not None:
             retained = self.retained_diff_bytes + close[3]
@@ -1058,9 +918,6 @@ class LazyProtocol(Protocol):
                 if page_live is None:
                     live[page] = page_live = []
                 page_live.append((interval, wire))
-        self.lazy_state[proc].vc = close[0]
-        self.intervals_closed += 1
-        if interval is not None:
             self._post_close(proc, interval)
 
     def _stage_row(self, rows: Dict[int, List[int]], cause: str, ident: int):
@@ -1132,7 +989,7 @@ class LazyProtocol(Protocol):
                     self._sync_hops(
                         span_send, MessageKind.LOCK_GRANT, MessageKind.LOCK_NOTICE, grantor, proc, n
                     )
-            self._k_receive(proc, record[4], record[5], _ACQUIRE_PULL_KINDS)
+            self._t_receive(proc, record[4], record[5], _ACQUIRE_PULL_KINDS)
         if row is not None:
             self._unstage(saved)
 
@@ -1194,7 +1051,7 @@ class LazyProtocol(Protocol):
                     row[1] += crowadd[1]
                     row[2] += crowadd[2]
             self.notices_sent += cnotices
-            receive = self._k_receive
+            receive = self._t_receive
             if emit is not None:
                 emit("barrier_complete", proc=proc, barrier=barrier)
             for p, (n, grouped, vc_after) in enumerate(per_proc):
@@ -1254,7 +1111,7 @@ class LazyProtocol(Protocol):
 
 
 def _walk_runs(instructions: List[tuple], touch, acquire, release, barrier) -> None:
-    """Drive the kernels ``bind_batch_plan`` chose over the run program.
+    """Drive the kernels ``bind_batch_plan`` binds over the run program.
 
     ``touch`` is all an access run needs. Between two of its own
     synchronization operations nothing can invalidate the span owner's
@@ -1264,7 +1121,7 @@ def _walk_runs(instructions: List[tuple], touch, acquire, release, barrier) -> N
     used-since-pull flag, set by that touch, is cleared only at the same
     two places. And the span's writes need no bookkeeping: page
     contents, twins and the dirty registry are unobservable under a
-    batched replay (``record_values`` forces the per-event path, and the
+    tape replay (``record_values`` forces the per-event path, and the
     closes take prebuilt diffs from the skeleton).
     """
     # Instructions iterate as pre-unpacked 3-tuples: one C-level

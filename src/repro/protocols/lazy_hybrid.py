@@ -124,9 +124,9 @@ class LazyHybrid(LazyProtocol):
                 self.promotions += 1
         super()._handle_miss(proc, page, entry)
 
-    # -- batched kernels ------------------------------------------------------
+    # -- tape kernels ---------------------------------------------------------
 
-    def _k_receive(self, proc, grouped, vc_after, pull_kinds):
+    def _t_receive(self, proc, grouped, vc_after, pull_kinds):
         # Per-page policy decisions are idempotent within a batch (a
         # demote flips update_mode off, making every later notice for
         # the page a no-op), so one pass per page replays the per-notice

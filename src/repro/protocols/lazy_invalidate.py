@@ -71,8 +71,8 @@ class LazyInvalidate(LazyProtocol):
     def _after_notices(self, proc: ProcId, pull_kinds: Tuple[MessageKind, MessageKind]) -> None:
         """LI defers all data movement to the next access miss."""
 
-    def _k_receive(self, proc, grouped, vc_after, pull_kinds):
-        # Batched twin of the inlined loop above: one pending/page-table
+    def _t_receive(self, proc, grouped, vc_after, pull_kinds):
+        # Tape twin of the inlined loop above: one pending/page-table
         # operation per page instead of per notice.
         state = self.lazy_state[proc]
         if grouped:

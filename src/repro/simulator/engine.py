@@ -153,8 +153,8 @@ class Engine:
             log = plan.send_log((type(protocol), config.with_options(link_model=None)), record)
         if self._send_log_source != "recorded":
             self._execution_path, self._decline_reason = certify_replay(protocol)
-            if self._execution_path != "per_event":
-                self._run_batched(compiled, timings, plan)
+            if self._execution_path == "tape":
+                self._run_tape(compiled, timings, plan)
             else:
                 read_values = self._run_per_event(compiled, timings)
         if log is not None:
@@ -266,17 +266,17 @@ class Engine:
                 elapsed,
             )
 
-    def _run_batched(self, compiled: CompiledTrace, timings: Dict[str, float], plan) -> None:
-        """Replay from the batch plan: whatever the protocol binds.
+    def _run_tape(self, compiled: CompiledTrace, timings: Dict[str, float], plan) -> None:
+        """Replay from the batch plan's tapes.
 
         Reached only when :func:`~repro.protocols.base.certify_replay`
         allows it — results are bit-identical to :meth:`_run_per_event`.
         ``bind_batch_plan`` returns the whole run as one callable: the
         lazy family walks the access-run program (see
         :mod:`repro.trace.runs`) over kernels that replay
-        synchronization from the happened-before skeleton or, on the
-        ``tape`` path, its cost-resolved tape; the eager family replays
-        or folds its sync-ordered tape and needs no run program at all.
+        synchronization from the cost-resolved tape; the eager family
+        folds its priced sync-ordered tape and needs no run program at
+        all.
         """
         t0 = time.perf_counter()
         if plan is None:
@@ -284,7 +284,7 @@ class Engine:
         # Binding is part of plan preparation (the run program and the
         # tapes are built here on first use), so it shares the timing
         # bucket.
-        replay = self.protocol.bind_batch_plan(plan, self._execution_path == "tape")
+        replay = self.protocol.bind_batch_plan(plan)
         timings["batch_plan_s"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         replay()

@@ -278,7 +278,7 @@ def _run_sweep_cell(cell: Tuple[str, int]) -> Tuple[str, int, SimulationResult, 
 def _log_plan_cache(stats: Dict[str, int]) -> None:
     """One line on how well BatchPlan/tape construction amortized.
 
-    Every batched cell needs a plan (and the lazy/eager families a tape
+    Every tape cell needs a plan (and the lazy/eager families a tape
     each); within a worker those are memoized on the compiled trace, so
     a sweep should build once per (page size, family cost key) and hit
     everywhere else. A hit rate near zero here means cells are

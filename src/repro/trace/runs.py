@@ -1,4 +1,4 @@
-"""Access-run segmentation: the lazy family's batched instruction stream.
+"""Access-run segmentation: the lazy family's tape-replay instruction stream.
 
 A compiled trace (:mod:`repro.trace.precompile`) still carries one
 instruction per ordinary access. Under lazy release consistency that is

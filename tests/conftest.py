@@ -100,6 +100,14 @@ def timeline_fields(timeline) -> dict:
     }
 
 
+def path_and_reason(result: SimulationResult):
+    """``(execution_path, decline_reason)`` as the run's manifest has
+    them — the pair ``certify_replay`` answers (reason None on the tape
+    and the oracle)."""
+    manifest = result.manifest
+    return manifest["execution_path"], manifest.get("decline_reason")
+
+
 def interpreter_engine(trace, protocol, config=None, probe=None, **options) -> Engine:
     """An engine whose ``run()`` is the per-event interpreter for this cell.
 
@@ -118,7 +126,7 @@ def interpreter_result(trace, protocol, config=None, probe=None, **options) -> S
 
     Compare with :func:`ledger_fields`, ``result.metrics`` or
     ``to_dict()`` minus its manifest — everything but ``read_values``
-    matches what the tape and batched loops report.
+    matches what the tape replay reports.
     """
     result = interpreter_engine(trace, protocol, config, probe, **options).run()
     assert result.manifest["execution_path"] == "per_event"

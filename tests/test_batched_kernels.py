@@ -1,15 +1,17 @@
-"""Equivalence suite for the batched access-run kernels.
+"""Equivalence suite for the tape replay kernels.
 
-The acceptance bar of the batched-kernel overhaul: on the path a plain
-run certifies (the tape, sinks attached or not) and on the batched
-kernels a message watcher forces, every accounting field, every counter,
-and every emitted telemetry event must be bit-identical to the per-event
-interpreter — the loop a value-recording run takes — across all
-protocols, all apps, the full sweep grid, and every protocol-option
-ablation.
+The acceptance bar: on the path a plain run certifies (the tape, sinks
+attached or not) every accounting field, every counter, and every
+emitted telemetry event must be bit-identical to the per-event
+interpreter — the loop a value-recording run takes, and the one a
+message watcher forces — across all protocols, all apps, the full sweep
+grid, and every protocol-option ablation.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.config import SimConfig
 from repro.network.costs import CostModel
 from repro.obs.probe import RecordingProbe
 from repro.obs.sinks import MemorySink
+from repro.obs.spans import SpanProbe
 from repro.protocols.base import certify_replay
 from repro.protocols.registry import protocol_class
 from repro.simulator.engine import Engine, simulate
@@ -27,6 +30,7 @@ from tests.conftest import (
     interpreter_result,
     ledger_fields,
     lock_chain_trace,
+    path_and_reason,
 )
 
 LAZY_PROTOCOLS = ("LI", "LU", "LH", "HLRC")
@@ -91,26 +95,24 @@ class TestBatchedEquivalence:
 
 def assert_event_streams_identical(trace, protocol, **options):
     """A sink-watched run emits the interpreter's stream — from the tape,
-    which is where a stock probe with sinks runs, and from the batched
-    kernels a kept message log forces. Full dict equality: kinds,
-    fields, ``seq`` numbering and epochs."""
+    which is where a stock probe with sinks runs, and on the interpreter
+    a kept message log forces. Full dict equality: kinds, fields,
+    ``seq`` numbering and epochs."""
     config = SimConfig(n_procs=trace.n_procs, **options)
     streams = {}
-    for path, keep_log in (("tape", False), ("batched", True)):
+    for row in (("tape", None), ("per_event", "keep_log")):
         sink = MemorySink()
         engine = Engine(trace, config, protocol, probe=RecordingProbe(sinks=[sink]))
-        engine.protocol.network.keep_log = keep_log
-        manifest = engine.run().manifest
-        assert manifest["execution_path"] == path
-        assert manifest.get("decline_reason") == ("keep_log" if keep_log else None)
-        streams[path] = sink.events
+        engine.protocol.network.keep_log = row[1] == "keep_log"
+        assert path_and_reason(engine.run()) == row
+        streams[row] = sink.events
     interpreter_sink = MemorySink()
     interpreter_result(
         trace, protocol, config, probe=RecordingProbe(sinks=[interpreter_sink])
     )
     assert interpreter_sink.events
-    assert streams["tape"] == interpreter_sink.events
-    assert streams["batched"] == interpreter_sink.events
+    assert streams["tape", None] == interpreter_sink.events
+    assert streams["per_event", "keep_log"] == interpreter_sink.events
 
 
 class TestBatchedTelemetry:
@@ -299,8 +301,8 @@ class TestBatchedGate:
         assert ledger_fields(wrapped) == ledger_fields(stock)
 
     def test_record_values_forces_per_event(self, water_trace):
-        # The batched path cannot record read values (page contents are
-        # only span-final); the gate must route around it.
+        # The tape replay cannot record read values (it keeps no page
+        # contents); the gate must route around it.
         config = SimConfig(
             n_procs=water_trace.n_procs, page_size=1024, record_values=True
         )
@@ -308,8 +310,35 @@ class TestBatchedGate:
         assert result.read_values  # per-event path ran and recorded
 
 
+class TestFinishedProtocolsAreFreedByReferenceCounting:
+    """Binding a plan stores no bound method of the protocol on the
+    protocol, so a finished tape run is not cyclic garbage: it goes when
+    its engine does, not at the next full collection."""
+
+    @pytest.mark.parametrize(
+        "make_probe", [None, RecordingProbe, SpanProbe], ids=["bare", "metrics", "spans"]
+    )
+    @pytest.mark.parametrize("protocol", ALL_BATCHED)
+    def test_protocol_dies_with_its_engine(self, water_trace, protocol, make_probe):
+        config = SimConfig(n_procs=water_trace.n_procs, page_size=1024)
+        gc.collect()
+        gc.disable()
+        try:
+            probe = make_probe() if make_probe else None
+            engine = Engine(water_trace, config, protocol, probe=probe)
+            result = engine.run()
+            assert result.manifest["execution_path"] == "tape"
+            if probe is not None:
+                probe.close()
+            protocol_ref = weakref.ref(engine.protocol)
+            del engine, result
+            assert protocol_ref() is None
+        finally:
+            gc.enable()
+
+
 class TestValueTrackingLivesOnOnePath:
-    """Page contents are the value path's job, never the batched replay's."""
+    """Page contents are the value path's job, never the tape replay's."""
 
     @staticmethod
     def handoff_trace():
@@ -376,7 +405,7 @@ class TestBatchedEdgeTraces:
 
     def test_no_sync_trace(self):
         # No sync operations at all: nothing ever closes, nothing is
-        # exchanged, and the batched path consumes zero sync records.
+        # exchanged, and the tape replay consumes zero sync records.
         events = [Event.write(0, 64), Event.read(1, 64), Event.write(1, 128)]
         trace = build_trace(2, events)
         for protocol in ALL_BATCHED:

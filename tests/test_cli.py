@@ -299,3 +299,39 @@ class TestCommands:
         )
         assert (tmp_path / "results" / "manifest.json").exists()
         assert (tmp_path / "results" / "fig11_water_messages.csv").exists()
+
+
+class TestUserErrors:
+    """A bad argument value is the user's, not a bug: one
+    ``lrc-sim: error:`` line on stderr, exit status 2, no traceback."""
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--page-size", "1000"], "1000"),
+            (["--network", "bogus=1"], "'bogus'"),
+            (["--n-procs", "0"], "got 0"),
+            (["--scale", "0"], "got 0.0"),
+            (["--trace-file", "/nonexistent.trcb"], "/nonexistent.trcb"),
+        ],
+        ids=["page_size", "network_key", "n_procs", "scale", "trace_file"],
+    )
+    def test_run_reports_and_exits_2(self, capsys, extra, named):
+        assert main(["run", *small_args("water"), "--scale", "0.25", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lrc-sim: error: ")
+        assert named in lines[0]
+        assert "Traceback" not in captured.err
+
+    def test_a_bug_keeps_its_traceback(self, monkeypatch):
+        from repro import cli
+        from repro.common.errors import SimulatorError
+
+        def broken(args):
+            raise SimulatorError("engine driven twice")
+
+        monkeypatch.setitem(cli._COMMANDS, "run", broken)
+        with pytest.raises(SimulatorError):
+            main(["run", *small_args("water")])

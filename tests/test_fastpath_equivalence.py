@@ -32,6 +32,7 @@ from tests.conftest import (
     interpreter_result,
     ledger_fields,
     lock_chain_trace,
+    path_and_reason,
 )
 
 PROTOCOLS = ("LI", "LU", "EI", "EU")
@@ -189,12 +190,13 @@ class TestCoherenceIndexEquivalence:
 
 
 def run_every_path(trace, protocol, config):
-    """``{execution path: run}`` — one thunk per loop the engine has."""
+    """``{(execution path, decline reason): run}`` — one thunk per loop
+    the engine has, the interpreter both plain and under a watcher."""
 
     def tape():
         return Engine(trace, config, protocol).run()
 
-    def batched():
+    def watched():
         engine = Engine(trace, config, protocol)
         engine.protocol.network.keep_log = True  # watches every message
         return engine.run()
@@ -205,7 +207,12 @@ def run_every_path(trace, protocol, config):
     def reference():
         return Engine(trace, config, protocol).run_reference()
 
-    return {"tape": tape, "batched": batched, "per_event": per_event, "reference": reference}
+    return {
+        ("tape", None): tape,
+        ("per_event", "keep_log"): watched,
+        ("per_event", "record_values"): per_event,
+        ("reference", None): reference,
+    }
 
 
 class TestPlansAreSizedByTheConfig:
@@ -219,19 +226,19 @@ class TestPlansAreSizedByTheConfig:
         trace = migratory(n_procs=4)
         config = SimConfig(n_procs=n_procs, page_size=1024)
         ledgers = {}
-        for path, run in run_every_path(trace, protocol, config).items():
+        for (path, reason), run in run_every_path(trace, protocol, config).items():
             result = run()
-            assert result.manifest["execution_path"] == path
-            ledgers[path] = ledger_fields(result)
-        assert ledgers["tape"] == ledgers["batched"] == ledgers["per_event"]
-        assert ledgers["tape"] == ledgers["reference"]
+            assert path_and_reason(result) == (path, reason)
+            ledgers[path, reason] = ledger_fields(result)
+        assert len(ledgers) == 4
+        assert all(ledger == ledgers["tape", None] for ledger in ledgers.values())
 
     @pytest.mark.parametrize("protocol", all_protocol_names())
     def test_barrier_trace_fails_alike_on_every_path(self, protocol):
         # Four of seven processors can never complete a barrier episode.
         trace = producer_consumer(n_procs=4)
         config = SimConfig(n_procs=7, page_size=1024)
-        for path, run in run_every_path(trace, protocol, config).items():
+        for run in run_every_path(trace, protocol, config).values():
             with pytest.raises(ValueError, match="arrived twice at barrier 0"):
                 run()
 

@@ -32,7 +32,7 @@ from repro.obs.probe import EVENT_KINDS
 from repro.protocols.registry import all_protocol_names
 from repro.simulator.engine import simulate
 from repro.simulator.sweep import run_sweep
-from tests.conftest import lock_chain_trace, small_trace
+from tests.conftest import lock_chain_trace, path_and_reason, small_trace
 
 ALL = all_protocol_names()
 
@@ -319,10 +319,18 @@ class TestManifest:
             (None, "tape", "EI", {}),
             # A stock probe's sinks are fed from the tape records.
             (None, "tape", "LI", {"probe": "sink"}),
-            # A hook override on top of either stock class declines.
-            ("subclassed_probe", "batched", "EU", {"probe": "counting_span"}),
-            ("handler", "batched", "LU", {"handler": True}),
-            ("keep_log", "batched", "EW", {"keep_log": True}),
+            # Watchers are interpreted: a hook override on top of either
+            # stock class, a message handler, a kept message log.
+            pytest.param(
+                "subclassed_probe", "per_event", "EU", {"probe": "counting_span"},
+                id="subclassed_probe-per_event-EU",
+            ),
+            pytest.param(
+                "handler", "per_event", "LU", {"handler": True}, id="handler-per_event-LU"
+            ),
+            pytest.param(
+                "keep_log", "per_event", "EW", {"keep_log": True}, id="keep_log-per_event-EW"
+            ),
             ("record_values", "per_event", "LI", {"config": {"record_values": True}}),
             ("uncertified_class", "per_event", "override", {}),
             (
@@ -366,9 +374,7 @@ class TestManifest:
             engine.protocol.network.register_handler(0, lambda message: None)
         engine.protocol.network.keep_log = bool(setup.get("keep_log"))
         result = engine.run()
-        manifest = result.manifest
-        assert manifest["execution_path"] == path
-        assert manifest.get("decline_reason") == reason
+        assert path_and_reason(result) == (path, reason)
         if isinstance(probe, CountingSpanProbe):
             # Every hook is called there: it saw, and recorded, every message.
             tags = [record[0] for record in probe.records]
@@ -391,11 +397,8 @@ class TestManifest:
 
         trace = small_trace("water", n_procs=4)
         probe, stock = EmitCounter([MemorySink()]), MemorySink()
-        manifest = simulate(trace, protocol, page_size=1024, probe=probe).manifest
-        assert (manifest["execution_path"], manifest["decline_reason"]) == (
-            "batched",
-            "subclassed_probe",
-        )
+        watched = simulate(trace, protocol, page_size=1024, probe=probe)
+        assert path_and_reason(watched) == ("per_event", "subclassed_probe")
         simulate(trace, protocol, page_size=1024, probe=RecordingProbe(sinks=[stock]))
         assert probe.kinds == [event["kind"] for event in stock.events]
         assert probe.sinks[0].events == stock.events
@@ -403,8 +406,8 @@ class TestManifest:
     @pytest.mark.parametrize("protocol", ["LI", "LU", "LH", "HLRC", "EI", "EU", "EW"])
     def test_an_overridden_probe_hook_is_always_called(self, protocol):
         """A probe that overrides a hook the tapes bypass — here only
-        ``page_fault`` — sees every call the interpreter makes, whichever
-        path ran, and the manifest says why the tape was declined."""
+        ``page_fault`` — is interpreted, so it sees every call, and the
+        manifest says why the tape was declined."""
 
         class FaultCounter(RecordingProbe):
             faults = 0
@@ -417,14 +420,86 @@ class TestManifest:
         probe = FaultCounter()
         result = simulate(trace, protocol, page_size=1024, probe=probe)
         assert probe.faults == result.cold_misses + result.invalid_misses > 0
-        manifest = result.manifest
-        assert (manifest["execution_path"], manifest["decline_reason"]) == (
-            "batched",
-            "subclassed_probe",
-        )
+        assert path_and_reason(result) == ("per_event", "subclassed_probe")
         stock = simulate(trace, protocol, page_size=1024, probe=RecordingProbe())
         assert stock.manifest["execution_path"] == "tape"
         assert result.metrics == stock.metrics
+
+    @pytest.mark.parametrize("protocol", ["LI", "LU", "LH", "HLRC", "EI", "EU", "EW"])
+    def test_a_handler_is_called_for_every_message_to_its_processor(self, protocol):
+        """A registered handler is a watcher: the run is interpreted and
+        the handler gets each logged message addressed to its processor,
+        once, in send order (plus that processor's free local sends,
+        which are delivered but never logged)."""
+        from repro.config import SimConfig
+        from repro.simulator.engine import Engine
+
+        trace = small_trace("water", n_procs=4)
+        engine = Engine(trace, SimConfig(n_procs=4, page_size=1024), protocol)
+        network = engine.protocol.network
+        calls = []
+        network.register_handler(0, calls.append)
+        network.keep_log = True
+        result = engine.run()
+        assert path_and_reason(result) == ("per_event", "handler")
+        assert all(message.dst == 0 for message in calls)
+        remote = [message for message in calls if message.src != 0]
+        logged = [message for message in network.log if message.dst == 0]
+        assert len(remote) == len(logged) > 0
+        assert all(seen is sent for seen, sent in zip(remote, logged))
+        assert len(network.log) == result.messages
+
+    def test_certify_replay_is_total_and_ordered(self):
+        """Over everything a run can observe, ``certify_replay`` answers
+        ``tape`` or ``per_event`` and nothing else, gives a reason
+        exactly when it declines the tape, and that reason is the first
+        applicable one in the documented order."""
+        from itertools import product
+
+        from repro.config import SimConfig
+        from repro.obs.spans import SpanProbe
+        from repro.protocols.base import certify_replay
+        from repro.protocols.registry import protocol_class
+
+        class Watcher(RecordingProbe):
+            def on_message(self, *args):
+                super().on_message(*args)
+
+        probes = {
+            "none": lambda: None,
+            "stock": RecordingProbe,
+            "stock_sink": lambda: RecordingProbe(sinks=[MemorySink()]),
+            "span": SpanProbe,
+            "watcher": Watcher,
+        }
+        flags = (False, True)
+        for name in ("LI", "LU", "LH", "HLRC", "EI", "EU", "EW"):
+            stock = protocol_class(name)
+            alias = type("Alias", (stock,), {})
+            for cls, kind, handler, keep_log, values, recording in product(
+                (stock, alias), probes, flags, flags, flags, flags
+            ):
+                protocol = cls(SimConfig(n_procs=2, record_values=values))
+                probe = probes[kind]()
+                if probe is not None:
+                    protocol.attach_probe(probe)
+                if handler:
+                    protocol.network.register_handler(0, lambda message: None)
+                protocol.network.keep_log = keep_log
+                applicable = [
+                    ("send_log_recording", recording),
+                    ("record_values", values),
+                    ("uncertified_class", cls is alias),
+                    ("subclassed_probe", kind == "watcher"),
+                    ("handler", handler),
+                    ("keep_log", keep_log),
+                ]
+                expected = next((reason for reason, holds in applicable if holds), None)
+                path, reason = certify_replay(protocol, recording=recording)
+                case = (name, cls is alias, kind, handler, keep_log, values, recording)
+                assert path in ("tape", "per_event"), case
+                assert (reason is None) == (path == "tape"), case
+                assert reason == expected, case
 
     def test_to_dict_uniform_provenance(self, app_trace):
         row = simulate(app_trace, "EI", page_size=2048).to_dict()

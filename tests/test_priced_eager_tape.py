@@ -1,13 +1,13 @@
-"""The priced eager tape: three replays of one eager run agree on everything.
+"""The priced eager tape: every replay of one eager run agrees on everything.
 
 A certified eager run folds one merged ledger record per synchronization
 operation and inter-sync gap (:class:`repro.hb.skeleton.PricedEagerTape`)
 instead of sending message by message. These tests pin that fold against
-the two paths it bypasses — the per-message replay of the same
-sync-ordered tape and the per-event interpreter — on the result, every
-counter, and the metrics probe's rows down to the order they were created
-in; that the fold really sends nothing while a watched run still sends
-everything; that no eager replay builds the run program; and that a warm
+the per-event interpreter it bypasses — plain, and as the watched run a
+kept message log forces, which delivers every message individually — on
+the result, every counter, and the metrics probe's rows down to the order
+they were created in; that the fold really sends nothing while a watched
+run still sends everything; that no eager replay builds the run program; and that a warm
 timed cell, which now replays the priced tape before folding its send
 log, still produces the golden clocks. The random-trace property at the
 end runs the same comparison, oracle included, over all seven protocols:
@@ -37,6 +37,7 @@ from tests.conftest import (
     interpreter_engine,
     interpreter_result,
     ledger_fields,
+    path_and_reason,
     small_trace,
     timeline_fields,
 )
@@ -60,15 +61,17 @@ COST_MODELS = {
 #: path -> (config overrides, keep a message log, expected manifest pair)
 PATHS = {
     "priced": ({}, False, ("tape", None)),
-    # A kept message log needs every send; nothing else about the run
-    # (probe, sinks, config) differs from the priced one.
-    "per_message": ({}, True, ("batched", "keep_log")),
+    # A kept message log needs every send, so the run is interpreted;
+    # nothing else about it (probe, sinks, config) differs from the
+    # priced one.
+    "per_message": ({}, True, ("per_event", "keep_log")),
     # Values exist only on the interpreter; recording them asks for it.
     "per_event": ({"record_values": True}, False, ("per_event", "record_values")),
     # The oracle is asked for by name (``Engine.run_reference()``).
     "reference": ({}, False, ("reference", None)),
 }
-#: The three loops ``Engine.run()`` chooses between.
+#: What ``Engine.run()`` chooses between: the tape, and the interpreter
+#: for a message watcher or for values.
 RUN_PATHS = ("priced", "per_message", "per_event")
 
 
@@ -122,19 +125,21 @@ def observe(trace, protocol, config, path, sink=None, make_probe=RecordingProbe)
     engine = Engine(trace, config.with_options(**overrides), protocol, probe=probe)
     engine.protocol.network.keep_log = keep_log
     result = engine.run_reference() if path == "reference" else engine.run()
-    manifest = result.manifest
-    assert (manifest["execution_path"], manifest.get("decline_reason")) == expected
+    assert path_and_reason(result) == expected
     body = result.to_dict()
     body.pop("manifest")
     records = getattr(probe, "records", None)
+    # The per-id row caches are the tape kernels' (hooks open windows
+    # through begin()): views of the same staged rows, empty off the tape.
+    for kind, rows in (("lock", probe._lock_rows), ("barrier", probe._barrier_rows)):
+        assert all(row is probe._segments[kind, ident] for ident, row in rows.items())
+        assert path == "priced" or not rows
     return {
         "body": body,
         "fields": ledger_fields(result),
         "metrics": result.metrics,
         # Creation order of the staged rows and of the registry's tables.
         "segments": list(probe._segments),
-        "lock_rows": list(probe._lock_rows),
-        "barrier_rows": list(probe._barrier_rows),
         "registry_locks": list(probe.metrics._locks),
         "registry_epochs": probe.metrics._epochs,
         "events": sink.events if sink is not None else None,
@@ -192,24 +197,27 @@ class TestMidSpanRemiss:
         if protocol != "EU":  # an update protocol never invalidates
             assert tape.invalid_misses >= 2
 
-        def watched(path):
+        def watched(path, reason=None):
             probe = SpanProbe(sinks=[MemorySink()])
             engine = Engine(
-                trace, config.with_options(record_values=path == "per_event"), protocol, probe=probe
+                trace,
+                config.with_options(record_values=reason == "record_values"),
+                protocol,
+                probe=probe,
             )
-            # A kept message log is what puts a span probe's run on the
-            # per-message replay; without one it rides the tape.
+            # A kept message log is what has a span probe's run
+            # interpreted; without one it rides the tape.
             engine.protocol.network.keep_log = path != "tape"
             result = engine.run_reference() if path == "reference" else engine.run()
-            assert result.manifest["execution_path"] == path
+            assert path_and_reason(result) == (path, reason)
             assert ledger_fields(result) == ledger_fields(tape)
             return engine.protocol.network.log, probe.sinks[0].events, probe.records
 
-        batched = watched("batched")
-        assert batched == watched("per_event") == watched("reference")
-        assert len(batched[0]) == tape.messages
+        kept = watched("per_event", "keep_log")
+        assert kept == watched("per_event", "record_values") == watched("reference")
+        assert len(kept[0]) == tape.messages
         # The tape kernels write the record stream the hooks would have.
-        assert watched("tape")[1:] == batched[1:]
+        assert watched("tape")[1:] == kept[1:]
 
 
 class TestNoRunProgram:
@@ -253,13 +261,13 @@ class TestNoRunProgram:
     st.sampled_from(sorted(COST_MODELS)),
 )
 def test_random_race_free_traces(program, page_size, free_reacquire, cost_key):
-    """All seven protocols, all four loops: the lazy family's tape and
-    batched replays see a span only through its first touch, the
-    interpreter and the oracle see every access — and nothing a run
-    reports (ledger, counters, metrics, staged-row order, the event
-    stream a ``MemorySink`` receives; under a ``SpanProbe`` the record
-    stream and every span, flow and epoch row of the timeline built
-    from it) can tell."""
+    """All seven protocols, all three loops, the interpreter both plain
+    and under a message watcher: the lazy family's tape replay sees a
+    span only through its first touch, the interpreter and the oracle
+    see every access — and nothing a run reports (ledger, counters,
+    metrics, staged-row order, the event stream a ``MemorySink``
+    receives; under a ``SpanProbe`` the record stream and every span,
+    flow and epoch row of the timeline built from it) can tell."""
     scripts, seed = program
     trace = interleave(scripts, seed)
     config = SimConfig(
@@ -273,12 +281,6 @@ def test_random_race_free_traces(program, page_size, free_reacquire, cost_key):
             tape, per_message, per_event, reference = (
                 observe(trace, protocol, config, path, MemorySink(), make_probe) for path in PATHS
             )
-            if make_probe is SpanProbe:
-                # The per-id row caches belong to the inline row swap: off
-                # the tape a span probe's windows open through begin().
-                for hooked in (per_message, per_event, reference):
-                    assert hooked.pop("lock_rows") == hooked.pop("barrier_rows") == []
-                del tape["lock_rows"], tape["barrier_rows"]
             assert tape == per_message == per_event == reference, protocol
         assert len(tape["records"]) > 0 and tape["timeline"]["spans"]
 
@@ -314,7 +316,7 @@ class TestNoSends:
     def test_sink_attached_run_still_sends_every_message(self, water_trace, sends, protocol):
         """...once something watches the messages themselves: the sink
         alone rides the tape (the ``sink`` case above), a kept message
-        log puts the same run on the per-message replay."""
+        log has the same run interpreted."""
 
         config = SimConfig(n_procs=water_trace.n_procs, page_size=1024)
 
@@ -324,17 +326,16 @@ class TestNoSends:
             engine.protocol.network.keep_log = True
             return engine.run(), list(sends)
 
-        batched, batched_sends = watched(partial(Engine, water_trace, config, protocol))
-        assert batched.manifest["execution_path"] == "batched"
-        assert batched.manifest["decline_reason"] == "keep_log"
+        kept, kept_sends = watched(partial(Engine, water_trace, config, protocol))
+        assert path_and_reason(kept) == ("per_event", "keep_log")
         per_event, per_event_sends = watched(
             partial(interpreter_engine, water_trace, protocol, config)
         )
-        assert per_event.manifest["execution_path"] == "per_event"
-        # Same messages, same order, as the interpreter — local hops included.
-        assert batched_sends == per_event_sends
-        remote = [call for call in batched_sends if call[1] != call[2]]
-        assert len(remote) == batched.messages == per_event.messages
+        assert path_and_reason(per_event) == ("per_event", "record_values")
+        # Same messages, same order, with or without values — local hops included.
+        assert kept_sends == per_event_sends
+        remote = [call for call in kept_sends if call[1] != call[2]]
+        assert len(remote) == kept.messages == per_event.messages
 
 
 class TestPlanCache:

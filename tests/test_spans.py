@@ -457,7 +457,7 @@ class TestManifestPlanCache:
         trace = small_trace("water")
         result = simulate(trace, "LI", page_size=1024)
         plan_cache = result.manifest.get("plan_cache")
-        assert plan_cache, "batched run must report plan/tape cache activity"
+        assert plan_cache, "tape run must report plan/tape cache activity"
         assert all(value > 0 for value in plan_cache.values())
 
     def test_plan_cache_excluded_from_to_dict(self):

@@ -404,16 +404,23 @@ class TestCli:
         header = csv_path.read_text(encoding="utf-8").splitlines()[0]
         assert "completion_s" in header and "retries" in header
 
-    def test_bad_network_spec_raises_config_error(self):
+    def test_bad_network_spec_raises_config_error(self, capsys):
+        """...which ``main`` reports as a user error: one line, exit 2."""
         from repro.cli import main
         from repro.common.errors import ConfigError
+        from repro.network.link import parse_link_spec
 
         with pytest.raises(ConfigError):
-            main(["run", *self._args(), "--network", "warp=9"])
+            parse_link_spec("warp=9")
+        assert main(["run", *self._args(), "--network", "warp=9"]) == 2
+        assert "lrc-sim: error: unknown --network key 'warp'" in capsys.readouterr().err
 
-    def test_non_finite_network_value_raises_config_error(self):
+    def test_non_finite_network_value_raises_config_error(self, capsys):
         from repro.cli import main
         from repro.common.errors import ConfigError
+        from repro.network.link import parse_link_spec
 
         with pytest.raises(ConfigError, match="latency_s must be finite"):
-            main(["run", *self._args(), "--network", "latency=nan"])
+            parse_link_spec("latency=nan")
+        assert main(["run", *self._args(), "--network", "latency=nan"]) == 2
+        assert "latency_s must be finite" in capsys.readouterr().err
