@@ -34,18 +34,6 @@ def block_partition(n_items: int, n_procs: int, proc: ProcId) -> range:
     return range(start, start + size)
 
 
-def interleave_partition(n_items: int, n_procs: int, proc: ProcId) -> range:
-    """Cyclic partition: items proc, proc+n, proc+2n, ..."""
-    return range(proc, n_items, n_procs)
-
-
-def pick_distinct(rng: random.Random, population: Sequence[int], k: int) -> List[int]:
-    """Up to ``k`` distinct samples (all of them when the population is small)."""
-    if len(population) <= k:
-        return list(population)
-    return rng.sample(list(population), k)
-
-
 def neighbors_within(
     positions: Sequence[Tuple[float, float, float]], index: int, cutoff: float
 ) -> List[int]:

@@ -60,7 +60,7 @@ def _add_network_arg(parser: argparse.ArgumentParser) -> None:
 
 def _parse_network(args):
     """The --network spec as a LinkModel, or None when not requested."""
-    if not getattr(args, "network", None):
+    if getattr(args, "network", None) is None:
         return None
     from repro.network.link import parse_link_spec
 

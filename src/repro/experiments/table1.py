@@ -17,6 +17,7 @@ from repro.simulator.costs import CostConventions
 from repro.simulator.engine import Engine
 from repro.trace.events import Event
 from repro.trace.stream import TraceMeta, TraceStream
+from repro.trace.transform import slice_events
 
 _PAGE = 1024
 
@@ -41,11 +42,6 @@ def _trace(n_procs: int, events) -> TraceStream:
     for event in events:
         trace.append(event)
     return trace
-
-
-def _simulate(trace: TraceStream, protocol: str, n_procs: int):
-    config = SimConfig(n_procs=n_procs, page_size=_PAGE)
-    return Engine(trace, config, protocol).run()
 
 
 def _miss_events_lazy(m: int):
@@ -74,32 +70,15 @@ def _miss_events_lazy(m: int):
 
 
 def _measure(trace: TraceStream, protocol: str, n_procs: int, category: str, skip_events: int):
-    """Simulate a prefix/whole trace and measure one category's delta."""
+    """One category's message count over the events from ``skip_events``
+    on: the whole micro-trace's count minus its prefix's, each a plain
+    ``Engine.run()`` — so what the closed forms check is the tape."""
     config = SimConfig(n_procs=n_procs, page_size=_PAGE)
-    # Run the prefix to establish state, snapshot, then run the rest.
-    engine = Engine(trace, config, protocol)
-    protocol_obj = engine.protocol
-    from repro.simulator.engine import _split_access  # local micro-stepper
-    from repro.trace.events import EventType
 
-    before = 0
-    for index, event in enumerate(trace):
-        if index == skip_events:
-            before = protocol_obj.network.stats.by_category()[category].messages
-        if event.type == EventType.READ:
-            for page, words in _split_access(event.addr, event.size, config.page_size):
-                protocol_obj.read(event.proc, page, words)
-        elif event.type == EventType.WRITE:
-            for page, words in _split_access(event.addr, event.size, config.page_size):
-                protocol_obj.write(event.proc, page, words, token=event.seq)
-        elif event.type == EventType.ACQUIRE:
-            protocol_obj.acquire(event.proc, event.lock)
-        elif event.type == EventType.RELEASE:
-            protocol_obj.release(event.proc, event.lock)
-        else:
-            protocol_obj.barrier(event.proc, event.barrier)
-    after = protocol_obj.network.stats.by_category()[category].messages
-    return after - before
+    def count(part: TraceStream) -> int:
+        return Engine(part, config, protocol).run().category_messages()[category]
+
+    return count(trace) - count(slice_events(trace, 0, skip_events))
 
 
 def run_table1(conventions: CostConventions = CostConventions()) -> List[Table1Row]:

@@ -94,10 +94,6 @@ class HbGraph:
 
     # -- queries ---------------------------------------------------------------
 
-    def clock_of(self, seq: int) -> EventClock:
-        """The timestamp of event ``seq`` (its global index in the trace)."""
-        return self.clocks[seq]
-
     def happens_before(self, first_seq: int, second_seq: int) -> bool:
         """True if event ``first_seq`` hb-precedes event ``second_seq``."""
         if first_seq == second_seq:

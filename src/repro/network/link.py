@@ -129,7 +129,7 @@ class LinkModel:
         return 1.0 / self.bandwidth if self.bandwidth > 0.0 else 0.0
 
     def serialization_s(self, wire_bytes: int) -> float:
-        """Channel occupancy of one message of ``wire_bytes``."""
+        """Link occupancy of one message of ``wire_bytes``."""
         return wire_bytes / self.bandwidth if self.bandwidth > 0.0 else 0.0
 
     def to_dict(self) -> Dict[str, float]:
@@ -239,8 +239,9 @@ def parse_link_spec(spec: str) -> LinkModel:
     ``ms``, ``us``, ``ns`` suffixes (bare numbers are seconds);
     bandwidth accepts ``KB/s``, ``MB/s``, ``GB/s`` (bare numbers are
     bytes/s); loss accepts a probability or a percentage. A second
-    preset, or a key (under either alias) given twice, is an error
-    rather than last-one-wins — a typo must not become a different
+    preset, a key (under either alias) given twice, or an empty segment
+    (``""``, ``"ethernet_1992,,"``) is an error rather than
+    last-one-wins or ``ideal`` — a typo must not become a different
     experiment::
 
         --network ethernet_1992
@@ -252,7 +253,7 @@ def parse_link_spec(spec: str) -> LinkModel:
     for token in spec.split(","):
         token = token.strip()
         if not token:
-            continue
+            raise ConfigError(f"empty segment in --network spec {spec!r}")
         if "=" not in token:
             if overrides:
                 raise ConfigError(

@@ -1,19 +1,15 @@
 """Message taxonomy for the DSM protocols.
 
 Each protocol action that crosses the interconnect is one
-:class:`Message`. The :class:`MessageKind` enumeration covers every message
-type used by the four protocols (LI, LU, EI, EU); the accounting layer
-groups kinds into the paper's four operation categories (access miss,
-lock, unlock, barrier).
+:meth:`Network.send <repro.network.network.Network.send>` of a
+:class:`MessageKind`. The enumeration covers every message type the
+protocols use; the accounting layer groups kinds into the paper's four
+operation categories (access miss, lock, unlock, barrier).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
-
-from repro.common.types import ProcId
 
 
 class MessageKind(enum.Enum):
@@ -73,33 +69,3 @@ KIND_NAMES = tuple(kind.name for kind in MessageKind)
 
 #: The paper's four operation categories, in Table-1 column order.
 CATEGORIES = ("miss", "lock", "unlock", "barrier")
-
-
-@dataclass
-class Message:
-    """One protocol message travelling from ``src`` to ``dst``.
-
-    ``payload_bytes`` is the size of the shared-data payload (diffs, page
-    contents); ``control_bytes`` is protocol metadata riding along
-    (vector clocks, write notices). Both exclude the fixed header, whose
-    size comes from the :class:`~repro.network.costs.CostModel`. ``body``
-    carries the in-simulator Python payload and never affects accounting.
-    """
-
-    kind: MessageKind
-    src: ProcId
-    dst: ProcId
-    payload_bytes: int = 0
-    control_bytes: int = 0
-    body: Optional[Dict[str, Any]] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.payload_bytes < 0 or self.control_bytes < 0:
-            raise ValueError(
-                f"negative payload/control: {self.payload_bytes}/{self.control_bytes}"
-            )
-
-    @property
-    def category(self) -> str:
-        """The Table-1 accounting category of this message."""
-        return self.kind.category

@@ -1,32 +1,30 @@
-"""The interconnect: all channels plus accounting.
+"""The interconnect as a ledger: every message counted, none built.
 
-Protocols send messages through :meth:`Network.send`; accounting (message
-counts and data bytes, per kind) happens here, in one place, using the
-configured :class:`~repro.network.costs.CostModel`. Delivery is synchronous
-request/reply — the trace-driven simulator processes one trace event at a
-time, so a message's effects are applied before the next event, exactly as
-in the paper's counting simulator.
+Protocols charge each message through :meth:`Network.send`; accounting
+(message counts and data bytes, per kind) happens here, in one place,
+using the configured :class:`~repro.network.costs.CostModel` — the
+paper's counting simulator (§5.1). A message is its arguments: nothing
+is queued, delivered or kept, since the trace is a global order and each
+message's effects are applied before the next event. The reliable-FIFO
+assumption matters only where time exists and is enforced there, by the
+timed fold's per-link arrival clamp (:mod:`repro.network.timed`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Optional
 
 from repro.common.types import ProcId
-from repro.network.channel import Channel
 from repro.network.costs import CostModel
-from repro.network.message import Message, MessageKind
+from repro.network.message import MessageKind
 from repro.network.stats import NetworkStats
-
-#: Signature of a message handler: (message) -> optional reply body.
-Handler = Callable[[Message], Optional[Dict[str, Any]]]
 
 #: Pure-acknowledgment kinds, precomputed (send() is a hot path).
 _ACK_KINDS = frozenset(kind for kind in MessageKind if kind.is_ack)
 
 
 class Network:
-    """All point-to-point channels between ``n_procs`` processors."""
+    """The message/byte ledger of ``n_procs`` processors' traffic."""
 
     def __init__(self, n_procs: int, cost_model: Optional[CostModel] = None):
         if n_procs < 1:
@@ -34,10 +32,6 @@ class Network:
         self.n_procs = n_procs
         self.cost_model = cost_model or CostModel()
         self.stats = NetworkStats()
-        self._channels: Dict[tuple, Channel] = {}
-        self._handlers: Dict[ProcId, Handler] = {}
-        self._log: List[Message] = []
-        self.keep_log = False
         #: Telemetry hook (see :mod:`repro.obs.probe`); None when no
         #: recording probe is attached, so the disabled cost is one
         #: attribute load + identity check per message.
@@ -48,43 +42,28 @@ class Network:
         #: same one-check-per-send discipline as the probe.
         self._send_log = None
         # Cost-model policy flags, hoisted: send() runs once per message
-        # of every sweep cell and the model is immutable.
-        self._count_acks = self.cost_model.count_acks
+        # of every interpreted cell and the model is immutable.
         self._count_header = self.cost_model.count_header_in_data
         self._count_control = self.cost_model.count_control_in_data
         self._header_bytes = self.cost_model.header_bytes
-        # Per-kind (bucket, counted) dispatch for the fast path below,
-        # indexed by ``kind.slot`` (list indexing beats enum-keyed dicts).
-        self._fast_buckets = [
+        # Per-kind (bucket, counted) dispatch for send(), indexed by
+        # ``kind.slot`` (list indexing beats enum-keyed dicts).
+        self._buckets = [
             (
                 self.stats.by_kind[kind],
-                self._count_acks or kind not in _ACK_KINDS,
+                self.cost_model.count_acks or kind not in _ACK_KINDS,
             )
             for kind in MessageKind
         ]
-
-    def channel(self, src: ProcId, dst: ProcId) -> Channel:
-        """The (lazily created) channel from ``src`` to ``dst``."""
-        self._check_proc(src)
-        self._check_proc(dst)
-        key = (src, dst)
-        if key not in self._channels:
-            self._channels[key] = Channel(src, dst)
-        return self._channels[key]
-
-    def register_handler(self, proc: ProcId, handler: Handler) -> None:
-        """Install the message handler for processor ``proc``."""
-        self._check_proc(proc)
-        self._handlers[proc] = handler
 
     def attach_probe(self, probe) -> None:
         """Mirror every counted send into ``probe.on_message``.
 
         Only recording probes are kept — attaching the null probe (or
-        None) leaves the accounting fast path untouched. A stock
+        None) leaves :meth:`send` untouched. A stock
         staging probe (:func:`~repro.obs.probe.is_stock_staging`) has
-        its staged segment row updated inline on the send fast path —
-        three list adds instead of a Python method call per message.
+        its staged segment row updated inline by :meth:`send` — three
+        list adds instead of a Python method call per message.
         """
         from repro.obs.probe import is_stock_staging
 
@@ -109,11 +88,11 @@ class Network:
         control_bytes)`` tuples — the merged accounting of several
         :meth:`send` calls, resolved at tape-build time (see
         :class:`~repro.hb.skeleton.LazyTape` and
-        :class:`~repro.hb.skeleton.PricedEagerTape`). Callers certify the same
-        preconditions as the send fast path (no handlers, no log, every
-        kind counted, locals already excluded); probe staging, when a
-        probe is attached, is the caller's responsibility — the tape
-        carries matching row totals. A timed run reaches this path only
+        :class:`~repro.hb.skeleton.PricedEagerTape`). Callers certify
+        what :meth:`send` would have done per message (endpoints in
+        range, locals excluded, the ack policy applied); probe staging,
+        when a probe is attached, is the caller's responsibility — the
+        tape carries matching row totals. A timed run reaches this path only
         once its cell's send log is cached: merged accounting has no
         per-message send order to record, so the engine records per
         event and this guard backstops it.
@@ -123,7 +102,7 @@ class Network:
                 "apply_tape is a counting-mode fast path; a send-log "
                 "recording (Network.attach_send_log) must replay per message"
             )
-        buckets = self._fast_buckets
+        buckets = self._buckets
         for slot, messages, data_bytes, control_bytes in deltas:
             bucket = buckets[slot][0]
             bucket.messages += messages
@@ -137,102 +116,49 @@ class Network:
         dst: ProcId,
         payload_bytes: int = 0,
         control_bytes: int = 0,
-        body: Optional[Dict[str, Any]] = None,
-    ) -> Optional[Dict[str, Any]]:
-        """Send one message and synchronously deliver it.
+    ) -> None:
+        """Account for one message from ``src`` to ``dst``.
 
         ``payload_bytes`` is shared data (pages, diffs); ``control_bytes``
-        is protocol metadata (vector clocks, write notices). Returns
-        whatever the destination handler returns (a reply body or None).
-        Local "sends" (src == dst) are free: no message is counted and the
-        handler is invoked directly, mirroring the paper's model in which
-        e.g. a lock reacquired by its holder costs nothing extra beyond
-        the three-message find-and-transfer of remote acquires.
+        is protocol metadata (vector clocks, write notices). Local
+        "sends" (src == dst) are free: nothing is counted, mirroring the
+        paper's model in which e.g. a lock reacquired by its holder costs
+        nothing extra beyond the three-message find-and-transfer of
+        remote acquires. Nothing is delivered or kept — to watch
+        individual messages, attach a probe that overrides
+        :meth:`~repro.obs.probe.Probe.on_message`.
         """
-        if body is None and not self._handlers and not self.keep_log:
-            # Pure-accounting fast path (the protocol simulations: no
-            # handlers registered, no log kept) — same ledger updates as
-            # below without materializing Message/Channel objects.
-            if src == dst:
-                return None
-            n = self.n_procs
-            if not (0 <= src < n and 0 <= dst < n):
-                self._check_proc(src)
-                self._check_proc(dst)
-            bucket, counted = self._fast_buckets[kind.slot]
-            if counted:
-                bucket.messages += 1
-            data = payload_bytes
-            if self._count_control:
-                data += control_bytes
-            if self._count_header:
-                data += self._header_bytes
-            bucket.data_bytes += data
-            bucket.control_bytes += control_bytes
-            probe = self._probe
-            if probe is not None:
-                if self._probe_stages:
-                    row = probe._seg_row
-                    if counted:
-                        row[0] += 1
-                    row[1] += data
-                    row[2] += control_bytes
-                else:
-                    probe.on_message(kind, src, dst, data, control_bytes, counted)
-            recorder = self._send_log
-            if recorder is not None:
-                recorder.on_send(
-                    src, dst, payload_bytes + control_bytes + self._header_bytes
-                )
-            return None
-        message = Message(
-            kind=kind,
-            src=src,
-            dst=dst,
-            payload_bytes=payload_bytes,
-            control_bytes=control_bytes,
-            body=body,
-        )
-        if src != dst:
-            counted = self._count_acks or kind not in _ACK_KINDS
-            data = payload_bytes
-            if self._count_control:
-                data += control_bytes
-            if self._count_header:
-                data += self._header_bytes
-            self.stats.record(message, data_bytes=data, counted=counted)
-            probe = self._probe
-            if probe is not None:
-                if self._probe_stages:
-                    row = probe._seg_row
-                    if counted:
-                        row[0] += 1
-                    row[1] += data
-                    row[2] += control_bytes
-                else:
-                    probe.on_message(kind, src, dst, data, control_bytes, counted)
-            recorder = self._send_log
-            if recorder is not None:
-                recorder.on_send(
-                    src, dst, payload_bytes + control_bytes + self._header_bytes
-                )
-            if self.keep_log:
-                self._log.append(message)
-            channel = self._channels.get((src, dst))
-            if channel is None:
-                channel = self.channel(src, dst)
-            channel.push(message)
-            delivered = channel.pop()
-            assert delivered is message
-        handler = self._handlers.get(dst)
-        if handler is None:
-            return None
-        return handler(message)
-
-    @property
-    def log(self) -> List[Message]:
-        """Messages sent so far (only populated when ``keep_log`` is True)."""
-        return self._log
+        if src == dst:
+            return
+        n = self.n_procs
+        if not (0 <= src < n and 0 <= dst < n):
+            self._check_proc(src)
+            self._check_proc(dst)
+        bucket, counted = self._buckets[kind.slot]
+        if counted:
+            bucket.messages += 1
+        data = payload_bytes
+        if self._count_control:
+            data += control_bytes
+        if self._count_header:
+            data += self._header_bytes
+        bucket.data_bytes += data
+        bucket.control_bytes += control_bytes
+        probe = self._probe
+        if probe is not None:
+            if self._probe_stages:
+                row = probe._seg_row
+                if counted:
+                    row[0] += 1
+                row[1] += data
+                row[2] += control_bytes
+            else:
+                probe.on_message(kind, src, dst, data, control_bytes, counted)
+        recorder = self._send_log
+        if recorder is not None:
+            recorder.on_send(
+                src, dst, payload_bytes + control_bytes + self._header_bytes
+            )
 
     def _check_proc(self, proc: ProcId) -> None:
         if not 0 <= proc < self.n_procs:

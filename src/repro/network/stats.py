@@ -1,17 +1,18 @@
 """Message and data accounting, grouped the way the paper reports it.
 
 :class:`NetworkStats` keeps a per-:class:`~repro.network.message.MessageKind`
-ledger and can aggregate into the four Table-1 categories (miss, lock,
-unlock, barrier) and into the headline totals plotted in Figures 5-14
-(total messages, total data kbytes).
+ledger, written by :class:`~repro.network.network.Network`, and can
+aggregate it into the four Table-1 categories (miss, lock, unlock,
+barrier) and into the headline totals plotted in Figures 5-14 (total
+messages, total data kbytes).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
-from repro.network.message import CATEGORIES, Message, MessageKind
+from repro.network.message import CATEGORIES, MessageKind
 
 
 @dataclass
@@ -40,21 +41,6 @@ class NetworkStats:
         self.by_kind: Dict[MessageKind, CategoryStats] = {
             kind: CategoryStats() for kind in MessageKind
         }
-
-    def record(self, message: Message, data_bytes: int, counted: bool) -> None:
-        """Record one sent message.
-
-        Args:
-            message: the message.
-            data_bytes: bytes charged to the data totals.
-            counted: whether the message counts toward message totals
-                (acks may be excluded by the cost model).
-        """
-        bucket = self.by_kind[message.kind]
-        if counted:
-            bucket.messages += 1
-        bucket.data_bytes += data_bytes
-        bucket.control_bytes += message.control_bytes
 
     # -- aggregation ----------------------------------------------------------
 

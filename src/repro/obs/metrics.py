@@ -161,17 +161,6 @@ class MetricsRegistry:
 
     # -- read side -----------------------------------------------------------
 
-    @property
-    def n_epochs(self) -> int:
-        self._drain()
-        return len(self._epochs)
-
-    def epoch_total(self, field: str) -> int:
-        """Sum of one epoch column across all epochs."""
-        self._drain()
-        index = EPOCH_FIELDS.index(field)
-        return sum(row[index] for row in self._epochs)
-
     def snapshot(self) -> Dict[str, object]:
         """A plain-dict, JSON/pickle-friendly view of everything recorded."""
         self._drain()

@@ -123,7 +123,11 @@ class Probe:
         control_bytes: int,
         counted: bool,
     ) -> None:
-        """Mirror of one :meth:`Network.send` ledger update (no-op here)."""
+        """Mirror of one :meth:`Network.send` ledger update (no-op here).
+
+        Overriding this is the one way to watch individual messages —
+        the network keeps no log and calls no handler; a probe that
+        does is interpreted (``subclassed_probe``)."""
 
     def page_fault(self, proc: int, page: int, cold: bool) -> None:
         """An access miss is being serviced (no-op here)."""

@@ -34,17 +34,17 @@ def certify_replay(
     ``(execution_path, decline_reason)``:
 
     - ``"per_event"``: the interpreter, the only loop that calls hooks.
-      In this order: a run that observes send order
-      (``send_log_recording`` — a timed cell's first run; ``recording``
-      is the engine's word for it) or values (``record_values``); any
-      class that has not set ``replay_certified = True`` in its own body
+      Exactly four reasons, in this order: a run that observes send
+      order (``send_log_recording`` — a timed cell's first run;
+      ``recording`` is the engine's word for it) or values
+      (``record_values``); any class that has not set
+      ``replay_certified = True`` in its own body
       (``uncertified_class``); and a run that watches individual
-      messages — ``subclassed_probe`` (a probe that is neither a stock
-      staging :class:`~repro.obs.probe.RecordingProbe` nor a stock
-      :class:`~repro.obs.spans.SpanProbe`: it overrides a hook the tape
-      would bypass, :func:`~repro.obs.probe.is_stock_staging` — e.g. a
-      subclass counting ``on_message`` calls), ``handler`` (a registered
-      message handler) or ``keep_log``.
+      messages or any other hook — ``subclassed_probe``, a probe that is
+      neither a stock staging :class:`~repro.obs.probe.RecordingProbe`
+      nor a stock :class:`~repro.obs.spans.SpanProbe`
+      (:func:`~repro.obs.probe.is_stock_staging`), e.g. a subclass
+      overriding ``on_message``.
     - ``"tape"``: no individual message is watched, so the run is
       replayed from cost-resolved tape records through
       :meth:`Network.apply_tape <repro.network.network.Network.apply_tape>`
@@ -63,13 +63,8 @@ def certify_replay(
         return "per_event", "record_values"
     if not type(protocol).__dict__.get("replay_certified", False):
         return "per_event", "uncertified_class"
-    network = protocol.network
     if protocol._obs and not protocol._probe_fast and protocol._span is None:
         return "per_event", "subclassed_probe"
-    if network._handlers:
-        return "per_event", "handler"
-    if network.keep_log:
-        return "per_event", "keep_log"
     return "tape", None
 
 

@@ -102,23 +102,3 @@ class CostConventions:
         if protocol == "EU":
             return base + self._push(u)
         return base + self._push(u) + self._push(v)
-
-
-def expected_lock_chain_messages(
-    protocol: str, n_handoffs: int, conventions: CostConventions, cachers: int = 0
-) -> int:
-    """Messages for the Figure 3/4 scenario: a lock handed around a chain.
-
-    Each handoff is one remote acquire (with the protected datum's diff
-    riding along in LU/LI-miss form) plus, for eager protocols, a release
-    that updates/invalidates the ``cachers`` other copy holders.
-    """
-    total = 0
-    for _ in range(n_handoffs):
-        total += conventions.lock_messages(protocol, h=1)
-        total += conventions.unlock_messages(protocol, c=cachers)
-        if protocol == "LI":
-            total += conventions.miss_messages(protocol, m=1)
-        if protocol == "EI":
-            total += conventions.miss_messages(protocol, manager_has_copy=False)
-    return total

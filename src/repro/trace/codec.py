@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import IO, Union
 
 from repro.common.errors import TraceError
-from repro.trace.events import CODE_TYPES, TYPE_CODES, Event, EventType
+from repro.trace.events import CODE_TYPES, Event, EventType
 from repro.trace.stream import TraceMeta, TraceStream
 
 _TEXT_MAGIC = "# lrc-trace v1"
@@ -199,27 +199,7 @@ def load_binary(fp: IO[bytes]) -> TraceStream:
     return TraceStream.from_columns(meta, *columns)
 
 
-# -- legacy (v1) binary ------------------------------------------------------
-
-
-def dump_binary_legacy(trace: TraceStream, fp: IO[bytes]) -> None:
-    """Write the pre-columnar per-record format (fixtures and comparisons)."""
-    meta_json = _meta_json(trace)
-    fp.write(_BINARY_MAGIC)
-    fp.write(struct.pack("<II", len(meta_json), len(trace)))
-    fp.write(meta_json)
-    for event in trace:
-        fp.write(_pack_event(event))
-
-
-def _pack_event(event: Event) -> bytes:
-    if event.type.is_ordinary:
-        a, b, size = 0, event.addr, event.size
-    elif event.type == EventType.BARRIER:
-        a, b, size = event.barrier, 0, 0
-    else:
-        a, b, size = event.lock, 0, 0
-    return _RECORD.pack(TYPE_CODES[event.type], event.proc, 0, a, b, size, 0)
+# -- legacy (v1) binary: read only --------------------------------------------
 
 
 def _load_binary_legacy(fp: IO[bytes]) -> TraceStream:

@@ -6,6 +6,10 @@ import pytest
 
 from repro.apps import cholesky, locusroute, mp3d, pthor, water
 from repro.config import SimConfig
+from repro.obs.probe import RecordingProbe
+from repro.obs.sinks import MemorySink
+from repro.obs.spans import SpanProbe, timeline_from_records
+from repro.protocols.registry import protocol_class
 from repro.simulator.engine import Engine
 from repro.simulator.results import SimulationResult
 from repro.trace.events import Event
@@ -131,3 +135,114 @@ def interpreter_result(trace, protocol, config=None, probe=None, **options) -> S
     result = interpreter_engine(trace, protocol, config, probe, **options).run()
     assert result.manifest["execution_path"] == "per_event"
     return result
+
+
+class MessageLogProbe(RecordingProbe):
+    """The way to watch individual messages: a probe that overrides
+    ``on_message``. It keeps what the hook is told about each message —
+    ``(kind, src, dst, data_bytes, control_bytes, counted)``, in send
+    order — and then does what the stock hook does, so metrics stay
+    exact. Overriding a hook the tape bypasses, it is interpreted
+    (``subclassed_probe``)."""
+
+    def __init__(self, sinks=None, metrics=None):
+        super().__init__(sinks=sinks, metrics=metrics)
+        self.log = []
+
+    def on_message(self, kind, src, dst, data_bytes, control_bytes, counted):
+        self.log.append((kind, src, dst, data_bytes, control_bytes, counted))
+        super().on_message(kind, src, dst, data_bytes, control_bytes, counted)
+
+
+class SpanMessageLogProbe(MessageLogProbe, SpanProbe):
+    """The same watcher on top of the other stock class."""
+
+
+#: Every way ``Engine`` can run one cell, as data: loop -> (config
+#: overrides, the ``(execution_path, decline_reason)`` its manifest must
+#: then show). Nothing selects a loop; each row asks for what needs it.
+LOOPS = {
+    "tape": ({}, ("tape", None)),
+    # A probe that watches every message — the run's own probe class
+    # swapped for its message-logging subclass, nothing else changed.
+    "watched": ({}, ("per_event", "subclassed_probe")),
+    # The interpreter with no probe at all: a bare subclass of the
+    # protocol has not vouched for the tape.
+    "alias": ({}, ("per_event", "uncertified_class")),
+    # Values exist only on the interpreter; recording them asks for it.
+    "per_event": ({"record_values": True}, ("per_event", "record_values")),
+    # The oracle is asked for by name (``Engine.run_reference()``).
+    "reference": ({}, ("reference", None)),
+}
+#: The four loops of a probed cell / of a probe-less one.
+PROBED_LOOPS = ("tape", "watched", "per_event", "reference")
+BARE_LOOPS = ("tape", "alias", "per_event", "reference")
+_WATCHER_OF = {RecordingProbe: MessageLogProbe, SpanProbe: SpanMessageLogProbe}
+
+
+def run_loop(trace, protocol, config, loop, make_probe=None, sink=None):
+    """One run of the cell on ``loop``: ``(engine, probe, result)``, the
+    manifest checked against the loop's row of :data:`LOOPS`."""
+    overrides, expected = LOOPS[loop]
+    if loop == "alias":
+        protocol = type("Alias", (protocol_class(protocol),), {})
+    if loop == "watched":
+        make_probe = _WATCHER_OF.get(make_probe, make_probe)
+    probe = make_probe(sinks=[sink] if sink is not None else None) if make_probe else None
+    engine = Engine(trace, config.with_options(**overrides), protocol, probe=probe)
+    result = engine.run_reference() if loop == "reference" else engine.run()
+    assert path_and_reason(result) == expected
+    return engine, probe, result
+
+
+def observe(trace, protocol, config, loop, make_probe=RecordingProbe, sink=None) -> dict:
+    """Everything one run on ``loop`` can show, as plain comparable
+    values: the result, ledger and counters; under a probe its metrics
+    and the order its staged rows were created in; with ``sink``
+    attached the event stream (``seq`` and ``epoch`` included); under a
+    ``SpanProbe`` the record stream and the timeline built from it."""
+    engine, probe, result = run_loop(trace, protocol, config, loop, make_probe, sink)
+    body = result.to_dict()
+    body.pop("manifest")
+    view = {"body": body, "fields": ledger_fields(result), "metrics": result.metrics}
+    if probe is None:
+        return view
+    # The per-id row caches are the tape kernels' (hooks open windows
+    # through begin()): views of the same staged rows, empty off the tape.
+    for kind, rows in (("lock", probe._lock_rows), ("barrier", probe._barrier_rows)):
+        assert all(row is probe._segments[kind, ident] for ident, row in rows.items())
+        assert loop == "tape" or not rows
+    if isinstance(probe, MessageLogProbe):
+        # It was told of every message, local hops excluded.
+        assert sum(message[5] for message in probe.log) == result.messages
+    records = getattr(probe, "records", None)
+    compiled = engine._compiled or trace.compiled(config.page_size)
+    view.update(
+        # Creation order of the staged rows and of the registry's tables.
+        segments=list(probe._segments),
+        registry_locks=list(probe.metrics._locks),
+        registry_epochs=probe.metrics._epochs,
+        events=sink.events if sink is not None else None,
+        records=records,
+        timeline=records
+        and timeline_fields(timeline_from_records(records, compiled, config.n_procs)),
+    )
+    return view
+
+
+def assert_loops_agree(
+    trace, protocol, config, loops=PROBED_LOOPS, make_probe=RecordingProbe, sink=MemorySink
+) -> dict:
+    """The one comparator: :func:`observe` the cell on each of ``loops``
+    (a fresh ``sink()`` per run, none if None) and assert every view
+    equals the first loop's, which is returned."""
+    views = {
+        loop: observe(
+            trace, protocol, config, loop, make_probe, sink() if sink and make_probe else None
+        )
+        for loop in loops
+    }
+    first = views[loops[0]]
+    for loop, view in views.items():
+        assert view == first, (protocol, loop)
+    return first

@@ -4,8 +4,8 @@ The acceptance bar: on the path a plain run certifies (the tape, sinks
 attached or not) every accounting field, every counter, and every
 emitted telemetry event must be bit-identical to the per-event
 interpreter — the loop a value-recording run takes, and the one a
-message watcher forces — across all protocols, all apps, the full sweep
-grid, and every protocol-option ablation.
+message-watching probe asks for — across all protocols, all apps, the
+full sweep grid, and every protocol-option ablation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pytest
 from repro.config import SimConfig
 from repro.network.costs import CostModel
 from repro.obs.probe import RecordingProbe
-from repro.obs.sinks import MemorySink
 from repro.obs.spans import SpanProbe
 from repro.protocols.base import certify_replay
 from repro.protocols.registry import protocol_class
@@ -26,11 +25,11 @@ from repro.simulator.engine import Engine, simulate
 from repro.simulator.sweep import run_sweep
 from repro.trace.events import Event
 from tests.conftest import (
+    assert_loops_agree,
     build_trace,
     interpreter_result,
     ledger_fields,
     lock_chain_trace,
-    path_and_reason,
 )
 
 LAZY_PROTOCOLS = ("LI", "LU", "LH", "HLRC")
@@ -96,23 +95,11 @@ class TestBatchedEquivalence:
 def assert_event_streams_identical(trace, protocol, **options):
     """A sink-watched run emits the interpreter's stream — from the tape,
     which is where a stock probe with sinks runs, and on the interpreter
-    a kept message log forces. Full dict equality: kinds, fields,
-    ``seq`` numbering and epochs."""
+    a message-logging probe or recorded values ask for. Full dict
+    equality: kinds, fields, ``seq`` numbering and epochs."""
     config = SimConfig(n_procs=trace.n_procs, **options)
-    streams = {}
-    for row in (("tape", None), ("per_event", "keep_log")):
-        sink = MemorySink()
-        engine = Engine(trace, config, protocol, probe=RecordingProbe(sinks=[sink]))
-        engine.protocol.network.keep_log = row[1] == "keep_log"
-        assert path_and_reason(engine.run()) == row
-        streams[row] = sink.events
-    interpreter_sink = MemorySink()
-    interpreter_result(
-        trace, protocol, config, probe=RecordingProbe(sinks=[interpreter_sink])
-    )
-    assert interpreter_sink.events
-    assert streams["tape", None] == interpreter_sink.events
-    assert streams["per_event", "keep_log"] == interpreter_sink.events
+    tape = assert_loops_agree(trace, protocol, config, ("tape", "watched", "per_event"))
+    assert tape["events"]
 
 
 class TestBatchedTelemetry:

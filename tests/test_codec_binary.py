@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import io
 import struct
+from pathlib import Path
 
 import pytest
 
 from repro.common.errors import TraceError
 from repro.trace.codec import (
     dump_binary,
-    dump_binary_legacy,
     load_binary,
     load_trace,
     roundtrip_binary,
@@ -111,31 +111,27 @@ class TestColumnarFormat:
             load_binary(io.BytesIO(bytes(raw)))
 
 
+#: ``large_trace(210)`` as the last v1 writer wrote it (the writer is
+#: gone; the reader stays for old cache files and external tracers).
+GOLDEN_V1 = Path(__file__).parent / "golden_trace_v1.trcb"
+
+
 class TestLegacyFormat:
-    def test_legacy_fixture_loads(self, tmp_path):
+    def test_legacy_fixture_loads(self):
         # A pre-columnar cache file must keep loading through the same
         # entry points (magic dispatch inside load_binary).
-        trace = small_trace("mp3d")
-        path = tmp_path / "legacy.trcb"
-        with open(path, "wb") as fp:
-            dump_binary_legacy(trace, fp)
-        loaded = load_trace(path)
+        assert GOLDEN_V1.read_bytes()[:8] == b"LRCTRACE"
+        trace = large_trace(210)
+        loaded = load_trace(GOLDEN_V1)
         assert list(loaded) == list(trace)
         assert loaded.meta.params == trace.meta.params
         assert loaded.meta.regions == trace.meta.regions
 
     def test_legacy_and_columnar_agree(self):
-        trace = large_trace(1_000)
-        legacy_buf = io.BytesIO()
-        dump_binary_legacy(trace, legacy_buf)
-        legacy_buf.seek(0)
-        assert list(load_binary(legacy_buf)) == list(roundtrip_binary(trace))
+        assert list(load_trace(GOLDEN_V1)) == list(roundtrip_binary(large_trace(210)))
 
     def test_legacy_truncated_record(self):
-        trace = build_trace(1, [Event.read(0, 0x10), Event.write(0, 0x20)])
-        buf = io.BytesIO()
-        dump_binary_legacy(trace, buf)
-        clipped = io.BytesIO(buf.getvalue()[:-5])
+        clipped = io.BytesIO(GOLDEN_V1.read_bytes()[:-5])
         with pytest.raises(TraceError, match="truncated"):
             load_binary(clipped)
 

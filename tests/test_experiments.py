@@ -21,6 +21,25 @@ class TestTable1:
         assert failures == []
         assert len(rows) >= 30
 
+    def test_every_cell_is_measured_on_the_tape(self, monkeypatch):
+        """Table 1 is a check *of the tape*: each cell is two plain
+        ``Engine.run()`` calls (whole micro-trace, prefix) and every one
+        of them replays the tape."""
+        from repro.simulator.engine import Engine
+
+        paths = []
+        real_run = Engine.run
+
+        def spy(engine):
+            result = real_run(engine)
+            paths.append(result.manifest["execution_path"])
+            return result
+
+        monkeypatch.setattr(Engine, "run", spy)
+        rows = run_table1()
+        assert len(rows) == 31 and all(row.ok for row in rows)
+        assert paths == ["tape"] * (2 * len(rows))
+
     def test_covers_all_protocols_and_operations(self):
         rows = run_table1()
         assert {r.protocol for r in rows} == {"LI", "LU", "EI", "EU"}

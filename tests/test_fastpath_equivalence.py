@@ -28,11 +28,12 @@ from repro.trace.precompile import (
     compile_trace,
 )
 from tests.conftest import (
+    BARE_LOOPS,
+    assert_loops_agree,
     build_trace,
-    interpreter_result,
     ledger_fields,
     lock_chain_trace,
-    path_and_reason,
+    run_loop,
 )
 
 PROTOCOLS = ("LI", "LU", "EI", "EU")
@@ -189,32 +190,6 @@ class TestCoherenceIndexEquivalence:
         assert indexed.counters["gc_collected_bytes"] > 0
 
 
-def run_every_path(trace, protocol, config):
-    """``{(execution path, decline reason): run}`` — one thunk per loop
-    the engine has, the interpreter both plain and under a watcher."""
-
-    def tape():
-        return Engine(trace, config, protocol).run()
-
-    def watched():
-        engine = Engine(trace, config, protocol)
-        engine.protocol.network.keep_log = True  # watches every message
-        return engine.run()
-
-    def per_event():
-        return interpreter_result(trace, protocol, config)
-
-    def reference():
-        return Engine(trace, config, protocol).run_reference()
-
-    return {
-        ("tape", None): tape,
-        ("per_event", "keep_log"): watched,
-        ("per_event", "record_values"): per_event,
-        ("reference", None): reference,
-    }
-
-
 class TestPlansAreSizedByTheConfig:
     """The protocol is sized by ``config.n_procs``, which may exceed the
     trace's; plans and tapes built for the trace's count diverged from
@@ -225,22 +200,17 @@ class TestPlansAreSizedByTheConfig:
     def test_lock_only_trace_same_ledger_on_every_path(self, protocol, n_procs):
         trace = migratory(n_procs=4)
         config = SimConfig(n_procs=n_procs, page_size=1024)
-        ledgers = {}
-        for (path, reason), run in run_every_path(trace, protocol, config).items():
-            result = run()
-            assert path_and_reason(result) == (path, reason)
-            ledgers[path, reason] = ledger_fields(result)
-        assert len(ledgers) == 4
-        assert all(ledger == ledgers["tape", None] for ledger in ledgers.values())
+        tape = assert_loops_agree(trace, protocol, config, BARE_LOOPS, make_probe=None)
+        assert tape["fields"]["messages"] > 0
 
     @pytest.mark.parametrize("protocol", all_protocol_names())
     def test_barrier_trace_fails_alike_on_every_path(self, protocol):
         # Four of seven processors can never complete a barrier episode.
         trace = producer_consumer(n_procs=4)
         config = SimConfig(n_procs=7, page_size=1024)
-        for run in run_every_path(trace, protocol, config).values():
+        for loop in BARE_LOOPS:
             with pytest.raises(ValueError, match="arrived twice at barrier 0"):
-                run()
+                run_loop(trace, protocol, config, loop)
 
 
 class TestOracle:

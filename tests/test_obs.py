@@ -320,27 +320,27 @@ class TestManifest:
             # A stock probe's sinks are fed from the tape records.
             (None, "tape", "LI", {"probe": "sink"}),
             # Watchers are interpreted: a hook override on top of either
-            # stock class, a message handler, a kept message log.
+            # stock class.
             pytest.param(
                 "subclassed_probe", "per_event", "EU", {"probe": "counting_span"},
                 id="subclassed_probe-per_event-EU",
             ),
+            # (ids as generated before the handler / keep_log rows went)
             pytest.param(
-                "handler", "per_event", "LU", {"handler": True}, id="handler-per_event-LU"
+                "record_values", "per_event", "LI", {"config": {"record_values": True}},
+                id="record_values-per_event-LI-setup5",
             ),
             pytest.param(
-                "keep_log", "per_event", "EW", {"keep_log": True}, id="keep_log-per_event-EW"
+                "uncertified_class", "per_event", "override", {},
+                id="uncertified_class-per_event-override-setup6",
             ),
-            ("record_values", "per_event", "LI", {"config": {"record_values": True}}),
-            ("uncertified_class", "per_event", "override", {}),
-            (
-                "send_log_recording",
-                "per_event",
-                "EI",
+            pytest.param(
+                "send_log_recording", "per_event", "EI",
                 {"config": {"link_model": LinkModel.ideal()}},
+                id="send_log_recording-per_event-EI-setup7",
             ),
             # The span record stream is written by the tape kernels.
-            (None, "tape", "EU", {"probe": "span"}),
+            pytest.param(None, "tape", "EU", {"probe": "span"}, id="None-tape-EU-setup8"),
         ],
     )
     def test_execution_path_and_decline_reason(self, reason, path, protocol, setup):
@@ -370,9 +370,6 @@ class TestManifest:
         engine = Engine(
             trace, config, Overriding if protocol == "override" else protocol, probe=probe
         )
-        if setup.get("handler"):
-            engine.protocol.network.register_handler(0, lambda message: None)
-        engine.protocol.network.keep_log = bool(setup.get("keep_log"))
         result = engine.run()
         assert path_and_reason(result) == (path, reason)
         if isinstance(probe, CountingSpanProbe):
@@ -425,35 +422,12 @@ class TestManifest:
         assert stock.manifest["execution_path"] == "tape"
         assert result.metrics == stock.metrics
 
-    @pytest.mark.parametrize("protocol", ["LI", "LU", "LH", "HLRC", "EI", "EU", "EW"])
-    def test_a_handler_is_called_for_every_message_to_its_processor(self, protocol):
-        """A registered handler is a watcher: the run is interpreted and
-        the handler gets each logged message addressed to its processor,
-        once, in send order (plus that processor's free local sends,
-        which are delivered but never logged)."""
-        from repro.config import SimConfig
-        from repro.simulator.engine import Engine
-
-        trace = small_trace("water", n_procs=4)
-        engine = Engine(trace, SimConfig(n_procs=4, page_size=1024), protocol)
-        network = engine.protocol.network
-        calls = []
-        network.register_handler(0, calls.append)
-        network.keep_log = True
-        result = engine.run()
-        assert path_and_reason(result) == ("per_event", "handler")
-        assert all(message.dst == 0 for message in calls)
-        remote = [message for message in calls if message.src != 0]
-        logged = [message for message in network.log if message.dst == 0]
-        assert len(remote) == len(logged) > 0
-        assert all(seen is sent for seen, sent in zip(remote, logged))
-        assert len(network.log) == result.messages
-
     def test_certify_replay_is_total_and_ordered(self):
         """Over everything a run can observe, ``certify_replay`` answers
         ``tape`` or ``per_event`` and nothing else, gives a reason
-        exactly when it declines the tape, and that reason is the first
-        applicable one in the documented order."""
+        exactly when it declines the tape, that reason is the first
+        applicable one in the documented order, and the four documented
+        reasons are all there are."""
         from itertools import product
 
         from repro.config import SimConfig
@@ -473,33 +447,35 @@ class TestManifest:
             "watcher": Watcher,
         }
         flags = (False, True)
+        reasons = set()
         for name in ("LI", "LU", "LH", "HLRC", "EI", "EU", "EW"):
             stock = protocol_class(name)
             alias = type("Alias", (stock,), {})
-            for cls, kind, handler, keep_log, values, recording in product(
-                (stock, alias), probes, flags, flags, flags, flags
-            ):
+            for cls, kind, values, recording in product((stock, alias), probes, flags, flags):
                 protocol = cls(SimConfig(n_procs=2, record_values=values))
                 probe = probes[kind]()
                 if probe is not None:
                     protocol.attach_probe(probe)
-                if handler:
-                    protocol.network.register_handler(0, lambda message: None)
-                protocol.network.keep_log = keep_log
                 applicable = [
                     ("send_log_recording", recording),
                     ("record_values", values),
                     ("uncertified_class", cls is alias),
                     ("subclassed_probe", kind == "watcher"),
-                    ("handler", handler),
-                    ("keep_log", keep_log),
                 ]
                 expected = next((reason for reason, holds in applicable if holds), None)
                 path, reason = certify_replay(protocol, recording=recording)
-                case = (name, cls is alias, kind, handler, keep_log, values, recording)
+                case = (name, cls is alias, kind, values, recording)
                 assert path in ("tape", "per_event"), case
                 assert (reason is None) == (path == "tape"), case
                 assert reason == expected, case
+                reasons.add(reason)
+        assert reasons == {
+            None,
+            "send_log_recording",
+            "record_values",
+            "uncertified_class",
+            "subclassed_probe",
+        }
 
     def test_to_dict_uniform_provenance(self, app_trace):
         row = simulate(app_trace, "EI", page_size=2048).to_dict()

@@ -3,20 +3,19 @@
 A certified eager run folds one merged ledger record per synchronization
 operation and inter-sync gap (:class:`repro.hb.skeleton.PricedEagerTape`)
 instead of sending message by message. These tests pin that fold against
-the per-event interpreter it bypasses — plain, and as the watched run a
-kept message log forces, which delivers every message individually — on
+the per-event interpreter it bypasses — for values, and as the watched run
+a message-logging probe asks for, which is told of every message — on
 the result, every counter, and the metrics probe's rows down to the order
 they were created in; that the fold really sends nothing while a watched
-run still sends everything; that no eager replay builds the run program; and that a warm
-timed cell, which now replays the priced tape before folding its send
-log, still produces the golden clocks. The random-trace property at the
-end runs the same comparison, oracle included, over all seven protocols:
-it is also what fuzzes the lazy family's first-touch run program.
+run still sends everything; that no eager replay builds the run program;
+and that a warm timed cell, which now replays the priced tape before
+folding its send log, still produces the golden clocks. The random-trace
+property at the end runs the same comparison, oracle included, over all
+seven protocols: it is also what fuzzes the lazy family's first-touch
+run program.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -27,19 +26,20 @@ from repro.network.costs import CostModel
 from repro.network.network import Network
 from repro.obs.probe import RecordingProbe
 from repro.obs.sinks import ColumnarSink, MemorySink
-from repro.obs.spans import SpanProbe, timeline_from_records
+from repro.obs.spans import SpanProbe
 from repro.protocols.registry import all_protocol_names
 from repro.simulator.engine import Engine, simulate
 from repro.trace.events import Event
 from tests.conftest import (
     SMALL_SCALE,
+    MessageLogProbe,
+    SpanMessageLogProbe,
+    assert_loops_agree,
     build_trace,
-    interpreter_engine,
     interpreter_result,
     ledger_fields,
-    path_and_reason,
+    run_loop,
     small_trace,
-    timeline_fields,
 )
 from tests.test_protocol_properties import N_PROCS, interleave, race_free_programs
 from tests.test_send_log import GOLDEN, LINKS
@@ -58,21 +58,9 @@ COST_MODELS = {
     ),
 }
 
-#: path -> (config overrides, keep a message log, expected manifest pair)
-PATHS = {
-    "priced": ({}, False, ("tape", None)),
-    # A kept message log needs every send, so the run is interpreted;
-    # nothing else about it (probe, sinks, config) differs from the
-    # priced one.
-    "per_message": ({}, True, ("per_event", "keep_log")),
-    # Values exist only on the interpreter; recording them asks for it.
-    "per_event": ({"record_values": True}, False, ("per_event", "record_values")),
-    # The oracle is asked for by name (``Engine.run_reference()``).
-    "reference": ({}, False, ("reference", None)),
-}
 #: What ``Engine.run()`` chooses between: the tape, and the interpreter
 #: for a message watcher or for values.
-RUN_PATHS = ("priced", "per_message", "per_event")
+RUN_LOOPS = ("tape", "watched", "per_event")
 
 
 def midspan_trace():
@@ -116,42 +104,6 @@ def app_trace(request):
     return midspan_trace() if request.param == "midspan" else small_trace(request.param)
 
 
-def observe(trace, protocol, config, path, sink=None, make_probe=RecordingProbe):
-    """One run under a stock probe: everything a run can show — with
-    ``sink`` attached, its event stream too, and under a ``SpanProbe``
-    its record stream and the timeline built from it."""
-    overrides, keep_log, expected = PATHS[path]
-    probe = make_probe(sinks=[sink] if sink is not None else None)
-    engine = Engine(trace, config.with_options(**overrides), protocol, probe=probe)
-    engine.protocol.network.keep_log = keep_log
-    result = engine.run_reference() if path == "reference" else engine.run()
-    assert path_and_reason(result) == expected
-    body = result.to_dict()
-    body.pop("manifest")
-    records = getattr(probe, "records", None)
-    # The per-id row caches are the tape kernels' (hooks open windows
-    # through begin()): views of the same staged rows, empty off the tape.
-    for kind, rows in (("lock", probe._lock_rows), ("barrier", probe._barrier_rows)):
-        assert all(row is probe._segments[kind, ident] for ident, row in rows.items())
-        assert path == "priced" or not rows
-    return {
-        "body": body,
-        "fields": ledger_fields(result),
-        "metrics": result.metrics,
-        # Creation order of the staged rows and of the registry's tables.
-        "segments": list(probe._segments),
-        "registry_locks": list(probe.metrics._locks),
-        "registry_epochs": probe.metrics._epochs,
-        "events": sink.events if sink is not None else None,
-        "records": records,
-        "timeline": records and timeline_fields(
-            timeline_from_records(
-                records, engine._compiled or trace.compiled(config.page_size), config.n_procs
-            )
-        ),
-    }
-
-
 class TestThreeWayEquivalence:
     @pytest.mark.parametrize("cost_key", sorted(COST_MODELS))
     @pytest.mark.parametrize("free_reacquire", [True, False], ids=["free", "paid"])
@@ -166,11 +118,7 @@ class TestThreeWayEquivalence:
             cost_model=COST_MODELS[cost_key],
             free_local_lock_reacquire=free_reacquire,
         )
-        priced, per_message, per_event = (
-            observe(app_trace, protocol, config, path) for path in RUN_PATHS
-        )
-        assert priced == per_message
-        assert priced == per_event
+        priced = assert_loops_agree(app_trace, protocol, config, RUN_LOOPS, sink=None)
         assert priced["body"]["messages"] > 0
 
     @pytest.mark.parametrize("protocol", EAGER)
@@ -197,27 +145,18 @@ class TestMidSpanRemiss:
         if protocol != "EU":  # an update protocol never invalidates
             assert tape.invalid_misses >= 2
 
-        def watched(path, reason=None):
-            probe = SpanProbe(sinks=[MemorySink()])
-            engine = Engine(
-                trace,
-                config.with_options(record_values=reason == "record_values"),
-                protocol,
-                probe=probe,
-            )
-            # A kept message log is what has a span probe's run
-            # interpreted; without one it rides the tape.
-            engine.protocol.network.keep_log = path != "tape"
-            result = engine.run_reference() if path == "reference" else engine.run()
-            assert path_and_reason(result) == (path, reason)
+        def watched(loop, make_probe=SpanMessageLogProbe):
+            _, probe, result = run_loop(trace, protocol, config, loop, make_probe, MemorySink())
             assert ledger_fields(result) == ledger_fields(tape)
-            return engine.protocol.network.log, probe.sinks[0].events, probe.records
+            return getattr(probe, "log", None), probe.sinks[0].events, probe.records
 
-        kept = watched("per_event", "keep_log")
-        assert kept == watched("per_event", "record_values") == watched("reference")
+        # A message-logging subclass is what has a span probe's run
+        # interpreted; a stock one rides the tape.
+        kept = watched("watched")
+        assert kept == watched("per_event") == watched("reference")
         assert len(kept[0]) == tape.messages
         # The tape kernels write the record stream the hooks would have.
-        assert watched("tape")[1:] == kept[1:]
+        assert watched("tape", SpanProbe)[1:] == kept[1:]
 
 
 class TestNoRunProgram:
@@ -240,9 +179,11 @@ class TestNoRunProgram:
             ("tape", Engine(trace, config, protocol, probe=sink_probe())),
             ("tape", Engine(trace, config, protocol, probe=SpanProbe())),
             ("subclassed_probe", Engine(trace, config, protocol, probe=EpochWatcher())),
-            ("keep_log", Engine(trace, config, protocol, probe=sink_probe())),
+            (
+                "subclassed_probe",
+                Engine(trace, config, protocol, probe=MessageLogProbe(sinks=[ColumnarSink()])),
+            ),
         ]
-        runs[-1][1].protocol.network.keep_log = True
         for reason, engine in runs:
             manifest = engine.run().manifest
             assert manifest.get("decline_reason", "tape") == reason
@@ -278,10 +219,7 @@ def test_random_race_free_traces(program, page_size, free_reacquire, cost_key):
     )
     for protocol in all_protocol_names():
         for make_probe in (RecordingProbe, SpanProbe):
-            tape, per_message, per_event, reference = (
-                observe(trace, protocol, config, path, MemorySink(), make_probe) for path in PATHS
-            )
-            assert tape == per_message == per_event == reference, protocol
+            tape = assert_loops_agree(trace, protocol, config, make_probe=make_probe)
         assert len(tape["records"]) > 0 and tape["timeline"]["spans"]
 
 
@@ -315,27 +253,27 @@ class TestNoSends:
     @pytest.mark.parametrize("protocol", EAGER)
     def test_sink_attached_run_still_sends_every_message(self, water_trace, sends, protocol):
         """...once something watches the messages themselves: the sink
-        alone rides the tape (the ``sink`` case above), a kept message
-        log has the same run interpreted."""
+        alone rides the tape (the ``sink`` case above), a message-logging
+        probe has the same run interpreted."""
 
         config = SimConfig(n_procs=water_trace.n_procs, page_size=1024)
 
-        def watched(make_engine):
+        def watched(loop):
             del sends[:]
-            engine = make_engine(probe=RecordingProbe(sinks=[MemorySink()]))
-            engine.protocol.network.keep_log = True
-            return engine.run(), list(sends)
+            _, probe, result = run_loop(
+                water_trace, protocol, config, loop, MessageLogProbe, MemorySink()
+            )
+            return result, list(sends), probe.log
 
-        kept, kept_sends = watched(partial(Engine, water_trace, config, protocol))
-        assert path_and_reason(kept) == ("per_event", "keep_log")
-        per_event, per_event_sends = watched(
-            partial(interpreter_engine, water_trace, protocol, config)
-        )
-        assert path_and_reason(per_event) == ("per_event", "record_values")
+        kept, kept_sends, kept_log = watched("watched")
+        per_event, per_event_sends, per_event_log = watched("per_event")
         # Same messages, same order, with or without values — local hops included.
         assert kept_sends == per_event_sends
         remote = [call for call in kept_sends if call[1] != call[2]]
         assert len(remote) == kept.messages == per_event.messages
+        # ...and the probe was told of exactly the remote ones, in that order.
+        assert [message[:3] for message in kept_log] == remote
+        assert kept_log == per_event_log
 
 
 class TestPlanCache:

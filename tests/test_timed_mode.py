@@ -415,6 +415,19 @@ class TestCli:
         assert main(["run", *self._args(), "--network", "warp=9"]) == 2
         assert "lrc-sim: error: unknown --network key 'warp'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["", " ", "ethernet_1992,,", ",loss=1%"])
+    def test_empty_network_spec_or_segment_raises_config_error(self, capsys, spec):
+        """An empty spec used to mean ``ideal`` (untimed, on the CLI) and
+        an empty segment was skipped; both are typos, named as such."""
+        from repro.cli import main
+        from repro.common.errors import ConfigError
+        from repro.network.link import parse_link_spec
+
+        with pytest.raises(ConfigError, match="empty segment"):
+            parse_link_spec(spec)
+        assert main(["run", *self._args(), "--network", spec]) == 2
+        assert f"empty segment in --network spec {spec!r}" in capsys.readouterr().err
+
     def test_non_finite_network_value_raises_config_error(self, capsys):
         from repro.cli import main
         from repro.common.errors import ConfigError
