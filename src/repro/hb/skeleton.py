@@ -46,27 +46,23 @@ diff-apply emission) iterates.
 The eager family (EI/EU/EW) shares none of that clock machinery, but
 its replay is just as precomputable: every probe emission and network
 message of an eager run happens on a miss, a write fault, or a flush —
-and all three are fully determined by (compiled trace, n_procs, policy).
-The per-run config only changes *wire sizes*, which the replay computes
-from linear cost-model formulas. :func:`build_eager_tape` therefore
-simulates the eager state machines (directory, page states, dirty sets)
-once per policy and records a *tape* ordered by synchronization
-operations, not by run instructions: in the eager protocols every
-consistency action happens at a release or barrier and every other
-message is a miss (or an EW write fault), so the tape is one step per
-special access — the
-misses and write faults of the gap before it, in global order, then the
-operation with its flush outcome. That order is what makes replaying a
-gap in one go sound — a remote flush can invalidate a page (or revoke EW
-write permission) *mid-span*, so the same (proc, page) span may miss
-twice, but both misses precede the next synchronization operation and
-nothing else happens in between. The tape is built from the compiled
-ops alone; no eager replay needs the run program. No run replays that
-tape message by message (one that watches individual messages is
-interpreted): :func:`build_priced_eager_tape` resolves it once
-per cost key into one merged ledger record per synchronization
-operation and per inter-sync gap (:class:`PricedEagerTape`), which
-:class:`repro.protocols.eager_base.EagerTapeMixin` folds.
+all three fully determined by (compiled ops, n_procs, policy); the
+per-run config only changes *wire sizes*, linear in the cost model.
+:func:`eager_steps` therefore simulates the eager state machines
+(directory, page states, dirty sets) once per policy, one step per
+special access: the misses and write faults of the gap before it, in
+global order, then the operation with its flush outcome. That order is
+what makes replaying a gap in one go sound — a remote flush can
+invalidate a page (or revoke EW write permission) *mid-span*, so the
+same (proc, page) span may miss twice, but both misses precede the next
+synchronization operation and nothing else happens in between. No run
+replays those steps message by message (one that watches individual
+messages is interpreted): :func:`build_priced_eager_tape` resolves them
+into one merged ledger record per synchronization operation and
+inter-sync gap (:class:`PricedEagerTape`), which
+:class:`repro.protocols.eager_base.EagerTapeMixin` folds, and they are
+dropped. Only a sink or a span probe, which name each miss and flush,
+has the steps kept as an :class:`EagerTape`.
 
 :func:`batch_plan` memoizes one :class:`BatchPlan` (skeleton + run
 program + eager tapes, raw and priced + lazy tapes + shared fetch
@@ -77,6 +73,7 @@ replay of a sweep reuses it.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.types import BarrierId, ProcId
@@ -86,7 +83,7 @@ from repro.hb.interval import Interval
 from repro.hb.store import IntervalStore
 from repro.memory.diff import Diff
 from repro.network.costs import CostModel
-from repro.network.message import MessageKind
+from repro.network.message import BARRIER_FLUSH_KINDS, UNLOCK_FLUSH_KINDS, MessageKind
 from repro.network.timed import SendLog
 from repro.sync.barrier import BarrierMaster
 from repro.sync.lock_manager import LockDirectory
@@ -147,25 +144,23 @@ class Skeleton:
 
 
 class EagerTape:
-    """Precomputed replay tape for one eager policy over one trace.
+    """The :func:`eager_steps` walk of one eager policy, kept.
 
     Ordered by synchronization operations (the module docstring says
-    why that is enough): three parallel columns with one entry per
-    special access of the trace, in trace order — walk them together
-    with :meth:`steps` — plus the gap after the last one::
+    why that is enough). ``steps`` holds one entry per special access of
+    the trace, in trace order, and a last one for the gap after them::
 
-        syncs[i]:   the compiled op itself, (OP_ACQUIRE | OP_RELEASE |
-                    OP_BARRIER, proc, lock or barrier id) — the tuple
-                    ``compiled.ops`` already holds, not a copy
-        gaps[i]:    the miss / write-fault records of every processor
-                    between sync i-1 and sync i, in global order
-        flushes[i]: the release's or barrier arrival's flush outcome;
-                    None when nothing was dirty, on acquires and on EW
-        tail:       the gap after the last synchronization operation
+        (sync, gap, flush)
+            sync:  the compiled op itself, (OP_ACQUIRE | OP_RELEASE |
+                   OP_BARRIER, proc, lock or barrier id) — the tuple
+                   ``compiled.ops`` already holds, not a copy; None on
+                   the last step
+            gap:   the miss / write-fault records of every processor
+                   since the previous sync, in global order
+            flush: the release's or barrier arrival's flush outcome;
+                   None when nothing was dirty, on acquires and on EW
 
-    Columns rather than one tuple per step: most steps have an empty gap
-    and nothing to flush, and a run's full collections get dearer with
-    every container object a tape keeps alive. Record shapes::
+    Record shapes::
 
         (E_MISS, proc, page, cold, server, forward_or_None)
         (E_WFAULT, proc, page, miss_or_None, holders, ping)
@@ -175,28 +170,14 @@ class EagerTape:
             pushes: ((dest, n_diffs, total_runs, total_words), ...)
     """
 
-    __slots__ = ("policy", "syncs", "gaps", "flushes", "tail")
+    __slots__ = ("policy", "steps")
 
-    def __init__(
-        self,
-        policy: str,
-        syncs: List[tuple],
-        gaps: List[tuple],
-        flushes: List[Optional[tuple]],
-        tail: tuple,
-    ):
+    def __init__(self, policy: str, steps: List[tuple]):
         self.policy = policy
-        self.syncs = syncs
-        self.gaps = gaps
-        self.flushes = flushes
-        self.tail = tail
-
-    def steps(self):
-        """``((op, proc, ident), gap, flush)`` per synchronization operation."""
-        return zip(self.syncs, self.gaps, self.flushes)
+        self.steps = steps
 
     def __repr__(self) -> str:
-        return f"EagerTape({self.policy}, {len(self.syncs)} sync steps)"
+        return f"EagerTape({self.policy}, {len(self.steps) - 1} sync steps)"
 
 
 #: ``cause`` codes of a priced record: which staged probe row it charges.
@@ -247,25 +228,28 @@ class PricedEagerTape:
 
 
 def build_priced_eager_tape(
-    tape: EagerTape,
+    policy: str,
+    steps,
     n_procs: int,
     page_size: int,
     cost_model: CostModel,
     free_reacquire: bool,
 ) -> PricedEagerTape:
-    """Price ``tape`` against one cost key, one record per sync and gap.
+    """Price a ``policy`` step stream against one cost key, one record
+    per sync and gap.
 
-    Charges exactly what the per-event hooks send, walking
-    ``tape.steps()``:
-    each step's gap, then its synchronization operation with its flush
-    outcome; the lock hops come from a :class:`LockDirectory` walked
-    along — which also rejects a malformed lock or barrier sequence
-    here, as the live directory would during a replay. Fan-outs whose
-    hops are never local (flush pushes, invalidations, barrier exits)
-    are charged per kind in one step, since a priced record only keeps
-    per-kind sums anyway.
+    ``steps`` is what :func:`eager_steps` yields — fresh from the walk
+    when nothing keeps the unpriced tape, or read back from an
+    :class:`EagerTape` an observer had built — and is walked once.
+    Charges exactly what the per-event hooks send: each step's gap, then
+    its synchronization operation with its flush outcome; the lock hops
+    come from a :class:`LockDirectory` walked along — which also rejects
+    a malformed lock or barrier sequence here, as the live directory
+    would during a replay. Fan-outs whose hops are never local (flush
+    pushes, invalidations, barrier exits) are charged per kind in one
+    step, since a priced record only keeps per-kind sums anyway.
     """
-    update = tape.policy == "EU"
+    update = policy == "EU"
     page_bytes = cost_model.page_bytes(page_size)
     notice_bytes = cost_model.write_notice_bytes
     run_header = cost_model.diff_run_header_bytes
@@ -277,55 +261,44 @@ def build_priced_eager_tape(
         kind.slot for kind in MessageKind if kind.is_ack
     )
 
-    #: The record being accumulated: per-kind [messages, data, control],
-    #: and the same summed over kinds plus the fault count (its row add).
-    by_slot: Dict[int, List[int]] = {}
-    row = [0, 0, 0, 0]
-    counters: Dict[str, int] = {}
+    counters: Counter = Counter()
     records: List[tuple] = []
-
-    def bump(name: str, n: int = 1) -> None:
-        if n:
-            counters[name] = counters.get(name, 0) + n
-
-    def charge(kind: MessageKind, n: int, payload: int = 0, control: int = 0) -> None:
-        """``n`` non-local messages of ``kind``; byte arguments are their sums."""
-        if not n:
-            return
-        slot = kind.slot
-        acc = by_slot.get(slot)
-        if acc is None:
-            by_slot[slot] = acc = [0, 0, 0]
-        if slot not in uncounted:
-            acc[0] += n
-            row[0] += n
-        data = payload + n * header + (control if count_control else 0)
-        acc[1] += data
-        acc[2] += control
-        row[1] += data
-        row[2] += control
-
     #: Most records repeat (a lock's three hops, a barrier arrival), and
     #: their parts more so: equal tuples are stored once.
     shared: Dict[tuple, tuple] = {}
     share = shared.setdefault
 
-    def emit(cause: int, ident: int, complete: bool = False) -> None:
-        """Close the record being accumulated; an empty gap leaves none."""
-        if by_slot or row[3]:
-            deltas = tuple([(slot, *acc) for slot, acc in by_slot.items()])
-            rowadd = tuple(row) if any(row) else None
-            record = (cause, ident, share(deltas, deltas), share(rowadd, rowadd), complete)
-            by_slot.clear()
-            row[:] = (0, 0, 0, 0)
-        elif cause != P_MISS:
-            record = (cause, ident, (), None, complete)
-        else:
-            return
-        records.append(share(record, record))
+    def price(sends, faults: int = 0) -> tuple:
+        """``(deltas, rowadd)`` of ``(kind, n, payload, control)`` sends:
+        ``n`` non-local messages of ``kind``, the byte fields their sums."""
+        by_slot: Dict[int, List[int]] = {}
+        messages = data_sum = control_sum = 0
+        for kind, n, payload, control in sends:
+            if not n:
+                continue
+            slot = kind.slot
+            acc = by_slot.get(slot)
+            if acc is None:
+                by_slot[slot] = acc = [slot, 0, 0, 0]
+            if slot not in uncounted:
+                acc[1] += n
+                messages += n
+            data = payload + n * header + (control if count_control else 0)
+            acc[2] += data
+            acc[3] += control
+            data_sum += data
+            control_sum += control
+        deltas = tuple([tuple(acc) for acc in by_slot.values()])
+        rowadd = (messages, data_sum, control_sum, faults)
+        return share(deltas, deltas), share(rowadd, rowadd) if any(rowadd) else None
+
+    #: Which hops are remote, or how many of each kind a gap sends, is
+    #: all that varies between records that flush nothing: parts by that.
+    memo: Dict[tuple, tuple] = {}
 
     def price_gap(gap: tuple) -> None:
-        """Price one gap's miss and write-fault records."""
+        """One gap's miss and write-fault records; a gap that charged
+        nothing leaves no record."""
         cold = invalid = requests = forwards = replies = 0
         write_faults = ping_pongs = invalidations = 0
         for rec in gap:
@@ -351,81 +324,98 @@ def build_priced_eager_tape(
                 requests += proc != forward
                 forwards += forward != server
             replies += server != proc
-        bump("cold_misses", cold)
-        bump("invalid_misses", invalid)
-        bump("write_faults", write_faults)
-        bump("ping_pongs", ping_pongs)
-        row[3] += cold + invalid
-        charge(MessageKind.PAGE_REQUEST, requests)
-        charge(MessageKind.PAGE_FORWARD, forwards)
-        charge(MessageKind.PAGE_REPLY, replies, payload=replies * page_bytes)
-        charge(MessageKind.WRITE_NOTICE, invalidations, control=invalidations * notice_bytes)
-        charge(MessageKind.RELEASE_ACK, invalidations)
-        emit(P_MISS, -1)
+        counters["cold_misses"] += cold
+        counters["invalid_misses"] += invalid
+        counters["write_faults"] += write_faults
+        counters["ping_pongs"] += ping_pongs
+        key = (P_MISS, cold + invalid, requests, forwards, replies, invalidations)
+        parts = memo.get(key)
+        if parts is None:
+            sends = (
+                (MessageKind.PAGE_REQUEST, requests, 0, 0),
+                (MessageKind.PAGE_FORWARD, forwards, 0, 0),
+                (MessageKind.PAGE_REPLY, replies, replies * page_bytes, 0),
+                (MessageKind.WRITE_NOTICE, invalidations, 0, invalidations * notice_bytes),
+                (MessageKind.RELEASE_ACK, invalidations, 0, 0),
+            )
+            parts = memo[key] = price(sends, faults=cold + invalid)
+        if parts[0] or parts[1] is not None:
+            record = (P_MISS, -1, *parts, False)
+            records.append(share(record, record))
 
-    def price_flush(outcome, notice_kind, update_kind, ack_kind, reconcile_kind) -> None:
+    def flush_sends(outcome: tuple, op: int) -> List[tuple]:
         """One flush outcome: no hop of a flush is ever local."""
-        if outcome is None:
-            return
+        notice_kind, update_kind, ack_kind, reconcile_kind = (
+            UNLOCK_FLUSH_KINDS if op == OP_RELEASE else BARRIER_FLUSH_KINDS
+        )
         _count, excess, pushes = outcome
-        bump("flushes")
-        bump("reconciles", len(excess))
+        counters["flushes"] += 1
+        counters["reconciles"] += len(excess)
+        sends = []
         for _page, _owner, n_runs, n_words, dests in excess:
-            charge(reconcile_kind, 1, payload=n_runs * run_header + n_words * word_bytes)
-            charge(notice_kind, len(dests), control=len(dests) * notice_bytes)
-            charge(ack_kind, 1 + len(dests))
+            sends += (
+                (reconcile_kind, 1, n_runs * run_header + n_words * word_bytes, 0),
+                (notice_kind, len(dests), 0, len(dests) * notice_bytes),
+                (ack_kind, 1 + len(dests), 0, 0),
+            )
         if update:
             payload = sum(
                 runs_total * run_header + words_total * word_bytes
                 for _dest, _n_diffs, runs_total, words_total in pushes
             )
-            charge(update_kind, len(pushes), payload=payload)
+            sends.append((update_kind, len(pushes), payload, 0))
         else:
             n_notices = sum(n_diffs for _dest, n_diffs, _runs, _words in pushes)
-            charge(notice_kind, len(pushes), control=n_notices * notice_bytes)
-        charge(ack_kind, len(pushes))
+            sends.append((notice_kind, len(pushes), 0, n_notices * notice_bytes))
+        sends.append((ack_kind, len(pushes), 0, 0))
+        return sends
 
     locks = LockDirectory(n_procs)
     barriers = BarrierMaster(n_procs)
     master = barriers.master
-    for (op, proc, value), gap, outcome in tape.steps():
+    for sync, gap, outcome in steps:
         if gap:
             price_gap(gap)
+        if sync is None:  # the gap after the last operation
+            break
+        op, proc, value = sync
+        cause, complete = P_LOCK, False
         if op == OP_ACQUIRE:
             grantor = locks.grantor_of(value)
             if grantor != proc or not free_reacquire:
                 manager = locks.manager_of(value)
-                charge(MessageKind.LOCK_REQUEST, proc != manager)
-                charge(MessageKind.LOCK_FORWARD, manager != grantor)
-                charge(MessageKind.LOCK_GRANT, grantor != proc)
+                key = (op, proc != manager, manager != grantor, grantor != proc)
+            else:
+                key = (op, False, False, False)
             locks.record_acquire(proc, value)
-            emit(P_LOCK, value)
         elif op == OP_RELEASE:
-            price_flush(
-                outcome,
-                MessageKind.WRITE_NOTICE,
-                MessageKind.UPDATE,
-                MessageKind.RELEASE_ACK,
-                MessageKind.OWNER_RECONCILE,
-            )
+            key = (op,)
             locks.record_release(proc, value)
-            emit(P_LOCK, value)
         else:  # OP_BARRIER
-            price_flush(
-                outcome,
-                MessageKind.BARRIER_NOTICE,
-                MessageKind.BARRIER_UPDATE,
-                MessageKind.BARRIER_ACK,
-                MessageKind.BARRIER_RECONCILE,
-            )
-            charge(MessageKind.BARRIER_ARRIVAL, proc != master)
+            cause = P_BARRIER
             complete = barriers.record_arrival(proc, value)
-            if complete:
-                charge(MessageKind.BARRIER_EXIT, len(barriers.exit_targets()))
-            emit(P_BARRIER, value, complete)
-    if tape.tail:
-        price_gap(tape.tail)
-    return PricedEagerTape(tape.policy, records, counters)
+            key = (op, proc != master, complete)
+        parts = memo.get(key) if outcome is None else None
+        if parts is None:
+            sends = flush_sends(outcome, op) if outcome is not None else []
+            if op == OP_ACQUIRE:
+                sends += (
+                    (MessageKind.LOCK_REQUEST, key[1], 0, 0),
+                    (MessageKind.LOCK_FORWARD, key[2], 0, 0),
+                    (MessageKind.LOCK_GRANT, key[3], 0, 0),
+                )
+            elif op == OP_BARRIER:
+                n_exits = len(barriers.exit_targets()) if complete else 0
+                sends += (
+                    (MessageKind.BARRIER_ARRIVAL, key[1], 0, 0),
+                    (MessageKind.BARRIER_EXIT, n_exits, 0, 0),
+                )
+            parts = price(sends)
+            if outcome is None:
+                memo[key] = parts
+        record = (cause, value, *parts, complete)
+        records.append(share(record, record))
+    return PricedEagerTape(policy, records, dict(+counters))  # the moved ones only
 
 
 class LazyTape:
@@ -602,7 +592,8 @@ class BatchPlan:
     """
 
     __slots__ = (
-        "compiled",
+        "ops",
+        "page_size",
         "n_procs",
         "_runs",
         "_skeleton",
@@ -615,7 +606,11 @@ class BatchPlan:
     )
 
     def __init__(self, compiled: CompiledTrace, n_procs: int):
-        self.compiled = compiled
+        # The ops, not the compiled trace that memoizes this plan: a
+        # back-reference would make the pair a cycle, and a dropped
+        # trace must free its plans by reference counting alone.
+        self.ops = compiled.ops
+        self.page_size = compiled.page_size
         self.n_procs = n_procs
         self._runs: Optional[List[tuple]] = None
         self._skeleton: Optional[Skeleton] = None
@@ -632,14 +627,14 @@ class BatchPlan:
         """The run program's instruction list, segmented on first use."""
         runs = self._runs
         if runs is None:
-            runs = self._runs = segment_runs(self.compiled, self.n_procs)
+            runs = self._runs = segment_runs(self.ops, self.n_procs)
         return runs
 
     @property
     def skeleton(self) -> Skeleton:
         skeleton = self._skeleton
         if skeleton is None:
-            skeleton = self._skeleton = build_skeleton(self.compiled, self.n_procs)
+            skeleton = self._skeleton = build_skeleton(self.ops, self.n_procs)
         return skeleton
 
     @property
@@ -660,10 +655,13 @@ class BatchPlan:
         return value
 
     def eager_tape(self, policy: str) -> EagerTape:
+        """The (memoized) unpriced tape of ``policy``: what a sink or a
+        span probe walks beside the priced fold. A run nothing observes
+        never builds one."""
         return self._memo(
             self._eager_tapes,
             policy,
-            lambda: build_eager_tape(self.compiled, self.n_procs, policy),
+            lambda: EagerTape(policy, list(eager_steps(self.ops, self.n_procs, policy))),
             "eager_tape",
         )
 
@@ -672,20 +670,28 @@ class BatchPlan:
     ) -> PricedEagerTape:
         """The (memoized) priced tape of ``policy`` for one cost key.
 
-        Counted under its own ``priced_tape_*`` stats: a hit here never
-        looks the unpriced tape up, a build looks it up once.
+        Counted under its own ``priced_tape_*`` stats. A build prices
+        the policy's walk over the ops and keeps no unpriced tape; only
+        when an observer already built one (:meth:`eager_tape`) is that
+        read back instead — an ``eager_tape`` hit. A hit here looks
+        nothing else up.
         """
+
+        def build() -> PricedEagerTape:
+            tape = self._eager_tapes.get(policy)
+            if tape is None:
+                # Drained first, dropped after: pricing the generator
+                # step by step measured 5-15 % slower (docs/PERFORMANCE.md).
+                steps = list(eager_steps(self.ops, self.n_procs, policy))
+            else:
+                PLAN_STATS["eager_tape_hits"] += 1
+                steps = tape.steps
+            return build_priced_eager_tape(
+                policy, steps, self.n_procs, self.page_size, cost_model, free_reacquire
+            )
+
         return self._memo(
-            self._priced_tapes,
-            (policy, cost_model, free_reacquire),
-            lambda: build_priced_eager_tape(
-                self.eager_tape(policy),
-                self.n_procs,
-                self.compiled.page_size,
-                cost_model,
-                free_reacquire,
-            ),
-            "priced_tape",
+            self._priced_tapes, (policy, cost_model, free_reacquire), build, "priced_tape"
         )
 
     def lazy_tape(
@@ -724,7 +730,10 @@ class BatchPlan:
         )
 
     def __repr__(self) -> str:
-        return f"BatchPlan({self.compiled!r}, n_procs={self.n_procs})"
+        return (
+            f"BatchPlan({len(self.ops)} ops at page_size={self.page_size}, "
+            f"n_procs={self.n_procs})"
+        )
 
 
 def _grouped_gap(
@@ -753,7 +762,7 @@ def _grouped_gap(
     return len(notices), tuple((page, tuple(ids)) for page, ids in by_page.items())
 
 
-def build_skeleton(compiled: CompiledTrace, n_procs: int) -> Skeleton:
+def build_skeleton(ops: List[tuple], n_procs: int) -> Skeleton:
     """One pass over the compiled ops, replaying synchronization only."""
     store = IntervalStore(n_procs)
     locks = LockDirectory(n_procs)
@@ -785,7 +794,7 @@ def build_skeleton(compiled: CompiledTrace, n_procs: int) -> Skeleton:
         vcs[proc] = vc
         return (index, vc, interval)
 
-    for op in compiled.ops:
+    for op in ops:
         code = op[0]
         if code == OP_WRITE:
             words = dirty[op[1]].get(op[2])
@@ -860,82 +869,71 @@ _VALID = 1
 _INVALID = 2
 
 
-def _run_count(words) -> int:
-    """Number of maximal consecutive-index runs over a word-index set.
+def _run_count(words: Set[int]) -> int:
+    """Number of maximal consecutive-index runs over a word-index set:
+    the words with no predecessor in it.
 
     Matches ``Diff.runs()`` over the same words, which is what sizes a
     diff on the wire (``wire_bytes`` is linear in runs and words — the
     only reason flush outcomes can be stored as (n_runs, n_words) pairs
     instead of whole diffs).
     """
-    indices = sorted(words)
-    runs = 1
-    prev = indices[0]
-    for idx in indices[1:]:
-        if idx != prev + 1:
-            runs += 1
-        prev = idx
-    return runs
+    return sum([word - 1 not in words for word in words])
 
 
-def build_eager_tape(compiled: CompiledTrace, n_procs: int, policy: str) -> EagerTape:
-    """Simulate one eager policy's state machine and record its tape.
+def eager_steps(ops: List[tuple], n_procs: int, policy: str):
+    """Simulate one eager policy's state machine, a step per special access.
 
     ``policy`` is ``"EI"``, ``"EU"``, or ``"EW"``. EI and EU need
-    separate tapes: EI's flush invalidations change which later accesses
+    separate walks: EI's flush invalidations change which later accesses
     miss. One walk over the compiled ops drives the policy's ``read`` /
     ``write`` / ``flush`` closures; whatever they record between two
     synchronization operations is that gap, closed by the operation.
+    Yields ``(op, gap, flush)`` per special access — :class:`EagerTape`
+    documents the shapes — then ``(None, tail, None)`` for the gap after
+    the last one. :func:`build_priced_eager_tape` consumes the stream;
+    an :class:`EagerTape` keeps it, for observers only.
     """
     gap: List[tuple] = []
     if policy == "EW":
-        read, write, flush = _ew_policy(n_procs, gap.append)
+        states, miss, write, flush = _ew_policy(n_procs, gap.append)
     elif policy in ("EI", "EU"):
-        read, write, flush = _flush_policy(n_procs, gap.append, update=(policy == "EU"))
+        states, miss, write, flush = _flush_policy(n_procs, gap.append, update=(policy == "EU"))
     else:
         raise ValueError(f"unknown eager tape policy: {policy!r}")
-    syncs: List[tuple] = []
-    gaps: List[tuple] = []
-    flushes: List[Optional[tuple]] = []
-    for op in compiled.ops:
+    for op in ops:
         code = op[0]
-        if code == OP_READ:
-            read(op[1], op[2])
+        if code == OP_READ:  # a hit, nearly always: tested here, not in a call
+            if states[op[1]].get(op[2]) != _VALID:
+                miss(op[1], op[2])
         elif code == OP_WRITE:
             write(op[1], op[2], op[3])
         elif code == OP_READ_N:
             proc = op[1]
             for page, _ in op[2]:
-                read(proc, page)
+                if states[proc].get(page) != _VALID:
+                    miss(proc, page)
         elif code == OP_WRITE_N:
             proc = op[1]
             for page, words in op[2]:
                 write(proc, page, words)
         else:  # OP_ACQUIRE / OP_RELEASE / OP_BARRIER
-            syncs.append(op)
-            gaps.append(tuple(gap))
+            yield op, tuple(gap), flush(op[1]) if code != OP_ACQUIRE else None
             del gap[:]
-            flushes.append(flush(op[1]) if code != OP_ACQUIRE else None)
-    return EagerTape(policy, syncs, gaps, flushes, tuple(gap))
+    yield None, tuple(gap), None
 
 
 def _directory(n_procs: int):
     """Per-proc page states, the global copyset/owner directory, and the
     miss routing every eager policy shares.
 
-    Returns ``(states, owner, cachers, fetch, invalidate)``;
+    Returns ``(states, owner, copyset, fetch, invalidate)``;
     ``states[proc]`` gains pages in first-access order, which is the
     page tables' entry-creation order (it fixes flush/excess ordering).
     """
     states: List[Dict[int, int]] = [{} for _ in range(n_procs)]
-    copyset: Dict[int, Set[int]] = {}
+    copyset: Dict[int, Set[int]] = defaultdict(set)
     owner: Dict[int, int] = {}
-
-    def cachers(page: int) -> Set[int]:
-        s = copyset.get(page)
-        if s is None:
-            s = copyset[page] = set()
-        return s
 
     def fetch(proc: int, page: int) -> tuple:
         """One miss through the page's manager: ``(cold, server,
@@ -943,7 +941,7 @@ def _directory(n_procs: int):
         the page, three when it forwards to the owner — plus its
         effects: ``proc`` holds a valid copy and owns a page nobody did."""
         cold = page not in states[proc]
-        page_cachers = cachers(page)
+        page_cachers = copyset[page]
         own = owner.get(page)
         manager = page % n_procs
         if own is None or manager in page_cachers:
@@ -962,23 +960,22 @@ def _directory(n_procs: int):
         it was VALID (``_apply_invalidations``)."""
         if states[dest].get(page) == _VALID:
             states[dest][page] = _INVALID
-        cachers(page).discard(dest)
+        copyset[page].discard(dest)
 
-    return states, owner, cachers, fetch, invalidate
+    return states, owner, copyset, fetch, invalidate
 
 
 def _flush_policy(n_procs: int, record, update: bool):
     """EI/EU: misses, plus one flush outcome per release/barrier."""
-    states, owner, cachers, fetch, invalidate = _directory(n_procs)
+    states, owner, copyset, fetch, invalidate = _directory(n_procs)
     dirty: List[Dict[int, Set[int]]] = [{} for _ in range(n_procs)]
 
-    def read(proc: int, page: int) -> None:
-        if states[proc].get(page) != _VALID:
-            record((E_MISS, proc, page) + fetch(proc, page))
+    def miss(proc: int, page: int) -> None:
+        record((E_MISS, proc, page) + fetch(proc, page))
 
     def write(proc: int, page: int, words) -> None:
         if states[proc].get(page) != _VALID:
-            record((E_MISS, proc, page) + fetch(proc, page))
+            miss(proc, page)
         d = dirty[proc].get(page)
         if d is None:
             dirty[proc][page] = d = set()
@@ -1003,12 +1000,12 @@ def _flush_policy(n_procs: int, record, update: bool):
                 assert own is not None and own != proc, (
                     "excess invalidator flush with no distinct owner"
                 )
-                dests = tuple(sorted(cachers(page) - {proc, own}))
+                dests = tuple(sorted(copyset[page] - {proc, own}))
                 excess.append((page, own, n_runs, n_words, dests))
                 for dest in dests:
                     invalidate(dest, page)
             else:
-                for dest in cachers(page) - {proc}:
+                for dest in copyset[page] - {proc}:
                     acc = per_dest.get(dest)
                     if acc is None:
                         per_dest[dest] = acc = [0, 0, 0, []]
@@ -1027,13 +1024,13 @@ def _flush_policy(n_procs: int, record, update: bool):
                     invalidate(dest, page)
         return (len(dirty_pages), tuple(excess), tuple(pushes))
 
-    return read, write, flush
+    return states, miss, write, flush
 
 
 def _ew_policy(n_procs: int, record):
     """EW: misses plus write-fault records; its flush finds nothing,
     every write having propagated at fault time."""
-    states, owner, cachers, fetch, invalidate = _directory(n_procs)
+    states, owner, copyset, fetch, invalidate = _directory(n_procs)
     writable: Set[Tuple[int, int]] = set()
     last_owner: Dict[int, int] = {}
 
@@ -1046,9 +1043,8 @@ def _ew_policy(n_procs: int, record):
             writable.discard((own, page))
         return miss
 
-    def read(proc: int, page: int) -> None:
-        if states[proc].get(page) != _VALID:
-            record((E_MISS, proc, page) + fetch_copy(proc, page))
+    def miss(proc: int, page: int) -> None:
+        record((E_MISS, proc, page) + fetch_copy(proc, page))
 
     def write(proc: int, page: int, _words) -> None:
         if (proc, page) in writable:
@@ -1057,7 +1053,7 @@ def _ew_policy(n_procs: int, record):
         miss = None
         if states[proc].get(page) != _VALID:
             miss = fetch_copy(proc, page)
-        holders = tuple(sorted(cachers(page) - {proc}))
+        holders = tuple(sorted(copyset[page] - {proc}))
         for holder in holders:
             invalidate(holder, page)
             writable.discard((holder, page))
@@ -1069,7 +1065,7 @@ def _ew_policy(n_procs: int, record):
         writable.add((proc, page))
         record((E_WFAULT, proc, page, miss, holders, ping))
 
-    return read, write, lambda proc: None
+    return states, miss, write, lambda proc: None
 
 
 def sync_compute_profile(compiled: CompiledTrace, n_procs: int) -> List[List[int]]:

@@ -69,3 +69,18 @@ KIND_NAMES = tuple(kind.name for kind in MessageKind)
 
 #: The paper's four operation categories, in Table-1 column order.
 CATEGORIES = ("miss", "lock", "unlock", "barrier")
+
+#: The (notice, update, ack, reconcile) kinds of an eager flush, by
+#: context: a release's, and a barrier arrival's.
+UNLOCK_FLUSH_KINDS = (
+    MessageKind.WRITE_NOTICE,
+    MessageKind.UPDATE,
+    MessageKind.RELEASE_ACK,
+    MessageKind.OWNER_RECONCILE,
+)
+BARRIER_FLUSH_KINDS = (
+    MessageKind.BARRIER_NOTICE,
+    MessageKind.BARRIER_UPDATE,
+    MessageKind.BARRIER_ACK,
+    MessageKind.BARRIER_RECONCILE,
+)

@@ -11,6 +11,7 @@ unchanged.
 from __future__ import annotations
 
 import logging
+import os
 import time
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -27,11 +28,14 @@ def git_sha(repo_root: Optional[Path] = None) -> Optional[str]:
     of shelling out — manifests are built once per simulation and a
     subprocess per run would dominate small replays. Cached per root.
     """
-    if repo_root is None:
-        repo_root = Path(__file__).resolve().parents[3]
-    key = str(repo_root)
+    # The default root is resolved on its first lookup only (every run
+    # asks), and not with ``Path.resolve()``: on Python 3.9 that leaves
+    # a reference cycle behind per call (its recursive closure).
+    key = "" if repo_root is None else str(repo_root)
     if key in _GIT_SHA_CACHE:
         return _GIT_SHA_CACHE[key]
+    if repo_root is None:
+        repo_root = Path(os.path.realpath(__file__)).parents[3]
     sha: Optional[str] = None
     try:
         git_dir = repo_root / ".git"

@@ -24,7 +24,7 @@ from repro.common.types import BarrierId, LockId, PageId, ProcId
 from repro.hb.skeleton import E_MISS, P_LOCK, P_MISS
 from repro.memory.diff import Diff
 from repro.memory.page import PageEntry, PageState
-from repro.network.message import MessageKind
+from repro.network.message import BARRIER_FLUSH_KINDS, UNLOCK_FLUSH_KINDS, MessageKind
 from repro.protocols.base import Protocol
 from repro.config import SimConfig
 from repro.trace.precompile import OP_ACQUIRE, OP_BARRIER, OP_RELEASE
@@ -54,20 +54,9 @@ class PageDirectory:
             self.owner[page] = proc
 
 
-#: Message kinds used by a flush, per context (unlock vs barrier).
+#: Message kinds used by a flush, per context (``UNLOCK_FLUSH_KINDS`` /
+#: ``BARRIER_FLUSH_KINDS`` in :mod:`repro.network.message`).
 FlushKinds = Tuple[MessageKind, MessageKind, MessageKind, MessageKind]
-UNLOCK_KINDS: FlushKinds = (
-    MessageKind.WRITE_NOTICE,
-    MessageKind.UPDATE,
-    MessageKind.RELEASE_ACK,
-    MessageKind.OWNER_RECONCILE,
-)
-BARRIER_KINDS: FlushKinds = (
-    MessageKind.BARRIER_NOTICE,
-    MessageKind.BARRIER_UPDATE,
-    MessageKind.BARRIER_ACK,
-    MessageKind.BARRIER_RECONCILE,
-)
 
 
 #: The transition event a sync step's wrapper emits, by compiled op.
@@ -79,15 +68,15 @@ class EagerTapeMixin:
 
     Unlike the lazy kernels, the eager one keeps no page tables or
     directory at replay time and never sees the run program: every miss,
-    write fault, and flush outcome was precomputed into an
-    :class:`~repro.hb.skeleton.EagerTape` (one per policy, memoized on
-    the batch plan), because eager state evolution depends only on
-    (compiled trace, n_procs, policy) and the cost model only sizes
-    wires. The tape is ordered by synchronization operations — one step
-    per special access, carrying the misses of the gap before it — so a
-    miss forced mid-span by a remote flush replays where the per-event
-    path sends it: before the following sync, outside its probe
-    attribution window, in the pre-completion epoch.
+    write fault, and flush outcome is precomputed by one walk over the
+    compiled ops (:func:`~repro.hb.skeleton.eager_steps`), because eager
+    state evolution depends only on (compiled trace, n_procs, policy)
+    and the cost model only sizes wires. The walk is ordered by
+    synchronization operations — one step per special access, carrying
+    the misses of the gap before it — so a miss forced mid-span by a
+    remote flush replays where the per-event path sends it: before the
+    following sync, outside its probe attribution window, in the
+    pre-completion epoch.
 
     The tape encodes the stock class's per-event semantics, so only a
     class that declares ``replay_certified`` in its own body is driven
@@ -99,10 +88,11 @@ class EagerTapeMixin:
     (:class:`~repro.hb.skeleton.PricedEagerTape`): ``_t_run`` folds one
     merged ledger record per sync operation and inter-sync gap into the
     network, the counters and — under a stock probe — the staged
-    attribution rows; with sinks it walks the unpriced steps alongside
-    and emits each one's events, and under a ``SpanProbe`` it also
-    writes each step's messages and window into the probe's record
-    stream.
+    attribution rows. The priced tape is built from the walk's steps
+    and they are dropped; only with sinks are they kept
+    (:class:`~repro.hb.skeleton.EagerTape`) and walked alongside for
+    each one's events, and under a ``SpanProbe`` also for each step's
+    messages and window in the probe's record stream.
     """
 
     def bind_batch_plan(self, plan):
@@ -110,11 +100,12 @@ class EagerTapeMixin:
         sinks, the unpriced one beside it); returns the whole run as
         one callable."""
         self._page_fetch_bytes = self.costs.page_bytes(self.page_size)
+        if self._obs_events:
+            # First, so that a priced build reads it back, not walks again.
+            self._tape = plan.eager_tape(self.name)
         self._priced = plan.priced_eager_tape(
             self.name, self.costs, self.config.free_local_lock_reacquire
         )
-        if self._obs_events:
-            self._tape = plan.eager_tape(self.name)
         return self._t_run
 
     # -- priced tape replay ----------------------------------------------------
@@ -143,7 +134,7 @@ class EagerTapeMixin:
             lock_rows = ("lock", probe._lock_rows)
             barrier_rows = ("barrier", probe._barrier_rows)
             if self._obs_events:
-                steps = self._tape.steps()
+                steps = iter(self._tape.steps)
                 send = self._span_send
         for cause, ident, deltas, rowadd, complete in self._priced.records:
             if deltas:
@@ -181,8 +172,8 @@ class EagerTapeMixin:
                 probe.advance_epoch()
             if send is not None and cause != P_MISS:
                 self._span.end()
-        if steps is not None:
-            self._emit_gap(self._tape.tail, send)
+        if steps is not None:  # what is left is the gap after the last sync
+            self._emit_gap(next(steps)[1], send)
         for name, total in self._priced.counters.items():
             setattr(self, name, getattr(self, name) + total)
 
@@ -242,7 +233,7 @@ class EagerTapeMixin:
         costs = self.costs
         header_bytes, word_bytes = costs.diff_run_header_bytes, costs.word_bytes
         notice_kind, update_kind, ack_kind, reconcile_kind = (
-            UNLOCK_KINDS if op == OP_RELEASE else BARRIER_KINDS
+            UNLOCK_FLUSH_KINDS if op == OP_RELEASE else BARRIER_FLUSH_KINDS
         )
         count, excess, pushes = flush
         emit("flush", proc=proc, count=count)
@@ -416,10 +407,10 @@ class EagerProtocol(EagerTapeMixin, Protocol):
         self.network.send(MessageKind.LOCK_GRANT, grantor, proc)
 
     def _on_release(self, proc: ProcId, lock: LockId) -> None:
-        self._flush(proc, UNLOCK_KINDS)
+        self._flush(proc, UNLOCK_FLUSH_KINDS)
 
     def _on_barrier_arrive(self, proc: ProcId, barrier: BarrierId) -> None:
-        self._flush(proc, BARRIER_KINDS)
+        self._flush(proc, BARRIER_FLUSH_KINDS)
         if proc != self.barriers.master:
             self.network.send(MessageKind.BARRIER_ARRIVAL, proc, self.barriers.master)
 

@@ -89,9 +89,6 @@ class LazyProtocol(Protocol):
         self._planner: Optional[FetchPlanner] = FetchPlanner(
             self.store, self.costs, config.skip_overwritten_diffs
         )
-        #: Notices for every interval the sender knows and the receiver
-        #: lacks, as ``(sender_vc, receiver_vc) -> notices``.
-        self._notices_for_gap = self.store.gap_notices
         # True when a subclass installed a per-notice hook; when False
         # the notice-receive loop skips the no-op calls entirely.
         self._has_notice_hook = type(self)._on_notice is not LazyProtocol._on_notice
@@ -110,7 +107,6 @@ class LazyProtocol(Protocol):
     def use_reference_scans(self) -> None:
         self._indexed = False
         self._planner = None
-        self._notices_for_gap = self._notices_for_gap_reference
 
     # -- interval management -----------------------------------------------
 
@@ -241,9 +237,16 @@ class LazyProtocol(Protocol):
 
     # -- write-notice machinery ----------------------------------------------
 
-    def _notices_for_gap_reference(
+    def _notices_for_gap(
         self, sender_vc: VectorClock, receiver_vc: VectorClock
     ) -> List[WriteNotice]:
+        """Notices for every interval the sender knows and the receiver
+        lacks. A method testing ``_indexed``, not a bound method stored
+        on the instance: that would be a reference cycle through
+        ``self`` (the oracle's whole interval store waited for a full
+        collection)."""
+        if self._indexed:
+            return self.store.gap_notices(sender_vc, receiver_vc)
         notices: List[WriteNotice] = []
         for creator, first, last in sender_vc.missing_from(receiver_vc):
             for interval in self.store.intervals_of(creator, first, last):
@@ -852,7 +855,6 @@ class LazyProtocol(Protocol):
         """
         self.store = plan.store
         self._planner = plan.planner_for(self.costs, self.config.skip_overwritten_diffs)
-        self._notices_for_gap = self.store.gap_notices
         self._value_free = True
         config = self.config
         records = plan.lazy_tape(

@@ -24,6 +24,7 @@ import time
 from typing import Dict, List, Optional, Tuple, Type, Union
 
 from repro.common.errors import ConfigError, SimulatorError
+from repro.common.gcpause import gc_paused
 from repro.hb.skeleton import batch_plan, plan_stats
 from repro.network.link import derive_network_seed
 from repro.network.timed import NetworkTiming, SendLog
@@ -105,6 +106,7 @@ class Engine:
         # run's delta (builds vs. hits) into the provenance manifest.
         self._plan_stats_before = plan_stats()
 
+    @gc_paused()
     def run(self) -> SimulationResult:
         """Replay the whole trace and return the accounting.
 
@@ -115,6 +117,9 @@ class Engine:
         over the cell's cached send log. Only the first timed run of a
         cell replays per event, with a :class:`SendLog` recording — and
         that replay supplies its ledger too, so nothing runs twice.
+
+        Runs with the cyclic collector paused, restored on exit: a run
+        makes no reference cycles (``tests/test_no_cyclic_garbage.py``).
         """
         self._claim_run()
         timings: Dict[str, float] = {}
@@ -290,6 +295,7 @@ class Engine:
         replay()
         self._finish(timings, t0)
 
+    @gc_paused()
     def run_reference(self) -> SimulationResult:
         """The oracle: the original event-by-event interpreter.
 

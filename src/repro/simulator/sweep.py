@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.common.gcpause import gc_paused
 from repro.hb.skeleton import plan_stats
 from repro.obs.metrics import merge_metrics
 from repro.obs.probe import RecordingProbe
@@ -257,21 +258,44 @@ def _attach_rollups(result: SimulationResult, probe, compiled, n_procs: int) -> 
         result.spans["retries"] = float(result.timing["retries"])
 
 
+def _run_cell(
+    trace: TraceStream, config: SimConfig, protocol: str, metrics: bool, spans: bool
+) -> SimulationResult:
+    """One grid cell, under the probe ``metrics`` / ``spans`` ask for.
+
+    The probe is this function's to close: its snapshot and rollups are
+    on the result by then, and a closed probe is freed by reference
+    counting (see :meth:`RecordingProbe.close`) instead of waiting, with
+    its record stream, for a full collection.
+    """
+    compiled = trace.compiled(config.page_size)
+    probe = _cell_probe(metrics, spans)
+    try:
+        result = Engine(trace, config, protocol, compiled=compiled, probe=probe).run()
+        if spans:
+            _attach_rollups(result, probe, compiled, config.n_procs)
+    finally:
+        if probe is not None:
+            probe.close()
+    return result
+
+
+@gc_paused()
 def _run_sweep_cell(cell: Tuple[str, int]) -> Tuple[str, int, SimulationResult, Dict[str, int]]:
     protocol, page_size = cell
     assert _worker_trace is not None and _worker_config is not None
-    config = _worker_config.with_page_size(page_size)
-    compiled = _worker_trace.compiled(page_size)
-    probe = _cell_probe(_worker_metrics, _worker_spans)
-    engine = Engine(_worker_trace, config, protocol, compiled=compiled, probe=probe)
     # Plan/tape cache traffic happens inside this worker process; ship
     # the per-cell delta back so the parent can report the sweep-wide
     # hit rate (the counters themselves are process-local).
     before = plan_stats()
-    result = engine.run()
+    result = _run_cell(
+        _worker_trace,
+        _worker_config.with_page_size(page_size),
+        protocol,
+        _worker_metrics,
+        _worker_spans,
+    )
     after = plan_stats()
-    if _worker_spans:
-        _attach_rollups(result, probe, compiled, config.n_procs)
     return protocol, page_size, result, {k: after[k] - before[k] for k in after}
 
 
@@ -282,9 +306,12 @@ def _log_plan_cache(stats: Dict[str, int]) -> None:
     each); within a worker those are memoized on the compiled trace, so
     a sweep should build once per (page size, family cost key) and hit
     everywhere else. A hit rate near zero here means cells are
-    rebuilding per-cell state that should be shared.
+    rebuilding per-cell state that should be shared. An unobserved
+    sweep prices each eager walk and keeps no unpriced tape: ``N priced
+    eager tape`` beside ``0 kept unpriced`` is the cold path working,
+    not a miscount.
     """
-    kinds = ("plan", "lazy_tape", "eager_tape", "priced_tape")
+    kinds = ("plan", "lazy_tape", "priced_tape", "eager_tape")
     builds = sum(stats[kind + "_builds"] for kind in kinds)
     hits = sum(stats[kind + "_hits"] for kind in kinds)
     total = builds + hits
@@ -292,7 +319,7 @@ def _log_plan_cache(stats: Dict[str, int]) -> None:
         return
     logger.info(
         "sweep plan cache: %d lookups, %d builds (%d plan / %d lazy tape / "
-        "%d eager tape / %d priced tape), %.0f%% hit rate",
+        "%d priced eager tape / %d kept unpriced), %.0f%% hit rate",
         total,
         builds,
         *(stats[kind + "_builds"] for kind in kinds),
@@ -315,6 +342,7 @@ def _usable_cpus() -> int:
 _clamp_logged: set = set()
 
 
+@gc_paused()
 def run_sweep(
     trace: TraceStream,
     protocols: Optional[Sequence[str]] = None,
@@ -336,6 +364,11 @@ def run_sweep(
     each — inside the worker, the record stream never crosses the pool
     boundary — to its critical-path shape rollups on ``result.spans``
     (see :meth:`SweepResult.rollup_table`).
+
+    The grid (and each worker cell) runs with the cyclic collector
+    paused and restored on exit (:func:`~repro.common.gcpause.gc_paused`):
+    compile, plan build, replay and result assembly make no reference
+    cycles, so every traversal of the plan heap found nothing.
     """
     protocols = list(protocols) if protocols else protocol_names()
     page_sizes = list(page_sizes) if page_sizes else list(PAPER_PAGE_SIZES)
@@ -415,14 +448,9 @@ def run_sweep(
     before = plan_stats()
     for protocol in protocols:
         for page_size in page_sizes:
-            cell_config = base.with_page_size(page_size)
-            compiled = trace.compiled(page_size)
-            probe = _cell_probe(metrics, spans)
-            engine = Engine(trace, cell_config, protocol, compiled=compiled, probe=probe)
-            result = engine.run()
-            if spans:
-                _attach_rollups(result, probe, compiled, cell_config.n_procs)
-            sweep.grid[(protocol, page_size)] = result
+            sweep.grid[(protocol, page_size)] = _run_cell(
+                trace, base.with_page_size(page_size), protocol, metrics, spans
+            )
     after = plan_stats()
     _log_plan_cache({k: after[k] - before[k] for k in after})
     return sweep

@@ -26,7 +26,7 @@ kind            meaning
 
 The three synchronization kinds *are* the compiled opcodes, and a sync
 instruction is the compiled op tuple itself, not a copy (as in
-``EagerTape.syncs``). A span ends at its processor's own synchronization
+an ``EagerTape`` step). A span ends at its processor's own synchronization
 operations and, for everyone, at each barrier completion. The program
 carries no values: page contents exist only on the ``record_values``
 interpreter (see docs/PERFORMANCE.md).
@@ -44,7 +44,6 @@ from repro.trace.precompile import (
     OP_RELEASE,
     OP_WRITE,
     OP_WRITE_N,
-    CompiledTrace,
 )
 
 R_TOUCH = 0  # any code the three sync opcodes do not use
@@ -53,10 +52,10 @@ R_RELEASE = OP_RELEASE
 R_BARRIER = OP_BARRIER
 
 
-def segment_runs(compiled: CompiledTrace, n_procs: int) -> List[tuple]:
-    """Segment ``compiled`` into the run program for ``n_procs``.
+def segment_runs(ops: List[tuple], n_procs: int) -> List[tuple]:
+    """Segment compiled ``ops`` into the run program for ``n_procs``.
 
-    One pass over the compiled ops; ``open_pages[proc]`` holds the pages
+    One pass over the ops; ``open_pages[proc]`` holds the pages
     of ``proc``'s live spans. The program stays in strict trace order
     with every touch at its span's first access.
 
@@ -70,7 +69,7 @@ def segment_runs(compiled: CompiledTrace, n_procs: int) -> List[tuple]:
     append = instructions.append
     open_pages: List[Set[int]] = [set() for _ in range(n_procs)]
     arrivals: Dict[int, int] = {}
-    for op in compiled.ops:
+    for op in ops:
         code = op[0]
         if code == OP_READ or code == OP_WRITE:
             proc, page = op[1], op[2]

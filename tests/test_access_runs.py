@@ -13,7 +13,7 @@ SYNC_KINDS = (R_ACQUIRE, R_RELEASE, R_BARRIER)
 
 
 def runs_of(trace, page_size=512, n_procs=None):
-    return segment_runs(trace.compiled(page_size), n_procs or trace.n_procs)
+    return segment_runs(trace.compiled(page_size).ops, n_procs or trace.n_procs)
 
 
 def touches_of(program):
@@ -56,7 +56,7 @@ class TestSegmentation:
     def test_instructions_are_value_free_and_syncs_are_the_compiled_ops(self):
         trace = small_trace("water")
         compiled = trace.compiled(1024)
-        program = segment_runs(compiled, trace.n_procs)
+        program = segment_runs(compiled.ops, trace.n_procs)
         assert all(type(ins) is tuple and len(ins) == 3 for ins in program)
         assert all(type(field) is int for ins in program for field in ins)
         # Sync instructions are the compiled op tuples, not copies.

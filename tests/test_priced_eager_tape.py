@@ -17,6 +17,8 @@ run program.
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -29,6 +31,7 @@ from repro.obs.sinks import ColumnarSink, MemorySink
 from repro.obs.spans import SpanProbe
 from repro.protocols.registry import all_protocol_names
 from repro.simulator.engine import Engine, simulate
+from repro.simulator.sweep import run_sweep
 from repro.trace.events import Event
 from tests.conftest import (
     SMALL_SCALE,
@@ -281,28 +284,52 @@ class TestPlanCache:
         trace = small_trace("water")
         config = SimConfig(n_procs=trace.n_procs, page_size=1024)
 
-        def delta(run_config):
+        def delta(run_config, probe=None):
             before = plan_stats()
-            simulate(trace, "EI", config=run_config)
+            simulate(trace, "EI", config=run_config, probe=probe)
             after = plan_stats()
             return {k: after[k] - before[k] for k in after if after[k] != before[k]}
 
-        assert delta(config) == {
-            "plan_builds": 1,
-            "eager_tape_builds": 1,
-            "priced_tape_builds": 1,
-        }
+        # Cold and unobserved: the walk is priced as it goes, no
+        # unpriced tape is built or kept.
+        assert delta(config) == {"plan_builds": 1, "priced_tape_builds": 1}
+        plan = batch_plan(trace.compiled(1024), trace.n_procs)
+        assert not plan._eager_tapes
         # Warm: one priced-tape hit; the unpriced tape is not looked up.
         assert delta(config) == {"plan_hits": 1, "priced_tape_hits": 1}
-        # A new cost key prices the same unpriced tape again.
+        # A new cost key walks again: there is still no tape to read back.
         other = config.with_options(cost_model=COST_MODELS["all_flipped"])
-        assert delta(other) == {
+        assert delta(other) == {"plan_hits": 1, "priced_tape_builds": 1}
+        assert not plan._eager_tapes
+        # A sink asks for the unpriced steps: built once, kept...
+        assert delta(config, RecordingProbe(sinks=[ColumnarSink()])) == {
+            "plan_hits": 1,
+            "eager_tape_builds": 1,
+            "priced_tape_hits": 1,
+        }
+        # ...and from then on a new cost key prices those, not a new walk.
+        headers = config.with_options(cost_model=COST_MODELS["header_in_data"])
+        assert delta(headers) == {
             "plan_hits": 1,
             "eager_tape_hits": 1,
             "priced_tape_builds": 1,
         }
         paid = config.with_options(free_local_lock_reacquire=False)
         assert delta(paid)["priced_tape_builds"] == 1
+
+    def test_manifest_and_sweep_log_report_a_priced_build_without_an_unpriced_one(
+        self, caplog, monkeypatch
+    ):
+        # (The CLI tests' logging_setup() stops "repro" records reaching caplog.)
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        trace = small_trace("water")
+        cold = simulate(trace, "EU", page_size=1024)
+        assert cold.manifest["plan_cache"] == {"plan_builds": 1, "priced_tape_builds": 1}
+        with caplog.at_level("INFO", logger="repro.simulator.sweep"):
+            run_sweep(small_trace("water"), protocols=list(EAGER), page_sizes=[512, 1024])
+        (line,) = [r.getMessage() for r in caplog.records if "plan cache" in r.getMessage()]
+        assert "8 builds (2 plan / 0 lazy tape / 6 priced eager tape / 0 kept unpriced)" in line
+        assert "12 lookups" in line  # 6 cells x (plan + priced tape), nothing else
 
     def test_one_record_per_sync_instruction_plus_nonempty_gaps(self):
         from repro.hb.skeleton import P_MISS
@@ -312,7 +339,7 @@ class TestPlanCache:
         plan = batch_plan(trace.compiled(1024), trace.n_procs)
         syncs = [ins for ins in plan.runs if ins[0] >= R_ACQUIRE]
         for policy in EAGER:
-            tape_syncs = plan.eager_tape(policy).syncs
+            tape_syncs = [sync for sync, _gap, _flush in plan.eager_tape(policy).steps[:-1]]
             assert tape_syncs == syncs
             records = plan.priced_eager_tape(policy, CostModel(), True).records
             sync_records = [rec for rec in records if rec[0] != P_MISS]
