@@ -4,7 +4,7 @@ Subcommands::
 
     run      simulate one app under one protocol at one page size
     sweep    regenerate one app's messages/data figures
-    figures  regenerate every evaluation figure (Figures 5-14)
+    figures  regenerate Figures 5-14 and judge each figure's claims
     table1   validate the per-operation message-cost table
     trace    generate and save an application trace
     stats    sharing analysis of a trace at a page size
@@ -128,7 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_network_arg(sweep_p)
 
-    figures_p = sub.add_parser("figures", help="regenerate Figures 5-14")
+    figures_p = sub.add_parser(
+        "figures", help="regenerate Figures 5-14 and judge their claims (exit 1 if one fails)"
+    )
     figures_p.add_argument("--apps", nargs="+", choices=APP_NAMES, default=list(APP_NAMES))
     figures_p.add_argument("--n-procs", type=int, default=16)
     figures_p.add_argument("--seed", type=int, default=0)
@@ -325,8 +327,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_figures(args) -> int:
     from repro.analysis.report import format_figure_table
+    from repro.experiments.claims import claims_for
     from repro.experiments.figures import FIGURES, run_figure
 
+    verdicts = []
     for app in args.apps:
         sweep = run_figure(app, n_procs=args.n_procs, seed=args.seed, jobs=args.jobs)
         spec = FIGURES[app]
@@ -334,7 +338,10 @@ def _cmd_figures(args) -> int:
         print()
         print(format_figure_table(sweep, f"Figure {spec.data_figure}", "data"))
         print()
-    return 0
+        verdicts += [(claim.id, claim.predicate(sweep)) for claim in claims_for(f"figure:{app}")]
+    for claim_id, holds in verdicts:
+        print(f"claim {claim_id}: {'holds' if holds else 'FAILS'}")
+    return 0 if all(holds for _id, holds in verdicts) else 1
 
 
 def _cmd_table1(args) -> int:

@@ -6,6 +6,8 @@
 - :mod:`repro.experiments.ablation` — design-choice ablations beyond the
   paper (diff-vs-page misses, piggybacking, ack counting, false-sharing
   sweep).
+- :mod:`repro.experiments.claims` — the paper's claims about all of the
+  above, each written once and judged on evidence those runners build.
 """
 
 from repro.experiments.table1 import Table1Row, run_table1

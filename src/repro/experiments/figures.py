@@ -13,8 +13,8 @@ Figure    Application   Metric
 ========  ============  =========
 
 :func:`run_figure` generates the application's trace and sweeps the four
-protocols over the paper's page sizes; :func:`expected_shapes` encodes
-the qualitative claims of §5.3-5.8 that the benchmark suite asserts.
+protocols over the paper's page sizes; :func:`expected_shapes` is the
+view of :mod:`repro.experiments.claims` that judges one such sweep.
 Figures 3/4 (the lock-chain example) are covered by
 :func:`run_lock_chain`.
 """
@@ -35,24 +35,19 @@ from repro.trace.stream import TraceStream
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """One application's pair of figures and its workload scaling."""
+    """One application's pair of figures."""
 
     app: str
     messages_figure: int
     data_figure: int
-    #: Scale parameters passed to the app's generate() for bench runs.
-    scale: Dict[str, int]
 
 
 FIGURES: Dict[str, FigureSpec] = {
-    # Empty scale = the app's defaults, which are sized so that even
-    # 8192-byte pages see a multi-page working set (the generators'
-    # defaults are the bench-scale configuration).
-    "locusroute": FigureSpec("locusroute", 5, 6, {}),
-    "cholesky": FigureSpec("cholesky", 7, 8, {}),
-    "mp3d": FigureSpec("mp3d", 9, 10, {}),
-    "water": FigureSpec("water", 11, 12, {}),
-    "pthor": FigureSpec("pthor", 13, 14, {}),
+    "locusroute": FigureSpec("locusroute", 5, 6),
+    "cholesky": FigureSpec("cholesky", 7, 8),
+    "mp3d": FigureSpec("mp3d", 9, 10),
+    "water": FigureSpec("water", 11, 12),
+    "pthor": FigureSpec("pthor", 13, 14),
 }
 
 
@@ -61,7 +56,6 @@ def run_figure(
     n_procs: int = 16,
     seed: int = 0,
     page_sizes: Optional[Sequence[int]] = None,
-    scale: Optional[Dict[str, int]] = None,
     trace: Optional[TraceStream] = None,
     jobs: Optional[int] = None,
     spans: bool = False,
@@ -69,20 +63,17 @@ def run_figure(
 ) -> SweepResult:
     """Regenerate one application's messages/data figures.
 
-    Pass ``trace`` to reuse a pre-generated trace (the benches do, to keep
-    trace generation out of the timed region). ``jobs=N`` parallelizes the
+    The trace is the app's generator at its default scale (sized so that
+    even 8192-byte pages see a multi-page working set) unless ``trace``
+    passes a pre-generated one. ``jobs=N`` parallelizes the
     sweep grid over worker processes (see :func:`repro.simulator.sweep.run_sweep`);
     ``spans=True`` additionally attaches critical-path shape rollups to
     every cell. ``config`` overrides the base simulation config (its
     page size is replaced per cell) — the hook for timed sweeps, which
     set ``config.link_model``.
     """
-    spec = FIGURES[app]
     if trace is None:
-        params = dict(spec.scale)
-        if scale:
-            params.update(scale)
-        trace = APPS[app](n_procs=n_procs, seed=seed, **params)
+        trace = APPS[app](n_procs=n_procs, seed=seed)
     sizes = list(page_sizes) if page_sizes else list(PAPER_PAGE_SIZES)
     return run_sweep(
         trace,
@@ -100,109 +91,25 @@ ShapeCheck = Callable[[SweepResult], bool]
 def expected_shapes(app: str) -> Dict[str, ShapeCheck]:
     """The paper's qualitative claims for one application's figures.
 
-    Every predicate quantifies over all swept page sizes unless noted.
-    These are what the benchmark harness asserts after regenerating each
-    figure; see EXPERIMENTS.md for the paper-vs-measured record.
+    A view of the ``figure:<app>`` entries of
+    :data:`repro.experiments.claims.CLAIMS`, in registry order: each
+    entry's statement -> its predicate over the app's sweep. lrcbench's
+    ``sweep_cold`` judges its grid by these names.
     """
-    def all_sizes(check: Callable[[SweepResult, int], bool]) -> ShapeCheck:
-        return lambda s: all(check(s, i) for i in range(len(s.page_sizes)))
+    from repro.experiments.claims import claims_for
 
-    def large_sizes(check: Callable[[SweepResult, int], bool], floor: int = 1024) -> ShapeCheck:
-        return lambda s: all(
-            check(s, i) for i in range(len(s.page_sizes)) if s.page_sizes[i] >= floor
-        )
-
-    def msg(s: SweepResult, proto: str, i: int) -> int:
-        return s.message_series(proto)[i]
-
-    def dat(s: SweepResult, proto: str, i: int) -> float:
-        return s.data_series(proto)[i]
-
-    common: Dict[str, ShapeCheck] = {
-        # §7: "the number of messages and the amount of data exchanged
-        # are generally smaller for the lazy algorithm" — per policy pair.
-        "LI fewer messages than EI": all_sizes(lambda s, i: msg(s, "LI", i) < msg(s, "EI", i)),
-        "LU fewer messages than EU": all_sizes(lambda s, i: msg(s, "LU", i) < msg(s, "EU", i)),
-        "LI less data than EI": all_sizes(lambda s, i: dat(s, "LI", i) < dat(s, "EI", i)),
-        # 5% tolerance: at 512-byte pages our miniatures' whole-object
-        # writes make LU diffs ~= EU diffs (see EXPERIMENTS.md).
-        "LU data within/below EU data": all_sizes(
-            lambda s, i: dat(s, "LU", i) < 1.05 * dat(s, "EU", i)
-        ),
-        # §5: EI serves misses with whole pages; once pages clearly exceed
-        # typical write sets its data dwarfs every diff-based protocol.
-        "EI data is the worst (pages >= 1K)": large_sizes(
-            lambda s, i: dat(s, "EI", i) > max(dat(s, p, i) for p in ("LI", "LU", "EU"))
-        ),
-        # The gap widens with page size (false sharing grows, §5.8).
-        "EI/LI data gap grows with page size": lambda s: (
-            dat(s, "EI", len(s.page_sizes) - 1) / dat(s, "LI", len(s.page_sizes) - 1)
-            > dat(s, "EI", 0) / dat(s, "LI", 0)
-        ),
-    }
-    if app in ("locusroute", "cholesky"):
-        # §5.3/§5.4: migratory, lock-controlled data — LI beats both eager
-        # protocols in messages (at 512B our LocusRoute grid rows coincide
-        # with pages and LI misses pull it within 2% of EU; see
-        # EXPERIMENTS.md, so the strict claim is asserted from 1K up).
-        common["LI beats both eager protocols in messages"] = large_sizes(
-            lambda s, i: msg(s, "LI", i) < min(msg(s, "EI", i), msg(s, "EU", i))
-        )
-        # §5.8: migratory data punishes eager update — EU sends at least
-        # as many messages as EI once pages hold whole migrating objects.
-        common["EU no better than EI on migratory data"] = large_sizes(
-            lambda s, i: msg(s, "EU", i) >= msg(s, "EI", i), floor=2048
-        )
-    if app == "pthor":
-        # §5.7: "The message count for LI is higher than for LU, because
-        # LI has more access misses." The miss ordering holds at every
-        # page size; the message ordering emerges at large pages, where
-        # each invalidation covers more of the read set (EXPERIMENTS.md).
-        common["LI more misses than LU"] = all_sizes(
-            lambda s, i: s.grid[("LI", s.page_sizes[i])].misses
-            > s.grid[("LU", s.page_sizes[i])].misses
-        )
-        common["LI more messages than LU at the largest page"] = lambda s: (
-            msg(s, "LI", len(s.page_sizes) - 1) > msg(s, "LU", len(s.page_sizes) - 1)
-        )
-        # §5.7: "Data totals for EI are particularly high, because
-        # frequent reloads cause the entire page to be sent."
-        common["EI data at least 3x every other protocol (pages >= 2K)"] = large_sizes(
-            lambda s, i: dat(s, "EI", i)
-            > 3 * max(dat(s, p, i) for p in ("LI", "LU", "EU")),
-            floor=2048,
-        )
-    if app == "water":
-        # §5.6: lazy data totals significantly lower (diffs, not pages).
-        common["lazy data at least 3x below EI"] = all_sizes(
-            lambda s, i: dat(s, "LI", i) * 3 < dat(s, "EI", i)
-        )
-        # EU re-updates every cached molecule page at every lock release.
-        common["EU sends the most messages"] = all_sizes(
-            lambda s, i: msg(s, "EU", i) > max(msg(s, p, i) for p in ("LI", "LU", "EI"))
-        )
-    if app == "mp3d":
-        # §5.5: update protocols incur fewer access misses.
-        common["update protocols miss less"] = all_sizes(
-            lambda s, i: s.grid[("LU", s.page_sizes[i])].misses
-            < s.grid[("LI", s.page_sizes[i])].misses
-        )
-        # Barrier-heavy category: lazy still clearly ahead on data.
-        common["lazy data at least 2x below EI"] = all_sizes(
-            lambda s, i: dat(s, "LI", i) * 2 < dat(s, "EI", i)
-        )
-    return common
+    return {claim.text: claim.predicate for claim in claims_for(f"figure:{app}")}
 
 
 def run_lock_chain(
-    n_procs: int = 8, rounds: int = 8, page_size: int = 1024
+    n_procs: int = 8, rounds: int = 8, page_size: int = 1024, seed: int = 0
 ) -> List[SimulationResult]:
     """Figures 3/4: repeated lock handoffs over one shared datum.
 
     Lazy protocols piggyback the datum's movement on the lock transfer;
     eager update re-updates every cached copy at every release.
     """
-    trace = single_lock_chain(n_procs=n_procs, rounds=rounds)
+    trace = single_lock_chain(n_procs=n_procs, seed=seed, rounds=rounds)
     return [
         simulate(trace, protocol, page_size=page_size)
         for protocol in ("LI", "LU", "EI", "EU")

@@ -20,7 +20,7 @@ actions at all. Every write requires exclusive ownership:
   manager (page transferred from the previous owner if needed) and every
   other copy is invalidated, one invalidation + ack per holder.
 
-The bench ``bench_exclusive_writer.py`` shows the §4.3.1 ping-pong:
+The claim ``ew.ping-pong-on-false-sharing`` pins the §4.3.1 ping-pong:
 under pure false sharing EW's traffic dwarfs even EI's, and LRC's
 multiple-writer diffs eliminate it entirely.
 """

@@ -1,143 +1,39 @@
-"""Trace transformations: slicing, filtering, remapping, concatenation.
+"""Trace transformations: slicing.
 
-Library utilities for working with recorded traces — cutting a warm-up
-prefix, folding a 16-processor trace onto fewer processors, dropping a
-synchronization class to study its contribution, or stitching phases
-together. All transforms return new traces; inputs are never mutated.
-The transforms preserve well-formedness where the operation allows it
-and document where it cannot (e.g. a prefix slice can end with held
-locks; ``close_open_sync`` repairs that).
+``slice_events`` cuts a window out of a recorded trace — Table 1 prices
+one operation as a whole micro-trace minus its prefix. The result is a
+new trace; the input is never mutated. A prefix slice can end with held
+locks or a partial barrier episode.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Optional
 
-from repro.common.types import LockId, ProcId
-from repro.trace.events import Event, EventType
+from repro.trace.events import Event
 from repro.trace.stream import TraceMeta, TraceStream
-
-
-def _copy_meta(meta: TraceMeta, **overrides) -> TraceMeta:
-    fields = dict(
-        n_procs=meta.n_procs,
-        app=meta.app,
-        params=dict(meta.params),
-        regions=dict(meta.regions),
-    )
-    fields.update(overrides)
-    return TraceMeta(**fields)
-
-
-def _copy_event(event: Event) -> Event:
-    return Event(
-        event.type,
-        event.proc,
-        addr=event.addr,
-        size=event.size,
-        lock=event.lock,
-        barrier=event.barrier,
-    )
-
-
-def _rebuild(meta: TraceMeta, events: Iterable[Event]) -> TraceStream:
-    trace = TraceStream(meta)
-    for event in events:
-        trace.append(_copy_event(event))
-    return trace
 
 
 def slice_events(trace: TraceStream, start: int = 0, stop: Optional[int] = None) -> TraceStream:
     """Events ``[start, stop)`` as a new trace (may leave sync open)."""
-    events = trace.events[start:stop]
-    meta = _copy_meta(trace.meta, params={**trace.meta.params, "slice": f"{start}:{stop}"})
-    return _rebuild(meta, events)
-
-
-def filter_events(
-    trace: TraceStream, predicate: Callable[[Event], bool], label: str = "filtered"
-) -> TraceStream:
-    """Keep events satisfying ``predicate`` (well-formedness is the caller's
-    responsibility — dropping one acquire but not its release breaks it)."""
-    meta = _copy_meta(trace.meta, params={**trace.meta.params, "filter": label})
-    return _rebuild(meta, (e for e in trace if predicate(e)))
-
-
-def drop_synchronization(trace: TraceStream, kind: str) -> TraceStream:
-    """Remove all locks (``kind="locks"``) or barriers (``kind="barriers"``).
-
-    Used to measure a synchronization class's contribution to protocol
-    traffic. The result is still a legal event stream (no dangling holds)
-    but is no longer race-free; simulate it with the checker disabled.
-    """
-    if kind == "locks":
-        drop = (EventType.ACQUIRE, EventType.RELEASE)
-    elif kind == "barriers":
-        drop = (EventType.BARRIER,)
-    else:
-        raise ValueError(f"kind must be 'locks' or 'barriers', got {kind!r}")
-    return filter_events(trace, lambda e: e.type not in drop, label=f"no-{kind}")
-
-
-def close_open_sync(trace: TraceStream) -> TraceStream:
-    """Append the releases/arrivals a sliced trace needs to validate.
-
-    Releases are appended for held locks (holder order), and barrier
-    episodes left incomplete are finished by the missing processors.
-    """
-    held: Dict[LockId, Optional[ProcId]] = {}
-    arrived: Dict[int, Set[ProcId]] = {}
-    for event in trace:
-        if event.type == EventType.ACQUIRE:
-            held[event.lock] = event.proc
-        elif event.type == EventType.RELEASE:
-            held[event.lock] = None
-        elif event.type == EventType.BARRIER:
-            waiting = arrived.setdefault(event.barrier, set())
-            waiting.add(event.proc)
-            if len(waiting) == trace.n_procs:
-                arrived[event.barrier] = set()
-    repaired = _rebuild(_copy_meta(trace.meta), trace.events)
-    for lock, holder in sorted(held.items()):
-        if holder is not None:
-            repaired.append(Event.release(holder, lock))
-    for barrier, waiting in sorted(arrived.items()):
-        if waiting:
-            for proc in range(trace.n_procs):
-                if proc not in waiting:
-                    repaired.append(Event.at_barrier(proc, barrier))
-    return repaired
-
-
-def remap_processors(trace: TraceStream, n_procs: int) -> TraceStream:
-    """Fold the trace onto ``n_procs`` processors (proc mod n).
-
-    Folding merges program orders, so the result is a *plausible* smaller
-    machine's interleaving of the same work, not a faithful re-execution;
-    lock alternation is preserved only if no lock is held across a fold
-    boundary — validate before trusting it.
-    """
-    if n_procs < 1:
-        raise ValueError(f"n_procs must be >= 1, got {n_procs}")
-    meta = _copy_meta(
-        trace.meta,
-        n_procs=min(n_procs, trace.meta.n_procs),
-        params={**trace.meta.params, "folded_from": str(trace.meta.n_procs)},
-    )
-    events = []
-    for event in trace:
-        clone = _copy_event(event)
-        clone.proc = event.proc % meta.n_procs
-        events.append(clone)
-    return _rebuild(meta, events)
-
-
-def concatenate(first: TraceStream, second: TraceStream) -> TraceStream:
-    """Append ``second``'s events after ``first``'s (same processor count)."""
-    if first.n_procs != second.n_procs:
-        raise ValueError(
-            f"processor counts differ: {first.n_procs} vs {second.n_procs}"
+    meta = trace.meta
+    sliced = TraceStream(
+        TraceMeta(
+            n_procs=meta.n_procs,
+            app=meta.app,
+            params={**meta.params, "slice": f"{start}:{stop}"},
+            regions=dict(meta.regions),
         )
-    meta = _copy_meta(first.meta, app=f"{first.meta.app}+{second.meta.app}")
-    meta.regions.update(second.meta.regions)
-    return _rebuild(meta, list(first.events) + list(second.events))
+    )
+    for event in trace.events[start:stop]:
+        sliced.append(
+            Event(
+                event.type,
+                event.proc,
+                addr=event.addr,
+                size=event.size,
+                lock=event.lock,
+                barrier=event.barrier,
+            )
+        )
+    return sliced

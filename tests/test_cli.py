@@ -121,6 +121,29 @@ class TestCommands:
         assert "cells match the analytical model" in out
         assert "FAIL" not in out
 
+    def test_figures_judges_every_claim_of_the_figure(self, capsys):
+        from repro.experiments.claims import claims_for
+
+        assert main(["figures", "--apps", "cholesky", "--n-procs", "8"]) == 0
+        lines = capsys.readouterr().out.rstrip().splitlines()
+        assert lines[0].startswith("Figure 7")
+        claims = claims_for("figure:cholesky")
+        assert lines[-len(claims):] == [f"claim {claim.id}: holds" for claim in claims]
+
+    def test_figures_exits_1_when_a_claim_fails(self, monkeypatch, capsys):
+        import dataclasses
+
+        from repro.experiments import claims
+
+        broken = claims.claims_for("figure:cholesky")[0]
+        monkeypatch.setattr(claims, "CLAIMS", claims.CLAIMS + (
+            dataclasses.replace(broken, id="cholesky.never", predicate=lambda sweep: False),
+        ))
+        assert main(["figures", "--apps", "cholesky", "--n-procs", "8"]) == 1
+        lines = capsys.readouterr().out.rstrip().splitlines()
+        assert lines[-1] == "claim cholesky.never: FAILS"
+        assert lines[-2] == "claim cholesky.eu-no-better-than-ei: holds"
+
     def test_trace_roundtrip(self, tmp_path, capsys):
         out_file = tmp_path / "w.trcb"
         assert main(["trace", *small_args("water"), "--out", str(out_file)]) == 0

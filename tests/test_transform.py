@@ -1,19 +1,7 @@
-"""Tests for trace transformations."""
+"""Tests for trace slicing."""
 
-import pytest
-
-from repro.trace.events import Event, EventType
-from repro.trace.stream import TraceMeta, TraceStream
-from repro.trace.transform import (
-    close_open_sync,
-    concatenate,
-    drop_synchronization,
-    filter_events,
-    remap_processors,
-    slice_events,
-)
-from repro.trace.validate import validate_trace
-from tests.conftest import build_trace, lock_chain_trace, small_trace
+from repro.trace.transform import slice_events
+from tests.conftest import lock_chain_trace
 
 
 class TestSlice:
@@ -32,92 +20,3 @@ class TestSlice:
         trace = lock_chain_trace(n_procs=2, rounds=1)
         slice_events(trace, 0, 2)
         assert [e.seq for e in trace] == list(range(len(trace)))
-
-
-class TestFilterAndDrop:
-    def test_drop_locks(self):
-        trace = lock_chain_trace(n_procs=3, rounds=2)
-        stripped = drop_synchronization(trace, "locks")
-        counts = stripped.counts_by_type()
-        assert counts[EventType.ACQUIRE] == 0
-        assert counts[EventType.RELEASE] == 0
-        assert counts[EventType.READ] == 6
-
-    def test_drop_barriers(self):
-        trace = small_trace("mp3d")
-        stripped = drop_synchronization(trace, "barriers")
-        assert stripped.counts_by_type()[EventType.BARRIER] == 0
-
-    def test_drop_unknown_kind(self):
-        with pytest.raises(ValueError):
-            drop_synchronization(lock_chain_trace(), "fences")
-
-    def test_filter_label_recorded(self):
-        trace = lock_chain_trace()
-        filtered = filter_events(trace, lambda e: e.proc == 0, label="p0-only")
-        assert filtered.meta.params["filter"] == "p0-only"
-        assert all(e.proc == 0 for e in filtered)
-
-
-class TestCloseOpenSync:
-    def test_repairs_held_locks(self):
-        trace = build_trace(2, [Event.acquire(0, 3), Event.write(0, 0x0)])
-        repaired = close_open_sync(trace)
-        validate_trace(repaired)
-        assert repaired[-1].type == EventType.RELEASE
-
-    def test_repairs_partial_barrier(self):
-        trace = build_trace(3, [Event.at_barrier(0, 1), Event.at_barrier(2, 1)])
-        repaired = close_open_sync(trace)
-        validate_trace(repaired)
-        assert len(repaired) == 3
-
-    def test_noop_on_valid_trace(self):
-        trace = lock_chain_trace(n_procs=2, rounds=1)
-        repaired = close_open_sync(trace)
-        assert len(repaired) == len(trace)
-
-    def test_sliced_app_trace_repairable(self):
-        trace = small_trace("cholesky")
-        sliced = slice_events(trace, 0, len(trace) // 2)
-        validate_trace(close_open_sync(sliced))
-
-
-class TestRemap:
-    def test_fold_procs(self):
-        trace = lock_chain_trace(n_procs=4, rounds=1)
-        folded = remap_processors(trace, 2)
-        assert folded.n_procs == 2
-        assert {e.proc for e in folded} == {0, 1}
-        assert folded.meta.params["folded_from"] == "4"
-
-    def test_fold_to_more_procs_is_identity_count(self):
-        trace = lock_chain_trace(n_procs=2, rounds=1)
-        folded = remap_processors(trace, 8)
-        assert folded.n_procs == 2
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            remap_processors(lock_chain_trace(), 0)
-
-
-class TestConcatenate:
-    def test_appends_events(self):
-        a = lock_chain_trace(n_procs=2, rounds=1)
-        b = lock_chain_trace(n_procs=2, rounds=2)
-        joined = concatenate(a, b)
-        assert len(joined) == len(a) + len(b)
-        validate_trace(joined)
-
-    def test_mismatched_procs_rejected(self):
-        a = lock_chain_trace(n_procs=2)
-        b = lock_chain_trace(n_procs=3)
-        with pytest.raises(ValueError):
-            concatenate(a, b)
-
-    def test_merges_region_maps(self):
-        a = TraceStream(TraceMeta(n_procs=1, app="a", regions={"x": (0, 64)}))
-        b = TraceStream(TraceMeta(n_procs=1, app="b", regions={"y": (64, 64)}))
-        joined = concatenate(a, b)
-        assert set(joined.meta.regions) == {"x", "y"}
-        assert joined.meta.app == "a+b"
