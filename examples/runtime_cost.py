@@ -14,9 +14,9 @@ stall decomposition per protocol. Under 1992-class constants the lazy
 protocols finish first, comfortably, and the ranking holds on a modern
 cluster.
 
-The send order does not depend on the link, so only the first link
-below interprets the trace per event; the second takes the counting
-runs' tape path and folds the clocks over the recorded logs.
+Every run below takes the counting runs' tape path. The send order does
+not depend on the link, so the first link's runs record it on the way
+and the second's only fold the clocks over the recorded logs.
 
 Run:  python examples/runtime_cost.py
 """

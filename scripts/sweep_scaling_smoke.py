@@ -30,15 +30,14 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.apps import generate  # noqa: E402
 from repro.simulator.sweep import run_sweep  # noqa: E402
-from repro.trace.cache import cached_app_trace  # noqa: E402
 
 PROTOCOLS = ("LI", "LU", "LH", "HLRC", "EI", "EU", "EW")
 PAGE_SIZES = (512, 1024, 2048, 4096)
 #: Big enough that the grid takes seconds serially (pool startup is a
 #: few hundred ms; a tiny trace would hide any real scaling).
 WORKLOAD = dict(n_procs=8, seed=0, n_molecules=288, timesteps=3)
-TRACE_CACHE = REPO_ROOT / ".trace_cache"
 
 
 def result_fields(result) -> dict:
@@ -87,7 +86,7 @@ def main(argv=None) -> int:
     parser.add_argument("--json", type=Path, help="write measurements to this path")
     args = parser.parse_args(argv)
 
-    trace = cached_app_trace("water", cache_dir=TRACE_CACHE, **WORKLOAD)
+    trace = generate("water", **WORKLOAD)
     print(
         f"workload: water n_procs={WORKLOAD['n_procs']} "
         f"n_molecules={WORKLOAD['n_molecules']} timesteps={WORKLOAD['timesteps']} "

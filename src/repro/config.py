@@ -72,11 +72,11 @@ class SimConfig:
             (the default) is counting mode. The ledgers are identical
             either way — timing is an observer, never an actor — so
             what the clocks consume (every send and compute charge, in
-            order) does not depend on the link: the first timed run of
-            a cell records it with one per-event replay, and every
-            later run of that cell under any link takes the counting
-            run's own path (the tape when certified) plus one fold over
-            the cached log (see :mod:`repro.network.timed`).
+            order) does not depend on the link. Every timed run takes
+            the counting run's own path (the tape when certified) plus
+            one fold over the cell's log; the first one of a cell
+            records the log on the way, every later one under any link
+            reuses it (see :mod:`repro.network.timed`).
     """
 
     n_procs: int = PAPER_N_PROCS

@@ -62,7 +62,7 @@ into one merged ledger record per synchronization operation and
 inter-sync gap (:class:`PricedEagerTape`), which
 :class:`repro.protocols.eager_base.EagerTapeMixin` folds, and they are
 dropped. Only a sink or a span probe, which name each miss and flush,
-has the steps kept as an :class:`EagerTape`.
+has the steps kept as an :class:`EagerTape` (a send log walks them once).
 
 :func:`batch_plan` memoizes one :class:`BatchPlan` (skeleton + run
 program + eager tapes, raw and priced + lazy tapes + shared fetch
@@ -73,6 +73,7 @@ replay of a sweep reuses it.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, defaultdict
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -160,10 +161,10 @@ class EagerTape:
             flush: the release's or barrier arrival's flush outcome;
                    None when nothing was dirty, on acquires and on EW
 
-    Record shapes::
+    Record shapes (``at``: the missing or faulting access's seq)::
 
-        (E_MISS, proc, page, cold, server, forward_or_None)
-        (E_WFAULT, proc, page, miss_or_None, holders, ping)
+        (E_MISS, at, proc, page, cold, server, forward_or_None)
+        (E_WFAULT, at, proc, page, miss_or_None, holders, ping)
             miss: (cold, server, forward_or_None) for the nested fetch
         flush: (count, excess, pushes)
             excess: ((page, owner, n_runs, n_words, dests), ...)
@@ -303,10 +304,10 @@ def build_priced_eager_tape(
         write_faults = ping_pongs = invalidations = 0
         for rec in gap:
             if rec[0] == E_MISS:
-                _, proc, _page, is_cold, server, forward = rec
+                _, _at, proc, _page, is_cold, server, forward = rec
             else:  # E_WFAULT (EW only): an optional nested miss, then
                 # one invalidation and its ack per other holder.
-                _, proc, _page, nested, holders, ping = rec
+                _, _at, proc, _page, nested, holders, ping = rec
                 write_faults += 1
                 invalidations += len(holders)
                 ping_pongs += ping
@@ -586,9 +587,9 @@ class BatchPlan:
     memo caches over the immutable store, so sharing them across
     protocol instances only widens the memo hit rate. Send logs (the
     link-independent input of a timed run's clock fold, see
-    :mod:`repro.network.timed`) are recorded by the engine, one per
-    (protocol class, config without its link), and kept here so every
-    other link over that cell only folds.
+    :mod:`repro.network.timed`) are recorded by a cell's first timed
+    run, one per (protocol class, config without its link), and kept
+    here so every other link over that cell only folds.
     """
 
     __slots__ = (
@@ -612,7 +613,7 @@ class BatchPlan:
         self.ops = compiled.ops
         self.page_size = compiled.page_size
         self.n_procs = n_procs
-        self._runs: Optional[List[tuple]] = None
+        self._runs: Optional[Tuple[List[tuple], array]] = None
         self._skeleton: Optional[Skeleton] = None
         self._planners: Dict[Tuple[CostModel, bool], FetchPlanner] = {}
         self._eager_tapes: Dict[str, EagerTape] = {}
@@ -623,12 +624,17 @@ class BatchPlan:
         self._compute_profile: Optional[List[List[int]]] = None
 
     @property
+    def run_program(self) -> Tuple[List[tuple], array]:
+        """The run program's instructions and each one's op position,
+        segmented on first use."""
+        program = self._runs
+        if program is None:
+            program = self._runs = segment_runs(self.ops, self.n_procs)
+        return program
+
+    @property
     def runs(self) -> List[tuple]:
-        """The run program's instruction list, segmented on first use."""
-        runs = self._runs
-        if runs is None:
-            runs = self._runs = segment_runs(self.ops, self.n_procs)
-        return runs
+        return self.run_program[0]
 
     @property
     def skeleton(self) -> Skeleton:
@@ -665,29 +671,32 @@ class BatchPlan:
             "eager_tape",
         )
 
+    def eager_steps(self, policy: str) -> List[tuple]:
+        """``policy``'s walk, unkept: the unpriced tape's steps when an
+        observer built one (an ``eager_tape`` hit), else a fresh walk."""
+        tape = self._eager_tapes.get(policy)
+        if tape is None:
+            # Drained first, dropped after: pricing the generator step
+            # by step measured 5-15 % slower (docs/PERFORMANCE.md).
+            return list(eager_steps(self.ops, self.n_procs, policy))
+        PLAN_STATS["eager_tape_hits"] += 1
+        return tape.steps
+
     def priced_eager_tape(
-        self, policy: str, cost_model: CostModel, free_reacquire: bool
+        self, policy: str, cost_model: CostModel, free_reacquire: bool, steps=None
     ) -> PricedEagerTape:
         """The (memoized) priced tape of ``policy`` for one cost key.
 
         Counted under its own ``priced_tape_*`` stats. A build prices
-        the policy's walk over the ops and keeps no unpriced tape; only
-        when an observer already built one (:meth:`eager_tape`) is that
-        read back instead — an ``eager_tape`` hit. A hit here looks
-        nothing else up.
+        ``steps``, the walk a caller already holds, or else
+        :meth:`eager_steps`, and keeps no unpriced tape. A hit here
+        looks nothing else up.
         """
 
         def build() -> PricedEagerTape:
-            tape = self._eager_tapes.get(policy)
-            if tape is None:
-                # Drained first, dropped after: pricing the generator
-                # step by step measured 5-15 % slower (docs/PERFORMANCE.md).
-                steps = list(eager_steps(self.ops, self.n_procs, policy))
-            else:
-                PLAN_STATS["eager_tape_hits"] += 1
-                steps = tape.steps
+            walk = steps if steps is not None else self.eager_steps(policy)
             return build_priced_eager_tape(
-                policy, steps, self.n_procs, self.page_size, cost_model, free_reacquire
+                policy, walk, self.n_procs, self.page_size, cost_model, free_reacquire
             )
 
         return self._memo(
@@ -712,15 +721,21 @@ class BatchPlan:
             "lazy_tape",
         )
 
-    def send_log(self, key: tuple, record) -> SendLog:
-        """The send log of ``key``; ``record()`` replays the cell once,
-        per event, to produce it when no run has yet.
+    def send_log(self, key: tuple) -> Optional[SendLog]:
+        """The send log kept for ``key``, or None (the run records one).
 
         ``key`` is (protocol class, config with ``link_model=None``) —
         everything that can change send order or wire sizes, nothing
         the fold reads.
         """
-        return self._memo(self._send_logs, key, record, "send_log")
+        log = self._send_logs.get(key)
+        if log is not None:
+            PLAN_STATS["send_log_hits"] += 1
+        return log
+
+    def keep_send_log(self, key: tuple, log: SendLog) -> None:
+        PLAN_STATS["send_log_builds"] += 1
+        self._send_logs[key] = log
 
     def planner_for(self, cost_model: CostModel, prune_overwritten: bool) -> FetchPlanner:
         return self._memo(
@@ -892,7 +907,8 @@ def eager_steps(ops: List[tuple], n_procs: int, policy: str):
     Yields ``(op, gap, flush)`` per special access — :class:`EagerTape`
     documents the shapes — then ``(None, tail, None)`` for the gap after
     the last one. :func:`build_priced_eager_tape` consumes the stream;
-    an :class:`EagerTape` keeps it, for observers only.
+    an :class:`EagerTape` keeps it, for observers only. A record keeps
+    its access op's seq, which is the op's position in ``ops``.
     """
     gap: List[tuple] = []
     if policy == "EW":
@@ -905,18 +921,18 @@ def eager_steps(ops: List[tuple], n_procs: int, policy: str):
         code = op[0]
         if code == OP_READ:  # a hit, nearly always: tested here, not in a call
             if states[op[1]].get(op[2]) != _VALID:
-                miss(op[1], op[2])
+                miss(op[4], op[1], op[2])
         elif code == OP_WRITE:
-            write(op[1], op[2], op[3])
+            write(op[4], op[1], op[2], op[3])
         elif code == OP_READ_N:
             proc = op[1]
             for page, _ in op[2]:
                 if states[proc].get(page) != _VALID:
-                    miss(proc, page)
+                    miss(op[3], proc, page)
         elif code == OP_WRITE_N:
             proc = op[1]
             for page, words in op[2]:
-                write(proc, page, words)
+                write(op[3], proc, page, words)
         else:  # OP_ACQUIRE / OP_RELEASE / OP_BARRIER
             yield op, tuple(gap), flush(op[1]) if code != OP_ACQUIRE else None
             del gap[:]
@@ -970,12 +986,12 @@ def _flush_policy(n_procs: int, record, update: bool):
     states, owner, copyset, fetch, invalidate = _directory(n_procs)
     dirty: List[Dict[int, Set[int]]] = [{} for _ in range(n_procs)]
 
-    def miss(proc: int, page: int) -> None:
-        record((E_MISS, proc, page) + fetch(proc, page))
+    def miss(at: int, proc: int, page: int) -> None:
+        record((E_MISS, at, proc, page) + fetch(proc, page))
 
-    def write(proc: int, page: int, words) -> None:
+    def write(at: int, proc: int, page: int, words) -> None:
         if states[proc].get(page) != _VALID:
-            miss(proc, page)
+            miss(at, proc, page)
         d = dirty[proc].get(page)
         if d is None:
             dirty[proc][page] = d = set()
@@ -1043,10 +1059,10 @@ def _ew_policy(n_procs: int, record):
             writable.discard((own, page))
         return miss
 
-    def miss(proc: int, page: int) -> None:
-        record((E_MISS, proc, page) + fetch_copy(proc, page))
+    def miss(at: int, proc: int, page: int) -> None:
+        record((E_MISS, at, proc, page) + fetch_copy(proc, page))
 
-    def write(proc: int, page: int, _words) -> None:
+    def write(at: int, proc: int, page: int, _words) -> None:
         if (proc, page) in writable:
             return
         # _acquire_ownership
@@ -1063,7 +1079,7 @@ def _ew_policy(n_procs: int, record):
         last_owner[page] = proc
         owner[page] = proc
         writable.add((proc, page))
-        record((E_WFAULT, proc, page, miss, holders, ping))
+        record((E_WFAULT, at, proc, page, miss, holders, ping))
 
     return states, miss, write, lambda proc: None
 

@@ -37,9 +37,9 @@ class Network:
         #: attribute load + identity check per message.
         self._probe = None
         self._probe_stages = False
-        #: Send-order recorder (see :class:`repro.network.timed.SendLog`);
-        #: None except during a timed cell's one recording replay —
-        #: same one-check-per-send discipline as the probe.
+        #: Send-order recorder (see :class:`repro.network.timed.SendLog`),
+        #: after the ledger update; None except in a timed cell's
+        #: recording run — same one-check-per-send discipline as the probe.
         self._send_log = None
         # Cost-model policy flags, hoisted: send() runs once per message
         # of every interpreted cell and the model is immutable.
@@ -70,13 +70,8 @@ class Network:
         self._probe = probe if probe is not None and probe.enabled else None
         self._probe_stages = is_stock_staging(probe)
 
-    def attach_send_log(self, log) -> None:
-        """Install a :class:`~repro.network.timed.SendLog` recorder.
-
-        Every non-local send is then appended to it via ``log.on_send``
-        — after the ledger update, so the accounting is identical to
-        counting mode by construction. Pass None to detach.
-        """
+    def record_sends(self, log) -> None:
+        """Also hand every :meth:`send` to ``log`` (a ``SendLog``)."""
         self._send_log = log
 
     # -- sending ---------------------------------------------------------------
@@ -90,18 +85,12 @@ class Network:
         :class:`~repro.hb.skeleton.LazyTape` and
         :class:`~repro.hb.skeleton.PricedEagerTape`). Callers certify
         what :meth:`send` would have done per message (endpoints in
-        range, locals excluded, the ack policy applied); probe staging,
-        when a probe is attached, is the caller's responsibility — the
-        tape carries matching row totals. A timed run reaches this path only
-        once its cell's send log is cached: merged accounting has no
-        per-message send order to record, so the engine records per
-        event and this guard backstops it.
+        range, locals excluded, the ack policy applied); probe staging
+        and a send log's records, when either is attached, are the
+        caller's responsibility — the tape carries matching row totals,
+        and the kernels expand the messages for the log
+        (``Protocol._tap``).
         """
-        if self._send_log is not None:
-            raise RuntimeError(
-                "apply_tape is a counting-mode fast path; a send-log "
-                "recording (Network.attach_send_log) must replay per message"
-            )
         buckets = self._buckets
         for slot, messages, data_bytes, control_bytes in deltas:
             bucket = buckets[slot][0]
@@ -156,9 +145,7 @@ class Network:
                 probe.on_message(kind, src, dst, data, control_bytes, counted)
         recorder = self._send_log
         if recorder is not None:
-            recorder.on_send(
-                src, dst, payload_bytes + control_bytes + self._header_bytes
-            )
+            recorder.send(kind, src, dst, payload_bytes, control_bytes)
 
     def _check_proc(self, proc: ProcId) -> None:
         if not 0 <= proc < self.n_procs:

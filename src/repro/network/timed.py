@@ -6,10 +6,10 @@ instrument, and it stays untouched. Timing is a pure observer of it, so
 what the virtual clocks consume — every non-local send ``(src, dst,
 wire_bytes)`` and every ordinary-access compute charge ``(proc,
 words)``, in global order — does not depend on the link at all. A
-:class:`SendLog` records that stream once per cell (the engine attaches
-it to :meth:`Network.attach_send_log
-<repro.network.network.Network.attach_send_log>` for one per-event
-replay and memoizes it on the batch plan); :meth:`NetworkTiming.fold`
+:class:`SendLog` records that stream once per cell, from whichever loop
+supplies that run's ledger (the engine hands it to
+:meth:`Protocol.record_sends <repro.protocols.base.Protocol.record_sends>`
+and memoizes it on the batch plan); :meth:`NetworkTiming.fold`
 then advances per-processor virtual clocks over the log from one
 :class:`~repro.network.link.LinkModel` (sender software overhead, link
 serialization and queueing, loss → timeout → retransmit penalties,
@@ -36,9 +36,11 @@ from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from repro.network.link import LinkModel
+from repro.trace.precompile import OP_WRITE, OP_WRITE_N
 
 #: Stall vocabulary of the timed run report, aligned with the span
 #: timeline's categories where they overlap (``serialization`` and
@@ -64,26 +66,60 @@ class SendLog:
     sends are free, exactly as in counting mode), so the equal pair is
     the record tag. The log is independent of the link model: one
     recording serves every :meth:`NetworkTiming.fold` over that cell.
+    A run records only the messages, each at the compiled-op position
+    its loop keeps in ``at`` (:meth:`track`); :meth:`close` merges the
+    compute column in from the ops.
     """
 
-    __slots__ = ("src", "dst", "amount")
+    __slots__ = ("src", "dst", "amount", "at", "_at", "_header")
 
-    def __init__(self) -> None:
+    def __init__(self, header_bytes: int = 0) -> None:
         self.src = array("H")
         self.dst = array("H")
         self.amount = array("I")
+        self.at = 0
+        self._at = array("I")
+        self._header = header_bytes
 
     def on_send(self, src: int, dst: int, wire_bytes: int) -> None:
-        """Record one non-local message (called by ``Network.send``)."""
+        """Record one non-local message at the cursor."""
         self.src.append(src)
         self.dst.append(dst)
         self.amount.append(wire_bytes)
+        self._at.append(self.at)
 
-    def compute(self, proc: int, words: int) -> None:
-        """Record ``words`` of ordinary-access compute on ``proc``."""
-        self.src.append(proc)
-        self.dst.append(proc)
-        self.amount.append(words)
+    def send(self, kind, src, dst, payload_bytes=0, control_bytes=0) -> None:
+        """:meth:`on_send` behind ``Network.send``'s signature."""
+        if src != dst:
+            self.on_send(src, dst, payload_bytes + control_bytes + self._header)
+
+    def track(self, items, positions):
+        """``items``, each yielded with the cursor at its op position."""
+        for at, item in zip(positions, items):
+            self.at = at
+            yield item
+
+    def close(self, ops) -> "SendLog":
+        """Merge one ``(proc, words)`` charge per ordinary access of
+        ``ops`` in, right after the messages of its own op — the order
+        the fold's float sums are pinned in — and return the log."""
+        src, dst, amount, at = self.src, self.dst, self.amount, self._at
+        self.__init__(self._header)
+        done = 0
+        for pos, op in enumerate(ops):
+            if done < len(at) and at[done] == pos:
+                end = bisect_right(at, pos, done)
+                self.src += src[done:end]
+                self.dst += dst[done:end]
+                self.amount += amount[done:end]
+                done = end
+            code = op[0]
+            if code <= OP_WRITE_N:  # an access; sync ops compute nothing
+                words = len(op[3]) if code <= OP_WRITE else sum([len(w) for _, w in op[2]])
+                self.src.append(op[1])
+                self.dst.append(op[1])
+                self.amount.append(words)
+        return self
 
     def __len__(self) -> int:
         return len(self.amount)

@@ -90,8 +90,9 @@ def build_manifest(
 
     ``timings`` maps phase name -> seconds (``simulate_s`` always;
     ``compile_s`` when the engine compiled the trace itself; timed runs
-    split ``simulate_s`` into the ledger replay — ``record_s`` when it
-    also recorded the send log — plus ``fold_s``; callers may add
+    split ``simulate_s`` into the ledger replay, ``record_s`` (merging
+    the compute column into a send log the run recorded) and
+    ``fold_s``; callers may add
     ``generate_s``). ``plan_cache`` is this run's delta of the
     batch-plan/tape cache counters (``repro.hb.skeleton.PLAN_STATS``) —
     whether the sync skeleton and cost-resolved tapes were rebuilt or
@@ -105,8 +106,7 @@ def build_manifest(
     ``reference``), ``decline_reason`` why it was not the tape replay
     (see :func:`repro.protocols.base.certify_replay`; absent on a tape
     run), and ``send_log`` whether a timed run ``recorded`` its send log or
-    ``reused`` a cached one — the first timed run of a cell records per
-    event, every later one takes the counting run's path.
+    ``reused`` a cached one — either way on the counting run's path.
     """
     params = trace.meta.params
     seed = params.get("seed")

@@ -24,9 +24,7 @@ from repro.sync.barrier import BarrierMaster
 from repro.sync.lock_manager import LockDirectory
 
 
-def certify_replay(
-    protocol: "Protocol", recording: bool = False
-) -> Tuple[str, Optional[str]]:
+def certify_replay(protocol: "Protocol") -> Tuple[str, Optional[str]]:
     """Which engine loop may replay ``protocol``, and why not a faster one.
 
     Decided from what the run observes and from one fact the protocol's
@@ -34,9 +32,7 @@ def certify_replay(
     ``(execution_path, decline_reason)``:
 
     - ``"per_event"``: the interpreter, the only loop that calls hooks.
-      Exactly four reasons, in this order: a run that observes send
-      order (``send_log_recording`` — a timed cell's first run;
-      ``recording`` is the engine's word for it) or values
+      Exactly three reasons, in this order: a run that observes values
       (``record_values``); any class that has not set
       ``replay_certified = True`` in its own body
       (``uncertified_class``); and a run that watches individual
@@ -50,15 +46,13 @@ def certify_replay(
       :meth:`Network.apply_tape <repro.network.network.Network.apply_tape>`
       bulk updates (lazy family: per sync operation and diff fetch;
       eager family: the whole run). A stock probe's metrics rows and
-      event sinks, and a span probe's record stream, are fed from the
-      same records. The reason is None.
+      event sinks, a span probe's record stream and a timed run's send
+      log are fed from the same records. The reason is None.
 
     The engine dispatches on the path; the pair goes into the run's
     manifest. (``reference`` is ``Engine.run_reference``, never chosen
     here.)
     """
-    if recording:
-        return "per_event", "send_log_recording"
     if protocol.config.record_values:
         return "per_event", "record_values"
     if not type(protocol).__dict__.get("replay_certified", False):
@@ -117,7 +111,7 @@ class Protocol(abc.ABC):
         self._obs = False
         self._obs_events = False
         self._probe_fast = False
-        self._span = self._span_send = None
+        self._span = self._log = self._tap = None
         # Set by a tape replay (bind_batch_plan): nothing there can
         # observe page contents, twins or dirty words — record_values
         # forces the per-event path, which alone maintains them — so the
@@ -139,14 +133,34 @@ class Protocol(abc.ABC):
         self._probe_fast = is_stock_staging(probe)
         # A stock SpanProbe's record stream. Its hooks write it wherever
         # hooks are called; the tape kernels, which bypass them, write
-        # the same rows: windows through _span, messages through
-        # _span_send. That one has Network.send's signature — a kernel
-        # expands its record's merged deltas into one call per message,
-        # in send order — so anything else that needs the tape's message
-        # sequence (a send log) is a second callable, not a second expansion.
+        # the same rows: windows through _span, messages through _tap.
         self._span = probe.records if is_stock_staging(probe, SpanProbe) else None
-        self._span_send = self._span.sender(self.costs) if self._span is not None else None
+        self._bind_tap()
         self.network.attach_probe(probe)
+
+    def record_sends(self, log) -> None:
+        """Record every message of this run into ``log`` (a ``SendLog``):
+        ``Network.send``'s through its hook, the tape kernels' through
+        their tap."""
+        self._log = log
+        self.network.record_sends(log)
+        self._bind_tap()
+
+    def _bind_tap(self) -> None:
+        """``_tap``, where the tape kernels expand merged deltas into one
+        ``Network.send``-shaped call per message: the span stream, the
+        send log, both, or None (no expansion)."""
+        span = self._span.sender(self.costs) if self._span is not None else None
+        log = self._log.send if self._log is not None else None
+        if span is None or log is None:
+            self._tap = span or log
+            return
+
+        def tap(kind, src, dst, payload_bytes=0, control_bytes=0):
+            span(kind, src, dst, payload_bytes, control_bytes)
+            log(kind, src, dst, payload_bytes, control_bytes)
+
+        self._tap = tap
 
     # -- helpers -----------------------------------------------------------
 

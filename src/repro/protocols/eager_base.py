@@ -25,6 +25,7 @@ from repro.hb.skeleton import E_MISS, P_LOCK, P_MISS
 from repro.memory.diff import Diff
 from repro.memory.page import PageEntry, PageState
 from repro.network.message import BARRIER_FLUSH_KINDS, UNLOCK_FLUSH_KINDS, MessageKind
+from repro.obs.probe import NULL_PROBE
 from repro.protocols.base import Protocol
 from repro.config import SimConfig
 from repro.trace.precompile import OP_ACQUIRE, OP_BARRIER, OP_RELEASE
@@ -91,20 +92,24 @@ class EagerTapeMixin:
     attribution rows. The priced tape is built from the walk's steps
     and they are dropped; only with sinks are they kept
     (:class:`~repro.hb.skeleton.EagerTape`) and walked alongside for
-    each one's events, and under a ``SpanProbe`` also for each step's
-    messages and window in the probe's record stream.
+    each one's events — and for a tap (``_tap``), its messages; a send
+    log alone walks them without keeping them.
     """
 
     def bind_batch_plan(self, plan):
-        """Bind the priced tape for this run's cost key (and, with
-        sinks, the unpriced one beside it); returns the whole run as
-        one callable."""
+        """Bind the priced tape for this run's cost key (and, for
+        sinks or a tap, the walk's steps beside it); returns the whole
+        run as one callable."""
         self._page_fetch_bytes = self.costs.page_bytes(self.page_size)
+        self._ops = plan.ops
+        self._steps = None
         if self._obs_events:
-            # First, so that a priced build reads it back, not walks again.
-            self._tape = plan.eager_tape(self.name)
+            self._steps = plan.eager_tape(self.name).steps
+        elif self._tap is not None:
+            self._steps = plan.eager_steps(self.name)
+        # A priced build prices the steps in hand rather than walk again.
         self._priced = plan.priced_eager_tape(
-            self.name, self.costs, self.config.free_local_lock_reacquire
+            self.name, self.costs, self.config.free_local_lock_reacquire, self._steps
         )
         return self._t_run
 
@@ -121,59 +126,63 @@ class EagerTapeMixin:
         step of the unpriced tape: the gap's events land at the sync
         record that follows them (a gap of bare write faults has no
         priced record of its own), still before it and inside its epoch.
-        A span probe gets, between those events, each step's messages
-        as ``_span_send`` calls in the order the per-event hooks send
-        them, and the operation's window around them.
+        The tap gets, between those events, each step's messages in the
+        order the per-event hooks send them (a send log each at its op),
+        and a span probe the operation's window around them.
         """
         apply_tape = self.network.apply_tape
         probe = self.probe if self._obs else None
-        steps = send = None
+        emit = self.probe.emit if self._obs_events else NULL_PROBE.emit
+        span, log, send = self._span, self._log, self._tap
+        steps = iter(self._steps) if self._steps is not None else None
+        if log is not None:  # (a step names its sync op, not the op's position)
+            sync_at = (at for at, op in enumerate(self._ops) if op[0] >= OP_ACQUIRE)
         if probe is not None:
             # No sync operation is in progress: this is the miss-cause row.
             miss_row = probe._seg_row
-            lock_rows = ("lock", probe._lock_rows)
-            barrier_rows = ("barrier", probe._barrier_rows)
-            if self._obs_events:
-                steps = iter(self._tape.steps)
-                send = self._span_send
         for cause, ident, deltas, rowadd, complete in self._priced.records:
             if deltas:
                 apply_tape(deltas)
-            if probe is None:
+            if probe is None and steps is None:
                 continue
-            if cause == P_MISS:
-                row = miss_row
-            else:
-                kind, rows = lock_rows if cause == P_LOCK else barrier_rows
-                row = rows.get(ident)
-                if row is None:
-                    row = rows[ident] = probe._cause_row(kind, ident)
+            if cause != P_MISS:
+                kind = "lock" if cause == P_LOCK else "barrier"
+                if probe is not None:
+                    rows = probe._lock_rows if cause == P_LOCK else probe._barrier_rows
+                    row = rows.get(ident)
+                    if row is None:
+                        row = rows[ident] = probe._cause_row(kind, ident)
                 if steps is not None:
                     (op, proc, _ident), gap, flush = next(steps)
-                    self._emit_gap(gap, send)
-                    if send is not None:
-                        self._span.begin(kind, ident)
+                    self._emit_gap(gap, emit, send)
+                    if log is not None:
+                        log.at = next(sync_at)
+                    if span is not None:
+                        span.begin(kind, ident)
                     # The cause kind names the event's id field too.
-                    probe.emit(_SYNC_EVENTS[op], proc=proc, **{kind: ident})
-                    self._emit_flush(proc, flush, op, send)
+                    emit(_SYNC_EVENTS[op], proc=proc, **{kind: ident})
+                    self._emit_flush(proc, flush, op, emit, send)
                     if send is not None:
                         self._span_sync(op, proc, ident, send)
-            if rowadd is not None:
+            elif probe is not None:
+                row = miss_row
+            if probe is not None and rowadd is not None:
                 row[0] += rowadd[0]
                 row[1] += rowadd[1]
                 row[2] += rowadd[2]
                 row[3] += rowadd[3]
             if complete:
                 if steps is not None:
-                    probe.emit("barrier_complete", proc=proc, barrier=ident)
-                    if send is not None:
-                        for target in self.barriers.exit_targets():
-                            send(MessageKind.BARRIER_EXIT, self.barriers.master, target)
-                probe.advance_epoch()
-            if send is not None and cause != P_MISS:
-                self._span.end()
+                    emit("barrier_complete", proc=proc, barrier=ident)
+                if send is not None:
+                    for target in self.barriers.exit_targets():
+                        send(MessageKind.BARRIER_EXIT, self.barriers.master, target)
+                if probe is not None:
+                    probe.advance_epoch()
+            if span is not None and cause != P_MISS:
+                span.end()
         if steps is not None:  # what is left is the gap after the last sync
-            self._emit_gap(next(steps)[1], send)
+            self._emit_gap(next(steps)[1], emit, send)
         for name, total in self._priced.counters.items():
             setattr(self, name, getattr(self, name) + total)
 
@@ -195,19 +204,22 @@ class EagerTapeMixin:
         else:
             send(MessageKind.BARRIER_ARRIVAL, proc, self.barriers.master)
 
-    def _emit_gap(self, gap: tuple, send=None) -> None:
+    def _emit_gap(self, gap: tuple, emit, send) -> None:
         """The events of one gap's misses and write faults, in the order
         ``_service_miss`` / ``_fetch_page_copy`` / EW's fault emit them
-        — and, given ``send``, their messages in between."""
-        emit = self.probe.emit
+        — and, given ``send``, their messages in between, each at its
+        access's position in a send log."""
+        log = self._log
         page_bytes = self._page_fetch_bytes
         for rec in gap:
             holders = ()
             if rec[0] == E_MISS:
-                _, proc, page, *miss = rec
+                _, at, proc, page, *miss = rec
             else:  # E_WFAULT: an optional nested miss, then the invalidations
-                _, proc, page, miss, holders, _ping = rec
+                _, at, proc, page, miss, holders, _ping = rec
                 emit("write_fault", proc=proc, page=page)
+            if log is not None:
+                log.at = at
             if miss is not None:
                 cold, server, forward = miss
                 emit("page_fault", proc=proc, page=page, cold=int(cold))
@@ -224,12 +236,11 @@ class EagerTapeMixin:
                     send(MessageKind.WRITE_NOTICE, proc, holder, 0, self.costs.write_notice_bytes)
                     send(MessageKind.RELEASE_ACK, holder, proc)
 
-    def _emit_flush(self, proc: ProcId, flush: Optional[tuple], op: int, send=None) -> None:
+    def _emit_flush(self, proc: ProcId, flush: Optional[tuple], op: int, emit, send) -> None:
         """The events of one flush outcome (``EagerProtocol._flush``)
         and, given ``send``, its messages in the same order."""
         if flush is None:
             return
-        emit = self.probe.emit
         costs = self.costs
         header_bytes, word_bytes = costs.diff_run_header_bytes, costs.word_bytes
         notice_kind, update_kind, ack_kind, reconcile_kind = (

@@ -374,14 +374,15 @@ class LazyProtocol(Protocol):
                 row[1] += payload + 2 * m * header
             self.diffs_fetched += run_plan.total_diffs
             self.diff_bytes_fetched += payload
-            if obs:
+            tap = self._tap
+            if obs or tap is not None:
                 emit = self.probe.emit
-                span_send = self._span_send
                 for server, count, served in by_server:
-                    if span_send is not None:
-                        span_send(request_kind, proc, server)
-                        span_send(reply_kind, server, proc, served)
-                    emit("diff_fetch", proc=proc, server=server, count=count, bytes=served)
+                    if tap is not None:
+                        tap(request_kind, proc, server)
+                        tap(reply_kind, server, proc, served)
+                    if obs:
+                        emit("diff_fetch", proc=proc, server=server, count=count, bytes=served)
         else:
             send = self.network.send
             for server, count, payload in by_server:
@@ -616,7 +617,7 @@ class LazyProtocol(Protocol):
 
     def _sync_hops(self, send, kind, notice_kind, src, dst, n_notices: int) -> None:
         """The messages of one sync hop, each handed to ``send`` —
-        ``Network.send``, or on the tape path ``_span_send``."""
+        ``Network.send``, or on the tape path ``_tap``."""
         notice_bytes = n_notices * self._notice_bytes_each
         if self.config.piggyback_notices or not n_notices:
             send(kind, src, dst, 0, self._vc_bytes + notice_bytes)
@@ -828,10 +829,11 @@ class LazyProtocol(Protocol):
     # would, charges it the tape's precomputed row add and, with sinks
     # (``self._obs_events``), emits the events the wrappers and hooks
     # would have, from the same record; under a SpanProbe
-    # (``self._span``) it also writes the window and, expanded back out
-    # of the merged deltas, the messages the bypassed hooks would have
-    # recorded. Counters, ledger, metrics snapshots, event streams and
-    # span record streams all stay bit-identical to the per-event
+    # (``self._span``) it also writes the window. Under a SpanProbe or a
+    # send log (``self._tap``) it expands the merged deltas back out
+    # into the messages the bypassed hooks would have sent, in order.
+    # Counters, ledger, metrics snapshots, event streams, span record
+    # streams and send logs all stay bit-identical to the per-event
     # interpreters — the equivalence suite pins it.
 
     #: True on a class whose closes drop retained diffs (HLRC's home
@@ -851,7 +853,9 @@ class LazyProtocol(Protocol):
         :class:`~repro.hb.skeleton.LazyTape` in place of the base
         wrappers (lock/barrier directory upkeep is dead state here).
         The replay is value-free: page *state* is maintained, contents,
-        twins and dirty words are not.
+        twins and dirty words are not. A send log being recorded follows
+        the walk: each instruction moves its cursor to the instruction's
+        op position.
         """
         self.store = plan.store
         self._planner = plan.planner_for(self.costs, self.config.skip_overwritten_diffs)
@@ -865,8 +869,11 @@ class LazyProtocol(Protocol):
         # only while retention is monotone: no barrier GC and no close
         # dropping diffs.
         self._live_retention = config.gc_at_barriers or self.drops_retained_at_close
+        runs, positions = plan.run_program
+        if self._log is not None:
+            runs = self._log.track(runs, positions)
         return partial(
-            _walk_runs, plan.runs, self.read_touch,
+            _walk_runs, runs, self.read_touch,
             self._t_acquire, self._t_release, self._t_barrier,
         )
 
@@ -968,17 +975,16 @@ class LazyProtocol(Protocol):
                     row[2] += add[2]
             n = record[3]
             self.notices_sent += n
-            if emit is not None:
-                # A span probe (it always takes events) also gets the
-                # hops ``deltas`` merged, around the notice events as
-                # _on_acquire sends them.
-                span_send = self._span_send
+            tap = self._tap
+            if emit is not None or tap is not None:
+                # The tap gets the hops ``deltas`` merged, around the
+                # notice events as _on_acquire sends them.
                 grantor = record[6]
-                if span_send is not None:
+                if tap is not None:
                     manager = self.locks.manager_of(lock)
-                    span_send(MessageKind.LOCK_REQUEST, proc, manager, 0, self._vc_bytes)
-                    span_send(MessageKind.LOCK_FORWARD, manager, grantor, 0, self._vc_bytes)
-                if n:
+                    tap(MessageKind.LOCK_REQUEST, proc, manager, 0, self._vc_bytes)
+                    tap(MessageKind.LOCK_FORWARD, manager, grantor, 0, self._vc_bytes)
+                if emit is not None and n:
                     emit(
                         "notices_send",
                         proc=grantor,
@@ -987,9 +993,9 @@ class LazyProtocol(Protocol):
                         bytes=n * self._notice_bytes_each,
                     )
                     emit("notices_apply", proc=proc, count=n)
-                if span_send is not None:
+                if tap is not None:
                     self._sync_hops(
-                        span_send, MessageKind.LOCK_GRANT, MessageKind.LOCK_NOTICE, grantor, proc, n
+                        tap, MessageKind.LOCK_GRANT, MessageKind.LOCK_NOTICE, grantor, proc, n
                     )
             self._t_receive(proc, record[4], record[5], _ACQUIRE_PULL_KINDS)
         if row is not None:
@@ -1010,14 +1016,14 @@ class LazyProtocol(Protocol):
     def _t_barrier(self, proc: ProcId, barrier: BarrierId) -> None:
         row = emit = None
         record = self._tape_next()
+        tap = self._tap
+        master = self.barriers.master
         if self._obs:
             row, saved = self._stage_row(self.probe._barrier_rows, "barrier", barrier)
             if self._obs_events:
                 emit = self.probe.emit
                 emit("barrier_arrive", proc=proc, barrier=barrier)
                 self._emit_tape_close(proc, record[0])
-                master = self.barriers.master
-                span_send = self._span_send
         self._t_close(proc, record[0])
         deltas = record[1]
         if deltas:
@@ -1029,20 +1035,19 @@ class LazyProtocol(Protocol):
                 row[2] += add[2]
             n = record[3]
             self.notices_sent += n
-            if emit is not None:
-                if n:
-                    emit(
-                        "notices_send",
-                        proc=proc,
-                        dest=master,
-                        count=n,
-                        bytes=n * self._notice_bytes_each,
-                    )
-                if span_send is not None:
-                    self._sync_hops(
-                        span_send, MessageKind.BARRIER_ARRIVAL, MessageKind.BARRIER_NOTICE,
-                        proc, master, n,
-                    )
+            if emit is not None and n:
+                emit(
+                    "notices_send",
+                    proc=proc,
+                    dest=master,
+                    count=n,
+                    bytes=n * self._notice_bytes_each,
+                )
+            if tap is not None:
+                self._sync_hops(
+                    tap, MessageKind.BARRIER_ARRIVAL, MessageKind.BARRIER_NOTICE,
+                    proc, master, n,
+                )
         complete = record[4]
         if complete is not None:
             cdeltas, crowadd, cnotices, per_proc = complete
@@ -1057,15 +1062,14 @@ class LazyProtocol(Protocol):
             if emit is not None:
                 emit("barrier_complete", proc=proc, barrier=barrier)
             for p, (n, grouped, vc_after) in enumerate(per_proc):
-                if emit is not None:
-                    if n:
-                        emit("notices_send", proc=master, dest=p, count=n)
-                        emit("notices_apply", proc=p, count=n)
-                    if span_send is not None:  # (the master's own exit is local)
-                        self._sync_hops(
-                            span_send, MessageKind.BARRIER_EXIT, MessageKind.BARRIER_NOTICE,
-                            master, p, n,
-                        )
+                if emit is not None and n:
+                    emit("notices_send", proc=master, dest=p, count=n)
+                    emit("notices_apply", proc=p, count=n)
+                if tap is not None:  # (the master's own exit is local)
+                    self._sync_hops(
+                        tap, MessageKind.BARRIER_EXIT, MessageKind.BARRIER_NOTICE,
+                        master, p, n,
+                    )
                 receive(p, grouped, vc_after, _BARRIER_PULL_KINDS)
             if self.config.gc_at_barriers:
                 self._collect_garbage()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Type, Union
 
 from repro.common.errors import ConfigError, SimulatorError
 from repro.common.gcpause import gc_paused
@@ -34,7 +34,7 @@ from repro.protocols.base import Protocol, certify_replay
 from repro.protocols.registry import protocol_class
 from repro.config import SimConfig
 from repro.simulator.results import SimulationResult
-from repro.trace.events import EventType
+from repro.trace.events import TYPE_CODES, EventType
 from repro.trace.precompile import (
     OP_ACQUIRE,
     OP_BARRIER,
@@ -51,6 +51,19 @@ from repro.trace.validate import validate_trace
 
 logger = logging.getLogger(__name__)
 
+_BARRIER = TYPE_CODES[EventType.BARRIER]
+
+
+def _reentered_barrier(trace: TraceStream) -> Optional[int]:
+    """A barrier some processor of ``trace`` arrives at twice, or None."""
+    arrived = set()
+    for code, proc, barrier in zip(*trace.columns()[:3]):
+        if code == _BARRIER:
+            if (proc, barrier) in arrived:
+                return barrier
+            arrived.add((proc, barrier))
+    return None
+
 
 class Engine:
     """Runs one trace through one protocol."""
@@ -65,9 +78,17 @@ class Engine:
         probe: Optional[Probe] = None,
     ):
         if trace.n_procs > config.n_procs:
-            raise ValueError(
+            raise ConfigError(
                 f"trace uses {trace.n_procs} processors but config allows "
                 f"{config.n_procs}"
+            )
+        # Wider than the trace, no barrier episode ever completes: the
+        # processors the trace lacks never arrive.
+        barrier = _reentered_barrier(trace) if trace.n_procs < config.n_procs else None
+        if barrier is not None:
+            raise ConfigError(
+                f"trace uses {trace.n_procs} processors but config simulates {config.n_procs}: "
+                f"barrier {barrier} is re-entered, and no episode completes without them all"
             )
         if compiled is not None and compiled.page_size != config.page_size:
             raise ValueError(
@@ -114,9 +135,10 @@ class Engine:
         a fold: the ledger comes from the same dispatch a counting run
         of this cell takes, and the virtual clocks from
         :meth:`NetworkTiming.fold <repro.network.timed.NetworkTiming.fold>`
-        over the cell's cached send log. Only the first timed run of a
-        cell replays per event, with a :class:`SendLog` recording — and
-        that replay supplies its ledger too, so nothing runs twice.
+        over the cell's cached send log. The first timed run of a cell
+        records that :class:`SendLog` on the way, from the loop that
+        supplies its ledger, so nothing runs twice and nothing switches
+        loops.
 
         Runs with the cyclic collector paused, restored on exit: a run
         makes no reference cycles (``tests/test_no_cyclic_garbage.py``).
@@ -132,36 +154,30 @@ class Engine:
         protocol = self.protocol
         read_values = None
         plan = log = None
-
-        def record() -> SendLog:
-            """A cold timed cell: one per-event replay with a send log
-            recording, which supplies this run's ledger too."""
-            nonlocal read_values
-            self._send_log_source = "recorded"
-            self._execution_path, self._decline_reason = certify_replay(
-                protocol, recording=True
-            )
-            log = SendLog()
-            protocol.network.attach_send_log(log)
-            try:
-                read_values = self._run_per_event(compiled, timings, log.compute)
-            finally:
-                protocol.network.attach_send_log(None)
-            timings["record_s"] = timings["simulate_s"]
-            return log
-
+        ops = compiled.ops
+        self._execution_path, self._decline_reason = certify_replay(protocol)
         if config.link_model is not None:
             plan = self._plan(compiled)
-            self._send_log_source = "reused"
             # Everything that can change send order or wire sizes is in
             # the key; the link, which only the fold reads, is not.
-            log = plan.send_log((type(protocol), config.with_options(link_model=None)), record)
-        if self._send_log_source != "recorded":
-            self._execution_path, self._decline_reason = certify_replay(protocol)
-            if self._execution_path == "tape":
-                self._run_tape(compiled, timings, plan)
+            key = (type(protocol), config.with_options(link_model=None))
+            log = plan.send_log(key)
+            if log is not None:
+                self._send_log_source = "reused"
             else:
-                read_values = self._run_per_event(compiled, timings)
+                self._send_log_source = "recorded"
+                log = SendLog(config.cost_model.header_bytes)
+                protocol.record_sends(log)
+                ops = log.track(ops, range(len(ops)))
+        if self._execution_path == "tape":
+            self._run_tape(compiled, timings, plan)
+        else:
+            read_values = self._run_per_event(ops, timings)
+        if self._send_log_source == "recorded":
+            t0 = time.perf_counter()
+            plan.keep_send_log(key, log.close(compiled.ops))
+            timings["record_s"] = elapsed = time.perf_counter() - t0
+            timings["simulate_s"] += elapsed
         if log is not None:
             self._fold(log, timings)
         return self._result(read_values, timings)
@@ -195,15 +211,10 @@ class Engine:
         timings["simulate_s"] += elapsed
 
     def _run_per_event(
-        self, compiled: CompiledTrace, timings: Dict[str, float], compute=None
+        self, ops: Iterable[tuple], timings: Dict[str, float]
     ) -> Optional[List[Tuple[int, List[int]]]]:
-        """Interpret every event; returns the read values when recorded.
-
-        ``compute``, when given, is a send log's
-        :meth:`~repro.network.timed.SendLog.compute`: each ordinary
-        access then also records its ``(proc, words)`` charge, in order
-        with the sends the access caused.
-        """
+        """Interpret every compiled op; returns the read values when
+        recorded."""
         protocol = self.protocol
         record = self.config.record_values
         read_values: Optional[List[Tuple[int, List[int]]]] = [] if record else None
@@ -217,19 +228,15 @@ class Engine:
         barrier = protocol.barrier
 
         t0 = time.perf_counter()
-        for op in compiled.ops:
+        for op in ops:
             code = op[0]
             if code == OP_WRITE:
                 write(op[1], op[2], op[3], op[4])
-                if compute is not None:
-                    compute(op[1], len(op[3]))
             elif code == OP_READ:
                 if record:
                     read_values.append((op[4], read(op[1], op[2], op[3])))
                 else:
                     read_touch(op[1], op[2])
-                if compute is not None:
-                    compute(op[1], len(op[3]))
             elif code == OP_ACQUIRE:
                 acquire(op[1], op[2])
             elif code == OP_RELEASE:
@@ -245,14 +252,10 @@ class Engine:
                 else:
                     for page, _ in op[2]:
                         read_touch(op[1], page)
-                if compute is not None:
-                    compute(op[1], sum(len(words) for _, words in op[2]))
             else:  # OP_WRITE_N
                 proc, token = op[1], op[3]
                 for page, words in op[2]:
                     write(proc, page, words, token)
-                if compute is not None:
-                    compute(proc, sum(len(words) for _, words in op[2]))
 
         self._finish(timings, t0)
         return read_values

@@ -10,7 +10,7 @@ from repro.network.stats import NetworkStats
 
 #: Manifest keys ``to_dict`` drops: wall-clock values, and whatever
 #: depends on what earlier runs in the process left in the plan cache
-#: (a cell's first timed run records per event, later ones reuse).
+#: (a cell's first timed run records its send log, later ones reuse it).
 _VOLATILE_MANIFEST_KEYS = (
     "created",
     "timings_s",

@@ -34,7 +34,8 @@ interpreter (see docs/PERFORMANCE.md).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from array import array
+from typing import Dict, List, Set, Tuple
 
 from repro.trace.precompile import (
     OP_ACQUIRE,
@@ -52,12 +53,14 @@ R_RELEASE = OP_RELEASE
 R_BARRIER = OP_BARRIER
 
 
-def segment_runs(ops: List[tuple], n_procs: int) -> List[tuple]:
+def segment_runs(ops: List[tuple], n_procs: int) -> Tuple[List[tuple], array]:
     """Segment compiled ``ops`` into the run program for ``n_procs``.
 
     One pass over the ops; ``open_pages[proc]`` holds the pages
     of ``proc``'s live spans. The program stays in strict trace order
-    with every touch at its span's first access.
+    with every touch at its span's first access. Returns the
+    instructions and, beside them, each one's position in ``ops`` — the
+    op a send log files the instruction's messages under.
 
     Barrier completions are detected by counting arrivals per barrier id
     against ``n_procs`` (mirroring :class:`~repro.sync.barrier.BarrierMaster`,
@@ -67,9 +70,11 @@ def segment_runs(ops: List[tuple], n_procs: int) -> List[tuple]:
     """
     instructions: List[tuple] = []
     append = instructions.append
+    positions = array("I")
+    at = positions.append
     open_pages: List[Set[int]] = [set() for _ in range(n_procs)]
     arrivals: Dict[int, int] = {}
-    for op in ops:
+    for pos, op in enumerate(ops):
         code = op[0]
         if code == OP_READ or code == OP_WRITE:
             proc, page = op[1], op[2]
@@ -77,6 +82,7 @@ def segment_runs(ops: List[tuple], n_procs: int) -> List[tuple]:
             if page not in opened:
                 opened.add(page)
                 append((R_TOUCH, proc, page))
+                at(pos)
         elif code == OP_READ_N or code == OP_WRITE_N:  # one span per page
             proc = op[1]
             opened = open_pages[proc]
@@ -84,9 +90,11 @@ def segment_runs(ops: List[tuple], n_procs: int) -> List[tuple]:
                 if page not in opened:
                     opened.add(page)
                     append((R_TOUCH, proc, page))
+                    at(pos)
         else:
             open_pages[op[1]].clear()
             append(op)
+            at(pos)
             if code == OP_BARRIER:
                 count = arrivals.get(op[2], 0) + 1
                 if count == n_procs:
@@ -94,4 +102,4 @@ def segment_runs(ops: List[tuple], n_procs: int) -> List[tuple]:
                     for opened in open_pages:
                         opened.clear()
                 arrivals[op[2]] = count
-    return instructions
+    return instructions, positions

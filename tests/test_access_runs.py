@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-from repro.config import SimConfig
-from repro.hb.skeleton import batch_plan
-from repro.simulator.engine import simulate
 from repro.trace.events import Event
+from repro.trace.precompile import OP_READ_N, OP_WRITE_N
 from repro.trace.runs import R_ACQUIRE, R_BARRIER, R_RELEASE, R_TOUCH, segment_runs
-from tests.conftest import build_trace, ledger_fields, small_trace
+from tests.conftest import build_trace, small_trace
 
 SYNC_KINDS = (R_ACQUIRE, R_RELEASE, R_BARRIER)
 
 
 def runs_of(trace, page_size=512, n_procs=None):
-    return segment_runs(trace.compiled(page_size).ops, n_procs or trace.n_procs)
+    return segment_runs(trace.compiled(page_size).ops, n_procs or trace.n_procs)[0]
 
 
 def touches_of(program):
@@ -56,13 +54,24 @@ class TestSegmentation:
     def test_instructions_are_value_free_and_syncs_are_the_compiled_ops(self):
         trace = small_trace("water")
         compiled = trace.compiled(1024)
-        program = segment_runs(compiled.ops, trace.n_procs)
+        program, positions = segment_runs(compiled.ops, trace.n_procs)
         assert all(type(ins) is tuple and len(ins) == 3 for ins in program)
         assert all(type(field) is int for ins in program for field in ins)
         # Sync instructions are the compiled op tuples, not copies.
         syncs = [ins for ins in program if ins[0] != R_TOUCH]
         ops = [op for op in compiled.ops if op[0] in SYNC_KINDS]
         assert len(syncs) == len(ops) and all(a is b for a, b in zip(syncs, ops))
+        # Each instruction's position is the op it stands for: a sync op
+        # itself, or the access of its processor that opens the span.
+        assert len(positions) == len(program)
+        assert list(positions) == sorted(positions)
+        for ins, pos in zip(program, positions):
+            op = compiled.ops[pos]
+            if ins[0] != R_TOUCH:
+                assert op is ins
+                continue
+            pages = [page for page, _ in op[2]] if op[0] in (OP_READ_N, OP_WRITE_N) else [op[2]]
+            assert op[1] == ins[1] and ins[2] in pages
 
     def test_sync_ops_split_runs_per_proc_only(self):
         events = [
@@ -136,18 +145,3 @@ class TestSegmentation:
         assert sum(1 for ins in program if ins[0] in SYNC_KINDS) == n_sync
         assert len(program) < len(trace.compiled(1024).ops)
 
-
-class TestNoDiskCache:
-    def test_trace_cache_env_does_not_change_the_run_program(self, tmp_path, monkeypatch):
-        config = SimConfig(n_procs=4, page_size=1024)
-
-        def lazy_cell():
-            trace = small_trace("water")
-            result = simulate(trace, "LI", config=config)
-            return ledger_fields(result), batch_plan(trace.compiled(1024), 4).runs
-
-        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
-        unset = lazy_cell()
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        assert lazy_cell() == unset
-        assert not list(tmp_path.rglob("*.runsb"))

@@ -100,11 +100,8 @@ class TestCommands:
         "network, footer",
         [
             ([], "execution path: tape"),
-            # A cold timed cell records its send log on the interpreter.
-            (
-                ["--network", "ethernet_1992"],
-                "execution path: per_event (tape declined: send_log_recording)",
-            ),
+            # A cold timed cell records its send log on the tape too.
+            (["--network", "ethernet_1992"], "execution path: tape"),
         ],
         ids=["untimed", "cold_timed"],
     )

@@ -205,11 +205,14 @@ class TestPlansAreSizedByTheConfig:
 
     @pytest.mark.parametrize("protocol", all_protocol_names())
     def test_barrier_trace_fails_alike_on_every_path(self, protocol):
-        # Four of seven processors can never complete a barrier episode.
+        # Four of seven processors can never complete a barrier episode,
+        # so the trace's second one is refused before any loop starts.
         trace = producer_consumer(n_procs=4)
         config = SimConfig(n_procs=7, page_size=1024)
         for loop in BARE_LOOPS:
-            with pytest.raises(ValueError, match="arrived twice at barrier 0"):
+            with pytest.raises(
+                ConfigError, match="trace uses 4 processors but config simulates 7"
+            ):
                 run_loop(trace, protocol, config, loop)
 
 

@@ -3,15 +3,41 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigError
 from repro.network.link import (
+    _SPEC_KEYS,
     PRESET_CONSTANTS,
     LinkModel,
     derive_network_seed,
     parse_link_spec,
 )
 from repro.obs.spans import SpanCosts
+
+#: What the ``--network`` grammar is made of — presets, keys, values,
+#: suffixes, separators — so random specs reach its deep paths, mixed
+#: with arbitrary text.
+_SPEC_FRAGMENTS = st.sampled_from(
+    ["ideal", *sorted(PRESET_CONSTANTS), *sorted(_SPEC_KEYS)]
+    + ["=", ",", " ", "%", "s", "ms", "us", "ns", "KB/s", "MB", "gb/s"]
+    + ["0", "1", "-1", "0.5", "1e-3", "1e400", "-0", "nan", "inf", "99" * 3000]
+)
+_SPEC_VALUES = st.builds(
+    "{}{}".format,
+    st.one_of(st.floats().map(repr), st.integers().map(str), st.text(max_size=3)),
+    st.sampled_from(["", "%", "s", "ms", "us", "ns", "KB/s", "MB", "gb/s"]),
+)
+SPECS = st.one_of(
+    st.text(),
+    st.lists(st.one_of(_SPEC_FRAGMENTS, st.text(max_size=3)), max_size=12).map("".join),
+    # Well-formed ``key=value`` lists, with or without a preset first.
+    st.builds(
+        lambda preset, pairs: ",".join(preset + [f"{key}={value}" for key, value in pairs]),
+        st.lists(st.sampled_from(["ideal", *sorted(PRESET_CONSTANTS)]), max_size=1),
+        st.lists(st.tuples(st.sampled_from(sorted(_SPEC_KEYS)), _SPEC_VALUES), max_size=4),
+    ),
+)
 
 
 class TestLinkModel:
@@ -130,6 +156,17 @@ class TestParseLinkSpec:
     def test_non_finite_value_rejected(self, spec):
         with pytest.raises(ConfigError, match="must be finite"):
             parse_link_spec(spec)
+
+    @settings(max_examples=400, deadline=None)
+    @given(SPECS)
+    def test_any_spec_parses_or_raises_config_error(self, spec):
+        """Whatever the user types: a link, or the one error the CLI
+        reports as a usage error — never any other exception."""
+        try:
+            link = parse_link_spec(spec)
+        except ConfigError:
+            return
+        assert isinstance(link, LinkModel)
 
 
 class TestNetworkSeed:

@@ -299,10 +299,10 @@ class TestManifest:
         assert counting.manifest["execution_path"] == "tape"
         assert "decline_reason" not in counting.manifest
         assert "send_log" not in counting.manifest
-        # Cold: one per-event replay records the log and supplies the ledger.
+        # Cold: the counting run's own path records the log on the way.
         cold = simulate(trace, "LI", config=config).manifest
-        assert (cold["execution_path"], cold["send_log"]) == ("per_event", "recorded")
-        assert cold["decline_reason"] == "send_log_recording"
+        assert (cold["execution_path"], cold["send_log"]) == ("tape", "recorded")
+        assert "decline_reason" not in cold
         assert cold["plan_cache"]["send_log_builds"] == 1
         assert cold["timings_s"].keys() >= {"record_s", "fold_s", "simulate_s"}
         # Warm: the counting run's own path, plus a fold.
@@ -334,10 +334,10 @@ class TestManifest:
                 "uncertified_class", "per_event", "override", {},
                 id="uncertified_class-per_event-override-setup6",
             ),
+            # A cold timed cell records its send log on the tape.
             pytest.param(
-                "send_log_recording", "per_event", "EI",
-                {"config": {"link_model": LinkModel.ideal()}},
-                id="send_log_recording-per_event-EI-setup7",
+                None, "tape", "EI", {"config": {"link_model": LinkModel.ideal()}},
+                id="None-tape-EI-setup7",
             ),
             # The span record stream is written by the tape kernels.
             pytest.param(None, "tape", "EU", {"probe": "span"}, id="None-tape-EU-setup8"),
@@ -426,8 +426,9 @@ class TestManifest:
         """Over everything a run can observe, ``certify_replay`` answers
         ``tape`` or ``per_event`` and nothing else, gives a reason
         exactly when it declines the tape, that reason is the first
-        applicable one in the documented order, and the four documented
-        reasons are all there are."""
+        applicable one in the documented order, and the three documented
+        reasons are all there are. (A timed run is no case of its own:
+        recording a send log observes nothing the tape cannot supply.)"""
         from itertools import product
 
         from repro.config import SimConfig
@@ -446,36 +447,31 @@ class TestManifest:
             "span": SpanProbe,
             "watcher": Watcher,
         }
-        flags = (False, True)
         reasons = set()
+        cases = 0
         for name in ("LI", "LU", "LH", "HLRC", "EI", "EU", "EW"):
             stock = protocol_class(name)
             alias = type("Alias", (stock,), {})
-            for cls, kind, values, recording in product((stock, alias), probes, flags, flags):
+            for cls, kind, values in product((stock, alias), probes, (False, True)):
                 protocol = cls(SimConfig(n_procs=2, record_values=values))
                 probe = probes[kind]()
                 if probe is not None:
                     protocol.attach_probe(probe)
                 applicable = [
-                    ("send_log_recording", recording),
                     ("record_values", values),
                     ("uncertified_class", cls is alias),
                     ("subclassed_probe", kind == "watcher"),
                 ]
                 expected = next((reason for reason, holds in applicable if holds), None)
-                path, reason = certify_replay(protocol, recording=recording)
-                case = (name, cls is alias, kind, values, recording)
+                path, reason = certify_replay(protocol)
+                case = (name, cls is alias, kind, values)
                 assert path in ("tape", "per_event"), case
                 assert (reason is None) == (path == "tape"), case
                 assert reason == expected, case
                 reasons.add(reason)
-        assert reasons == {
-            None,
-            "send_log_recording",
-            "record_values",
-            "uncertified_class",
-            "subclassed_probe",
-        }
+                cases += 1
+        assert cases == 140
+        assert reasons == {None, "record_values", "uncertified_class", "subclassed_probe"}
 
     def test_to_dict_uniform_provenance(self, app_trace):
         row = simulate(app_trace, "EI", page_size=2048).to_dict()

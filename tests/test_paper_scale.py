@@ -1,8 +1,7 @@
-"""Paper-scale end-to-end run: generate -> cache -> sweep (tier2).
+"""Paper-scale end-to-end run: generate -> ``.trcb`` -> sweep (tier2).
 
 A >=250k-event 16-processor water workload flows through the whole
-columnar pipeline — scheduler fast loop, ``.trcb`` cache under
-``.trace_cache/`` (the directory CI restores via ``actions/cache``), and
+columnar pipeline — scheduler fast loop, a ``.trcb`` save and load, and
 a protocol sweep — inside a ~1 GB RSS envelope. This is the scale the
 15 B/event columns exist for; the boxed-Event representation did not fit
 this budget.
@@ -10,18 +9,14 @@ this budget.
 
 from __future__ import annotations
 
-import os
 import resource
 import sys
-from pathlib import Path
 
 import pytest
 
+from repro.apps import generate
 from repro.simulator.sweep import run_sweep
-from repro.trace.cache import cache_path, cached_app_trace
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-CACHE_DIR = Path(os.environ.get("REPRO_TRACE_CACHE") or REPO_ROOT / ".trace_cache")
+from repro.trace import load_trace, save_trace
 
 #: water at 16 procs, scale 6.0 -> ~293k events.
 WORKLOAD = dict(n_procs=16, seed=0, scale=6.0)
@@ -37,14 +32,16 @@ def max_rss_bytes() -> int:
 
 
 @pytest.mark.tier2
-def test_quarter_million_events_end_to_end():
-    trace = cached_app_trace("water", cache_dir=CACHE_DIR, **WORKLOAD)
-    assert len(trace) >= MIN_EVENTS
-    assert cache_path("water", cache_dir=CACHE_DIR, **WORKLOAD).exists()
+def test_quarter_million_events_end_to_end(tmp_path):
+    generated = generate("water", **WORKLOAD)
+    assert len(generated) >= MIN_EVENTS
 
-    # A second call must come back from the cache file, not regenerate.
-    again = cached_app_trace("water", cache_dir=CACHE_DIR, **WORKLOAD)
-    assert [list(c) for c in again.columns()] == [list(c) for c in trace.columns()]
+    # The binary codec round-trips the columns exactly.
+    path = tmp_path / "water.trcb"
+    save_trace(generated, path)
+    trace = load_trace(path)
+    assert [list(c) for c in trace.columns()] == [list(c) for c in generated.columns()]
+    del generated
 
     sweep = run_sweep(trace, protocols=["LI", "EI"], page_sizes=[1024, 4096])
     assert set(sweep.grid) == {

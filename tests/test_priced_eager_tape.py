@@ -8,8 +8,9 @@ a message-logging probe asks for, which is told of every message — on
 the result, every counter, and the metrics probe's rows down to the order
 they were created in; that the fold really sends nothing while a watched
 run still sends everything; that no eager replay builds the run program;
-and that a warm timed cell, which now replays the priced tape before
-folding its send log, still produces the golden clocks. The random-trace
+and that a timed cell, which replays the priced tape before folding its
+send log — recording it on the way when cold — still produces the golden
+clocks. The random-trace
 property at the end runs the same comparison, oracle included, over all
 seven protocols: it is also what fuzzes the lazy family's first-touch
 run program.
@@ -25,6 +26,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.config import SimConfig
 from repro.hb.skeleton import batch_plan, plan_stats
 from repro.network.costs import CostModel
+from repro.network.link import LinkModel
 from repro.network.network import Network
 from repro.obs.probe import RecordingProbe
 from repro.obs.sinks import ColumnarSink, MemorySink
@@ -181,6 +183,8 @@ class TestNoRunProgram:
             # unpriced steps.
             ("tape", Engine(trace, config, protocol, probe=sink_probe())),
             ("tape", Engine(trace, config, protocol, probe=SpanProbe())),
+            # So does a cold timed cell's send log.
+            ("tape", Engine(trace, config.with_options(link_model=LinkModel.ideal()), protocol)),
             ("subclassed_probe", Engine(trace, config, protocol, probe=EpochWatcher())),
             (
                 "subclassed_probe",
@@ -339,8 +343,14 @@ class TestPlanCache:
         plan = batch_plan(trace.compiled(1024), trace.n_procs)
         syncs = [ins for ins in plan.runs if ins[0] >= R_ACQUIRE]
         for policy in EAGER:
-            tape_syncs = [sync for sync, _gap, _flush in plan.eager_tape(policy).steps[:-1]]
-            assert tape_syncs == syncs
+            steps = plan.eager_tape(policy).steps
+            assert [sync for sync, _gap, _flush in steps[:-1]] == syncs
+            # A miss or fault record keeps its access's position: the
+            # op's own seq, a send log's key for the messages it sends.
+            ops = plan.ops
+            for _sync, gap, _flush in steps:
+                for rec in gap:
+                    assert rec[1] is ops[rec[1]][-1] and ops[rec[1]][1] == rec[2]
             records = plan.priced_eager_tape(policy, CostModel(), True).records
             sync_records = [rec for rec in records if rec[0] != P_MISS]
             assert [rec[1] for rec in sync_records] == [ins[2] for ins in syncs]
@@ -357,10 +367,15 @@ class TestTimedWarmCell:
         counting = simulate(trace, protocol, page_size=1024)
         cold = simulate(trace, protocol, page_size=1024, link_model=link)
         warm = simulate(trace, protocol, page_size=1024, link_model=link)
-        assert cold.manifest["execution_path"] == "per_event"
+        assert (cold.manifest["execution_path"], cold.manifest["send_log"]) == (
+            "tape",
+            "recorded",
+        )
         assert (warm.manifest["execution_path"], warm.manifest["send_log"]) == (
             "tape",
             "reused",
         )
+        # The recording walked the eager steps and kept none of them.
+        assert not batch_plan(trace.compiled(1024), trace.n_procs)._eager_tapes
         assert warm.timing == cold.timing == GOLDEN[f"{protocol}/{link_name}"]
         assert ledger_fields(warm) == ledger_fields(cold) == ledger_fields(counting)

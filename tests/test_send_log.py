@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import SimConfig
-from repro.hb.skeleton import plan_stats
+from repro.hb.skeleton import batch_plan, plan_stats
 from repro.network.costs import CostModel
 from repro.network.link import LinkModel
 from repro.obs.probe import RecordingProbe
@@ -100,11 +100,11 @@ class TestColdEqualsWarm:
             manifest = result.manifest
             if isinstance(probe, SpanProbe):
                 observed += (probe.link_delays, probe.records)
-                # Hooks wrote the recording run's stream, the tape kernels
-                # every reused run's: that is what cold == warm compares.
-                assert manifest["execution_path"] == (
-                    "tape" if manifest["send_log"] == "reused" else "per_event"
-                )
+            # Recording the log switches no loop: only reading values
+            # leaves the tape, cold or warm.
+            assert manifest["execution_path"] == (
+                "per_event" if variant == "record_values" else "tape"
+            )
             return manifest["send_log"], observed
 
         first, second = small_trace("water"), small_trace("water")
@@ -119,22 +119,26 @@ class TestColdEqualsWarm:
         assert cold[0]["timing"]["completion_s"] > 0.0
 
 
+#: Every timed mechanism, drawn independently.
+LINK_MODELS = st.builds(
+    LinkModel,
+    latency_s=st.floats(0.0, 1e-2),
+    jitter_s=st.floats(0.0, 1e-2),
+    bandwidth=st.one_of(st.just(0.0), st.floats(1e3, 1e9)),
+    loss=st.floats(0.0, 0.9),
+    timeout_s=st.floats(1e-6, 1e-1),
+    max_retries=st.integers(0, 12),
+    overhead_s=st.floats(0.0, 1e-2),
+    access_s=st.floats(0.0, 1e-5),
+)
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     race_free_programs(),
     st.sampled_from(["LI", "LU", "EI", "EU"]),
     st.sampled_from([64, 1024]),
-    st.builds(
-        LinkModel,
-        latency_s=st.floats(0.0, 1e-2),
-        jitter_s=st.floats(0.0, 1e-2),
-        bandwidth=st.one_of(st.just(0.0), st.floats(1e3, 1e9)),
-        loss=st.floats(0.0, 0.9),
-        timeout_s=st.floats(1e-6, 1e-1),
-        max_retries=st.integers(0, 12),
-        overhead_s=st.floats(0.0, 1e-2),
-        access_s=st.floats(0.0, 1e-5),
-    ),
+    LINK_MODELS,
 )
 def test_cold_timing_equals_warm_timing(program, protocol, page_size, link):
     scripts, seed = program
@@ -145,6 +149,41 @@ def test_cold_timing_equals_warm_timing(program, protocol, page_size, link):
     assert (cold.manifest["send_log"], warm.manifest["send_log"]) == ("recorded", "reused")
     assert cold.timing == warm.timing
     assert body(cold) == body(warm)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    race_free_programs(),
+    st.sampled_from(ALL),
+    st.sampled_from([64, 1024]),
+    LINK_MODELS,
+    st.integers(0, 2),
+)
+def test_tape_recorded_log_equals_the_interpreters(program, protocol, page_size, link, extra):
+    """The tape records a cold cell's send log; a run that reads values
+    records its own, on the interpreter, every message at the op that
+    sent it. The two logs agree record for record — compute charges
+    included, merged in by op position — and so do their clocks, bit for
+    bit. ``extra`` > 0 simulates more processors than the program has,
+    which a barrier it re-enters would refuse: the program drops them."""
+    scripts, seed = program
+    if extra:
+        scripts = {
+            proc: [op for op in script if op[0] != "barrier"] for proc, script in scripts.items()
+        }
+    trace = interleave(scripts, seed)
+    config = SimConfig(n_procs=N_PROCS + extra, page_size=page_size, link_model=link)
+    tape = simulate(trace, protocol, config=config)
+    interpreted = simulate(trace, protocol, config=config.with_options(record_values=True))
+    assert (tape.manifest["execution_path"], tape.manifest["send_log"]) == ("tape", "recorded")
+    assert (interpreted.manifest["execution_path"], interpreted.manifest["send_log"]) == (
+        "per_event",
+        "recorded",
+    )
+    logs = batch_plan(trace.compiled(page_size), config.n_procs)._send_logs.values()
+    tape_log, interpreted_log = [(log.src, log.dst, log.amount) for log in logs]
+    assert tape_log == interpreted_log
+    assert tape.timing == interpreted.timing
 
 
 class TestCacheKey:

@@ -86,8 +86,25 @@ class TestSplitAccess:
 class TestEngine:
     def test_trace_procs_must_fit(self):
         trace = lock_chain_trace(n_procs=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="trace uses 4 processors but config allows 2"):
             Engine(trace, SimConfig(n_procs=2, page_size=512), "LI")
+
+    @pytest.mark.parametrize("protocol", ["LI", "EU"])
+    def test_extra_procs_never_complete_a_reentered_barrier(self, protocol):
+        # Two barrier episodes of a 4-processor trace under 5 simulated
+        # processors: the first never completes, so p3's second arrival
+        # used to die inside BarrierMaster ("p3 arrived twice at barrier 0").
+        events = [Event.at_barrier(p, 0) for p in range(4)] * 2
+        trace = build_trace(4, events)
+        with pytest.raises(
+            ConfigError,
+            match="trace uses 4 processors but config simulates 5: barrier 0 is re-entered",
+        ):
+            Engine(trace, SimConfig(n_procs=5, page_size=512), protocol)
+        # One episode per barrier id never needs the missing processor to
+        # arrive: such a trace still replays (the episode stays open).
+        once = build_trace(4, events[:4])
+        assert Engine(once, SimConfig(n_procs=5, page_size=512), protocol).run().messages >= 0
 
     def test_simulate_with_overrides(self):
         trace = lock_chain_trace()

@@ -75,10 +75,9 @@ class TestIdealEquivalence:
 
     @pytest.mark.parametrize("protocol", ["LI", "LU"])
     def test_batched_config_still_timed_and_identical(self, water_trace, protocol):
-        # A config that takes the tape fast path in counting mode is
-        # recorded per message the first time a link is set, and takes
-        # the tape path again once the cell's send log is cached — with
-        # the same ledger and the same clocks either way.
+        # A config that takes the tape fast path in counting mode takes
+        # it timed too, whether the run records the cell's send log or
+        # reuses it — with the same ledger and the same clocks either way.
         config = SimConfig(n_procs=water_trace.n_procs, page_size=1024)
         counting = Engine(water_trace, config, protocol).run()
         timed_config = config.with_options(link_model=LOSSY)
@@ -86,19 +85,8 @@ class TestIdealEquivalence:
         warm = Engine(water_trace, timed_config, protocol).run()
         assert ledger(cold) == ledger(warm) == ledger(counting)
         assert cold.timing is not None and cold.timing == warm.timing
-        assert warm.manifest["execution_path"] == counting.manifest["execution_path"]
-
-    def test_apply_tape_refused_when_timing_attached(self, water_trace):
-        # Merged accounting has no send order to record.
-        engine = Engine(
-            water_trace, SimConfig(n_procs=water_trace.n_procs, page_size=1024), "LI"
-        )
-        network = engine.protocol.network
-        network.attach_send_log(SendLog())
-        with pytest.raises(RuntimeError, match="counting-mode fast path"):
-            network.apply_tape([(0, 1, 0, 0)])
-        network.attach_send_log(None)
-        network.apply_tape([(0, 1, 0, 0)])
+        for timed in (cold, warm):
+            assert timed.manifest["execution_path"] == counting.manifest["execution_path"]
 
 
 class TestLossyInvariance:
