@@ -61,21 +61,22 @@ messages is interpreted): :func:`build_priced_eager_tape` resolves them
 into one merged ledger record per synchronization operation and
 inter-sync gap (:class:`PricedEagerTape`), which
 :class:`repro.protocols.eager_base.EagerTapeMixin` folds, and they are
-dropped. Only a sink or a span probe, which name each miss and flush,
-has the steps kept as an :class:`EagerTape` (a send log walks them once).
+dropped. A run that writes what the steps name — a cell's first
+observed run its record stream, a cold timed cell its send log — walks
+them once more beside the fold and keeps none of them either.
 
 :func:`batch_plan` memoizes one :class:`BatchPlan` (skeleton + run
-program + eager tapes, raw and priced + lazy tapes + shared fetch
-planners, each built lazily on first use, plus the send logs timed runs
-record) per n_procs on the compiled trace itself, so every protocol
-replay of a sweep reuses it.
+program + priced eager tapes + lazy tapes + shared fetch planners, each
+built lazily on first use, plus the send logs timed runs and the record
+streams observed runs record) per n_procs on the compiled trace itself,
+so every protocol replay of a sweep reuses it.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter, defaultdict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.common.types import BarrierId, ProcId
 from repro.common.vector_clock import VectorClock
@@ -100,6 +101,9 @@ from repro.trace.precompile import (
 )
 from repro.trace.runs import segment_runs
 
+if TYPE_CHECKING:
+    from repro.obs.spans import SpanRecords
+
 K_ACQUIRE = 0
 K_RELEASE = 1
 K_BARRIER = 2
@@ -112,12 +116,12 @@ PLAN_STATS: Dict[str, int] = {
     "plan_hits": 0,
     "lazy_tape_builds": 0,
     "lazy_tape_hits": 0,
-    "eager_tape_builds": 0,
-    "eager_tape_hits": 0,
     "priced_tape_builds": 0,
     "priced_tape_hits": 0,
     "send_log_builds": 0,
     "send_log_hits": 0,
+    "obs_stream_builds": 0,
+    "obs_stream_hits": 0,
 }
 
 
@@ -125,7 +129,7 @@ def plan_stats() -> Dict[str, int]:
     """A snapshot copy of the cumulative plan/tape cache counters."""
     return dict(PLAN_STATS)
 
-#: Record type codes in an eager tape's access list.
+#: Record type codes in an eager step's gap.
 E_MISS = 0
 E_WFAULT = 1
 
@@ -144,43 +148,6 @@ class Skeleton:
         return f"Skeleton(n_procs={self.n_procs}, {len(self.records)} sync records)"
 
 
-class EagerTape:
-    """The :func:`eager_steps` walk of one eager policy, kept.
-
-    Ordered by synchronization operations (the module docstring says
-    why that is enough). ``steps`` holds one entry per special access of
-    the trace, in trace order, and a last one for the gap after them::
-
-        (sync, gap, flush)
-            sync:  the compiled op itself, (OP_ACQUIRE | OP_RELEASE |
-                   OP_BARRIER, proc, lock or barrier id) — the tuple
-                   ``compiled.ops`` already holds, not a copy; None on
-                   the last step
-            gap:   the miss / write-fault records of every processor
-                   since the previous sync, in global order
-            flush: the release's or barrier arrival's flush outcome;
-                   None when nothing was dirty, on acquires and on EW
-
-    Record shapes (``at``: the missing or faulting access's seq)::
-
-        (E_MISS, at, proc, page, cold, server, forward_or_None)
-        (E_WFAULT, at, proc, page, miss_or_None, holders, ping)
-            miss: (cold, server, forward_or_None) for the nested fetch
-        flush: (count, excess, pushes)
-            excess: ((page, owner, n_runs, n_words, dests), ...)
-            pushes: ((dest, n_diffs, total_runs, total_words), ...)
-    """
-
-    __slots__ = ("policy", "steps")
-
-    def __init__(self, policy: str, steps: List[tuple]):
-        self.policy = policy
-        self.steps = steps
-
-    def __repr__(self) -> str:
-        return f"EagerTape({self.policy}, {len(self.steps) - 1} sync steps)"
-
-
 #: ``cause`` codes of a priced record: which staged probe row it charges.
 P_MISS = 0
 P_LOCK = 1
@@ -188,7 +155,7 @@ P_BARRIER = 2
 
 
 class PricedEagerTape:
-    """An :class:`EagerTape` resolved into ledger records at one cost key.
+    """An :func:`eager_steps` walk resolved into ledger records at one cost key.
 
     Nothing about an eager run depends on the run itself — the tape
     fixes every message, the key ``(cost model, free_local_lock_
@@ -239,9 +206,7 @@ def build_priced_eager_tape(
     """Price a ``policy`` step stream against one cost key, one record
     per sync and gap.
 
-    ``steps`` is what :func:`eager_steps` yields — fresh from the walk
-    when nothing keeps the unpriced tape, or read back from an
-    :class:`EagerTape` an observer had built — and is walked once.
+    ``steps`` is what :func:`eager_steps` yields, and is walked once.
     Charges exactly what the per-event hooks send: each step's gap, then
     its synchronization operation with its flush outcome; the lock hops
     come from a :class:`LockDirectory` walked along — which also rejects
@@ -585,11 +550,16 @@ class BatchPlan:
     are kept per cost key. The fetch
     planners (one per (cost model, pruning flag) actually used) are
     memo caches over the immutable store, so sharing them across
-    protocol instances only widens the memo hit rate. Send logs (the
-    link-independent input of a timed run's clock fold, see
-    :mod:`repro.network.timed`) are recorded by a cell's first timed
-    run, one per (protocol class, config without its link), and kept
-    here so every other link over that cell only folds.
+    protocol instances only widens the memo hit rate. Two records of a
+    cell are kept per (protocol class, config without its link) — the
+    key of everything that can change send order, wire sizes or an
+    event: the send log (the link-independent input of a timed run's
+    clock fold, see :mod:`repro.network.timed`), recorded by the cell's
+    first timed run so every other link over it only folds; and the
+    record stream (:class:`~repro.obs.spans.SpanRecords`: every event,
+    window, message and epoch mark a stock observer receives), recorded
+    by the cell's first run under a sink or a span probe so every later
+    one only reads it.
     """
 
     __slots__ = (
@@ -599,10 +569,10 @@ class BatchPlan:
         "_runs",
         "_skeleton",
         "_planners",
-        "_eager_tapes",
         "_priced_tapes",
         "_lazy_tapes",
         "_send_logs",
+        "_obs_streams",
         "_compute_profile",
     )
 
@@ -616,10 +586,10 @@ class BatchPlan:
         self._runs: Optional[Tuple[List[tuple], array]] = None
         self._skeleton: Optional[Skeleton] = None
         self._planners: Dict[Tuple[CostModel, bool], FetchPlanner] = {}
-        self._eager_tapes: Dict[str, EagerTape] = {}
         self._priced_tapes: Dict[Tuple[str, CostModel, bool], PricedEagerTape] = {}
         self._lazy_tapes: Dict[Tuple[CostModel, bool, bool], LazyTape] = {}
         self._send_logs: Dict[tuple, SendLog] = {}
+        self._obs_streams: Dict[tuple, "SpanRecords"] = {}
         #: Kept by :func:`sync_compute_profile`, not a tape: no stats.
         self._compute_profile: Optional[List[List[int]]] = None
 
@@ -660,27 +630,17 @@ class BatchPlan:
             PLAN_STATS[f"{kind}_{outcome}"] += 1
         return value
 
-    def eager_tape(self, policy: str) -> EagerTape:
-        """The (memoized) unpriced tape of ``policy``: what a sink or a
-        span probe walks beside the priced fold. A run nothing observes
-        never builds one."""
-        return self._memo(
-            self._eager_tapes,
-            policy,
-            lambda: EagerTape(policy, list(eager_steps(self.ops, self.n_procs, policy))),
-            "eager_tape",
-        )
-
     def eager_steps(self, policy: str) -> List[tuple]:
-        """``policy``'s walk, unkept: the unpriced tape's steps when an
-        observer built one (an ``eager_tape`` hit), else a fresh walk."""
-        tape = self._eager_tapes.get(policy)
-        if tape is None:
-            # Drained first, dropped after: pricing the generator step
-            # by step measured 5-15 % slower (docs/PERFORMANCE.md).
-            return list(eager_steps(self.ops, self.n_procs, policy))
-        PLAN_STATS["eager_tape_hits"] += 1
-        return tape.steps
+        """``policy``'s walk, fresh and unkept. Drained first, dropped
+        after: pricing the generator step by step measured 5-15 %
+        slower (docs/PERFORMANCE.md)."""
+        return list(eager_steps(self.ops, self.n_procs, policy))
+
+    def eager_tape(self, policy: str) -> PricedEagerTape:
+        """``policy``'s priced tape at the default cost key — what a
+        default config's run folds, built ahead of it. (The benchmark's
+        set-up step calls it by this name.)"""
+        return self.priced_eager_tape(policy, CostModel(), True)
 
     def priced_eager_tape(
         self, policy: str, cost_model: CostModel, free_reacquire: bool, steps=None
@@ -688,9 +648,8 @@ class BatchPlan:
         """The (memoized) priced tape of ``policy`` for one cost key.
 
         Counted under its own ``priced_tape_*`` stats. A build prices
-        ``steps``, the walk a caller already holds, or else
-        :meth:`eager_steps`, and keeps no unpriced tape. A hit here
-        looks nothing else up.
+        ``steps``, the walk a caller already holds, or else a fresh
+        :meth:`eager_steps`, and keeps neither.
         """
 
         def build() -> PricedEagerTape:
@@ -736,6 +695,18 @@ class BatchPlan:
     def keep_send_log(self, key: tuple, log: SendLog) -> None:
         PLAN_STATS["send_log_builds"] += 1
         self._send_logs[key] = log
+
+    def obs_stream(self, key: tuple) -> Optional["SpanRecords"]:
+        """The record stream kept for ``key`` (the send log's key), or
+        None (the run records one)."""
+        stream = self._obs_streams.get(key)
+        if stream is not None:
+            PLAN_STATS["obs_stream_hits"] += 1
+        return stream
+
+    def keep_obs_stream(self, key: tuple, stream: "SpanRecords") -> None:
+        PLAN_STATS["obs_stream_builds"] += 1
+        self._obs_streams[key] = stream
 
     def planner_for(self, cost_model: CostModel, prune_overwritten: bool) -> FetchPlanner:
         return self._memo(
@@ -904,11 +875,30 @@ def eager_steps(ops: List[tuple], n_procs: int, policy: str):
     miss. One walk over the compiled ops drives the policy's ``read`` /
     ``write`` / ``flush`` closures; whatever they record between two
     synchronization operations is that gap, closed by the operation.
-    Yields ``(op, gap, flush)`` per special access — :class:`EagerTape`
-    documents the shapes — then ``(None, tail, None)`` for the gap after
-    the last one. :func:`build_priced_eager_tape` consumes the stream;
-    an :class:`EagerTape` keeps it, for observers only. A record keeps
-    its access op's seq, which is the op's position in ``ops``.
+    Yields one step per special access of the trace, in trace order,
+    then ``(None, tail, None)`` for the gap after the last one::
+
+        (sync, gap, flush)
+            sync:  the compiled op itself, (OP_ACQUIRE | OP_RELEASE |
+                   OP_BARRIER, proc, lock or barrier id) — the tuple
+                   ``ops`` already holds, not a copy
+            gap:   the miss / write-fault records of every processor
+                   since the previous sync, in global order
+            flush: the release's or barrier arrival's flush outcome;
+                   None when nothing was dirty, on acquires and on EW
+
+    Record shapes (``at``: the missing or faulting access's seq, which
+    is the op's position in ``ops``)::
+
+        (E_MISS, at, proc, page, cold, server, forward_or_None)
+        (E_WFAULT, at, proc, page, miss_or_None, holders, ping)
+            miss: (cold, server, forward_or_None) for the nested fetch
+        flush: (count, excess, pushes)
+            excess: ((page, owner, n_runs, n_words, dests), ...)
+            pushes: ((dest, n_diffs, total_runs, total_words), ...)
+
+    :func:`build_priced_eager_tape` consumes the stream; a run writing a
+    record stream or a send log walks it beside the fold. Nothing keeps it.
     """
     gap: List[tuple] = []
     if policy == "EW":

@@ -37,10 +37,11 @@ class Network:
         #: attribute load + identity check per message.
         self._probe = None
         self._probe_stages = False
-        #: Send-order recorder (see :class:`repro.network.timed.SendLog`),
-        #: after the ledger update; None except in a timed cell's
-        #: recording run — same one-check-per-send discipline as the probe.
-        self._send_log = None
+        #: Handed every charged message after the ledger update, with
+        #: :meth:`send`'s signature (``Protocol._tap``: a timed cell's
+        #: send log and/or a tape run's record stream); None otherwise —
+        #: same one-check-per-send discipline as the probe.
+        self._tap = None
         # Cost-model policy flags, hoisted: send() runs once per message
         # of every interpreted cell and the model is immutable.
         self._count_header = self.cost_model.count_header_in_data
@@ -56,23 +57,25 @@ class Network:
             for kind in MessageKind
         ]
 
-    def attach_probe(self, probe) -> None:
+    def attach_probe(self, probe, stages: Optional[bool] = None) -> None:
         """Mirror every counted send into ``probe.on_message``.
 
         Only recording probes are kept — attaching the null probe (or
         None) leaves :meth:`send` untouched. A stock
-        staging probe (:func:`~repro.obs.probe.is_stock_staging`) has
-        its staged segment row updated inline by :meth:`send` — three
-        list adds instead of a Python method call per message.
+        staging probe (:func:`~repro.obs.probe.is_stock_staging`), or
+        any probe when ``stages`` says so (a tape run, where every hook
+        is bypassed), has its staged segment row updated inline by
+        :meth:`send` — three list adds instead of a Python method call
+        per message.
         """
         from repro.obs.probe import is_stock_staging
 
         self._probe = probe if probe is not None and probe.enabled else None
-        self._probe_stages = is_stock_staging(probe)
+        self._probe_stages = is_stock_staging(probe) if stages is None else stages
 
-    def record_sends(self, log) -> None:
-        """Also hand every :meth:`send` to ``log`` (a ``SendLog``)."""
-        self._send_log = log
+    def record_sends(self, tap) -> None:
+        """Also hand every :meth:`send` to ``tap`` (None: to nothing)."""
+        self._tap = tap
 
     # -- sending ---------------------------------------------------------------
 
@@ -86,9 +89,9 @@ class Network:
         :class:`~repro.hb.skeleton.PricedEagerTape`). Callers certify
         what :meth:`send` would have done per message (endpoints in
         range, locals excluded, the ack policy applied); probe staging
-        and a send log's records, when either is attached, are the
+        and the tap's records, when either is attached, are the
         caller's responsibility — the tape carries matching row totals,
-        and the kernels expand the messages for the log
+        and the kernels expand the messages for the tap
         (``Protocol._tap``).
         """
         buckets = self._buckets
@@ -143,9 +146,9 @@ class Network:
                 row[2] += control_bytes
             else:
                 probe.on_message(kind, src, dst, data, control_bytes, counted)
-        recorder = self._send_log
-        if recorder is not None:
-            recorder.send(kind, src, dst, payload_bytes, control_bytes)
+        tap = self._tap
+        if tap is not None:
+            tap(kind, src, dst, payload_bytes, control_bytes)
 
     def _check_proc(self, proc: ProcId) -> None:
         if not 0 <= proc < self.n_procs:

@@ -12,7 +12,8 @@ observable in our runs:
   do-nothing recorder; the hot paths guard every emission behind a
   cached boolean, so a run without telemetry pays nothing but the
   guard (measured <3% when the layer went in).
-- :mod:`~repro.obs.sinks` — pluggable event sinks: in-memory, JSONL,
+- :mod:`~repro.obs.sinks` — the event schema (``EVENT_SCHEMA``, one
+  row per event shape) and pluggable event sinks: in-memory, JSONL,
   and columnar typed-array storage.
 - :mod:`~repro.obs.metrics` — :class:`MetricsRegistry`: cheap counters
   and histograms plus the per-barrier-epoch and per-lock message/byte
@@ -21,7 +22,8 @@ observable in our runs:
   trace digest, phase timings, plan-cache activity) attached to every
   result.
 - :mod:`~repro.obs.spans` — causal span timelines: a
-  :class:`SpanProbe` records the raw probe call stream and a post-hoc
+  :class:`SpanProbe` reads the run's record stream (kept per cell on
+  the tape, written by its hooks on the interpreter) and a post-hoc
   builder reconstructs per-processor weighted spans linked by
   happens-before flow edges, exportable as Perfetto-loadable Chrome
   trace-event JSON and analyzable by

@@ -85,6 +85,7 @@ def build_manifest(
     execution_path: Optional[str] = None,
     send_log: Optional[str] = None,
     decline_reason: Optional[str] = None,
+    obs_stream: Optional[str] = None,
 ) -> Dict[str, object]:
     """Assemble the provenance record for one simulation of ``trace``.
 
@@ -92,7 +93,9 @@ def build_manifest(
     ``compile_s`` when the engine compiled the trace itself; timed runs
     split ``simulate_s`` into the ledger replay, ``record_s`` (merging
     the compute column into a send log the run recorded) and
-    ``fold_s``; callers may add
+    ``fold_s``; a tape run under a sink or a span probe adds
+    ``observe_s``, keeping the cell's record stream and handing it to
+    the probe; callers may add
     ``generate_s``). ``plan_cache`` is this run's delta of the
     batch-plan/tape cache counters (``repro.hb.skeleton.PLAN_STATS``) —
     whether the sync skeleton and cost-resolved tapes were rebuilt or
@@ -105,8 +108,10 @@ def build_manifest(
     that produced the ledger (``tape``, ``per_event`` or
     ``reference``), ``decline_reason`` why it was not the tape replay
     (see :func:`repro.protocols.base.certify_replay`; absent on a tape
-    run), and ``send_log`` whether a timed run ``recorded`` its send log or
-    ``reused`` a cached one — either way on the counting run's path.
+    run), ``send_log`` whether a timed run ``recorded`` its send log or
+    ``reused`` a cached one — either way on the counting run's path — and
+    ``obs_stream`` the same of a tape run's record stream, the one a sink
+    or a span probe reads (absent when nothing observed one).
     """
     params = trace.meta.params
     seed = params.get("seed")
@@ -132,6 +137,8 @@ def build_manifest(
         manifest["decline_reason"] = decline_reason
     if send_log:
         manifest["send_log"] = send_log
+    if obs_stream:
+        manifest["obs_stream"] = obs_stream
     return manifest
 
 

@@ -10,16 +10,18 @@ into :meth:`repro.network.network.Network.send`. Two implementations:
   ``self._obs`` and guard every emission site behind it, so the
   telemetry layer costs a disabled run one boolean check on the (rare)
   miss/sync paths and nothing at all on hits.
-- :class:`RecordingProbe` stages each event as a row ``kind, proc,
-  fields_or_None`` — the *barrier epoch* is constant between
+- :class:`RecordingProbe` stages each event as a row — its shape code
+  (:data:`~repro.obs.sinks.EVENT_SCHEMA`), processor and field slots,
+  positionally; the *barrier epoch* is constant between
   ``advance_epoch`` calls and the sequence number is the row's position
   — and stages the message hook's accounting per cause. Both drain
   together: at every epoch boundary, whenever the
   :class:`~repro.obs.metrics.MetricsRegistry` is read (``Engine.run()``
   does, so ``sink.events`` is complete when ``simulate()`` returns) and
   on ``close()`` (so a run that raises still leaves a parseable file).
-  Event dicts exist only for sinks that take them, built at drain time
-  (:func:`repro.obs.sinks.event_dict`).
+  A tape run stages no event at all: the engine hands the probe its
+  cell's kept record stream instead (:meth:`RecordingProbe.replay_stream`),
+  in the same per-epoch batches.
 
 Attribution model: the probe tracks the synchronization operation in
 progress (``begin``/``end`` around acquire/release/barrier) so every
@@ -31,49 +33,33 @@ exits, notice pulls) belong to the epoch they close. Summing any
 per-epoch column therefore reproduces the run's aggregate exactly —
 pinned by ``tests/test_obs.py``.
 
-Event schema (every event is a flat dict of str -> int/str):
-
-==================  ======================================================
-key                 meaning
-==================  ======================================================
-``seq``             emission order, 0-based
-``kind``            event kind (see ``EVENT_KINDS``)
-``epoch``           completed-barrier-episode count at emission
-``proc``            acting processor (-1 if not applicable)
-*kind-specific*     e.g. ``page``, ``lock``, ``barrier``, ``server``,
-                    ``interval``, ``count``, ``bytes``, ``cold``
-==================  ======================================================
+Event schema: every event is a flat dict of str -> int — ``seq``
+(emission order, 0-based), ``kind``, ``epoch`` (completed-barrier-episode
+count at emission), ``proc`` (acting processor, -1 if not applicable),
+then its shape's fields in :data:`~repro.obs.sinks.EVENT_SCHEMA` order.
 """
 
 from __future__ import annotations
 
 import logging
+from array import array
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.sinks import event_dict
+from repro.obs.sinks import (
+    EVENT_SCHEMA,
+    FIELD_PADDING,
+    FIELD_WIDTH,
+    SHAPE_CODES,
+    feed,
+    int_column,
+)
 
 logger = logging.getLogger(__name__)
 
-#: The event kinds protocols emit (documented in docs/OBSERVABILITY.md).
-EVENT_KINDS = (
-    "acquire",            # lock acquire transition
-    "release",            # lock release transition
-    "barrier_arrive",     # barrier arrival transition
-    "barrier_complete",   # last arrival: the episode closes
-    "interval_close",     # a lazy interval closed (with diff totals)
-    "diff_create",        # one diff finalized at interval close
-    "diff_fetch",         # one request/reply pair to a diff server
-    "diff_apply",         # pending diffs applied to a page
-    "notices_send",       # a write-notice batch left a processor
-    "notices_apply",      # a write-notice batch was recorded
-    "page_fault",         # access miss (cold or invalid)
-    "page_fetch",         # full-page PAGE_REQUEST/REPLY round trip
-    "flush",              # eager release-time flush
-    "update_push",        # EU diff push to one destination
-    "home_flush",         # HLRC diff push to a page's home
-    "gc_sweep",           # lazy diff garbage collection pass
-    "write_fault",        # EW exclusive-ownership write fault
-)
+#: The event kinds protocols emit, in schema order (docs/OBSERVABILITY.md).
+EVENT_KINDS = tuple(dict.fromkeys(kind for kind, _fields in EVENT_SCHEMA))
+#: Slots per staged event row: shape code, processor, field slots.
+_ROW = 2 + FIELD_WIDTH
 
 #: Default attribution when no synchronization operation is in progress.
 MISS_CAUSE: Tuple[str, int] = ("miss", -1)
@@ -163,10 +149,9 @@ class RecordingProbe(Probe):
 
         self.sinks: List[Any] = list(sinks) if sinks else []
         #: Event rows staged since the last drain, in emission order:
-        #: three slots per row (kind, proc, fields or None) of one flat
-        #: list. Not a tuple per row — one holding a dict stays tracked
-        #: by the cyclic collector, and a run's worth of those brings on
-        #: full collections over the whole plan heap.
+        #: ``_ROW`` slots per row (shape code, proc, field slots) of one
+        #: flat list. Not a tuple per row: a run's worth of containers
+        #: brings on full collections over the whole plan heap.
         self._rows: List[Any] = []
         #: Event emission is only worth the call-site work with sinks
         #: attached; metrics-only probes leave this False (captured at
@@ -206,7 +191,8 @@ class RecordingProbe(Probe):
         # subclass hooks) and stages nothing.
         self._seq += 1
         if self.sinks:
-            self._rows += (kind, proc, fields or None)
+            self._rows += (SHAPE_CODES[kind, len(fields)], proc, *fields.values())
+            self._rows += FIELD_PADDING[len(fields)]
 
     # -- attribution context -------------------------------------------------
 
@@ -231,8 +217,12 @@ class RecordingProbe(Probe):
             self._seg_row = row
 
     def advance_epoch(self) -> None:
-        # Drain before the bump: the completing episode's staged traffic
-        # and events belong to the epoch it closes.
+        self._next_epoch()
+
+    def _next_epoch(self) -> None:
+        """The stock epoch bump, which the tape kernels call in place of
+        the hook. Drain before the bump: the completing episode's staged
+        traffic and events belong to the epoch it closes."""
         self._drain()
         self._epoch += 1
 
@@ -282,21 +272,27 @@ class RecordingProbe(Probe):
         rows = self._rows
         if not rows:
             return
-        kinds, procs, fields = rows[0::3], rows[1::3], rows[2::3]
+        kinds, procs = array("B", rows[0::_ROW]), array("h", rows[1::_ROW])
+        del rows[0::_ROW]  # what is left is (proc, field slots) per row...
+        del rows[0 :: _ROW - 1]  # ...and then the field slots alone
+        feed(self.sinks, kinds, procs, int_column(rows), epoch, self._seq - len(kinds))
         del rows[:]
-        events = None
-        for sink in self.sinks:
-            record_rows = getattr(sink, "record_rows", None)
-            if record_rows is not None:
-                record_rows(kinds, procs, fields, epoch)
-                continue
-            if events is None:
-                seqs = range(self._seq - len(kinds), self._seq)
-                events = [
-                    event_dict(*row, epoch) for row in zip(seqs, kinds, procs, fields)
-                ]
-            for event in events:
-                sink.record(event)
+
+    def replay_stream(self, records) -> None:
+        """Receive the events of a tape run that staged none: its cell's
+        kept record stream (:class:`~repro.obs.spans.SpanRecords`) goes
+        to the sinks in the per-epoch batches a drain would have made,
+        numbered from here on. The run has already advanced the epoch
+        past the stream's epoch marks."""
+        ends = [*records.epoch_ends, len(records.ev_kinds)]
+        epoch = self._epoch - len(ends) + 1
+        lo = 0
+        for hi in ends:
+            if hi > lo and self.sinks:
+                feed(self.sinks, *records.events(lo, hi), epoch, self._seq + lo)
+            lo = hi
+            epoch += 1
+        self._seq += lo
 
     # -- lifecycle -----------------------------------------------------------
 

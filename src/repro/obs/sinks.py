@@ -1,21 +1,25 @@
-"""Event sinks: where a RecordingProbe's structured events land.
+"""The event schema, and the sinks a run's structured events land in.
 
-A :class:`~repro.obs.probe.RecordingProbe` stages each event as a row
-``kind, proc, fields_or_None`` and drains the staged rows at every
-epoch boundary, whenever its metrics registry is read (``Engine.run()``
-does, to build its result) and on ``close()``. A sink takes a drained
-batch in one of two forms:
+Every event is a *shape* of :data:`EVENT_SCHEMA` — a kind plus its field
+names in emission order — so an event is stored positionally: a shape
+code, the acting processor and ``FIELD_WIDTH`` integer slots (the
+shape's fields, zero past its arity). Events reach sinks in per-epoch
+batches (a stock :class:`~repro.obs.probe.RecordingProbe` drains at
+every epoch boundary, whenever its metrics registry is read and on
+``close()``; a tape run hands a cell's kept record stream over the same
+way). A sink takes a batch in one of two forms:
 
-- ``record_rows(kinds, procs, fields, epoch)`` — the rows themselves,
-  as three parallel lists; the epoch is constant over a batch and
-  ``seq`` is the row's position in the run. :class:`ColumnarSink`
-  extends its typed columns from them directly.
-- ``record(event)`` — one flat dict per event (the schema in
-  :mod:`repro.obs.probe`), built by :func:`event_dict`, the one place
-  an event dict is made. :class:`MemorySink` (tests, the in-process
-  report renderer), :class:`JsonlSink` (``lrc-sim run --trace-out``;
-  :func:`read_jsonl` loads it back losslessly) and any user sink with
-  only this method get exactly these.
+- ``record_rows(kinds, procs, fields, epoch)`` — the columns
+  themselves: shape codes, processors and the flat ``FIELD_WIDTH``-wide
+  field slots, typed arrays; the epoch is constant over a batch and
+  ``seq`` is the row's position in the run. :class:`ColumnarSink` keeps
+  them as they come.
+- ``record(event)`` — one flat dict per event, built by
+  :func:`event_dict`, the one place an event dict is made.
+  :class:`MemorySink` (tests, the in-process report renderer),
+  :class:`JsonlSink` (``lrc-sim run --trace-out``; :func:`read_jsonl`
+  loads it back losslessly) and any user sink with only this method get
+  exactly these.
 """
 
 from __future__ import annotations
@@ -23,21 +27,83 @@ from __future__ import annotations
 import json
 import logging
 from array import array
+from collections import Counter
 from pathlib import Path
-from typing import IO, Any, Dict, Iterator, List, Optional, Union
+from typing import IO, Any, Dict, Iterator, List, Sequence, Tuple, Union
 
 logger = logging.getLogger(__name__)
 
+#: Every event shape, by code: ``(kind, field names in emission order)``.
+#: ``notices_send`` has two: a barrier exit's batch carries no ``bytes``,
+#: and an absent field is not a zero. docs/OBSERVABILITY.md's "Event
+#: schema" table is this table (a test checks).
+EVENT_SCHEMA: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
+    ("acquire", ("lock",)),
+    ("release", ("lock",)),
+    ("barrier_arrive", ("barrier",)),
+    ("barrier_complete", ("barrier",)),
+    ("interval_close", ("interval", "pages", "bytes")),
+    ("diff_create", ("interval", "page", "bytes")),
+    ("diff_fetch", ("server", "count", "bytes")),
+    ("diff_apply", ("page", "count")),
+    ("notices_send", ("dest", "count", "bytes")),
+    ("notices_send", ("dest", "count")),
+    ("notices_apply", ("count",)),
+    ("page_fault", ("page", "cold")),
+    ("page_fetch", ("page", "server", "bytes")),
+    ("flush", ("count",)),
+    ("update_push", ("dest", "count", "bytes")),
+    ("home_flush", ("server", "count", "bytes")),
+    ("gc_sweep", ("bytes", "retained")),
+    ("write_fault", ("page",)),
+)
+#: Field slots per event: the widest shape's.
+FIELD_WIDTH = max(len(names) for _kind, names in EVENT_SCHEMA)
+#: ``(kind, number of fields)`` -> shape code.
+SHAPE_CODES: Dict[Tuple[str, int], int] = {
+    (kind, len(names)): code for code, (kind, names) in enumerate(EVENT_SCHEMA)
+}
+#: Zeros that pad a shape of ``n`` fields to ``FIELD_WIDTH`` slots.
+FIELD_PADDING = tuple((0,) * (FIELD_WIDTH - n) for n in range(FIELD_WIDTH + 1))
+
+
+def int_column(values: Sequence[int]) -> array:
+    """``values`` as a typed array: 32-bit when every value fits, else 64."""
+    try:
+        return array("i", values)
+    except OverflowError:
+        return array("q", values)
+
 
 def event_dict(
-    seq: int, kind: str, proc: int, fields: Optional[Dict[str, Any]], epoch: int
+    seq: int, shape: int, proc: int, fields: Sequence[int], epoch: int
 ) -> Dict[str, Any]:
     """One event in the dict form ``record(event)`` sinks receive: its
-    position in the run, its staged row, its batch's epoch."""
+    position in the run, its shape code, processor and field slots, its
+    batch's epoch."""
+    kind, names = EVENT_SCHEMA[shape]
     event: Dict[str, Any] = {"seq": seq, "kind": kind, "epoch": epoch, "proc": proc}
-    if fields:
-        event.update(fields)
+    event.update(zip(names, fields))
     return event
+
+
+def feed(sinks, kinds, procs, fields, epoch: int, seq: int) -> None:
+    """Hand one epoch's events, the first numbered ``seq``, to ``sinks``:
+    the columns to ``record_rows``, dicts (built once) to ``record``."""
+    events = None
+    for sink in sinks:
+        record_rows = getattr(sink, "record_rows", None)
+        if record_rows is not None:
+            record_rows(kinds, procs, fields, epoch)
+            continue
+        if events is None:
+            width = FIELD_WIDTH
+            events = [
+                event_dict(seq + i, shape, proc, fields[width * i : width * i + width], epoch)
+                for i, (shape, proc) in enumerate(zip(kinds, procs))
+            ]
+        for event in events:
+            sink.record(event)
 
 
 class MemorySink:
@@ -109,51 +175,42 @@ def read_jsonl(source: Union[str, Path, IO[str]]) -> List[Dict[str, Any]]:
 
 
 class ColumnarSink:
-    """Typed-array event storage: one entry per event, four int columns.
+    """Typed-array event storage: the batches as they arrive.
 
-    Columns hold ``seq`` implicitly (the index), then ``kind`` (interned
-    code), ``epoch``, ``proc``; everything else an event carries goes to
-    the ``extras`` list (``None`` for the common no-extras case, so
-    storage stays ~10 bytes/event for plain transitions).
+    Each batch is kept as its columns — shape codes, processors, field
+    slots — with its epoch; no per-event object exists until
+    :meth:`to_events` materializes the dict form.
     """
 
     def __init__(self) -> None:
-        self.kind_codes: Dict[str, int] = {}
-        self._kind_names: List[str] = []
-        self._kinds = array("h")
-        self._epochs = array("q")
-        self._procs = array("h")
-        self.extras: List[Optional[Dict[str, Any]]] = []
+        self._batches: List[Tuple[array, array, array, int]] = []
+        self._len = 0
 
-    def record_rows(
-        self, kinds: List[str], procs: List[int], fields: List[Optional[dict]], epoch: int
-    ) -> None:
-        """Append one drained batch, column by column."""
-        kind_codes = self.kind_codes
-        for kind in dict.fromkeys(kinds):  # first-appearance order
-            if kind not in kind_codes:
-                kind_codes[kind] = len(self._kind_names)
-                self._kind_names.append(kind)
-        self._kinds.extend(map(kind_codes.__getitem__, kinds))
-        self._epochs.extend(array("q", (epoch,)) * len(kinds))
-        self._procs.extend(procs)
-        self.extras.extend(fields)
+    def record_rows(self, kinds, procs, fields, epoch: int) -> None:
+        """Keep one batch, its columns as handed over."""
+        self._batches.append((kinds, procs, fields, epoch))
+        self._len += len(kinds)
 
     def __len__(self) -> int:
-        return len(self._kinds)
+        return self._len
 
     def to_events(self) -> List[Dict[str, Any]]:
         """Materialize back into the dict form other sinks record."""
-        names = self._kind_names
-        return [
-            event_dict(seq, names[code], proc, extra, epoch)
-            for seq, (code, proc, extra, epoch) in enumerate(
-                zip(self._kinds, self._procs, self.extras, self._epochs)
-            )
-        ]
+        events: List[Dict[str, Any]] = []
+        width = FIELD_WIDTH
+        for kinds, procs, fields, epoch in self._batches:
+            base = len(events)
+            events += [
+                event_dict(base + i, shape, proc, fields[width * i : width * i + width], epoch)
+                for i, (shape, proc) in enumerate(zip(kinds, procs))
+            ]
+        return events
 
     def counts_by_kind(self) -> Dict[str, int]:
-        return {
-            name: self._kinds.count(code)
-            for name, code in sorted(self.kind_codes.items())
-        }
+        shapes: Counter = Counter()
+        for kinds, _procs, _fields, _epoch in self._batches:
+            shapes.update(kinds)
+        counts: Counter = Counter()
+        for shape, n in shapes.items():
+            counts[EVENT_SCHEMA[shape][0]] += n
+        return dict(sorted(counts.items()))

@@ -15,13 +15,15 @@ Two pieces:
   subclass that also keeps every probe call (begin/end windows,
   structured events, per-message accounting, epoch bumps) in one
   globally ordered :class:`SpanRecords` stream, the metrics snapshot of
-  an instrumented run staying *exact*. The stream has one set of row
+  an instrumented run staying *exact*. The stream has one set of
   writers and two callers: the probe's hooks wherever hooks are called
-  (the interpreters and their every ``Network.send``),
-  and the tape kernels, which write the rows the hooks they bypass
-  would have, from the records they replay. So a span-traced run takes
-  the ``tape`` path like any other, and **tracing-off runs are
-  untouched** — a kernel tests for the stream behind its probe test.
+  (the interpreters and their every ``Network.send``), and the tape
+  kernels on a cell's first observed run, which write what the hooks
+  they bypass would have, from the records they replay. The stream is
+  then kept on the cell's plan, and every later stock observer of the
+  cell reads it. So a span-traced run takes the ``tape`` path like any
+  other, and **tracing-off runs are untouched** — a kernel tests for
+  the stream behind its probe test.
 - :class:`SpanBuilder` — replays the record stream once, against a
   :class:`SpanCosts` model and the compute profile from
   :func:`repro.hb.skeleton.sync_compute_profile`, advancing one virtual
@@ -52,6 +54,7 @@ pinned across all seven protocols by ``tests/test_spans.py``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -59,6 +62,7 @@ from repro.common.errors import SimulatorError
 from repro.network.message import KIND_NAMES, MessageKind
 from repro.obs.metrics import EPOCH_FIELDS
 from repro.obs.probe import RecordingProbe
+from repro.obs.sinks import EVENT_SCHEMA, FIELD_PADDING, FIELD_WIDTH, SHAPE_CODES, int_column
 
 #: Stall-attribution categories, in report order. Every span's duration
 #: decomposes exactly into these buckets.
@@ -226,16 +230,18 @@ class SpanTimeline:
         )
 
 
-#: Slots per record in :class:`SpanRecords`' flat storage; the widest
-#: kind ("msg") sets it, the others pad with None.
-_WIDTH = 7
-_ARITY = {"begin": 3, "end": 1, "ev": 4, "msg": 7, "epoch": 1}
-_END_ROW = ("end",) + (None,) * (_WIDTH - 1)
-_EPOCH_ROW = ("epoch",) + (None,) * (_WIDTH - 1)
+#: Record codes of a :class:`SpanRecords` stream. A message's code is
+#: ``_MSG + 2 * kind slot + counted``.
+_EV, _BEGIN_LOCK, _BEGIN_BARRIER, _END, _EPOCH, _MSG = 0, 1, 2, 3, 4, 8
+_BEGIN = {"lock": _BEGIN_LOCK, "barrier": _BEGIN_BARRIER}
+_CAUSES = {_BEGIN_LOCK: "lock", _BEGIN_BARRIER: "barrier"}
+#: A message code's kind name, indexed by the code.
+_MSG_NAMES = (None,) * _MSG + tuple(name for name in KIND_NAMES for _counted in (0, 1))
 
 
 class SpanRecords:
-    """The span record stream: every probe call of one run, in order.
+    """The span record stream: everything a stock observer receives of
+    one run, in order, as typed columns.
 
     Five record kinds; the stream iterates as these tuples and
     ``len()`` counts them::
@@ -246,71 +252,141 @@ class SpanRecords:
         ("msg", kind_name, src, dst, data_bytes, control_bytes, counted)
         ("epoch",)                            barrier episode completed
 
-    Stored as ``_WIDTH`` slots per record of one flat list, not as a
-    tuple each: an ``ev`` tuple holds its fields dict, so the cyclic
-    collector would track a run's worth of them and start full
-    collections over the whole plan heap (``RecordingProbe._rows``'
-    lesson). The methods below are the only writers —
-    :class:`SpanProbe`'s hooks call them on the paths that call hooks,
-    the tape kernels directly — and :meth:`padded` is how
-    :class:`SpanBuilder` walks the stream at tuple-unpacking speed.
+    Stored positionally, no object per record: one code per record
+    (``codes``), and per kind its own columns — events as shape code,
+    processor and ``FIELD_WIDTH`` field slots (the schema of
+    :mod:`repro.obs.sinks`), messages as ``(src, dst, data, control)``,
+    window openings as their id — plus ``epoch_ends``, the event count
+    at each epoch mark, where a sink's per-epoch batches split. The
+    methods below are the only writers: :class:`SpanProbe`'s hooks call
+    them where hooks are called, the tape kernels directly on a cell's
+    first observed run. :meth:`freeze` then packs the lists into typed
+    arrays and the engine keeps the stream on the cell's
+    :class:`~repro.hb.skeleton.BatchPlan`; every later observed run of
+    the cell reads it (a :class:`SpanProbe`'s ``records`` *is* it).
     Streams compare equal record for record, whichever path wrote them.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("codes", "ev_kinds", "ev_procs", "ev_fields", "msgs", "idents", "epoch_ends")
 
     def __init__(self) -> None:
-        self.rows: List[Any] = []
+        self.codes: Any = []
+        self.ev_kinds: Any = []
+        self.ev_procs: Any = []
+        self.ev_fields: Any = []
+        self.msgs: Any = []
+        self.idents: Any = []
+        self.epoch_ends: Any = []
+
+    # -- writers -------------------------------------------------------------
 
     def begin(self, cause_kind: str, cause_id: int) -> None:
-        self.rows += ("begin", cause_kind, cause_id, None, None, None, None)
+        self.codes.append(_BEGIN[cause_kind])
+        self.idents.append(cause_id)
 
     def end(self) -> None:
-        self.rows += _END_ROW
+        self.codes.append(_END)
 
-    def ev(self, kind: str, proc: int, fields: Optional[Dict[str, Any]]) -> None:
-        self.rows += ("ev", kind, proc, fields, None, None, None)
+    def emit(self, kind: str, proc: int = -1, **fields: int) -> None:
+        """One event, behind :meth:`Probe.emit <repro.obs.probe.Probe.emit>`'s
+        signature: its fields are stored in the order they are passed."""
+        self.codes.append(_EV)
+        self.ev_kinds.append(SHAPE_CODES[kind, len(fields)])
+        self.ev_procs.append(proc)
+        self.ev_fields += fields.values()
+        self.ev_fields += FIELD_PADDING[len(fields)]
 
-    def msg(self, name, src, dst, data_bytes, control_bytes, counted) -> None:
-        self.rows += ("msg", name, src, dst, data_bytes, control_bytes, counted)
+    def msg(self, slot, src, dst, data_bytes, control_bytes, counted) -> None:
+        self.codes.append(_MSG + 2 * slot + bool(counted))
+        self.msgs += (src, dst, data_bytes, control_bytes)
 
     def epoch(self) -> None:
-        self.rows += _EPOCH_ROW
+        self.codes.append(_EPOCH)
+        self.epoch_ends.append(len(self.ev_kinds))
 
     def sender(self, cost_model):
         """:meth:`msg` behind ``Network.send``'s signature: writes the
-        row ``on_message`` would have been handed by a network that
+        record ``on_message`` would have been handed by a network that
         accounts by ``cost_model``, and touches no ledger."""
-        rows = self.rows
+        append_code, extend = self.codes.append, self.msgs.extend
         count_control = cost_model.count_control_in_data
         header = cost_model.header_bytes if cost_model.count_header_in_data else 0
-        counted = [cost_model.count_acks or not kind.is_ack for kind in MessageKind]
+        codes = [
+            _MSG + 2 * kind.slot + (cost_model.count_acks or not kind.is_ack)
+            for kind in MessageKind
+        ]
 
         def send(kind, src, dst, payload_bytes=0, control_bytes=0):
             if src != dst:  # local sends are free and invisible
-                slot = kind.slot
                 data = payload_bytes + header
                 if count_control:
                     data += control_bytes
-                rows.extend(("msg", KIND_NAMES[slot], src, dst, data, control_bytes, counted[slot]))
+                append_code(codes[kind.slot])
+                extend((src, dst, data, control_bytes))
 
         return send
 
-    def padded(self):
-        """Every record as a ``_WIDTH``-tuple, its unused slots None."""
-        return zip(*[iter(self.rows)] * _WIDTH)
+    def freeze(self) -> "SpanRecords":
+        """Pack the columns into typed arrays; returns the stream, which
+        nothing writes again."""
+        self.codes = array("B", self.codes)
+        self.ev_kinds = array("B", self.ev_kinds)
+        self.ev_procs = array("h", self.ev_procs)
+        self.ev_fields = int_column(self.ev_fields)
+        self.msgs = int_column(self.msgs)
+        self.idents = int_column(self.idents)
+        self.epoch_ends = int_column(self.epoch_ends)
+        return self
+
+    # -- readers -------------------------------------------------------------
+
+    def events(self, lo: int, hi: int):
+        """Events ``lo`` to ``hi`` as sink columns: ``(kinds, procs, fields)``."""
+        return (
+            self.ev_kinds[lo:hi],
+            self.ev_procs[lo:hi],
+            self.ev_fields[FIELD_WIDTH * lo : FIELD_WIDTH * hi],
+        )
+
+    def cursors(self):
+        """``(next event, next message, next window id)``: what a walk
+        over ``codes`` pulls each record's values with — an event as
+        ``(shape, proc, *field slots)``, a message as ``(src, dst, data,
+        control)``."""
+        fields = iter(self.ev_fields)
+        values = iter(self.msgs)
+        return (
+            zip(self.ev_kinds, self.ev_procs, *[fields] * FIELD_WIDTH).__next__,
+            zip(*[values] * 4).__next__,
+            iter(self.idents).__next__,
+        )
 
     def __len__(self) -> int:
-        return len(self.rows) // _WIDTH
+        return len(self.codes)
 
     def __iter__(self):
-        for row in self.padded():
-            yield row[: _ARITY[row[0]]]
+        next_ev, next_msg, next_ident = self.cursors()
+        for code in self.codes:
+            if code >= _MSG:
+                yield ("msg", _MSG_NAMES[code], *next_msg(), bool(code & 1))
+            elif code == _EV:
+                shape, proc, *fields = next_ev()
+                kind, names = EVENT_SCHEMA[shape]
+                yield ("ev", kind, proc, dict(zip(names, fields)) or None)
+            elif code == _END:
+                yield ("end",)
+            elif code == _EPOCH:
+                yield ("epoch",)
+            else:
+                yield ("begin", _CAUSES[code], next_ident())
+
+    def _columns(self) -> List[List[int]]:
+        return [list(getattr(self, name)) for name in self.__slots__]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpanRecords):
             return NotImplemented
-        return self.rows == other.rows
+        return self._columns() == other._columns()
 
     def __repr__(self) -> str:
         return f"SpanRecords({len(self)} records)"
@@ -319,12 +395,15 @@ class SpanRecords:
 class SpanProbe(RecordingProbe):
     """A RecordingProbe that additionally keeps the raw call stream.
 
-    ``records`` is the run's :class:`SpanRecords`. Every override
-    writes its row and does what the stock hook does, so metrics stay
-    exact; ``events`` is forced True so protocols route all emission
-    sites through :meth:`emit` even with no sinks attached. A subclass
-    that overrides one of these hooks again is a ``subclassed_probe``
-    and has every one of them called (by the interpreter).
+    ``records`` is the run's :class:`SpanRecords`. Where hooks are
+    called, every override writes its record and does what the stock
+    hook does, so metrics stay exact; on the tape the run writes or
+    reads its cell's kept stream instead and ``records`` becomes that
+    stream (:meth:`replay_stream`). ``events`` is forced True so
+    protocols route all emission sites through :meth:`emit` even with
+    no sinks attached. A subclass that overrides one of these hooks
+    again is a ``subclassed_probe`` and has every one of them called
+    (by the interpreter).
     """
 
     def __init__(self, sinks: Optional[Sequence[Any]] = None, metrics=None):
@@ -335,13 +414,8 @@ class SpanProbe(RecordingProbe):
         self.events = True
 
     def emit(self, kind: str, proc: int = -1, **fields: Any) -> None:
-        # The stock emit, inlined: one fields dict serves the record
-        # and the staged sink row.
-        fields = fields or None
-        self.records.ev(kind, proc, fields)
-        self._seq += 1
-        if self.sinks:
-            self._rows += (kind, proc, fields)
+        self.records.emit(kind, proc, **fields)
+        super().emit(kind, proc, **fields)
 
     def begin(self, cause_kind: str, cause_id: int) -> None:
         self.records.begin(cause_kind, cause_id)
@@ -359,8 +433,12 @@ class SpanProbe(RecordingProbe):
         super().advance_epoch()
 
     def on_message(self, kind, src, dst, data_bytes, control_bytes, counted) -> None:
-        self.records.msg(KIND_NAMES[kind.slot], src, dst, data_bytes, control_bytes, counted)
+        self.records.msg(kind.slot, src, dst, data_bytes, control_bytes, counted)
         super().on_message(kind, src, dst, data_bytes, control_bytes, counted)
+
+    def replay_stream(self, records: SpanRecords) -> None:
+        super().replay_stream(records)
+        self.records = records
 
     def __repr__(self) -> str:
         return f"SpanProbe(records={len(self.records)}, epoch={self._epoch})"
@@ -374,7 +452,7 @@ _FLUSH, _REQUEST, _GRANT, _PAGE, _DIFF, _ARRIVAL = range(6)
 #: default is its diff pulls (LU/LH), a release only ever flushes, a
 #: barrier arrival's default is BARRIER_ARRIVAL and the notices split off it.
 _WINDOW_SUMS = {
-    "acquire": (
+    SHAPE_CODES["acquire", 1]: (
         {
             **dict.fromkeys(_LOCK_REQ_KINDS, _REQUEST),
             **dict.fromkeys(_LOCK_GRANT_KINDS, _GRANT),
@@ -383,8 +461,8 @@ _WINDOW_SUMS = {
         },
         _DIFF,
     ),
-    "release": ({}, _FLUSH),
-    "barrier_arrive": (
+    SHAPE_CODES["release", 1]: ({}, _FLUSH),
+    SHAPE_CODES["barrier_arrive", 1]: (
         {  # eager barrier-time flush
             **dict.fromkeys(_UNLOCK_KINDS, _FLUSH),
             **dict.fromkeys(
@@ -395,7 +473,22 @@ _WINDOW_SUMS = {
         _ARRIVAL,
     ),
 }
-_NO_FIELDS: Dict[str, Any] = {}
+#: The event shapes the builder tells apart.
+_ACQUIRE = SHAPE_CODES["acquire", 1]
+_RELEASE = SHAPE_CODES["release", 1]
+_ARRIVE = SHAPE_CODES["barrier_arrive", 1]
+_COMPLETE = SHAPE_CODES["barrier_complete", 1]
+_DIFF_CREATE = SHAPE_CODES["diff_create", 3]
+_DIFF_APPLY = SHAPE_CODES["diff_apply", 2]
+_PAGE_FAULT = SHAPE_CODES["page_fault", 2]
+_WRITE_FAULT = SHAPE_CODES["write_fault", 1]
+#: Where a shape keeps the fields the builder reads, as an index into
+#: an event row ``(shape, proc, *field slots)``; None for a shape
+#: without the field.
+_PAGE_AT, _COUNT_AT, _SERVER_AT = (
+    tuple(2 + names.index(name) if name in names else None for _kind, names in EVENT_SCHEMA)
+    for name in ("page", "count", "server")
+)
 
 
 def _buckets(*sums: Tuple[str, float]) -> Dict[str, float]:
@@ -554,30 +647,35 @@ class SpanBuilder:
     # -- main pass -----------------------------------------------------------
 
     def build(self) -> SpanTimeline:
-        stream = self.records.padded()
+        codes = iter(self.records.codes)
+        self._next_ev, self._next_msg, next_ident = self.records.cursors()
+        next_ev, next_msg = self._next_ev, self._next_msg
+        MSG, EV, END, NAMES, PAGE_FAULT = _MSG, _EV, _END, _MSG_NAMES, _PAGE_FAULT
         # Traffic outside sync windows is the miss cause's; summed
         # here and charged whenever a window (where alone the epoch can
         # advance) or the stream's end comes up.
         messages = data = ctrl = faults = 0
-        for tag, a, b, c, d, e, f in stream:
-            if tag == "msg":
-                if f:
+        for code in codes:
+            if code >= MSG:
+                src, dst, d, e = next_msg()
+                if code & 1:
                     messages += 1
                 data += d
                 ctrl += e
-                self._stray_msg(a, b, c, d, e)
-            elif tag == "ev":
-                if a == "page_fault":
+                self._stray_msg(NAMES[code], src, dst, d, e)
+            elif code == EV:
+                row = next_ev()
+                if row[0] == PAGE_FAULT:
                     faults += 1
-                self._stray_event(a, b, c or _NO_FIELDS)
-            elif tag != "end":  # "begin", or an "epoch" outside any window
+                self._stray_event(row)
+            elif code != END:  # a window opens, or an epoch outside any window
                 self._account("miss", messages, data, ctrl, faults)
                 messages = data = ctrl = faults = 0
-                if tag == "begin":
-                    self._close_ctx()
-                    self._window(a, b, stream)
-                else:
+                if code == _EPOCH:
                     self._erows.append([0] * _ROW_WIDTH)
+                else:
+                    self._close_ctx()
+                    self._window(_CAUSES[code], next_ident(), codes)
         self._account("miss", messages, data, ctrl, faults)
         self._close_ctx()
         for proc in range(self.n_procs):
@@ -595,22 +693,24 @@ class SpanBuilder:
 
     # -- records outside sync windows ----------------------------------------
 
-    def _stray_event(self, kind: str, proc: int, fields: Dict[str, Any]) -> None:
+    def _stray_event(self, row: tuple) -> None:
+        """One event row ``(shape, proc, *field slots)`` outside any window."""
         ctx = self._ctx
-        if kind == "page_fault":
+        shape, proc = row[0], row[1]
+        if shape == _PAGE_FAULT:
             if ctx is not None and ctx["kind"] == "write_fault" and ctx["proc"] == proc:
                 return  # nested fetch inside an EW ownership fault
             self._close_ctx()
-            self._open_ctx(proc, "fetch", f"fetch page {fields.get('page', '?')}")
-        elif kind == "write_fault":
+            self._open_ctx(proc, "fetch", f"fetch page {row[_PAGE_AT[shape]]}")
+        elif shape == _WRITE_FAULT:
             self._close_ctx()
-            self._open_ctx(proc, "write_fault", f"write fault page {fields.get('page', '?')}")
+            self._open_ctx(proc, "write_fault", f"write fault page {row[_PAGE_AT[shape]]}")
         elif ctx is not None:
-            if kind == "diff_apply":
-                self._ctx_add(ctx, "diff_fetch", fields.get("count", 1) * self.costs.diff_apply_s)
-            server = fields.get("server")
-            if server is not None:
-                ctx["servers"].add(server)
+            if shape == _DIFF_APPLY:
+                self._ctx_add(ctx, "diff_fetch", row[_COUNT_AT[shape]] * self.costs.diff_apply_s)
+            at = _SERVER_AT[shape]
+            if at is not None:
+                ctx["servers"].add(row[at])
 
     def _stray_msg(self, name: str, src: int, dst: int, data: int, ctrl: int) -> None:
         ctx = self._ctx
@@ -643,8 +743,8 @@ class SpanBuilder:
 
     # -- sync windows --------------------------------------------------------
 
-    def _window(self, cause_kind: str, ident: int, stream) -> None:
-        """Fold the window ``stream`` has just entered, through its "end".
+    def _window(self, cause_kind: str, ident: int, codes) -> None:
+        """Fold the window ``codes`` has just entered, through its "end".
 
         The sync wrappers emit the window's marker event (``acquire``,
         ``release`` or ``barrier_arrive``) first; it names the acting
@@ -656,13 +756,16 @@ class SpanBuilder:
         costs = self.costs
         message_s, byte_s = costs.message_s, costs.byte_s
         delays = self._delays
+        next_ev, next_msg = self._next_ev, self._next_msg
+        MSG, EV, END, NAMES, PULLS = _MSG, _EV, _END, _MSG_NAMES, _DIFF_PULL_KINDS
         messages = data = ctrl = faults = 0
         marker = proc = grantor = table = default = per = None
         sums = [0.0] * 6
         close_s = ser_s = rtx_s = m_ser = m_rtx = 0.0
-        for tag, a, b, c, d, e, f in stream:
-            if tag == "msg":
-                if f:
+        for code in codes:
+            if code >= MSG:
+                src, dst, d, e = next_msg()
+                if code & 1:
                     messages += 1
                 data += d
                 ctrl += e
@@ -670,59 +773,62 @@ class SpanBuilder:
                     cost = message_s + (d + e) * byte_s
                 else:
                     cost, m_ser, m_rtx = self._next_delay()
-                    if marker == "release":  # subtracted one by one: kept to the bit
+                    if marker == _RELEASE:  # subtracted one by one: kept to the bit
                         cost = cost - m_ser - m_rtx
                     else:
                         cost -= m_ser + m_rtx
+                name = NAMES[code]
                 if per is not None:
-                    client = b if a.endswith("_REQUEST") else c
+                    client = src if name.endswith("_REQUEST") else dst
                     slot = per.setdefault(client, [0.0, 0.0, 0.0, 0.0])
                     # BARRIER_EXIT / bare notices, or the client's pulls
-                    slot[1 if a in _DIFF_PULL_KINDS else 0] += cost
+                    slot[1 if name in PULLS else 0] += cost
                     slot[2] += m_ser
                     slot[3] += m_rtx
                 elif marker is not None:
                     ser_s += m_ser
                     rtx_s += m_rtx
-                    which = table.get(a, default)
+                    which = table.get(name, default)
                     sums[which] += cost
                     if which == _REQUEST:
-                        if a == "LOCK_FORWARD":
-                            grantor = c
-                    elif which == _GRANT and a == "LOCK_GRANT":
-                        grantor = b
-            elif tag == "ev":
-                if a == "diff_create":
+                        if name == "LOCK_FORWARD":
+                            grantor = dst
+                    elif which == _GRANT and name == "LOCK_GRANT":
+                        grantor = src
+            elif code == EV:
+                row = next_ev()
+                shape = row[0]
+                if shape == _DIFF_CREATE:
                     if marker is not None and per is None:
                         close_s += costs.diff_create_s
-                elif a == "diff_apply":
-                    seconds = (c or _NO_FIELDS).get("count", 1) * costs.diff_apply_s
+                elif shape == _DIFF_APPLY:
+                    seconds = row[_COUNT_AT[shape]] * costs.diff_apply_s
                     if per is not None:
-                        per.setdefault(b, [0.0, 0.0, 0.0, 0.0])[1] += seconds
-                    elif marker == "acquire":
+                        per.setdefault(row[1], [0.0, 0.0, 0.0, 0.0])[1] += seconds
+                    elif marker == _ACQUIRE:
                         sums[_DIFF] += seconds
-                elif a == "page_fault":
+                elif shape == _PAGE_FAULT:
                     faults += 1
                 elif marker is None:
-                    if a in _WINDOW_SUMS:
-                        marker, proc = a, b
-                        table, default = _WINDOW_SUMS[a]
+                    if shape in _WINDOW_SUMS:
+                        marker, proc = shape, row[1]
+                        table, default = _WINDOW_SUMS[shape]
                         self._ensure_compute(proc)
-                elif a == "barrier_complete" and marker == "barrier_arrive" and per is None:
+                elif shape == _COMPLETE and marker == _ARRIVE and per is None:
                     episode = self._barrier_arrive(ident, proc, close_s, sums, ser_s, rtx_s)
                     per = {p: [0.0, 0.0, 0.0, 0.0] for p, _, _ in episode}
-            elif tag == "end":
+            elif code == END:
                 break
-            elif tag == "epoch":
+            elif code == _EPOCH:
                 # After the window's last message: what it sent belongs
                 # to the episode this closes.
                 self._account(cause_kind, messages, data, ctrl, faults)
                 messages = data = ctrl = faults = 0
                 self._erows.append([0] * _ROW_WIDTH)
         self._account(cause_kind, messages, data, ctrl, faults)
-        if marker == "acquire":
+        if marker == _ACQUIRE:
             self._acquire(ident, proc, grantor, close_s, sums, ser_s, rtx_s)
-        elif marker == "release":
+        elif marker == _RELEASE:
             self._release(ident, proc, close_s, sums[_FLUSH], ser_s, rtx_s)
         elif per is not None:
             self._complete_barrier(ident, self._episodes.pop(ident), per)

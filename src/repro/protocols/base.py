@@ -18,7 +18,7 @@ from repro.memory.page import PageEntry, PageState, PageTable
 from repro.network.message import MessageKind
 from repro.network.network import Network
 from repro.obs.probe import NULL_PROBE, Probe, is_stock_staging
-from repro.obs.spans import SpanProbe
+from repro.obs.spans import SpanProbe, SpanRecords
 from repro.config import SimConfig
 from repro.sync.barrier import BarrierMaster
 from repro.sync.lock_manager import LockDirectory
@@ -45,9 +45,11 @@ def certify_replay(protocol: "Protocol") -> Tuple[str, Optional[str]]:
       replayed from cost-resolved tape records through
       :meth:`Network.apply_tape <repro.network.network.Network.apply_tape>`
       bulk updates (lazy family: per sync operation and diff fetch;
-      eager family: the whole run). A stock probe's metrics rows and
-      event sinks, a span probe's record stream and a timed run's send
-      log are fed from the same records. The reason is None.
+      eager family: the whole run). A stock probe's metrics rows and a
+      timed run's send log are fed from the same records; event sinks
+      and a span probe read the cell's record stream, which the cell's
+      first observed run writes from them (:meth:`observe_on_tape`).
+      The reason is None.
 
     The engine dispatches on the path; the pair goes into the run's
     manifest. (``reference`` is ``Engine.run_reference``, never chosen
@@ -57,7 +59,7 @@ def certify_replay(protocol: "Protocol") -> Tuple[str, Optional[str]]:
         return "per_event", "record_values"
     if not type(protocol).__dict__.get("replay_certified", False):
         return "per_event", "uncertified_class"
-    if protocol._obs and not protocol._probe_fast and protocol._span is None:
+    if protocol._obs and not protocol._probe_fast:
         return "per_event", "subclassed_probe"
     return "tape", None
 
@@ -110,6 +112,9 @@ class Protocol(abc.ABC):
         self.probe: Probe = NULL_PROBE
         self._obs = False
         self._obs_events = False
+        #: Where emission sites send events: the probe's ``emit``, or on
+        #: a tape run the record stream it writes.
+        self._emit = NULL_PROBE.emit
         self._probe_fast = False
         self._span = self._log = self._tap = None
         # Set by a tape replay (bind_batch_plan): nothing there can
@@ -127,40 +132,58 @@ class Protocol(abc.ABC):
         self.probe = probe
         self._obs = probe.enabled
         self._obs_events = probe.enabled and probe.events
-        # What certify_replay reads: a stock RecordingProbe may ride the
-        # tape (the kernels stage its rows themselves); any other live
-        # probe gets every hook called, which only the interpreter does.
-        self._probe_fast = is_stock_staging(probe)
-        # A stock SpanProbe's record stream. Its hooks write it wherever
-        # hooks are called; the tape kernels, which bypass them, write
-        # the same rows: windows through _span, messages through _tap.
-        self._span = probe.records if is_stock_staging(probe, SpanProbe) else None
-        self._bind_tap()
+        self._emit = probe.emit
+        # What certify_replay reads: a stock RecordingProbe or SpanProbe
+        # may ride the tape (the kernels stage its rows themselves); any
+        # other live probe gets every hook called, which only the
+        # interpreter does.
+        self._probe_fast = is_stock_staging(probe) or is_stock_staging(probe, SpanProbe)
         self.network.attach_probe(probe)
+
+    def observe_on_tape(self, stream: Optional[SpanRecords]) -> None:
+        """Set up a tape run under a stock probe that takes events (sinks,
+        or a span probe): every hook is bypassed, the metrics rows are
+        staged inline, and what the observer receives — events, windows,
+        messages, epoch marks — is written to ``stream``, the cell's
+        record stream. ``None``: the cell's stream is kept already, so
+        this run emits nothing and the engine hands the probe that."""
+        self._span = stream
+        self._obs_events = stream is not None
+        self._emit = stream.emit if stream is not None else NULL_PROBE.emit
+        self.network.attach_probe(self.probe, stages=True)
+        self._bind_tap()
 
     def record_sends(self, log) -> None:
         """Record every message of this run into ``log`` (a ``SendLog``):
         ``Network.send``'s through its hook, the tape kernels' through
         their tap."""
         self._log = log
-        self.network.record_sends(log)
         self._bind_tap()
 
     def _bind_tap(self) -> None:
         """``_tap``, where the tape kernels expand merged deltas into one
-        ``Network.send``-shaped call per message: the span stream, the
-        send log, both, or None (no expansion)."""
+        ``Network.send``-shaped call per message — the record stream,
+        the send log, both, or None (no expansion) — and where
+        ``Network.send`` hands each message it charges."""
         span = self._span.sender(self.costs) if self._span is not None else None
         log = self._log.send if self._log is not None else None
         if span is None or log is None:
             self._tap = span or log
-            return
+        else:
 
-        def tap(kind, src, dst, payload_bytes=0, control_bytes=0):
-            span(kind, src, dst, payload_bytes, control_bytes)
-            log(kind, src, dst, payload_bytes, control_bytes)
+            def tap(kind, src, dst, payload_bytes=0, control_bytes=0):
+                span(kind, src, dst, payload_bytes, control_bytes)
+                log(kind, src, dst, payload_bytes, control_bytes)
 
-        self._tap = tap
+            self._tap = tap
+        self.network.record_sends(self._tap)
+
+    def _next_epoch(self) -> None:
+        """A barrier episode completed on the tape: its mark in the record
+        stream being written, then the probe's stock epoch bump."""
+        if self._span is not None:
+            self._span.epoch()
+        self.probe._next_epoch()
 
     # -- helpers -----------------------------------------------------------
 
@@ -230,7 +253,7 @@ class Protocol(abc.ABC):
             probe = self.probe
             probe.begin("lock", lock)
             if self._obs_events:
-                probe.emit("acquire", proc=proc, lock=lock)
+                self._emit("acquire", proc=proc, lock=lock)
         self._on_acquire(proc, lock)
         self.locks.record_acquire(proc, lock)
         if obs:
@@ -242,7 +265,7 @@ class Protocol(abc.ABC):
             probe = self.probe
             probe.begin("lock", lock)
             if self._obs_events:
-                probe.emit("release", proc=proc, lock=lock)
+                self._emit("release", proc=proc, lock=lock)
         self._on_release(proc, lock)
         self.locks.record_release(proc, lock)
         if obs:
@@ -255,11 +278,11 @@ class Protocol(abc.ABC):
             probe = self.probe
             probe.begin("barrier", barrier)
             if self._obs_events:
-                probe.emit("barrier_arrive", proc=proc, barrier=barrier)
+                self._emit("barrier_arrive", proc=proc, barrier=barrier)
         self._on_barrier_arrive(proc, barrier)
         if self.barriers.record_arrival(proc, barrier):
             if self._obs_events:
-                probe.emit("barrier_complete", proc=proc, barrier=barrier)
+                self._emit("barrier_complete", proc=proc, barrier=barrier)
             self._on_barrier_complete(barrier)
             if obs:
                 # Exit traffic above belongs to the episode it closes;
@@ -289,7 +312,12 @@ class Protocol(abc.ABC):
         else:
             raise ProtocolError(f"miss on VALID page {page} at p{proc}")
         if self._obs:
-            self.probe.page_fault(proc, page, cold)
+            if self._value_free:  # a tape replay: the hook is bypassed too
+                self.probe._seg_row[3] += 1
+                if self._obs_events:
+                    self._emit("page_fault", proc=proc, page=page, cold=int(cold))
+            else:
+                self.probe.page_fault(proc, page, cold)
         self._handle_miss(proc, page, entry)
         if entry.state != PageState.VALID:
             raise ProtocolError(
@@ -331,7 +359,7 @@ class Protocol(abc.ABC):
             entry.page.words = words
         entry.state = PageState.VALID
         if self._obs_events:
-            self.probe.emit(
+            self._emit(
                 "page_fetch",
                 proc=proc,
                 page=page,

@@ -90,23 +90,19 @@ class EagerTapeMixin:
     merged ledger record per sync operation and inter-sync gap into the
     network, the counters and — under a stock probe — the staged
     attribution rows. The priced tape is built from the walk's steps
-    and they are dropped; only with sinks are they kept
-    (:class:`~repro.hb.skeleton.EagerTape`) and walked alongside for
-    each one's events — and for a tap (``_tap``), its messages; a send
-    log alone walks them without keeping them.
+    and they are dropped. A run with a tap (``_tap``: a cell's first
+    observed run writing its record stream, or a cold timed cell
+    recording its send log) walks them again, alongside the fold, for
+    each one's events and messages, and keeps none of them either.
     """
 
     def bind_batch_plan(self, plan):
-        """Bind the priced tape for this run's cost key (and, for
-        sinks or a tap, the walk's steps beside it); returns the whole
-        run as one callable."""
+        """Bind the priced tape for this run's cost key (and, for a tap,
+        a fresh walk's steps beside it); returns the whole run as one
+        callable."""
         self._page_fetch_bytes = self.costs.page_bytes(self.page_size)
         self._ops = plan.ops
-        self._steps = None
-        if self._obs_events:
-            self._steps = plan.eager_tape(self.name).steps
-        elif self._tap is not None:
-            self._steps = plan.eager_steps(self.name)
+        self._steps = plan.eager_steps(self.name) if self._tap is not None else None
         # A priced build prices the steps in hand rather than walk again.
         self._priced = plan.priced_eager_tape(
             self.name, self.costs, self.config.free_local_lock_reacquire, self._steps
@@ -122,17 +118,17 @@ class EagerTapeMixin:
         the staged row the sync wrappers would have swapped in — created
         on first use, in the same order — and the epoch advances after a
         completing barrier arrival, so the metrics snapshot matches the
-        per-message path. With sinks, each sync record also emits its
-        step of the unpriced tape: the gap's events land at the sync
-        record that follows them (a gap of bare write faults has no
+        per-message path. Writing a record stream, each sync record
+        also emits its step of the walk: the gap's events land at the
+        sync record that follows them (a gap of bare write faults has no
         priced record of its own), still before it and inside its epoch.
         The tap gets, between those events, each step's messages in the
         order the per-event hooks send them (a send log each at its op),
-        and a span probe the operation's window around them.
+        and the stream the operation's window around them.
         """
         apply_tape = self.network.apply_tape
         probe = self.probe if self._obs else None
-        emit = self.probe.emit if self._obs_events else NULL_PROBE.emit
+        emit = self._emit if self._obs_events else NULL_PROBE.emit
         span, log, send = self._span, self._log, self._tap
         steps = iter(self._steps) if self._steps is not None else None
         if log is not None:  # (a step names its sync op, not the op's position)
@@ -178,7 +174,7 @@ class EagerTapeMixin:
                     for target in self.barriers.exit_targets():
                         send(MessageKind.BARRIER_EXIT, self.barriers.master, target)
                 if probe is not None:
-                    probe.advance_epoch()
+                    self._next_epoch()
             if span is not None and cause != P_MISS:
                 span.end()
         if steps is not None:  # what is left is the gap after the last sync
@@ -293,7 +289,7 @@ class EagerProtocol(EagerTapeMixin, Protocol):
             return
         self.flushes += 1
         if self._obs_events:
-            self.probe.emit("flush", proc=proc, count=len(dirty_entries))
+            self._emit("flush", proc=proc, count=len(dirty_entries))
         index = self._flush_counter[proc]
         self._flush_counter[proc] += 1
 
@@ -340,7 +336,7 @@ class EagerProtocol(EagerTapeMixin, Protocol):
                 self.network.send(update_kind, proc, dest, payload_bytes=payload)
                 self._apply_updates(dest, diffs)
                 if self._obs_events:
-                    self.probe.emit(
+                    self._emit(
                         "update_push", proc=proc, dest=dest, count=len(diffs), bytes=payload
                     )
             else:
@@ -348,7 +344,7 @@ class EagerProtocol(EagerTapeMixin, Protocol):
                 self.network.send(notice_kind, proc, dest, control_bytes=control)
                 self._apply_invalidations(dest, [diff.page for diff in diffs])
                 if self._obs_events:
-                    self.probe.emit(
+                    self._emit(
                         "notices_send", proc=proc, dest=dest, count=len(diffs), bytes=control
                     )
             self.network.send(ack_kind, dest, proc)

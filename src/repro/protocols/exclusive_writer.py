@@ -97,7 +97,7 @@ class ExclusiveWriter(EagerTapeMixin, Protocol):
     def _acquire_ownership(self, proc: ProcId, page: PageId, entry: PageEntry) -> None:
         self.write_faults += 1
         if self._obs_events:
-            self.probe.emit("write_fault", proc=proc, page=page)
+            self._emit("write_fault", proc=proc, page=page)
         if entry.state != PageState.VALID:
             self._service_miss(proc, page, entry)
         # Invalidate every other copy; one notice + ack per holder.

@@ -76,7 +76,7 @@ class HomeLazy(LazyProtocol):
             self.network.send(MessageKind.RELEASE_ACK, home, proc)
             self.home_flushes += 1
             if self._obs_events:
-                self.probe.emit(
+                self._emit(
                     "home_flush",
                     proc=proc,
                     server=home,

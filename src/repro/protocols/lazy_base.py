@@ -205,7 +205,7 @@ class LazyProtocol(Protocol):
     def _emit_close(self, proc: ProcId, index: int, items) -> None:
         """One close's events from its ``(page, diff wire bytes)`` items
         — what a tape close record already holds."""
-        emit = self.probe.emit
+        emit = self._emit
         total = 0
         for page, wire in items:
             total += wire
@@ -376,7 +376,7 @@ class LazyProtocol(Protocol):
             self.diff_bytes_fetched += payload
             tap = self._tap
             if obs or tap is not None:
-                emit = self.probe.emit
+                emit = self._emit
                 for server, count, served in by_server:
                     if tap is not None:
                         tap(request_kind, proc, server)
@@ -391,7 +391,7 @@ class LazyProtocol(Protocol):
                 self.diffs_fetched += count
                 self.diff_bytes_fetched += payload
                 if obs:
-                    self.probe.emit(
+                    self._emit(
                         "diff_fetch", proc=proc, server=server, count=count, bytes=payload
                     )
         if value_free and not obs:
@@ -407,7 +407,7 @@ class LazyProtocol(Protocol):
                 if entry.dirty_words:
                     words.update(entry.dirty_words)
             if obs:
-                self.probe.emit(
+                self._emit(
                     "diff_apply", proc=proc, page=plan.page, count=len(plan.apply)
                 )
         return m
@@ -440,7 +440,7 @@ class LazyProtocol(Protocol):
             self.diffs_fetched += len(diffs)
             self.diff_bytes_fetched += payload
             if self._obs_events:
-                self.probe.emit(
+                self._emit(
                     "diff_fetch", proc=proc, server=server, count=len(diffs), bytes=payload
                 )
         self._apply_diffs(proc, needed)
@@ -568,7 +568,7 @@ class LazyProtocol(Protocol):
             # A concurrent local writer's uncommitted words survive merges.
             entry.page.words.update(entry.dirty_words)
             if self._obs_events:
-                self.probe.emit("diff_apply", proc=proc, page=page, count=len(page_diffs))
+                self._emit("diff_apply", proc=proc, page=page, count=len(page_diffs))
 
     # -- access misses ---------------------------------------------------------
 
@@ -643,14 +643,14 @@ class LazyProtocol(Protocol):
         notices = self._notices_for_gap(grantor_vc, state.vc)
         n_notices = len(notices)
         if self._obs_events and n_notices:
-            self.probe.emit(
+            self._emit(
                 "notices_send",
                 proc=grantor,
                 dest=proc,
                 count=n_notices,
                 bytes=n_notices * self._notice_bytes_each,
             )
-            self.probe.emit("notices_apply", proc=proc, count=n_notices)
+            self._emit("notices_apply", proc=proc, count=n_notices)
         self._sync_send(
             MessageKind.LOCK_GRANT, MessageKind.LOCK_NOTICE, grantor, proc, n_notices
         )
@@ -679,7 +679,7 @@ class LazyProtocol(Protocol):
             notices = self._notices_for_gap(state.vc, merged)
             n_notices = len(notices)
             if self._obs_events and n_notices:
-                self.probe.emit(
+                self._emit(
                     "notices_send",
                     proc=proc,
                     dest=master,
@@ -711,10 +711,10 @@ class LazyProtocol(Protocol):
             state = self.lazy_state[proc]
             notices = self._notices_for_gap(merged, state.vc)
             if obs and notices:
-                self.probe.emit(
+                self._emit(
                     "notices_send", proc=master, dest=proc, count=len(notices)
                 )
-                self.probe.emit("notices_apply", proc=proc, count=len(notices))
+                self._emit("notices_apply", proc=proc, count=len(notices))
             if proc != master:
                 self._sync_send(
                     MessageKind.BARRIER_EXIT,
@@ -754,7 +754,7 @@ class LazyProtocol(Protocol):
         else:
             self._collect_garbage_reference()
         if self._obs_events:
-            self.probe.emit(
+            self._emit(
                 "gc_sweep",
                 bytes=self.gc_collected_bytes - collected_before,
                 retained=self.retained_diff_bytes,
@@ -826,15 +826,16 @@ class LazyProtocol(Protocol):
     # read_touch is the miss check. Under a stock probe (``self._obs``;
     # nothing else reaches the tape) each kernel also stages the
     # operation's attribution row exactly as the base Protocol wrappers
-    # would, charges it the tape's precomputed row add and, with sinks
-    # (``self._obs_events``), emits the events the wrappers and hooks
-    # would have, from the same record; under a SpanProbe
-    # (``self._span``) it also writes the window. Under a SpanProbe or a
-    # send log (``self._tap``) it expands the merged deltas back out
-    # into the messages the bypassed hooks would have sent, in order.
-    # Counters, ledger, metrics snapshots, event streams, span record
-    # streams and send logs all stay bit-identical to the per-event
-    # interpreters — the equivalence suite pins it.
+    # would and charges it the tape's precomputed row add. On a cell's
+    # first observed run (``self._span``, the record stream being
+    # written; ``self._obs_events``) it also emits the events the
+    # wrappers and hooks would have, from the same record, and writes
+    # the window. Under a record stream or a send log (``self._tap``) it
+    # expands the merged deltas back out into the messages the bypassed
+    # hooks would have sent, in order. Counters, ledger, metrics
+    # snapshots, event streams, span record streams and send logs all
+    # stay bit-identical to the per-event interpreters — the
+    # equivalence suite pins it.
 
     #: True on a class whose closes drop retained diffs (HLRC's home
     #: flush in ``_post_close``): the tape's retention prefix sums then
@@ -932,8 +933,8 @@ class LazyProtocol(Protocol):
     def _stage_row(self, rows: Dict[int, List[int]], cause: str, ident: int):
         """Swap in ``(cause, ident)``'s staged row; returns it and the one
         to restore. Rows are created on first use, in wrapper order.
-        Under a span probe this opens the operation's window, which
-        :meth:`_unstage` closes."""
+        Writing a record stream, this opens the operation's window,
+        which :meth:`_unstage` closes."""
         probe = self.probe
         saved = probe._seg_row
         row = rows.get(ident)
@@ -960,7 +961,7 @@ class LazyProtocol(Protocol):
         if self._obs:
             row, saved = self._stage_row(self.probe._lock_rows, "lock", lock)
             if self._obs_events:
-                emit = self.probe.emit
+                emit = self._emit
                 emit("acquire", proc=proc, lock=lock)
                 self._emit_tape_close(proc, record[0])
         self._t_close(proc, record[0])
@@ -1007,7 +1008,7 @@ class LazyProtocol(Protocol):
         if obs:
             _row, saved = self._stage_row(self.probe._lock_rows, "lock", lock)
             if self._obs_events:
-                self.probe.emit("release", proc=proc, lock=lock)
+                self._emit("release", proc=proc, lock=lock)
                 self._emit_tape_close(proc, close)
         self._t_close(proc, close)
         if obs:
@@ -1021,7 +1022,7 @@ class LazyProtocol(Protocol):
         if self._obs:
             row, saved = self._stage_row(self.probe._barrier_rows, "barrier", barrier)
             if self._obs_events:
-                emit = self.probe.emit
+                emit = self._emit
                 emit("barrier_arrive", proc=proc, barrier=barrier)
                 self._emit_tape_close(proc, record[0])
         self._t_close(proc, record[0])
@@ -1076,7 +1077,7 @@ class LazyProtocol(Protocol):
             if row is not None:
                 # Exit traffic belongs to the episode it closes; the
                 # staged rows are zeroed in place, so ``saved`` stays live.
-                self.probe.advance_epoch()
+                self._next_epoch()
         if row is not None:
             self._unstage(saved)
 

@@ -30,6 +30,7 @@ from repro.network.link import derive_network_seed
 from repro.network.timed import NetworkTiming, SendLog
 from repro.obs.manifest import build_manifest
 from repro.obs.probe import Probe
+from repro.obs.spans import SpanRecords
 from repro.protocols.base import Protocol, certify_replay
 from repro.protocols.registry import protocol_class
 from repro.config import SimConfig
@@ -106,6 +107,9 @@ class Engine:
         #: ``recorded`` by this run or ``reused`` from the plan cache.
         self._timing: Optional[NetworkTiming] = None
         self._send_log_source: Optional[str] = None
+        #: Tape runs under a sink or a span probe: whether the cell's
+        #: record stream was ``recorded`` by this run or ``reused``.
+        self._obs_stream_source: Optional[str] = None
         #: The loop that produced the ledger and, unless it was the tape
         #: replay, why not (see :func:`certify_replay`).
         self._execution_path = "per_event"
@@ -138,7 +142,10 @@ class Engine:
         over the cell's cached send log. The first timed run of a cell
         records that :class:`SendLog` on the way, from the loop that
         supplies its ledger, so nothing runs twice and nothing switches
-        loops.
+        loops. A tape run under a sink or a span probe does the same
+        with the cell's record stream (:class:`~repro.obs.spans.SpanRecords`):
+        the first records it, every later one replays metrics-only and
+        hands the probe the kept stream.
 
         Runs with the cyclic collector paused, restored on exit: a run
         makes no reference cycles (``tests/test_no_cyclic_garbage.py``).
@@ -153,14 +160,26 @@ class Engine:
         config = self.config
         protocol = self.protocol
         read_values = None
-        plan = log = None
+        plan = log = stream = None
         ops = compiled.ops
         self._execution_path, self._decline_reason = certify_replay(protocol)
-        if config.link_model is not None:
+        observed = self._execution_path == "tape" and protocol._obs_events
+        if observed or config.link_model is not None:
             plan = self._plan(compiled)
-            # Everything that can change send order or wire sizes is in
-            # the key; the link, which only the fold reads, is not.
+            # Everything that can change send order, wire sizes or an
+            # event is in the key of a cell's kept records; the link,
+            # which only the fold reads, is not.
             key = (type(protocol), config.with_options(link_model=None))
+        if observed:
+            stream = plan.obs_stream(key)
+            if stream is not None:
+                self._obs_stream_source = "reused"
+                protocol.observe_on_tape(None)
+            else:
+                self._obs_stream_source = "recorded"
+                stream = SpanRecords()
+                protocol.observe_on_tape(stream)
+        if config.link_model is not None:
             log = plan.send_log(key)
             if log is not None:
                 self._send_log_source = "reused"
@@ -177,6 +196,13 @@ class Engine:
             t0 = time.perf_counter()
             plan.keep_send_log(key, log.close(compiled.ops))
             timings["record_s"] = elapsed = time.perf_counter() - t0
+            timings["simulate_s"] += elapsed
+        if stream is not None:
+            t0 = time.perf_counter()
+            if self._obs_stream_source == "recorded":
+                plan.keep_obs_stream(key, stream.freeze())
+            self.probe.replay_stream(stream)
+            timings["observe_s"] = elapsed = time.perf_counter() - t0
             timings["simulate_s"] += elapsed
         if log is not None:
             self._fold(log, timings)
@@ -420,6 +446,7 @@ class Engine:
                 execution_path=self._execution_path,
                 decline_reason=self._decline_reason,
                 send_log=self._send_log_source,
+                obs_stream=self._obs_stream_source,
             ),
             metrics=metrics_snapshot,
             timing=timing_report,

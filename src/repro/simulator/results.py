@@ -10,7 +10,8 @@ from repro.network.stats import NetworkStats
 
 #: Manifest keys ``to_dict`` drops: wall-clock values, and whatever
 #: depends on what earlier runs in the process left in the plan cache
-#: (a cell's first timed run records its send log, later ones reuse it).
+#: (a cell's first timed run records its send log, later ones reuse it;
+#: the same of an observed run's record stream).
 _VOLATILE_MANIFEST_KEYS = (
     "created",
     "timings_s",
@@ -18,6 +19,7 @@ _VOLATILE_MANIFEST_KEYS = (
     "execution_path",
     "decline_reason",
     "send_log",
+    "obs_stream",
 )
 
 

@@ -306,12 +306,9 @@ def _log_plan_cache(stats: Dict[str, int]) -> None:
     each); within a worker those are memoized on the compiled trace, so
     a sweep should build once per (page size, family cost key) and hit
     everywhere else. A hit rate near zero here means cells are
-    rebuilding per-cell state that should be shared. An unobserved
-    sweep prices each eager walk and keeps no unpriced tape: ``N priced
-    eager tape`` beside ``0 kept unpriced`` is the cold path working,
-    not a miscount.
+    rebuilding per-cell state that should be shared.
     """
-    kinds = ("plan", "lazy_tape", "priced_tape", "eager_tape")
+    kinds = ("plan", "lazy_tape", "priced_tape")
     builds = sum(stats[kind + "_builds"] for kind in kinds)
     hits = sum(stats[kind + "_hits"] for kind in kinds)
     total = builds + hits
@@ -319,7 +316,7 @@ def _log_plan_cache(stats: Dict[str, int]) -> None:
         return
     logger.info(
         "sweep plan cache: %d lookups, %d builds (%d plan / %d lazy tape / "
-        "%d priced eager tape / %d kept unpriced), %.0f%% hit rate",
+        "%d priced eager tape), %.0f%% hit rate",
         total,
         builds,
         *(stats[kind + "_builds"] for kind in kinds),

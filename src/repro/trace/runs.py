@@ -26,7 +26,7 @@ kind            meaning
 
 The three synchronization kinds *are* the compiled opcodes, and a sync
 instruction is the compiled op tuple itself, not a copy (as in
-an ``EagerTape`` step). A span ends at its processor's own synchronization
+an eager walk's step, :func:`repro.hb.skeleton.eager_steps`). A span ends at its processor's own synchronization
 operations and, for everyone, at each barrier completion. The program
 carries no values: page contents exist only on the ``record_values``
 interpreter (see docs/PERFORMANCE.md).

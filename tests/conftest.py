@@ -173,10 +173,14 @@ LOOPS = {
     "per_event": ({"record_values": True}, ("per_event", "record_values")),
     # The oracle is asked for by name (``Engine.run_reference()``).
     "reference": ({}, ("reference", None)),
+    # The tape once more, after a first run has kept the cell's record
+    # stream: a sink or span probe now reads that stream (run_loop
+    # checks the manifest says so).
+    "reused": ({}, ("tape", None)),
 }
-#: The four loops of a probed cell / of a probe-less one.
-PROBED_LOOPS = ("tape", "watched", "per_event", "reference")
-BARE_LOOPS = ("tape", "alias", "per_event", "reference")
+#: The loops of a probed cell / of a probe-less one.
+PROBED_LOOPS = ("tape", "watched", "per_event", "reference", "reused")
+BARE_LOOPS = ("tape", "alias", "per_event", "reference", "reused")
 _WATCHER_OF = {RecordingProbe: MessageLogProbe, SpanProbe: SpanMessageLogProbe}
 
 
@@ -189,9 +193,16 @@ def run_loop(trace, protocol, config, loop, make_probe=None, sink=None):
     if loop == "watched":
         make_probe = _WATCHER_OF.get(make_probe, make_probe)
     probe = make_probe(sinks=[sink] if sink is not None else None) if make_probe else None
+    if loop == "reused" and probe is not None:
+        first = make_probe(sinks=[type(sink)()] if sink is not None else None)
+        Engine(trace, config, protocol, probe=first).run()
+        first.close()
     engine = Engine(trace, config.with_options(**overrides), protocol, probe=probe)
     result = engine.run_reference() if loop == "reference" else engine.run()
     assert path_and_reason(result) == expected
+    if loop == "reused":
+        observed = probe is not None and probe.events
+        assert result.manifest.get("obs_stream") == ("reused" if observed else None)
     return engine, probe, result
 
 
@@ -211,7 +222,7 @@ def observe(trace, protocol, config, loop, make_probe=RecordingProbe, sink=None)
     # through begin()): views of the same staged rows, empty off the tape.
     for kind, rows in (("lock", probe._lock_rows), ("barrier", probe._barrier_rows)):
         assert all(row is probe._segments[kind, ident] for ident, row in rows.items())
-        assert loop == "tape" or not rows
+        assert loop in ("tape", "reused") or not rows
     if isinstance(probe, MessageLogProbe):
         # It was told of every message, local hops excluded.
         assert sum(message[5] for message in probe.log) == result.messages

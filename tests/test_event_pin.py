@@ -16,7 +16,9 @@ import pytest
 
 from repro.cli import main
 
-GOLDEN = json.loads((Path(__file__).parent / "golden_events_water4.json").read_text(encoding="utf-8"))
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_events_water4.json").read_text(encoding="utf-8")
+)
 CELL = ["--app", "water", "--n-procs", "4", "--seed", "1", "--scale", "0.25", "--page-size", "1024"]
 
 

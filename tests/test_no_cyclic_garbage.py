@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from array import array
 from typing import Callable, Dict
 
 import pytest
@@ -26,6 +27,7 @@ from repro.hb.skeleton import batch_plan
 from repro.network.link import LinkModel
 from repro.obs.probe import RecordingProbe
 from repro.obs.sinks import ColumnarSink, JsonlSink
+from repro.obs.spans import SpanProbe
 from repro.simulator.engine import Engine, simulate
 from repro.simulator.sweep import run_sweep
 from repro.trace import load_trace, save_trace
@@ -100,6 +102,27 @@ def closed_sink_runs(tmp):
         results.append(simulate(trace, protocol, page_size=1024, probe=probe))
         probe.close()
     return trace, results
+
+
+@entry
+def observed_cell_recorded_then_reused(tmp):
+    """One observed cell cold, then warm, under a sink and under a span
+    probe — each family. The kept stream is columns only: it references
+    neither a probe nor the plan that keeps it."""
+    trace = small_trace("water")
+    results = []
+    for protocol in ("LU", "EU"):
+        for make_probe in (lambda: RecordingProbe(sinks=[ColumnarSink()]), SpanProbe) * 2:
+            probe = make_probe()
+            results.append(simulate(trace, protocol, page_size=1024, probe=probe))
+            probe.close()
+    sources = [result.manifest["obs_stream"] for result in results]
+    assert sources == (["recorded"] + ["reused"] * 3) * 2
+    plan = batch_plan(trace.compiled(1024), trace.n_procs)
+    for stream in plan._obs_streams.values():
+        held = [ref for ref in gc.get_referents(stream) if not isinstance(ref, type)]
+        assert held and all(isinstance(ref, array) for ref in held)
+    return trace, results, probe
 
 
 @entry

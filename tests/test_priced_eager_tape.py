@@ -63,9 +63,10 @@ COST_MODELS = {
     ),
 }
 
-#: What ``Engine.run()`` chooses between: the tape, and the interpreter
-#: for a message watcher or for values.
-RUN_LOOPS = ("tape", "watched", "per_event")
+#: What ``Engine.run()`` chooses between: the tape (cold, and warm once
+#: a first run has kept the cell's records), and the interpreter for a
+#: message watcher or for values.
+RUN_LOOPS = ("tape", "watched", "per_event", "reused")
 
 
 def midspan_trace():
@@ -179,8 +180,8 @@ class TestNoRunProgram:
 
         runs = [
             ("tape", Engine(trace, config, protocol)),
-            # Sinks and span records ride the priced fold and walk the
-            # unpriced steps.
+            # A sink's run records the cell's stream, walking the steps
+            # beside the priced fold; the span probe reads that stream.
             ("tape", Engine(trace, config, protocol, probe=sink_probe())),
             ("tape", Engine(trace, config, protocol, probe=SpanProbe())),
             # So does a cold timed cell's send log.
@@ -195,7 +196,7 @@ class TestNoRunProgram:
             manifest = engine.run().manifest
             assert manifest.get("decline_reason", "tape") == reason
         plan = batch_plan(trace.compiled(1024), trace.n_procs)
-        assert plan._eager_tapes and plan._runs is None and plan._skeleton is None
+        assert plan._obs_streams and plan._runs is None and plan._skeleton is None
         # The lazy family is what needs it.
         simulate(trace, "LI", config=config)
         assert plan._runs is not None
@@ -294,30 +295,32 @@ class TestPlanCache:
             after = plan_stats()
             return {k: after[k] - before[k] for k in after if after[k] != before[k]}
 
-        # Cold and unobserved: the walk is priced as it goes, no
-        # unpriced tape is built or kept.
+        # Cold and unobserved: the walk is priced as it goes, and
+        # nothing but the priced tape is kept.
         assert delta(config) == {"plan_builds": 1, "priced_tape_builds": 1}
         plan = batch_plan(trace.compiled(1024), trace.n_procs)
-        assert not plan._eager_tapes
-        # Warm: one priced-tape hit; the unpriced tape is not looked up.
+        assert not plan._obs_streams
+        # Warm: one priced-tape hit.
         assert delta(config) == {"plan_hits": 1, "priced_tape_hits": 1}
-        # A new cost key walks again: there is still no tape to read back.
+        # A new cost key walks again.
         other = config.with_options(cost_model=COST_MODELS["all_flipped"])
         assert delta(other) == {"plan_hits": 1, "priced_tape_builds": 1}
-        assert not plan._eager_tapes
-        # A sink asks for the unpriced steps: built once, kept...
+        # A sink's first run walks the steps once more, for the cell's
+        # record stream, and keeps the stream, not the steps...
         assert delta(config, RecordingProbe(sinks=[ColumnarSink()])) == {
             "plan_hits": 1,
-            "eager_tape_builds": 1,
             "priced_tape_hits": 1,
+            "obs_stream_builds": 1,
         }
-        # ...and from then on a new cost key prices those, not a new walk.
-        headers = config.with_options(cost_model=COST_MODELS["header_in_data"])
-        assert delta(headers) == {
+        # ...which every later observer of the cell reads, walking nothing.
+        assert delta(config, SpanProbe()) == {
             "plan_hits": 1,
-            "eager_tape_hits": 1,
-            "priced_tape_builds": 1,
+            "priced_tape_hits": 1,
+            "obs_stream_hits": 1,
         }
+        # A new cost key prices a fresh walk.
+        headers = config.with_options(cost_model=COST_MODELS["header_in_data"])
+        assert delta(headers) == {"plan_hits": 1, "priced_tape_builds": 1}
         paid = config.with_options(free_local_lock_reacquire=False)
         assert delta(paid)["priced_tape_builds"] == 1
 
@@ -332,7 +335,7 @@ class TestPlanCache:
         with caplog.at_level("INFO", logger="repro.simulator.sweep"):
             run_sweep(small_trace("water"), protocols=list(EAGER), page_sizes=[512, 1024])
         (line,) = [r.getMessage() for r in caplog.records if "plan cache" in r.getMessage()]
-        assert "8 builds (2 plan / 0 lazy tape / 6 priced eager tape / 0 kept unpriced)" in line
+        assert "8 builds (2 plan / 0 lazy tape / 6 priced eager tape)" in line
         assert "12 lookups" in line  # 6 cells x (plan + priced tape), nothing else
 
     def test_one_record_per_sync_instruction_plus_nonempty_gaps(self):
@@ -343,7 +346,7 @@ class TestPlanCache:
         plan = batch_plan(trace.compiled(1024), trace.n_procs)
         syncs = [ins for ins in plan.runs if ins[0] >= R_ACQUIRE]
         for policy in EAGER:
-            steps = plan.eager_tape(policy).steps
+            steps = plan.eager_steps(policy)
             assert [sync for sync, _gap, _flush in steps[:-1]] == syncs
             # A miss or fault record keeps its access's position: the
             # op's own seq, a send log's key for the messages it sends.
@@ -375,7 +378,8 @@ class TestTimedWarmCell:
             "tape",
             "reused",
         )
-        # The recording walked the eager steps and kept none of them.
-        assert not batch_plan(trace.compiled(1024), trace.n_procs)._eager_tapes
+        # The recording walked the eager steps and kept only the log.
+        plan = batch_plan(trace.compiled(1024), trace.n_procs)
+        assert len(plan._send_logs) == 1 and not plan._obs_streams
         assert warm.timing == cold.timing == GOLDEN[f"{protocol}/{link_name}"]
         assert ledger_fields(warm) == ledger_fields(cold) == ledger_fields(counting)
