@@ -558,8 +558,9 @@ class BatchPlan:
     first timed run so every other link over it only folds; and the
     record stream (:class:`~repro.obs.spans.SpanRecords`: every event,
     window, message and epoch mark a stock observer receives), recorded
-    by the cell's first run under a sink or a span probe so every later
-    one only reads it.
+    by the cell's second run under a sink or a span probe — the first
+    that shows the cell is observed again — so every later one only
+    reads it.
     """
 
     __slots__ = (
@@ -573,6 +574,7 @@ class BatchPlan:
         "_lazy_tapes",
         "_send_logs",
         "_obs_streams",
+        "_observed",
         "_compute_profile",
     )
 
@@ -590,6 +592,7 @@ class BatchPlan:
         self._lazy_tapes: Dict[Tuple[CostModel, bool, bool], LazyTape] = {}
         self._send_logs: Dict[tuple, SendLog] = {}
         self._obs_streams: Dict[tuple, "SpanRecords"] = {}
+        self._observed: Set[tuple] = set()
         #: Kept by :func:`sync_compute_profile`, not a tape: no stats.
         self._compute_profile: Optional[List[List[int]]] = None
 
@@ -698,11 +701,19 @@ class BatchPlan:
 
     def obs_stream(self, key: tuple) -> Optional["SpanRecords"]:
         """The record stream kept for ``key`` (the send log's key), or
-        None (the run records one)."""
+        None."""
         stream = self._obs_streams.get(key)
         if stream is not None:
             PLAN_STATS["obs_stream_hits"] += 1
         return stream
+
+    def revisit(self, key: tuple) -> bool:
+        """Note an observed run of ``key``'s cell: True when an earlier
+        one was noted, so the cell is observed again and its stream is
+        worth keeping. A cell observed once keeps nothing but its key."""
+        seen = key in self._observed
+        self._observed.add(key)
+        return seen
 
     def keep_obs_stream(self, key: tuple, stream: "SpanRecords") -> None:
         PLAN_STATS["obs_stream_builds"] += 1

@@ -22,8 +22,9 @@ observable in our runs:
   trace digest, phase timings, plan-cache activity) attached to every
   result.
 - :mod:`~repro.obs.spans` — causal span timelines: a
-  :class:`SpanProbe` reads the run's record stream (kept per cell on
-  the tape, written by its hooks on the interpreter) and a post-hoc
+  :class:`SpanProbe` reads the run's record stream (written by its
+  hooks or the tape kernels, kept per cell once a cell is observed
+  again) and a post-hoc
   builder reconstructs per-processor weighted spans linked by
   happens-before flow edges, exportable as Perfetto-loadable Chrome
   trace-event JSON and analyzable by

@@ -94,8 +94,8 @@ def build_manifest(
     split ``simulate_s`` into the ledger replay, ``record_s`` (merging
     the compute column into a send log the run recorded) and
     ``fold_s``; a tape run under a sink or a span probe adds
-    ``observe_s``, keeping the cell's record stream and handing it to
-    the probe; callers may add
+    ``observe_s`` when it records or reads the cell's kept record
+    stream, keeping it and handing it to the probe; callers may add
     ``generate_s``). ``plan_cache`` is this run's delta of the
     batch-plan/tape cache counters (``repro.hb.skeleton.PLAN_STATS``) —
     whether the sync skeleton and cost-resolved tapes were rebuilt or
@@ -111,7 +111,8 @@ def build_manifest(
     run), ``send_log`` whether a timed run ``recorded`` its send log or
     ``reused`` a cached one — either way on the counting run's path — and
     ``obs_stream`` the same of a tape run's record stream, the one a sink
-    or a span probe reads (absent when nothing observed one).
+    or a span probe reads (absent when nothing observed one, and on a
+    cell's first observed run, which writes to the probe directly).
     """
     params = trace.meta.params
     seed = params.get("seed")

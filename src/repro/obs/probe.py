@@ -19,9 +19,9 @@ into :meth:`repro.network.network.Network.send`. Two implementations:
   :class:`~repro.obs.metrics.MetricsRegistry` is read (``Engine.run()``
   does, so ``sink.events`` is complete when ``simulate()`` returns) and
   on ``close()`` (so a run that raises still leaves a parseable file).
-  A tape run stages no event at all: the engine hands the probe its
-  cell's kept record stream instead (:meth:`RecordingProbe.replay_stream`),
-  in the same per-epoch batches.
+  A tape run that records or reads its cell's kept record stream stages
+  no event: the engine hands the probe that stream instead
+  (:meth:`RecordingProbe.replay_stream`), in the same per-epoch batches.
 
 Attribution model: the probe tracks the synchronization operation in
 progress (``begin``/``end`` around acquire/release/barrier) so every
@@ -191,8 +191,11 @@ class RecordingProbe(Probe):
         # subclass hooks) and stages nothing.
         self._seq += 1
         if self.sinks:
-            self._rows += (SHAPE_CODES[kind, len(fields)], proc, *fields.values())
-            self._rows += FIELD_PADDING[len(fields)]
+            rows = self._rows
+            rows.append(SHAPE_CODES[kind, len(fields)])
+            rows.append(proc)
+            rows += fields.values()
+            rows += FIELD_PADDING[len(fields)]
 
     # -- attribution context -------------------------------------------------
 
@@ -279,8 +282,8 @@ class RecordingProbe(Probe):
         del rows[:]
 
     def replay_stream(self, records) -> None:
-        """Receive the events of a tape run that staged none: its cell's
-        kept record stream (:class:`~repro.obs.spans.SpanRecords`) goes
+        """Receive the events of a tape run that staged none: the record
+        stream it recorded or its cell's kept one (:class:`~repro.obs.spans.SpanRecords`) goes
         to the sinks in the per-epoch batches a drain would have made,
         numbered from here on. The run has already advanced the epoch
         past the stream's epoch marks."""

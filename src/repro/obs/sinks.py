@@ -6,8 +6,8 @@ code, the acting processor and ``FIELD_WIDTH`` integer slots (the
 shape's fields, zero past its arity). Events reach sinks in per-epoch
 batches (a stock :class:`~repro.obs.probe.RecordingProbe` drains at
 every epoch boundary, whenever its metrics registry is read and on
-``close()``; a tape run hands a cell's kept record stream over the same
-way). A sink takes a batch in one of two forms:
+``close()``; a tape run that records or reads a cell's kept record
+stream hands it over the same way). A sink takes a batch in one of two forms:
 
 - ``record_rows(kinds, procs, fields, epoch)`` — the columns
   themselves: shape codes, processors and the flat ``FIELD_WIDTH``-wide

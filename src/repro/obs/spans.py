@@ -18,12 +18,12 @@ Two pieces:
   an instrumented run staying *exact*. The stream has one set of
   writers and two callers: the probe's hooks wherever hooks are called
   (the interpreters and their every ``Network.send``), and the tape
-  kernels on a cell's first observed run, which write what the hooks
-  they bypass would have, from the records they replay. The stream is
-  then kept on the cell's plan, and every later stock observer of the
-  cell reads it. So a span-traced run takes the ``tape`` path like any
-  other, and **tracing-off runs are untouched** — a kernel tests for
-  the stream behind its probe test.
+  kernels, which write what the hooks they bypass would have, from the
+  records they replay. On a cell's second observed run the kernels
+  write a stream the engine keeps on the cell's plan, and every later
+  stock observer of the cell reads it. So a span-traced run takes the
+  ``tape`` path like any other, and **tracing-off runs are untouched**
+  — a kernel tests for the stream behind its probe test.
 - :class:`SpanBuilder` — replays the record stream once, against a
   :class:`SpanCosts` model and the compute profile from
   :func:`repro.hb.skeleton.sync_compute_profile`, advancing one virtual
@@ -259,11 +259,12 @@ class SpanRecords:
     window openings as their id — plus ``epoch_ends``, the event count
     at each epoch mark, where a sink's per-epoch batches split. The
     methods below are the only writers: :class:`SpanProbe`'s hooks call
-    them where hooks are called, the tape kernels directly on a cell's
-    first observed run. :meth:`freeze` then packs the lists into typed
+    them where hooks are called, the tape kernels directly. On a cell's
+    second observed run :meth:`freeze` then packs the lists into typed
     arrays and the engine keeps the stream on the cell's
     :class:`~repro.hb.skeleton.BatchPlan`; every later observed run of
-    the cell reads it (a :class:`SpanProbe`'s ``records`` *is* it).
+    the cell reads it (a :class:`SpanProbe`'s ``records`` *is* it, until
+    the probe observes another run and :meth:`writable` copies it).
     Streams compare equal record for record, whichever path wrote them.
     """
 
@@ -337,6 +338,21 @@ class SpanRecords:
         self.idents = int_column(self.idents)
         self.epoch_ends = int_column(self.epoch_ends)
         return self
+
+    def extend(self, other: "SpanRecords") -> None:
+        """Append ``other``'s records, as if written after these."""
+        offset = len(self.ev_kinds)
+        for name in self.__slots__[:-1]:
+            getattr(self, name).extend(getattr(other, name))
+        self.epoch_ends.extend(offset + end for end in other.epoch_ends)
+
+    def writable(self) -> "SpanRecords":
+        """This stream, or a writable copy of it once frozen."""
+        if not isinstance(self.codes, array):
+            return self
+        copy = SpanRecords()
+        copy.extend(self)
+        return copy
 
     # -- readers -------------------------------------------------------------
 
@@ -438,7 +454,11 @@ class SpanProbe(RecordingProbe):
 
     def replay_stream(self, records: SpanRecords) -> None:
         super().replay_stream(records)
-        self.records = records
+        if len(self.records):  # a probe observing one more run
+            self.records = self.records.writable()
+            self.records.extend(records)
+        else:
+            self.records = records
 
     def __repr__(self) -> str:
         return f"SpanProbe(records={len(self.records)}, epoch={self._epoch})"

@@ -47,8 +47,9 @@ def certify_replay(protocol: "Protocol") -> Tuple[str, Optional[str]]:
       bulk updates (lazy family: per sync operation and diff fetch;
       eager family: the whole run). A stock probe's metrics rows and a
       timed run's send log are fed from the same records; event sinks
-      and a span probe read the cell's record stream, which the cell's
-      first observed run writes from them (:meth:`observe_on_tape`).
+      and a span probe get what the kernels write from them, or the
+      cell's kept record stream once the cell is observed again
+      (:meth:`observe_on_tape`).
       The reason is None.
 
     The engine dispatches on the path; the pair goes into the run's
@@ -138,18 +139,25 @@ class Protocol(abc.ABC):
         # other live probe gets every hook called, which only the
         # interpreter does.
         self._probe_fast = is_stock_staging(probe) or is_stock_staging(probe, SpanProbe)
+        if isinstance(probe, SpanProbe):
+            # Hooks write its records in place: never a cell's kept
+            # stream, which an earlier reused run left it viewing.
+            probe.records = probe.records.writable()
         self.network.attach_probe(probe)
 
-    def observe_on_tape(self, stream: Optional[SpanRecords]) -> None:
+    def observe_on_tape(self, stream: Optional[SpanRecords], emit) -> None:
         """Set up a tape run under a stock probe that takes events (sinks,
-        or a span probe): every hook is bypassed, the metrics rows are
-        staged inline, and what the observer receives — events, windows,
-        messages, epoch marks — is written to ``stream``, the cell's
-        record stream. ``None``: the cell's stream is kept already, so
-        this run emits nothing and the engine hands the probe that."""
+        or a span probe): every hook is bypassed and the metrics rows are
+        staged inline. The events go to ``emit`` and the windows,
+        messages and epoch marks to ``stream`` — the probe's own emit
+        and records, or a record stream being written
+        (:meth:`Engine._observe_on_tape
+        <repro.simulator.engine.Engine._observe_on_tape>`). With
+        neither, the run emits nothing: the cell's stream is kept
+        already, and the engine hands the probe that."""
         self._span = stream
-        self._obs_events = stream is not None
-        self._emit = stream.emit if stream is not None else NULL_PROBE.emit
+        self._obs_events = emit is not None
+        self._emit = emit if emit is not None else NULL_PROBE.emit
         self.network.attach_probe(self.probe, stages=True)
         self._bind_tap()
 

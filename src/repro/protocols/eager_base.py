@@ -90,19 +90,21 @@ class EagerTapeMixin:
     merged ledger record per sync operation and inter-sync gap into the
     network, the counters and — under a stock probe — the staged
     attribution rows. The priced tape is built from the walk's steps
-    and they are dropped. A run with a tap (``_tap``: a cell's first
-    observed run writing its record stream, or a cold timed cell
-    recording its send log) walks them again, alongside the fold, for
-    each one's events and messages, and keeps none of them either.
+    and they are dropped. A run that emits events or has a tap
+    (``_tap``: a span probe or record stream being written, or a cold
+    timed cell recording its send log) walks them again, alongside the
+    fold, for each one's events and messages, and keeps none of them
+    either.
     """
 
     def bind_batch_plan(self, plan):
-        """Bind the priced tape for this run's cost key (and, for a tap,
-        a fresh walk's steps beside it); returns the whole run as one
-        callable."""
+        """Bind the priced tape for this run's cost key (and, for events
+        or a tap, a fresh walk's steps beside it); returns the whole run
+        as one callable."""
         self._page_fetch_bytes = self.costs.page_bytes(self.page_size)
         self._ops = plan.ops
-        self._steps = plan.eager_steps(self.name) if self._tap is not None else None
+        walk = self._obs_events or self._tap is not None
+        self._steps = plan.eager_steps(self.name) if walk else None
         # A priced build prices the steps in hand rather than walk again.
         self._priced = plan.priced_eager_tape(
             self.name, self.costs, self.config.free_local_lock_reacquire, self._steps
@@ -118,13 +120,13 @@ class EagerTapeMixin:
         the staged row the sync wrappers would have swapped in — created
         on first use, in the same order — and the epoch advances after a
         completing barrier arrival, so the metrics snapshot matches the
-        per-message path. Writing a record stream, each sync record
-        also emits its step of the walk: the gap's events land at the
+        per-message path. With events, each sync record also emits its
+        step of the walk: the gap's events land at the
         sync record that follows them (a gap of bare write faults has no
         priced record of its own), still before it and inside its epoch.
         The tap gets, between those events, each step's messages in the
         order the per-event hooks send them (a send log each at its op),
-        and the stream the operation's window around them.
+        and a span stream the operation's window around them.
         """
         apply_tape = self.network.apply_tape
         probe = self.probe if self._obs else None

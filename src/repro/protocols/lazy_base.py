@@ -826,9 +826,9 @@ class LazyProtocol(Protocol):
     # read_touch is the miss check. Under a stock probe (``self._obs``;
     # nothing else reaches the tape) each kernel also stages the
     # operation's attribution row exactly as the base Protocol wrappers
-    # would and charges it the tape's precomputed row add. On a cell's
-    # first observed run (``self._span``, the record stream being
-    # written; ``self._obs_events``) it also emits the events the
+    # would and charges it the tape's precomputed row add. Under a sink
+    # or a span probe (``self._obs_events``; ``self._span``, the span
+    # records being written) it also emits the events the
     # wrappers and hooks would have, from the same record, and writes
     # the window. Under a record stream or a send log (``self._tap``) it
     # expands the merged deltas back out into the messages the bypassed

@@ -30,7 +30,7 @@ from repro.network.link import derive_network_seed
 from repro.network.timed import NetworkTiming, SendLog
 from repro.obs.manifest import build_manifest
 from repro.obs.probe import Probe
-from repro.obs.spans import SpanRecords
+from repro.obs.spans import SpanProbe, SpanRecords
 from repro.protocols.base import Protocol, certify_replay
 from repro.protocols.registry import protocol_class
 from repro.config import SimConfig
@@ -108,7 +108,9 @@ class Engine:
         self._timing: Optional[NetworkTiming] = None
         self._send_log_source: Optional[str] = None
         #: Tape runs under a sink or a span probe: whether the cell's
-        #: record stream was ``recorded`` by this run or ``reused``.
+        #: record stream was ``recorded`` by this run or ``reused``
+        #: (None otherwise: a cell's first observed run keeps nothing,
+        #: see _observe_on_tape).
         self._obs_stream_source: Optional[str] = None
         #: The loop that produced the ledger and, unless it was the tape
         #: replay, why not (see :func:`certify_replay`).
@@ -143,9 +145,10 @@ class Engine:
         records that :class:`SendLog` on the way, from the loop that
         supplies its ledger, so nothing runs twice and nothing switches
         loops. A tape run under a sink or a span probe does the same
-        with the cell's record stream (:class:`~repro.obs.spans.SpanRecords`):
-        the first records it, every later one replays metrics-only and
-        hands the probe the kept stream.
+        with the cell's record stream (:class:`~repro.obs.spans.SpanRecords`)
+        once the cell is observed again: that run records it, every
+        later one replays metrics-only and hands the probe the kept
+        stream (:meth:`_observe_on_tape`).
 
         Runs with the cyclic collector paused, restored on exit: a run
         makes no reference cycles (``tests/test_no_cyclic_garbage.py``).
@@ -171,14 +174,7 @@ class Engine:
             # which only the fold reads, is not.
             key = (type(protocol), config.with_options(link_model=None))
         if observed:
-            stream = plan.obs_stream(key)
-            if stream is not None:
-                self._obs_stream_source = "reused"
-                protocol.observe_on_tape(None)
-            else:
-                self._obs_stream_source = "recorded"
-                stream = SpanRecords()
-                protocol.observe_on_tape(stream)
+            stream = self._observe_on_tape(plan, key)
         if config.link_model is not None:
             log = plan.send_log(key)
             if log is not None:
@@ -188,10 +184,17 @@ class Engine:
                 log = SendLog(config.cost_model.header_bytes)
                 protocol.record_sends(log)
                 ops = log.track(ops, range(len(ops)))
-        if self._execution_path == "tape":
-            self._run_tape(compiled, timings, plan)
-        else:
-            read_values = self._run_per_event(ops, timings)
+        try:
+            if self._execution_path == "tape":
+                self._run_tape(compiled, timings, plan)
+            else:
+                read_values = self._run_per_event(ops, timings)
+        except BaseException:
+            if stream is not None and self._obs_stream_source != "reused":
+                # What the run wrote before the raise reaches the sinks,
+                # as staged rows would on close; it is not kept.
+                self.probe.replay_stream(stream)
+            raise
         if self._send_log_source == "recorded":
             t0 = time.perf_counter()
             plan.keep_send_log(key, log.close(compiled.ops))
@@ -207,6 +210,36 @@ class Engine:
         if log is not None:
             self._fold(log, timings)
         return self._result(read_values, timings)
+
+    def _observe_on_tape(self, plan, key: tuple) -> Optional[SpanRecords]:
+        """Point a tape run's events, windows and messages somewhere; the
+        record stream to hand the probe when the run is done, or None.
+
+        A cell's first observed run under sinks writes straight to the
+        probe, as the hooks would, and its sinks drain per epoch; under a
+        span probe, which holds the whole stream anyway, it writes a
+        stream the probe is handed. The cell's second observed run
+        records the stream and the engine keeps it on the plan; every
+        later one emits nothing and reads the kept stream. A probe whose
+        ``emit`` is patched on the instance has it called for every
+        event, so it neither reads nor writes the memo.
+        """
+        probe, protocol = self.probe, self.protocol
+        if "emit" not in vars(probe):
+            stream = plan.obs_stream(key)
+            if stream is not None:
+                self._obs_stream_source = "reused"
+                protocol.observe_on_tape(None, None)
+                return stream
+            keep = plan.revisit(key)
+            if keep or isinstance(probe, SpanProbe):
+                self._obs_stream_source = "recorded" if keep else None
+                stream = SpanRecords()
+                protocol.observe_on_tape(stream, stream.emit)
+                return stream
+        records = probe.records if isinstance(probe, SpanProbe) else None
+        protocol.observe_on_tape(records, probe.emit)
+        return None
 
     def _plan(self, compiled: CompiledTrace):
         """The cell's batch plan, sized by the config like the protocol."""

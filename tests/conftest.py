@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps import cholesky, locusroute, mp3d, pthor, water
 from repro.config import SimConfig
+from repro.hb.skeleton import batch_plan
 from repro.obs.probe import RecordingProbe
 from repro.obs.sinks import MemorySink
 from repro.obs.spans import SpanProbe, timeline_from_records
@@ -173,14 +174,16 @@ LOOPS = {
     "per_event": ({"record_values": True}, ("per_event", "record_values")),
     # The oracle is asked for by name (``Engine.run_reference()``).
     "reference": ({}, ("reference", None)),
-    # The tape once more, after a first run has kept the cell's record
-    # stream: a sink or span probe now reads that stream (run_loop
-    # checks the manifest says so).
+    # The tape once the cell has been observed before: a sink or span
+    # probe gets the record stream this run writes and the plan keeps...
+    "recorded": ({}, ("tape", None)),
+    # ...and then reads that kept stream (run_loop primes the cell so,
+    # and checks the manifest says so).
     "reused": ({}, ("tape", None)),
 }
 #: The loops of a probed cell / of a probe-less one.
-PROBED_LOOPS = ("tape", "watched", "per_event", "reference", "reused")
-BARE_LOOPS = ("tape", "alias", "per_event", "reference", "reused")
+PROBED_LOOPS = ("tape", "watched", "per_event", "reference", "recorded", "reused")
+BARE_LOOPS = ("tape", "alias", "per_event", "reference", "recorded", "reused")
 _WATCHER_OF = {RecordingProbe: MessageLogProbe, SpanProbe: SpanMessageLogProbe}
 
 
@@ -193,16 +196,24 @@ def run_loop(trace, protocol, config, loop, make_probe=None, sink=None):
     if loop == "watched":
         make_probe = _WATCHER_OF.get(make_probe, make_probe)
     probe = make_probe(sinks=[sink] if sink is not None else None) if make_probe else None
-    if loop == "reused" and probe is not None:
-        first = make_probe(sinks=[type(sink)()] if sink is not None else None)
-        Engine(trace, config, protocol, probe=first).run()
-        first.close()
+    observed = loop in ("recorded", "reused") and probe is not None and probe.events
+    if observed:
+        plan = batch_plan(trace.compiled(config.page_size), config.n_procs)
+        key = (protocol_class(protocol), config.with_options(link_model=None))
+        if loop == "recorded":
+            # An identical cell seen before (one plan per trace) may have
+            # kept its stream: drop it, so this run records afresh.
+            plan._obs_streams.pop(key, None)
+        # Observe the cell beforehand until this run is the one asked for.
+        while key not in (plan._obs_streams if loop == "reused" else plan._observed):
+            first = make_probe(sinks=[type(sink)()] if sink is not None else None)
+            Engine(trace, config, protocol, probe=first).run()
+            first.close()
     engine = Engine(trace, config.with_options(**overrides), protocol, probe=probe)
     result = engine.run_reference() if loop == "reference" else engine.run()
     assert path_and_reason(result) == expected
-    if loop == "reused":
-        observed = probe is not None and probe.events
-        assert result.manifest.get("obs_stream") == ("reused" if observed else None)
+    if loop in ("recorded", "reused"):
+        assert result.manifest.get("obs_stream") == (loop if observed else None)
     return engine, probe, result
 
 
@@ -222,7 +233,7 @@ def observe(trace, protocol, config, loop, make_probe=RecordingProbe, sink=None)
     # through begin()): views of the same staged rows, empty off the tape.
     for kind, rows in (("lock", probe._lock_rows), ("barrier", probe._barrier_rows)):
         assert all(row is probe._segments[kind, ident] for ident, row in rows.items())
-        assert loop in ("tape", "reused") or not rows
+        assert loop in ("tape", "recorded", "reused") or not rows
     if isinstance(probe, MessageLogProbe):
         # It was told of every message, local hops excluded.
         assert sum(message[5] for message in probe.log) == result.messages

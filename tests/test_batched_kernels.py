@@ -98,7 +98,7 @@ def assert_event_streams_identical(trace, protocol, **options):
     a message-logging probe or recorded values ask for. Full dict
     equality: kinds, fields, ``seq`` numbering and epochs."""
     config = SimConfig(n_procs=trace.n_procs, **options)
-    tape = assert_loops_agree(trace, protocol, config, ("tape", "watched", "per_event", "reused"))
+    tape = assert_loops_agree(trace, protocol, config, ("tape", "watched", "per_event", "recorded", "reused"))
     assert tape["events"]
 
 

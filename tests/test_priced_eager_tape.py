@@ -63,10 +63,11 @@ COST_MODELS = {
     ),
 }
 
-#: What ``Engine.run()`` chooses between: the tape (cold, and warm once
-#: a first run has kept the cell's records), and the interpreter for a
-#: message watcher or for values.
-RUN_LOOPS = ("tape", "watched", "per_event", "reused")
+#: What ``Engine.run()`` chooses between: the tape (a cell's first
+#: observer, the run that records its stream once it is observed again,
+#: and every one that reads it), and the interpreter for a message
+#: watcher or for values.
+RUN_LOOPS = ("tape", "watched", "per_event", "recorded", "reused")
 
 
 def midspan_trace():
@@ -180,10 +181,12 @@ class TestNoRunProgram:
 
         runs = [
             ("tape", Engine(trace, config, protocol)),
-            # A sink's run records the cell's stream, walking the steps
-            # beside the priced fold; the span probe reads that stream.
+            # A sink's run walks the steps beside the priced fold; the
+            # span probe, observing the cell again, records its stream
+            # the same way; the next sink reads that stream.
             ("tape", Engine(trace, config, protocol, probe=sink_probe())),
             ("tape", Engine(trace, config, protocol, probe=SpanProbe())),
+            ("tape", Engine(trace, config, protocol, probe=sink_probe())),
             # So does a cold timed cell's send log.
             ("tape", Engine(trace, config.with_options(link_model=LinkModel.ideal()), protocol)),
             ("subclassed_probe", Engine(trace, config, protocol, probe=EpochWatcher())),
@@ -305,8 +308,13 @@ class TestPlanCache:
         # A new cost key walks again.
         other = config.with_options(cost_model=COST_MODELS["all_flipped"])
         assert delta(other) == {"plan_hits": 1, "priced_tape_builds": 1}
-        # A sink's first run walks the steps once more, for the cell's
-        # record stream, and keeps the stream, not the steps...
+        # A sink's run walks the steps once more, for its events, and
+        # keeps nothing; observing the cell again walks them for the
+        # cell's record stream and keeps the stream, not the steps...
+        assert delta(config, RecordingProbe(sinks=[ColumnarSink()])) == {
+            "plan_hits": 1,
+            "priced_tape_hits": 1,
+        }
         assert delta(config, RecordingProbe(sinks=[ColumnarSink()])) == {
             "plan_hits": 1,
             "priced_tape_hits": 1,

@@ -1,7 +1,8 @@
 """A cell's record stream: written once, kept on the plan, read by every
 later observer — and the event schema it is written in.
 
-The first tape run of a cell under a sink or a span probe writes
+The first tape run of a cell under a sink or a span probe writes to the
+probe directly. The second shows the cell is observed again: it writes
 everything such an observer receives into a
 :class:`~repro.obs.spans.SpanRecords` and the engine keeps it on the
 cell's ``BatchPlan``, keyed like the send log; every later observed run
@@ -112,9 +113,11 @@ def test_manifest_and_plan_stats_name_the_stream():
     # Nothing that takes events: no stream.
     assert run(None) == (None, {})
     assert run(RecordingProbe()) == (None, {})
-    # The first sink records the cell's stream; a span probe reads it.
-    assert run(RecordingProbe([ColumnarSink()])) == ("recorded", {"obs_stream_builds": 1})
-    assert run(SpanProbe()) == ("reused", {"obs_stream_hits": 1})
+    # The first observer is written to directly; the second records the
+    # cell's stream; from then on every observer reads it.
+    assert run(RecordingProbe([ColumnarSink()])) == (None, {})
+    assert run(SpanProbe()) == ("recorded", {"obs_stream_builds": 1})
+    assert run(RecordingProbe([ColumnarSink()])) == ("reused", {"obs_stream_hits": 1})
     # A link changes no event: a timed cell reads the same stream.
     assert run(SpanProbe(), link_model=LinkModel.ideal()) == ("reused", {"obs_stream_hits": 1})
     # The interpreter writes through the hooks and keeps nothing.
@@ -123,13 +126,82 @@ def test_manifest_and_plan_stats_name_the_stream():
 
 def test_kept_stream_is_typed_columns():
     trace = small_trace("pthor")
+    plan = batch_plan(trace.compiled(1024), trace.n_procs)
     probe = SpanProbe()
     simulate(trace, "EU", page_size=1024, probe=probe)
-    plan = batch_plan(trace.compiled(1024), trace.n_procs)
+    assert not plan._obs_streams and isinstance(probe.records.codes, list)
+    probe = SpanProbe()
+    simulate(trace, "EU", page_size=1024, probe=probe)
     (stream,) = plan._obs_streams.values()
     assert probe.records is stream and len(stream) > 0
     columns = [getattr(stream, name) for name in type(stream).__slots__]
     assert all(isinstance(column, array) for column in columns)
+
+
+def test_a_probe_viewing_a_kept_stream_never_writes_it():
+    """A span probe that read a kept stream and then observes another
+    run — on the interpreter, or on the tape again — writes a copy: the
+    kept stream stays what the next observer of the cell gets."""
+    trace = small_trace("water")
+    config = SimConfig(n_procs=trace.n_procs, page_size=1024)
+    for _ in range(2):
+        Engine(trace, config, "LU", probe=SpanProbe()).run()
+    probe = SpanProbe()
+    assert Engine(trace, config, "LU", probe=probe).run().manifest["obs_stream"] == "reused"
+    (stream,) = batch_plan(trace.compiled(1024), trace.n_procs)._obs_streams.values()
+    kept = list(stream)
+    assert probe.records is stream
+    Engine(trace, config.with_options(record_values=True), "LU", probe=probe).run()
+    Engine(trace, config, "LU", probe=probe).run()
+    assert list(stream) == kept
+    assert probe.records is not stream and list(probe.records) == kept * 3
+    fresh = SpanProbe()
+    Engine(trace, config, "LU", probe=fresh).run()
+    assert fresh.records is stream
+    # Two runs of one probe, both set up before either runs.
+    shared = SpanProbe()
+    first, second = [Engine(trace, config, "LU", probe=shared) for _ in range(2)]
+    first.run()
+    second.run()
+    assert list(stream) == kept and list(shared.records) == kept * 2
+
+
+@pytest.mark.parametrize("protocol", ["LU", "EU"])
+@pytest.mark.parametrize("observed_before", [True, False], ids=["recording", "first_span"])
+def test_a_run_writing_a_stream_that_raises_hands_over_what_it_wrote(
+    protocol, observed_before, monkeypatch
+):
+    """A run writing a record stream dies partway — the one recording a
+    cell's stream, or a span probe's first run of the cell: its sinks get
+    every event written before the raise, and the plan keeps nothing."""
+    trace = small_trace("water")
+    config = SimConfig(n_procs=trace.n_procs, page_size=1024)
+    whole = MemorySink()
+    interpreted = config.with_options(record_values=True)  # leaves the memo alone
+    Engine(trace, interpreted, protocol, probe=RecordingProbe([whole])).run()
+    if observed_before:
+        Engine(trace, config, protocol, probe=RecordingProbe([MemorySink()])).run()
+    from repro.obs.spans import SpanRecords
+
+    real_emit, budget = SpanRecords.emit, len(whole.events) // 2
+    written = []
+
+    def dying_emit(self, kind, proc=-1, **fields):
+        if len(written) == budget:
+            raise RuntimeError("replay died")
+        written.append(kind)
+        real_emit(self, kind, proc, **fields)
+
+    monkeypatch.setattr(SpanRecords, "emit", dying_emit)
+    sink = MemorySink()
+    probe = RecordingProbe([sink]) if observed_before else SpanProbe([sink])
+    engine = Engine(trace, config, protocol, probe=probe)
+    with pytest.raises(RuntimeError):
+        engine.run()
+    assert engine._execution_path == "tape"
+    assert engine._obs_stream_source == ("recorded" if observed_before else None)
+    assert sink.events == whole.events[:budget]
+    assert not batch_plan(trace.compiled(1024), trace.n_procs)._obs_streams
 
 
 #: The run options a record stream or a send log can depend on, each
@@ -190,12 +262,13 @@ def test_reused_records_are_what_a_fresh_run_makes(program, order):
     out of the memo key fails this property.)"""
     trace = interleave(*program)
     base = SimConfig(n_procs=trace.n_procs, page_size=64)
-    fresh, first = {}, {}
+    fresh, first, sources = {}, {}, {}
     for cell in order:
         protocol, flip, observer = cell
         config = base if flip is None else base.with_options(**{flip: FLIPS[flip]})
         seen, manifest = observe_cell(trace, protocol, config, observer)
-        assert manifest["execution_path"] == "tape" and manifest["obs_stream"]
+        assert manifest["execution_path"] == "tape"
+        sources.setdefault((protocol, flip), []).append(manifest.get("obs_stream"))
         if cell not in fresh:
             fresh[cell], interpreted = observe_cell(
                 trace, protocol, config.with_options(record_values=True), observer
@@ -205,6 +278,8 @@ def test_reused_records_are_what_a_fresh_run_makes(program, order):
         # of two event streams.)
         same = seen == fresh[cell]
         assert same, cell
-        if manifest["obs_stream"] == "reused":
+        if manifest.get("obs_stream") == "reused":
             same = seen[2] == first.setdefault(cell, seen[2])
             assert same, cell
+    # Each key is observed four times: directly, then recorded, then read.
+    assert all(seq == [None, "recorded", "reused", "reused"] for seq in sources.values())

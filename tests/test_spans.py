@@ -401,9 +401,7 @@ class TestSinkExceptionSafety:
 
     def test_close_after_a_mid_epoch_raise_keeps_every_event(self, tmp_path):
         """A replay that dies between two epoch boundaries: the rows it
-        staged since the last one reach the file on ``probe.close()``.
-        (The interpreter stages rows as it emits; a tape run emits none,
-        its sinks read the cell's record stream once the run is done.)"""
+        staged since the last one reach the file on ``probe.close()``."""
         from repro.obs import read_jsonl
         from repro.simulator.engine import Engine
         from repro.config import SimConfig
@@ -416,6 +414,7 @@ class TestSinkExceptionSafety:
         path = tmp_path / "partial.jsonl"
         columnar = ColumnarSink()
         probe = RecordingProbe(sinks=[JsonlSink(path), columnar])
+        engine = Engine(trace, config, "LI", probe=probe)
         real_emit, budget = probe.emit, len(whole.events) // 2
 
         def dying_emit(kind, proc=-1, **fields):
@@ -423,16 +422,14 @@ class TestSinkExceptionSafety:
                 raise RuntimeError("replay died")
             real_emit(kind, proc, **fields)
 
-        # An instance attribute, not a subclass: the probe stays stock,
-        # and recording values keeps the run on the interpreter.
+        # An instance attribute, not a subclass: the run stays on the tape.
         probe.emit = dying_emit
-        engine = Engine(trace, config.with_options(record_values=True), "LI", probe=probe)
         try:
             with pytest.raises(RuntimeError):
                 engine.run()
         finally:
             probe.close()
-        assert engine._execution_path == "per_event"
+        assert engine._execution_path == "tape"
         events = read_jsonl(path)
         assert events == whole.events[:budget]
         assert 0 < events[-1]["epoch"] and probe._rows == []
