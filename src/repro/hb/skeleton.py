@@ -59,14 +59,17 @@ synchronization operation and nothing else happens in between. No run
 replays those steps message by message (one that watches individual
 messages is interpreted): :func:`build_priced_eager_tape` resolves them
 into one merged ledger record per synchronization operation and
-inter-sync gap (:class:`PricedEagerTape`), which
-:class:`repro.protocols.eager_base.EagerTapeMixin` folds, and they are
-dropped. A run that writes what the steps name — a cell's first
-observed run its record stream, a cold timed cell its send log — walks
-them once more beside the fold and keeps none of them either.
+inter-sync gap (:class:`PricedTape`), which
+:meth:`Protocol._fold <repro.protocols.base.Protocol._fold>` folds, and
+they are dropped. A run that writes what the steps name — a cell's
+first observed run its record stream, a cold timed cell its send log —
+walks them once more beside the fold and keeps none of them either. A
+lazy cell is priced into the same schema by its second tape run
+(:class:`PriceRecorder`), and every later run that writes nothing folds
+it the same way.
 
 :func:`batch_plan` memoizes one :class:`BatchPlan` (skeleton + run
-program + priced eager tapes + lazy tapes + shared fetch planners, each
+program + priced tapes + lazy tapes + shared fetch planners, each
 built lazily on first use, plus the send logs timed runs and the record
 streams observed runs record) per n_procs on the compiled trace itself,
 so every protocol replay of a sweep reuses it.
@@ -154,16 +157,18 @@ P_LOCK = 1
 P_BARRIER = 2
 
 
-class PricedEagerTape:
-    """An :func:`eager_steps` walk resolved into ledger records at one cost key.
+class PricedTape:
+    """A run resolved into merged ledger records: what a run that
+    watches no individual message and writes no event needs of it.
 
-    Nothing about an eager run depends on the run itself — the tape
-    fixes every message, the key ``(cost model, free_local_lock_
-    reacquire)`` its wire sizes and the lock hops (the page size is the
-    plan's) — so a run on the tape (nothing watches individual
-    messages) needs only the merged accounting. ``records`` holds, in
-    global order, one record per synchronization instruction and one
-    per inter-sync gap whose misses or write faults charged anything::
+    One schema for both families. An eager policy's tape is built from
+    its :func:`eager_steps` walk at one cost key ``(cost model,
+    free_local_lock_reacquire)`` (the page size is the plan's). A lazy
+    cell's tape is recorded by its second tape run, at the network
+    ledger while the kernels run (:class:`PriceRecorder`), and kept
+    under the send log's key. ``records`` holds, in global order, one
+    record per synchronization instruction and one per inter-sync gap
+    whose accesses charged anything::
 
         (cause, ident, deltas, rowadd, complete)
             cause, ident: P_MISS, -1 for a gap; P_LOCK / P_BARRIER and
@@ -178,21 +183,81 @@ class PricedEagerTape:
             complete: True on the arrival that completes a barrier
             episode (the probe's epoch advances after it)
 
-    ``counters`` is the run's final value of every protocol counter the
-    policy moves (``cold_misses``, ``invalid_misses``, ``flushes``,
-    ``reconciles``, ``write_faults``, ``ping_pongs``) — nothing reads
-    them mid-run, so they are not split per record.
+    ``counters`` is the run's final value of every protocol counter it
+    moves — an eager policy's misses, flushes, reconciles, write faults
+    and ping-pongs; a lazy cell's every counter and the ``m``/``h``
+    histograms — nothing reads them mid-run, so they are not split per
+    record. :meth:`repro.protocols.base.Protocol._fold` is the one fold
+    over it.
     """
 
-    __slots__ = ("policy", "records", "counters")
+    __slots__ = ("records", "counters")
 
-    def __init__(self, policy: str, records: List[tuple], counters: Dict[str, int]):
-        self.policy = policy
+    def __init__(self, records: List[tuple], counters: Dict[str, object]):
         self.records = records
         self.counters = counters
 
     def __repr__(self) -> str:
-        return f"PricedEagerTape({self.policy}, {len(self.records)} records)"
+        return f"PricedTape({len(self.records)} records)"
+
+
+class PriceRecorder:
+    """Prices a lazy run while its kernels run, one record at a time.
+
+    ``captured`` is the network's capture (``Network._capture``): every
+    deltas tuple ``apply_tape`` applies, and every message ``send``
+    charges as a one-delta tuple, lands in it until :meth:`close` turns
+    them into the current record. It holds no reference to the run, so
+    the :class:`PricedTape` it makes references neither a protocol nor a
+    plan.
+    """
+
+    __slots__ = ("captured", "records", "_faults", "_shared")
+
+    def __init__(self) -> None:
+        self.captured: List[tuple] = []
+        self.records: List[tuple] = []
+        self._faults = 0
+        #: Most records repeat (a bare release, a lock's hops): equal
+        #: tuples are stored once.
+        self._shared: Dict[tuple, tuple] = {}
+
+    def close(self, cause: int, ident: int, faults: int, complete: bool) -> None:
+        """End the current record; ``faults`` is the run's access-fault
+        count so far. A gap that charged nothing leaves no record; a
+        sync instruction always does, so the fold creates its staged
+        row where the kernel did. A record charged once keeps that
+        charge's deltas tuple (a sync's is its ``LazyTape`` record's)."""
+        captured = self.captured
+        new_faults = faults - self._faults
+        if cause == P_MISS and not captured and not new_faults:
+            return
+        self._faults = faults
+        share = self._shared.setdefault
+        if len(captured) == 1:
+            deltas = captured[0]
+        else:  # merged per kind, as one charge's deltas are
+            by_slot: Dict[int, List[int]] = {}
+            for charge in captured:
+                for slot, slot_messages, slot_data, slot_control in charge:
+                    acc = by_slot.get(slot)
+                    if acc is None:
+                        by_slot[slot] = [slot, slot_messages, slot_data, slot_control]
+                    else:
+                        acc[1] += slot_messages
+                        acc[2] += slot_data
+                        acc[3] += slot_control
+            deltas = tuple([share(delta, delta) for delta in map(tuple, by_slot.values())])
+        captured.clear()
+        messages = data = control = 0
+        for _slot, slot_messages, slot_data, slot_control in deltas:
+            messages += slot_messages
+            data += slot_data
+            control += slot_control
+        rowadd = (messages, data, control, new_faults)
+        rowadd = share(rowadd, rowadd) if any(rowadd) else None
+        record = (cause, ident, share(deltas, deltas), rowadd, complete)
+        self.records.append(share(record, record))
 
 
 def build_priced_eager_tape(
@@ -202,7 +267,7 @@ def build_priced_eager_tape(
     page_size: int,
     cost_model: CostModel,
     free_reacquire: bool,
-) -> PricedEagerTape:
+) -> PricedTape:
     """Price a ``policy`` step stream against one cost key, one record
     per sync and gap.
 
@@ -381,7 +446,7 @@ def build_priced_eager_tape(
                 memo[key] = parts
         record = (cause, value, *parts, complete)
         records.append(share(record, record))
-    return PricedEagerTape(policy, records, dict(+counters))  # the moved ones only
+    return PricedTape(records, dict(+counters))  # the moved ones only
 
 
 class LazyTape:
@@ -546,21 +611,23 @@ class BatchPlan:
     The run program, skeleton, and tapes are immutable during replays
     and built lazily on first use — an eager-only replay never pays for
     the run program or the lazy interval store, and vice versa;
-    cost-resolved tapes (:class:`LazyTape`, :class:`PricedEagerTape`)
-    are kept per cost key. The fetch
+    cost-resolved tapes (:class:`LazyTape`, an eager policy's
+    :class:`PricedTape`) are kept per cost key. The fetch
     planners (one per (cost model, pruning flag) actually used) are
     memo caches over the immutable store, so sharing them across
-    protocol instances only widens the memo hit rate. Two records of a
+    protocol instances only widens the memo hit rate. Three records of a
     cell are kept per (protocol class, config without its link) — the
     key of everything that can change send order, wire sizes or an
     event: the send log (the link-independent input of a timed run's
     clock fold, see :mod:`repro.network.timed`), recorded by the cell's
-    first timed run so every other link over it only folds; and the
+    first timed run so every other link over it only folds; the
     record stream (:class:`~repro.obs.spans.SpanRecords`: every event,
     window, message and epoch mark a stock observer receives), recorded
     by the cell's second run under a sink or a span probe — the first
     that shows the cell is observed again — so every later one only
-    reads it.
+    reads it; and a lazy cell's :class:`PricedTape`, recorded by its
+    second tape run so every later one that writes nothing folds it
+    (:meth:`lazy_pricing`).
     """
 
     __slots__ = (
@@ -575,6 +642,7 @@ class BatchPlan:
         "_send_logs",
         "_obs_streams",
         "_observed",
+        "_replayed",
         "_compute_profile",
     )
 
@@ -588,11 +656,13 @@ class BatchPlan:
         self._runs: Optional[Tuple[List[tuple], array]] = None
         self._skeleton: Optional[Skeleton] = None
         self._planners: Dict[Tuple[CostModel, bool], FetchPlanner] = {}
-        self._priced_tapes: Dict[Tuple[str, CostModel, bool], PricedEagerTape] = {}
+        #: Eager policies' by cost key, lazy cells' by the send log's key.
+        self._priced_tapes: Dict[tuple, PricedTape] = {}
         self._lazy_tapes: Dict[Tuple[CostModel, bool, bool], LazyTape] = {}
         self._send_logs: Dict[tuple, SendLog] = {}
         self._obs_streams: Dict[tuple, "SpanRecords"] = {}
         self._observed: Set[tuple] = set()
+        self._replayed: Set[tuple] = set()
         #: Kept by :func:`sync_compute_profile`, not a tape: no stats.
         self._compute_profile: Optional[List[List[int]]] = None
 
@@ -639,7 +709,7 @@ class BatchPlan:
         slower (docs/PERFORMANCE.md)."""
         return list(eager_steps(self.ops, self.n_procs, policy))
 
-    def eager_tape(self, policy: str) -> PricedEagerTape:
+    def eager_tape(self, policy: str) -> PricedTape:
         """``policy``'s priced tape at the default cost key — what a
         default config's run folds, built ahead of it. (The benchmark's
         set-up step calls it by this name.)"""
@@ -647,7 +717,7 @@ class BatchPlan:
 
     def priced_eager_tape(
         self, policy: str, cost_model: CostModel, free_reacquire: bool, steps=None
-    ) -> PricedEagerTape:
+    ) -> PricedTape:
         """The (memoized) priced tape of ``policy`` for one cost key.
 
         Counted under its own ``priced_tape_*`` stats. A build prices
@@ -655,7 +725,7 @@ class BatchPlan:
         :meth:`eager_steps`, and keeps neither.
         """
 
-        def build() -> PricedEagerTape:
+        def build() -> PricedTape:
             walk = steps if steps is not None else self.eager_steps(policy)
             return build_priced_eager_tape(
                 policy, walk, self.n_procs, self.page_size, cost_model, free_reacquire
@@ -682,6 +752,30 @@ class BatchPlan:
             ),
             "lazy_tape",
         )
+
+    def lazy_pricing(self, key: tuple, folds: bool) -> Tuple[Optional[str], Optional[PricedTape]]:
+        """How a lazy tape run of ``key``'s cell (the send log's key) is
+        priced: ``("folded", tape)`` when the cell's priced tape is kept
+        and the run ``folds`` — it writes no event, stream or send log;
+        ``("recorded", None)`` when none is kept and a tape run of the
+        cell was noted before, so its kernels record one; else
+        ``(None, None)``. A cell run once keeps nothing but its key.
+        Counted under the ``priced_tape_*`` stats, beside the eager
+        policies' tapes."""
+        tape = self._priced_tapes.get(key)
+        if tape is not None:
+            if not folds:
+                return None, None
+            PLAN_STATS["priced_tape_hits"] += 1
+            return "folded", tape
+        if key in self._replayed:
+            return "recorded", None
+        self._replayed.add(key)
+        return None, None
+
+    def keep_priced_tape(self, key: tuple, tape: PricedTape) -> None:
+        PLAN_STATS["priced_tape_builds"] += 1
+        self._priced_tapes[key] = tape
 
     def send_log(self, key: tuple) -> Optional[SendLog]:
         """The send log kept for ``key``, or None (the run records one).

@@ -42,6 +42,11 @@ class Network:
         #: send log and/or a tape run's record stream); None otherwise —
         #: same one-check-per-send discipline as the probe.
         self._tap = None
+        #: While a lazy run records its priced tape, the list every
+        #: ledger update also lands in as a deltas tuple
+        #: (``PriceRecorder.captured``, closed into one record per sync
+        #: operation and gap); None otherwise, one check per update.
+        self._capture = None
         # Cost-model policy flags, hoisted: send() runs once per message
         # of every interpreted cell and the model is immutable.
         self._count_header = self.cost_model.count_header_in_data
@@ -86,7 +91,7 @@ class Network:
         control_bytes)`` tuples — the merged accounting of several
         :meth:`send` calls, resolved at tape-build time (see
         :class:`~repro.hb.skeleton.LazyTape` and
-        :class:`~repro.hb.skeleton.PricedEagerTape`). Callers certify
+        :class:`~repro.hb.skeleton.PricedTape`). Callers certify
         what :meth:`send` would have done per message (endpoints in
         range, locals excluded, the ack policy applied); probe staging
         and the tap's records, when either is attached, are the
@@ -100,6 +105,8 @@ class Network:
             bucket.messages += messages
             bucket.data_bytes += data_bytes
             bucket.control_bytes += control_bytes
+        if self._capture is not None:
+            self._capture.append(deltas)
 
     def send(
         self,
@@ -136,6 +143,8 @@ class Network:
             data += self._header_bytes
         bucket.data_bytes += data
         bucket.control_bytes += control_bytes
+        if self._capture is not None:
+            self._capture.append(((kind.slot, 1 if counted else 0, data, control_bytes),))
         probe = self._probe
         if probe is not None:
             if self._probe_stages:

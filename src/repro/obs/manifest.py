@@ -86,6 +86,7 @@ def build_manifest(
     send_log: Optional[str] = None,
     decline_reason: Optional[str] = None,
     obs_stream: Optional[str] = None,
+    priced_tape: Optional[str] = None,
 ) -> Dict[str, object]:
     """Assemble the provenance record for one simulation of ``trace``.
 
@@ -112,7 +113,11 @@ def build_manifest(
     ``reused`` a cached one — either way on the counting run's path — and
     ``obs_stream`` the same of a tape run's record stream, the one a sink
     or a span probe reads (absent when nothing observed one, and on a
-    cell's first observed run, which writes to the probe directly).
+    cell's first observed run, which writes to the probe directly), and
+    ``priced_tape`` whether a lazy tape run's kernels ``recorded`` its
+    cell's priced tape or the run ``folded`` the kept one in their place
+    (absent when the kernels ran and kept nothing, and off the lazy
+    family).
     """
     params = trace.meta.params
     seed = params.get("seed")
@@ -140,6 +145,8 @@ def build_manifest(
         manifest["send_log"] = send_log
     if obs_stream:
         manifest["obs_stream"] = obs_stream
+    if priced_tape:
+        manifest["priced_tape"] = priced_tape
     return manifest
 
 

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.common.types import BarrierId, LockId, PageId, ProcId
+from repro.hb.skeleton import P_LOCK, P_MISS, PricedTape
 from repro.memory.page import PageEntry, PageState, PageTable
 from repro.network.message import MessageKind
 from repro.network.network import Network
@@ -44,8 +45,9 @@ def certify_replay(protocol: "Protocol") -> Tuple[str, Optional[str]]:
     - ``"tape"``: no individual message is watched, so the run is
       replayed from cost-resolved tape records through
       :meth:`Network.apply_tape <repro.network.network.Network.apply_tape>`
-      bulk updates (lazy family: per sync operation and diff fetch;
-      eager family: the whole run). A stock probe's metrics rows and a
+      bulk updates (lazy family: per sync operation and diff fetch, or
+      one fold over the cell's kept priced tape once a run of it writes
+      nothing; eager family: the whole run). A stock probe's metrics rows and a
       timed run's send log are fed from the same records; event sinks
       and a span probe get what the kernels write from them, or the
       cell's kept record stream once the cell is observed again
@@ -123,6 +125,10 @@ class Protocol(abc.ABC):
         # forces the per-event path, which alone maintains them — so the
         # kernels keep page *state* and the ledger only.
         self._value_free = False
+        #: The priced tape a tape run folds instead of running kernels:
+        #: an eager policy's, bound with the plan; a lazy cell's kept
+        #: one, handed over by the engine (``fold_priced``).
+        self._priced: Optional[PricedTape] = None
 
     def attach_probe(self, probe: Probe) -> None:
         """Install ``probe`` on this protocol and its network.
@@ -192,6 +198,57 @@ class Protocol(abc.ABC):
         if self._span is not None:
             self._span.epoch()
         self.probe._next_epoch()
+
+    def _fold(self, tape: PricedTape, step=None) -> None:
+        """A run as one fold over its priced tape — either family's.
+
+        Each record's deltas go into the ledger. Under a stock probe its
+        row add is also charged to the staged row the sync wrappers would
+        have swapped in — created on first use, in the same order — and
+        the epoch advances after a completing barrier arrival, so the
+        metrics snapshot matches the per-message path. ``step``, given,
+        is called with each sync record's ``(cause, ident, complete)``
+        before the record is charged — where the eager walk writes the
+        operation's events and messages — and a record stream being
+        written gets the operation's window end after it. The tape's
+        final counters (histograms copied) are the run's.
+        """
+        apply_tape = self.network.apply_tape
+        probe = self.probe if self._obs else None
+        if probe is None and step is None:
+            for record in tape.records:
+                if record[2]:
+                    apply_tape(record[2])
+        else:
+            span = self._span
+            # No sync operation is in progress: this is the miss-cause row.
+            miss_row = probe._seg_row if probe is not None else None
+            for cause, ident, deltas, rowadd, complete in tape.records:
+                if deltas:
+                    apply_tape(deltas)
+                if cause == P_MISS:
+                    row = miss_row
+                else:
+                    if step is not None:
+                        step(cause, ident, complete)
+                    if probe is not None:
+                        rows = probe._lock_rows if cause == P_LOCK else probe._barrier_rows
+                        row = rows.get(ident)
+                        if row is None:
+                            kind = "lock" if cause == P_LOCK else "barrier"
+                            row = rows[ident] = probe._cause_row(kind, ident)
+                if probe is not None:
+                    if rowadd is not None:
+                        row[0] += rowadd[0]
+                        row[1] += rowadd[1]
+                        row[2] += rowadd[2]
+                        row[3] += rowadd[3]
+                    if complete:
+                        self._next_epoch()
+                if span is not None and cause != P_MISS:
+                    span.end()
+        for name, value in tape.counters.items():
+            setattr(self, name, dict(value) if isinstance(value, dict) else value)
 
     # -- helpers -----------------------------------------------------------
 

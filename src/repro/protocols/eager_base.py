@@ -18,10 +18,11 @@ its diff to the current owner, which merges it — the paper's ``v`` term
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.types import BarrierId, LockId, PageId, ProcId
-from repro.hb.skeleton import E_MISS, P_LOCK, P_MISS
+from repro.hb.skeleton import E_MISS, P_LOCK
 from repro.memory.diff import Diff
 from repro.memory.page import PageEntry, PageState
 from repro.network.message import BARRIER_FLUSH_KINDS, UNLOCK_FLUSH_KINDS, MessageKind
@@ -86,15 +87,16 @@ class EagerTapeMixin:
     on the per-event interpreter, the bit-identical reference.
 
     A certified run is a fold over the **priced** tape
-    (:class:`~repro.hb.skeleton.PricedEagerTape`): ``_t_run`` folds one
-    merged ledger record per sync operation and inter-sync gap into the
-    network, the counters and — under a stock probe — the staged
-    attribution rows. The priced tape is built from the walk's steps
-    and they are dropped. A run that emits events or has a tap
-    (``_tap``: a span probe or record stream being written, or a cold
-    timed cell recording its send log) walks them again, alongside the
-    fold, for each one's events and messages, and keeps none of them
-    either.
+    (:class:`~repro.hb.skeleton.PricedTape`, through
+    :meth:`~repro.protocols.base.Protocol._fold`, the one fold both
+    families share): one merged ledger record per sync operation and
+    inter-sync gap into the network, the counters and — under a stock
+    probe — the staged attribution rows. The priced tape is built from
+    the walk's steps and they are dropped. A run that emits events or
+    has a tap (``_tap``: a span probe or record stream being written,
+    or a cold timed cell recording its send log) walks them again,
+    alongside the fold, for each one's events and messages, and keeps
+    none of them either.
     """
 
     def bind_batch_plan(self, plan):
@@ -109,80 +111,49 @@ class EagerTapeMixin:
         self._priced = plan.priced_eager_tape(
             self.name, self.costs, self.config.free_local_lock_reacquire, self._steps
         )
-        return self._t_run
+        return self._t_run if walk else partial(self._fold, self._priced)
 
     # -- priced tape replay ----------------------------------------------------
 
     def _t_run(self) -> None:
-        """The whole run: fold the priced records into the ledger.
+        """The whole run with its events and messages: the fold, each
+        sync record preceded by its step of the walk.
 
-        Under a stock probe each record's row add is also charged to
-        the staged row the sync wrappers would have swapped in — created
-        on first use, in the same order — and the epoch advances after a
-        completing barrier arrival, so the metrics snapshot matches the
-        per-message path. With events, each sync record also emits its
-        step of the walk: the gap's events land at the
-        sync record that follows them (a gap of bare write faults has no
-        priced record of its own), still before it and inside its epoch.
-        The tap gets, between those events, each step's messages in the
-        order the per-event hooks send them (a send log each at its op),
-        and a span stream the operation's window around them.
+        The gap's events land at the sync record that follows them (a
+        gap of bare write faults has no priced record of its own), still
+        before it and inside its epoch. The tap gets, between those
+        events, each step's messages in the order the per-event hooks
+        send them (a send log each at its op), and a span stream the
+        operation's window around them.
         """
-        apply_tape = self.network.apply_tape
-        probe = self.probe if self._obs else None
         emit = self._emit if self._obs_events else NULL_PROBE.emit
         span, log, send = self._span, self._log, self._tap
-        steps = iter(self._steps) if self._steps is not None else None
+        steps = iter(self._steps)
         if log is not None:  # (a step names its sync op, not the op's position)
             sync_at = (at for at, op in enumerate(self._ops) if op[0] >= OP_ACQUIRE)
-        if probe is not None:
-            # No sync operation is in progress: this is the miss-cause row.
-            miss_row = probe._seg_row
-        for cause, ident, deltas, rowadd, complete in self._priced.records:
-            if deltas:
-                apply_tape(deltas)
-            if probe is None and steps is None:
-                continue
-            if cause != P_MISS:
-                kind = "lock" if cause == P_LOCK else "barrier"
-                if probe is not None:
-                    rows = probe._lock_rows if cause == P_LOCK else probe._barrier_rows
-                    row = rows.get(ident)
-                    if row is None:
-                        row = rows[ident] = probe._cause_row(kind, ident)
-                if steps is not None:
-                    (op, proc, _ident), gap, flush = next(steps)
-                    self._emit_gap(gap, emit, send)
-                    if log is not None:
-                        log.at = next(sync_at)
-                    if span is not None:
-                        span.begin(kind, ident)
-                    # The cause kind names the event's id field too.
-                    emit(_SYNC_EVENTS[op], proc=proc, **{kind: ident})
-                    self._emit_flush(proc, flush, op, emit, send)
-                    if send is not None:
-                        self._span_sync(op, proc, ident, send)
-            elif probe is not None:
-                row = miss_row
-            if probe is not None and rowadd is not None:
-                row[0] += rowadd[0]
-                row[1] += rowadd[1]
-                row[2] += rowadd[2]
-                row[3] += rowadd[3]
+
+        def step(cause: int, ident: int, complete: bool) -> None:
+            (op, proc, _ident), gap, flush = next(steps)
+            kind = "lock" if cause == P_LOCK else "barrier"
+            self._emit_gap(gap, emit, send)
+            if log is not None:
+                log.at = next(sync_at)
+            if span is not None:
+                span.begin(kind, ident)
+            # The cause kind names the event's id field too.
+            emit(_SYNC_EVENTS[op], proc=proc, **{kind: ident})
+            self._emit_flush(proc, flush, op, emit, send)
+            if send is not None:
+                self._span_sync(op, proc, ident, send)
             if complete:
-                if steps is not None:
-                    emit("barrier_complete", proc=proc, barrier=ident)
+                emit("barrier_complete", proc=proc, barrier=ident)
                 if send is not None:
                     for target in self.barriers.exit_targets():
                         send(MessageKind.BARRIER_EXIT, self.barriers.master, target)
-                if probe is not None:
-                    self._next_epoch()
-            if span is not None and cause != P_MISS:
-                span.end()
-        if steps is not None:  # what is left is the gap after the last sync
-            self._emit_gap(next(steps)[1], emit, send)
-        for name, total in self._priced.counters.items():
-            setattr(self, name, getattr(self, name) + total)
+
+        self._fold(self._priced, step)
+        # What is left is the gap after the last sync.
+        self._emit_gap(next(steps)[1], emit, send)
 
     def _span_sync(self, op: int, proc: ProcId, ident: int, send) -> None:
         """The hops of one sync operation itself, as the ``_on_*`` hooks

@@ -43,6 +43,7 @@ class HomeLazy(LazyProtocol):
     update = False
     replay_certified = True
     drops_retained_at_close = True  # _post_close flushes to the home
+    priced_counters = LazyProtocol.priced_counters + ("home_flushes",)
 
     def __init__(self, config: SimConfig):
         super().__init__(config)

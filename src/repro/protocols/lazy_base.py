@@ -33,6 +33,7 @@ from repro.common.types import BarrierId, LockId, PageId, ProcId
 from repro.common.vector_clock import VectorClock
 from repro.hb.index import FetchPlanner
 from repro.hb.interval import Interval, IntervalId
+from repro.hb.skeleton import P_BARRIER, P_LOCK, P_MISS, PriceRecorder, PricedTape
 from repro.hb.store import IntervalStore
 from repro.hb.write_notice import WriteNotice
 from repro.memory.diff import Diff
@@ -103,6 +104,8 @@ class LazyProtocol(Protocol):
         # (modifiers per eager pull): value -> occurrence count.
         self.miss_m_histogram: Dict[int, int] = {}
         self.pull_h_histogram: Dict[int, int] = {}
+        #: Set by :meth:`record_priced`: this tape run prices itself.
+        self._recording = False
 
     def use_reference_scans(self) -> None:
         self._indexed = False
@@ -842,7 +845,35 @@ class LazyProtocol(Protocol):
     #: do not describe the run and closes keep live retention books.
     drops_retained_at_close = False
 
-    def bind_batch_plan(self, plan) -> Callable[[], None]:
+    #: Every counter a lazy run's result reads (and ``instrumented_run``
+    #: the histograms): what a priced tape restores. A class adds its own.
+    priced_counters = (
+        "cold_misses",
+        "invalid_misses",
+        "diffs_fetched",
+        "diff_bytes_fetched",
+        "intervals_closed",
+        "notices_sent",
+        "retained_diff_bytes",
+        "peak_retained_diff_bytes",
+        "gc_collected_bytes",
+        "gc_runs",
+        "miss_m_histogram",
+        "pull_h_histogram",
+    )
+
+    def fold_priced(self, tape: PricedTape) -> None:
+        """Replay this run as a fold over ``tape``, the cell's kept priced
+        tape, instead of the kernels (the engine's call: the run writes no
+        event, stream or send log)."""
+        self._priced = tape
+
+    def record_priced(self) -> None:
+        """Run the kernels and price the run as they go; the run's
+        callable then returns the cell's :class:`PricedTape`."""
+        self._recording = True
+
+    def bind_batch_plan(self, plan) -> Callable[[], Optional[PricedTape]]:
         """Attach a prebuilt :class:`~repro.hb.skeleton.BatchPlan`.
 
         Replaces the (empty) per-run store with the skeleton's fully
@@ -856,8 +887,13 @@ class LazyProtocol(Protocol):
         The replay is value-free: page *state* is maintained, contents,
         twins and dirty words are not. A send log being recorded follows
         the walk: each instruction moves its cursor to the instruction's
-        op position.
+        op position. A run handed its cell's priced tape
+        (:meth:`fold_priced`) is :meth:`~repro.protocols.base.Protocol._fold`
+        over it and binds none of that; one asked to record it
+        (:meth:`record_priced`) walks :meth:`_record_priced`.
         """
+        if self._priced is not None:
+            return partial(self._fold, self._priced)
         self.store = plan.store
         self._planner = plan.planner_for(self.costs, self.config.skip_overwritten_diffs)
         self._value_free = True
@@ -873,10 +909,48 @@ class LazyProtocol(Protocol):
         runs, positions = plan.run_program
         if self._log is not None:
             runs = self._log.track(runs, positions)
+        walk = self._record_priced if self._recording else _walk_runs
         return partial(
-            _walk_runs, runs, self.read_touch,
-            self._t_acquire, self._t_release, self._t_barrier,
+            walk, runs, self.read_touch, self._t_acquire, self._t_release, self._t_barrier
         )
+
+    def _record_priced(self, runs, touch, acquire, release, barrier) -> PricedTape:
+        """:func:`_walk_runs`, pricing the run as the kernels charge it.
+
+        The network's ledger updates are captured into a
+        :class:`~repro.hb.skeleton.PriceRecorder`, and each sync kernel
+        closes first the gap before it (a record only if it charged
+        anything) and then its own record, priced or not. ``complete``
+        comes from the protocol's barrier directory, idle on the tape
+        and walked here; faults are the gap's miss-counter delta.
+        """
+        recorder = PriceRecorder()
+        self.network._capture = recorder.captured
+        arrive = self.barriers.record_arrival
+
+        def faults() -> int:
+            return self.cold_misses + self.invalid_misses
+
+        def priced(kernel, cause: int):
+            def run(proc: ProcId, ident: int) -> None:
+                recorder.close(P_MISS, -1, faults(), False)
+                kernel(proc, ident)
+                complete = cause == P_BARRIER and arrive(proc, ident)
+                recorder.close(cause, ident, faults(), complete)
+
+            return run
+
+        _walk_runs(
+            runs, touch, priced(acquire, P_LOCK), priced(release, P_LOCK), priced(barrier, P_BARRIER)
+        )
+        recorder.close(P_MISS, -1, faults(), False)  # the gap after the last sync
+        self.network._capture = None
+        counters = {}
+        for name in self.priced_counters:
+            value = getattr(self, name)
+            if value:  # (the ones the run moved)
+                counters[name] = dict(value) if isinstance(value, dict) else value
+        return PricedTape(recorder.records, counters)
 
     def _post_close(self, proc: ProcId, interval: Interval) -> None:
         """Tape-close hook for modifying intervals (HLRC flushes here)."""

@@ -50,6 +50,8 @@ class LazyHybrid(LazyProtocol):
     update = True  # pulls eagerly for update-mode pages
     replay_certified = True
 
+    priced_counters = LazyProtocol.priced_counters + ("promotions", "demotions")
+
     #: Invalidate->miss cycles before a page promotes to update mode.
     PROMOTE_AFTER = 2
 

@@ -112,6 +112,10 @@ class Engine:
         #: (None otherwise: a cell's first observed run keeps nothing,
         #: see _observe_on_tape).
         self._obs_stream_source: Optional[str] = None
+        #: Lazy tape runs: whether the cell's priced tape was ``recorded``
+        #: by this run's kernels or ``folded`` in their place (None: the
+        #: kernels ran and kept nothing, see BatchPlan.lazy_pricing).
+        self._priced_source: Optional[str] = None
         #: The loop that produced the ledger and, unless it was the tape
         #: replay, why not (see :func:`certify_replay`).
         self._execution_path = "per_event"
@@ -148,7 +152,9 @@ class Engine:
         with the cell's record stream (:class:`~repro.obs.spans.SpanRecords`)
         once the cell is observed again: that run records it, every
         later one replays metrics-only and hands the probe the kept
-        stream (:meth:`_observe_on_tape`).
+        stream (:meth:`_observe_on_tape`). A lazy cell's tape runs do
+        the same with its priced tape: the second records it, every
+        later one that writes nothing folds it (:meth:`_price_lazily`).
 
         Runs with the cyclic collector paused, restored on exit: a run
         makes no reference cycles (``tests/test_no_cyclic_garbage.py``).
@@ -162,12 +168,13 @@ class Engine:
             timings["compile_s"] = time.perf_counter() - t0
         config = self.config
         protocol = self.protocol
-        read_values = None
+        read_values = priced = None
         plan = log = stream = None
         ops = compiled.ops
         self._execution_path, self._decline_reason = certify_replay(protocol)
-        observed = self._execution_path == "tape" and protocol._obs_events
-        if observed or config.link_model is not None:
+        tape = self._execution_path == "tape"
+        observed = tape and protocol._obs_events
+        if observed or config.link_model is not None or (tape and protocol.lazy):
             plan = self._plan(compiled)
             # Everything that can change send order, wire sizes or an
             # event is in the key of a cell's kept records; the link,
@@ -184,9 +191,11 @@ class Engine:
                 log = SendLog(config.cost_model.header_bytes)
                 protocol.record_sends(log)
                 ops = log.track(ops, range(len(ops)))
+        if tape and protocol.lazy:
+            self._price_lazily(plan, key)
         try:
-            if self._execution_path == "tape":
-                self._run_tape(compiled, timings, plan)
+            if tape:
+                priced = self._run_tape(compiled, timings, plan)
             else:
                 read_values = self._run_per_event(ops, timings)
         except BaseException:
@@ -195,6 +204,8 @@ class Engine:
                 # as staged rows would on close; it is not kept.
                 self.probe.replay_stream(stream)
             raise
+        if self._priced_source == "recorded":
+            plan.keep_priced_tape(key, priced)
         if self._send_log_source == "recorded":
             t0 = time.perf_counter()
             plan.keep_send_log(key, log.close(compiled.ops))
@@ -240,6 +251,21 @@ class Engine:
         records = probe.records if isinstance(probe, SpanProbe) else None
         protocol.observe_on_tape(records, probe.emit)
         return None
+
+    def _price_lazily(self, plan, key: tuple) -> None:
+        """Fold a lazy cell's kept priced tape in place of the kernels,
+        or have them record it: a run folds when it writes no event, no
+        record stream and no send log — no probe, a metrics-only one, a
+        kept stream's reader, a timed run over a kept log; the cell's
+        second tape run records (:meth:`BatchPlan.lazy_pricing
+        <repro.hb.skeleton.BatchPlan.lazy_pricing>`)."""
+        protocol = self.protocol
+        folds = not protocol._obs_events and protocol._tap is None
+        self._priced_source, tape = plan.lazy_pricing(key, folds)
+        if tape is not None:
+            protocol.fold_priced(tape)
+        elif self._priced_source == "recorded":
+            protocol.record_priced()
 
     def _plan(self, compiled: CompiledTrace):
         """The cell's batch plan, sized by the config like the protocol."""
@@ -333,17 +359,19 @@ class Engine:
                 elapsed,
             )
 
-    def _run_tape(self, compiled: CompiledTrace, timings: Dict[str, float], plan) -> None:
-        """Replay from the batch plan's tapes.
+    def _run_tape(self, compiled: CompiledTrace, timings: Dict[str, float], plan):
+        """Replay from the batch plan's tapes; returns what the run
+        priced (a lazy recording run's :class:`~repro.hb.skeleton.PricedTape`),
+        else None.
 
         Reached only when :func:`~repro.protocols.base.certify_replay`
         allows it — results are bit-identical to :meth:`_run_per_event`.
         ``bind_batch_plan`` returns the whole run as one callable: the
         lazy family walks the access-run program (see
         :mod:`repro.trace.runs`) over kernels that replay
-        synchronization from the cost-resolved tape; the eager family
-        folds its priced sync-ordered tape and needs no run program at
-        all.
+        synchronization from the cost-resolved tape, or folds its cell's
+        priced tape; the eager family folds its priced sync-ordered tape
+        and needs no run program at all.
         """
         t0 = time.perf_counter()
         if plan is None:
@@ -354,8 +382,9 @@ class Engine:
         replay = self.protocol.bind_batch_plan(plan)
         timings["batch_plan_s"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        replay()
+        priced = replay()
         self._finish(timings, t0)
+        return priced
 
     @gc_paused()
     def run_reference(self) -> SimulationResult:
@@ -480,6 +509,7 @@ class Engine:
                 decline_reason=self._decline_reason,
                 send_log=self._send_log_source,
                 obs_stream=self._obs_stream_source,
+                priced_tape=self._priced_source,
             ),
             metrics=metrics_snapshot,
             timing=timing_report,

@@ -11,7 +11,8 @@ from repro.network.stats import NetworkStats
 #: Manifest keys ``to_dict`` drops: wall-clock values, and whatever
 #: depends on what earlier runs in the process left in the plan cache
 #: (a cell's first timed run records its send log, later ones reuse it;
-#: the same of an observed run's record stream).
+#: the same of an observed run's record stream and a lazy cell's priced
+#: tape).
 _VOLATILE_MANIFEST_KEYS = (
     "created",
     "timings_s",
@@ -20,6 +21,7 @@ _VOLATILE_MANIFEST_KEYS = (
     "decline_reason",
     "send_log",
     "obs_stream",
+    "priced_tape",
 )
 
 

@@ -306,7 +306,9 @@ def _log_plan_cache(stats: Dict[str, int]) -> None:
     each); within a worker those are memoized on the compiled trace, so
     a sweep should build once per (page size, family cost key) and hit
     everywhere else. A hit rate near zero here means cells are
-    rebuilding per-cell state that should be shared.
+    rebuilding per-cell state that should be shared. Priced tapes are
+    both families': an eager policy's per cost key, a lazy cell's once
+    the worker runs the cell a second time.
     """
     kinds = ("plan", "lazy_tape", "priced_tape")
     builds = sum(stats[kind + "_builds"] for kind in kinds)
@@ -316,7 +318,7 @@ def _log_plan_cache(stats: Dict[str, int]) -> None:
         return
     logger.info(
         "sweep plan cache: %d lookups, %d builds (%d plan / %d lazy tape / "
-        "%d priced eager tape), %.0f%% hit rate",
+        "%d priced tape), %.0f%% hit rate",
         total,
         builds,
         *(stats[kind + "_builds"] for kind in kinds),

@@ -174,16 +174,19 @@ LOOPS = {
     "per_event": ({"record_values": True}, ("per_event", "record_values")),
     # The oracle is asked for by name (``Engine.run_reference()``).
     "reference": ({}, ("reference", None)),
-    # The tape once the cell has been observed before: a sink or span
-    # probe gets the record stream this run writes and the plan keeps...
+    # The tape once the cell has run before: a lazy cell's kernels record
+    # its priced tape, and a sink or span probe gets the record stream
+    # this run writes — both kept on the plan...
     "recorded": ({}, ("tape", None)),
-    # ...and then reads that kept stream (run_loop primes the cell so,
-    # and checks the manifest says so).
+    # ...then a sink or span probe reads that kept stream (run_loop
+    # primes the cell so, and checks the manifest says so)...
     "reused": ({}, ("tape", None)),
+    # ...and, reading it, a lazy cell folds its kept priced tape.
+    "folded": ({}, ("tape", None)),
 }
 #: The loops of a probed cell / of a probe-less one.
-PROBED_LOOPS = ("tape", "watched", "per_event", "reference", "recorded", "reused")
-BARE_LOOPS = ("tape", "alias", "per_event", "reference", "recorded", "reused")
+PROBED_LOOPS = ("tape", "watched", "per_event", "reference", "recorded", "reused", "folded")
+BARE_LOOPS = ("tape", "alias", "per_event", "reference", "recorded", "reused", "folded")
 _WATCHER_OF = {RecordingProbe: MessageLogProbe, SpanProbe: SpanMessageLogProbe}
 
 
@@ -196,24 +199,42 @@ def run_loop(trace, protocol, config, loop, make_probe=None, sink=None):
     if loop == "watched":
         make_probe = _WATCHER_OF.get(make_probe, make_probe)
     probe = make_probe(sinks=[sink] if sink is not None else None) if make_probe else None
-    observed = loop in ("recorded", "reused") and probe is not None and probe.events
-    if observed:
+    memo = loop in ("recorded", "reused", "folded")
+    observed = memo and probe is not None and probe.events
+    lazy = memo and protocol_class(protocol).lazy
+    if observed or lazy:
         plan = batch_plan(trace.compiled(config.page_size), config.n_procs)
         key = (protocol_class(protocol), config.with_options(link_model=None))
         if loop == "recorded":
             # An identical cell seen before (one plan per trace) may have
-            # kept its stream: drop it, so this run records afresh.
+            # kept its records: drop them, so this run records afresh.
             plan._obs_streams.pop(key, None)
-        # Observe the cell beforehand until this run is the one asked for.
-        while key not in (plan._obs_streams if loop == "reused" else plan._observed):
-            first = make_probe(sinks=[type(sink)()] if sink is not None else None)
+            plan._priced_tapes.pop(key, None)
+
+        def primed() -> bool:
+            """Whether this run is now the one asked for."""
+            if loop == "recorded":
+                return (not observed or key in plan._observed) and (
+                    not lazy or key in plan._replayed
+                )
+            return (not observed or key in plan._obs_streams) and (
+                loop == "reused" or not lazy or key in plan._priced_tapes
+            )
+
+        # Run the cell beforehand until it is.
+        while not primed():
+            first = make_probe(sinks=[type(sink)()] if sink is not None else None) if observed else None
             Engine(trace, config, protocol, probe=first).run()
-            first.close()
+            if first is not None:
+                first.close()
     engine = Engine(trace, config.with_options(**overrides), protocol, probe=probe)
     result = engine.run_reference() if loop == "reference" else engine.run()
     assert path_and_reason(result) == expected
-    if loop in ("recorded", "reused"):
-        assert result.manifest.get("obs_stream") == (loop if observed else None)
+    if memo:
+        stream = {"recorded": "recorded"}.get(loop, "reused")
+        assert result.manifest.get("obs_stream") == (stream if observed else None)
+    if loop in ("recorded", "folded"):
+        assert result.manifest.get("priced_tape") == (loop if lazy else None)
     return engine, probe, result
 
 
@@ -233,7 +254,7 @@ def observe(trace, protocol, config, loop, make_probe=RecordingProbe, sink=None)
     # through begin()): views of the same staged rows, empty off the tape.
     for kind, rows in (("lock", probe._lock_rows), ("barrier", probe._barrier_rows)):
         assert all(row is probe._segments[kind, ident] for ident, row in rows.items())
-        assert loop in ("tape", "recorded", "reused") or not rows
+        assert loop in ("tape", "recorded", "reused", "folded") or not rows
     if isinstance(probe, MessageLogProbe):
         # It was told of every message, local hops excluded.
         assert sum(message[5] for message in probe.log) == result.messages

@@ -95,6 +95,25 @@ class TestInstrumentedRun:
         assert stats.pull_modifiers.total > 0
         assert "h (modifiers per pull)" in stats.format()
 
+    @pytest.mark.parametrize("protocol", ["LI", "LU"])
+    def test_same_distributions_when_the_cell_folds(self, protocol):
+        """The histograms are read off the protocol after the run: a run
+        that folds its cell's priced tape (the third on one plan; the
+        second records it) restores them, so every run reports the
+        first one's."""
+        trace = small_trace("water")
+        runs = [instrumented_run(trace, protocol, page_size=1024) for _ in range(3)]
+        assert [stats.result.manifest.get("priced_tape") for stats in runs] == [
+            None,
+            "recorded",
+            "folded",
+        ]
+        first = runs[0]
+        assert first.miss_modifiers.total > 0
+        for stats in runs[1:]:
+            assert stats.miss_modifiers.counts == first.miss_modifiers.counts
+            assert stats.pull_modifiers.counts == first.pull_modifiers.counts
+
     def test_rejects_eager_protocols(self):
         trace = lock_chain_trace()
         with pytest.raises(ValueError):

@@ -8,9 +8,12 @@ a metrics probe, plus one value-recording interpreter cell and one
 counters, metrics snapshots, read values, span records; key order
 included) into one digest. The digest must not move with the hash seed
 and must equal the committed constant, here and on every Python the CI
-matrix runs.
+matrix runs — on the grid's first pass and on a second and third over the
+same traces in one process, which record, reuse and fold what the
+earlier passes kept (record streams, lazy cells' priced tapes).
 
-Run as ``python -m tests.test_determinism`` to print the digest.
+Run as ``python -m tests.test_determinism`` to print the digest of each
+of those three passes, one per line.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import List
 
 import pytest
 
@@ -34,6 +38,8 @@ from tests.conftest import ledger_fields, path_and_reason, small_trace
 APPS = ("water", "mp3d", "locusroute")
 PAGE_SIZES = (512, 2048)
 HASH_SEEDS = ("0", "1", "random")
+#: Passes over one set of traces: cold, recording, then folding/reusing.
+PASSES = 3
 
 #: ``grid_digest()`` as first committed; a change here is a change in
 #: what some run reports and needs the same explanation a ledger would.
@@ -42,18 +48,28 @@ EXPECTED = "07df3c8bc0d17ddb850b6bc55876039d"
 REPO = Path(__file__).resolve().parent.parent
 
 
-def grid_digest() -> str:
-    """The digest of everything the fixed grid's runs report."""
+def grid_digests(passes: int = 1) -> List[str]:
+    """The digest of everything the fixed grid's runs report, one per
+    pass over the same traces in this process: a later pass records,
+    reuses and folds what the earlier ones kept, and must report the
+    same."""
+    traces = {app: small_trace(app) for app in APPS}
+    return [grid_digest(traces) for _ in range(passes)]
+
+
+def grid_digest(traces) -> str:
+    """The digest of everything the fixed grid's runs of ``traces``
+    report."""
     cells = []
     for app in APPS:
-        trace = small_trace(app)
+        trace = traces[app]
         for protocol in all_protocol_names():
             for page_size in PAGE_SIZES:
                 config = SimConfig(n_procs=trace.n_procs, page_size=page_size)
                 result = Engine(trace, config, protocol, probe=RecordingProbe()).run()
                 assert path_and_reason(result) == ("tape", None)
                 cells.append([app, protocol, page_size, ledger_fields(result), result.metrics])
-    trace = small_trace("water")
+    trace = traces["water"]
     config = SimConfig(n_procs=trace.n_procs, page_size=1024)
     valued = Engine(trace, config.with_options(record_values=True), "LU").run()
     assert path_and_reason(valued) == ("per_event", "record_values")
@@ -81,19 +97,20 @@ def digest_by_hash_seed():
             timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        digests[seed] = done.stdout.strip()
+        digests[seed] = done.stdout.split()
     return digests
 
 
 def test_digest_does_not_move_with_the_hash_seed(digest_by_hash_seed):
-    assert set(digest_by_hash_seed.values()) == {EXPECTED}, digest_by_hash_seed
+    for digests in digest_by_hash_seed.values():
+        assert digests == [EXPECTED] * PASSES, digest_by_hash_seed
 
 
 def test_digest_in_this_process():
     """Under whatever hash seed pytest itself was started with (CI runs
     this module once more with ``PYTHONHASHSEED=random`` exported)."""
-    assert grid_digest() == EXPECTED
+    assert grid_digests(PASSES) == [EXPECTED] * PASSES
 
 
 if __name__ == "__main__":
-    print(grid_digest())
+    print("\n".join(grid_digests(PASSES)))

@@ -1,7 +1,7 @@
 """The priced eager tape: every replay of one eager run agrees on everything.
 
 A certified eager run folds one merged ledger record per synchronization
-operation and inter-sync gap (:class:`repro.hb.skeleton.PricedEagerTape`)
+operation and inter-sync gap (:class:`repro.hb.skeleton.PricedTape`)
 instead of sending message by message. These tests pin that fold against
 the per-event interpreter it bypasses — for values, and as the watched run
 a message-logging probe asks for, which is told of every message — on
@@ -343,7 +343,7 @@ class TestPlanCache:
         with caplog.at_level("INFO", logger="repro.simulator.sweep"):
             run_sweep(small_trace("water"), protocols=list(EAGER), page_sizes=[512, 1024])
         (line,) = [r.getMessage() for r in caplog.records if "plan cache" in r.getMessage()]
-        assert "8 builds (2 plan / 0 lazy tape / 6 priced eager tape)" in line
+        assert "8 builds (2 plan / 0 lazy tape / 6 priced tape)" in line
         assert "12 lookups" in line  # 6 cells x (plan + priced tape), nothing else
 
     def test_one_record_per_sync_instruction_plus_nonempty_gaps(self):

@@ -11,7 +11,8 @@ schema table against the documentation and every emission site, the
 provenance (manifest, ``plan_stats``), the storage (typed columns), and
 — as one property over random race-free traces, seven protocols and
 every option that can change a stream — that the memo key is sound: a
-reused stream or send log is always the one a fresh run would make.
+reused stream or send log, and a lazy cell's folded priced tape, is
+always the one a fresh run would make.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.network.link import LinkModel
 from repro.obs.probe import RecordingProbe
 from repro.obs.sinks import EVENT_SCHEMA, ColumnarSink, MemorySink
 from repro.obs.spans import SpanProbe, timeline_from_records
-from repro.protocols.registry import all_protocol_names
+from repro.protocols.registry import all_protocol_names, protocol_class
 from repro.simulator.engine import Engine, simulate
 from tests.conftest import small_trace, timeline_fields
 from tests.test_protocol_properties import interleave, race_free_programs
@@ -122,6 +123,36 @@ def test_manifest_and_plan_stats_name_the_stream():
     assert run(SpanProbe(), link_model=LinkModel.ideal()) == ("reused", {"obs_stream_hits": 1})
     # The interpreter writes through the hooks and keeps nothing.
     assert run(SpanProbe(), record_values=True) == (None, {})
+
+
+def test_manifest_and_plan_stats_name_the_priced_tape():
+    """A lazy cell's pricing is counted beside the eager policies' priced
+    tapes, never as a lazy tape: a folded run looks no lazy tape up."""
+    trace = small_trace("water")
+    config = SimConfig(n_procs=trace.n_procs, page_size=1024)
+
+    def run(protocol="LU", probe=None, **options):
+        before = plan_stats()
+        result = Engine(trace, config.with_options(**options), protocol, probe=probe).run()
+        after = plan_stats()
+        delta = {k: after[k] - before[k] for k in after if k.startswith(("priced", "lazy"))}
+        return result.manifest.get("priced_tape"), {k: v for k, v in delta.items() if v}
+
+    # The first tape run runs the kernels and keeps nothing; the second
+    # records the cell's priced tape; every later one that writes
+    # nothing folds it.
+    assert run() == (None, {"lazy_tape_builds": 1})
+    assert run() == ("recorded", {"lazy_tape_hits": 1, "priced_tape_builds": 1})
+    assert run() == ("folded", {"priced_tape_hits": 1})
+    assert run(probe=RecordingProbe()) == ("folded", {"priced_tape_hits": 1})
+    # A run writing events or a send log runs the kernels; once the send
+    # log is kept, a timed run folds too.
+    assert run(probe=RecordingProbe([ColumnarSink()])) == (None, {"lazy_tape_hits": 1})
+    assert run(link_model=LinkModel.ideal()) == (None, {"lazy_tape_hits": 1})
+    assert run(link_model=LinkModel.ideal()) == ("folded", {"priced_tape_hits": 1})
+    # The interpreter prices nothing, and an eager run is no lazy cell.
+    assert run(record_values=True) == (None, {})
+    assert run("EU") == (None, {"priced_tape_builds": 1})
 
 
 def test_kept_stream_is_typed_columns():
@@ -216,26 +247,41 @@ FLIPS = {
     "skip_overwritten_diffs": False,
     "diff_to_invalid_copy": False,
 }
-#: Observers of a run: a sink, and a span probe timed over a lossy link
-#: (a cell's send log is kept on the plan too).
-OBSERVERS = ("sink", "timed_spans")
+#: Observers of a run: none, a metrics-only probe, a sink, and a span
+#: probe timed over a lossy link (a cell's send log is kept on the plan
+#: too). The first two write nothing, so a lazy cell folds under them
+#: once its priced tape is kept.
+OBSERVERS = ("bare", "metrics", "sink", "timed_spans")
+#: The observers that take events, hence read or write a record stream.
+STREAMED = ("sink", "timed_spans")
 LOSSY = LinkModel.ethernet_1992(loss=0.05, timeout_s=5e-3, jitter_s=5e-5)
 
 
 def observe_cell(trace, protocol, config, observer):
-    """``(timing report, what the observer got, timeline or None)`` of
-    one run, and its manifest."""
+    """``(result body, what the observer got, timeline or None)`` of one
+    run — the body holds the ledger, the counters, the metrics snapshot
+    and the timing report — and its manifest."""
+    timeline = got = None
+    if observer == "timed_spans":
+        probe, config = SpanProbe(), config.with_options(link_model=LOSSY)
+    elif observer == "sink":
+        probe = RecordingProbe([MemorySink()])
+    else:
+        probe = RecordingProbe() if observer == "metrics" else None
+    result = Engine(trace, config, protocol, probe=probe).run()
+    body = result.to_dict()
+    body.pop("manifest")
     if observer == "sink":
-        sink = MemorySink()
-        result = Engine(trace, config, protocol, probe=RecordingProbe([sink])).run()
-        return (result.timing, sink.events, None), result.manifest
-    probe = SpanProbe()
-    result = Engine(trace, config.with_options(link_model=LOSSY), protocol, probe=probe).run()
-    timeline = timeline_from_records(
-        probe.records, trace.compiled(config.page_size), config.n_procs,
-        delays=probe.link_delays,
-    )
-    return (result.timing, probe.records, timeline_fields(timeline)), result.manifest
+        got = probe.sinks[0].events
+    elif observer == "timed_spans":
+        got = probe.records
+        timeline = timeline_fields(
+            timeline_from_records(
+                probe.records, trace.compiled(config.page_size), config.n_procs,
+                delays=probe.link_delays,
+            )
+        )
+    return (body, got, timeline), result.manifest
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -255,11 +301,12 @@ def test_reused_records_are_what_a_fresh_run_makes(program, order):
     """Every protocol under the default config and each one-option flip
     of it, each under every observer twice, in a random order on one
     trace (one plan): every run — the one that records the cell's
-    stream or send log and every one that reads them — gets what the
-    interpreter makes fresh: sink events and span records record for
-    record, the timing report and the timeline exactly. A reused run's
-    timeline is the first one's. (Normalizing any one of these options
-    out of the memo key fails this property.)"""
+    stream, send log or priced tape and every one that reads or folds
+    them — gets what the interpreter makes fresh: the result body and
+    metrics snapshot, sink events and span records record for record,
+    the timing report and the timeline exactly. A reused run's timeline
+    is the first one's. (Normalizing any one of these options out of the
+    memo key fails this property.)"""
     trace = interleave(*program)
     base = SimConfig(n_procs=trace.n_procs, page_size=64)
     fresh, first, sources = {}, {}, {}
@@ -268,7 +315,9 @@ def test_reused_records_are_what_a_fresh_run_makes(program, order):
         config = base if flip is None else base.with_options(**{flip: FLIPS[flip]})
         seen, manifest = observe_cell(trace, protocol, config, observer)
         assert manifest["execution_path"] == "tape"
-        sources.setdefault((protocol, flip), []).append(manifest.get("obs_stream"))
+        sources.setdefault((protocol, flip), []).append(
+            (observer, *map(manifest.get, ("obs_stream", "send_log", "priced_tape")))
+        )
         if cell not in fresh:
             fresh[cell], interpreted = observe_cell(
                 trace, protocol, config.with_options(record_values=True), observer
@@ -281,5 +330,17 @@ def test_reused_records_are_what_a_fresh_run_makes(program, order):
         if manifest.get("obs_stream") == "reused":
             same = seen[2] == first.setdefault(cell, seen[2])
             assert same, cell
-    # Each key is observed four times: directly, then recorded, then read.
-    assert all(seq == [None, "recorded", "reused", "reused"] for seq in sources.values())
+    for (protocol, _flip), runs in sources.items():
+        # Each key is observed four times: directly, then recorded, then read.
+        streams = [stream for observer, stream, _log, _priced in runs if observer in STREAMED]
+        assert streams == [None, "recorded", "reused", "reused"]
+        # A lazy key's second run records its priced tape; every later
+        # one folds it unless it writes events, a stream or a send log.
+        expected = [None] * len(runs)
+        if protocol_class(protocol).lazy:
+            expected[1:] = ["recorded"] + [
+                None if (observer in STREAMED and stream != "reused") or log == "recorded"
+                else "folded"
+                for observer, stream, log, _priced in runs[2:]
+            ]
+        assert [priced for *_, priced in runs] == expected, protocol
