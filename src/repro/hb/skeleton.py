@@ -57,9 +57,8 @@ invalidate a page (or revoke EW write permission) *mid-span*, so the
 same (proc, page) span may miss twice, but both misses precede the next
 synchronization operation and nothing else happens in between. No run
 replays those steps message by message (one that watches individual
-messages is interpreted): :func:`build_priced_eager_tape` resolves them
-into one merged ledger record per synchronization operation and
-inter-sync gap (:class:`PricedTape`), which
+messages is interpreted): :func:`build_priced_eager_tape` sums them into
+one entry per barrier epoch (:class:`PricedTape`), which
 :meth:`Protocol._fold <repro.protocols.base.Protocol._fold>` folds, and
 they are dropped. A run that writes what the steps name — a cell's
 first observed run its record stream, a cold timed cell its send log —
@@ -90,6 +89,7 @@ from repro.memory.diff import Diff
 from repro.network.costs import CostModel
 from repro.network.message import BARRIER_FLUSH_KINDS, UNLOCK_FLUSH_KINDS, MessageKind
 from repro.network.timed import SendLog
+from repro.obs.probe import MISS_CAUSE
 from repro.sync.barrier import BarrierMaster
 from repro.sync.lock_manager import LockDirectory
 from repro.trace.precompile import (
@@ -151,113 +151,126 @@ class Skeleton:
         return f"Skeleton(n_procs={self.n_procs}, {len(self.records)} sync records)"
 
 
-#: ``cause`` codes of a priced record: which staged probe row it charges.
-P_MISS = 0
-P_LOCK = 1
-P_BARRIER = 2
-
-
 class PricedTape:
-    """A run resolved into merged ledger records: what a run that
-    watches no individual message and writes no event needs of it.
+    """A run summed per barrier epoch: what a run that watches no
+    individual message and writes no event needs of it.
 
-    One schema for both families. An eager policy's tape is built from
-    its :func:`eager_steps` walk at one cost key ``(cost model,
-    free_local_lock_reacquire)`` (the page size is the plan's). A lazy
-    cell's tape is recorded by its second tape run, at the network
-    ledger while the kernels run (:class:`PriceRecorder`), and kept
-    under the send log's key. ``records`` holds, in global order, one
-    record per synchronization instruction and one per inter-sync gap
-    whose accesses charged anything::
+    One schema for both families, summed by a :class:`PriceRecorder`.
+    An eager policy's tape is built from its :func:`eager_steps` walk at
+    one cost key ``(cost model, free_local_lock_reacquire)`` (the page
+    size is the plan's). A lazy cell's is recorded by its second tape
+    run, at the network ledger while the kernels run, and kept under the
+    send log's key. ``epochs`` holds one entry per completed barrier
+    episode, then one for the tail::
 
-        (cause, ident, deltas, rowadd, complete)
-            cause, ident: P_MISS, -1 for a gap; P_LOCK / P_BARRIER and
-            the lock / barrier id for a sync instruction
+        (deltas, rows, complete)
             deltas: ((kind slot, messages, data_bytes, control_bytes),
-            ...) merged per kind, locals skipped, uncounted acks
-            contributing bytes but no message — exactly what
-            ``Network.send`` would have added one message at a time
-            (see :meth:`repro.network.network.Network.apply_tape`)
-            rowadd: the matching (messages, data, control, faults) add
-            for a probe's staged row, None when all four are zero
-            complete: True on the arrival that completes a barrier
-            episode (the probe's epoch advances after it)
+            ...) merged per kind, locals skipped, uncounted acks adding
+            bytes but no message — what ``Network.send`` would have
+            added message by message (``Network.apply_tape``)
+            rows: ((cause, messages, data, control, faults), ...) for
+            each staged probe row (``("lock" | "barrier", id)`` or
+            ``("miss", -1)``) the epoch uses first, in first-use order —
+            a sync operation's even when it charges nothing — or
+            charges, with the epoch's sum
+            complete: True but on the tail
 
+    That is as fine as anything reads it: the ledger is per kind, a
+    probe drains per (epoch, cause) sums in row-creation order.
     ``counters`` is the run's final value of every protocol counter it
     moves — an eager policy's misses, flushes, reconciles, write faults
     and ping-pongs; a lazy cell's every counter and the ``m``/``h``
-    histograms — nothing reads them mid-run, so they are not split per
-    record. :meth:`repro.protocols.base.Protocol._fold` is the one fold
-    over it.
+    histograms. :meth:`repro.protocols.base.Protocol._fold` is the one
+    fold over it.
     """
 
-    __slots__ = ("records", "counters")
+    __slots__ = ("epochs", "counters")
 
-    def __init__(self, records: List[tuple], counters: Dict[str, object]):
-        self.records = records
+    def __init__(self, epochs: List[tuple], counters: Dict[str, object]):
+        self.epochs = epochs
         self.counters = counters
 
     def __repr__(self) -> str:
-        return f"PricedTape({len(self.records)} records)"
+        return f"PricedTape({len(self.epochs)} epochs)"
 
 
 class PriceRecorder:
-    """Prices a lazy run while its kernels run, one record at a time.
+    """Sums a run's charges into the current epoch of a
+    :class:`PricedTape` as they happen.
 
-    ``captured`` is the network's capture (``Network._capture``): every
-    deltas tuple ``apply_tape`` applies, and every message ``send``
-    charges as a one-delta tuple, lands in it until :meth:`close` turns
-    them into the current record. It holds no reference to the run, so
-    the :class:`PricedTape` it makes references neither a protocol nor a
-    plan.
+    ``captured`` takes deltas tuples until :meth:`close` charges them to
+    a row: for a lazy run it is the network's capture
+    (``Network._capture``: every deltas tuple ``apply_tape`` applies,
+    and every message ``send`` charges as a one-delta tuple);
+    :func:`build_priced_eager_tape` appends what it prices. It holds no
+    reference to the run, so the tape it makes references neither a
+    protocol nor a plan.
     """
 
-    __slots__ = ("captured", "records", "_faults", "_shared")
+    __slots__ = ("captured", "_epochs", "_rows", "_used", "_faults")
 
     def __init__(self) -> None:
         self.captured: List[tuple] = []
-        self.records: List[tuple] = []
+        self._epochs: List[tuple] = []
+        #: The current epoch's rows, by cause in first-use order: each
+        #: row's fault count, then every deltas tuple charged to it —
+        #: summed when the epoch ends; rows any earlier epoch used.
+        self._rows: Dict[Tuple[str, int], list] = {}
+        self._used: Set[Tuple[str, int]] = set()
         self._faults = 0
-        #: Most records repeat (a bare release, a lock's hops): equal
-        #: tuples are stored once.
-        self._shared: Dict[tuple, tuple] = {}
 
-    def close(self, cause: int, ident: int, faults: int, complete: bool) -> None:
-        """End the current record; ``faults`` is the run's access-fault
-        count so far. A gap that charged nothing leaves no record; a
-        sync instruction always does, so the fold creates its staged
-        row where the kernel did. A record charged once keeps that
-        charge's deltas tuple (a sync's is its ``LazyTape`` record's)."""
+    def close(self, cause: Tuple[str, int], faults: int, complete: bool = False) -> None:
+        """Charge what was captured since the last close, and the access
+        faults since then (``faults`` is the run's count so far), to
+        ``cause``'s row; ``complete``, a barrier arrival ends the epoch.
+        A sync operation's row is used even when it charges nothing, so
+        the fold creates it where the wrappers do; the miss row only
+        when charged."""
         captured = self.captured
         new_faults = faults - self._faults
-        if cause == P_MISS and not captured and not new_faults:
-            return
+        row = self._rows.get(cause)
+        if row is None:
+            if cause == MISS_CAUSE and not captured and not new_faults:
+                return
+            row = self._rows[cause] = [0]
         self._faults = faults
-        share = self._shared.setdefault
-        if len(captured) == 1:
-            deltas = captured[0]
-        else:  # merged per kind, as one charge's deltas are
-            by_slot: Dict[int, List[int]] = {}
-            for charge in captured:
+        row[0] += new_faults
+        if captured:
+            row += captured
+            captured.clear()
+        if complete:
+            self._end_epoch(True)
+
+    def _end_epoch(self, complete: bool) -> None:
+        """Sum the epoch's charges, per kind and per row. Most charges
+        repeat (a lock's hops, a bare miss): each distinct one is summed
+        once, times its count."""
+        by_slot: Dict[int, List[int]] = {}
+        rows = []
+        used = self._used
+        for cause, (faults, *charges) in self._rows.items():
+            messages = data = control = 0
+            for charge, n in Counter(charges).items():
                 for slot, slot_messages, slot_data, slot_control in charge:
                     acc = by_slot.get(slot)
                     if acc is None:
-                        by_slot[slot] = [slot, slot_messages, slot_data, slot_control]
-                    else:
-                        acc[1] += slot_messages
-                        acc[2] += slot_data
-                        acc[3] += slot_control
-            deltas = tuple([share(delta, delta) for delta in map(tuple, by_slot.values())])
-        captured.clear()
-        messages = data = control = 0
-        for _slot, slot_messages, slot_data, slot_control in deltas:
-            messages += slot_messages
-            data += slot_data
-            control += slot_control
-        rowadd = (messages, data, control, new_faults)
-        rowadd = share(rowadd, rowadd) if any(rowadd) else None
-        record = (cause, ident, share(deltas, deltas), rowadd, complete)
-        self.records.append(share(record, record))
+                        by_slot[slot] = acc = [slot, 0, 0, 0]
+                    acc[1] += n * slot_messages
+                    acc[2] += n * slot_data
+                    acc[3] += n * slot_control
+                    messages += n * slot_messages
+                    data += n * slot_data
+                    control += n * slot_control
+            if cause not in used or messages or data or control or faults:
+                rows.append((cause, messages, data, control, faults))
+        used.update(self._rows)
+        self._epochs.append((tuple(map(tuple, by_slot.values())), tuple(rows), complete))
+        self._rows = {}
+
+    def tape(self, counters: Dict[str, object]) -> PricedTape:
+        """End the tail epoch: the run's :class:`PricedTape`."""
+        self._end_epoch(False)
+        return PricedTape(self._epochs, counters)
 
 
 def build_priced_eager_tape(
@@ -268,17 +281,18 @@ def build_priced_eager_tape(
     cost_model: CostModel,
     free_reacquire: bool,
 ) -> PricedTape:
-    """Price a ``policy`` step stream against one cost key, one record
-    per sync and gap.
+    """Price a ``policy`` step stream against one cost key, summed per
+    barrier epoch.
 
     ``steps`` is what :func:`eager_steps` yields, and is walked once.
-    Charges exactly what the per-event hooks send: each step's gap, then
-    its synchronization operation with its flush outcome; the lock hops
-    come from a :class:`LockDirectory` walked along — which also rejects
-    a malformed lock or barrier sequence here, as the live directory
-    would during a replay. Fan-outs whose hops are never local (flush
-    pushes, invalidations, barrier exits) are charged per kind in one
-    step, since a priced record only keeps per-kind sums anyway.
+    Charges exactly what the per-event hooks send: each step's gap to
+    the miss row, then its synchronization operation with its flush
+    outcome to the operation's row; the lock hops come from a
+    :class:`LockDirectory` walked along — which also rejects a malformed
+    lock or barrier sequence here, as the live directory would during a
+    replay. Fan-outs whose hops are never local (flush pushes,
+    invalidations, barrier exits) are charged per kind in one step,
+    since the tape only keeps per-kind sums anyway.
     """
     update = policy == "EU"
     page_bytes = cost_model.page_bytes(page_size)
@@ -293,17 +307,14 @@ def build_priced_eager_tape(
     )
 
     counters: Counter = Counter()
-    records: List[tuple] = []
-    #: Most records repeat (a lock's three hops, a barrier arrival), and
-    #: their parts more so: equal tuples are stored once.
-    shared: Dict[tuple, tuple] = {}
-    share = shared.setdefault
+    recorder = PriceRecorder()
+    charge = recorder.captured.append
+    faults = 0  # misses so far, the nested ones of write faults included
 
-    def price(sends, faults: int = 0) -> tuple:
-        """``(deltas, rowadd)`` of ``(kind, n, payload, control)`` sends:
+    def price(sends) -> tuple:
+        """The merged deltas of ``(kind, n, payload, control)`` sends:
         ``n`` non-local messages of ``kind``, the byte fields their sums."""
         by_slot: Dict[int, List[int]] = {}
-        messages = data_sum = control_sum = 0
         for kind, n, payload, control in sends:
             if not n:
                 continue
@@ -313,23 +324,17 @@ def build_priced_eager_tape(
                 by_slot[slot] = acc = [slot, 0, 0, 0]
             if slot not in uncounted:
                 acc[1] += n
-                messages += n
-            data = payload + n * header + (control if count_control else 0)
-            acc[2] += data
+            acc[2] += payload + n * header + (control if count_control else 0)
             acc[3] += control
-            data_sum += data
-            control_sum += control
-        deltas = tuple([tuple(acc) for acc in by_slot.values()])
-        rowadd = (messages, data_sum, control_sum, faults)
-        return share(deltas, deltas), share(rowadd, rowadd) if any(rowadd) else None
+        return tuple([tuple(acc) for acc in by_slot.values()])
 
     #: Which hops are remote, or how many of each kind a gap sends, is
-    #: all that varies between records that flush nothing: parts by that.
+    #: all that varies between steps that flush nothing: deltas by that.
     memo: Dict[tuple, tuple] = {}
 
     def price_gap(gap: tuple) -> None:
-        """One gap's miss and write-fault records; a gap that charged
-        nothing leaves no record."""
+        """One gap's misses and write faults, charged to the miss row."""
+        nonlocal faults
         cold = invalid = requests = forwards = replies = 0
         write_faults = ping_pongs = invalidations = 0
         for rec in gap:
@@ -359,20 +364,22 @@ def build_priced_eager_tape(
         counters["invalid_misses"] += invalid
         counters["write_faults"] += write_faults
         counters["ping_pongs"] += ping_pongs
-        key = (P_MISS, cold + invalid, requests, forwards, replies, invalidations)
-        parts = memo.get(key)
-        if parts is None:
-            sends = (
-                (MessageKind.PAGE_REQUEST, requests, 0, 0),
-                (MessageKind.PAGE_FORWARD, forwards, 0, 0),
-                (MessageKind.PAGE_REPLY, replies, replies * page_bytes, 0),
-                (MessageKind.WRITE_NOTICE, invalidations, 0, invalidations * notice_bytes),
-                (MessageKind.RELEASE_ACK, invalidations, 0, 0),
+        key = ("gap", requests, forwards, replies, invalidations)
+        deltas = memo.get(key)
+        if deltas is None:
+            deltas = memo[key] = price(
+                (
+                    (MessageKind.PAGE_REQUEST, requests, 0, 0),
+                    (MessageKind.PAGE_FORWARD, forwards, 0, 0),
+                    (MessageKind.PAGE_REPLY, replies, replies * page_bytes, 0),
+                    (MessageKind.WRITE_NOTICE, invalidations, 0, invalidations * notice_bytes),
+                    (MessageKind.RELEASE_ACK, invalidations, 0, 0),
+                )
             )
-            parts = memo[key] = price(sends, faults=cold + invalid)
-        if parts[0] or parts[1] is not None:
-            record = (P_MISS, -1, *parts, False)
-            records.append(share(record, record))
+        if deltas:
+            charge(deltas)
+        faults += cold + invalid
+        recorder.close(MISS_CAUSE, faults)
 
     def flush_sends(outcome: tuple, op: int) -> List[tuple]:
         """One flush outcome: no hop of a flush is ever local."""
@@ -410,7 +417,7 @@ def build_priced_eager_tape(
         if sync is None:  # the gap after the last operation
             break
         op, proc, value = sync
-        cause, complete = P_LOCK, False
+        cause, complete = "lock", False
         if op == OP_ACQUIRE:
             grantor = locks.grantor_of(value)
             if grantor != proc or not free_reacquire:
@@ -423,11 +430,11 @@ def build_priced_eager_tape(
             key = (op,)
             locks.record_release(proc, value)
         else:  # OP_BARRIER
-            cause = P_BARRIER
+            cause = "barrier"
             complete = barriers.record_arrival(proc, value)
             key = (op, proc != master, complete)
-        parts = memo.get(key) if outcome is None else None
-        if parts is None:
+        deltas = memo.get(key) if outcome is None else None
+        if deltas is None:
             sends = flush_sends(outcome, op) if outcome is not None else []
             if op == OP_ACQUIRE:
                 sends += (
@@ -441,12 +448,13 @@ def build_priced_eager_tape(
                     (MessageKind.BARRIER_ARRIVAL, key[1], 0, 0),
                     (MessageKind.BARRIER_EXIT, n_exits, 0, 0),
                 )
-            parts = price(sends)
+            deltas = price(sends)
             if outcome is None:
-                memo[key] = parts
-        record = (cause, value, *parts, complete)
-        records.append(share(record, record))
-    return PricedTape(records, dict(+counters))  # the moved ones only
+                memo[key] = deltas
+        if deltas:
+            charge(deltas)
+        recorder.close((cause, value), faults, complete)
+    return recorder.tape(dict(+counters))  # the moved ones only
 
 
 class LazyTape:

@@ -44,8 +44,8 @@ class Network:
         self._tap = None
         #: While a lazy run records its priced tape, the list every
         #: ledger update also lands in as a deltas tuple
-        #: (``PriceRecorder.captured``, closed into one record per sync
-        #: operation and gap); None otherwise, one check per update.
+        #: (``PriceRecorder.captured``, summed into the current epoch per
+        #: sync operation and gap); None otherwise, one check per update.
         self._capture = None
         # Cost-model policy flags, hoisted: send() runs once per message
         # of every interpreted cell and the model is immutable.

@@ -114,10 +114,10 @@ def build_manifest(
     ``obs_stream`` the same of a tape run's record stream, the one a sink
     or a span probe reads (absent when nothing observed one, and on a
     cell's first observed run, which writes to the probe directly), and
-    ``priced_tape`` whether a lazy tape run's kernels ``recorded`` its
-    cell's priced tape or the run ``folded`` the kept one in their place
-    (absent when the kernels ran and kept nothing, and off the lazy
-    family).
+    ``priced_tape`` whether a tape run ``recorded`` a priced tape — an
+    eager policy's, or a lazy cell's by its kernels — or ``folded`` a
+    kept one (absent when lazy kernels ran and kept nothing, and off the
+    tape).
     """
     params = trace.meta.params
     seed = params.get("seed")

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.common.types import BarrierId, LockId, PageId, ProcId
-from repro.hb.skeleton import P_LOCK, P_MISS, PricedTape
+from repro.hb.skeleton import PricedTape
 from repro.memory.page import PageEntry, PageState, PageTable
 from repro.network.message import MessageKind
 from repro.network.network import Network
@@ -199,54 +199,38 @@ class Protocol(abc.ABC):
             self._span.epoch()
         self.probe._next_epoch()
 
-    def _fold(self, tape: PricedTape, step=None) -> None:
-        """A run as one fold over its priced tape — either family's.
+    def _fold(self, tape: PricedTape, walk=None) -> None:
+        """A run as one fold over its priced tape — either family's, one
+        step per barrier epoch.
 
-        Each record's deltas go into the ledger. Under a stock probe its
-        row add is also charged to the staged row the sync wrappers would
-        have swapped in — created on first use, in the same order — and
-        the epoch advances after a completing barrier arrival, so the
-        metrics snapshot matches the per-message path. ``step``, given,
-        is called with each sync record's ``(cause, ident, complete)``
-        before the record is charged — where the eager walk writes the
-        operation's events and messages — and a record stream being
-        written gets the operation's window end after it. The tape's
-        final counters (histograms copied) are the run's.
+        Each epoch's deltas go into the ledger. Under a stock probe its
+        new rows are created in first-use order — the sync wrappers'
+        order — each row is charged its sum, and a completed epoch
+        advances the probe's, so the metrics snapshot matches the
+        per-message path. ``walk``, given, first writes the epoch's
+        events and messages up to the arrival that completes it, whose
+        window a record stream being written closes after the charge and
+        the epoch mark. The tape's final counters (histograms copied)
+        are the run's.
         """
         apply_tape = self.network.apply_tape
         probe = self.probe if self._obs else None
-        if probe is None and step is None:
-            for record in tape.records:
-                if record[2]:
-                    apply_tape(record[2])
-        else:
-            span = self._span
-            # No sync operation is in progress: this is the miss-cause row.
-            miss_row = probe._seg_row if probe is not None else None
-            for cause, ident, deltas, rowadd, complete in tape.records:
-                if deltas:
-                    apply_tape(deltas)
-                if cause == P_MISS:
-                    row = miss_row
-                else:
-                    if step is not None:
-                        step(cause, ident, complete)
-                    if probe is not None:
-                        rows = probe._lock_rows if cause == P_LOCK else probe._barrier_rows
-                        row = rows.get(ident)
-                        if row is None:
-                            kind = "lock" if cause == P_LOCK else "barrier"
-                            row = rows[ident] = probe._cause_row(kind, ident)
-                if probe is not None:
-                    if rowadd is not None:
-                        row[0] += rowadd[0]
-                        row[1] += rowadd[1]
-                        row[2] += rowadd[2]
-                        row[3] += rowadd[3]
-                    if complete:
-                        self._next_epoch()
-                if span is not None and cause != P_MISS:
-                    span.end()
+        span = self._span
+        for deltas, rows, complete in tape.epochs:
+            if walk is not None:
+                walk()
+            apply_tape(deltas)
+            if probe is not None:
+                for cause, messages, data, control, faults in rows:
+                    row = probe._cause_row(*cause)
+                    row[0] += messages
+                    row[1] += data
+                    row[2] += control
+                    row[3] += faults
+                if complete:
+                    self._next_epoch()
+            if complete and span is not None:
+                span.end()
         for name, value in tape.counters.items():
             setattr(self, name, dict(value) if isinstance(value, dict) else value)
 

@@ -22,7 +22,7 @@ from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.types import BarrierId, LockId, PageId, ProcId
-from repro.hb.skeleton import E_MISS, P_LOCK
+from repro.hb.skeleton import E_MISS
 from repro.memory.diff import Diff
 from repro.memory.page import PageEntry, PageState
 from repro.network.message import BARRIER_FLUSH_KINDS, UNLOCK_FLUSH_KINDS, MessageKind
@@ -89,9 +89,9 @@ class EagerTapeMixin:
     A certified run is a fold over the **priced** tape
     (:class:`~repro.hb.skeleton.PricedTape`, through
     :meth:`~repro.protocols.base.Protocol._fold`, the one fold both
-    families share): one merged ledger record per sync operation and
-    inter-sync gap into the network, the counters and — under a stock
-    probe — the staged attribution rows. The priced tape is built from
+    families share): each barrier epoch's merged ledger deltas into the
+    network, the counters and — under a stock probe — the staged
+    attribution rows' sums. The priced tape is built from
     the walk's steps and they are dropped. A run that emits events or
     has a tap (``_tap``: a span probe or record stream being written,
     or a cold timed cell recording its send log) walks them again,
@@ -117,43 +117,48 @@ class EagerTapeMixin:
 
     def _t_run(self) -> None:
         """The whole run with its events and messages: the fold, each
-        sync record preceded by its step of the walk.
+        epoch preceded by its steps of the walk.
 
-        The gap's events land at the sync record that follows them (a
-        gap of bare write faults has no priced record of its own), still
-        before it and inside its epoch. The tap gets, between those
-        events, each step's messages in the order the per-event hooks
-        send them (a send log each at its op), and a span stream the
-        operation's window around them.
+        A gap's events land before the sync operation after it. The tap
+        gets, between the events, each step's messages in the order the
+        per-event hooks send them (a send log each at its op), and a span
+        stream each operation's window around them. An epoch's walk stops
+        at the arrival the protocol's (otherwise idle) barrier directory
+        says completes it, the window left open for the fold.
         """
         emit = self._emit if self._obs_events else NULL_PROBE.emit
         span, log, send = self._span, self._log, self._tap
         steps = iter(self._steps)
+        arrive = self.barriers.record_arrival
         if log is not None:  # (a step names its sync op, not the op's position)
             sync_at = (at for at, op in enumerate(self._ops) if op[0] >= OP_ACQUIRE)
 
-        def step(cause: int, ident: int, complete: bool) -> None:
-            (op, proc, _ident), gap, flush = next(steps)
-            kind = "lock" if cause == P_LOCK else "barrier"
-            self._emit_gap(gap, emit, send)
-            if log is not None:
-                log.at = next(sync_at)
-            if span is not None:
-                span.begin(kind, ident)
-            # The cause kind names the event's id field too.
-            emit(_SYNC_EVENTS[op], proc=proc, **{kind: ident})
-            self._emit_flush(proc, flush, op, emit, send)
-            if send is not None:
-                self._span_sync(op, proc, ident, send)
-            if complete:
-                emit("barrier_complete", proc=proc, barrier=ident)
+        def walk() -> None:
+            for sync, gap, flush in steps:
+                self._emit_gap(gap, emit, send)
+                if sync is None:  # the gap after the last operation
+                    return
+                op, proc, ident = sync
+                # The cause kind names the event's id field too.
+                kind = "barrier" if op == OP_BARRIER else "lock"
+                if log is not None:
+                    log.at = next(sync_at)
+                if span is not None:
+                    span.begin(kind, ident)
+                emit(_SYNC_EVENTS[op], proc=proc, **{kind: ident})
+                self._emit_flush(proc, flush, op, emit, send)
                 if send is not None:
-                    for target in self.barriers.exit_targets():
-                        send(MessageKind.BARRIER_EXIT, self.barriers.master, target)
+                    self._span_sync(op, proc, ident, send)
+                if op == OP_BARRIER and arrive(proc, ident):
+                    emit("barrier_complete", proc=proc, barrier=ident)
+                    if send is not None:
+                        for target in self.barriers.exit_targets():
+                            send(MessageKind.BARRIER_EXIT, self.barriers.master, target)
+                    return
+                if span is not None:
+                    span.end()
 
-        self._fold(self._priced, step)
-        # What is left is the gap after the last sync.
-        self._emit_gap(next(steps)[1], emit, send)
+        self._fold(self._priced, walk)
 
     def _span_sync(self, op: int, proc: ProcId, ident: int, send) -> None:
         """The hops of one sync operation itself, as the ``_on_*`` hooks

@@ -33,12 +33,13 @@ from repro.common.types import BarrierId, LockId, PageId, ProcId
 from repro.common.vector_clock import VectorClock
 from repro.hb.index import FetchPlanner
 from repro.hb.interval import Interval, IntervalId
-from repro.hb.skeleton import P_BARRIER, P_LOCK, P_MISS, PriceRecorder, PricedTape
+from repro.hb.skeleton import PriceRecorder, PricedTape
 from repro.hb.store import IntervalStore
 from repro.hb.write_notice import WriteNotice
 from repro.memory.diff import Diff
 from repro.memory.page import PageEntry, PageState
 from repro.network.message import MessageKind
+from repro.obs.probe import MISS_CAUSE
 from repro.protocols.base import Protocol
 from repro.config import SimConfig
 from repro.trace.runs import R_ACQUIRE, R_RELEASE, R_TOUCH
@@ -919,10 +920,10 @@ class LazyProtocol(Protocol):
 
         The network's ledger updates are captured into a
         :class:`~repro.hb.skeleton.PriceRecorder`, and each sync kernel
-        closes first the gap before it (a record only if it charged
-        anything) and then its own record, priced or not. ``complete``
-        comes from the protocol's barrier directory, idle on the tape
-        and walked here; faults are the gap's miss-counter delta.
+        charges first the gap before it to the miss row and then its own
+        charges to its row, whether it charged anything or not.
+        ``complete`` comes from the protocol's barrier directory, idle on
+        the tape and walked here; faults are the miss counters.
         """
         recorder = PriceRecorder()
         self.network._capture = recorder.captured
@@ -931,26 +932,26 @@ class LazyProtocol(Protocol):
         def faults() -> int:
             return self.cold_misses + self.invalid_misses
 
-        def priced(kernel, cause: int):
+        def priced(kernel, kind: str):
             def run(proc: ProcId, ident: int) -> None:
-                recorder.close(P_MISS, -1, faults(), False)
+                recorder.close(MISS_CAUSE, faults())
                 kernel(proc, ident)
-                complete = cause == P_BARRIER and arrive(proc, ident)
-                recorder.close(cause, ident, faults(), complete)
+                complete = kind == "barrier" and arrive(proc, ident)
+                recorder.close((kind, ident), faults(), complete)
 
             return run
 
         _walk_runs(
-            runs, touch, priced(acquire, P_LOCK), priced(release, P_LOCK), priced(barrier, P_BARRIER)
+            runs, touch, priced(acquire, "lock"), priced(release, "lock"), priced(barrier, "barrier")
         )
-        recorder.close(P_MISS, -1, faults(), False)  # the gap after the last sync
+        recorder.close(MISS_CAUSE, faults())  # the gap after the last sync
         self.network._capture = None
         counters = {}
         for name in self.priced_counters:
             value = getattr(self, name)
             if value:  # (the ones the run moved)
                 counters[name] = dict(value) if isinstance(value, dict) else value
-        return PricedTape(recorder.records, counters)
+        return recorder.tape(counters)
 
     def _post_close(self, proc: ProcId, interval: Interval) -> None:
         """Tape-close hook for modifying intervals (HLRC flushes here)."""

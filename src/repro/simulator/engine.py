@@ -112,10 +112,6 @@ class Engine:
         #: (None otherwise: a cell's first observed run keeps nothing,
         #: see _observe_on_tape).
         self._obs_stream_source: Optional[str] = None
-        #: Lazy tape runs: whether the cell's priced tape was ``recorded``
-        #: by this run's kernels or ``folded`` in their place (None: the
-        #: kernels ran and kept nothing, see BatchPlan.lazy_pricing).
-        self._priced_source: Optional[str] = None
         #: The loop that produced the ledger and, unless it was the tape
         #: replay, why not (see :func:`certify_replay`).
         self._execution_path = "per_event"
@@ -204,7 +200,7 @@ class Engine:
                 # as staged rows would on close; it is not kept.
                 self.probe.replay_stream(stream)
             raise
-        if self._priced_source == "recorded":
+        if priced is not None:
             plan.keep_priced_tape(key, priced)
         if self._send_log_source == "recorded":
             t0 = time.perf_counter()
@@ -261,10 +257,10 @@ class Engine:
         <repro.hb.skeleton.BatchPlan.lazy_pricing>`)."""
         protocol = self.protocol
         folds = not protocol._obs_events and protocol._tap is None
-        self._priced_source, tape = plan.lazy_pricing(key, folds)
+        source, tape = plan.lazy_pricing(key, folds)
         if tape is not None:
             protocol.fold_priced(tape)
-        elif self._priced_source == "recorded":
+        elif source == "recorded":
             protocol.record_priced()
 
     def _plan(self, compiled: CompiledTrace):
@@ -370,8 +366,8 @@ class Engine:
         lazy family walks the access-run program (see
         :mod:`repro.trace.runs`) over kernels that replay
         synchronization from the cost-resolved tape, or folds its cell's
-        priced tape; the eager family folds its priced sync-ordered tape
-        and needs no run program at all.
+        priced tape; the eager family folds its policy's priced tape and
+        needs no run program at all.
         """
         t0 = time.perf_counter()
         if plan is None:
@@ -484,6 +480,10 @@ class Engine:
                 probe.link_delays = timing.delay_log
                 probe.link_model = timing.link
         seed = self.trace.meta.params.get("seed")
+        plan_cache = self._plan_cache_delta()
+        # Either family: a priced tape this run built, it recorded; one it looked up, it folded.
+        hits = plan_cache.get("priced_tape_hits")
+        priced = "recorded" if plan_cache.get("priced_tape_builds") else "folded" if hits else None
         return SimulationResult(
             app=self.trace.meta.app,
             protocol=protocol.name,
@@ -503,13 +503,13 @@ class Engine:
                 self.trace,
                 self.config,
                 timings,
-                plan_cache=self._plan_cache_delta(),
+                plan_cache=plan_cache,
                 network=network_manifest,
                 execution_path=self._execution_path,
                 decline_reason=self._decline_reason,
                 send_log=self._send_log_source,
                 obs_stream=self._obs_stream_source,
-                priced_tape=self._priced_source,
+                priced_tape=priced,
             ),
             metrics=metrics_snapshot,
             timing=timing_report,

@@ -227,13 +227,21 @@ def run_loop(trace, protocol, config, loop, make_probe=None, sink=None):
             Engine(trace, config, protocol, probe=first).run()
             if first is not None:
                 first.close()
+    eager_kept = None
+    if expected[0] == "tape" and not protocol_class(protocol).lazy:
+        plan = batch_plan(trace.compiled(config.page_size), config.n_procs)
+        cost_key = (config.cost_model, config.free_local_lock_reacquire)
+        eager_kept = (protocol_class(protocol).name, *cost_key) in plan._priced_tapes
     engine = Engine(trace, config.with_options(**overrides), protocol, probe=probe)
     result = engine.run_reference() if loop == "reference" else engine.run()
     assert path_and_reason(result) == expected
     if memo:
         stream = {"recorded": "recorded"}.get(loop, "reused")
         assert result.manifest.get("obs_stream") == (stream if observed else None)
-    if loop in ("recorded", "folded"):
+    if eager_kept is not None:
+        # Every eager tape run folds its policy's tape, priced first if none is kept.
+        assert result.manifest.get("priced_tape") == ("folded" if eager_kept else "recorded")
+    elif loop in ("recorded", "folded"):
         assert result.manifest.get("priced_tape") == (loop if lazy else None)
     return engine, probe, result
 

@@ -126,33 +126,44 @@ def observed_cell_recorded_then_reused(tmp):
     return trace, results, probe
 
 
+def assert_plain_data(tape) -> None:
+    """Nothing reachable from a kept priced tape is a protocol, a plan or
+    anything else with behaviour."""
+    plain = (tuple, list, dict, int, str, type(None))
+    reachable, todo = set(), [tape.epochs, tape.counters]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in reachable:
+            reachable.add(id(obj))
+            assert isinstance(obj, plain), type(obj)
+            todo += gc.get_referents(obj)
+
+
 @entry
 def lazy_cell_recorded_then_folded(tmp):
     """A lazy cell run cold, again (its kernels recording its priced
     tape), then folding that tape — with no probe, and another cell
-    under a metrics probe. The kept tape is plain data: nothing reachable
-    from it is a protocol, a plan or anything else with behaviour."""
+    under a metrics probe — beside an eager cell, which prices its
+    policy's tape and folds it. Every kept tape is plain data."""
     trace = small_trace("water")
     results = []
-    for protocol, page_size, make_probe in (("LU", 1024, None), ("HLRC", 2048, RecordingProbe)):
+    cells = (("LU", 1024, None), ("HLRC", 2048, RecordingProbe), ("EU", 1024, None))
+    for protocol, page_size, make_probe in cells:
         for _ in range(3):
             probe = make_probe() if make_probe else None
             results.append(simulate(trace, protocol, page_size=page_size, probe=probe))
             if probe is not None:
                 probe.close()
     sources = [result.manifest.get("priced_tape") for result in results]
-    assert sources == [None, "recorded", "folded"] * 2
-    plain = (tuple, list, dict, int, str, type(None))
-    for page_size in (1024, 2048):
-        plan = batch_plan(trace.compiled(page_size), trace.n_procs)
-        (tape,) = [t for key, t in plan._priced_tapes.items() if isinstance(key[0], type)]
-        reachable, todo = set(), [tape.records, tape.counters]
-        while todo:
-            obj = todo.pop()
-            if id(obj) not in reachable:
-                reachable.add(id(obj))
-                assert isinstance(obj, plain), type(obj)
-                todo += gc.get_referents(obj)
+    assert sources == [None, "recorded", "folded"] * 2 + ["recorded", "folded", "folded"]
+    tapes = [
+        tape
+        for page_size in (1024, 2048)
+        for tape in batch_plan(trace.compiled(page_size), trace.n_procs)._priced_tapes.values()
+    ]
+    assert len(tapes) == 3
+    for tape in tapes:
+        assert_plain_data(tape)
     return trace, results
 
 

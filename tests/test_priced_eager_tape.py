@@ -1,8 +1,10 @@
-"""The priced eager tape: every replay of one eager run agrees on everything.
+"""The priced tape: every replay of one run agrees on everything.
 
-A certified eager run folds one merged ledger record per synchronization
-operation and inter-sync gap (:class:`repro.hb.skeleton.PricedTape`)
-instead of sending message by message. These tests pin that fold against
+A certified eager run folds one summary per barrier epoch
+(:class:`repro.hb.skeleton.PricedTape`) instead of sending message by
+message, as a lazy cell does once its tape is kept; the epoch invariant
+and the exact metrics drain sequence are pinned here for all seven
+protocols. These tests pin that fold against
 the per-event interpreter it bypasses — for values, and as the watched run
 a message-logging probe asks for, which is told of every message — on
 the result, every counter, and the metrics probe's rows down to the order
@@ -28,10 +30,11 @@ from repro.hb.skeleton import batch_plan, plan_stats
 from repro.network.costs import CostModel
 from repro.network.link import LinkModel
 from repro.network.network import Network
-from repro.obs.probe import RecordingProbe
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import MISS_CAUSE, RecordingProbe
 from repro.obs.sinks import ColumnarSink, MemorySink
 from repro.obs.spans import SpanProbe
-from repro.protocols.registry import all_protocol_names
+from repro.protocols.registry import all_protocol_names, protocol_class
 from repro.simulator.engine import Engine, simulate
 from repro.simulator.sweep import run_sweep
 from repro.trace.events import Event
@@ -41,6 +44,7 @@ from tests.conftest import (
     SpanMessageLogProbe,
     assert_loops_agree,
     build_trace,
+    interpreter_engine,
     interpreter_result,
     ledger_fields,
     run_loop,
@@ -346,8 +350,38 @@ class TestPlanCache:
         assert "8 builds (2 plan / 0 lazy tape / 6 priced tape)" in line
         assert "12 lookups" in line  # 6 cells x (plan + priced tape), nothing else
 
-    def test_one_record_per_sync_instruction_plus_nonempty_gaps(self):
-        from repro.hb.skeleton import P_MISS
+    def test_one_entry_per_barrier_epoch(self):
+        """A kept tape, of either family, against the interpreter: one
+        entry per completed barrier episode plus the tail, deltas summing
+        to its ledger, and rows first used in the order its probe
+        created them."""
+        trace = small_trace("water")
+        config = SimConfig(n_procs=trace.n_procs, page_size=1024)
+        plan = batch_plan(trace.compiled(1024), trace.n_procs)
+        for protocol in all_protocol_names():
+            probe = RecordingProbe()
+            engine = interpreter_engine(trace, protocol, config, probe=probe)
+            interpreted = engine.run()
+            if protocol_class(protocol).lazy:
+                key = (protocol_class(protocol), config)
+                while key not in plan._priced_tapes:  # the second tape run records it
+                    simulate(trace, protocol, config=config)
+                tape = plan._priced_tapes[key]
+            else:
+                tape = plan.priced_eager_tape(protocol, CostModel(), True)
+            episodes = engine.protocol.barriers.episodes_completed
+            assert episodes > 0
+            completes = [complete for *_, complete in tape.epochs]
+            assert completes == [True] * episodes + [False], protocol
+            ledger = Network(trace.n_procs)
+            for deltas, _rows, _complete in tape.epochs:
+                ledger.apply_tape(deltas)
+            assert ledger.stats.snapshot() == interpreted.stats.snapshot(), protocol
+            first_used = {cause: None for _, rows, _ in tape.epochs for cause, *_add in rows}
+            staged = [cause for cause in probe._segments if cause != MISS_CAUSE]
+            assert [cause for cause in first_used if cause != MISS_CAUSE] == staged, protocol
+
+    def test_eager_steps_are_sync_ordered(self):
         from repro.trace.runs import R_ACQUIRE
 
         trace = small_trace("water")
@@ -362,11 +396,35 @@ class TestPlanCache:
             for _sync, gap, _flush in steps:
                 for rec in gap:
                     assert rec[1] is ops[rec[1]][-1] and ops[rec[1]][1] == rec[2]
-            records = plan.priced_eager_tape(policy, CostModel(), True).records
-            sync_records = [rec for rec in records if rec[0] != P_MISS]
-            assert [rec[1] for rec in sync_records] == [ins[2] for ins in syncs]
-            gaps = [rec for rec in records if rec[0] == P_MISS]
-            assert gaps and all(rec[3] is not None for rec in gaps)
+
+
+class TestDrainSequence:
+    """What a probe drains into its registry, call by call, is the same
+    whether the run ran the kernels, folded a kept tape or was
+    interpreted."""
+
+    @pytest.mark.parametrize("sink", [None, MemorySink], ids=["metrics", "sink"])
+    @pytest.mark.parametrize("protocol", all_protocol_names())
+    def test_record_segment_calls_match_across_loops(self, protocol, sink, monkeypatch):
+        calls = []
+        real = MetricsRegistry.record_segment
+
+        def spy(self, epoch, cause, *row):
+            calls.append((self, epoch, cause, *row))
+            real(self, epoch, cause, *row)
+
+        monkeypatch.setattr(MetricsRegistry, "record_segment", spy)
+        trace = small_trace("pthor")  # a fresh plan: the first tape run is cold
+        config = SimConfig(n_procs=trace.n_procs, page_size=1024)
+        drained = {}
+        for loop in ("tape", "folded", "per_event"):
+            _, probe, _ = run_loop(
+                trace, protocol, config, loop, RecordingProbe, sink() if sink else None
+            )
+            # (The cells run_loop primes drain registries of their own.)
+            drained[loop] = [call[1:] for call in calls if call[0] is probe.metrics]
+        assert drained["tape"] and len({epoch for epoch, *_ in drained["tape"]}) > 1
+        assert drained["folded"] == drained["tape"] == drained["per_event"]
 
 
 class TestTimedWarmCell:

@@ -150,9 +150,11 @@ def test_manifest_and_plan_stats_name_the_priced_tape():
     assert run(probe=RecordingProbe([ColumnarSink()])) == (None, {"lazy_tape_hits": 1})
     assert run(link_model=LinkModel.ideal()) == (None, {"lazy_tape_hits": 1})
     assert run(link_model=LinkModel.ideal()) == ("folded", {"priced_tape_hits": 1})
-    # The interpreter prices nothing, and an eager run is no lazy cell.
+    # The interpreter prices nothing. An eager run prices its policy's
+    # tape at its cost key once, and every run folds it.
     assert run(record_values=True) == (None, {})
-    assert run("EU") == (None, {"priced_tape_builds": 1})
+    assert run("EU") == ("recorded", {"priced_tape_builds": 1})
+    assert run("EU", probe=RecordingProbe([ColumnarSink()])) == ("folded", {"priced_tape_hits": 1})
 
 
 def test_kept_stream_is_typed_columns():
@@ -309,12 +311,19 @@ def test_reused_records_are_what_a_fresh_run_makes(program, order):
     memo key fails this property.)"""
     trace = interleave(*program)
     base = SimConfig(n_procs=trace.n_procs, page_size=64)
-    fresh, first, sources = {}, {}, {}
+    fresh, first, sources, eager_priced = {}, {}, {}, set()
     for cell in order:
         protocol, flip, observer = cell
         config = base if flip is None else base.with_options(**{flip: FLIPS[flip]})
         seen, manifest = observe_cell(trace, protocol, config, observer)
         assert manifest["execution_path"] == "tape"
+        if not protocol_class(protocol).lazy:
+            # Every eager run folds its policy's tape, priced by the
+            # first run at its cost key.
+            cost_key = (protocol, config.cost_model, config.free_local_lock_reacquire)
+            priced = "folded" if cost_key in eager_priced else "recorded"
+            assert manifest.get("priced_tape") == priced, cell
+            eager_priced.add(cost_key)
         sources.setdefault((protocol, flip), []).append(
             (observer, *map(manifest.get, ("obs_stream", "send_log", "priced_tape")))
         )
@@ -336,11 +345,10 @@ def test_reused_records_are_what_a_fresh_run_makes(program, order):
         assert streams == [None, "recorded", "reused", "reused"]
         # A lazy key's second run records its priced tape; every later
         # one folds it unless it writes events, a stream or a send log.
-        expected = [None] * len(runs)
         if protocol_class(protocol).lazy:
-            expected[1:] = ["recorded"] + [
+            expected = [None, "recorded"] + [
                 None if (observer in STREAMED and stream != "reused") or log == "recorded"
                 else "folded"
                 for observer, stream, log, _priced in runs[2:]
             ]
-        assert [priced for *_, priced in runs] == expected, protocol
+            assert [priced for *_, priced in runs] == expected, protocol
