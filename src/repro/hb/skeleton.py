@@ -19,24 +19,24 @@ once per (compiled trace, n_procs), producing:
   :class:`~repro.hb.index.FetchPlanner` built over it answer queries for
   any prefix of the run correctly (plans only ever touch the interval
   ids they are asked about);
-* one *sync record* per special access, carrying the closed interval,
-  the pre-merged clocks, and the notice batches already grouped by page
-  — everything :func:`build_lazy_tape` needs to resolve a sync
-  operation into the record the tape kernels in
-  :mod:`repro.protocols.lazy_base` replay without touching the store.
+* one *sync record* per special access, in trace order — the run
+  program's sync instructions' order — carrying the closed interval, the
+  merged clocks, and the notice batches already grouped by page:
+  everything the lazy ``_t_*`` kernels in
+  :mod:`repro.protocols.lazy_base` read in place of the store scans and
+  clock merges their hooks do. The skeleton holds no cost: the kernels
+  price every hop live, through ``Network.send``, as the hooks do.
 
 Sync record shapes (plain tuples, hot-path friendly)::
 
     close_rec = (index, vc_after_close, interval_or_None)
-    (K_ACQUIRE, close_rec, grantor, manager, n_notices, grouped, vc_after, proc)
-    (K_RELEASE, close_rec, proc)
-    (K_BARRIER, close_rec, n_to_master, complete_or_None, proc)
+    acquire:  (close_rec, grantor, manager, n_notices, grouped, vc_after)
+    release:  (close_rec,)
+    barrier:  (close_rec, n_to_master, complete_or_None)
         n_to_master: notice count the arrival carries (-1 for the
         master's own arrival, which sends nothing)
         complete: tuple over procs of (n_notices, grouped, vc_after),
         present only on the completing arrival
-        proc: the acting processor (last field of every record), for
-        the tape builder
 
 ``grouped`` is the gap's notices as ``(page, (interval_id, ...))`` pairs
 in first-occurrence order — the order the per-event receive loop would
@@ -68,7 +68,7 @@ lazy cell is priced into the same schema by its second tape run
 it the same way.
 
 :func:`batch_plan` memoizes one :class:`BatchPlan` (skeleton + run
-program + priced tapes + lazy tapes + shared fetch planners, each
+program + priced tapes + shared fetch planners, each
 built lazily on first use, plus the send logs timed runs and the record
 streams observed runs record) per n_procs on the compiled trace itself,
 so every protocol replay of a sweep reuses it.
@@ -107,18 +107,12 @@ from repro.trace.runs import segment_runs
 if TYPE_CHECKING:
     from repro.obs.spans import SpanRecords
 
-K_ACQUIRE = 0
-K_RELEASE = 1
-K_BARRIER = 2
-
 #: Plan/tape construction counters, cumulative per process. ``hits``
 #: count memoized reuse; sweeps snapshot around their grid to report the
 #: cache hit rate (see :func:`repro.simulator.sweep.run_sweep`).
 PLAN_STATS: Dict[str, int] = {
     "plan_builds": 0,
     "plan_hits": 0,
-    "lazy_tape_builds": 0,
-    "lazy_tape_hits": 0,
     "priced_tape_builds": 0,
     "priced_tape_hits": 0,
     "send_log_builds": 0,
@@ -457,170 +451,15 @@ def build_priced_eager_tape(
     return recorder.tape(dict(+counters))  # the moved ones only
 
 
-class LazyTape:
-    """Cost-resolved replay tape for the lazy sync records.
-
-    One record per skeleton sync record, same order, with everything
-    config/cost-dependent but run-independent already resolved against
-    one ``(cost model, piggyback_notices, free_local_lock_reacquire)``
-    key — the tape is what lets the lazy ``_t_*`` kernels replay a sync
-    operation with array reads plus one bulk ledger update instead of
-    re-deriving wire bytes and message sequences per event. Record
-    shapes (plain tuples)::
-
-        close = (vc_after, interval_or_None, items, wire, retained_after)
-            items: ((page, diff_wire_bytes), ...) in diff (first-write)
-            order; () for an empty interval
-            wire: sum of the items' bytes
-            retained_after: prefix sum of ``wire`` over all closes in
-            record order — the retained *and* peak series whenever
-            retention is monotone (no barrier GC, no home flushes)
-        acquire = (close, deltas_or_None, rowadd, n_notices, grouped, vc_after, grantor)
-            deltas None: the free-local-reacquire skip (close only — no
-            merge, no notice receive); deltas (): every hop was local
-            grantor: who sent the notices (the ``notices_send`` event)
-        release = close
-        barrier = (close, deltas, rowadd, n_notices, complete_or_None)
-            deltas (): the master's own message-free arrival
-            complete = (cdeltas, crowadd, cnotices, per_proc) on the
-            completing arrival; per_proc is the skeleton's
-            (n_notices, grouped, vc_after) tuple per processor
-
-    ``deltas`` batches the record's network-ledger updates as
-    ``(kind slot, messages, data_bytes, control_bytes)`` tuples, merged
-    per kind (see :meth:`repro.network.network.Network.apply_tape`);
-    ``rowadd`` is the matching ``(messages, data, control)`` total for a
-    probe's staged segment row, ``None`` when ``deltas`` is empty.
-    Every lazy sync kind is counted (none are acks) and local sends are
-    skipped outright, mirroring ``Network.send``'s fast path exactly.
-    """
-
-    __slots__ = ("records",)
-
-    def __init__(self, records: List[tuple]):
-        self.records = records
-
-    def __repr__(self) -> str:
-        return f"LazyTape({len(self.records)} sync records)"
-
-
-def build_lazy_tape(
-    n_procs: int,
-    skeleton: Skeleton,
-    cost_model: CostModel,
-    piggyback: bool,
-    free_reacquire: bool,
-) -> LazyTape:
-    """Resolve ``skeleton``'s sync records against one cost/config key."""
-    vcb = cost_model.vclock_bytes(n_procs)
-    nb = cost_model.write_notice_bytes
-    header = cost_model.header_bytes if cost_model.count_header_in_data else 0
-    count_control = cost_model.count_control_in_data
-    master = BarrierMaster(n_procs).master
-
-    req_slot = MessageKind.LOCK_REQUEST.slot
-    fwd_slot = MessageKind.LOCK_FORWARD.slot
-    grant_slot = MessageKind.LOCK_GRANT.slot
-    lnote_slot = MessageKind.LOCK_NOTICE.slot
-    arrive_slot = MessageKind.BARRIER_ARRIVAL.slot
-    exit_slot = MessageKind.BARRIER_EXIT.slot
-    bnote_slot = MessageKind.BARRIER_NOTICE.slot
-
-    def merge(sends: List[tuple]) -> tuple:
-        """(slot, src, dst, ctrl) sends -> (deltas, rowadd), locals skipped."""
-        by_slot: Dict[int, List[int]] = {}
-        tm = td = tc = 0
-        for slot, src, dst, ctrl in sends:
-            if src == dst:
-                continue
-            data = (ctrl if count_control else 0) + header
-            row = by_slot.get(slot)
-            if row is None:
-                by_slot[slot] = row = [0, 0, 0]
-            row[0] += 1
-            row[1] += data
-            row[2] += ctrl
-            tm += 1
-            td += data
-            tc += ctrl
-        if not by_slot:
-            return (), None
-        deltas = tuple((slot, r[0], r[1], r[2]) for slot, r in by_slot.items())
-        return deltas, (tm, td, tc)
-
-    def sync_pair(slot: int, note_slot: int, src: int, dst: int, n: int) -> List[tuple]:
-        """The sends of one notice-bearing sync hop (LazyProtocol._sync_send)."""
-        if piggyback or not n:
-            return [(slot, src, dst, vcb + n * nb)]
-        return [(slot, src, dst, vcb), (note_slot, src, dst, n * nb)]
-
-    retained = 0
-
-    def make_close(close_rec: tuple) -> tuple:
-        nonlocal retained
-        interval = close_rec[2]
-        if interval is None:
-            return (close_rec[1], None, (), 0, retained)
-        items = tuple(
-            (page, diff.wire_bytes(cost_model))
-            for page, diff in interval.diffs.items()
-        )
-        wire = 0
-        for _page, page_wire in items:
-            wire += page_wire
-        retained += wire
-        return (close_rec[1], interval, items, wire, retained)
-
-    records: List[tuple] = []
-    append = records.append
-    for rec in skeleton.records:
-        kind = rec[0]
-        proc = rec[-1]
-        if kind == K_ACQUIRE:
-            close = make_close(rec[1])
-            grantor = rec[2]
-            if grantor == proc and free_reacquire:
-                append((close, None, None, 0, (), None, grantor))
-                continue
-            n = rec[4]
-            sends = [(req_slot, proc, rec[3], vcb), (fwd_slot, rec[3], grantor, vcb)]
-            sends += sync_pair(grant_slot, lnote_slot, grantor, proc, n)
-            deltas, rowadd = merge(sends)
-            append((close, deltas, rowadd, n, rec[5], rec[6], grantor))
-        elif kind == K_RELEASE:
-            append(make_close(rec[1]))
-        else:  # K_BARRIER
-            close = make_close(rec[1])
-            n_to_master = rec[2]
-            if n_to_master >= 0:
-                deltas, rowadd = merge(
-                    sync_pair(arrive_slot, bnote_slot, proc, master, n_to_master)
-                )
-            else:
-                deltas, rowadd = (), None
-            complete = rec[3]
-            tape_complete = None
-            if complete is not None:
-                csends: List[tuple] = []
-                cnotices = 0
-                for p, (n, _grouped, _vc) in enumerate(complete):
-                    if p != master:
-                        csends += sync_pair(exit_slot, bnote_slot, master, p, n)
-                        cnotices += n
-                cdeltas, crowadd = merge(csends)
-                tape_complete = (cdeltas, crowadd, cnotices, complete)
-            append((close, deltas, rowadd, n_to_master if n_to_master > 0 else 0, tape_complete))
-    return LazyTape(records)
-
-
 class BatchPlan:
     """Everything the tape replays of one compiled trace share.
 
     The run program, skeleton, and tapes are immutable during replays
     and built lazily on first use — an eager-only replay never pays for
-    the run program or the lazy interval store, and vice versa;
-    cost-resolved tapes (:class:`LazyTape`, an eager policy's
-    :class:`PricedTape`) are kept per cost key. The fetch
+    the run program or the lazy interval store, and vice versa. The
+    skeleton is one for every lazy protocol and cost key (the kernels
+    price it live); an eager policy's :class:`PricedTape` is kept per
+    cost key. The fetch
     planners (one per (cost model, pruning flag) actually used) are
     memo caches over the immutable store, so sharing them across
     protocol instances only widens the memo hit rate. Three records of a
@@ -646,7 +485,6 @@ class BatchPlan:
         "_skeleton",
         "_planners",
         "_priced_tapes",
-        "_lazy_tapes",
         "_send_logs",
         "_obs_streams",
         "_observed",
@@ -666,7 +504,6 @@ class BatchPlan:
         self._planners: Dict[Tuple[CostModel, bool], FetchPlanner] = {}
         #: Eager policies' by cost key, lazy cells' by the send log's key.
         self._priced_tapes: Dict[tuple, PricedTape] = {}
-        self._lazy_tapes: Dict[Tuple[CostModel, bool, bool], LazyTape] = {}
         self._send_logs: Dict[tuple, SendLog] = {}
         self._obs_streams: Dict[tuple, "SpanRecords"] = {}
         self._observed: Set[tuple] = set()
@@ -743,23 +580,11 @@ class BatchPlan:
             self._priced_tapes, (policy, cost_model, free_reacquire), build, "priced_tape"
         )
 
-    def lazy_tape(
-        self, cost_model: CostModel, piggyback: bool, free_reacquire: bool
-    ) -> LazyTape:
-        """The (memoized) lazy replay tape for one cost/config key.
-
-        One tape serves every lazy protocol at that key — LI/LU/LH
-        consume it as-is and HLRC only adds live per-close flushing on
-        top (see ``LazyProtocol.bind_batch_plan``).
-        """
-        return self._memo(
-            self._lazy_tapes,
-            (cost_model, piggyback, free_reacquire),
-            lambda: build_lazy_tape(
-                self.n_procs, self.skeleton, cost_model, piggyback, free_reacquire
-            ),
-            "lazy_tape",
-        )
+    def lazy_tape(self, *_cost_key) -> Skeleton:
+        """The skeleton, whatever the cost key: what the lazy kernels
+        replay. An alias kept only for the frozen benchmark's
+        ``prepare_cell`` (``benchmarks/lrcbench``), which calls it."""
+        return self.skeleton
 
     def lazy_pricing(self, key: tuple, folds: bool) -> Tuple[Optional[str], Optional[PricedTape]]:
         """How a lazy tape run of ``key``'s cell (the send log's key) is
@@ -921,9 +746,7 @@ def build_skeleton(ops: List[tuple], n_procs: int) -> Skeleton:
             grantor_vc = vcs[grantor]
             n, grouped = _grouped_gap(store, grantor_vc, vcs[proc])
             vc_after = vcs[proc].merged(grantor_vc)
-            append_record(
-                (K_ACQUIRE, close_rec, grantor, manager, n, grouped, vc_after, proc)
-            )
+            append_record((close_rec, grantor, manager, n, grouped, vc_after))
             # Config-independent: when free_local_lock_reacquire skips
             # the merge at runtime, grantor == proc and the merge is the
             # identity anyway (a clock always covers its own intervals).
@@ -931,7 +754,7 @@ def build_skeleton(ops: List[tuple], n_procs: int) -> Skeleton:
             locks.record_acquire(proc, lock)
         elif code == OP_RELEASE:
             proc, lock = op[1], op[2]
-            append_record((K_RELEASE, close(proc), proc))
+            append_record((close(proc),))
             locks.record_release(proc, lock)
         else:  # OP_BARRIER
             proc, barrier = op[1], op[2]
@@ -958,7 +781,7 @@ def build_skeleton(ops: List[tuple], n_procs: int) -> Skeleton:
                 for p in range(n_procs):
                     vcs[p] = per_proc[p][2]
                 complete = tuple(per_proc)
-            append_record((K_BARRIER, close_rec, n_to_master, complete, proc))
+            append_record((close_rec, n_to_master, complete))
     return Skeleton(n_procs, store, records)
 
 

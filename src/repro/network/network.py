@@ -89,14 +89,15 @@ class Network:
 
         ``deltas`` is a sequence of ``(kind slot, messages, data_bytes,
         control_bytes)`` tuples — the merged accounting of several
-        :meth:`send` calls, resolved at tape-build time (see
-        :class:`~repro.hb.skeleton.LazyTape` and
-        :class:`~repro.hb.skeleton.PricedTape`). Callers certify
-        what :meth:`send` would have done per message (endpoints in
-        range, locals excluded, the ack policy applied); probe staging
-        and the tap's records, when either is attached, are the
-        caller's responsibility — the tape carries matching row totals,
-        and the kernels expand the messages for the tap
+        :meth:`send` calls: an epoch of a
+        :class:`~repro.hb.skeleton.PricedTape` (``Protocol._fold``), or
+        one diff fetch of the lazy kernels
+        (``LazyProtocol._collect_diffs_indexed``). Callers certify what
+        :meth:`send` would have done per message (endpoints in range,
+        locals excluded, the ack policy applied); probe staging and the
+        tap's records, when either is attached, are the caller's
+        responsibility — the fold charges the tape's row sums, and the
+        diff fetch its row and one tap call per message
         (``Protocol._tap``).
         """
         buckets = self._buckets

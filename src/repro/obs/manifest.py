@@ -99,8 +99,7 @@ def build_manifest(
     stream, keeping it and handing it to the probe; callers may add
     ``generate_s``). ``plan_cache`` is this run's delta of the
     batch-plan/tape cache counters (``repro.hb.skeleton.PLAN_STATS``) —
-    whether the sync skeleton and cost-resolved tapes were rebuilt or
-    reused, the first thing to check when two "identical" runs time
+    whether the sync skeleton and priced tapes were rebuilt or reused, the first thing to check when two "identical" runs time
     differently. The trace digest is memoized on the stream, so sweeping
     20 cells hashes the columns once. ``network`` is the timed-run
     replay key — the derived ``network_seed`` feeding the loss/jitter

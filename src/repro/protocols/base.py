@@ -43,12 +43,14 @@ def certify_replay(protocol: "Protocol") -> Tuple[str, Optional[str]]:
       (:func:`~repro.obs.probe.is_stock_staging`), e.g. a subclass
       overriding ``on_message``.
     - ``"tape"``: no individual message is watched, so the run is
-      replayed from cost-resolved tape records through
+      replayed from precomputed records (lazy family: the kernels over
+      the sync skeleton, sending as the hooks do and charging each diff
+      fetch in one
       :meth:`Network.apply_tape <repro.network.network.Network.apply_tape>`
-      bulk updates (lazy family: per sync operation and diff fetch, or
-      one fold over the cell's kept priced tape once a run of it writes
-      nothing; eager family: the whole run). A stock probe's metrics rows and a
-      timed run's send log are fed from the same records; event sinks
+      bulk update, or one fold over the cell's kept priced tape once a
+      run of it writes nothing; eager family: the fold, the whole run).
+      A stock probe's metrics rows and a timed run's send log are fed
+      from the same records; event sinks
       and a span probe get what the kernels write from them, or the
       cell's kept record stream once the cell is observed again
       (:meth:`observe_on_tape`).
@@ -169,16 +171,16 @@ class Protocol(abc.ABC):
 
     def record_sends(self, log) -> None:
         """Record every message of this run into ``log`` (a ``SendLog``):
-        ``Network.send``'s through its hook, the tape kernels' through
-        their tap."""
+        ``Network.send``'s through its hook, a bulk charge's (a lazy diff
+        fetch, the eager walk) through the tap."""
         self._log = log
         self._bind_tap()
 
     def _bind_tap(self) -> None:
-        """``_tap``, where the tape kernels expand merged deltas into one
+        """``_tap``, where ``Network.send`` hands each message it charges
+        and a bulk charge (a lazy diff fetch, the eager walk) makes one
         ``Network.send``-shaped call per message — the record stream,
-        the send log, both, or None (no expansion) — and where
-        ``Network.send`` hands each message it charges."""
+        the send log, both, or None."""
         span = self._span.sender(self.costs) if self._span is not None else None
         log = self._log.send if self._log is not None else None
         if span is None or log is None:

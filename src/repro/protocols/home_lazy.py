@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.common.types import BarrierId, LockId, PageId, ProcId
+from repro.common.types import PageId, ProcId
 from repro.config import SimConfig
 from repro.hb.interval import Interval
 from repro.hb.write_notice import WriteNotice
@@ -42,7 +42,6 @@ class HomeLazy(LazyProtocol):
     name = "HLRC"
     update = False
     replay_certified = True
-    drops_retained_at_close = True  # _post_close flushes to the home
     priced_counters = LazyProtocol.priced_counters + ("home_flushes",)
 
     def __init__(self, config: SimConfig):
@@ -51,14 +50,9 @@ class HomeLazy(LazyProtocol):
 
     # -- home flushing -------------------------------------------------------
 
-    def _close_interval(self, proc: ProcId):
-        interval = super()._close_interval(proc)
-        if interval is not None and interval.diffs:
-            self._flush_home(proc, interval)
-        return interval
-
-    def _flush_home(self, proc: ProcId, interval: Interval) -> None:
-        """Push the interval's diffs to each page's home, then drop them."""
+    def _on_close(self, proc: ProcId, interval: Interval) -> None:
+        """Push the closed interval's diffs to each page's home, then
+        drop them — on every path, the tape kernels' closes included."""
         by_home: Dict[ProcId, List[PageId]] = {}
         for page in interval.modified_pages:
             by_home.setdefault(self.page_manager(page), []).append(page)
@@ -116,12 +110,6 @@ class HomeLazy(LazyProtocol):
         self._fetch_page_copy(proc, page, entry, server=home)
 
     # -- tape kernels ---------------------------------------------------------
-
-    def _post_close(self, proc: ProcId, interval: Interval) -> None:
-        # The skeleton only materializes intervals with diffs, so every
-        # tape close of a real interval flushes (mirrors the
-        # _close_interval override above).
-        self._flush_home(proc, interval)
 
     def _t_receive(self, proc, grouped, vc_after, pull_kinds):
         # Home pages are skipped outright: the per-event loop adds their

@@ -44,8 +44,8 @@ from repro.protocols.base import Protocol
 from repro.config import SimConfig
 from repro.trace.runs import R_ACQUIRE, R_RELEASE, R_TOUCH
 
-#: Request/reply kinds for update-protocol diff pulls, hoisted for the
-#: tape replay kernels (tuple construction is visible at 1M+ events/s).
+#: Request/reply kinds for update-protocol diff pulls, hoisted off the
+#: sync paths (tuple construction is visible at 1M+ events/s).
 _ACQUIRE_PULL_KINDS = (MessageKind.ACQUIRE_DIFF_REQUEST, MessageKind.ACQUIRE_DIFF_REPLY)
 _BARRIER_PULL_KINDS = (MessageKind.BARRIER_UPDATE_REQUEST, MessageKind.BARRIER_UPDATE)
 
@@ -118,24 +118,22 @@ class LazyProtocol(Protocol):
         """Close ``proc``'s open interval, finalizing its diffs.
 
         The indexed path (inlined below — one call per special access)
-        visits only the dirty registry's entries, logs retention per page
-        for the indexed GC, and returns ``None`` for an interval that
-        modified nothing (the common case — such intervals only advance
-        the vector clock and are stored as placeholders, see
-        :meth:`IntervalStore.add_empty`).
+        visits only the dirty registry's entries and returns ``None`` for
+        an interval that modified nothing (the common case — such
+        intervals only advance the vector clock and are stored as
+        placeholders, see :meth:`IntervalStore.add_empty`); the tape
+        kernels take the same interval prebuilt from the skeleton, and
+        both end in :meth:`_closed`.
         """
         if not self._indexed:
             return self._close_interval_reference(proc)
-        state = self.lazy_state[proc]
-        index = state.vc._entries[proc] + 1
-        vc = state.vc.advanced(proc, index)
+        prior = self.lazy_state[proc].vc
+        index = prior._entries[proc] + 1
+        vc = prior.advanced(proc, index)
         # Inlined PageTable.drain_dirty (this runs per special access).
         dirty_registry = self.procs[proc].pages._dirty
         interval: Optional[Interval] = None
         if dirty_registry:
-            costs = self.costs
-            live = self._live_by_page
-            retained = self.retained_diff_bytes
             # Nothing below mutates the registry (writes re-populate it
             # only after the close), so iterate it in place.
             for entry in dirty_registry.values():
@@ -145,20 +143,9 @@ class LazyProtocol(Protocol):
                     interval = Interval(proc, index, vc)
                 # clear_dirty rebinds dirty_words, so the diff can own
                 # the dict without copying.
-                diff = Diff(entry.page_id, proc, index, entry.dirty_words, copy=False)
-                interval.add_diff(diff)
+                interval.add_diff(Diff(entry.page_id, proc, index, entry.dirty_words, copy=False))
                 entry.clear_dirty()
-                wire = diff.wire_bytes(costs)
-                retained += wire
-                page_live = live.get(diff.page)
-                if page_live is None:
-                    live[diff.page] = page_live = []
-                page_live.append((interval, wire))
             dirty_registry.clear()
-            if interval is not None:
-                self.retained_diff_bytes = retained
-                if retained > self.peak_retained_diff_bytes:
-                    self.peak_retained_diff_bytes = retained
         store = self.store
         if interval is None:
             # Inlined IntervalStore.add_empty: the close path alone grows
@@ -168,11 +155,40 @@ class LazyProtocol(Protocol):
         else:
             interval.close()
             store.add(interval)
-        state.vc = vc
+        self._closed(proc, index, vc, interval)
+        return interval
+
+    def _closed(
+        self, proc: ProcId, index: int, vc: VectorClock, interval: Optional[Interval]
+    ) -> None:
+        """The tail of an indexed close, the interpreter's or a tape
+        kernel's: ``proc``'s clock becomes ``vc``; ``interval`` (None: it
+        modified nothing) enters the live retention books, per page for
+        the indexed GC; its events; then :meth:`_on_close`."""
+        self.lazy_state[proc].vc = vc
         self.intervals_closed += 1
+        if interval is not None:
+            costs = self.costs
+            live = self._live_by_page
+            retained = self.retained_diff_bytes
+            for page, diff in interval.diffs.items():
+                wire = diff.wire_bytes(costs)
+                retained += wire
+                page_live = live.get(page)
+                if page_live is None:
+                    live[page] = page_live = []
+                page_live.append((interval, wire))
+            self.retained_diff_bytes = retained
+            if retained > self.peak_retained_diff_bytes:
+                self.peak_retained_diff_bytes = retained
         if self._obs_events:
             self._emit_interval_close(proc, index, interval)
-        return interval
+        if interval is not None:
+            self._on_close(proc, interval)
+
+    def _on_close(self, proc: ProcId, interval: Interval) -> None:
+        """Hook for every closed interval that modified something, after
+        its events (HLRC flushes to the homes here)."""
 
     def _close_interval_reference(self, proc: ProcId) -> Interval:
         state = self.lazy_state[proc]
@@ -197,24 +213,22 @@ class LazyProtocol(Protocol):
         state.vc = vc
         self.intervals_closed += 1
         if self._obs_events:
-            self._emit_interval_close(proc, index, interval if interval.diffs else None)
+            self._emit_interval_close(proc, index, interval)
+        if interval.diffs:
+            self._on_close(proc, interval)
         return interval
 
     def _emit_interval_close(self, proc: ProcId, index: int, interval: Optional[Interval]) -> None:
         """Telemetry for one interval close (probe-enabled runs only)."""
-        costs = self.costs
-        diffs = interval.diffs.items() if interval is not None else ()
-        self._emit_close(proc, index, [(page, diff.wire_bytes(costs)) for page, diff in diffs])
-
-    def _emit_close(self, proc: ProcId, index: int, items) -> None:
-        """One close's events from its ``(page, diff wire bytes)`` items
-        — what a tape close record already holds."""
         emit = self._emit
+        costs = self.costs
+        diffs = interval.diffs if interval is not None else {}
         total = 0
-        for page, wire in items:
+        for page, diff in diffs.items():
+            wire = diff.wire_bytes(costs)
             total += wire
             emit("diff_create", proc=proc, interval=index, page=page, bytes=wire)
-        emit("interval_close", proc=proc, interval=index, pages=len(items), bytes=total)
+        emit("interval_close", proc=proc, interval=index, pages=len(diffs), bytes=total)
 
     def _drop_retained(self, interval: Interval, pages: Iterable[PageId]) -> None:
         """Forget retained diffs of ``interval`` for ``pages`` (HLRC flushes)."""
@@ -617,11 +631,7 @@ class LazyProtocol(Protocol):
         fields differ per hop.
         """
         self.notices_sent += n_notices
-        self._sync_hops(self.network.send, kind, notice_kind, src, dst, n_notices)
-
-    def _sync_hops(self, send, kind, notice_kind, src, dst, n_notices: int) -> None:
-        """The messages of one sync hop, each handed to ``send`` —
-        ``Network.send``, or on the tape path ``_tap``."""
+        send = self.network.send
         notice_bytes = n_notices * self._notice_bytes_each
         if self.config.piggyback_notices or not n_notices:
             send(kind, src, dst, 0, self._vc_bytes + notice_bytes)
@@ -629,23 +639,16 @@ class LazyProtocol(Protocol):
             send(kind, src, dst, 0, self._vc_bytes)
             send(notice_kind, src, dst, 0, notice_bytes)
 
-    # -- locks -------------------------------------------------------------------
+    # The three sync exchanges, as the hooks and the tape kernels both
+    # send them: only where the notice counts come from differs.
 
-    def _on_acquire(self, proc: ProcId, lock: LockId) -> None:
-        self._close_interval(proc)
-        grantor = self.locks.grantor_of(lock)
-        if grantor == proc and self.config.free_local_lock_reacquire:
-            return
-        state = self.lazy_state[proc]
+    def _grant(self, proc: ProcId, manager: ProcId, grantor: ProcId, n_notices: int) -> None:
+        """A paid acquire's messages. The request and forward hops carry
+        the acquirer's timestamp so the grantor can compute the missing
+        notices (§4.2); the grant carries them."""
         vc_bytes = self._vc_bytes
-        manager = self.locks.manager_of(lock)
-        # The request and forward hops carry the acquirer's timestamp so
-        # the grantor can compute the missing notices (§4.2).
-        self.network.send(MessageKind.LOCK_REQUEST, proc, manager, control_bytes=vc_bytes)
-        self.network.send(MessageKind.LOCK_FORWARD, manager, grantor, control_bytes=vc_bytes)
-        grantor_vc = self.lazy_state[grantor].vc
-        notices = self._notices_for_gap(grantor_vc, state.vc)
-        n_notices = len(notices)
+        self.network.send(MessageKind.LOCK_REQUEST, proc, manager, 0, vc_bytes)
+        self.network.send(MessageKind.LOCK_FORWARD, manager, grantor, 0, vc_bytes)
         if self._obs_events and n_notices:
             self._emit(
                 "notices_send",
@@ -655,15 +658,44 @@ class LazyProtocol(Protocol):
                 bytes=n_notices * self._notice_bytes_each,
             )
             self._emit("notices_apply", proc=proc, count=n_notices)
+        self._sync_send(MessageKind.LOCK_GRANT, MessageKind.LOCK_NOTICE, grantor, proc, n_notices)
+
+    def _arrive(self, proc: ProcId, master: ProcId, n_notices: int) -> None:
+        """A client's barrier arrival: its timestamp plus the notices the
+        (running) episode merge does not yet cover."""
+        if self._obs_events and n_notices:
+            self._emit(
+                "notices_send",
+                proc=proc,
+                dest=master,
+                count=n_notices,
+                bytes=n_notices * self._notice_bytes_each,
+            )
         self._sync_send(
-            MessageKind.LOCK_GRANT, MessageKind.LOCK_NOTICE, grantor, proc, n_notices
+            MessageKind.BARRIER_ARRIVAL, MessageKind.BARRIER_NOTICE, proc, master, n_notices
         )
-        self._receive_notices(
-            proc,
-            notices,
-            grantor_vc,
-            pull_kinds=(MessageKind.ACQUIRE_DIFF_REQUEST, MessageKind.ACQUIRE_DIFF_REPLY),
-        )
+
+    def _exit(self, master: ProcId, proc: ProcId, n_notices: int) -> None:
+        """``proc``'s barrier exit, sent unless ``proc`` is the master."""
+        if self._obs_events and n_notices:
+            self._emit("notices_send", proc=master, dest=proc, count=n_notices)
+            self._emit("notices_apply", proc=proc, count=n_notices)
+        if proc != master:
+            self._sync_send(
+                MessageKind.BARRIER_EXIT, MessageKind.BARRIER_NOTICE, master, proc, n_notices
+            )
+
+    # -- locks -------------------------------------------------------------------
+
+    def _on_acquire(self, proc: ProcId, lock: LockId) -> None:
+        self._close_interval(proc)
+        grantor = self.locks.grantor_of(lock)
+        if grantor == proc and self.config.free_local_lock_reacquire:
+            return
+        grantor_vc = self.lazy_state[grantor].vc
+        notices = self._notices_for_gap(grantor_vc, self.lazy_state[proc].vc)
+        self._grant(proc, self.locks.manager_of(lock), grantor, len(notices))
+        self._receive_notices(proc, notices, grantor_vc, _ACQUIRE_PULL_KINDS)
 
     def _on_release(self, proc: ProcId, lock: LockId) -> None:
         """Releases are purely local operations in LRC — no messages (§4.2)."""
@@ -677,26 +709,8 @@ class LazyProtocol(Protocol):
         episode = self._episodes.setdefault(barrier, [])
         master = self.barriers.master
         if proc != master:
-            # The arrival carries the client's timestamp plus the notices
-            # the (running) episode merge does not yet cover.
             merged = self._episode_clock(barrier)
-            notices = self._notices_for_gap(state.vc, merged)
-            n_notices = len(notices)
-            if self._obs_events and n_notices:
-                self._emit(
-                    "notices_send",
-                    proc=proc,
-                    dest=master,
-                    count=n_notices,
-                    bytes=n_notices * self._notice_bytes_each,
-                )
-            self._sync_send(
-                MessageKind.BARRIER_ARRIVAL,
-                MessageKind.BARRIER_NOTICE,
-                proc,
-                master,
-                n_notices,
-            )
+            self._arrive(proc, master, len(self._notices_for_gap(state.vc, merged)))
         episode.append((proc, state.vc))
 
     def _episode_clock(self, barrier: BarrierId) -> VectorClock:
@@ -710,29 +724,10 @@ class LazyProtocol(Protocol):
         master = self.barriers.master
         merged = self._episode_clock(barrier)
         self._episodes[barrier] = []
-        obs = self._obs_events
         for proc in range(self.n_procs):
-            state = self.lazy_state[proc]
-            notices = self._notices_for_gap(merged, state.vc)
-            if obs and notices:
-                self._emit(
-                    "notices_send", proc=master, dest=proc, count=len(notices)
-                )
-                self._emit("notices_apply", proc=proc, count=len(notices))
-            if proc != master:
-                self._sync_send(
-                    MessageKind.BARRIER_EXIT,
-                    MessageKind.BARRIER_NOTICE,
-                    master,
-                    proc,
-                    len(notices),
-                )
-            self._receive_notices(
-                proc,
-                notices,
-                merged,
-                pull_kinds=(MessageKind.BARRIER_UPDATE_REQUEST, MessageKind.BARRIER_UPDATE),
-            )
+            notices = self._notices_for_gap(merged, self.lazy_state[proc].vc)
+            self._exit(master, proc, len(notices))
+            self._receive_notices(proc, notices, merged, _BARRIER_PULL_KINDS)
         if self.config.gc_at_barriers:
             self._collect_garbage()
 
@@ -821,30 +816,19 @@ class LazyProtocol(Protocol):
     # A certified run (certify_replay: nothing watches individual
     # messages, values or send order) never calls the public wrappers or
     # the _on_* hooks: _walk_runs drives the _t_* kernels below over the
-    # run program. Every close's wire bytes, every sync message sequence
-    # and the whole retention series were resolved at tape-build time
-    # (hb/skeleton.build_lazy_tape), so replaying a sync operation is a
-    # handful of array reads, one bulk ledger update (Network.apply_tape),
-    # and the run-dependent pending/planner work in _t_receive; an access
-    # run needs no kernel of its own — it is its span's first touch, and
-    # read_touch is the miss check. Under a stock probe (``self._obs``;
-    # nothing else reaches the tape) each kernel also stages the
-    # operation's attribution row exactly as the base Protocol wrappers
-    # would and charges it the tape's precomputed row add. Under a sink
-    # or a span probe (``self._obs_events``; ``self._span``, the span
-    # records being written) it also emits the events the
-    # wrappers and hooks would have, from the same record, and writes
-    # the window. Under a record stream or a send log (``self._tap``) it
-    # expands the merged deltas back out into the messages the bypassed
-    # hooks would have sent, in order. Counters, ledger, metrics
-    # snapshots, event streams, span record streams and send logs all
-    # stay bit-identical to the per-event interpreters — the
-    # equivalence suite pins it.
-
-    #: True on a class whose closes drop retained diffs (HLRC's home
-    #: flush in ``_post_close``): the tape's retention prefix sums then
-    #: do not describe the run and closes keep live retention books.
-    drops_retained_at_close = False
+    # run program. A sync kernel takes its operation's skeleton record —
+    # the closed interval, the merged clocks, the notice batches grouped
+    # by page — in place of the hooks' store scans and clock merges, and
+    # is otherwise the hooks' code: the close ends in _closed, every hop
+    # goes through _grant / _arrive / _exit to Network.send (ledger, a
+    # stock probe's staged row, a recording run's capture, the tap). An
+    # access run needs no kernel: it is its span's first touch, and
+    # read_touch is the miss check. Under a stock probe (``self._obs``)
+    # a kernel stages its operation's row as the base wrappers would;
+    # under a sink or a span probe (``self._obs_events``; ``self._span``,
+    # the records being written) it also emits the wrappers' events and
+    # writes the window. Everything stays bit-identical to the per-event
+    # interpreters — the equivalence suite pins it.
 
     #: Every counter a lazy run's result reads (and ``instrumented_run``
     #: the histograms): what a priced tape restores. A class adds its own.
@@ -882,9 +866,9 @@ class LazyProtocol(Protocol):
         cost model, and returns the whole run as one callable:
         :func:`_walk_runs` over the plan's run program and four kernels,
         ``(touch, acquire, release, barrier)``. ``read_touch`` is the
-        only access kernel; the sync kernels replay the cost-resolved
-        :class:`~repro.hb.skeleton.LazyTape` in place of the base
-        wrappers (lock/barrier directory upkeep is dead state here).
+        only access kernel; the sync kernels replay the skeleton's
+        records, one per sync instruction, in place of the base wrappers
+        (lock/barrier directory upkeep is dead state here).
         The replay is value-free: page *state* is maintained, contents,
         twins and dirty words are not. A send log being recorded follows
         the walk: each instruction moves its cursor to the instruction's
@@ -898,15 +882,7 @@ class LazyProtocol(Protocol):
         self.store = plan.store
         self._planner = plan.planner_for(self.costs, self.config.skip_overwritten_diffs)
         self._value_free = True
-        config = self.config
-        records = plan.lazy_tape(
-            self.costs, config.piggyback_notices, config.free_local_lock_reacquire
-        ).records
-        self._tape_next = iter(records).__next__
-        # The tape's retained_after prefix sums are the retention series
-        # only while retention is monotone: no barrier GC and no close
-        # dropping diffs.
-        self._live_retention = config.gc_at_barriers or self.drops_retained_at_close
+        self._next_record = iter(plan.skeleton.records).__next__
         runs, positions = plan.run_program
         if self._log is not None:
             runs = self._log.track(runs, positions)
@@ -953,9 +929,6 @@ class LazyProtocol(Protocol):
                 counters[name] = dict(value) if isinstance(value, dict) else value
         return recorder.tape(counters)
 
-    def _post_close(self, proc: ProcId, interval: Interval) -> None:
-        """Tape-close hook for modifying intervals (HLRC flushes here)."""
-
     def _t_receive(
         self,
         proc: ProcId,
@@ -982,32 +955,9 @@ class LazyProtocol(Protocol):
         state.vc = vc_after
         self._after_notices(proc, pull_kinds)
 
-    def _t_close(self, proc: ProcId, close: tuple) -> None:
-        """Close ``proc``'s interval from its tape record."""
-        self.lazy_state[proc].vc = close[0]
-        self.intervals_closed += 1
-        if not self._live_retention:
-            # Monotone retention: the tape's prefix sum is the series.
-            self.retained_diff_bytes = self.peak_retained_diff_bytes = close[4]
-            return
-        # Live retention bookkeeping (barrier GC / home flushes).
-        interval = close[1]
-        if interval is not None:
-            retained = self.retained_diff_bytes + close[3]
-            self.retained_diff_bytes = retained
-            if retained > self.peak_retained_diff_bytes:
-                self.peak_retained_diff_bytes = retained
-            live = self._live_by_page
-            for page, wire in close[2]:
-                page_live = live.get(page)
-                if page_live is None:
-                    live[page] = page_live = []
-                page_live.append((interval, wire))
-            self._post_close(proc, interval)
-
     def _stage_row(self, rows: Dict[int, List[int]], cause: str, ident: int):
-        """Swap in ``(cause, ident)``'s staged row; returns it and the one
-        to restore. Rows are created on first use, in wrapper order.
+        """Swap in ``(cause, ident)``'s staged row; returns the one to
+        restore. Rows are created on first use, in wrapper order.
         Writing a record stream, this opens the operation's window,
         which :meth:`_unstage` closes."""
         probe = self.probe
@@ -1018,7 +968,7 @@ class LazyProtocol(Protocol):
         probe._seg_row = row
         if self._span is not None:
             self._span.begin(cause, ident)
-        return row, saved
+        return saved
 
     def _unstage(self, saved: List[int]) -> None:
         """Restore the staged row ``_stage_row`` swapped out."""
@@ -1026,134 +976,55 @@ class LazyProtocol(Protocol):
         if self._span is not None:
             self._span.end()
 
-    def _emit_tape_close(self, proc: ProcId, close: tuple) -> None:
-        """A tape close's events: its index is its clock's own entry."""
-        self._emit_close(proc, close[0]._entries[proc], close[2])
-
     def _t_acquire(self, proc: ProcId, lock: LockId) -> None:
-        row = emit = None
-        record = self._tape_next()
-        if self._obs:
-            row, saved = self._stage_row(self.probe._lock_rows, "lock", lock)
+        close, grantor, manager, n_notices, grouped, vc_after = self._next_record()
+        obs = self._obs
+        if obs:
+            saved = self._stage_row(self.probe._lock_rows, "lock", lock)
             if self._obs_events:
-                emit = self._emit
-                emit("acquire", proc=proc, lock=lock)
-                self._emit_tape_close(proc, record[0])
-        self._t_close(proc, record[0])
-        deltas = record[1]
-        if deltas is not None:  # None: free local reacquire, close only
-            if deltas:
-                self.network.apply_tape(deltas)
-                if row is not None:
-                    add = record[2]
-                    row[0] += add[0]
-                    row[1] += add[1]
-                    row[2] += add[2]
-            n = record[3]
-            self.notices_sent += n
-            tap = self._tap
-            if emit is not None or tap is not None:
-                # The tap gets the hops ``deltas`` merged, around the
-                # notice events as _on_acquire sends them.
-                grantor = record[6]
-                if tap is not None:
-                    manager = self.locks.manager_of(lock)
-                    tap(MessageKind.LOCK_REQUEST, proc, manager, 0, self._vc_bytes)
-                    tap(MessageKind.LOCK_FORWARD, manager, grantor, 0, self._vc_bytes)
-                if emit is not None and n:
-                    emit(
-                        "notices_send",
-                        proc=grantor,
-                        dest=proc,
-                        count=n,
-                        bytes=n * self._notice_bytes_each,
-                    )
-                    emit("notices_apply", proc=proc, count=n)
-                if tap is not None:
-                    self._sync_hops(
-                        tap, MessageKind.LOCK_GRANT, MessageKind.LOCK_NOTICE, grantor, proc, n
-                    )
-            self._t_receive(proc, record[4], record[5], _ACQUIRE_PULL_KINDS)
-        if row is not None:
+                self._emit("acquire", proc=proc, lock=lock)
+        self._closed(proc, *close)
+        if grantor != proc or not self.config.free_local_lock_reacquire:
+            self._grant(proc, manager, grantor, n_notices)
+            self._t_receive(proc, grouped, vc_after, _ACQUIRE_PULL_KINDS)
+        if obs:
             self._unstage(saved)
 
     def _t_release(self, proc: ProcId, lock: LockId) -> None:
+        close = self._next_record()[0]
         obs = self._obs
-        close = self._tape_next()
         if obs:
-            _row, saved = self._stage_row(self.probe._lock_rows, "lock", lock)
+            saved = self._stage_row(self.probe._lock_rows, "lock", lock)
             if self._obs_events:
                 self._emit("release", proc=proc, lock=lock)
-                self._emit_tape_close(proc, close)
-        self._t_close(proc, close)
+        self._closed(proc, *close)
         if obs:
             self._unstage(saved)
 
     def _t_barrier(self, proc: ProcId, barrier: BarrierId) -> None:
-        row = emit = None
-        record = self._tape_next()
-        tap = self._tap
-        master = self.barriers.master
-        if self._obs:
-            row, saved = self._stage_row(self.probe._barrier_rows, "barrier", barrier)
+        close, n_to_master, complete = self._next_record()
+        obs = self._obs
+        if obs:
+            saved = self._stage_row(self.probe._barrier_rows, "barrier", barrier)
             if self._obs_events:
-                emit = self._emit
-                emit("barrier_arrive", proc=proc, barrier=barrier)
-                self._emit_tape_close(proc, record[0])
-        self._t_close(proc, record[0])
-        deltas = record[1]
-        if deltas:
-            self.network.apply_tape(deltas)
-            if row is not None:
-                add = record[2]
-                row[0] += add[0]
-                row[1] += add[1]
-                row[2] += add[2]
-            n = record[3]
-            self.notices_sent += n
-            if emit is not None and n:
-                emit(
-                    "notices_send",
-                    proc=proc,
-                    dest=master,
-                    count=n,
-                    bytes=n * self._notice_bytes_each,
-                )
-            if tap is not None:
-                self._sync_hops(
-                    tap, MessageKind.BARRIER_ARRIVAL, MessageKind.BARRIER_NOTICE,
-                    proc, master, n,
-                )
-        complete = record[4]
+                self._emit("barrier_arrive", proc=proc, barrier=barrier)
+        self._closed(proc, *close)
+        master = self.barriers.master
+        if n_to_master >= 0:
+            self._arrive(proc, master, n_to_master)
         if complete is not None:
-            cdeltas, crowadd, cnotices, per_proc = complete
-            if cdeltas:
-                self.network.apply_tape(cdeltas)
-                if row is not None:
-                    row[0] += crowadd[0]
-                    row[1] += crowadd[1]
-                    row[2] += crowadd[2]
-            self.notices_sent += cnotices
-            receive = self._t_receive
-            if emit is not None:
-                emit("barrier_complete", proc=proc, barrier=barrier)
-            for p, (n, grouped, vc_after) in enumerate(per_proc):
-                if emit is not None and n:
-                    emit("notices_send", proc=master, dest=p, count=n)
-                    emit("notices_apply", proc=p, count=n)
-                if tap is not None:  # (the master's own exit is local)
-                    self._sync_hops(
-                        tap, MessageKind.BARRIER_EXIT, MessageKind.BARRIER_NOTICE,
-                        master, p, n,
-                    )
-                receive(p, grouped, vc_after, _BARRIER_PULL_KINDS)
+            if self._obs_events:
+                self._emit("barrier_complete", proc=proc, barrier=barrier)
+            for p, (n_notices, grouped, vc_after) in enumerate(complete):
+                self._exit(master, p, n_notices)
+                self._t_receive(p, grouped, vc_after, _BARRIER_PULL_KINDS)
             if self.config.gc_at_barriers:
                 self._collect_garbage()
-            if row is not None:
+            if obs:
                 # Exit traffic belongs to the episode it closes; the
                 # staged rows are zeroed in place, so ``saved`` stays live.
                 self._next_epoch()
-        if row is not None:
+        if obs:
             self._unstage(saved)
 
     def _collect_garbage_reference(self) -> None:

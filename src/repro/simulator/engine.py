@@ -365,7 +365,7 @@ class Engine:
         ``bind_batch_plan`` returns the whole run as one callable: the
         lazy family walks the access-run program (see
         :mod:`repro.trace.runs`) over kernels that replay
-        synchronization from the cost-resolved tape, or folds its cell's
+        synchronization from the sync skeleton, or folds its cell's
         priced tape; the eager family folds its policy's priced tape and
         needs no run program at all.
         """

@@ -302,23 +302,22 @@ def _run_sweep_cell(cell: Tuple[str, int]) -> Tuple[str, int, SimulationResult, 
 def _log_plan_cache(stats: Dict[str, int]) -> None:
     """One line on how well BatchPlan/tape construction amortized.
 
-    Every tape cell needs a plan (and the lazy/eager families a tape
-    each); within a worker those are memoized on the compiled trace, so
-    a sweep should build once per (page size, family cost key) and hit
+    Every tape cell needs a plan; within a worker it is memoized on the
+    compiled trace, so a sweep should build once per page size and hit
     everywhere else. A hit rate near zero here means cells are
     rebuilding per-cell state that should be shared. Priced tapes are
     both families': an eager policy's per cost key, a lazy cell's once
     the worker runs the cell a second time.
     """
-    kinds = ("plan", "lazy_tape", "priced_tape")
+    kinds = ("plan", "priced_tape")
     builds = sum(stats[kind + "_builds"] for kind in kinds)
     hits = sum(stats[kind + "_hits"] for kind in kinds)
     total = builds + hits
     if not total:
         return
     logger.info(
-        "sweep plan cache: %d lookups, %d builds (%d plan / %d lazy tape / "
-        "%d priced tape), %.0f%% hit rate",
+        "sweep plan cache: %d lookups, %d builds (%d plan / %d priced tape), "
+        "%.0f%% hit rate",
         total,
         builds,
         *(stats[kind + "_builds"] for kind in kinds),

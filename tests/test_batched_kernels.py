@@ -134,9 +134,9 @@ class TestBatchedTelemetry:
         assert tape.metrics == interpreted.metrics
 
 
-#: Cost models spanning the constants the lazy tape bakes in at build
-#: time: the paper defaults, inflated per-structure sizes, and flipped
-#: accounting policies (headers/control folded into data, acks free).
+#: Cost models spanning every constant the lazy kernels price with: the
+#: paper defaults, inflated per-structure sizes, and flipped accounting
+#: policies (headers/control folded into data, acks free).
 COST_MODELS = {
     "paper": CostModel(),
     "wide": CostModel(
@@ -154,14 +154,15 @@ COST_MODELS = {
 
 
 class TestLazyTapeCostGrid:
-    """Tape replay across the cost grid (the build-time-constant hazard).
+    """Tape replay across the cost grid (the shared-skeleton hazard).
 
-    The lazy tape resolves wire bytes, notice counts, and the retention
-    series once per (compiled trace, cost key); these cases run several
-    tapes of the *same* plan under different cost models and sync
-    options, so a stale or cross-contaminated cache entry — or any cost
-    constant the builder resolved differently from the per-event kernels
-    — shows up as a counter or metrics mismatch.
+    One skeleton serves every cost key: the kernels price its records
+    live — wire bytes, notice bytes, retention — as the hooks do. These
+    cases replay the *same* plan under different cost models and sync
+    options, so anything cost-dependent that leaks into the shared plan
+    (or a fetch planner memo), or any cost the kernels charge
+    differently from the per-event hooks, shows up as a counter or
+    metrics mismatch.
     """
 
     @pytest.mark.parametrize("free_reacquire", [True, False], ids=["free", "paid"])

@@ -347,7 +347,7 @@ class TestPlanCache:
         with caplog.at_level("INFO", logger="repro.simulator.sweep"):
             run_sweep(small_trace("water"), protocols=list(EAGER), page_sizes=[512, 1024])
         (line,) = [r.getMessage() for r in caplog.records if "plan cache" in r.getMessage()]
-        assert "8 builds (2 plan / 0 lazy tape / 6 priced tape)" in line
+        assert "8 builds (2 plan / 6 priced tape)" in line
         assert "12 lookups" in line  # 6 cells x (plan + priced tape), nothing else
 
     def test_one_entry_per_barrier_epoch(self):

@@ -127,28 +127,33 @@ def test_manifest_and_plan_stats_name_the_stream():
 
 def test_manifest_and_plan_stats_name_the_priced_tape():
     """A lazy cell's pricing is counted beside the eager policies' priced
-    tapes, never as a lazy tape: a folded run looks no lazy tape up."""
+    tapes. The kernels replay the plan's skeleton, which no cost key
+    resolves: a lazy run moves only plan, priced-tape (and a timed
+    run's send-log) counters, and no lazy-tape counter exists."""
     trace = small_trace("water")
     config = SimConfig(n_procs=trace.n_procs, page_size=1024)
+    assert not [k for k in plan_stats() if k.startswith("lazy_tape")]
 
     def run(protocol="LU", probe=None, **options):
         before = plan_stats()
         result = Engine(trace, config.with_options(**options), protocol, probe=probe).run()
         after = plan_stats()
-        delta = {k: after[k] - before[k] for k in after if k.startswith(("priced", "lazy"))}
-        return result.manifest.get("priced_tape"), {k: v for k, v in delta.items() if v}
+        delta = {k: after[k] - before[k] for k in after if after[k] != before[k]}
+        assert all(k.startswith(("plan_", "priced_tape_", "send_log_")) for k in delta), delta
+        priced = {k: v for k, v in delta.items() if k.startswith("priced_tape_")}
+        return result.manifest.get("priced_tape"), priced
 
     # The first tape run runs the kernels and keeps nothing; the second
     # records the cell's priced tape; every later one that writes
     # nothing folds it.
-    assert run() == (None, {"lazy_tape_builds": 1})
-    assert run() == ("recorded", {"lazy_tape_hits": 1, "priced_tape_builds": 1})
+    assert run() == (None, {})
+    assert run() == ("recorded", {"priced_tape_builds": 1})
     assert run() == ("folded", {"priced_tape_hits": 1})
     assert run(probe=RecordingProbe()) == ("folded", {"priced_tape_hits": 1})
     # A run writing events or a send log runs the kernels; once the send
     # log is kept, a timed run folds too.
-    assert run(probe=RecordingProbe([ColumnarSink()])) == (None, {"lazy_tape_hits": 1})
-    assert run(link_model=LinkModel.ideal()) == (None, {"lazy_tape_hits": 1})
+    assert run(probe=RecordingProbe([ColumnarSink()])) == (None, {})
+    assert run(link_model=LinkModel.ideal()) == (None, {})
     assert run(link_model=LinkModel.ideal()) == ("folded", {"priced_tape_hits": 1})
     # The interpreter prices nothing. An eager run prices its policy's
     # tape at its cost key once, and every run folds it.
