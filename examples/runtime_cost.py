@@ -14,9 +14,11 @@ stall decomposition per protocol. Under 1992-class constants the lazy
 protocols finish first, comfortably, and the ranking holds on a modern
 cluster.
 
-Every run below takes the counting runs' tape path. The send order does
-not depend on the link, so the first link's runs record it on the way
-and the second's only fold the clocks over the recorded logs.
+Every run below takes the counting runs' tape path and writes its send
+order on the way; the order does not depend on the link. A cell keeps
+what a run writes only once the cell was run before, so the first
+link's runs keep no log and the second link's record theirs again and
+keep them: a third link would only fold its clocks over the kept logs.
 
 Run:  python examples/runtime_cost.py
 """
@@ -35,7 +37,7 @@ def show(title: str, trace, link: LinkModel) -> None:
     ratios = "  ".join(
         f"{p} {results[p].timing['completion_s'] / baseline:.2f}x" for p in PROTOCOLS
     )
-    logs = {r.manifest["send_log"] for r in results.values()}
+    logs = {r.manifest.get("record", {}).get("log", "unkept") for r in results.values()}
     print(f"completion vs EI: {ratios}   [send logs {'/'.join(sorted(logs))}]\n")
 
 

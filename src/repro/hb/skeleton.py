@@ -60,18 +60,15 @@ replays those steps message by message (one that watches individual
 messages is interpreted): :func:`build_priced_eager_tape` sums them into
 one entry per barrier epoch (:class:`PricedTape`), which
 :meth:`Protocol._fold <repro.protocols.base.Protocol._fold>` folds, and
-they are dropped. A run that writes what the steps name — a cell's
-first observed run its record stream, a cold timed cell its send log —
-walks them once more beside the fold and keeps none of them either. A
-lazy cell is priced into the same schema by its second tape run
-(:class:`PriceRecorder`), and every later run that writes nothing folds
-it the same way.
+they are dropped. A run that writes what the steps name — a record
+stream or a send log — walks them once more beside the fold and keeps
+none of them either.
 
 :func:`batch_plan` memoizes one :class:`BatchPlan` (skeleton + run
-program + priced tapes + shared fetch planners, each
-built lazily on first use, plus the send logs timed runs and the record
-streams observed runs record) per n_procs on the compiled trace itself,
-so every protocol replay of a sweep reuses it.
+program + eager priced tapes + shared fetch planners, each built lazily
+on first use, plus one :class:`CellRecord` per cell run before) per
+n_procs on the compiled trace itself, so every protocol replay of a
+sweep reuses it.
 """
 
 from __future__ import annotations
@@ -115,10 +112,8 @@ PLAN_STATS: Dict[str, int] = {
     "plan_hits": 0,
     "priced_tape_builds": 0,
     "priced_tape_hits": 0,
-    "send_log_builds": 0,
-    "send_log_hits": 0,
-    "obs_stream_builds": 0,
-    "obs_stream_hits": 0,
+    "record_builds": 0,
+    "record_hits": 0,
 }
 
 
@@ -152,10 +147,10 @@ class PricedTape:
     One schema for both families, summed by a :class:`PriceRecorder`.
     An eager policy's tape is built from its :func:`eager_steps` walk at
     one cost key ``(cost model, free_local_lock_reacquire)`` (the page
-    size is the plan's). A lazy cell's is recorded by its second tape
-    run, at the network ledger while the kernels run, and kept under the
-    send log's key. ``epochs`` holds one entry per completed barrier
-    episode, then one for the tail::
+    size is the plan's). A lazy cell's is recorded by a tape run of a
+    cell run before, at the network ledger while the kernels run, and
+    kept in the cell's :class:`CellRecord`. ``epochs`` holds one entry
+    per completed barrier episode, then one for the tail::
 
         (deltas, rows, complete)
             deltas: ((kind slot, messages, data_bytes, control_bytes),
@@ -451,6 +446,42 @@ def build_priced_eager_tape(
     return recorder.tape(dict(+counters))  # the moved ones only
 
 
+class CellRecord:
+    """What runs of one cell kept: one optional slot per part, each a
+    link-free view of the run written through ``Network.send``.
+
+    * ``priced`` — a lazy cell's :class:`PricedTape`, recorded by its
+      kernels; a run that writes nothing folds it;
+    * ``log`` — its :class:`~repro.network.timed.SendLog`, the input of
+      a timed run's clock fold (:mod:`repro.network.timed`);
+    * ``stream`` — its :class:`~repro.obs.spans.SpanRecords`: every
+      event, window, message and epoch mark a stock observer receives.
+
+    The record exists once the cell has run (:meth:`BatchPlan.cell_record`)
+    and a run keeps a part it writes only then, so a cell run once keeps
+    nothing and a part nobody writes is never held. Reads and keeps are
+    counted under ``record_hits`` / ``record_builds``.
+    """
+
+    __slots__ = ("priced", "log", "stream")
+
+    def __init__(self) -> None:
+        self.priced: Optional[PricedTape] = None
+        self.log: Optional[SendLog] = None
+        self.stream: Optional["SpanRecords"] = None
+
+    def read(self, part: str):
+        """The kept ``part``, or None."""
+        value = getattr(self, part)
+        if value is not None:
+            PLAN_STATS["record_hits"] += 1
+        return value
+
+    def keep(self, part: str, value) -> None:
+        PLAN_STATS["record_builds"] += 1
+        setattr(self, part, value)
+
+
 class BatchPlan:
     """Everything the tape replays of one compiled trace share.
 
@@ -462,19 +493,8 @@ class BatchPlan:
     cost key. The fetch
     planners (one per (cost model, pruning flag) actually used) are
     memo caches over the immutable store, so sharing them across
-    protocol instances only widens the memo hit rate. Three records of a
-    cell are kept per (protocol class, config without its link) — the
-    key of everything that can change send order, wire sizes or an
-    event: the send log (the link-independent input of a timed run's
-    clock fold, see :mod:`repro.network.timed`), recorded by the cell's
-    first timed run so every other link over it only folds; the
-    record stream (:class:`~repro.obs.spans.SpanRecords`: every event,
-    window, message and epoch mark a stock observer receives), recorded
-    by the cell's second run under a sink or a span probe — the first
-    that shows the cell is observed again — so every later one only
-    reads it; and a lazy cell's :class:`PricedTape`, recorded by its
-    second tape run so every later one that writes nothing folds it
-    (:meth:`lazy_pricing`).
+    protocol instances only widens the memo hit rate. What runs of a
+    cell kept is its :class:`CellRecord` (:meth:`cell_record`).
     """
 
     __slots__ = (
@@ -485,10 +505,7 @@ class BatchPlan:
         "_skeleton",
         "_planners",
         "_priced_tapes",
-        "_send_logs",
-        "_obs_streams",
-        "_observed",
-        "_replayed",
+        "_records",
         "_compute_profile",
     )
 
@@ -502,12 +519,9 @@ class BatchPlan:
         self._runs: Optional[Tuple[List[tuple], array]] = None
         self._skeleton: Optional[Skeleton] = None
         self._planners: Dict[Tuple[CostModel, bool], FetchPlanner] = {}
-        #: Eager policies' by cost key, lazy cells' by the send log's key.
+        #: Eager policies' by cost key.
         self._priced_tapes: Dict[tuple, PricedTape] = {}
-        self._send_logs: Dict[tuple, SendLog] = {}
-        self._obs_streams: Dict[tuple, "SpanRecords"] = {}
-        self._observed: Set[tuple] = set()
-        self._replayed: Set[tuple] = set()
+        self._records: Dict[tuple, CellRecord] = {}
         #: Kept by :func:`sync_compute_profile`, not a tape: no stats.
         self._compute_profile: Optional[List[List[int]]] = None
 
@@ -586,65 +600,15 @@ class BatchPlan:
         ``prepare_cell`` (``benchmarks/lrcbench``), which calls it."""
         return self.skeleton
 
-    def lazy_pricing(self, key: tuple, folds: bool) -> Tuple[Optional[str], Optional[PricedTape]]:
-        """How a lazy tape run of ``key``'s cell (the send log's key) is
-        priced: ``("folded", tape)`` when the cell's priced tape is kept
-        and the run ``folds`` — it writes no event, stream or send log;
-        ``("recorded", None)`` when none is kept and a tape run of the
-        cell was noted before, so its kernels record one; else
-        ``(None, None)``. A cell run once keeps nothing but its key.
-        Counted under the ``priced_tape_*`` stats, beside the eager
-        policies' tapes."""
-        tape = self._priced_tapes.get(key)
-        if tape is not None:
-            if not folds:
-                return None, None
-            PLAN_STATS["priced_tape_hits"] += 1
-            return "folded", tape
-        if key in self._replayed:
-            return "recorded", None
-        self._replayed.add(key)
-        return None, None
-
-    def keep_priced_tape(self, key: tuple, tape: PricedTape) -> None:
-        PLAN_STATS["priced_tape_builds"] += 1
-        self._priced_tapes[key] = tape
-
-    def send_log(self, key: tuple) -> Optional[SendLog]:
-        """The send log kept for ``key``, or None (the run records one).
-
-        ``key`` is (protocol class, config with ``link_model=None``) —
-        everything that can change send order or wire sizes, nothing
-        the fold reads.
-        """
-        log = self._send_logs.get(key)
-        if log is not None:
-            PLAN_STATS["send_log_hits"] += 1
-        return log
-
-    def keep_send_log(self, key: tuple, log: SendLog) -> None:
-        PLAN_STATS["send_log_builds"] += 1
-        self._send_logs[key] = log
-
-    def obs_stream(self, key: tuple) -> Optional["SpanRecords"]:
-        """The record stream kept for ``key`` (the send log's key), or
-        None."""
-        stream = self._obs_streams.get(key)
-        if stream is not None:
-            PLAN_STATS["obs_stream_hits"] += 1
-        return stream
-
-    def revisit(self, key: tuple) -> bool:
-        """Note an observed run of ``key``'s cell: True when an earlier
-        one was noted, so the cell is observed again and its stream is
-        worth keeping. A cell observed once keeps nothing but its key."""
-        seen = key in self._observed
-        self._observed.add(key)
-        return seen
-
-    def keep_obs_stream(self, key: tuple, stream: "SpanRecords") -> None:
-        PLAN_STATS["obs_stream_builds"] += 1
-        self._obs_streams[key] = stream
+    def cell_record(self, key: tuple) -> Optional[CellRecord]:
+        """The record of ``key``'s cell when the cell was run before, else
+        None, noting this run. ``key`` is (protocol class, config with
+        ``link_model=None``): everything that can change send order,
+        wire sizes or an event, nothing a clock fold reads."""
+        record = self._records.get(key)
+        if record is None:
+            self._records[key] = CellRecord()
+        return record
 
     def planner_for(self, cost_model: CostModel, prune_overwritten: bool) -> FetchPlanner:
         return self._memo(

@@ -6,10 +6,11 @@ instrument, and it stays untouched. Timing is a pure observer of it, so
 what the virtual clocks consume — every non-local send ``(src, dst,
 wire_bytes)`` and every ordinary-access compute charge ``(proc,
 words)``, in global order — does not depend on the link at all. A
-:class:`SendLog` records that stream once per cell, from whichever loop
-supplies that run's ledger (the engine hands it to
+:class:`SendLog` records that stream from whichever loop supplies
+that run's ledger (the engine hands it to
 :meth:`Protocol.record_sends <repro.protocols.base.Protocol.record_sends>`
-and memoizes it on the batch plan); :meth:`NetworkTiming.fold`
+and keeps it in the cell's :class:`~repro.hb.skeleton.CellRecord`);
+:meth:`NetworkTiming.fold`
 then advances per-processor virtual clocks over the log from one
 :class:`~repro.network.link.LinkModel` (sender software overhead, link
 serialization and queueing, loss → timeout → retransmit penalties,

@@ -83,23 +83,21 @@ def build_manifest(
     plan_cache: Optional[Dict[str, int]] = None,
     network: Optional[Dict[str, object]] = None,
     execution_path: Optional[str] = None,
-    send_log: Optional[str] = None,
     decline_reason: Optional[str] = None,
-    obs_stream: Optional[str] = None,
-    priced_tape: Optional[str] = None,
+    record: Optional[Dict[str, str]] = None,
 ) -> Dict[str, object]:
     """Assemble the provenance record for one simulation of ``trace``.
 
     ``timings`` maps phase name -> seconds (``simulate_s`` always;
     ``compile_s`` when the engine compiled the trace itself; timed runs
     split ``simulate_s`` into the ledger replay, ``record_s`` (merging
-    the compute column into a send log the run recorded) and
-    ``fold_s``; a tape run under a sink or a span probe adds
-    ``observe_s`` when it records or reads the cell's kept record
-    stream, keeping it and handing it to the probe; callers may add
+    the compute column into a send log the run wrote) and ``fold_s``; a
+    tape run under a sink or a span probe adds ``observe_s`` when it
+    hands its probe a record stream it wrote or read; callers may add
     ``generate_s``). ``plan_cache`` is this run's delta of the
     batch-plan/tape cache counters (``repro.hb.skeleton.PLAN_STATS``) —
-    whether the sync skeleton and priced tapes were rebuilt or reused, the first thing to check when two "identical" runs time
+    whether the sync skeleton, priced tapes and cell records were built
+    or reused, the first thing to check when two "identical" runs time
     differently. The trace digest is memoized on the stream, so sweeping
     20 cells hashes the columns once. ``network`` is the timed-run
     replay key — the derived ``network_seed`` feeding the loss/jitter
@@ -108,15 +106,12 @@ def build_manifest(
     that produced the ledger (``tape``, ``per_event`` or
     ``reference``), ``decline_reason`` why it was not the tape replay
     (see :func:`repro.protocols.base.certify_replay`; absent on a tape
-    run), ``send_log`` whether a timed run ``recorded`` its send log or
-    ``reused`` a cached one — either way on the counting run's path — and
-    ``obs_stream`` the same of a tape run's record stream, the one a sink
-    or a span probe reads (absent when nothing observed one, and on a
-    cell's first observed run, which writes to the probe directly), and
-    ``priced_tape`` whether a tape run ``recorded`` a priced tape — an
-    eager policy's, or a lazy cell's by its kernels — or ``folded`` a
-    kept one (absent when lazy kernels ran and kept nothing, and off the
-    tape).
+    run), and ``record`` which parts of the cell's record the run
+    ``recorded`` (wrote and kept) or ``reused`` (read): ``log``, a timed
+    run's send log; ``stream``, the record stream a sink or a span probe
+    reads; ``priced``, a lazy cell's priced tape or an eager policy's
+    (see :meth:`repro.simulator.engine.Engine._use_record`; a part the
+    run wrote without keeping it, or never needed, is absent).
     """
     params = trace.meta.params
     seed = params.get("seed")
@@ -140,12 +135,8 @@ def build_manifest(
         manifest["execution_path"] = execution_path
     if decline_reason:
         manifest["decline_reason"] = decline_reason
-    if send_log:
-        manifest["send_log"] = send_log
-    if obs_stream:
-        manifest["obs_stream"] = obs_stream
-    if priced_tape:
-        manifest["priced_tape"] = priced_tape
+    if record:
+        manifest["record"] = dict(record)
     return manifest
 
 

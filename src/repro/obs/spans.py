@@ -19,9 +19,9 @@ Two pieces:
   writers and two callers: the probe's hooks wherever hooks are called
   (the interpreters and their every ``Network.send``), and the tape
   kernels, which write what the hooks they bypass would have, from the
-  records they replay. On a cell's second observed run the kernels
-  write a stream the engine keeps on the cell's plan, and every later
-  stock observer of the cell reads it. So a span-traced run takes the
+  records they replay. A tape run of a cell run before writes a stream
+  the engine keeps in the cell's record, and every later stock
+  observer of the cell reads it. So a span-traced run takes the
   ``tape`` path like any other, and **tracing-off runs are untouched**
   — a kernel tests for the stream behind its probe test.
 - :class:`SpanBuilder` — replays the record stream once, against a
@@ -259,10 +259,10 @@ class SpanRecords:
     window openings as their id — plus ``epoch_ends``, the event count
     at each epoch mark, where a sink's per-epoch batches split. The
     methods below are the only writers: :class:`SpanProbe`'s hooks call
-    them where hooks are called, the tape kernels directly. On a cell's
-    second observed run :meth:`freeze` then packs the lists into typed
-    arrays and the engine keeps the stream on the cell's
-    :class:`~repro.hb.skeleton.BatchPlan`; every later observed run of
+    them where hooks are called, the tape kernels directly. When a run
+    keeps its stream, :meth:`freeze` packs the lists into typed arrays
+    and the engine keeps it in the cell's
+    :class:`~repro.hb.skeleton.CellRecord`; every later observed run of
     the cell reads it (a :class:`SpanProbe`'s ``records`` *is* it, until
     the probe observes another run and :meth:`writable` copies it).
     Streams compare equal record for record, whichever path wrote them.

@@ -52,8 +52,7 @@ def certify_replay(protocol: "Protocol") -> Tuple[str, Optional[str]]:
       A stock probe's metrics rows and a timed run's send log are fed
       from the same records; event sinks
       and a span probe get what the kernels write from them, or the
-      cell's kept record stream once the cell is observed again
-      (:meth:`observe_on_tape`).
+      record stream the cell's record keeps (:meth:`observe_on_tape`).
       The reason is None.
 
     The engine dispatches on the path; the pair goes into the run's
@@ -159,8 +158,8 @@ class Protocol(abc.ABC):
         staged inline. The events go to ``emit`` and the windows,
         messages and epoch marks to ``stream`` — the probe's own emit
         and records, or a record stream being written
-        (:meth:`Engine._observe_on_tape
-        <repro.simulator.engine.Engine._observe_on_tape>`). With
+        (:meth:`Engine._use_record
+        <repro.simulator.engine.Engine._use_record>`). With
         neither, the run emits nothing: the cell's stream is kept
         already, and the engine hands the probe that."""
         self._span = stream

@@ -94,7 +94,7 @@ class EagerTapeMixin:
     attribution rows' sums. The priced tape is built from
     the walk's steps and they are dropped. A run that emits events or
     has a tap (``_tap``: a span probe or record stream being written,
-    or a cold timed cell recording its send log) walks them again,
+    or a timed run writing its send log) walks them again,
     alongside the fold, for each one's events and messages, and keeps
     none of them either.
     """

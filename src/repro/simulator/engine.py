@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Type, Union
 
 from repro.common.errors import ConfigError, SimulatorError
 from repro.common.gcpause import gc_paused
-from repro.hb.skeleton import batch_plan, plan_stats
+from repro.hb.skeleton import CellRecord, batch_plan, plan_stats
 from repro.network.link import derive_network_seed
 from repro.network.timed import NetworkTiming, SendLog
 from repro.obs.manifest import build_manifest
@@ -103,15 +103,12 @@ class Engine:
         self.probe = probe
         if probe is not None and probe.enabled:
             self.protocol.attach_probe(probe)
-        #: Timed runs: the folded clocks, and whether their send log was
-        #: ``recorded`` by this run or ``reused`` from the plan cache.
+        #: Timed runs: the folded clocks.
         self._timing: Optional[NetworkTiming] = None
-        self._send_log_source: Optional[str] = None
-        #: Tape runs under a sink or a span probe: whether the cell's
-        #: record stream was ``recorded`` by this run or ``reused``
-        #: (None otherwise: a cell's first observed run keeps nothing,
-        #: see _observe_on_tape).
-        self._obs_stream_source: Optional[str] = None
+        #: The cell's record when it was run before (see _use_record),
+        #: and each part of it this run ``recorded`` or ``reused``.
+        self._record: Optional[CellRecord] = None
+        self._record_parts: Dict[str, str] = {}
         #: The loop that produced the ledger and, unless it was the tape
         #: replay, why not (see :func:`certify_replay`).
         self._execution_path = "per_event"
@@ -141,16 +138,13 @@ class Engine:
         a fold: the ledger comes from the same dispatch a counting run
         of this cell takes, and the virtual clocks from
         :meth:`NetworkTiming.fold <repro.network.timed.NetworkTiming.fold>`
-        over the cell's cached send log. The first timed run of a cell
-        records that :class:`SendLog` on the way, from the loop that
+        over the cell's send log, written on the way from the loop that
         supplies its ledger, so nothing runs twice and nothing switches
-        loops. A tape run under a sink or a span probe does the same
-        with the cell's record stream (:class:`~repro.obs.spans.SpanRecords`)
-        once the cell is observed again: that run records it, every
-        later one replays metrics-only and hands the probe the kept
-        stream (:meth:`_observe_on_tape`). A lazy cell's tape runs do
-        the same with its priced tape: the second records it, every
-        later one that writes nothing folds it (:meth:`_price_lazily`).
+        loops. A tape run under a sink or a span probe may likewise write
+        the cell's record stream (:class:`~repro.obs.spans.SpanRecords`),
+        and a lazy cell's tape run its priced tape. Which of them the run
+        reads from its cell's record, writes, or writes and keeps is one
+        decision (:meth:`_use_record`).
 
         Runs with the cyclic collector paused, restored on exit: a run
         makes no reference cycles (``tests/test_no_cyclic_garbage.py``).
@@ -169,48 +163,38 @@ class Engine:
         ops = compiled.ops
         self._execution_path, self._decline_reason = certify_replay(protocol)
         tape = self._execution_path == "tape"
-        observed = tape and protocol._obs_events
-        if observed or config.link_model is not None or (tape and protocol.lazy):
+        if tape and (protocol._obs_events or protocol.lazy) or config.link_model is not None:
             plan = self._plan(compiled)
-            # Everything that can change send order, wire sizes or an
-            # event is in the key of a cell's kept records; the link,
-            # which only the fold reads, is not.
-            key = (type(protocol), config.with_options(link_model=None))
-        if observed:
-            stream = self._observe_on_tape(plan, key)
-        if config.link_model is not None:
-            log = plan.send_log(key)
-            if log is not None:
-                self._send_log_source = "reused"
-            else:
-                self._send_log_source = "recorded"
-                log = SendLog(config.cost_model.header_bytes)
-                protocol.record_sends(log)
-                ops = log.track(ops, range(len(ops)))
-        if tape and protocol.lazy:
-            self._price_lazily(plan, key)
+            log, stream = self._use_record(plan, tape)
+        writes_log = protocol._log is not None
+        if writes_log:
+            ops = log.track(ops, range(len(ops)))
+        parts = self._record_parts
         try:
             if tape:
                 priced = self._run_tape(compiled, timings, plan)
             else:
                 read_values = self._run_per_event(ops, timings)
         except BaseException:
-            if stream is not None and self._obs_stream_source != "reused":
+            if stream is not None and parts.get("stream") != "reused":
                 # What the run wrote before the raise reaches the sinks,
                 # as staged rows would on close; it is not kept.
                 self.probe.replay_stream(stream)
             raise
+        record = self._record
         if priced is not None:
-            plan.keep_priced_tape(key, priced)
-        if self._send_log_source == "recorded":
+            record.keep("priced", priced)
+        if writes_log:
             t0 = time.perf_counter()
-            plan.keep_send_log(key, log.close(compiled.ops))
+            log.close(compiled.ops)
+            if parts.get("log") == "recorded":
+                record.keep("log", log)
             timings["record_s"] = elapsed = time.perf_counter() - t0
             timings["simulate_s"] += elapsed
         if stream is not None:
             t0 = time.perf_counter()
-            if self._obs_stream_source == "recorded":
-                plan.keep_obs_stream(key, stream.freeze())
+            if parts.get("stream") == "recorded":
+                record.keep("stream", stream.freeze())
             self.probe.replay_stream(stream)
             timings["observe_s"] = elapsed = time.perf_counter() - t0
             timings["simulate_s"] += elapsed
@@ -218,50 +202,70 @@ class Engine:
             self._fold(log, timings)
         return self._result(read_values, timings)
 
-    def _observe_on_tape(self, plan, key: tuple) -> Optional[SpanRecords]:
-        """Point a tape run's events, windows and messages somewhere; the
-        record stream to hand the probe when the run is done, or None.
+    def _use_record(self, plan, tape: bool) -> Tuple[Optional[SendLog], Optional[SpanRecords]]:
+        """The run's one recording decision. For each part of its cell's
+        :class:`~repro.hb.skeleton.CellRecord` the run needs, read the
+        kept one, or write it — and keep it when the cell was run before.
+        Returns the send log a timed run folds and the record stream a
+        tape run hands its probe, each or None.
 
-        A cell's first observed run under sinks writes straight to the
-        probe, as the hooks would, and its sinks drain per epoch; under a
-        span probe, which holds the whole stream anyway, it writes a
-        stream the probe is handed. The cell's second observed run
-        records the stream and the engine keeps it on the plan; every
-        later one emits nothing and reads the kept stream. A probe whose
-        ``emit`` is patched on the instance has it called for every
-        event, so it neither reads nor writes the memo.
+        * ``stream``, a tape run under a sink or a span probe: a reader
+          emits nothing. A writer writes the stream, save a sink's first
+          run of the cell, which writes to its probe directly as the
+          hooks would (its sinks drain per epoch).
+        * ``log``, a timed run: a writer tracks every message.
+        * ``priced``, a lazy tape run: one that writes nothing — no
+          event, stream or send log — reads (folds) a kept one; else its
+          kernels record one when the cell was run before.
+
+        A probe whose ``emit`` is patched on the instance has it called
+        for every event, so such a run neither reads nor writes the record.
         """
-        probe, protocol = self.probe, self.protocol
-        if "emit" not in vars(probe):
-            stream = plan.obs_stream(key)
+        protocol, probe, config = self.protocol, self.probe, self.config
+        observed = tape and protocol._obs_events
+        patched = observed and "emit" in vars(probe)
+        record = None
+        if not patched:
+            # Everything that can change send order, wire sizes or an
+            # event is in the key; the link, which only the fold reads,
+            # is not.
+            record = plan.cell_record((type(protocol), config.with_options(link_model=None)))
+        self._record = record
+        log = stream = None
+        if observed:
+            stream = self._kept("stream")
             if stream is not None:
-                self._obs_stream_source = "reused"
                 protocol.observe_on_tape(None, None)
-                return stream
-            keep = plan.revisit(key)
-            if keep or isinstance(probe, SpanProbe):
-                self._obs_stream_source = "recorded" if keep else None
+            elif record is not None or (not patched and isinstance(probe, SpanProbe)):
                 stream = SpanRecords()
                 protocol.observe_on_tape(stream, stream.emit)
-                return stream
-        records = probe.records if isinstance(probe, SpanProbe) else None
-        protocol.observe_on_tape(records, probe.emit)
-        return None
+            else:
+                records = probe.records if isinstance(probe, SpanProbe) else None
+                protocol.observe_on_tape(records, probe.emit)
+        if config.link_model is not None:
+            log = self._kept("log")
+            if log is None:
+                log = SendLog(config.cost_model.header_bytes)
+                protocol.record_sends(log)
+        if tape and protocol.lazy and record is not None:
+            if record.priced is None or not protocol._obs_events and protocol._tap is None:
+                priced = self._kept("priced")
+                if priced is None:
+                    protocol.record_priced()
+                else:
+                    protocol.fold_priced(priced)
+        return log, stream
 
-    def _price_lazily(self, plan, key: tuple) -> None:
-        """Fold a lazy cell's kept priced tape in place of the kernels,
-        or have them record it: a run folds when it writes no event, no
-        record stream and no send log — no probe, a metrics-only one, a
-        kept stream's reader, a timed run over a kept log; the cell's
-        second tape run records (:meth:`BatchPlan.lazy_pricing
-        <repro.hb.skeleton.BatchPlan.lazy_pricing>`)."""
-        protocol = self.protocol
-        folds = not protocol._obs_events and protocol._tap is None
-        source, tape = plan.lazy_pricing(key, folds)
-        if tape is not None:
-            protocol.fold_priced(tape)
-        elif source == "recorded":
-            protocol.record_priced()
+    def _kept(self, part: str):
+        """The kept ``part`` of the cell's record, which the run reads
+        (``reused``); else None, and the run writes the part — and keeps
+        it (``recorded``) when the cell was run before."""
+        record = self._record
+        if record is None:
+            return None
+        value = record.read(part)
+        self._record_parts[part] = "recorded" if value is None else "reused"
+        return value
 
     def _plan(self, compiled: CompiledTrace):
         """The cell's batch plan, sized by the config like the protocol."""
@@ -481,9 +485,11 @@ class Engine:
                 probe.link_model = timing.link
         seed = self.trace.meta.params.get("seed")
         plan_cache = self._plan_cache_delta()
-        # Either family: a priced tape this run built, it recorded; one it looked up, it folded.
-        hits = plan_cache.get("priced_tape_hits")
-        priced = "recorded" if plan_cache.get("priced_tape_builds") else "folded" if hits else None
+        record = self._record_parts
+        built = plan_cache.get("priced_tape_builds")
+        if built or plan_cache.get("priced_tape_hits"):
+            # An eager policy's tape, priced by this run or folded.
+            record["priced"] = "recorded" if built else "reused"
         return SimulationResult(
             app=self.trace.meta.app,
             protocol=protocol.name,
@@ -507,9 +513,7 @@ class Engine:
                 network=network_manifest,
                 execution_path=self._execution_path,
                 decline_reason=self._decline_reason,
-                send_log=self._send_log_source,
-                obs_stream=self._obs_stream_source,
-                priced_tape=priced,
+                record=record,
             ),
             metrics=metrics_snapshot,
             timing=timing_report,

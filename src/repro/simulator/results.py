@@ -10,18 +10,14 @@ from repro.network.stats import NetworkStats
 
 #: Manifest keys ``to_dict`` drops: wall-clock values, and whatever
 #: depends on what earlier runs in the process left in the plan cache
-#: (a cell's first timed run records its send log, later ones reuse it;
-#: the same of an observed run's record stream and a lazy cell's priced
-#: tape).
+#: (``record``: which parts of its cell's record a run kept or read).
 _VOLATILE_MANIFEST_KEYS = (
     "created",
     "timings_s",
     "plan_cache",
     "execution_path",
     "decline_reason",
-    "send_log",
-    "obs_stream",
-    "priced_tape",
+    "record",
 )
 
 

@@ -306,8 +306,7 @@ def _log_plan_cache(stats: Dict[str, int]) -> None:
     compiled trace, so a sweep should build once per page size and hit
     everywhere else. A hit rate near zero here means cells are
     rebuilding per-cell state that should be shared. Priced tapes are
-    both families': an eager policy's per cost key, a lazy cell's once
-    the worker runs the cell a second time.
+    the eager policies', one per cost key.
     """
     kinds = ("plan", "priced_tape")
     builds = sum(stats[kind + "_builds"] for kind in kinds)

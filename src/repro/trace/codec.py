@@ -13,17 +13,19 @@ Text format (``.trc``)::
     L 3 7
     B 3 0
 
-Binary format (``.trcb``), version 2 — *columnar*: an 8-byte magic, a
+Binary format (``.trcb``), version 3 — *columnar*: an 8-byte magic, a
 fixed header recording the column itemsizes and event count, a UTF-8
-JSON metadata block, then the four trace columns (type codes, procs,
-values, sizes) as contiguous little-endian blobs written and read with
-``array.tobytes()``/``frombytes()``. A million-event trace loads in
-milliseconds because no per-record Python work happens at all.
+JSON metadata block, the four trace columns (type codes, procs, values,
+sizes) as contiguous little-endian blobs written and read with
+``array.tobytes()``/``frombytes()``, then a CRC-32 of every byte before
+it. A million-event trace loads in milliseconds because no per-record
+Python work happens at all; a truncated or corrupted file raises
+:class:`~repro.common.errors.TraceError` before any of it is parsed.
 
-The original per-record v1 format (magic ``LRCTRACE``, one 24-byte
-struct per event) is still read transparently, so pre-existing trace
-caches and externally produced files keep working; see
-``docs/TRACE_FORMAT.md`` for both layouts.
+The unchecked v2 layout (the same without the CRC) and the original
+per-record v1 format (magic ``LRCTRACE``, one 24-byte struct per event)
+are still read, so pre-existing trace files and externally produced
+ones keep working; see ``docs/TRACE_FORMAT.md`` for the layouts.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import io
 import json
 import struct
 import sys
+import zlib
 from array import array
 from pathlib import Path
 from typing import IO, Union
@@ -42,9 +45,11 @@ from repro.trace.stream import TraceMeta, TraceStream
 
 _TEXT_MAGIC = "# lrc-trace v1"
 _BINARY_MAGIC = b"LRCTRACE"  # legacy v1: per-record structs
-_BINARY_MAGIC_V2 = b"LRCTRAC2"  # columnar
+_BINARY_MAGIC_V2 = b"LRCTRAC2"  # columnar, unchecked
+_BINARY_MAGIC_V3 = b"LRCTRAC3"  # columnar, then a CRC-32 of the file before it
+_CRC = struct.Struct("<I")
 _RECORD = struct.Struct("<BBHIQII")
-#: v2 fixed header after the magic: column itemsizes (codes, procs,
+#: v2/v3 fixed header after the magic: column itemsizes (codes, procs,
 #: values, sizes), metadata length, event count.
 _V2_HEADER = struct.Struct("<BBBBIQ")
 _COLUMN_TYPECODES = ("b", "h", "q", "i")
@@ -140,13 +145,16 @@ def _meta_json(trace: TraceStream) -> bytes:
 
 
 def _parse_meta(raw: bytes) -> TraceMeta:
-    meta_raw = json.loads(raw.decode("utf-8"))
-    return TraceMeta(
-        n_procs=meta_raw["n_procs"],
-        app=meta_raw.get("app", "unknown"),
-        params=dict(meta_raw.get("params", {})),
-        regions={k: (v[0], v[1]) for k, v in meta_raw.get("regions", {}).items()},
-    )
+    try:
+        meta_raw = json.loads(raw.decode("utf-8"))
+        return TraceMeta(
+            n_procs=meta_raw["n_procs"],
+            app=meta_raw.get("app", "unknown"),
+            params=dict(meta_raw.get("params", {})),
+            regions={k: (v[0], v[1]) for k, v in meta_raw.get("regions", {}).items()},
+        )
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise TraceError(f"malformed binary trace metadata ({exc})") from exc
 
 
 def _as_little_endian(column: array) -> array:
@@ -158,29 +166,49 @@ def _as_little_endian(column: array) -> array:
 
 
 def dump_binary(trace: TraceStream, fp: IO[bytes]) -> None:
-    """Write a trace in the columnar (v2) binary format."""
+    """Write a trace in the columnar (v3) binary format."""
     meta_json = _meta_json(trace)
     columns = trace.columns()
     itemsizes = [c.itemsize for c in columns]
-    fp.write(_BINARY_MAGIC_V2)
-    fp.write(_V2_HEADER.pack(*itemsizes, len(meta_json), len(trace)))
-    fp.write(meta_json)
-    for column in columns:
-        fp.write(_as_little_endian(column).tobytes())
+    header = _V2_HEADER.pack(*itemsizes, len(meta_json), len(trace))
+    crc = 0
+    for chunk in (
+        _BINARY_MAGIC_V3,
+        header,
+        meta_json,
+        *(_as_little_endian(column).tobytes() for column in columns),
+    ):
+        fp.write(chunk)
+        crc = zlib.crc32(chunk, crc)
+    fp.write(_CRC.pack(crc))
 
 
 def load_binary(fp: IO[bytes]) -> TraceStream:
-    """Parse a binary trace (columnar v2 or the legacy per-record v1)."""
-    magic = fp.read(len(_BINARY_MAGIC_V2))
+    """Parse a binary trace: columnar v3 or v2, or the legacy per-record
+    v1. A v3 file whose CRC does not match — truncated, or any bit
+    flipped — raises :class:`TraceError` before it is parsed."""
+    magic = fp.read(len(_BINARY_MAGIC_V3))
     if magic == _BINARY_MAGIC:
         return _load_binary_legacy(fp)
-    if magic != _BINARY_MAGIC_V2:
+    body = fp.read()
+    if magic == _BINARY_MAGIC_V3:
+        body, stored = memoryview(body)[: -_CRC.size], body[-_CRC.size :]
+        if len(stored) < _CRC.size or _CRC.unpack(stored)[0] != zlib.crc32(body, zlib.crc32(magic)):
+            raise TraceError("corrupt or truncated binary trace (CRC mismatch)")
+    elif magic != _BINARY_MAGIC_V2:
         raise TraceError(f"not a binary trace (magic {magic!r})")
-    header = fp.read(_V2_HEADER.size)
-    if len(header) != _V2_HEADER.size:
+    return _load_columns(body)
+
+
+def _load_columns(body) -> TraceStream:
+    """The columnar layout after the magic: ``body`` exactly."""
+    if len(body) < _V2_HEADER.size:
         raise TraceError("truncated binary trace (header)")
-    *itemsizes, meta_len, n_events = _V2_HEADER.unpack(header)
-    meta = _parse_meta(fp.read(meta_len))
+    *itemsizes, meta_len, n_events = _V2_HEADER.unpack_from(body)
+    at = _V2_HEADER.size + meta_len
+    if at > len(body):
+        raise TraceError("truncated binary trace (metadata)")
+    meta = _parse_meta(bytes(body[_V2_HEADER.size : at]))
     columns = []
     for typecode, itemsize in zip(_COLUMN_TYPECODES, itemsizes):
         column = array(typecode)
@@ -189,13 +217,16 @@ def load_binary(fp: IO[bytes]) -> TraceStream:
                 f"column itemsize mismatch: file has {itemsize}, "
                 f"this platform's array({typecode!r}) is {column.itemsize}"
             )
-        blob = fp.read(n_events * itemsize)
-        if len(blob) != n_events * itemsize:
+        end = at + n_events * itemsize
+        if end > len(body):
             raise TraceError("truncated binary trace")
-        column.frombytes(blob)
+        column.frombytes(body[at:end])
+        at = end
         if sys.byteorder == "big":
             column.byteswap()
         columns.append(column)
+    if at != len(body):
+        raise TraceError(f"{len(body) - at} bytes after the last column of a binary trace")
     return TraceStream.from_columns(meta, *columns)
 
 
@@ -203,7 +234,10 @@ def load_binary(fp: IO[bytes]) -> TraceStream:
 
 
 def _load_binary_legacy(fp: IO[bytes]) -> TraceStream:
-    meta_len, n_events = struct.unpack("<II", fp.read(8))
+    header = fp.read(8)
+    if len(header) != 8:
+        raise TraceError("truncated binary trace (header)")
+    meta_len, n_events = struct.unpack("<II", header)
     meta = _parse_meta(fp.read(meta_len))
     trace = TraceStream(meta)
     for _ in range(n_events):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps import cholesky, locusroute, mp3d, pthor, water
 from repro.config import SimConfig
-from repro.hb.skeleton import batch_plan
+from repro.hb.skeleton import CellRecord, batch_plan
 from repro.obs.probe import RecordingProbe
 from repro.obs.sinks import MemorySink
 from repro.obs.spans import SpanProbe, timeline_from_records
@@ -176,7 +176,7 @@ LOOPS = {
     "reference": ({}, ("reference", None)),
     # The tape once the cell has run before: a lazy cell's kernels record
     # its priced tape, and a sink or span probe gets the record stream
-    # this run writes — both kept on the plan...
+    # this run writes — both kept in the cell's record...
     "recorded": ({}, ("tape", None)),
     # ...then a sink or span probe reads that kept stream (run_loop
     # primes the cell so, and checks the manifest says so)...
@@ -188,6 +188,16 @@ LOOPS = {
 PROBED_LOOPS = ("tape", "watched", "per_event", "reference", "recorded", "reused", "folded")
 BARE_LOOPS = ("tape", "alias", "per_event", "reference", "recorded", "reused", "folded")
 _WATCHER_OF = {RecordingProbe: MessageLogProbe, SpanProbe: SpanMessageLogProbe}
+
+
+def kept_parts(plan, part: str) -> list:
+    """Every ``part`` (``priced``, ``log`` or ``stream``) the cell records
+    of ``plan`` keep."""
+    return [
+        getattr(record, part)
+        for record in plan._records.values()
+        if getattr(record, part) is not None
+    ]
 
 
 def run_loop(trace, protocol, config, loop, make_probe=None, sink=None):
@@ -205,20 +215,19 @@ def run_loop(trace, protocol, config, loop, make_probe=None, sink=None):
     if observed or lazy:
         plan = batch_plan(trace.compiled(config.page_size), config.n_procs)
         key = (protocol_class(protocol), config.with_options(link_model=None))
-        if loop == "recorded":
+        records = plan._records
+        if loop == "recorded" and key in records:
             # An identical cell seen before (one plan per trace) may have
-            # kept its records: drop them, so this run records afresh.
-            plan._obs_streams.pop(key, None)
-            plan._priced_tapes.pop(key, None)
+            # kept parts of its record: drop them, so this run records afresh.
+            records[key] = CellRecord()
 
         def primed() -> bool:
             """Whether this run is now the one asked for."""
-            if loop == "recorded":
-                return (not observed or key in plan._observed) and (
-                    not lazy or key in plan._replayed
-                )
-            return (not observed or key in plan._obs_streams) and (
-                loop == "reused" or not lazy or key in plan._priced_tapes
+            record = records.get(key)
+            if record is None or loop == "recorded":
+                return record is not None
+            return (not observed or record.stream is not None) and (
+                loop == "reused" or not lazy or record.priced is not None
             )
 
         # Run the cell beforehand until it is.
@@ -235,14 +244,16 @@ def run_loop(trace, protocol, config, loop, make_probe=None, sink=None):
     engine = Engine(trace, config.with_options(**overrides), protocol, probe=probe)
     result = engine.run_reference() if loop == "reference" else engine.run()
     assert path_and_reason(result) == expected
+    record = result.manifest.get("record", {})
     if memo:
-        stream = {"recorded": "recorded"}.get(loop, "reused")
-        assert result.manifest.get("obs_stream") == (stream if observed else None)
+        stream = "recorded" if loop == "recorded" else "reused"
+        assert record.get("stream") == (stream if observed else None)
     if eager_kept is not None:
         # Every eager tape run folds its policy's tape, priced first if none is kept.
-        assert result.manifest.get("priced_tape") == ("folded" if eager_kept else "recorded")
+        assert record.get("priced") == ("reused" if eager_kept else "recorded")
     elif loop in ("recorded", "folded"):
-        assert result.manifest.get("priced_tape") == (loop if lazy else None)
+        priced = "recorded" if loop == "recorded" else "reused"
+        assert record.get("priced") == (priced if lazy else None)
     return engine, probe, result
 
 

@@ -103,10 +103,10 @@ class TestInstrumentedRun:
         first one's."""
         trace = small_trace("water")
         runs = [instrumented_run(trace, protocol, page_size=1024) for _ in range(3)]
-        assert [stats.result.manifest.get("priced_tape") for stats in runs] == [
+        assert [stats.result.manifest.get("record", {}).get("priced") for stats in runs] == [
             None,
             "recorded",
-            "folded",
+            "reused",
         ]
         first = runs[0]
         assert first.miss_modifiers.total > 0

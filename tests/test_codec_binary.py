@@ -1,9 +1,11 @@
-"""Binary codec coverage: the columnar v2 format and the legacy v1 reader."""
+"""Binary codec coverage: the checksummed columnar v3 format, the
+unchecked v2 and legacy v1 readers, and corrupt files."""
 
 from __future__ import annotations
 
 import io
 import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -105,10 +107,67 @@ class TestColumnarFormat:
     def test_itemsize_mismatch_detected(self):
         buf = io.BytesIO()
         dump_binary(build_trace(1, [Event.read(0, 0x10)]), buf)
-        raw = bytearray(buf.getvalue())
-        raw[8] = 13  # claim a 13-byte code column
+        raw = bytearray(buf.getvalue()[:-4])
+        raw[8] = 13  # claim a 13-byte code column, under a matching CRC
+        raw += struct.pack("<I", zlib.crc32(raw))
         with pytest.raises(TraceError, match="itemsize"):
             load_binary(io.BytesIO(bytes(raw)))
+
+    def test_unchecked_v2_files_still_load(self):
+        trace = large_trace(300)
+        buf = io.BytesIO()
+        dump_binary(trace, buf)
+        v2 = b"LRCTRAC2" + buf.getvalue()[8:-4]
+        assert list(load_binary(io.BytesIO(v2))) == list(trace)
+        with pytest.raises(TraceError, match="after the last column"):
+            load_binary(io.BytesIO(v2 + b"\x00"))
+
+
+def saved_bytes(tmp_path) -> bytes:
+    """A small trace as ``save_trace`` writes it: every event type,
+    params and regions in its metadata."""
+    trace = build_trace(
+        2,
+        [
+            Event.write(0, 0x40, 8),
+            Event.acquire(0, 1),
+            Event.release(0, 1),
+            Event.read(1, 0x44, 4),
+            Event.at_barrier(0, 0),
+            Event.at_barrier(1, 0),
+        ],
+    )
+    trace.meta.params["seed"] = "3"
+    trace.meta.regions["grid"] = (0, 256)
+    path = tmp_path / "small.trcb"
+    save_trace(trace, path)
+    assert list(load_trace(path)) == list(trace)
+    return path.read_bytes()
+
+
+class TestCorruptFiles:
+    """A damaged ``.trcb`` raises ``TraceError`` at load: it never yields
+    a trace, hence never a ledger."""
+
+    def test_every_truncation_raises(self, tmp_path):
+        raw = saved_bytes(tmp_path)
+        for length in range(len(raw)):
+            with pytest.raises(TraceError):
+                load_binary(io.BytesIO(raw[:length]))
+
+    def test_every_single_bit_flip_raises(self, tmp_path):
+        raw = saved_bytes(tmp_path)
+        for bit in range(8 * len(raw)):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(TraceError):
+                load_binary(io.BytesIO(bytes(flipped)))
+
+    def test_malformed_metadata_raises(self):
+        for meta in (b"{", b"[]", b'{"app": "x"}', b"\xff"):
+            raw = b"LRCTRAC2" + struct.pack("<BBBBIQ", 1, 2, 8, 4, len(meta), 0) + meta
+            with pytest.raises(TraceError, match="metadata"):
+                load_binary(io.BytesIO(raw))
 
 
 #: ``large_trace(210)`` as the last v1 writer wrote it (the writer is
@@ -145,4 +204,4 @@ class TestLegacyFormat:
     def test_saved_trcb_files_are_columnar(self, tmp_path):
         path = tmp_path / "t.trcb"
         save_trace(build_trace(1, [Event.read(0, 0x10)]), path)
-        assert path.read_bytes()[:8] == b"LRCTRAC2"
+        assert path.read_bytes()[:8] == b"LRCTRAC3"

@@ -1,11 +1,15 @@
-"""Every backticked ``repro.…`` name in the docs and docstrings resolves.
+"""Every backticked ``repro.…`` name, plan counter and manifest key in
+the docs and docstrings is live.
 
 A dotted name in backticks — plain, as a Sphinx role's target (``~``
 allowed), or as a titled role's ``<repro.…>`` target; the forms are
 listed in :func:`test_the_scan_reads_every_reference_form` — is a claim
-that the object exists. This scans the package sources, ``docs/*.md``, ``DESIGN.md``,
-``README.md`` and ``EXPERIMENTS.md`` and imports each one, so a rename
-or a removal cannot leave a stale reference behind.
+that the object exists. So is a backticked ``…_builds`` / ``…_hits``
+counter (a ``PLAN_STATS`` key) and a backticked ``manifest["…"]`` /
+``manifest.get("…")`` read (a key some run's manifest carries). This
+scans the package sources, ``docs/*.md``, ``DESIGN.md``, ``README.md``
+and ``EXPERIMENTS.md`` and checks each one, so a rename or a removal
+cannot leave a stale reference behind.
 """
 
 from __future__ import annotations
@@ -31,17 +35,28 @@ def scanned_files():
     return files + [ROOT / name for name in ("DESIGN.md", "README.md", "EXPERIMENTS.md")]
 
 
-def references():
-    """``(file, line, dotted name)`` for every backticked reference."""
-    found = []
+#: A plan cache counter.
+COUNTER = re.compile(r"\w+_(?:builds|hits)")
+#: A manifest read: its (first) key.
+MANIFEST_KEY = re.compile(r'manifest(?:\.get\(|\[)"(\w+)"')
+
+
+def spans():
+    """``(file, line, content)`` for every backticked span."""
     for path in scanned_files():
         text = path.read_text(encoding="utf-8")
         for match in SPAN.finditer(text):
-            content = match.group(1).strip()
-            name = TARGET.fullmatch(content) or NAME.fullmatch(content)
-            if name is not None:
-                line = text.count("\n", 0, match.start()) + 1
-                found.append((path.relative_to(ROOT), line, name.group(1)))
+            line = text.count("\n", 0, match.start()) + 1
+            yield path.relative_to(ROOT), line, match.group(1).strip()
+
+
+def references():
+    """``(file, line, dotted name)`` for every backticked reference."""
+    found = []
+    for path, line, content in spans():
+        name = TARGET.fullmatch(content) or NAME.fullmatch(content)
+        if name is not None:
+            found.append((path, line, name.group(1)))
     return found
 
 
@@ -91,3 +106,42 @@ def test_the_scan_reads_every_reference_form():
     ]
     with pytest.raises(AttributeError):
         resolve("repro.hb.skeleton.LazyTape")  # a removed class
+
+
+def test_every_backticked_plan_counter_is_live():
+    from repro.hb.skeleton import PLAN_STATS
+
+    counters = [(path, line, c) for path, line, c in spans() if COUNTER.fullmatch(c)]
+    assert counters  # not vacuous
+    stale = [f"{path}:{line}: {c}" for path, line, c in counters if c not in PLAN_STATS]
+    assert not stale, "counters PLAN_STATS lacks:\n" + "\n".join(stale)
+
+
+def test_every_backticked_manifest_key_is_on_some_run():
+    """A counting run (on the tape and on the interpreter), a timed run
+    and an observed run — each twice, so a cell's record is kept and
+    read — carry between them every key the docs read."""
+    from repro.config import SimConfig
+    from repro.network.link import LinkModel
+    from repro.obs.probe import RecordingProbe
+    from repro.obs.sinks import MemorySink
+    from repro.simulator.engine import Engine
+    from tests.conftest import small_trace
+
+    trace = small_trace("water")
+    config = SimConfig(n_procs=trace.n_procs, page_size=1024)
+    live = set()
+    for options, make_probe in (
+        ({}, None),
+        ({"record_values": True}, None),
+        ({"link_model": LinkModel.ideal()}, None),
+        ({}, lambda: RecordingProbe([MemorySink()])),
+    ):
+        for _ in range(2):
+            probe = make_probe() if make_probe else None
+            live.update(Engine(trace, config.with_options(**options), "LU", probe=probe).run().manifest)
+    assert {"record", "network", "decline_reason", "timings_s"} <= live
+    keys = [(path, line, key) for path, line, c in spans() for key in MANIFEST_KEY.findall(c)]
+    assert keys  # not vacuous
+    stale = [f"{path}:{line}: {key}" for path, line, key in keys if key not in live]
+    assert not stale, "manifest keys no run carries:\n" + "\n".join(stale)

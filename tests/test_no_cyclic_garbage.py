@@ -32,7 +32,7 @@ from repro.simulator.engine import Engine, simulate
 from repro.simulator.sweep import run_sweep
 from repro.trace import load_trace, save_trace
 from repro.trace.precompile import compile_trace
-from tests.conftest import SMALL_SCALE, small_trace
+from tests.conftest import SMALL_SCALE, kept_parts, small_trace
 
 #: name -> entry. An entry takes a scratch directory, runs one entry
 #: point and returns whatever should outlive the first collection.
@@ -87,9 +87,10 @@ def timed_cell_recording_then_reuse(tmp):
     link = LinkModel.ethernet_1992(loss=0.05, timeout_s=5e-3)
     runs = [
         simulate(trace, protocol, page_size=1024, link_model=link)
-        for protocol in ("LU", "EI", "LU", "EI")
+        for protocol in ("LU", "EI") * 3
     ]
-    assert [r.manifest["send_log"] for r in runs] == ["recorded"] * 2 + ["reused"] * 2
+    logs = [r.manifest.get("record", {}).get("log") for r in runs]
+    assert logs == [None] * 2 + ["recorded"] * 2 + ["reused"] * 2
     return trace, runs
 
 
@@ -117,10 +118,10 @@ def observed_cell_recorded_then_reused(tmp):
             probe = make_probe()
             results.append(simulate(trace, protocol, page_size=1024, probe=probe))
             probe.close()
-    sources = [result.manifest.get("obs_stream") for result in results]
+    sources = [result.manifest.get("record", {}).get("stream") for result in results]
     assert sources == [None, "recorded", "reused", "reused"] * 2
     plan = batch_plan(trace.compiled(1024), trace.n_procs)
-    for stream in plan._obs_streams.values():
+    for stream in kept_parts(plan, "stream"):
         held = [ref for ref in gc.get_referents(stream) if not isinstance(ref, type)]
         assert held and all(isinstance(ref, array) for ref in held)
     return trace, results, probe
@@ -154,12 +155,11 @@ def lazy_cell_recorded_then_folded(tmp):
             results.append(simulate(trace, protocol, page_size=page_size, probe=probe))
             if probe is not None:
                 probe.close()
-    sources = [result.manifest.get("priced_tape") for result in results]
-    assert sources == [None, "recorded", "folded"] * 2 + ["recorded", "folded", "folded"]
+    sources = [result.manifest.get("record", {}).get("priced") for result in results]
+    assert sources == [None, "recorded", "reused"] * 2 + ["recorded", "reused", "reused"]
+    plans = [batch_plan(trace.compiled(page_size), trace.n_procs) for page_size in (1024, 2048)]
     tapes = [
-        tape
-        for page_size in (1024, 2048)
-        for tape in batch_plan(trace.compiled(page_size), trace.n_procs)._priced_tapes.values()
+        tape for plan in plans for tape in (*kept_parts(plan, "priced"), *plan._priced_tapes.values())
     ]
     assert len(tapes) == 3
     for tape in tapes:

@@ -298,18 +298,24 @@ class TestManifest:
         counting = simulate(trace, "LI", config=config.with_options(link_model=None))
         assert counting.manifest["execution_path"] == "tape"
         assert "decline_reason" not in counting.manifest
-        assert "send_log" not in counting.manifest
-        # Cold: the counting run's own path records the log on the way.
+        assert "record" not in counting.manifest
+        # The counting run noted the cell, so the first timed run keeps
+        # the log its counting path records on the way (and the priced
+        # tape the kernels record).
         cold = simulate(trace, "LI", config=config).manifest
-        assert (cold["execution_path"], cold["send_log"]) == ("tape", "recorded")
+        assert (cold["execution_path"], cold["record"]) == (
+            "tape", {"log": "recorded", "priced": "recorded"}
+        )
         assert "decline_reason" not in cold
-        assert cold["plan_cache"]["send_log_builds"] == 1
+        assert cold["plan_cache"]["record_builds"] == 2
         assert cold["timings_s"].keys() >= {"record_s", "fold_s", "simulate_s"}
-        # Warm: the counting run's own path, plus a fold.
+        # Warm: the counting run's own path, folded, plus a clock fold.
         warm = simulate(trace, "LI", config=config).manifest
-        assert (warm["execution_path"], warm["send_log"]) == ("tape", "reused")
-        assert warm["plan_cache"]["send_log_hits"] == 1
-        assert "send_log_builds" not in warm["plan_cache"]
+        assert (warm["execution_path"], warm["record"]) == (
+            "tape", {"log": "reused", "priced": "reused"}
+        )
+        assert warm["plan_cache"]["record_hits"] == 2
+        assert "record_builds" not in warm["plan_cache"]
         assert "record_s" not in warm["timings_s"]
         assert warm["timings_s"]["simulate_s"] >= warm["timings_s"]["fold_s"] > 0
 

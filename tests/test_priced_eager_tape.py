@@ -46,6 +46,7 @@ from tests.conftest import (
     build_trace,
     interpreter_engine,
     interpreter_result,
+    kept_parts,
     ledger_fields,
     run_loop,
     small_trace,
@@ -191,7 +192,7 @@ class TestNoRunProgram:
             ("tape", Engine(trace, config, protocol, probe=sink_probe())),
             ("tape", Engine(trace, config, protocol, probe=SpanProbe())),
             ("tape", Engine(trace, config, protocol, probe=sink_probe())),
-            # So does a cold timed cell's send log.
+            # So does a timed run's send log.
             ("tape", Engine(trace, config.with_options(link_model=LinkModel.ideal()), protocol)),
             ("subclassed_probe", Engine(trace, config, protocol, probe=EpochWatcher())),
             (
@@ -203,7 +204,7 @@ class TestNoRunProgram:
             manifest = engine.run().manifest
             assert manifest.get("decline_reason", "tape") == reason
         plan = batch_plan(trace.compiled(1024), trace.n_procs)
-        assert plan._obs_streams and plan._runs is None and plan._skeleton is None
+        assert kept_parts(plan, "stream") and plan._runs is None and plan._skeleton is None
         # The lazy family is what needs it.
         simulate(trace, "LI", config=config)
         assert plan._runs is not None
@@ -306,15 +307,16 @@ class TestPlanCache:
         # nothing but the priced tape is kept.
         assert delta(config) == {"plan_builds": 1, "priced_tape_builds": 1}
         plan = batch_plan(trace.compiled(1024), trace.n_procs)
-        assert not plan._obs_streams
+        assert not plan._records
         # Warm: one priced-tape hit.
         assert delta(config) == {"plan_hits": 1, "priced_tape_hits": 1}
         # A new cost key walks again.
         other = config.with_options(cost_model=COST_MODELS["all_flipped"])
         assert delta(other) == {"plan_hits": 1, "priced_tape_builds": 1}
         # A sink's run walks the steps once more, for its events, and
-        # keeps nothing; observing the cell again walks them for the
-        # cell's record stream and keeps the stream, not the steps...
+        # keeps nothing (it is the first to note the cell); observing the
+        # cell again walks them for the cell's record stream and keeps
+        # the stream, not the steps...
         assert delta(config, RecordingProbe(sinks=[ColumnarSink()])) == {
             "plan_hits": 1,
             "priced_tape_hits": 1,
@@ -322,13 +324,13 @@ class TestPlanCache:
         assert delta(config, RecordingProbe(sinks=[ColumnarSink()])) == {
             "plan_hits": 1,
             "priced_tape_hits": 1,
-            "obs_stream_builds": 1,
+            "record_builds": 1,
         }
         # ...which every later observer of the cell reads, walking nothing.
         assert delta(config, SpanProbe()) == {
             "plan_hits": 1,
             "priced_tape_hits": 1,
-            "obs_stream_hits": 1,
+            "record_hits": 1,
         }
         # A new cost key prices a fresh walk.
         headers = config.with_options(cost_model=COST_MODELS["header_in_data"])
@@ -364,9 +366,11 @@ class TestPlanCache:
             interpreted = engine.run()
             if protocol_class(protocol).lazy:
                 key = (protocol_class(protocol), config)
-                while key not in plan._priced_tapes:  # the second tape run records it
+                record = plan._records.get(key)
+                while record is None or record.priced is None:  # the second tape run records it
                     simulate(trace, protocol, config=config)
-                tape = plan._priced_tapes[key]
+                    record = plan._records.get(key)
+                tape = record.priced
             else:
                 tape = plan.priced_eager_tape(protocol, CostModel(), True)
             episodes = engine.protocol.barriers.episodes_completed
@@ -434,18 +438,15 @@ class TestTimedWarmCell:
         trace = small_trace("water", n_procs=4)
         link = LINKS[link_name]
         counting = simulate(trace, protocol, page_size=1024)
-        cold = simulate(trace, protocol, page_size=1024, link_model=link)
-        warm = simulate(trace, protocol, page_size=1024, link_model=link)
-        assert (cold.manifest["execution_path"], cold.manifest["send_log"]) == (
-            "tape",
-            "recorded",
-        )
-        assert (warm.manifest["execution_path"], warm.manifest["send_log"]) == (
-            "tape",
-            "reused",
-        )
+        runs = [simulate(trace, protocol, page_size=1024, link_model=link) for _ in range(3)]
+        assert [(r.manifest["execution_path"], r.manifest["record"].get("log")) for r in runs] == [
+            ("tape", None),
+            ("tape", "recorded"),
+            ("tape", "reused"),
+        ]
         # The recording walked the eager steps and kept only the log.
         plan = batch_plan(trace.compiled(1024), trace.n_procs)
-        assert len(plan._send_logs) == 1 and not plan._obs_streams
-        assert warm.timing == cold.timing == GOLDEN[f"{protocol}/{link_name}"]
-        assert ledger_fields(warm) == ledger_fields(cold) == ledger_fields(counting)
+        assert len(kept_parts(plan, "log")) == 1 and not kept_parts(plan, "stream")
+        for run in runs:
+            assert run.timing == GOLDEN[f"{protocol}/{link_name}"]
+            assert ledger_fields(run) == ledger_fields(counting)

@@ -1,18 +1,18 @@
-"""A cell's record stream: written once, kept on the plan, read by every
-later observer — and the event schema it is written in.
+"""A cell's record stream: written once, kept in the cell's record, read
+by every later observer — and the event schema it is written in.
 
-The first tape run of a cell under a sink or a span probe writes to the
-probe directly. The second shows the cell is observed again: it writes
-everything such an observer receives into a
-:class:`~repro.obs.spans.SpanRecords` and the engine keeps it on the
-cell's ``BatchPlan``, keyed like the send log; every later observed run
-replays metrics-only and reads the kept stream. These tests pin the
-schema table against the documentation and every emission site, the
-provenance (manifest, ``plan_stats``), the storage (typed columns), and
-— as one property over random race-free traces, seven protocols and
-every option that can change a stream — that the memo key is sound: a
-reused stream or send log, and a lazy cell's folded priced tape, is
-always the one a fresh run would make.
+A tape run under a sink or a span probe writes everything such an
+observer receives into a :class:`~repro.obs.spans.SpanRecords` (a sink's
+first run of a cell writes to its probe directly instead). Under the one
+rule of a cell's :class:`~repro.hb.skeleton.CellRecord` the engine keeps
+it when the cell was run before, and every later observed run replays
+metrics-only and reads the kept stream. These tests pin the schema table
+against the documentation and every emission site, the provenance
+(manifest, ``plan_stats``), the storage (typed columns), and — as one
+property over random race-free traces, seven protocols and every option
+that can change a stream — that the record key is sound and the rule is
+the one stated: a reused stream or send log, and a lazy cell's folded
+priced tape, is always the one a fresh run would make.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.obs.sinks import EVENT_SCHEMA, ColumnarSink, MemorySink
 from repro.obs.spans import SpanProbe, timeline_from_records
 from repro.protocols.registry import all_protocol_names, protocol_class
 from repro.simulator.engine import Engine, simulate
-from tests.conftest import small_trace, timeline_fields
+from tests.conftest import kept_parts, small_trace, timeline_fields
 from tests.test_protocol_properties import interleave, race_free_programs
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
@@ -100,66 +100,84 @@ def test_absent_fields_stay_absent():
     assert sweeps and all(e["proc"] == -1 for e in sweeps)
 
 
+def record_run(trace, config, protocol, probe=None, **options):
+    """One run's ``record`` manifest and the record / priced-tape
+    counters it moved."""
+    before = plan_stats()
+    result = Engine(trace, config.with_options(**options), protocol, probe=probe).run()
+    after = plan_stats()
+    delta = {k: after[k] - before[k] for k in after if after[k] != before[k]}
+    assert all(k.startswith(("plan_", "priced_tape_", "record_")) for k in delta), delta
+    return result.manifest.get("record", {}), {
+        k: v for k, v in delta.items() if not k.startswith("plan_")
+    }
+
+
 def test_manifest_and_plan_stats_name_the_stream():
     trace = small_trace("water")
     config = SimConfig(n_procs=trace.n_procs, page_size=1024)
 
     def run(probe, **options):
-        before = plan_stats()
-        result = Engine(trace, config.with_options(**options), "LI", probe=probe).run()
-        after = plan_stats()
-        delta = {k: after[k] - before[k] for k in after if k.startswith("obs_stream")}
-        return result.manifest.get("obs_stream"), {k: v for k, v in delta.items() if v}
+        return record_run(trace, config, "LI", probe, **options)
 
-    # Nothing that takes events: no stream.
-    assert run(None) == (None, {})
-    assert run(RecordingProbe()) == (None, {})
-    # The first observer is written to directly; the second records the
-    # cell's stream; from then on every observer reads it.
-    assert run(RecordingProbe([ColumnarSink()])) == (None, {})
-    assert run(SpanProbe()) == ("recorded", {"obs_stream_builds": 1})
-    assert run(RecordingProbe([ColumnarSink()])) == ("reused", {"obs_stream_hits": 1})
-    # A link changes no event: a timed cell reads the same stream.
-    assert run(SpanProbe(), link_model=LinkModel.ideal()) == ("reused", {"obs_stream_hits": 1})
+    # A cell's first observed run keeps nothing: a sink is written to
+    # directly, a span probe gets the stream the run writes.
+    assert run(RecordingProbe([ColumnarSink()]), gc_at_barriers=True) == ({}, {})
+    assert run(SpanProbe(), piggyback_notices=False) == ({}, {})
+    # Nothing that takes events writes no stream; the bare run notes the
+    # cell, so the metrics-only run after it keeps its priced tape...
+    assert run(None) == ({}, {})
+    assert run(RecordingProbe()) == ({"priced": "recorded"}, {"record_builds": 1})
+    # ...and the first observer of a cell run before keeps the stream it
+    # writes; from then on every observer reads it and folds.
+    assert run(RecordingProbe([ColumnarSink()])) == ({"stream": "recorded"}, {"record_builds": 1})
+    assert run(SpanProbe()) == ({"stream": "reused", "priced": "reused"}, {"record_hits": 2})
+    # A link changes no event: a timed cell reads the same stream (and
+    # keeps the send log it writes).
+    assert run(SpanProbe(), link_model=LinkModel.ideal()) == (
+        {"stream": "reused", "log": "recorded"},
+        {"record_hits": 1, "record_builds": 1},
+    )
     # The interpreter writes through the hooks and keeps nothing.
-    assert run(SpanProbe(), record_values=True) == (None, {})
+    assert run(SpanProbe(), record_values=True) == ({}, {})
 
 
 def test_manifest_and_plan_stats_name_the_priced_tape():
-    """A lazy cell's pricing is counted beside the eager policies' priced
-    tapes. The kernels replay the plan's skeleton, which no cost key
-    resolves: a lazy run moves only plan, priced-tape (and a timed
-    run's send-log) counters, and no lazy-tape counter exists."""
+    """A lazy cell's pricing is one part of its record; the eager
+    policies' priced tapes are counted apart, and a run reports them
+    under the same ``priced`` part. The kernels replay the plan's
+    skeleton, which no cost key resolves: no lazy-tape counter exists,
+    nor one per record part."""
     trace = small_trace("water")
     config = SimConfig(n_procs=trace.n_procs, page_size=1024)
-    assert not [k for k in plan_stats() if k.startswith("lazy_tape")]
+    assert not [k for k in plan_stats() if k.startswith(("lazy_tape", "send_log", "obs_stream"))]
 
     def run(protocol="LU", probe=None, **options):
-        before = plan_stats()
-        result = Engine(trace, config.with_options(**options), protocol, probe=probe).run()
-        after = plan_stats()
-        delta = {k: after[k] - before[k] for k in after if after[k] != before[k]}
-        assert all(k.startswith(("plan_", "priced_tape_", "send_log_")) for k in delta), delta
-        priced = {k: v for k, v in delta.items() if k.startswith("priced_tape_")}
-        return result.manifest.get("priced_tape"), priced
+        return record_run(trace, config, protocol, probe, **options)
 
     # The first tape run runs the kernels and keeps nothing; the second
     # records the cell's priced tape; every later one that writes
     # nothing folds it.
-    assert run() == (None, {})
-    assert run() == ("recorded", {"priced_tape_builds": 1})
-    assert run() == ("folded", {"priced_tape_hits": 1})
-    assert run(probe=RecordingProbe()) == ("folded", {"priced_tape_hits": 1})
+    assert run() == ({}, {})
+    assert run() == ({"priced": "recorded"}, {"record_builds": 1})
+    assert run() == ({"priced": "reused"}, {"record_hits": 1})
+    assert run(probe=RecordingProbe()) == ({"priced": "reused"}, {"record_hits": 1})
     # A run writing events or a send log runs the kernels; once the send
     # log is kept, a timed run folds too.
-    assert run(probe=RecordingProbe([ColumnarSink()])) == (None, {})
-    assert run(link_model=LinkModel.ideal()) == (None, {})
-    assert run(link_model=LinkModel.ideal()) == ("folded", {"priced_tape_hits": 1})
+    assert run(probe=RecordingProbe([ColumnarSink()])) == (
+        {"stream": "recorded"}, {"record_builds": 1}
+    )
+    assert run(link_model=LinkModel.ideal()) == ({"log": "recorded"}, {"record_builds": 1})
+    assert run(link_model=LinkModel.ideal()) == (
+        {"log": "reused", "priced": "reused"}, {"record_hits": 2}
+    )
     # The interpreter prices nothing. An eager run prices its policy's
     # tape at its cost key once, and every run folds it.
-    assert run(record_values=True) == (None, {})
-    assert run("EU") == ("recorded", {"priced_tape_builds": 1})
-    assert run("EU", probe=RecordingProbe([ColumnarSink()])) == ("folded", {"priced_tape_hits": 1})
+    assert run(record_values=True) == ({}, {})
+    assert run("EU") == ({"priced": "recorded"}, {"priced_tape_builds": 1})
+    assert run("EU", probe=RecordingProbe([ColumnarSink()])) == (
+        {"priced": "reused"}, {"priced_tape_hits": 1}
+    )
 
 
 def test_kept_stream_is_typed_columns():
@@ -167,10 +185,10 @@ def test_kept_stream_is_typed_columns():
     plan = batch_plan(trace.compiled(1024), trace.n_procs)
     probe = SpanProbe()
     simulate(trace, "EU", page_size=1024, probe=probe)
-    assert not plan._obs_streams and isinstance(probe.records.codes, list)
+    assert not kept_parts(plan, "stream") and isinstance(probe.records.codes, list)
     probe = SpanProbe()
     simulate(trace, "EU", page_size=1024, probe=probe)
-    (stream,) = plan._obs_streams.values()
+    (stream,) = kept_parts(plan, "stream")
     assert probe.records is stream and len(stream) > 0
     columns = [getattr(stream, name) for name in type(stream).__slots__]
     assert all(isinstance(column, array) for column in columns)
@@ -185,8 +203,8 @@ def test_a_probe_viewing_a_kept_stream_never_writes_it():
     for _ in range(2):
         Engine(trace, config, "LU", probe=SpanProbe()).run()
     probe = SpanProbe()
-    assert Engine(trace, config, "LU", probe=probe).run().manifest["obs_stream"] == "reused"
-    (stream,) = batch_plan(trace.compiled(1024), trace.n_procs)._obs_streams.values()
+    assert Engine(trace, config, "LU", probe=probe).run().manifest["record"]["stream"] == "reused"
+    (stream,) = kept_parts(batch_plan(trace.compiled(1024), trace.n_procs), "stream")
     kept = list(stream)
     assert probe.records is stream
     Engine(trace, config.with_options(record_values=True), "LU", probe=probe).run()
@@ -237,9 +255,9 @@ def test_a_run_writing_a_stream_that_raises_hands_over_what_it_wrote(
     with pytest.raises(RuntimeError):
         engine.run()
     assert engine._execution_path == "tape"
-    assert engine._obs_stream_source == ("recorded" if observed_before else None)
+    assert engine._record_parts.get("stream") == ("recorded" if observed_before else None)
     assert sink.events == whole.events[:budget]
-    assert not batch_plan(trace.compiled(1024), trace.n_procs)._obs_streams
+    assert not kept_parts(batch_plan(trace.compiled(1024), trace.n_procs), "stream")
 
 
 #: The run options a record stream or a send log can depend on, each
@@ -291,6 +309,29 @@ def observe_cell(trace, protocol, config, observer):
     return (body, got, timeline), result.manifest
 
 
+def one_rule(kept, lazy: bool, observer: str):
+    """The rule of a cell's record, as a model: ``(kept', record)`` for
+    one tape run under ``observer`` — ``kept``, the parts the cell's
+    runs have kept, None before the first run that notes the cell;
+    ``record``, what the run's ``record`` manifest must say of its
+    cell's parts. A run keeps a part it writes only when the cell was
+    run before; it reads a kept one instead; a lazy cell's run that
+    writes no event, stream or send log folds its kept priced tape."""
+    needs = {"stream": observer in STREAMED, "log": observer == "timed_spans"}
+    if not (lazy or any(needs.values())):
+        return kept, {}  # an eager bare fold notes nothing
+    if kept is None:
+        return set(), {}
+    record = {
+        part: "reused" if part in kept else "recorded" for part, needed in needs.items() if needed
+    }
+    if lazy and "priced" not in kept:
+        record["priced"] = "recorded"
+    elif lazy and "recorded" not in record.values():
+        record["priced"] = "reused"
+    return kept | {part for part, source in record.items() if source == "recorded"}, record
+
+
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     race_free_programs(),
@@ -312,26 +353,26 @@ def test_reused_records_are_what_a_fresh_run_makes(program, order):
     them — gets what the interpreter makes fresh: the result body and
     metrics snapshot, sink events and span records record for record,
     the timing report and the timeline exactly. A reused run's timeline
-    is the first one's. (Normalizing any one of these options out of the
-    memo key fails this property.)"""
+    is the first one's, and every run's ``record`` manifest is what
+    :func:`one_rule` says. (Normalizing any one of these options out of
+    the record key fails this property.)"""
     trace = interleave(*program)
     base = SimConfig(n_procs=trace.n_procs, page_size=64)
-    fresh, first, sources, eager_priced = {}, {}, {}, set()
+    fresh, first, kept, eager_priced = {}, {}, {}, set()
     for cell in order:
         protocol, flip, observer = cell
         config = base if flip is None else base.with_options(**{flip: FLIPS[flip]})
         seen, manifest = observe_cell(trace, protocol, config, observer)
         assert manifest["execution_path"] == "tape"
-        if not protocol_class(protocol).lazy:
+        lazy = protocol_class(protocol).lazy
+        kept[protocol, flip], expected = one_rule(kept.get((protocol, flip)), lazy, observer)
+        if not lazy:
             # Every eager run folds its policy's tape, priced by the
             # first run at its cost key.
             cost_key = (protocol, config.cost_model, config.free_local_lock_reacquire)
-            priced = "folded" if cost_key in eager_priced else "recorded"
-            assert manifest.get("priced_tape") == priced, cell
+            expected["priced"] = "reused" if cost_key in eager_priced else "recorded"
             eager_priced.add(cost_key)
-        sources.setdefault((protocol, flip), []).append(
-            (observer, *map(manifest.get, ("obs_stream", "send_log", "priced_tape")))
-        )
+        assert manifest.get("record", {}) == expected, cell
         if cell not in fresh:
             fresh[cell], interpreted = observe_cell(
                 trace, protocol, config.with_options(record_values=True), observer
@@ -341,19 +382,6 @@ def test_reused_records_are_what_a_fresh_run_makes(program, order):
         # of two event streams.)
         same = seen == fresh[cell]
         assert same, cell
-        if manifest.get("obs_stream") == "reused":
+        if expected.get("stream") == "reused":
             same = seen[2] == first.setdefault(cell, seen[2])
             assert same, cell
-    for (protocol, _flip), runs in sources.items():
-        # Each key is observed four times: directly, then recorded, then read.
-        streams = [stream for observer, stream, _log, _priced in runs if observer in STREAMED]
-        assert streams == [None, "recorded", "reused", "reused"]
-        # A lazy key's second run records its priced tape; every later
-        # one folds it unless it writes events, a stream or a send log.
-        if protocol_class(protocol).lazy:
-            expected = [None, "recorded"] + [
-                None if (observer in STREAMED and stream != "reused") or log == "recorded"
-                else "folded"
-                for observer, stream, log, _priced in runs[2:]
-            ]
-            assert [priced for *_, priced in runs] == expected, protocol

@@ -1,12 +1,14 @@
 """Send log + ``NetworkTiming.fold``: cold == warm == the per-event clocks.
 
 A timed run is the counting run plus a fold over the cell's recorded
-send order (:mod:`repro.network.timed`). These tests pin that the
+send order (:mod:`repro.network.timed`). The log is one part of the
+cell's record: every timed run writes it or reads a kept one, and keeps
+what it writes once the cell was run before. These tests pin that the
 refactor changed no number: against a golden captured from the live
-per-message observer it replaced, between a run that records its log
+per-message observer it replaced, between runs that write their log
 and runs that reuse one (recorded under the same or a different link),
-and that the log's cache key separates everything that can change what
-is sent while sharing across everything that cannot.
+and that the record's key separates everything that can change what is
+sent while sharing across everything that cannot.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.obs.probe import RecordingProbe
 from repro.obs.spans import SpanProbe
 from repro.protocols.registry import all_protocol_names
 from repro.simulator.engine import simulate
-from tests.conftest import small_trace
+from tests.conftest import kept_parts, small_trace
 from tests.test_protocol_properties import N_PROCS, interleave, race_free_programs
 
 ALL = all_protocol_names()
@@ -52,12 +54,11 @@ def body(result) -> dict:
     return out
 
 
-def send_log_delta(before: dict) -> tuple:
-    after = plan_stats()
-    return (
-        after["send_log_builds"] - before["send_log_builds"],
-        after["send_log_hits"] - before["send_log_hits"],
-    )
+def log_source(result):
+    """Whether ``result``'s run ``recorded`` (wrote and kept) its send
+    log or ``reused`` a kept one; None when it kept what it wrote
+    nowhere, or wrote none."""
+    return result.manifest.get("record", {}).get("log")
 
 
 class TestGolden:
@@ -65,9 +66,9 @@ class TestGolden:
     @pytest.mark.parametrize("protocol", ALL)
     def test_timing_reports_match_the_live_observer(self, protocol, link_name):
         trace = small_trace("water", n_procs=4)
-        for expected_source in ("recorded", "reused"):
+        for expected_source in (None, "recorded", "reused"):
             result = simulate(trace, protocol, page_size=1024, link_model=LINKS[link_name])
-            assert result.manifest["send_log"] == expected_source
+            assert log_source(result) == expected_source
             assert result.timing == GOLDEN[f"{protocol}/{link_name}"]
 
 
@@ -105,17 +106,21 @@ class TestColdEqualsWarm:
             assert manifest["execution_path"] == (
                 "per_event" if variant == "record_values" else "tape"
             )
-            return manifest["send_log"], observed
+            return log_source(result), observed
 
+        # A cell's first run writes its log and keeps nothing; the second
+        # keeps the log it writes, and every later one folds over it.
         first, second = small_trace("water"), small_trace("water")
         source, cold = run(first, LOSSY)
+        assert source is None
+        source, recorded = run(first, LOSSY)
         assert source == "recorded"
         source, warm = run(first, LOSSY)
         assert source == "reused"
-        assert run(second, other)[0] == "recorded"
+        assert [run(second, other)[0] for _ in range(2)] == [None, "recorded"]
         source, cross = run(second, LOSSY)
         assert source == "reused"
-        assert cold == warm == cross
+        assert cold == recorded == warm == cross
         assert cold[0]["timing"]["completion_s"] > 0.0
 
 
@@ -144,11 +149,10 @@ def test_cold_timing_equals_warm_timing(program, protocol, page_size, link):
     scripts, seed = program
     trace = interleave(scripts, seed)
     config = SimConfig(n_procs=N_PROCS, page_size=page_size, link_model=link)
-    cold = simulate(trace, protocol, config=config)
-    warm = simulate(trace, protocol, config=config)
-    assert (cold.manifest["send_log"], warm.manifest["send_log"]) == ("recorded", "reused")
-    assert cold.timing == warm.timing
-    assert body(cold) == body(warm)
+    cold, recorded, warm = [simulate(trace, protocol, config=config) for _ in range(3)]
+    assert [log_source(run) for run in (cold, recorded, warm)] == [None, "recorded", "reused"]
+    assert cold.timing == recorded.timing == warm.timing
+    assert body(cold) == body(recorded) == body(warm)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -160,9 +164,9 @@ def test_cold_timing_equals_warm_timing(program, protocol, page_size, link):
     st.integers(0, 2),
 )
 def test_tape_recorded_log_equals_the_interpreters(program, protocol, page_size, link, extra):
-    """The tape records a cold cell's send log; a run that reads values
+    """The tape records a cell's send log; a run that reads values
     records its own, on the interpreter, every message at the op that
-    sent it. The two logs agree record for record — compute charges
+    sent it. (Each cell runs twice: the second run keeps its log.) The two logs agree record for record — compute charges
     included, merged in by op position — and so do their clocks, bit for
     bit. ``extra`` > 0 simulates more processors than the program has,
     which a barrier it re-enters would refuse: the program drops them."""
@@ -173,14 +177,15 @@ def test_tape_recorded_log_equals_the_interpreters(program, protocol, page_size,
         }
     trace = interleave(scripts, seed)
     config = SimConfig(n_procs=N_PROCS + extra, page_size=page_size, link_model=link)
-    tape = simulate(trace, protocol, config=config)
-    interpreted = simulate(trace, protocol, config=config.with_options(record_values=True))
-    assert (tape.manifest["execution_path"], tape.manifest["send_log"]) == ("tape", "recorded")
-    assert (interpreted.manifest["execution_path"], interpreted.manifest["send_log"]) == (
+    tape = [simulate(trace, protocol, config=config) for _ in range(2)][1]
+    values = config.with_options(record_values=True)
+    interpreted = [simulate(trace, protocol, config=values) for _ in range(2)][1]
+    assert (tape.manifest["execution_path"], log_source(tape)) == ("tape", "recorded")
+    assert (interpreted.manifest["execution_path"], log_source(interpreted)) == (
         "per_event",
         "recorded",
     )
-    logs = batch_plan(trace.compiled(page_size), config.n_procs)._send_logs.values()
+    logs = kept_parts(batch_plan(trace.compiled(page_size), config.n_procs), "log")
     tape_log, interpreted_log = [(log.src, log.dst, log.amount) for log in logs]
     assert tape_log == interpreted_log
     assert tape.timing == interpreted.timing
@@ -189,10 +194,9 @@ def test_tape_recorded_log_equals_the_interpreters(program, protocol, page_size,
 class TestCacheKey:
     def test_changing_only_the_link_reuses_the_log(self):
         trace = small_trace("water")
-        before = plan_stats()
-        for link in LINKS.values():
-            simulate(trace, "LI", page_size=1024, link_model=link)
-        assert send_log_delta(before) == (1, len(LINKS) - 1)
+        runs = [simulate(trace, "LI", page_size=1024, link_model=link) for link in LINKS.values()]
+        assert [log_source(run) for run in runs] == [None, "recorded", "reused"]
+        assert len(kept_parts(batch_plan(trace.compiled(1024), trace.n_procs), "log")) == 1
 
     @pytest.mark.parametrize(
         "change",
@@ -209,21 +213,25 @@ class TestCacheKey:
     )
     def test_any_other_config_field_records_a_new_log(self, change):
         trace = small_trace("water")
-        simulate(trace, "LI", page_size=1024, link_model=LOSSY)
-        before = plan_stats()
-        simulate(trace, "LI", page_size=1024, link_model=LOSSY, **change)
-        assert send_log_delta(before) == (1, 0)
+        for _ in range(2):
+            simulate(trace, "LI", page_size=1024, link_model=LOSSY)
+        changed = [
+            simulate(trace, "LI", page_size=1024, link_model=LOSSY, **change) for _ in range(2)
+        ]
+        assert [log_source(run) for run in changed] == [None, "recorded"]
 
     def test_each_protocol_records_its_own_log(self):
         trace = small_trace("water")
-        before = plan_stats()
         for protocol in ALL:
-            simulate(trace, protocol, page_size=1024, link_model=LOSSY)
-        assert send_log_delta(before) == (len(ALL), 0)
+            runs = [simulate(trace, protocol, page_size=1024, link_model=LOSSY) for _ in range(2)]
+            assert [log_source(run) for run in runs] == [None, "recorded"], protocol
+        assert len(kept_parts(batch_plan(trace.compiled(1024), trace.n_procs), "log")) == len(ALL)
 
     def test_counting_runs_never_touch_the_log(self):
         trace = small_trace("water")
         before = plan_stats()
-        result = simulate(trace, "LI", page_size=1024)
-        assert send_log_delta(before) == (0, 0)
-        assert "send_log" not in result.manifest
+        results = [simulate(trace, "LI", page_size=1024) for _ in range(3)]
+        assert [log_source(result) for result in results] == [None] * 3
+        assert not kept_parts(batch_plan(trace.compiled(1024), trace.n_procs), "log")
+        after = plan_stats()
+        assert after["record_builds"] - before["record_builds"] == 1  # the priced tape only

@@ -264,17 +264,16 @@ class TestTapeWritesTheStream:
         lossy = LinkModel.ethernet_1992(loss=0.05, timeout_s=5e-3, jitter_s=1e-4)
         trace = small_trace("water", seed=19)  # its own trace: its own send log
         runs = {}
-        for source in ("recorded", "reused"):
+        for source in (None, "recorded", "reused"):
             result, timeline = build_span_timeline(
                 trace, protocol, page_size=1024, link_model=lossy
             )
-            assert (result.manifest["send_log"], result.manifest["execution_path"]) == (
-                source, "tape"
-            )
+            log = result.manifest.get("record", {}).get("log")
+            assert (log, result.manifest["execution_path"]) == (source, "tape")
             runs[source] = (
                 timeline_fields(timeline), analyze_critical_path(timeline).rollups()
             )
-        assert runs["recorded"] == runs["reused"]
+        assert runs[None] == runs["recorded"] == runs["reused"]
         assert runs["reused"][0]["spans"]
 
 
