@@ -55,14 +55,13 @@ global order, then the operation with its flush outcome. That order is
 what makes replaying a gap in one go sound — a remote flush can
 invalidate a page (or revoke EW write permission) *mid-span*, so the
 same (proc, page) span may miss twice, but both misses precede the next
-synchronization operation and nothing else happens in between. No run
-replays those steps message by message (one that watches individual
-messages is interpreted): :func:`build_priced_eager_tape` sums them into
-one entry per barrier epoch (:class:`PricedTape`), which
-:meth:`Protocol._fold <repro.protocols.base.Protocol._fold>` folds, and
-they are dropped. A run that writes what the steps name — a record
-stream or a send log — walks them once more beside the fold and keeps
-none of them either.
+synchronization operation and nothing else happens in between. One
+walker turns the steps into charges
+(:func:`~repro.protocols.eager_base.walk_eager_steps`): summed into one
+entry per barrier epoch (:class:`PricedTape`) per cost key, which
+:meth:`Protocol._fold <repro.protocols.base.Protocol._fold>` folds; or,
+for a run that writes events or messages, also written and folded an
+epoch at a time. Nothing keeps the steps.
 
 :func:`batch_plan` memoizes one :class:`BatchPlan` (skeleton + run
 program + eager priced tapes + shared fetch planners, each built lazily
@@ -84,14 +83,12 @@ from repro.hb.interval import Interval
 from repro.hb.store import IntervalStore
 from repro.memory.diff import Diff
 from repro.network.costs import CostModel
-from repro.network.message import BARRIER_FLUSH_KINDS, UNLOCK_FLUSH_KINDS, MessageKind
 from repro.network.timed import SendLog
 from repro.obs.probe import MISS_CAUSE
 from repro.sync.barrier import BarrierMaster
 from repro.sync.lock_manager import LockDirectory
 from repro.trace.precompile import (
     OP_ACQUIRE,
-    OP_BARRIER,
     OP_READ,
     OP_READ_N,
     OP_RELEASE,
@@ -145,7 +142,7 @@ class PricedTape:
     individual message and writes no event needs of it.
 
     One schema for both families, summed by a :class:`PriceRecorder`.
-    An eager policy's tape is built from its :func:`eager_steps` walk at
+    An eager policy's tape is priced from its :func:`eager_steps` walk at
     one cost key ``(cost model, free_local_lock_reacquire)`` (the page
     size is the plan's). A lazy cell's is recorded by a tape run of a
     cell run before, at the network ledger while the kernels run, and
@@ -190,16 +187,18 @@ class PriceRecorder:
     ``captured`` takes deltas tuples until :meth:`close` charges them to
     a row: for a lazy run it is the network's capture
     (``Network._capture``: every deltas tuple ``apply_tape`` applies,
-    and every message ``send`` charges as a one-delta tuple);
-    :func:`build_priced_eager_tape` appends what it prices. It holds no
-    reference to the run, so the tape it makes references neither a
-    protocol nor a plan.
+    and every message ``send`` charges as a one-delta tuple); the eager
+    walker (:func:`~repro.protocols.eager_base.walk_eager_steps`)
+    appends what it prices. ``fold``, given, takes each epoch as it ends
+    instead of the tape. It holds no reference to the run, so the tape
+    it makes references neither a protocol nor a plan.
     """
 
-    __slots__ = ("captured", "_epochs", "_rows", "_used", "_faults")
+    __slots__ = ("captured", "_fold", "_epochs", "_rows", "_used", "_faults")
 
-    def __init__(self) -> None:
+    def __init__(self, fold=None) -> None:
         self.captured: List[tuple] = []
+        self._fold = fold
         self._epochs: List[tuple] = []
         #: The current epoch's rows, by cause in first-use order: each
         #: row's fault count, then every deltas tuple charged to it —
@@ -253,197 +252,17 @@ class PriceRecorder:
             if cause not in used or messages or data or control or faults:
                 rows.append((cause, messages, data, control, faults))
         used.update(self._rows)
-        self._epochs.append((tuple(map(tuple, by_slot.values())), tuple(rows), complete))
+        epoch = (tuple(map(tuple, by_slot.values())), tuple(rows), complete)
+        if self._fold is None:
+            self._epochs.append(epoch)
+        else:
+            self._fold(epoch)
         self._rows = {}
 
     def tape(self, counters: Dict[str, object]) -> PricedTape:
         """End the tail epoch: the run's :class:`PricedTape`."""
         self._end_epoch(False)
         return PricedTape(self._epochs, counters)
-
-
-def build_priced_eager_tape(
-    policy: str,
-    steps,
-    n_procs: int,
-    page_size: int,
-    cost_model: CostModel,
-    free_reacquire: bool,
-) -> PricedTape:
-    """Price a ``policy`` step stream against one cost key, summed per
-    barrier epoch.
-
-    ``steps`` is what :func:`eager_steps` yields, and is walked once.
-    Charges exactly what the per-event hooks send: each step's gap to
-    the miss row, then its synchronization operation with its flush
-    outcome to the operation's row; the lock hops come from a
-    :class:`LockDirectory` walked along — which also rejects a malformed
-    lock or barrier sequence here, as the live directory would during a
-    replay. Fan-outs whose hops are never local (flush pushes,
-    invalidations, barrier exits) are charged per kind in one step,
-    since the tape only keeps per-kind sums anyway.
-    """
-    update = policy == "EU"
-    page_bytes = cost_model.page_bytes(page_size)
-    notice_bytes = cost_model.write_notice_bytes
-    run_header = cost_model.diff_run_header_bytes
-    word_bytes = cost_model.word_bytes
-    header = cost_model.header_bytes if cost_model.count_header_in_data else 0
-    count_control = cost_model.count_control_in_data
-    # Acks move bytes but, under ``count_acks=False``, no message count.
-    uncounted = () if cost_model.count_acks else tuple(
-        kind.slot for kind in MessageKind if kind.is_ack
-    )
-
-    counters: Counter = Counter()
-    recorder = PriceRecorder()
-    charge = recorder.captured.append
-    faults = 0  # misses so far, the nested ones of write faults included
-
-    def price(sends) -> tuple:
-        """The merged deltas of ``(kind, n, payload, control)`` sends:
-        ``n`` non-local messages of ``kind``, the byte fields their sums."""
-        by_slot: Dict[int, List[int]] = {}
-        for kind, n, payload, control in sends:
-            if not n:
-                continue
-            slot = kind.slot
-            acc = by_slot.get(slot)
-            if acc is None:
-                by_slot[slot] = acc = [slot, 0, 0, 0]
-            if slot not in uncounted:
-                acc[1] += n
-            acc[2] += payload + n * header + (control if count_control else 0)
-            acc[3] += control
-        return tuple([tuple(acc) for acc in by_slot.values()])
-
-    #: Which hops are remote, or how many of each kind a gap sends, is
-    #: all that varies between steps that flush nothing: deltas by that.
-    memo: Dict[tuple, tuple] = {}
-
-    def price_gap(gap: tuple) -> None:
-        """One gap's misses and write faults, charged to the miss row."""
-        nonlocal faults
-        cold = invalid = requests = forwards = replies = 0
-        write_faults = ping_pongs = invalidations = 0
-        for rec in gap:
-            if rec[0] == E_MISS:
-                _, _at, proc, _page, is_cold, server, forward = rec
-            else:  # E_WFAULT (EW only): an optional nested miss, then
-                # one invalidation and its ack per other holder.
-                _, _at, proc, _page, nested, holders, ping = rec
-                write_faults += 1
-                invalidations += len(holders)
-                ping_pongs += ping
-                if nested is None:
-                    continue
-                is_cold, server, forward = nested
-            if is_cold:
-                cold += 1
-            else:
-                invalid += 1
-            # bool arithmetic: a hop counts unless it is local.
-            if forward is None:
-                requests += proc != server
-            else:
-                requests += proc != forward
-                forwards += forward != server
-            replies += server != proc
-        counters["cold_misses"] += cold
-        counters["invalid_misses"] += invalid
-        counters["write_faults"] += write_faults
-        counters["ping_pongs"] += ping_pongs
-        key = ("gap", requests, forwards, replies, invalidations)
-        deltas = memo.get(key)
-        if deltas is None:
-            deltas = memo[key] = price(
-                (
-                    (MessageKind.PAGE_REQUEST, requests, 0, 0),
-                    (MessageKind.PAGE_FORWARD, forwards, 0, 0),
-                    (MessageKind.PAGE_REPLY, replies, replies * page_bytes, 0),
-                    (MessageKind.WRITE_NOTICE, invalidations, 0, invalidations * notice_bytes),
-                    (MessageKind.RELEASE_ACK, invalidations, 0, 0),
-                )
-            )
-        if deltas:
-            charge(deltas)
-        faults += cold + invalid
-        recorder.close(MISS_CAUSE, faults)
-
-    def flush_sends(outcome: tuple, op: int) -> List[tuple]:
-        """One flush outcome: no hop of a flush is ever local."""
-        notice_kind, update_kind, ack_kind, reconcile_kind = (
-            UNLOCK_FLUSH_KINDS if op == OP_RELEASE else BARRIER_FLUSH_KINDS
-        )
-        _count, excess, pushes = outcome
-        counters["flushes"] += 1
-        counters["reconciles"] += len(excess)
-        sends = []
-        for _page, _owner, n_runs, n_words, dests in excess:
-            sends += (
-                (reconcile_kind, 1, n_runs * run_header + n_words * word_bytes, 0),
-                (notice_kind, len(dests), 0, len(dests) * notice_bytes),
-                (ack_kind, 1 + len(dests), 0, 0),
-            )
-        if update:
-            payload = sum(
-                runs_total * run_header + words_total * word_bytes
-                for _dest, _n_diffs, runs_total, words_total in pushes
-            )
-            sends.append((update_kind, len(pushes), payload, 0))
-        else:
-            n_notices = sum(n_diffs for _dest, n_diffs, _runs, _words in pushes)
-            sends.append((notice_kind, len(pushes), 0, n_notices * notice_bytes))
-        sends.append((ack_kind, len(pushes), 0, 0))
-        return sends
-
-    locks = LockDirectory(n_procs)
-    barriers = BarrierMaster(n_procs)
-    master = barriers.master
-    for sync, gap, outcome in steps:
-        if gap:
-            price_gap(gap)
-        if sync is None:  # the gap after the last operation
-            break
-        op, proc, value = sync
-        cause, complete = "lock", False
-        if op == OP_ACQUIRE:
-            grantor = locks.grantor_of(value)
-            if grantor != proc or not free_reacquire:
-                manager = locks.manager_of(value)
-                key = (op, proc != manager, manager != grantor, grantor != proc)
-            else:
-                key = (op, False, False, False)
-            locks.record_acquire(proc, value)
-        elif op == OP_RELEASE:
-            key = (op,)
-            locks.record_release(proc, value)
-        else:  # OP_BARRIER
-            cause = "barrier"
-            complete = barriers.record_arrival(proc, value)
-            key = (op, proc != master, complete)
-        deltas = memo.get(key) if outcome is None else None
-        if deltas is None:
-            sends = flush_sends(outcome, op) if outcome is not None else []
-            if op == OP_ACQUIRE:
-                sends += (
-                    (MessageKind.LOCK_REQUEST, key[1], 0, 0),
-                    (MessageKind.LOCK_FORWARD, key[2], 0, 0),
-                    (MessageKind.LOCK_GRANT, key[3], 0, 0),
-                )
-            elif op == OP_BARRIER:
-                n_exits = len(barriers.exit_targets()) if complete else 0
-                sends += (
-                    (MessageKind.BARRIER_ARRIVAL, key[1], 0, 0),
-                    (MessageKind.BARRIER_EXIT, n_exits, 0, 0),
-                )
-            deltas = price(sends)
-            if outcome is None:
-                memo[key] = deltas
-        if deltas:
-            charge(deltas)
-        recorder.close((cause, value), faults, complete)
-    return recorder.tape(dict(+counters))  # the moved ones only
 
 
 class CellRecord:
@@ -575,23 +394,19 @@ class BatchPlan:
         return self.priced_eager_tape(policy, CostModel(), True)
 
     def priced_eager_tape(
-        self, policy: str, cost_model: CostModel, free_reacquire: bool, steps=None
+        self, policy: str, cost_model: CostModel, free_reacquire: bool
     ) -> PricedTape:
-        """The (memoized) priced tape of ``policy`` for one cost key.
-
-        Counted under its own ``priced_tape_*`` stats. A build prices
-        ``steps``, the walk a caller already holds, or else a fresh
-        :meth:`eager_steps`, and keeps neither.
-        """
-
-        def build() -> PricedTape:
-            walk = steps if steps is not None else self.eager_steps(policy)
-            return build_priced_eager_tape(
-                policy, walk, self.n_procs, self.page_size, cost_model, free_reacquire
-            )
+        """The (memoized) priced tape of ``policy`` for one cost key,
+        counted under its own ``priced_tape_*`` stats: a build is one
+        :func:`~repro.protocols.eager_base.walk_eager_steps`, which
+        keeps none of the steps it walks."""
+        from repro.protocols.eager_base import walk_eager_steps  # (it imports this module)
 
         return self._memo(
-            self._priced_tapes, (policy, cost_model, free_reacquire), build, "priced_tape"
+            self._priced_tapes,
+            (policy, cost_model, free_reacquire),
+            lambda: walk_eager_steps(self, policy, cost_model, free_reacquire),
+            "priced_tape",
         )
 
     def lazy_tape(self, *_cost_key) -> Skeleton:
@@ -797,8 +612,8 @@ def eager_steps(ops: List[tuple], n_procs: int, policy: str):
             excess: ((page, owner, n_runs, n_words, dests), ...)
             pushes: ((dest, n_diffs, total_runs, total_words), ...)
 
-    :func:`build_priced_eager_tape` consumes the stream; a run writing a
-    record stream or a send log walks it beside the fold. Nothing keeps it.
+    :func:`~repro.protocols.eager_base.walk_eager_steps` consumes the
+    stream. Nothing keeps it.
     """
     gap: List[tuple] = []
     if policy == "EW":

@@ -109,8 +109,8 @@ def build_manifest(
     run), and ``record`` which parts of the cell's record the run
     ``recorded`` (wrote and kept) or ``reused`` (read): ``log``, a timed
     run's send log; ``stream``, the record stream a sink or a span probe
-    reads; ``priced``, a lazy cell's priced tape or an eager policy's
-    (see :meth:`repro.simulator.engine.Engine._use_record`; a part the
+    reads; ``priced``, a lazy cell's priced tape or the eager policy's
+    a run that writes nothing folds (see :meth:`repro.simulator.engine.Engine._use_record`; a part the
     run wrote without keeping it, or never needed, is absent).
     """
     params = trace.meta.params

@@ -48,12 +48,13 @@ def certify_replay(protocol: "Protocol") -> Tuple[str, Optional[str]]:
       fetch in one
       :meth:`Network.apply_tape <repro.network.network.Network.apply_tape>`
       bulk update, or one fold over the cell's kept priced tape once a
-      run of it writes nothing; eager family: the fold, the whole run).
+      run of it writes nothing; eager family: one walk of the policy's
+      steps, :func:`~repro.protocols.eager_base.walk_eager_steps` — a
+      fold over its memoized priced tape when the run writes nothing).
       A stock probe's metrics rows and a timed run's send log are fed
-      from the same records; event sinks
-      and a span probe get what the kernels write from them, or the
-      record stream the cell's record keeps (:meth:`observe_on_tape`).
-      The reason is None.
+      from the same records; event sinks and a span probe get what the
+      kernels or the walker write from them, or the record stream the
+      cell's record keeps (:meth:`observe_on_tape`). The reason is None.
 
     The engine dispatches on the path; the pair goes into the run's
     manifest. (``reference`` is ``Engine.run_reference``, never chosen
@@ -126,10 +127,6 @@ class Protocol(abc.ABC):
         # forces the per-event path, which alone maintains them — so the
         # kernels keep page *state* and the ledger only.
         self._value_free = False
-        #: The priced tape a tape run folds instead of running kernels:
-        #: an eager policy's, bound with the plan; a lazy cell's kept
-        #: one, handed over by the engine (``fold_priced``).
-        self._priced: Optional[PricedTape] = None
 
     def attach_probe(self, probe: Probe) -> None:
         """Install ``probe`` on this protocol and its network.
@@ -200,40 +197,37 @@ class Protocol(abc.ABC):
             self._span.epoch()
         self.probe._next_epoch()
 
-    def _fold(self, tape: PricedTape, walk=None) -> None:
+    def _fold(self, tape: PricedTape) -> None:
         """A run as one fold over its priced tape — either family's, one
-        step per barrier epoch.
-
-        Each epoch's deltas go into the ledger. Under a stock probe its
-        new rows are created in first-use order — the sync wrappers'
-        order — each row is charged its sum, and a completed epoch
-        advances the probe's, so the metrics snapshot matches the
-        per-message path. ``walk``, given, first writes the epoch's
-        events and messages up to the arrival that completes it, whose
-        window a record stream being written closes after the charge and
-        the epoch mark. The tape's final counters (histograms copied)
-        are the run's.
-        """
-        apply_tape = self.network.apply_tape
-        probe = self.probe if self._obs else None
-        span = self._span
-        for deltas, rows, complete in tape.epochs:
-            if walk is not None:
-                walk()
-            apply_tape(deltas)
-            if probe is not None:
-                for cause, messages, data, control, faults in rows:
-                    row = probe._cause_row(*cause)
-                    row[0] += messages
-                    row[1] += data
-                    row[2] += control
-                    row[3] += faults
-                if complete:
-                    self._next_epoch()
-            if complete and span is not None:
-                span.end()
+        :meth:`_fold_epoch` per barrier epoch. The tape's final counters
+        (histograms copied) are the run's."""
+        for epoch in tape.epochs:
+            self._fold_epoch(epoch)
         for name, value in tape.counters.items():
             setattr(self, name, dict(value) if isinstance(value, dict) else value)
+
+    def _fold_epoch(self, epoch: tuple) -> None:
+        """One epoch of a priced tape: its deltas go into the ledger.
+        Under a stock probe its new rows are created in first-use order
+        — the sync wrappers' order — each row is charged its sum, and a
+        completed epoch advances the probe's, so the metrics snapshot
+        matches the per-message path. A completed epoch then closes the
+        window of the arrival that completed it in a record stream being
+        written, after the charge and the epoch mark."""
+        deltas, rows, complete = epoch
+        self.network.apply_tape(deltas)
+        if self._obs:
+            probe = self.probe
+            for cause, messages, data, control, faults in rows:
+                row = probe._cause_row(*cause)
+                row[0] += messages
+                row[1] += data
+                row[2] += control
+                row[3] += faults
+            if complete:
+                self._next_epoch()
+        if complete and self._span is not None:
+            self._span.end()
 
     # -- helpers -----------------------------------------------------------
 

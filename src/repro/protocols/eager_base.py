@@ -18,17 +18,20 @@ its diff to the current owner, which merges it — the paper's ``v`` term
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.types import BarrierId, LockId, PageId, ProcId
-from repro.hb.skeleton import E_MISS
+from repro.hb.skeleton import E_MISS, PriceRecorder, PricedTape
 from repro.memory.diff import Diff
 from repro.memory.page import PageEntry, PageState
 from repro.network.message import BARRIER_FLUSH_KINDS, UNLOCK_FLUSH_KINDS, MessageKind
-from repro.obs.probe import NULL_PROBE
+from repro.obs.probe import MISS_CAUSE, NULL_PROBE
 from repro.protocols.base import Protocol
 from repro.config import SimConfig
+from repro.sync.barrier import BarrierMaster
+from repro.sync.lock_manager import LockDirectory
 from repro.trace.precompile import OP_ACQUIRE, OP_BARRIER, OP_RELEASE
 
 
@@ -61,8 +64,264 @@ class PageDirectory:
 FlushKinds = Tuple[MessageKind, MessageKind, MessageKind, MessageKind]
 
 
-#: The transition event a sync step's wrapper emits, by compiled op.
-_SYNC_EVENTS = {OP_ACQUIRE: "acquire", OP_RELEASE: "release", OP_BARRIER: "barrier_arrive"}
+#: A write fault's nested fetch when it has none: ``(cold, server, forward)``.
+_NO_MISS = (None, None, None)
+
+
+def _unsent(kind, src, dst, payload_bytes=0, control_bytes=0) -> None:
+    """Where a writing run with no tap sends its messages: nowhere."""
+
+
+def walk_eager_steps(plan, policy: str, cost_model, free_reacquire: bool, run=None) -> PricedTape:
+    """Walk ``policy``'s :func:`~repro.hb.skeleton.eager_steps` once,
+    priced at one cost key and summed per barrier epoch: the one place
+    eager steps become messages.
+
+    Each step's gap is charged to the miss row, then its synchronization
+    operation with its flush outcome to the operation's row — exactly
+    what the per-event hooks send. The lock hops come from a
+    :class:`LockDirectory` walked along, which also rejects a malformed
+    lock or barrier sequence here, as the live directory would. A
+    charge is priced per kind, since the tape keeps only per-kind sums,
+    and memoized by what varies between steps that flush nothing: which
+    hops are remote, or how many of each kind a gap sends.
+
+    ``run``, a tape run that writes events or messages, gets in the same
+    loop what the hooks would give it, in their order: each event at
+    ``run._emit``, each message at ``run._tap`` (a send log's cursor at
+    its access or operation), each operation's window in the span
+    stream being written. Each epoch is folded into ``run`` as it ends
+    (:meth:`~repro.protocols.base.Protocol._fold_epoch`), so the tape
+    returned holds only the counters.
+    """
+    update = policy == "EU"
+    page_bytes = cost_model.page_bytes(plan.page_size)
+    notice_bytes = cost_model.write_notice_bytes
+    run_header = cost_model.diff_run_header_bytes
+    word_bytes = cost_model.word_bytes
+    header = cost_model.header_bytes if cost_model.count_header_in_data else 0
+    count_control = cost_model.count_control_in_data
+    # Acks move bytes but, under ``count_acks=False``, no message count.
+    uncounted = () if cost_model.count_acks else tuple(
+        kind.slot for kind in MessageKind if kind.is_ack
+    )
+
+    writes = run is not None
+    emit = run._emit if writes and run._obs_events else NULL_PROBE.emit
+    send = run._tap if writes and run._tap is not None else _unsent
+    span = run._span if writes else None
+    log = run._log if writes else None
+    if log is not None:  # (a step names its sync op, not the op's position)
+        sync_at = (at for at, op in enumerate(plan.ops) if op[0] >= OP_ACQUIRE)
+
+    counters: Counter = Counter()
+    recorder = PriceRecorder(run._fold_epoch if writes else None)
+    charge = recorder.captured.append
+    faults = 0  # misses so far, the nested ones of write faults included
+    memo: Dict[tuple, tuple] = {}
+
+    def price(sends) -> tuple:
+        """The merged deltas of ``(kind, n, payload, control)`` sends:
+        ``n`` non-local messages of ``kind``, the byte fields their sums."""
+        by_slot: Dict[int, List[int]] = {}
+        for kind, n, payload, control in sends:
+            if not n:
+                continue
+            slot = kind.slot
+            acc = by_slot.get(slot)
+            if acc is None:
+                by_slot[slot] = acc = [slot, 0, 0, 0]
+            if slot not in uncounted:
+                acc[1] += n
+            acc[2] += payload + n * header + (control if count_control else 0)
+            acc[3] += control
+        return tuple([tuple(acc) for acc in by_slot.values()])
+
+    def walk_gap(gap: tuple) -> None:
+        """One gap's misses and write faults (``_service_miss`` /
+        ``_fetch_page_copy`` / EW's fault), charged to the miss row."""
+        nonlocal faults
+        cold = invalid = requests = forwards = replies = 0
+        write_faults = ping_pongs = invalidations = 0
+        for rec in gap:
+            if rec[0] == E_MISS:
+                _, at, proc, page, is_cold, server, forward = rec
+                holders = ()
+            else:  # E_WFAULT (EW only): an optional nested miss, then
+                # one invalidation and its ack per other holder.
+                _, at, proc, page, miss, holders, ping = rec
+                write_faults += 1
+                invalidations += len(holders)
+                ping_pongs += ping
+                if writes:
+                    emit("write_fault", proc=proc, page=page)
+                is_cold, server, forward = miss or _NO_MISS
+            if log is not None:
+                log.at = at
+            if is_cold is not None:
+                if is_cold:
+                    cold += 1
+                else:
+                    invalid += 1
+                # bool arithmetic: a hop counts unless it is local.
+                if forward is None:
+                    requests += proc != server
+                else:
+                    requests += proc != forward
+                    forwards += forward != server
+                replies += server != proc
+                if writes:
+                    emit("page_fault", proc=proc, page=page, cold=int(is_cold))
+                    if forward is None:
+                        send(MessageKind.PAGE_REQUEST, proc, server)
+                    else:
+                        send(MessageKind.PAGE_REQUEST, proc, forward)
+                        send(MessageKind.PAGE_FORWARD, forward, server)
+                    send(MessageKind.PAGE_REPLY, server, proc, page_bytes)
+                    emit("page_fetch", proc=proc, page=page, server=server, bytes=page_bytes)
+            if writes:
+                for holder in holders:
+                    send(MessageKind.WRITE_NOTICE, proc, holder, 0, notice_bytes)
+                    send(MessageKind.RELEASE_ACK, holder, proc)
+        counters["cold_misses"] += cold
+        counters["invalid_misses"] += invalid
+        counters["write_faults"] += write_faults
+        counters["ping_pongs"] += ping_pongs
+        key = ("gap", requests, forwards, replies, invalidations)
+        deltas = memo.get(key)
+        if deltas is None:
+            deltas = memo[key] = price(
+                (
+                    (MessageKind.PAGE_REQUEST, requests, 0, 0),
+                    (MessageKind.PAGE_FORWARD, forwards, 0, 0),
+                    (MessageKind.PAGE_REPLY, replies, replies * page_bytes, 0),
+                    (MessageKind.WRITE_NOTICE, invalidations, 0, invalidations * notice_bytes),
+                    (MessageKind.RELEASE_ACK, invalidations, 0, 0),
+                )
+            )
+        if deltas:
+            charge(deltas)
+        faults += cold + invalid
+        recorder.close(MISS_CAUSE, faults)
+
+    def walk_flush(proc: ProcId, outcome: tuple, op: int) -> List[tuple]:
+        """One flush outcome (``EagerProtocol._flush``) as sends to
+        price: no hop of a flush is ever local."""
+        notice_kind, update_kind, ack_kind, reconcile_kind = (
+            UNLOCK_FLUSH_KINDS if op == OP_RELEASE else BARRIER_FLUSH_KINDS
+        )
+        count, excess, pushes = outcome
+        counters["flushes"] += 1
+        counters["reconciles"] += len(excess)
+        if writes:
+            emit("flush", proc=proc, count=count)
+        sends = []
+        for _page, owner, n_runs, n_words, dests in excess:
+            diff_bytes = n_runs * run_header + n_words * word_bytes
+            sends += (
+                (reconcile_kind, 1, diff_bytes, 0),
+                (notice_kind, len(dests), 0, len(dests) * notice_bytes),
+                (ack_kind, 1 + len(dests), 0, 0),
+            )
+            if writes:
+                send(reconcile_kind, proc, owner, diff_bytes)
+                send(ack_kind, owner, proc)
+                for dest in dests:
+                    send(notice_kind, proc, dest, 0, notice_bytes)
+                    send(ack_kind, dest, proc)
+        payload = n_notices = 0
+        for dest, n_diffs, runs_total, words_total in pushes:
+            if update:
+                push_bytes = runs_total * run_header + words_total * word_bytes
+                payload += push_bytes
+                if writes:
+                    send(update_kind, proc, dest, push_bytes)
+                    emit("update_push", proc=proc, dest=dest, count=n_diffs, bytes=push_bytes)
+            else:
+                n_notices += n_diffs
+                if writes:
+                    control = n_diffs * notice_bytes
+                    send(notice_kind, proc, dest, 0, control)
+                    emit("notices_send", proc=proc, dest=dest, count=n_diffs, bytes=control)
+            if writes:
+                send(ack_kind, dest, proc)
+        if update:
+            sends.append((update_kind, len(pushes), payload, 0))
+        else:
+            sends.append((notice_kind, len(pushes), 0, n_notices * notice_bytes))
+        sends.append((ack_kind, len(pushes), 0, 0))
+        return sends
+
+    locks = LockDirectory(plan.n_procs)
+    barriers = BarrierMaster(plan.n_procs)
+    master = barriers.master
+    for sync, gap, outcome in plan.eager_steps(policy):
+        if gap:
+            walk_gap(gap)
+        if sync is None:  # the gap after the last operation
+            break
+        op, proc, value = sync
+        cause = "barrier" if op == OP_BARRIER else "lock"
+        complete = False
+        if writes:
+            if log is not None:
+                log.at = next(sync_at)
+            if span is not None:
+                span.begin(cause, value)
+        if op == OP_ACQUIRE:
+            if writes:
+                emit("acquire", proc=proc, lock=value)
+            grantor = locks.grantor_of(value)
+            if grantor != proc or not free_reacquire:
+                manager = locks.manager_of(value)
+                key = (op, proc != manager, manager != grantor, grantor != proc)
+                if writes:
+                    send(MessageKind.LOCK_REQUEST, proc, manager)
+                    send(MessageKind.LOCK_FORWARD, manager, grantor)
+                    send(MessageKind.LOCK_GRANT, grantor, proc)
+            else:
+                key = (op, False, False, False)
+            locks.record_acquire(proc, value)
+        elif op == OP_RELEASE:
+            if writes:
+                emit("release", proc=proc, lock=value)
+            key = (op,)
+            locks.record_release(proc, value)
+        else:  # OP_BARRIER
+            if writes:
+                emit("barrier_arrive", proc=proc, barrier=value)
+            complete = barriers.record_arrival(proc, value)
+            key = (op, proc != master, complete)
+        deltas = memo.get(key) if outcome is None else None
+        if deltas is None:
+            sends = walk_flush(proc, outcome, op) if outcome is not None else []
+            if op == OP_ACQUIRE:
+                sends += (
+                    (MessageKind.LOCK_REQUEST, key[1], 0, 0),
+                    (MessageKind.LOCK_FORWARD, key[2], 0, 0),
+                    (MessageKind.LOCK_GRANT, key[3], 0, 0),
+                )
+            elif op == OP_BARRIER:
+                n_exits = len(barriers.exit_targets()) if complete else 0
+                sends += (
+                    (MessageKind.BARRIER_ARRIVAL, key[1], 0, 0),
+                    (MessageKind.BARRIER_EXIT, n_exits, 0, 0),
+                )
+            deltas = price(sends)
+            if outcome is None:
+                memo[key] = deltas
+        if writes and op == OP_BARRIER:
+            send(MessageKind.BARRIER_ARRIVAL, proc, master)
+            if complete:
+                emit("barrier_complete", proc=proc, barrier=value)
+                for target in barriers.exit_targets():
+                    send(MessageKind.BARRIER_EXIT, master, target)
+        if deltas:
+            charge(deltas)
+        recorder.close((cause, value), faults, complete)
+        if span is not None and not complete:  # (a completed epoch's fold ends it)
+            span.end()
+    return recorder.tape(dict(+counters))  # the moved ones only
 
 
 class EagerTapeMixin:
@@ -86,163 +345,22 @@ class EagerTapeMixin:
     (:func:`~repro.protocols.base.certify_replay`); anything else stays
     on the per-event interpreter, the bit-identical reference.
 
-    A certified run is a fold over the **priced** tape
-    (:class:`~repro.hb.skeleton.PricedTape`, through
-    :meth:`~repro.protocols.base.Protocol._fold`, the one fold both
-    families share): each barrier epoch's merged ledger deltas into the
-    network, the counters and — under a stock probe — the staged
-    attribution rows' sums. The priced tape is built from
-    the walk's steps and they are dropped. A run that emits events or
-    has a tap (``_tap``: a span probe or record stream being written,
-    or a timed run writing its send log) walks them again,
-    alongside the fold, for each one's events and messages, and keeps
-    none of them either.
+    :func:`walk_eager_steps` turns the steps into charges. A run that
+    writes no event and has no tap folds the priced tape of its cost
+    key, memoized on the plan
+    (:meth:`~repro.hb.skeleton.BatchPlan.priced_eager_tape`). One that
+    does (a sink, a span probe or record stream being written, a timed
+    run writing its send log) walks the steps once, writing as it goes
+    and folding each epoch as it ends; it neither reads nor keeps the
+    memo.
     """
 
     def bind_batch_plan(self, plan):
-        """Bind the priced tape for this run's cost key (and, for events
-        or a tap, a fresh walk's steps beside it); returns the whole run
-        as one callable."""
-        self._page_fetch_bytes = self.costs.page_bytes(self.page_size)
-        self._ops = plan.ops
-        walk = self._obs_events or self._tap is not None
-        self._steps = plan.eager_steps(self.name) if walk else None
-        # A priced build prices the steps in hand rather than walk again.
-        self._priced = plan.priced_eager_tape(
-            self.name, self.costs, self.config.free_local_lock_reacquire, self._steps
-        )
-        return self._t_run if walk else partial(self._fold, self._priced)
-
-    # -- priced tape replay ----------------------------------------------------
-
-    def _t_run(self) -> None:
-        """The whole run with its events and messages: the fold, each
-        epoch preceded by its steps of the walk.
-
-        A gap's events land before the sync operation after it. The tap
-        gets, between the events, each step's messages in the order the
-        per-event hooks send them (a send log each at its op), and a span
-        stream each operation's window around them. An epoch's walk stops
-        at the arrival the protocol's (otherwise idle) barrier directory
-        says completes it, the window left open for the fold.
-        """
-        emit = self._emit if self._obs_events else NULL_PROBE.emit
-        span, log, send = self._span, self._log, self._tap
-        steps = iter(self._steps)
-        arrive = self.barriers.record_arrival
-        if log is not None:  # (a step names its sync op, not the op's position)
-            sync_at = (at for at, op in enumerate(self._ops) if op[0] >= OP_ACQUIRE)
-
-        def walk() -> None:
-            for sync, gap, flush in steps:
-                self._emit_gap(gap, emit, send)
-                if sync is None:  # the gap after the last operation
-                    return
-                op, proc, ident = sync
-                # The cause kind names the event's id field too.
-                kind = "barrier" if op == OP_BARRIER else "lock"
-                if log is not None:
-                    log.at = next(sync_at)
-                if span is not None:
-                    span.begin(kind, ident)
-                emit(_SYNC_EVENTS[op], proc=proc, **{kind: ident})
-                self._emit_flush(proc, flush, op, emit, send)
-                if send is not None:
-                    self._span_sync(op, proc, ident, send)
-                if op == OP_BARRIER and arrive(proc, ident):
-                    emit("barrier_complete", proc=proc, barrier=ident)
-                    if send is not None:
-                        for target in self.barriers.exit_targets():
-                            send(MessageKind.BARRIER_EXIT, self.barriers.master, target)
-                    return
-                if span is not None:
-                    span.end()
-
-        self._fold(self._priced, walk)
-
-    def _span_sync(self, op: int, proc: ProcId, ident: int, send) -> None:
-        """The hops of one sync operation itself, as the ``_on_*`` hooks
-        send them after any flush; the protocol's own (otherwise idle)
-        lock directory is walked along for the grantors."""
-        locks = self.locks
-        if op == OP_ACQUIRE:
-            grantor = locks.grantor_of(ident)
-            if grantor != proc or not self.config.free_local_lock_reacquire:
-                manager = locks.manager_of(ident)
-                send(MessageKind.LOCK_REQUEST, proc, manager)
-                send(MessageKind.LOCK_FORWARD, manager, grantor)
-                send(MessageKind.LOCK_GRANT, grantor, proc)
-            locks.record_acquire(proc, ident)
-        elif op == OP_RELEASE:
-            locks.record_release(proc, ident)
-        else:
-            send(MessageKind.BARRIER_ARRIVAL, proc, self.barriers.master)
-
-    def _emit_gap(self, gap: tuple, emit, send) -> None:
-        """The events of one gap's misses and write faults, in the order
-        ``_service_miss`` / ``_fetch_page_copy`` / EW's fault emit them
-        — and, given ``send``, their messages in between, each at its
-        access's position in a send log."""
-        log = self._log
-        page_bytes = self._page_fetch_bytes
-        for rec in gap:
-            holders = ()
-            if rec[0] == E_MISS:
-                _, at, proc, page, *miss = rec
-            else:  # E_WFAULT: an optional nested miss, then the invalidations
-                _, at, proc, page, miss, holders, _ping = rec
-                emit("write_fault", proc=proc, page=page)
-            if log is not None:
-                log.at = at
-            if miss is not None:
-                cold, server, forward = miss
-                emit("page_fault", proc=proc, page=page, cold=int(cold))
-                if send is not None:
-                    if forward is None:
-                        send(MessageKind.PAGE_REQUEST, proc, server)
-                    else:
-                        send(MessageKind.PAGE_REQUEST, proc, forward)
-                        send(MessageKind.PAGE_FORWARD, forward, server)
-                    send(MessageKind.PAGE_REPLY, server, proc, page_bytes)
-                emit("page_fetch", proc=proc, page=page, server=server, bytes=page_bytes)
-            if send is not None:
-                for holder in holders:
-                    send(MessageKind.WRITE_NOTICE, proc, holder, 0, self.costs.write_notice_bytes)
-                    send(MessageKind.RELEASE_ACK, holder, proc)
-
-    def _emit_flush(self, proc: ProcId, flush: Optional[tuple], op: int, emit, send) -> None:
-        """The events of one flush outcome (``EagerProtocol._flush``)
-        and, given ``send``, its messages in the same order."""
-        if flush is None:
-            return
-        costs = self.costs
-        header_bytes, word_bytes = costs.diff_run_header_bytes, costs.word_bytes
-        notice_kind, update_kind, ack_kind, reconcile_kind = (
-            UNLOCK_FLUSH_KINDS if op == OP_RELEASE else BARRIER_FLUSH_KINDS
-        )
-        count, excess, pushes = flush
-        emit("flush", proc=proc, count=count)
-        if send is not None:
-            for _page, owner, n_runs, n_words, dests in excess:
-                send(reconcile_kind, proc, owner, n_runs * header_bytes + n_words * word_bytes)
-                send(ack_kind, owner, proc)
-                for dest in dests:
-                    send(notice_kind, proc, dest, 0, costs.notices_bytes(1))
-                    send(ack_kind, dest, proc)
-        update = self.update
-        for dest, n_diffs, runs_total, words_total in pushes:
-            if update:
-                payload = runs_total * header_bytes + words_total * word_bytes
-                if send is not None:
-                    send(update_kind, proc, dest, payload)
-                emit("update_push", proc=proc, dest=dest, count=n_diffs, bytes=payload)
-            else:
-                control = costs.notices_bytes(n_diffs)
-                if send is not None:
-                    send(notice_kind, proc, dest, 0, control)
-                emit("notices_send", proc=proc, dest=dest, count=n_diffs, bytes=control)
-            if send is not None:
-                send(ack_kind, dest, proc)
+        """The whole run as one callable (see the class docstring)."""
+        cost_key = (self.costs, self.config.free_local_lock_reacquire)
+        if self._obs_events or self._tap is not None:
+            return lambda: self._fold(walk_eager_steps(plan, self.name, *cost_key, self))
+        return partial(self._fold, plan.priced_eager_tape(self.name, *cost_key))
 
 
 class EagerProtocol(EagerTapeMixin, Protocol):

@@ -107,6 +107,9 @@ class LazyProtocol(Protocol):
         self.pull_h_histogram: Dict[int, int] = {}
         #: Set by :meth:`record_priced`: this tape run prices itself.
         self._recording = False
+        #: Set by :meth:`fold_priced`: the cell's kept priced tape, which
+        #: this tape run folds instead of running the kernels.
+        self._priced: Optional[PricedTape] = None
 
     def use_reference_scans(self) -> None:
         self._indexed = False

@@ -370,8 +370,9 @@ class Engine:
         lazy family walks the access-run program (see
         :mod:`repro.trace.runs`) over kernels that replay
         synchronization from the sync skeleton, or folds its cell's
-        priced tape; the eager family folds its policy's priced tape and
-        needs no run program at all.
+        priced tape; the eager family folds its policy's priced tape, or
+        walks its steps once when the run writes, and needs no run
+        program at all.
         """
         t0 = time.perf_counter()
         if plan is None:
@@ -488,7 +489,8 @@ class Engine:
         record = self._record_parts
         built = plan_cache.get("priced_tape_builds")
         if built or plan_cache.get("priced_tape_hits"):
-            # An eager policy's tape, priced by this run or folded.
+            # An eager policy's tape, priced by this run or folded (a
+            # writing run walks its steps and touches no tape).
             record["priced"] = "recorded" if built else "reused"
         return SimulationResult(
             app=self.trace.meta.app,

@@ -239,8 +239,9 @@ def run_loop(trace, protocol, config, loop, make_probe=None, sink=None):
     eager_kept = None
     if expected[0] == "tape" and not protocol_class(protocol).lazy:
         plan = batch_plan(trace.compiled(config.page_size), config.n_procs)
-        cost_key = (config.cost_model, config.free_local_lock_reacquire)
-        eager_kept = (protocol_class(protocol).name, *cost_key) in plan._priced_tapes
+        name = protocol_class(protocol).name
+        cost_key = (name, config.cost_model, config.free_local_lock_reacquire)
+        eager_kept = cost_key in plan._priced_tapes
     engine = Engine(trace, config.with_options(**overrides), protocol, probe=probe)
     result = engine.run_reference() if loop == "reference" else engine.run()
     assert path_and_reason(result) == expected
@@ -249,8 +250,15 @@ def run_loop(trace, protocol, config, loop, make_probe=None, sink=None):
         stream = "recorded" if loop == "recorded" else "reused"
         assert record.get("stream") == (stream if observed else None)
     if eager_kept is not None:
-        # Every eager tape run folds its policy's tape, priced first if none is kept.
-        assert record.get("priced") == ("reused" if eager_kept else "recorded")
+        ran = engine.protocol
+        if ran._obs_events or ran._tap is not None:
+            # A run writing events or messages walks the steps once, and
+            # neither reads nor keeps its policy's priced tape.
+            assert "priced" not in record
+            assert (cost_key in plan._priced_tapes) == eager_kept
+        else:
+            # Every other folds it, priced first if none is kept.
+            assert record.get("priced") == ("reused" if eager_kept else "recorded")
     elif loop in ("recorded", "folded"):
         priced = "recorded" if loop == "recorded" else "reused"
         assert record.get("priced") == (priced if lazy else None)

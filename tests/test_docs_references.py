@@ -6,8 +6,9 @@ allowed), or as a titled role's ``<repro.…>`` target; the forms are
 listed in :func:`test_the_scan_reads_every_reference_form` — is a claim
 that the object exists. So is a backticked ``…_builds`` / ``…_hits``
 counter (a ``PLAN_STATS`` key) and a backticked ``manifest["…"]`` /
-``manifest.get("…")`` read (a key some run's manifest carries). This
-scans the package sources, ``docs/*.md``, ``DESIGN.md``, ``README.md``
+``manifest.get("…")`` read (a key some run's manifest carries), and
+so is the path table's list of decline reasons. This scans the package
+sources, ``docs/*.md``, ``DESIGN.md``, ``README.md``
 and ``EXPERIMENTS.md`` and checks each one, so a rename or a removal
 cannot leave a stale reference behind.
 """
@@ -145,3 +146,23 @@ def test_every_backticked_manifest_key_is_on_some_run():
     assert keys  # not vacuous
     stale = [f"{path}:{line}: {key}" for path, line, key in keys if key not in live]
     assert not stale, "manifest keys no run carries:\n" + "\n".join(stale)
+
+
+#: A decline reason as the path table's ``per_event`` row names one:
+#: a snake_case name in backticks after a dash.
+ROW_REASON = re.compile(r"— `([a-z]+(?:_[a-z]+)+)`")
+
+
+def test_the_path_table_names_every_decline_reason_in_order():
+    """docs/OBSERVABILITY.md's ``per_event`` row names exactly the
+    reasons :func:`~repro.protocols.base.certify_replay` returns, in the
+    order it checks them."""
+    import inspect
+
+    from repro.protocols.base import certify_replay
+
+    returned = re.findall(r'return "per_event", "(\w+)"', inspect.getsource(certify_replay))
+    assert len(returned) == 3  # not vacuous: the scan finds the reasons
+    text = (ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    (row,) = [line for line in text.splitlines() if line.startswith("| `per_event` |")]
+    assert ROW_REASON.findall(row) == returned

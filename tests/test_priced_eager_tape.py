@@ -1,6 +1,6 @@
 """The priced tape: every replay of one run agrees on everything.
 
-A certified eager run folds one summary per barrier epoch
+A certified eager run that writes nothing folds one summary per barrier epoch
 (:class:`repro.hb.skeleton.PricedTape`) instead of sending message by
 message, as a lazy cell does once its tape is kept; the epoch invariant
 and the exact metrics drain sequence are pinned here for all seven
@@ -10,9 +10,9 @@ a message-logging probe asks for, which is told of every message — on
 the result, every counter, and the metrics probe's rows down to the order
 they were created in; that the fold really sends nothing while a watched
 run still sends everything; that no eager replay builds the run program;
-and that a timed cell, which replays the priced tape before folding its
-send log — recording it on the way when cold — still produces the golden
-clocks. The random-trace
+and that a timed cell — whose runs walk the steps writing its send log
+until one is kept, then fold the priced tape beside it — still produces
+the golden clocks. The random-trace
 property at the end runs the same comparison, oracle included, over all
 seven protocols: it is also what fuzzes the lazy family's first-touch
 run program.
@@ -186,7 +186,7 @@ class TestNoRunProgram:
 
         runs = [
             ("tape", Engine(trace, config, protocol)),
-            # A sink's run walks the steps beside the priced fold; the
+            # A sink's run walks the steps once, writing its events; the
             # span probe, observing the cell again, records its stream
             # the same way; the next sink reads that stream.
             ("tape", Engine(trace, config, protocol, probe=sink_probe())),
@@ -313,20 +313,18 @@ class TestPlanCache:
         # A new cost key walks again.
         other = config.with_options(cost_model=COST_MODELS["all_flipped"])
         assert delta(other) == {"plan_hits": 1, "priced_tape_builds": 1}
-        # A sink's run walks the steps once more, for its events, and
-        # keeps nothing (it is the first to note the cell); observing the
-        # cell again walks them for the cell's record stream and keeps
-        # the stream, not the steps...
+        # A sink's run walks the steps once, for its events, and neither
+        # reads nor keeps a priced tape; it keeps nothing either (it is
+        # the first to note the cell). Observing the cell again walks
+        # them for the cell's record stream and keeps the stream, not
+        # the steps...
+        assert delta(config, RecordingProbe(sinks=[ColumnarSink()])) == {"plan_hits": 1}
         assert delta(config, RecordingProbe(sinks=[ColumnarSink()])) == {
             "plan_hits": 1,
-            "priced_tape_hits": 1,
-        }
-        assert delta(config, RecordingProbe(sinks=[ColumnarSink()])) == {
-            "plan_hits": 1,
-            "priced_tape_hits": 1,
             "record_builds": 1,
         }
-        # ...which every later observer of the cell reads, walking nothing.
+        # ...which every later observer of the cell reads, walking
+        # nothing: it folds the priced tape.
         assert delta(config, SpanProbe()) == {
             "plan_hits": 1,
             "priced_tape_hits": 1,
@@ -439,12 +437,15 @@ class TestTimedWarmCell:
         link = LINKS[link_name]
         counting = simulate(trace, protocol, page_size=1024)
         runs = [simulate(trace, protocol, page_size=1024, link_model=link) for _ in range(3)]
-        assert [(r.manifest["execution_path"], r.manifest["record"].get("log")) for r in runs] == [
-            ("tape", None),
-            ("tape", "recorded"),
-            ("tape", "reused"),
+        records = [r.manifest.get("record", {}) for r in runs]
+        assert [r.manifest["execution_path"] for r in runs] == ["tape"] * 3
+        assert [(record.get("log"), record.get("priced")) for record in records] == [
+            (None, None),
+            ("recorded", None),
+            ("reused", "reused"),
         ]
-        # The recording walked the eager steps and kept only the log.
+        # The writing runs walked the eager steps and kept only the log;
+        # the reading one folds the tape the counting run priced.
         plan = batch_plan(trace.compiled(1024), trace.n_procs)
         assert len(kept_parts(plan, "log")) == 1 and not kept_parts(plan, "stream")
         for run in runs:

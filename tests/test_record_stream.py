@@ -144,8 +144,8 @@ def test_manifest_and_plan_stats_name_the_stream():
 
 def test_manifest_and_plan_stats_name_the_priced_tape():
     """A lazy cell's pricing is one part of its record; the eager
-    policies' priced tapes are counted apart, and a run reports them
-    under the same ``priced`` part. The kernels replay the plan's
+    policies' priced tapes are counted apart, and a run that folds one
+    reports it under the same ``priced`` part. The kernels replay the plan's
     skeleton, which no cost key resolves: no lazy-tape counter exists,
     nor one per record part."""
     trace = small_trace("water")
@@ -171,12 +171,17 @@ def test_manifest_and_plan_stats_name_the_priced_tape():
     assert run(link_model=LinkModel.ideal()) == (
         {"log": "reused", "priced": "reused"}, {"record_hits": 2}
     )
-    # The interpreter prices nothing. An eager run prices its policy's
-    # tape at its cost key once, and every run folds it.
+    # The interpreter prices nothing. An eager run that writes nothing
+    # prices its policy's tape at its cost key once, and every such run
+    # folds it; one writing events walks the steps and touches no tape.
     assert run(record_values=True) == ({}, {})
     assert run("EU") == ({"priced": "recorded"}, {"priced_tape_builds": 1})
+    assert run("EU", probe=RecordingProbe([ColumnarSink()])) == ({}, {})
     assert run("EU", probe=RecordingProbe([ColumnarSink()])) == (
-        {"priced": "reused"}, {"priced_tape_hits": 1}
+        {"stream": "recorded"}, {"record_builds": 1}
+    )
+    assert run("EU", probe=RecordingProbe([ColumnarSink()])) == (
+        {"stream": "reused", "priced": "reused"}, {"record_hits": 1, "priced_tape_hits": 1}
     )
 
 
@@ -310,26 +315,28 @@ def observe_cell(trace, protocol, config, observer):
 
 
 def one_rule(kept, lazy: bool, observer: str):
-    """The rule of a cell's record, as a model: ``(kept', record)`` for
-    one tape run under ``observer`` — ``kept``, the parts the cell's
-    runs have kept, None before the first run that notes the cell;
-    ``record``, what the run's ``record`` manifest must say of its
-    cell's parts. A run keeps a part it writes only when the cell was
-    run before; it reads a kept one instead; a lazy cell's run that
-    writes no event, stream or send log folds its kept priced tape."""
+    """The rule of a cell's record, as a model: ``(kept', record,
+    writes)`` for one tape run under ``observer`` — ``kept``, the parts
+    the cell's runs have kept, None before the first run that notes the
+    cell; ``record``, what the run's ``record`` manifest must say of its
+    cell's parts; ``writes``, whether the run writes an event, stream or
+    send log. A run keeps a part it writes only when the cell was run
+    before; it reads a kept one instead; a lazy cell's run that writes
+    nothing folds its kept priced tape (an eager one, its policy's)."""
     needs = {"stream": observer in STREAMED, "log": observer == "timed_spans"}
     if not (lazy or any(needs.values())):
-        return kept, {}  # an eager bare fold notes nothing
+        return kept, {}, False  # an eager bare fold notes nothing
     if kept is None:
-        return set(), {}
+        return set(), {}, any(needs.values())
     record = {
         part: "reused" if part in kept else "recorded" for part, needed in needs.items() if needed
     }
+    writes = "recorded" in record.values()
     if lazy and "priced" not in kept:
         record["priced"] = "recorded"
-    elif lazy and "recorded" not in record.values():
+    elif lazy and not writes:
         record["priced"] = "reused"
-    return kept | {part for part, source in record.items() if source == "recorded"}, record
+    return kept | {part for part, source in record.items() if source == "recorded"}, record, writes
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -365,10 +372,12 @@ def test_reused_records_are_what_a_fresh_run_makes(program, order):
         seen, manifest = observe_cell(trace, protocol, config, observer)
         assert manifest["execution_path"] == "tape"
         lazy = protocol_class(protocol).lazy
-        kept[protocol, flip], expected = one_rule(kept.get((protocol, flip)), lazy, observer)
-        if not lazy:
-            # Every eager run folds its policy's tape, priced by the
-            # first run at its cost key.
+        kept[protocol, flip], expected, writes = one_rule(
+            kept.get((protocol, flip)), lazy, observer
+        )
+        if not (lazy or writes):
+            # Every eager run that writes nothing folds its policy's
+            # tape, priced by the first such run at its cost key.
             cost_key = (protocol, config.cost_model, config.free_local_lock_reacquire)
             expected["priced"] = "reused" if cost_key in eager_priced else "recorded"
             eager_priced.add(cost_key)
