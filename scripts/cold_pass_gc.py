@@ -13,11 +13,16 @@ objects reclaimed per generation, and exits non-zero unless
 * no collection during it, nor a final explicit one, reclaimed anything
   (the plan heap holds no reference cycles; a count here is a cycle that
   came back), and
-* ``gc.isenabled()`` afterwards is what it was before.
+* ``gc.isenabled()`` afterwards is what it was before, and
+* across every kept skeleton, the grouped notice batches hold exactly
+  one id object per distinct interval: the store's own
+  (``IntervalStore.interval_id``), never a per-receiver copy.
 
-Collection *counts* are host-independent where throughput is not, but
-the collector's heuristics differ by Python version, so CI runs this on
-every interpreter of the tier-1 matrix.
+Collection *counts* and id objects are host-independent where
+throughput is not, but the collector's heuristics differ by Python
+version, so CI runs this on every interpreter of the tier-1 matrix. It
+also prints the process's peak RSS (``ru_maxrss``), which depends on the
+host and is reported, not checked.
 
 Usage: python scripts/cold_pass_gc.py
 """
@@ -26,11 +31,12 @@ from __future__ import annotations
 
 import gc
 import os
+import resource
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -79,6 +85,39 @@ class CollectorLog:
         return "\n".join(lines)
 
 
+def _id_sharing(kept: List[tuple]) -> Tuple[int, int]:
+    """(distinct id objects, distinct intervals) named by the grouped
+    notice batches of every skeleton the kept traces memoize. Each
+    skeleton has its own store, so an interval is (skeleton, id)."""
+    objects = set()
+    intervals = set()
+    for trace, _sweep in kept:
+        for compiled in trace._compiled.values():
+            for plan in compiled._batch_plans.values():
+                skeleton = plan._skeleton
+                if skeleton is None:
+                    continue
+                for record in skeleton.records:
+                    if len(record) == 6:  # acquire
+                        batches = (record[4],)
+                    elif len(record) == 3 and record[2] is not None:
+                        batches = tuple(grouped for _n, grouped, _vc in record[2])
+                    else:
+                        continue
+                    for grouped in batches:
+                        for _page, interval_ids in grouped:
+                            for interval_id in interval_ids:
+                                objects.add(id(interval_id))
+                                intervals.add((id(skeleton), interval_id))
+    return len(objects), len(intervals)
+
+
+def _peak_rss_mb() -> float:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Kilobytes on Linux, bytes on macOS.
+    return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024
+
+
 def main() -> int:
     protocols = all_protocol_names()
     page_sizes = list(PAPER_PAGE_SIZES)
@@ -105,6 +144,7 @@ def main() -> int:
         elapsed = time.perf_counter() - t0
         enabled_after = gc.isenabled()
         unreachable = gc.collect()
+        id_objects, intervals = _id_sharing(kept)
         del kept
 
     cells = len(APPS) * len(protocols) * len(page_sizes)
@@ -112,6 +152,8 @@ def main() -> int:
           f"{events} cell-events in {elapsed:.2f} s (host time)")
     print(log.table())
     print(f"final gc.collect(): {unreachable} unreachable objects")
+    print(f"notice batches: {id_objects} id objects for {intervals} intervals")
+    print(f"peak RSS (ru_maxrss): {_peak_rss_mb():.1f} MB")
 
     failures = []
     if log.collections[2] > MAX_FULL_COLLECTIONS:
@@ -126,6 +168,11 @@ def main() -> int:
         )
     if enabled_after != was_enabled:
         failures.append(f"gc.isenabled() went {was_enabled} -> {enabled_after}")
+    if id_objects != intervals:
+        failures.append(
+            f"notice batches hold {id_objects} id objects for {intervals} intervals: "
+            f"an interval id is copied instead of shared"
+        )
     for failure in failures:
         print(f"cold_pass_gc: FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

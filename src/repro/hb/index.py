@@ -33,11 +33,18 @@ The plan builder runs on the store's cached mod records
 
 Plans are proc-independent — nothing in pruning, server assignment, or
 aggregation depends on who fetches — which is what makes the memo sound.
+
+A plan's key is ``(page, ids)``, ``ids`` the pending set as a *sorted
+tuple* of the store's own interval-id objects
+(:meth:`~repro.hb.store.IntervalStore.interval_id`): a tuple is a
+fraction of a frozenset's size, and sharing the ids means a key adds
+only its own pointers. The memo is what lets LU and LH reuse LI's
+plans, so it keeps every key it sees (up to its bound).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.types import PageId, ProcId
 from repro.hb.interval import IntervalId
@@ -127,11 +134,15 @@ class FetchPlanner:
         self._prune = prune_overwritten
         self._run_header_bytes = cost_model.diff_run_header_bytes
         self._word_bytes = cost_model.word_bytes
-        self._memo: Dict[Tuple[PageId, FrozenSet[IntervalId]], FetchPlan] = {}
+        self._memo: Dict[Tuple[PageId, Tuple[IntervalId, ...]], FetchPlan] = {}
         self._run_memo: Dict[tuple, RunFetchPlan] = {}
 
-    def plan(self, page: PageId, interval_ids: FrozenSet[IntervalId]) -> FetchPlan:
-        """The fetch plan for ``page`` given its pending modifying intervals."""
+    def plan(self, page: PageId, interval_ids: Tuple[IntervalId, ...]) -> FetchPlan:
+        """The fetch plan for ``page`` given its pending modifying intervals.
+
+        ``interval_ids`` is the pending set as a sorted tuple of the
+        store's id objects — the memo key, so one set has one key.
+        """
         memo = self._memo
         key = (page, interval_ids)
         plan = memo.get(key)
@@ -179,14 +190,14 @@ class FetchPlanner:
     def plan_run(self, items: tuple) -> RunFetchPlan:
         """One memoized plan covering all misses of an access run.
 
-        ``items`` is a tuple of ``(page, frozenset-of-interval-ids)``
-        pairs in faulting order. Multi-page fetches (LU/LH pulls,
-        barrier updates) repeat exactly like single-page ones —
-        every processor crossing the same barrier, every timestep
-        re-running the same hand-off, sees the same item tuple — so the
-        cross-page server merge (and the suffix-max server assignment
-        inside each page plan) is paid once per distinct run shape
-        instead of once per fetch.
+        ``items`` is a tuple of ``(page, sorted-tuple-of-interval-ids)``
+        pairs (:meth:`plan`'s keys) in faulting order. Multi-page
+        fetches (LU/LH pulls, barrier updates) repeat exactly like
+        single-page ones — every processor crossing the same barrier,
+        every timestep re-running the same hand-off, sees the same item
+        tuple — so the cross-page server merge (and the suffix-max
+        server assignment inside each page plan) is paid once per
+        distinct run shape instead of once per fetch.
         """
         memo = self._run_memo
         plan = memo.get(items)

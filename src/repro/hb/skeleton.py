@@ -39,9 +39,9 @@ Sync record shapes (plain tuples, hot-path friendly)::
         present only on the completing arrival
 
 ``grouped`` is the gap's notices as ``(page, (interval_id, ...))`` pairs
-in first-occurrence order — the order the per-event receive loop would
-insert pages into ``pending``, which downstream code (LU's pull scan,
-diff-apply emission) iterates.
+(each id the store's own object) in first-occurrence order — the order
+the per-event receive loop would insert pages into ``pending``, which
+downstream code (LU's pull scan, diff-apply emission) iterates.
 
 The eager family (EI/EU/EW) shares none of that clock machinery, but
 its replay is just as precomputable: every probe emission and network
@@ -450,18 +450,21 @@ def _grouped_gap(
     processor's own entry always covers its own intervals), so no
     creator filtering is needed here; the count feeds the wire-byte and
     ``notices_sent`` accounting unfiltered, exactly like the per-event
-    path.
+    path. Each interval id is the store's own object
+    (:meth:`IntervalStore.interval_id`), not a copy per receiver: every
+    skeleton batch, pending set and plan key naming an interval shares
+    one tuple.
     """
     notices = store.gap_notices(sender_vc, receiver_vc)
     if not notices:
         return 0, ()
+    interval_ids = store._ids
     by_page: Dict[int, List[tuple]] = {}
-    for notice in notices:
-        page = notice[2]
+    for creator, index, page in notices:
         ids = by_page.get(page)
         if ids is None:
             by_page[page] = ids = []
-        ids.append(notice[:2])
+        ids.append(interval_ids[creator][index])
     return len(notices), tuple((page, tuple(ids)) for page, ids in by_page.items())
 
 

@@ -60,7 +60,8 @@ class LazyProcState:
         #: this processor's most recently closed interval (-1 initially).
         self.vc = VectorClock.zero(n_procs)
         #: Write notices received but not yet turned into applied diffs,
-        #: grouped by page: page -> set of (creator, interval index).
+        #: grouped by page: page -> set of interval ids, each the
+        #: store's own ``(creator, index)`` object (never a copy).
         self.pending: Dict[PageId, Set[IntervalId]] = {}
 
 
@@ -291,26 +292,27 @@ class LazyProtocol(Protocol):
         state = self.lazy_state[proc]
         pending = state.pending
         pending_get = pending.get
+        interval_ids = self.store._ids
         if self._has_notice_hook:
             on_notice = self._on_notice
             for notice in notices:
-                if notice[0] == proc:  # creator
+                creator = notice[0]
+                if creator == proc:
                     continue
                 page = notice[2]
                 page_pending = pending_get(page)
                 if page_pending is None:
                     pending[page] = page_pending = set()
-                page_pending.add(notice[:2])  # (creator, interval)
+                page_pending.add(interval_ids[creator][notice[1]])
                 on_notice(proc, notice)
         else:
-            for notice in notices:
-                if notice[0] == proc:  # creator
+            for creator, index, page in notices:
+                if creator == proc:
                     continue
-                page = notice[2]
                 page_pending = pending_get(page)
                 if page_pending is None:
                     pending[page] = page_pending = set()
-                page_pending.add(notice[:2])  # (creator, interval)
+                page_pending.add(interval_ids[creator][index])
         state.vc = state.vc.merged(sender_vc)
         self._after_notices(proc, pull_kinds)
 
@@ -359,7 +361,10 @@ class LazyProtocol(Protocol):
         for page in pages:
             interval_ids = pending.pop(page, None)
             if interval_ids:
-                items.append((page, frozenset(interval_ids)))
+                # The plan key: a sorted tuple of the store's id objects
+                # (a tuple is a fraction of a frozenset's size, and the
+                # memo keeps every key it sees).
+                items.append((page, tuple(sorted(interval_ids))))
         if not items:
             return 0
         obs = self._obs_events

@@ -54,14 +54,14 @@ class LazyInvalidate(LazyProtocol):
         entries_get = self.procs[proc].pages._entries.get
         valid = PageState.VALID
         invalid = PageState.INVALID
-        for notice in notices:
-            if notice[0] == proc:  # creator
+        interval_ids = self.store._ids
+        for creator, index, page in notices:
+            if creator == proc:
                 continue
-            page = notice[2]
             page_pending = pending_get(page)
             if page_pending is None:
                 pending[page] = page_pending = set()
-            page_pending.add(notice[:2])  # (creator, interval)
+            page_pending.add(interval_ids[creator][index])
             entry = entries_get(page)
             if entry is not None and entry.state is valid:
                 entry.state = invalid

@@ -206,7 +206,7 @@ class TestRunFetchPlanner:
     def test_run_plan_matches_per_page_merge(self):
         planner, store, pages = self._planner_and_pages()
         assert len(pages) >= 2
-        items = tuple((page, frozenset(store.page_mods(page))) for page in pages[:6])
+        items = tuple((page, tuple(sorted(store.page_mods(page)))) for page in pages[:6])
         run_plan = planner.plan_run(items)
         merged = {}
         for page, interval_ids in items:
@@ -221,7 +221,7 @@ class TestRunFetchPlanner:
 
     def test_run_plan_memoized(self):
         planner, store, pages = self._planner_and_pages()
-        items = tuple((page, frozenset(store.page_mods(page))) for page in pages[:4])
+        items = tuple((page, tuple(sorted(store.page_mods(page)))) for page in pages[:4])
         assert planner.plan_run(items) is planner.plan_run(items)
         # A different run shape is a different plan.
         assert planner.plan_run(items[:1]) is not planner.plan_run(items)
@@ -230,7 +230,7 @@ class TestRunFetchPlanner:
         planner, store, pages = self._planner_and_pages()
         page = next(p for p in pages if len(store.page_mods(p)) >= 2)
         interval_ids = sorted(store.page_mods(page))
-        full = planner.plan_run(((page, frozenset(interval_ids)),))
-        sub = planner.plan_run(((page, frozenset(interval_ids[:1])),))
+        full = planner.plan_run(((page, tuple(interval_ids)),))
+        sub = planner.plan_run(((page, tuple(interval_ids[:1])),))
         assert full is not sub
         assert sub.by_server[0][1] == 1  # a single pending diff

@@ -145,6 +145,19 @@ class TestParallelSweepShm:
             "execution paths: 8 x per_event (tape declined: record_values)"
         )
 
+    def test_each_page_size_is_planned_in_one_worker(
+        self, water_trace, many_cores, monkeypatch
+    ):
+        # A work unit is one page size's protocol row, so the workers'
+        # summed cache deltas show one batch plan per page size.
+        page_sizes = [512, 1024, 2048, 4096, 8192]
+        logged = []
+        monkeypatch.setattr(sweep_module, "_log_plan_cache", logged.append)
+        sweep = run_sweep(water_trace, page_sizes=page_sizes, jobs=2)
+        (stats,) = logged
+        assert stats["plan_builds"] == len(page_sizes)
+        assert stats["plan_hits"] == len(sweep.grid) - len(page_sizes)
+
     def test_sweep_unlinks_segment_on_success(self, water_trace, many_cores, monkeypatch):
         created = []
 
@@ -171,7 +184,7 @@ class TestParallelSweepShm:
                 created.append(self)
 
         monkeypatch.setattr("repro.simulator.shm.SharedTraceColumns", Tracked)
-        monkeypatch.setattr(sweep_module, "_run_sweep_cell", _crash_cell)
+        monkeypatch.setattr(sweep_module, "_run_sweep_row", _crash_cell)
         from concurrent.futures.process import BrokenProcessPool
 
         with pytest.raises(BrokenProcessPool):
