@@ -36,7 +36,7 @@ aggregation depends on who fetches — which is what makes the memo sound.
 
 A plan's key is ``(page, ids)``, ``ids`` the pending set as a *sorted
 tuple* of the store's own interval-id objects
-(:meth:`~repro.hb.store.IntervalStore.interval_id`): a tuple is a
+(``IntervalStore.ids``): a tuple is a
 fraction of a frozenset's size, and sharing the ids means a key adds
 only its own pointers. The memo is what lets LU and LH reuse LI's
 plans, so it keeps every key it sees (up to its bound).

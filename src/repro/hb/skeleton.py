@@ -451,14 +451,14 @@ def _grouped_gap(
     creator filtering is needed here; the count feeds the wire-byte and
     ``notices_sent`` accounting unfiltered, exactly like the per-event
     path. Each interval id is the store's own object
-    (:meth:`IntervalStore.interval_id`), not a copy per receiver: every
+    (``store.ids[creator][index]``), not a copy per receiver: every
     skeleton batch, pending set and plan key naming an interval shares
     one tuple.
     """
     notices = store.gap_notices(sender_vc, receiver_vc)
     if not notices:
         return 0, ()
-    interval_ids = store._ids
+    interval_ids = store.ids
     by_page: Dict[int, List[tuple]] = {}
     for creator, index, page in notices:
         ids = by_page.get(page)

@@ -20,7 +20,7 @@ maintained incrementally at :meth:`add` time:
   (topological) order, and the cached entry tuple answers ``precedes``
   with one integer compare — the basis of the fetch planner in
   :mod:`repro.hb.index`.
-* ``interval ids`` — per creator, index -> the one ``(creator, index)``
+* ``ids`` — per creator, index -> the one ``(creator, index)``
   tuple of each *modifying* interval (the ``page_mods`` key). The store
   is its only owner: notice batches, pending sets and fetch-plan keys
   hold that object instead of a copy, so their memory scales with the
@@ -52,8 +52,10 @@ class IntervalStore:
             [] for _ in range(n_procs)
         ]
         self._page_mods: Dict[PageId, Dict[IntervalId, ModRecord]] = {}
-        #: Per creator, interval index -> its id; modifying intervals only.
-        self._ids: List[Dict[int, IntervalId]] = [{} for _ in range(n_procs)]
+        #: Per creator, interval index -> the interval's id tuple, for
+        #: modifying intervals only. Public so hot loops read
+        #: ``ids[creator][index]`` directly; only :meth:`add` writes it.
+        self.ids: List[Dict[int, IntervalId]] = [{} for _ in range(n_procs)]
 
     def add(self, interval: Interval) -> None:
         """Register a newly closed interval; indices must be dense per proc."""
@@ -78,7 +80,7 @@ class IntervalStore:
         entries = interval.vc._entries
         vc_sum = sum(entries)
         page_mods = self._page_mods
-        key = self._ids[proc][index] = (proc, index)
+        key = self.ids[proc][index] = (proc, index)
         for page, diff in diffs.items():
             mods = page_mods.get(page)
             if mods is None:
@@ -181,12 +183,6 @@ class IntervalStore:
                 if cached:
                     extend(cached)
         return notices
-
-    def interval_id(self, creator: ProcId, index: int) -> IntervalId:
-        """The store's id object of a modifying interval: every holder of
-        a notice's ``(creator, index)`` keeps this tuple, not a copy (hot
-        loops index ``_ids[creator][index]`` directly)."""
-        return self._ids[creator][index]
 
     def page_mods(self, page: PageId) -> Dict[IntervalId, ModRecord]:
         """The mod records of every interval that modified ``page``."""

@@ -292,7 +292,7 @@ class LazyProtocol(Protocol):
         state = self.lazy_state[proc]
         pending = state.pending
         pending_get = pending.get
-        interval_ids = self.store._ids
+        interval_ids = self.store.ids
         if self._has_notice_hook:
             on_notice = self._on_notice
             for notice in notices:

@@ -54,7 +54,7 @@ class LazyInvalidate(LazyProtocol):
         entries_get = self.procs[proc].pages._entries.get
         valid = PageState.VALID
         invalid = PageState.INVALID
-        interval_ids = self.store._ids
+        interval_ids = self.store.ids
         for creator, index, page in notices:
             if creator == proc:
                 continue

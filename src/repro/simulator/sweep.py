@@ -7,17 +7,18 @@ that grid and :class:`SweepResult` exposes the series.
 
 Sweeps are embarrassingly parallel: every (protocol, page size) cell is
 an independent replay of the same trace. ``run_sweep(..., jobs=N)`` fans
-the grid out over a :class:`~concurrent.futures.ProcessPoolExecutor`,
-one page size's protocol row per work unit; the trace and base config
-ship to each worker once (via the pool initializer, not per work unit)
-and results merge deterministically — the grid a parallel sweep
-produces is cell-for-cell identical to a serial one, which the
-equivalence tests assert. Both paths amortize per page size: all
-protocols at one page size share one
+the grid out over a :class:`~concurrent.futures.ProcessPoolExecutor`;
+the trace and base config ship to each worker once (via the pool
+initializer, not per work unit) and results merge deterministically —
+the grid a parallel sweep produces is cell-for-cell identical to a
+serial one, which the equivalence tests assert. Both paths amortize per
+page size: all protocols at one page size share one
 :class:`~repro.trace.precompile.CompiledTrace` (through the stream's
 memo) and its batch plan — skeleton, run program and fetch-planner
-memo — so a page size is compiled and planned once per sweep, in
-whichever process runs its row.
+memo. A parallel sweep with at least as many page sizes as workers
+hands out one page size's protocol row per task, so each page size is
+compiled and planned in one process; with fewer page sizes than
+workers it hands out single cells, so no worker sits idle.
 
 With ``metrics=True`` every cell runs under its own
 :class:`~repro.obs.probe.RecordingProbe` (metrics only, no event sinks);
@@ -184,9 +185,10 @@ class SweepResult:
 # Workers receive the trace once, through the pool initializer — by
 # default as attached views over the parent's shared-memory segment
 # (zero copies, see :mod:`repro.simulator.shm`), or pickled whole if the
-# shared path is unavailable. Each work unit is then one page size's
-# protocol row: the protocols share that page size's compiled trace and
-# batch plan inside the worker, and no other worker builds them.
+# shared path is unavailable. Each work unit is then just a
+# (protocol, page_size) pair, handed out a page size's row at a time when
+# there are at least as many page sizes as workers: the protocols then
+# share that page size's compiled trace and batch plan inside one worker.
 
 _worker_trace: Optional[TraceStream] = None
 _worker_config: Optional[SimConfig] = None
@@ -284,23 +286,22 @@ def _run_cell(
 
 
 @gc_paused()
-def _run_sweep_row(
-    row: Tuple[int, Tuple[str, ...]]
-) -> Tuple[int, List[SimulationResult], Dict[str, int]]:
-    """One page size's cells, one per protocol, in the given order."""
-    page_size, protocols = row
+def _run_sweep_cell(cell: Tuple[str, int]) -> Tuple[str, int, SimulationResult, Dict[str, int]]:
+    protocol, page_size = cell
     assert _worker_trace is not None and _worker_config is not None
     # Plan/tape cache traffic happens inside this worker process; ship
-    # the row's delta back so the parent can report the sweep-wide hit
-    # rate (the counters themselves are process-local).
+    # the per-cell delta back so the parent can report the sweep-wide
+    # hit rate (the counters themselves are process-local).
     before = plan_stats()
-    config = _worker_config.with_page_size(page_size)
-    results = [
-        _run_cell(_worker_trace, config, protocol, _worker_metrics, _worker_spans)
-        for protocol in protocols
-    ]
+    result = _run_cell(
+        _worker_trace,
+        _worker_config.with_page_size(page_size),
+        protocol,
+        _worker_metrics,
+        _worker_spans,
+    )
     after = plan_stats()
-    return page_size, results, {k: after[k] - before[k] for k in after}
+    return protocol, page_size, result, {k: after[k] - before[k] for k in after}
 
 
 def _log_plan_cache(stats: Dict[str, int]) -> None:
@@ -366,7 +367,7 @@ def run_sweep(
     boundary — to its critical-path shape rollups on ``result.spans``
     (see :meth:`SweepResult.rollup_table`).
 
-    The grid (and each worker row) runs with the cyclic collector
+    The grid (and each worker cell) runs with the cyclic collector
     paused and restored on exit (:func:`~repro.common.gcpause.gc_paused`):
     compile, plan build, replay and result assembly make no reference
     cycles, so every traversal of the plan heap found nothing.
@@ -398,7 +399,12 @@ def run_sweep(
         ", spans on" if spans else (", metrics on" if metrics else ""),
     )
     if jobs is not None and jobs > 1:
-        rows = [(page_size, tuple(protocols)) for page_size in page_sizes]
+        # Page-size-major order. With at least one page size per worker,
+        # a task is one page size's protocol row (chunksize), so a page
+        # size is compiled and planned in one process only; with fewer,
+        # cells go out one by one so every worker has work.
+        cells = [(p, s) for s in page_sizes for p in protocols]
+        chunksize = len(protocols) if len(page_sizes) >= jobs else 1
         collected: Dict[Tuple[str, int], SimulationResult] = {}
         cache_stats = dict.fromkeys(plan_stats(), 0)
         shared = None
@@ -426,9 +432,10 @@ def run_sweep(
                 initializer=initializer,
                 initargs=initargs,
             ) as pool:
-                for page_size, results, delta in pool.map(_run_sweep_row, rows):
-                    for protocol, result in zip(protocols, results):
-                        collected[(protocol, page_size)] = result
+                for protocol, page_size, result, delta in pool.map(
+                    _run_sweep_cell, cells, chunksize=chunksize
+                ):
+                    collected[(protocol, page_size)] = result
                     for key, value in delta.items():
                         cache_stats[key] += value
         finally:

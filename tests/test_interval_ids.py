@@ -3,7 +3,7 @@
 A write notice names an interval ``(creator, index)``. The skeleton's
 notice batches, the protocols' pending sets and the fetch planner's memo
 keys all hold the store's own id tuple for it
-(:meth:`~repro.hb.store.IntervalStore.interval_id`), never a copy, and a
+(``IntervalStore.ids[creator][index]``), never a copy, and a
 plan key is the pending set as a sorted tuple of those ids. These pins
 keep the sharing — and with it the memory of a cold grid — from quietly
 coming undone.
@@ -53,7 +53,7 @@ def test_notice_batches_hold_the_store_ids(ran_cell):
     for grouped in _grouped_batches(ran_cell.skeleton):
         for _page, interval_ids in grouped:
             for interval_id in interval_ids:
-                assert interval_id is store.interval_id(*interval_id)
+                assert interval_id is store.ids[interval_id[0]][interval_id[1]]
                 seen += 1
     assert seen
 
@@ -66,7 +66,7 @@ def test_plan_keys_are_sorted_tuples_of_the_store_ids(ran_cell):
         assert type(interval_ids) is tuple
         assert list(interval_ids) == sorted(interval_ids)
         for interval_id in interval_ids:
-            assert interval_id is store.interval_id(*interval_id)
+            assert interval_id is store.ids[interval_id[0]][interval_id[1]]
 
 
 def test_interpreter_pending_sets_hold_the_store_ids():
@@ -82,6 +82,6 @@ def test_interpreter_pending_sets_hold_the_store_ids():
     for state in protocol.lazy_state:
         for interval_ids in state.pending.values():
             for interval_id in interval_ids:
-                assert interval_id is store.interval_id(*interval_id)
+                assert interval_id is store.ids[interval_id[0]][interval_id[1]]
                 seen += 1
     assert seen

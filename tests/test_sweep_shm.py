@@ -148,8 +148,9 @@ class TestParallelSweepShm:
     def test_each_page_size_is_planned_in_one_worker(
         self, water_trace, many_cores, monkeypatch
     ):
-        # A work unit is one page size's protocol row, so the workers'
-        # summed cache deltas show one batch plan per page size.
+        # With at least as many page sizes as workers, a task is one page
+        # size's protocol row, so the workers' summed cache deltas show
+        # one batch plan per page size.
         page_sizes = [512, 1024, 2048, 4096, 8192]
         logged = []
         monkeypatch.setattr(sweep_module, "_log_plan_cache", logged.append)
@@ -184,7 +185,7 @@ class TestParallelSweepShm:
                 created.append(self)
 
         monkeypatch.setattr("repro.simulator.shm.SharedTraceColumns", Tracked)
-        monkeypatch.setattr(sweep_module, "_run_sweep_row", _crash_cell)
+        monkeypatch.setattr(sweep_module, "_run_sweep_cell", _crash_cell)
         from concurrent.futures.process import BrokenProcessPool
 
         with pytest.raises(BrokenProcessPool):
