@@ -390,7 +390,9 @@ def _cmd_trace(args) -> int:
             link_model=link,
         )
         with open(args.spans, "w", encoding="utf-8") as fh:
-            json.dump(to_chrome_trace(timeline), fh, separators=(",", ":"))
+            # One C-encoded string: json.dump streams through the
+            # pure-Python encoder.
+            fh.write(json.dumps(to_chrome_trace(timeline), separators=(",", ":")))
             fh.write("\n")
         report = analyze_critical_path(timeline)
         print(

@@ -56,9 +56,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SimulatorError
+from repro.common.gcpause import gc_paused
 from repro.network.message import KIND_NAMES, MessageKind
 from repro.obs.metrics import EPOCH_FIELDS
 from repro.obs.probe import RecordingProbe
@@ -467,32 +469,50 @@ class SpanProbe(RecordingProbe):
 #: The stall sums of a sync window, as indices into one list.
 _FLUSH, _REQUEST, _GRANT, _PAGE, _DIFF, _ARRIVAL = range(6)
 
+
+def _per_code(value, *args) -> tuple:
+    """``value(kind name, *args)`` for every message code, indexed by the code."""
+    return _MSG_NAMES[:_MSG] + tuple(value(name, *args) for name in _MSG_NAMES[_MSG:])
+
+
 #: Which sum a message lands in, by the window's marker event and then
-#: its kind name: ``(table, sum of every other kind)``. An acquire's
-#: default is its diff pulls (LU/LH), a release only ever flushes, a
-#: barrier arrival's default is BARRIER_ARRIVAL and the notices split off it.
+#: its code. An acquire's default is its diff pulls (LU/LH), a release
+#: only ever flushes, a barrier arrival's default is BARRIER_ARRIVAL and
+#: the notices split off it.
 _WINDOW_SUMS = {
-    SHAPE_CODES["acquire", 1]: (
+    SHAPE_CODES["acquire", 1]: _per_code(
         {
             **dict.fromkeys(_LOCK_REQ_KINDS, _REQUEST),
             **dict.fromkeys(_LOCK_GRANT_KINDS, _GRANT),
             **dict.fromkeys(_UNLOCK_KINDS, _FLUSH),  # HLRC home flush at interval close
             **dict.fromkeys((n for n in KIND_NAMES if n.startswith("PAGE")), _PAGE),
-        },
+        }.get,
         _DIFF,
     ),
-    SHAPE_CODES["release", 1]: ({}, _FLUSH),
-    SHAPE_CODES["barrier_arrive", 1]: (
-        {  # eager barrier-time flush
-            **dict.fromkeys(_UNLOCK_KINDS, _FLUSH),
-            **dict.fromkeys(
-                ("BARRIER_NOTICE", "BARRIER_UPDATE", "BARRIER_ACK", "BARRIER_RECONCILE"),
-                _FLUSH,
-            ),
-        },
+    SHAPE_CODES["release", 1]: _per_code({}.get, _FLUSH),
+    SHAPE_CODES["barrier_arrive", 1]: _per_code(
+        dict.fromkeys(  # eager barrier-time flush
+            (*_UNLOCK_KINDS,
+             "BARRIER_NOTICE", "BARRIER_UPDATE", "BARRIER_ACK", "BARRIER_RECONCILE"),
+            _FLUSH,
+        ).get,
         _ARRIVAL,
     ),
 }
+#: A message's stall category outside any window, or None for the
+#: category of the context it lands in.
+_STRAY_CATEGORY = _per_code(
+    lambda name: "page_fetch" if name.startswith("PAGE")
+    else "diff_fetch" if name in _DIFF_PULL_KINDS else None
+)
+#: After ``barrier_complete``: the exiting client is a request's sender
+#: and any other message's receiver; a pull lands in its exit's
+#: diff_fetch slot (1), anything else in barrier_transfer (0).
+_CLIENT_IS_SRC = _per_code(lambda name: name.endswith("_REQUEST"))
+_PULL_SLOT = _per_code(lambda name: int(name in _DIFF_PULL_KINDS))
+#: Where an acquire's grantor is: a forward's receiver (1, ``dst``), a
+#: grant's sender (0, ``src``); None for every other message.
+_GRANTOR_AT = _per_code({"LOCK_FORWARD": 1, "LOCK_GRANT": 0}.get)
 #: The event shapes the builder tells apart.
 _ACQUIRE = SHAPE_CODES["acquire", 1]
 _RELEASE = SHAPE_CODES["release", 1]
@@ -502,6 +522,11 @@ _DIFF_CREATE = SHAPE_CODES["diff_create", 3]
 _DIFF_APPLY = SHAPE_CODES["diff_apply", 2]
 _PAGE_FAULT = SHAPE_CODES["page_fault", 2]
 _WRITE_FAULT = SHAPE_CODES["write_fault", 1]
+#: The context a fault event opens: its span kind and label prefix.
+_FAULT_CONTEXTS = {
+    _PAGE_FAULT: ("fetch", "fetch page "),
+    _WRITE_FAULT: ("write_fault", "write fault page "),
+}
 #: Where a shape keeps the fields the builder reads, as an index into
 #: an event row ``(shape, proc, *field slots)``; None for a shape
 #: without the field.
@@ -509,11 +534,9 @@ _PAGE_AT, _COUNT_AT, _SERVER_AT = (
     tuple(2 + names.index(name) if name in names else None for _kind, names in EVENT_SCHEMA)
     for name in ("page", "count", "server")
 )
-
-
-def _buckets(*sums: Tuple[str, float]) -> Dict[str, float]:
-    """A span's stall decomposition: the non-zero ``(category, seconds)``."""
-    return {category: seconds for category, seconds in sums if seconds}
+#: An unused record code the builder appends to the stream: it closes
+#: the last context like a window's opening would, and ends the pass.
+_STOP = 5
 
 
 class SpanBuilder:
@@ -528,26 +551,17 @@ class SpanBuilder:
     """
 
     def __init__(
-        self,
-        records: SpanRecords,
-        profile: Sequence[Sequence[int]],
-        costs: SpanCosts,
-        n_procs: int,
-        app: str = "",
-        protocol: str = "",
+        self, records: SpanRecords, profile: Sequence[Sequence[int]], costs: SpanCosts,
+        n_procs: int, app: str = "", protocol: str = "",
         delays: Optional[Sequence[Tuple[float, float, float]]] = None,
     ):
         self.records = records
         self.profile = profile
         self.costs = costs
         self.n_procs = n_procs
-        # Measured per-message delays from a timed run (see
-        # NetworkTiming.delay_log): ``(total_s, serialization_s,
-        # retransmit_s)`` aligned one-to-one with the stream's "msg"
-        # records, consumed in stream order. When present they replace
-        # the synthetic per-message charge, and the
-        # serialization/retransmit portions land in their own stall
-        # categories.
+        # A timed run's measured ``(total_s, serialization_s,
+        # retransmit_s)`` per "msg" record (NetworkTiming.delay_log), in
+        # stream order: they replace the synthetic per-message charge.
         self._delays = delays
         self._delay_idx = 0
         self.timeline = SpanTimeline(app, protocol, n_procs, costs)
@@ -559,8 +573,6 @@ class SpanBuilder:
         # -- causality state --
         self._release_point: Dict[int, Tuple[float, int]] = {}
         self._episodes: Dict[int, List[Tuple[int, float, int]]] = {}
-        # -- parsing state --
-        self._ctx: Optional[Dict[str, Any]] = None
         # -- epoch accounting (mirrors RecordingProbe staging exactly):
         # one row per epoch, the last one current --
         self._erows: List[List[int]] = [[0] * _ROW_WIDTH]
@@ -568,18 +580,16 @@ class SpanBuilder:
     # -- epoch accounting ----------------------------------------------------
 
     def _account(self, cause_kind: str, messages: int, data: int, ctrl: int, faults: int) -> None:
-        """Charge one cause's traffic to the current epoch's row. Cause
-        and epoch are constant inside a window (and between windows), so
-        callers sum first and charge once."""
+        """Charge one cause's traffic to the current epoch's row, once
+        per window and per stretch between windows."""
         row = self._erows[-1]
         row[0] += messages
         row[1] += data
         row[2] += ctrl
         row[3] += faults
-        cols = _CAUSE_COLS.get(cause_kind)
-        if cols is not None:
-            row[cols[0]] += messages
-            row[cols[1]] += data
+        messages_at, data_at = _CAUSE_COLS[cause_kind]
+        row[messages_at] += messages
+        row[data_at] += data
 
     # -- compute chunks ------------------------------------------------------
 
@@ -599,20 +609,13 @@ class SpanBuilder:
                 {"compute": dur}, f"compute ({weight} words)",
             )
 
-    def _end_sync(self, proc: int) -> None:
-        self._ptr[proc] += 1
-        self._laid[proc] = False
-
     # -- message costs -------------------------------------------------------
 
     def _next_delay(self) -> Tuple[float, float, float]:
-        """``(total_s, serialization_s, retransmit_s)`` of the next
-        message, from the measured delay log: consumed once per "msg"
-        record, in stream order. A stream with more messages than the
-        log raises here, one with fewer at the end of :meth:`build` — a
-        timeline weighted with another message's delay is quietly wrong
-        from there on. (Without a log the loops charge the synthetic
-        per-message cost inline.)"""
+        """The next message's delays from the log. A stream with more
+        messages than the log raises here, one with fewer at the end of
+        :meth:`build`: a timeline weighted with another message's delay
+        is quietly wrong from there on."""
         index = self._delay_idx
         self._delay_idx = index + 1
         try:
@@ -623,57 +626,39 @@ class SpanBuilder:
                 f"consumed, {len(self._delays)} delays available"
             ) from None
 
-    # -- span helpers --------------------------------------------------------
-
-    def _add_span(self, proc, kind, start, end, pred, buckets, label, args=None) -> int:
+    def _extend(self, proc, kind, end, pred, buckets, label, args=None, ser_s=0.0, rtx_s=0.0):
+        """Add the span that takes ``proc``'s clock from where it is to
+        ``end``; a timed run's wire seconds close its buckets."""
+        if ser_s:
+            buckets["serialization"] = ser_s
+        if rtx_s:
+            buckets["retransmit"] = rtx_s
         spans = self.timeline.spans
         sid = len(spans)
-        spans.append(Span(sid, proc, kind, start, end, pred, buckets, label, args))
-        return sid
-
-    def _extend(self, proc, kind, end, pred, buckets, label, args=None) -> int:
-        """Add the span that takes ``proc``'s clock from where it is to ``end``."""
-        sid = self._add_span(proc, kind, self.clock[proc], end, pred, buckets, label, args)
+        spans.append(Span(sid, proc, kind, self.clock[proc], end, pred, buckets, label, args))
         self.clock[proc] = end
         self.prev[proc] = sid
         return sid
 
-    # -- miss / write-fault contexts -----------------------------------------
-
-    def _open_ctx(self, proc: int, kind: str, label: str) -> Dict[str, Any]:
-        self._ensure_compute(proc)
-        ctx = self._ctx = dict(proc=proc, kind=kind, label=label, buckets={}, servers=set())
-        return ctx
-
-    def _close_ctx(self) -> None:
-        ctx = self._ctx
-        if ctx is None:
-            return
-        self._ctx = None
-        proc = ctx["proc"]
-        buckets = ctx["buckets"]
-        sid = self._extend(
-            proc, ctx["kind"], self.clock[proc] + sum(buckets.values()), self.prev[proc],
-            buckets, ctx["label"],
-        )
-        for server in sorted(ctx["servers"]):
-            if server != proc and server < self.n_procs and self.prev[server] is not None:
-                self.timeline.flows.append((self.prev[server], sid))
-
-    def _ctx_add(self, ctx: Dict[str, Any], category: str, seconds: float) -> None:
-        buckets = ctx["buckets"]
-        buckets[category] = buckets.get(category, 0.0) + seconds
-
     # -- main pass -----------------------------------------------------------
 
     def build(self) -> SpanTimeline:
-        codes = iter(self.records.codes)
+        """Fold the stream in one loop: each window in :meth:`_window`, on
+        the same iterator; any other record into the open miss or
+        write-fault context, which the next fault or window places."""
+        costs = self.costs
+        message_s, byte_s, diff_apply_s = costs.message_s, costs.byte_s, costs.diff_apply_s
+        delays, flows, clock, prev = self._delays, self.timeline.flows, self.clock, self.prev
+        codes = chain(self.records.codes, (_STOP,))
         self._next_ev, self._next_msg, next_ident = self.records.cursors()
         next_ev, next_msg = self._next_ev, self._next_msg
-        MSG, EV, END, NAMES, PAGE_FAULT = _MSG, _EV, _END, _MSG_NAMES, _PAGE_FAULT
-        # Traffic outside sync windows is the miss cause's; summed
-        # here and charged whenever a window (where alone the epoch can
-        # advance) or the stream's end comes up.
+        MSG, EV, END, EPOCH, STOP, PAGE_FAULT = _MSG, _EV, _END, _EPOCH, _STOP, _PAGE_FAULT
+        # The open context: its processor (None: no context), span kind,
+        # label, stall buckets in first-charge order, and servers.
+        ctx_proc = ctx_kind = ctx_label = buckets = servers = None
+        ser_s = rtx_s = 0.0  # without a delay log, no message has either
+        # Traffic outside windows is the miss cause's, charged when a
+        # window (where alone the epoch can advance) or the end comes up.
         messages = data = ctrl = faults = 0
         for code in codes:
             if code >= MSG:
@@ -682,84 +667,83 @@ class SpanBuilder:
                     messages += 1
                 data += d
                 ctrl += e
-                self._stray_msg(NAMES[code], src, dst, d, e)
-            elif code == EV:
+                if ctx_proc is None:
+                    self._ensure_compute(src)
+                    ctx_proc, ctx_kind, ctx_label = src, "other", "unattributed traffic"
+                    buckets, servers = {}, set()
+                if delays is None:
+                    cost = message_s + (d + e) * byte_s
+                else:
+                    cost, ser_s, rtx_s = self._next_delay()
+                    cost -= ser_s + rtx_s
+                category = _STRAY_CATEGORY[code] or (
+                    "write_fault" if ctx_kind == "write_fault" else "other"
+                )
+                buckets[category] = buckets.get(category, 0.0) + cost
+                if ser_s:
+                    buckets["serialization"] = buckets.get("serialization", 0.0) + ser_s
+                if rtx_s:
+                    buckets["retransmit"] = buckets.get("retransmit", 0.0) + rtx_s
+                counterpart = dst if src == ctx_proc else src
+                if counterpart != ctx_proc:
+                    servers.add(counterpart)
+                continue
+            if code == EV:
                 row = next_ev()
-                if row[0] == PAGE_FAULT:
+                shape = row[0]
+                if shape == PAGE_FAULT:
                     faults += 1
-                self._stray_event(row)
-            elif code != END:  # a window opens, or an epoch outside any window
+                    if ctx_kind == "write_fault" and ctx_proc == row[1]:
+                        continue  # nested fetch inside an EW ownership fault
+                elif shape != _WRITE_FAULT:
+                    if ctx_proc is not None:
+                        if shape == _DIFF_APPLY:
+                            seconds = row[_COUNT_AT[shape]] * diff_apply_s
+                            buckets["diff_fetch"] = buckets.get("diff_fetch", 0.0) + seconds
+                        at = _SERVER_AT[shape]
+                        if at is not None:
+                            servers.add(row[at])
+                    continue
+            elif code == END:
+                continue
+            else:  # a window opens, an epoch outside any window, or the end
                 self._account("miss", messages, data, ctrl, faults)
                 messages = data = ctrl = faults = 0
-                if code == _EPOCH:
+                if code == EPOCH:
                     self._erows.append([0] * _ROW_WIDTH)
-                else:
-                    self._close_ctx()
-                    self._window(_CAUSES[code], next_ident(), codes)
-        self._account("miss", messages, data, ctrl, faults)
-        self._close_ctx()
+                    continue
+            # A fault, a window or the end: close the open context.
+            if ctx_proc is not None:
+                sid = self._extend(
+                    ctx_proc, ctx_kind, clock[ctx_proc] + sum(buckets.values()), prev[ctx_proc],
+                    buckets, ctx_label,
+                )
+                for server in sorted(servers):
+                    if server != ctx_proc and server < self.n_procs and prev[server] is not None:
+                        flows.append((prev[server], sid))
+                ctx_proc = ctx_kind = None
+            if code == EV:
+                ctx_proc = row[1]
+                self._ensure_compute(ctx_proc)
+                ctx_kind, prefix = _FAULT_CONTEXTS[shape]
+                ctx_label = f"{prefix}{row[_PAGE_AT[shape]]}"
+                buckets, servers = {}, set()
+            elif code == STOP:
+                break
+            else:
+                self._window(_CAUSES[code], next_ident(), codes)
         for proc in range(self.n_procs):
             self._ensure_compute(proc)  # lay the tail chunks
         rows = self._erows
         while len(rows) > 1 and not any(rows[-1]):
             del rows[-1]  # like the registry's snapshot: no trailing empty epochs
         self.timeline.epoch_rows = [dict(zip(EPOCH_FIELDS, row)) for row in rows]
-        if self._delays is not None and self._delay_idx != len(self._delays):
+        if delays is not None and self._delay_idx != len(delays):
             raise SimulatorError(
                 f"span stream and delay log are misaligned: {self._delay_idx} "
-                f"messages consumed, {len(self._delays)} delays available"
+                f"messages consumed, {len(delays)} delays available"
             )
         return self.timeline
-
-    # -- records outside sync windows ----------------------------------------
-
-    def _stray_event(self, row: tuple) -> None:
-        """One event row ``(shape, proc, *field slots)`` outside any window."""
-        ctx = self._ctx
-        shape, proc = row[0], row[1]
-        if shape == _PAGE_FAULT:
-            if ctx is not None and ctx["kind"] == "write_fault" and ctx["proc"] == proc:
-                return  # nested fetch inside an EW ownership fault
-            self._close_ctx()
-            self._open_ctx(proc, "fetch", f"fetch page {row[_PAGE_AT[shape]]}")
-        elif shape == _WRITE_FAULT:
-            self._close_ctx()
-            self._open_ctx(proc, "write_fault", f"write fault page {row[_PAGE_AT[shape]]}")
-        elif ctx is not None:
-            if shape == _DIFF_APPLY:
-                self._ctx_add(ctx, "diff_fetch", row[_COUNT_AT[shape]] * self.costs.diff_apply_s)
-            at = _SERVER_AT[shape]
-            if at is not None:
-                ctx["servers"].add(row[at])
-
-    def _stray_msg(self, name: str, src: int, dst: int, data: int, ctrl: int) -> None:
-        ctx = self._ctx
-        if ctx is None:
-            # Traffic with no announcing fault event; attribute to the
-            # sender so nothing is silently dropped.
-            ctx = self._open_ctx(src, "other", "unattributed traffic")
-        if self._delays is None:
-            cost = self.costs.message_s + (data + ctrl) * self.costs.byte_s
-            ser_s = rtx_s = 0.0
-        else:
-            cost, ser_s, rtx_s = self._next_delay()
-            cost -= ser_s + rtx_s
-        if name.startswith("PAGE"):
-            category = "page_fetch"
-        elif name in _DIFF_PULL_KINDS:
-            category = "diff_fetch"
-        elif ctx["kind"] == "write_fault":
-            category = "write_fault"
-        else:
-            category = "other"
-        self._ctx_add(ctx, category, cost)
-        if ser_s:
-            self._ctx_add(ctx, "serialization", ser_s)
-        if rtx_s:
-            self._ctx_add(ctx, "retransmit", rtx_s)
-        counterpart = dst if src == ctx["proc"] else src
-        if counterpart != ctx["proc"]:
-            ctx["servers"].add(counterpart)
 
     # -- sync windows --------------------------------------------------------
 
@@ -773,13 +757,12 @@ class SpanBuilder:
         still count and still pass the delay-log cursor over. After
         ``barrier_complete`` the sums are per exiting client.
         """
-        costs = self.costs
+        costs, delays = self.costs, self._delays
         message_s, byte_s = costs.message_s, costs.byte_s
-        delays = self._delays
         next_ev, next_msg = self._next_ev, self._next_msg
-        MSG, EV, END, NAMES, PULLS = _MSG, _EV, _END, _MSG_NAMES, _DIFF_PULL_KINDS
+        MSG, EV, END = _MSG, _EV, _END
         messages = data = ctrl = faults = 0
-        marker = proc = grantor = table = default = per = None
+        marker = proc = grantor = sums_at = per = None
         sums = [0.0] * 6
         close_s = ser_s = rtx_s = m_ser = m_rtx = 0.0
         for code in codes:
@@ -797,24 +780,20 @@ class SpanBuilder:
                         cost = cost - m_ser - m_rtx
                     else:
                         cost -= m_ser + m_rtx
-                name = NAMES[code]
                 if per is not None:
-                    client = src if name.endswith("_REQUEST") else dst
+                    client = src if _CLIENT_IS_SRC[code] else dst
                     slot = per.setdefault(client, [0.0, 0.0, 0.0, 0.0])
                     # BARRIER_EXIT / bare notices, or the client's pulls
-                    slot[1 if name in PULLS else 0] += cost
+                    slot[_PULL_SLOT[code]] += cost
                     slot[2] += m_ser
                     slot[3] += m_rtx
-                elif marker is not None:
+                elif sums_at is not None:
                     ser_s += m_ser
                     rtx_s += m_rtx
-                    which = table.get(name, default)
-                    sums[which] += cost
-                    if which == _REQUEST:
-                        if name == "LOCK_FORWARD":
-                            grantor = dst
-                    elif which == _GRANT and name == "LOCK_GRANT":
-                        grantor = src
+                    sums[sums_at[code]] += cost
+                    at = _GRANTOR_AT[code]
+                    if at is not None:
+                        grantor = dst if at else src
             elif code == EV:
                 row = next_ev()
                 shape = row[0]
@@ -832,7 +811,7 @@ class SpanBuilder:
                 elif marker is None:
                     if shape in _WINDOW_SUMS:
                         marker, proc = shape, row[1]
-                        table, default = _WINDOW_SUMS[shape]
+                        sums_at = _WINDOW_SUMS[shape]
                         self._ensure_compute(proc)
                 elif shape == _COMPLETE and marker == _ARRIVE and per is None:
                     episode = self._barrier_arrive(ident, proc, close_s, sums, ser_s, rtx_s)
@@ -869,49 +848,64 @@ class SpanBuilder:
                 serial_s = available - arrival
                 if serial_s > 0.0:
                     pred = flow_src = release[1]
+        lock_s = transfer_s + grant_s
+        buckets = {}
+        if close_s:
+            buckets["diff_create"] = close_s
+        if flush_s:
+            buckets["flush"] = flush_s
+        if lock_s:
+            buckets["lock_transfer"] = lock_s
+        if serial_s:
+            buckets["lock_serialization"] = serial_s
+        if page_s:
+            buckets["page_fetch"] = page_s
+        if diff_s:
+            buckets["diff_fetch"] = diff_s
         sid = self._extend(
             proc, "acquire", available + grant_s + page_s + diff_s + ser_s + rtx_s, pred,
-            _buckets(
-                ("diff_create", close_s), ("flush", flush_s),
-                ("lock_transfer", transfer_s + grant_s), ("lock_serialization", serial_s),
-                ("page_fetch", page_s), ("diff_fetch", diff_s),
-                ("serialization", ser_s), ("retransmit", rtx_s),
-            ),
-            f"acquire L{lock}",
-            args={"lock": lock, "grantor": grantor if grantor is not None else proc},
+            buckets, f"acquire L{lock}",
+            {"lock": lock, "grantor": grantor if grantor is not None else proc}, ser_s, rtx_s,
         )
         if flow_src is not None:
             self.timeline.flows.append((flow_src, sid))
-        self._end_sync(proc)
+        self._ptr[proc] += 1
+        self._laid[proc] = False
 
     def _release(self, lock, proc, close_s, flush_s, ser_s, rtx_s) -> None:
         end = self.clock[proc] + close_s + flush_s + ser_s + rtx_s
+        buckets = {}
+        if close_s:
+            buckets["diff_create"] = close_s
+        if flush_s:
+            buckets["flush"] = flush_s
         sid = self._extend(
-            proc, "release", end, self.prev[proc],
-            _buckets(
-                ("diff_create", close_s), ("flush", flush_s),
-                ("serialization", ser_s), ("retransmit", rtx_s),
-            ),
-            f"release L{lock}", args={"lock": lock},
+            proc, "release", end, self.prev[proc], buckets, f"release L{lock}", {"lock": lock},
+            ser_s, rtx_s,
         )
         self._release_point[lock] = (end, sid)
-        self._end_sync(proc)
+        self._ptr[proc] += 1
+        self._laid[proc] = False
 
     def _barrier_arrive(self, bid, proc, close_s, sums, ser_s, rtx_s):
         """Place ``proc``'s arrival; returns the episode so far."""
         flush_s, arrival_s = sums[_FLUSH], sums[_ARRIVAL]  # BARRIER_ARRIVAL (+ piggyback)
         t_arrive = self.clock[proc] + close_s + flush_s + arrival_s + ser_s + rtx_s
+        buckets = {}
+        if close_s:
+            buckets["diff_create"] = close_s
+        if flush_s:
+            buckets["flush"] = flush_s
+        if arrival_s:
+            buckets["barrier_transfer"] = arrival_s
         arrive_sid = self._extend(
-            proc, "barrier_arrive", t_arrive, self.prev[proc],
-            _buckets(
-                ("diff_create", close_s), ("flush", flush_s), ("barrier_transfer", arrival_s),
-                ("serialization", ser_s), ("retransmit", rtx_s),
-            ),
-            f"barrier {bid} arrive", args={"barrier": bid},
+            proc, "barrier_arrive", t_arrive, self.prev[proc], buckets,
+            f"barrier {bid} arrive", {"barrier": bid}, ser_s, rtx_s,
         )
         episode = self._episodes.setdefault(bid, [])
         episode.append((proc, t_arrive, arrive_sid))
-        self._end_sync(proc)
+        self._ptr[proc] += 1
+        self._laid[proc] = False
         return episode
 
     def _complete_barrier(
@@ -925,22 +919,24 @@ class SpanBuilder:
         arrivals = [t for _, t, _ in episode]
         self.timeline.barrier_imbalance_s += completion - sum(arrivals) / len(arrivals)
         self.timeline.barrier_episodes += 1
+        spans = self.timeline.spans
         for proc, t_arrive, arrive_sid in episode:
             wait = completion - t_arrive
             if wait > 0.0:
-                self._add_span(
-                    proc, "barrier_wait", t_arrive, completion, arrive_sid,
+                spans.append(Span(
+                    len(spans), proc, "barrier_wait", t_arrive, completion, arrive_sid,
                     {"barrier_wait": wait}, f"barrier {bid} wait",
-                )
+                ))
             transfer_s, fetch_s, ser_s, rtx_s = per[proc]
+            buckets = {}
+            if transfer_s:
+                buckets["barrier_transfer"] = transfer_s
+            if fetch_s:
+                buckets["diff_fetch"] = fetch_s
             self.clock[proc] = completion  # nobody leaves before the last arrival
             exit_sid = self._extend(
                 proc, "barrier_exit", completion + transfer_s + fetch_s + ser_s + rtx_s, last_sid,
-                _buckets(
-                    ("barrier_transfer", transfer_s), ("diff_fetch", fetch_s),
-                    ("serialization", ser_s), ("retransmit", rtx_s),
-                ),
-                f"barrier {bid} exit", args={"barrier": bid},
+                buckets, f"barrier {bid} exit", {"barrier": bid}, ser_s, rtx_s,
             )
             if arrive_sid != last_sid:
                 self.timeline.flows.append((last_sid, exit_sid))
@@ -962,13 +958,16 @@ def timeline_from_records(
     retransmit)`` triple per "msg" record in stream order); when given,
     message weights come from the simulated network instead of the
     synthetic ``costs`` charge; a log that is not one entry per message
-    raises :class:`~repro.common.errors.SimulatorError`.
+    raises :class:`~repro.common.errors.SimulatorError`. Builds with the
+    cyclic collector paused: a timeline is tens of thousands of spans
+    and holds no reference cycle.
     """
     from repro.hb.skeleton import sync_compute_profile
 
-    profile = sync_compute_profile(compiled, n_procs)
-    costs = costs or SpanCosts.ethernet_1992()
-    return SpanBuilder(records, profile, costs, n_procs, app, protocol, delays).build()
+    with gc_paused():
+        profile = sync_compute_profile(compiled, n_procs)
+        costs = costs or SpanCosts.ethernet_1992()
+        return SpanBuilder(records, profile, costs, n_procs, app, protocol, delays).build()
 
 
 def build_span_timeline(

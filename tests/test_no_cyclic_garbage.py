@@ -27,7 +27,7 @@ from repro.hb.skeleton import batch_plan
 from repro.network.link import LinkModel
 from repro.obs.probe import RecordingProbe
 from repro.obs.sinks import ColumnarSink, JsonlSink
-from repro.obs.spans import SpanProbe
+from repro.obs.spans import SpanCosts, SpanProbe, timeline_from_records
 from repro.simulator.engine import Engine, simulate
 from repro.simulator.sweep import run_sweep
 from repro.trace import load_trace, save_trace
@@ -125,6 +125,32 @@ def observed_cell_recorded_then_reused(tmp):
         held = [ref for ref in gc.get_referents(stream) if not isinstance(ref, type)]
         assert held and all(isinstance(ref, array) for ref in held)
     return trace, results, probe
+
+
+def span_timeline(protocol: str, costs=None, link=None):
+    """A span-probed run of one water cell, and the timeline built from
+    its record stream: weighted by ``costs``, or by the measured delay
+    log of a run timed over ``link``."""
+    trace = small_trace("water")
+    probe = SpanProbe()
+    simulate(trace, protocol, page_size=1024, probe=probe, link_model=link)
+    probe.close()
+    delays = probe.link_delays if link is not None else None
+    timeline = timeline_from_records(
+        probe.records, trace.compiled(1024), trace.n_procs, costs, delays=delays
+    )
+    assert timeline.spans
+    return trace, probe, timeline
+
+
+@entry
+def timeline_from_records_synthetic_costs(tmp):
+    return span_timeline("LU", costs=SpanCosts.modern_cluster())
+
+
+@entry
+def timeline_from_records_delay_log(tmp):
+    return span_timeline("EW", link=LinkModel.ethernet_1992(loss=0.05, timeout_s=5e-3))
 
 
 def assert_plain_data(tape) -> None:
