@@ -32,6 +32,7 @@ from __future__ import annotations
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -304,6 +305,19 @@ def _run_sweep_cell(cell: Tuple[str, int]) -> Tuple[str, int, SimulationResult, 
     return protocol, page_size, result, {k: after[k] - before[k] for k in after}
 
 
+def _fill_grid(
+    sweep: SweepResult, collected: Dict[Tuple[str, int], SimulationResult]
+) -> SweepResult:
+    """Deterministic merge: ``sweep`` with the ``collected`` cells in
+    the serial path's protocol-major order, whatever order they
+    completed in."""
+    for protocol in sweep.protocols:
+        for page_size in sweep.page_sizes:
+            if (protocol, page_size) in collected:
+                sweep.grid[(protocol, page_size)] = collected[(protocol, page_size)]
+    return sweep
+
+
 def _log_plan_cache(stats: Dict[str, int]) -> None:
     """One line on how well BatchPlan/tape construction amortized.
 
@@ -371,6 +385,11 @@ def run_sweep(
     paused and restored on exit (:func:`~repro.common.gcpause.gc_paused`):
     compile, plan build, replay and result assembly make no reference
     cycles, so every traversal of the plan heap found nothing.
+
+    A worker that dies breaks the pool: the sweep then raises a
+    ``BrokenProcessPool`` naming every cell without a result (as
+    ``protocol/page_size``), whose ``partial`` is a :class:`SweepResult`
+    of the cells that did come back.
     """
     protocols = list(protocols) if protocols else protocol_names()
     page_sizes = list(page_sizes) if page_sizes else list(PAPER_PAGE_SIZES)
@@ -438,6 +457,13 @@ def run_sweep(
                     collected[(protocol, page_size)] = result
                     for key, value in delta.items():
                         cache_stats[key] += value
+        except BrokenProcessPool as exc:
+            missing = [f"{p}/{s}" for p, s in cells if (p, s) not in collected]
+            broken = BrokenProcessPool(
+                f"a sweep worker died; cells without a result: {', '.join(missing)}"
+            )
+            broken.partial = _fill_grid(sweep, collected)
+            raise broken from exc
         finally:
             # Unconditional teardown — also on worker crashes — so no
             # run leaves a segment behind for the resource tracker to
@@ -445,13 +471,8 @@ def run_sweep(
             if shared is not None:
                 shared.close()
                 shared.unlink()
-        # Deterministic merge: fill the grid in the serial path's
-        # protocol-major order regardless of completion order.
-        for protocol in protocols:
-            for page_size in page_sizes:
-                sweep.grid[(protocol, page_size)] = collected[(protocol, page_size)]
         _log_plan_cache(cache_stats)
-        return sweep
+        return _fill_grid(sweep, collected)
     before = plan_stats()
     for protocol in protocols:
         for page_size in page_sizes:

@@ -11,6 +11,10 @@ so is the path table's list of decline reasons. This scans the package
 sources, ``docs/*.md``, ``DESIGN.md``, ``README.md``
 and ``EXPERIMENTS.md`` and checks each one, so a rename or a removal
 cannot leave a stale reference behind.
+
+The docs also name what exists: DESIGN's CLI row lists the parser's
+subcommands and README's Architecture block every subpackage. And
+CHANGES.md stays a list of leads, so it cannot regrow into a history.
 """
 
 from __future__ import annotations
@@ -166,3 +170,44 @@ def test_the_path_table_names_every_decline_reason_in_order():
     text = (ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
     (row,) = [line for line in text.splitlines() if line.startswith("| `per_event` |")]
     assert ROW_REASON.findall(row) == returned
+
+
+def changes_entries():
+    """Each top-level ``- `` entry of CHANGES.md with its sub-bullets."""
+    entries = []
+    for line in (ROOT / "CHANGES.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("- "):
+            entries.append([])
+        if entries:
+            entries[-1].append(line)
+    return ["\n".join(lines) for lines in entries]
+
+
+def test_changes_entries_are_leads():
+    """A CHANGES.md entry is one lead of at most 200 words; pin lists,
+    bench tables and review rounds belong in the PR, not here."""
+    entries = changes_entries()
+    assert len(entries) > 30  # not vacuous: the scan finds the entries
+    words = {entry[:60]: len(entry.split()) for entry in entries}
+    long = [f"{head}… ({count} words)" for head, count in words.items() if count > 200]
+    assert not long, "entries over 200 words:\n" + "\n".join(long)
+
+
+def test_the_design_cli_row_names_every_subcommand():
+    import argparse
+
+    from repro.cli import build_parser
+
+    actions = build_parser()._actions
+    (subparsers,) = [action for action in actions if isinstance(action, argparse._SubParsersAction)]
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    (row,) = [line for line in text.splitlines() if line.startswith("| CLI |")]
+    assert re.findall(r"`(\w+)`", row.split("|")[3]) == list(subparsers.choices)
+
+
+def test_the_readme_architecture_block_names_every_subpackage():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Architecture", 1)[1].split("```")[1]
+    named = set(re.findall(r"^  (\w+)/", block, re.MULTILINE))
+    packages = {path.parent.name for path in (ROOT / "src" / "repro").glob("*/__init__.py")}
+    assert packages and named == packages

@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from multiprocessing import shared_memory
@@ -65,6 +66,17 @@ def _crash_cell(cell):
     # Module-level so pool.map can pickle it by qualified name; dies hard
     # enough to break the pool (no exception, no cleanup).
     os._exit(13)
+
+
+_run_sweep_cell = sweep_module._run_sweep_cell
+
+
+def _crash_at_4096(cell):
+    # Dies only on the 4096-byte cells, so other cells can come back
+    # before the pool breaks.
+    if cell[1] == 4096:
+        os._exit(13)
+    return _run_sweep_cell(cell)
 
 
 class TestSharedTraceColumns:
@@ -194,6 +206,25 @@ class TestParallelSweepShm:
         assert created[0]._closed and created[0]._unlinked
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=created[0].name)
+
+    def test_worker_crash_names_the_missing_cells(self, water_trace, many_cores, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        monkeypatch.setattr(sweep_module, "_run_sweep_cell", _crash_at_4096)
+        protocols, page_sizes = ["LI", "EU"], [512, 1024, 4096]
+        with pytest.raises(BrokenProcessPool) as raised:
+            run_sweep(water_trace, protocols=protocols, page_sizes=page_sizes, jobs=2)
+        named = {
+            (protocol, int(size))
+            for protocol, size in re.findall(r"(\w+)/(\d+)", str(raised.value))
+        }
+        partial = raised.value.partial
+        assert {("LI", 4096), ("EU", 4096)} <= named
+        assert not named & partial.grid.keys()
+        assert named | partial.grid.keys() == {(p, s) for p in protocols for s in page_sizes}
+        serial = run_sweep(water_trace, protocols=protocols, page_sizes=page_sizes)
+        for key, result in partial.grid.items():
+            assert result_fields(result) == result_fields(serial.grid[key])
 
     def test_shm_failure_falls_back_to_pickling(
         self, water_trace, many_cores, monkeypatch, caplog
