@@ -7,6 +7,8 @@ matching the word-granularity diffs of Munin and the LRC paper.
 
 from __future__ import annotations
 
+from repro.common.errors import ConfigError
+
 #: Identifier of a processor (0 .. n_procs-1).
 ProcId = int
 
@@ -29,6 +31,15 @@ WORD_SIZE = 4
 def is_power_of_two(value: int) -> bool:
     """Return True if ``value`` is a positive power of two."""
     return value > 0 and (value & (value - 1)) == 0
+
+
+def check_page_size(page_size: int) -> None:
+    """Raise :class:`~repro.common.errors.ConfigError` unless
+    ``page_size`` is a power of two of at least 8 bytes."""
+    if not is_power_of_two(page_size):
+        raise ConfigError(f"page_size must be a power of two, got {page_size}")
+    if page_size < 8:
+        raise ConfigError(f"page_size too small: {page_size}")
 
 
 def page_of(addr: Addr, page_size: int) -> PageId:

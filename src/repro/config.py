@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.common.errors import ConfigError
-from repro.common.types import is_power_of_two
+from repro.common.types import check_page_size
 from repro.network.costs import CostModel
 from repro.network.link import LinkModel
 
@@ -93,10 +93,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_procs < 1:
             raise ConfigError(f"n_procs must be >= 1, got {self.n_procs}")
-        if not is_power_of_two(self.page_size):
-            raise ConfigError(f"page_size must be a power of two, got {self.page_size}")
-        if self.page_size < 8:
-            raise ConfigError(f"page_size too small: {self.page_size}")
+        check_page_size(self.page_size)
 
     def with_page_size(self, page_size: int) -> "SimConfig":
         """A copy of this config at a different page size."""

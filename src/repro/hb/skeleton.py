@@ -23,9 +23,13 @@ once per (compiled trace, n_procs), producing:
   program's sync instructions' order — carrying the closed interval, the
   merged clocks, and the notice batches already grouped by page:
   everything the lazy ``_t_*`` kernels in
-  :mod:`repro.protocols.lazy_base` read in place of the store scans and
-  clock merges their hooks do. The skeleton holds no cost: the kernels
-  price every hop live, through ``Network.send``, as the hooks do.
+  :mod:`repro.protocols.lazy_base` read in place of the store close,
+  gap and clock merges their hooks do. Both close intervals through
+  :meth:`IntervalStore.close <repro.hb.store.IntervalStore.close>` and
+  take notice batches from
+  :meth:`IntervalStore.gap <repro.hb.store.IntervalStore.gap>`. The
+  skeleton holds no cost: the kernels price every hop live, through
+  ``Network.send``, as the hooks do.
 
 Sync record shapes (plain tuples, hot-path friendly)::
 
@@ -39,9 +43,10 @@ Sync record shapes (plain tuples, hot-path friendly)::
         present only on the completing arrival
 
 ``grouped`` is the gap's notices as ``(page, (interval_id, ...))`` pairs
-(each id the store's own object) in first-occurrence order — the order
-the per-event receive loop would insert pages into ``pending``, which
-downstream code (LU's pull scan, diff-apply emission) iterates.
+(each id the store's own object) in first-occurrence order — what every
+loop hands a protocol's ``_receive``, which inserts pages into
+``pending`` in that order (LU's pull scan and diff-apply emission
+iterate it).
 
 The eager family (EI/EU/EW) shares none of that clock machinery, but
 its replay is just as precomputable: every probe emission and network
@@ -79,9 +84,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from repro.common.types import BarrierId, ProcId
 from repro.common.vector_clock import VectorClock
 from repro.hb.index import FetchPlanner
-from repro.hb.interval import Interval
 from repro.hb.store import IntervalStore
-from repro.memory.diff import Diff
 from repro.network.costs import CostModel
 from repro.network.timed import SendLog
 from repro.obs.probe import MISS_CAUSE
@@ -439,35 +442,6 @@ class BatchPlan:
         )
 
 
-def _grouped_gap(
-    store: IntervalStore, sender_vc: VectorClock, receiver_vc: VectorClock
-) -> Tuple[int, tuple]:
-    """The notice gap as (count, ((page, interval_ids), ...)).
-
-    Pages appear in first-occurrence order over the flat notice list —
-    the per-event receive loop's ``pending`` insertion order. Notices
-    whose creator is the receiver never appear at receive time (a
-    processor's own entry always covers its own intervals), so no
-    creator filtering is needed here; the count feeds the wire-byte and
-    ``notices_sent`` accounting unfiltered, exactly like the per-event
-    path. Each interval id is the store's own object
-    (``store.ids[creator][index]``), not a copy per receiver: every
-    skeleton batch, pending set and plan key naming an interval shares
-    one tuple.
-    """
-    notices = store.gap_notices(sender_vc, receiver_vc)
-    if not notices:
-        return 0, ()
-    interval_ids = store.ids
-    by_page: Dict[int, List[tuple]] = {}
-    for creator, index, page in notices:
-        ids = by_page.get(page)
-        if ids is None:
-            by_page[page] = ids = []
-        ids.append(interval_ids[creator][index])
-    return len(notices), tuple((page, tuple(ids)) for page, ids in by_page.items())
-
-
 def build_skeleton(ops: List[tuple], n_procs: int) -> Skeleton:
     """One pass over the compiled ops, replaying synchronization only."""
     store = IntervalStore(n_procs)
@@ -481,24 +455,16 @@ def build_skeleton(ops: List[tuple], n_procs: int) -> Skeleton:
     episodes: Dict[BarrierId, List[VectorClock]] = {}
     records: List[tuple] = []
     append_record = records.append
+    store_close = store.close
+    gap = store.gap
 
     def close(proc: ProcId) -> tuple:
-        vc = vcs[proc]
-        index = vc._entries[proc] + 1
-        vc = vc.advanced(proc, index)
         pages = dirty[proc]
         if pages:
-            interval = Interval(proc, index, vc)
-            for page, words in pages.items():
-                interval.add_diff(Diff(page, proc, index, words, copy=False))
             dirty[proc] = {}
-            interval.close()
-            store.add(interval)
-        else:
-            interval = None
-            store.add_empty(proc, index, vc)
-        vcs[proc] = vc
-        return (index, vc, interval)
+        record = store_close(proc, vcs[proc], pages.items())
+        vcs[proc] = record[1]
+        return record
 
     for op in ops:
         code = op[0]
@@ -526,7 +492,7 @@ def build_skeleton(ops: List[tuple], n_procs: int) -> Skeleton:
             grantor = locks.grantor_of(lock)
             manager = locks.manager_of(lock)
             grantor_vc = vcs[grantor]
-            n, grouped = _grouped_gap(store, grantor_vc, vcs[proc])
+            n, grouped = gap(grantor_vc, vcs[proc])
             vc_after = vcs[proc].merged(grantor_vc)
             append_record((close_rec, grantor, manager, n, grouped, vc_after))
             # Config-independent: when free_local_lock_reacquire skips
@@ -546,7 +512,7 @@ def build_skeleton(ops: List[tuple], n_procs: int) -> Skeleton:
                 merged = vcs[master]
                 for vc in episode:
                     merged = merged.merged(vc)
-                n_to_master = _grouped_gap(store, vcs[proc], merged)[0]
+                n_to_master = gap(vcs[proc], merged)[0]
             else:
                 n_to_master = -1
             episode.append(vcs[proc])
@@ -558,7 +524,7 @@ def build_skeleton(ops: List[tuple], n_procs: int) -> Skeleton:
                 episodes[barrier] = []
                 per_proc = []
                 for p in range(n_procs):
-                    n, grouped = _grouped_gap(store, merged, vcs[p])
+                    n, grouped = gap(merged, vcs[p])
                     per_proc.append((n, grouped, vcs[p].merged(merged)))
                 for p in range(n_procs):
                     vcs[p] = per_proc[p][2]

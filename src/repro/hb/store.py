@@ -7,7 +7,9 @@ code only ever *reads* intervals it has legitimately learned about
 through write notices, and diff payloads are charged to the network when
 they are fetched from their creators.
 
-The store doubles as the lazy protocols' **write-notice index**,
+Every indexed loop closes intervals through :meth:`IntervalStore.close`
+and takes notice batches from :meth:`IntervalStore.gap`. The store
+doubles as the lazy protocols' **write-notice index**,
 maintained incrementally at :meth:`add` time:
 
 * ``notice_runs`` — per creator, the cached tuple of
@@ -29,12 +31,13 @@ maintained incrementally at :meth:`add` time:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.types import PageId, ProcId
 from repro.common.vector_clock import VectorClock
 from repro.hb.interval import Interval, IntervalId
 from repro.hb.write_notice import WriteNotice
+from repro.memory.diff import Diff
 
 #: One modifying interval of one page: (vc_sum, creator, index, vc entries, diff).
 #: Sorting mod records sorts by vc_sum first — a topological key for hb
@@ -149,22 +152,47 @@ class IntervalStore:
         """Intervals of ``proc`` in ``first..last`` that modified ``page``."""
         return [iv for iv in self.intervals_of(proc, first, last) if page in iv.diffs]
 
+    def close(
+        self, proc: ProcId, prior_vc: VectorClock, pages: Iterable[Tuple[PageId, Dict[int, int]]]
+    ) -> Tuple[int, VectorClock, Optional[Interval]]:
+        """Close ``proc``'s open interval: the one close of every indexed loop.
+
+        ``prior_vc`` is ``proc``'s clock before the close; ``pages`` pairs
+        each page the interval modified with its written words (each
+        dict owned by the new diff from here on), in first-write order —
+        the order of the interval's diffs, hence of its notices. Returns
+        ``(index, vc, interval)``, ``interval`` None when nothing was
+        modified (stored as its timestamp alone, see :meth:`add_empty`).
+        """
+        index = prior_vc._entries[proc] + 1
+        vc = prior_vc.advanced(proc, index)
+        interval: Optional[Interval] = None
+        for page, words in pages:
+            if interval is None:
+                interval = Interval(proc, index, vc)
+            interval.add_diff(Diff(page, proc, index, words, copy=False))
+        if interval is None:
+            self.add_empty(proc, index, vc)
+        else:
+            interval.close()
+            self.add(interval)
+        return index, vc, interval
+
     # -- write-notice index -------------------------------------------------
 
-    def gap_notices(
-        self, sender_vc: VectorClock, receiver_vc: VectorClock
-    ) -> List[WriteNotice]:
-        """Notices for every interval the sender knows and the receiver lacks.
+    def gap(self, sender_vc: VectorClock, receiver_vc: VectorClock) -> Tuple[int, tuple]:
+        """The notices for every interval the sender knows and the receiver
+        lacks, as :meth:`group` returns them.
 
         Concatenates the cached per-interval notice tuples over the
         vector-clock gap — the indexed equivalent of walking
-        :meth:`intervals_of` and re-building a notice per modified page.
+        :meth:`intervals_of` and building a notice per modified page.
         """
         notices: List[WriteNotice] = []
         mine = sender_vc.entries()
         theirs = receiver_vc.entries()
         if mine == theirs:
-            return notices
+            return 0, ()
         extend = notices.extend
         notices_by_proc = self._notices_by_proc
         # Inlined VectorClock.missing_from — this runs per lock grant
@@ -182,7 +210,29 @@ class IntervalStore:
             for cached in per_interval[first : last + 1]:
                 if cached:
                     extend(cached)
-        return notices
+        return self.group(notices)
+
+    def group(self, notices: List[WriteNotice]) -> Tuple[int, tuple]:
+        """A notice batch as ``(count, ((page, interval_ids), ...))``.
+
+        Pages appear in first-occurrence order over ``notices`` — the
+        order a receiver adds them to its pending map. Notices whose
+        creator is the receiver never appear in a gap (a processor's own
+        entry always covers its own intervals), so nothing is filtered;
+        the count feeds the wire-byte and ``notices_sent`` accounting.
+        Each interval id is the store's own object (``ids``), not a copy
+        per receiver.
+        """
+        if not notices:
+            return 0, ()
+        interval_ids = self.ids
+        by_page: Dict[PageId, List[IntervalId]] = {}
+        for creator, index, page in notices:
+            page_ids = by_page.get(page)
+            if page_ids is None:
+                by_page[page] = page_ids = []
+            page_ids.append(interval_ids[creator][index])
+        return len(notices), tuple((page, tuple(page_ids)) for page, page_ids in by_page.items())
 
     def page_mods(self, page: PageId) -> Dict[IntervalId, ModRecord]:
         """The mod records of every interval that modified ``page``."""

@@ -1,9 +1,10 @@
 """Metrics: counters, histograms, and the epoch/lock traffic breakdowns.
 
-The registry receives one :meth:`record_message` call per counted
-network send (mirroring the ledger update in :meth:`Network.send` with
-the *same* counted/byte values) and one :meth:`record_miss` per serviced
-access miss, each stamped with the current barrier epoch and cause. It
+The registry receives one :meth:`~MetricsRegistry.record_segment` call
+per staged segment of a probe: the counted messages and bytes of every
+network send (the *same* values the ledger update in
+:meth:`Network.send` adds) and the serviced access misses since the
+last attribution boundary, stamped with the barrier epoch and cause. It
 therefore decomposes a run's totals without re-deriving them: summing
 any epoch column reproduces the corresponding
 :class:`~repro.simulator.results.SimulationResult` aggregate exactly,
@@ -83,38 +84,6 @@ class MetricsRegistry:
             epochs.append([0] * _ROW_WIDTH)
         return epochs[epoch]
 
-    def record_message(
-        self,
-        epoch: int,
-        cause: Tuple[str, int],
-        counted: bool,
-        data_bytes: int,
-        control_bytes: int,
-    ) -> None:
-        row = self._epochs[epoch] if epoch < len(self._epochs) else self._row(epoch)
-        if counted:
-            row[_MSGS] += 1
-        row[_DATA] += data_bytes
-        row[_CTRL] += control_bytes
-        kind, ident = cause
-        cols = _CAUSE_COLS.get(kind)
-        if cols is not None:
-            if counted:
-                row[cols[0]] += 1
-            row[cols[1]] += data_bytes
-        if kind == "lock":
-            lock_row = self._locks.get(ident)
-            if lock_row is None:
-                lock_row = self._locks[ident] = [0, 0, 0]
-            if counted:
-                lock_row[0] += 1
-            lock_row[1] += data_bytes
-            lock_row[2] += control_bytes
-
-    def record_miss(self, epoch: int) -> None:
-        row = self._epochs[epoch] if epoch < len(self._epochs) else self._row(epoch)
-        row[_MISSES] += 1
-
     def record_segment(
         self,
         epoch: int,
@@ -124,13 +93,11 @@ class MetricsRegistry:
         control_bytes: int,
         misses: int,
     ) -> None:
-        """Fold one staged segment of constant (epoch, cause) in at once.
-
-        Additively equivalent to ``msgs`` counted :meth:`record_message`
-        calls carrying ``data_bytes``/``control_bytes`` total plus
-        ``misses`` :meth:`record_miss` calls — the probe stages plain
-        int adds between attribution boundaries and drains here, so the
-        per-event dict/tuple work disappears from the hot path.
+        """Fold one staged segment of constant (epoch, cause) in at once:
+        ``msgs`` counted messages carrying ``data_bytes``/``control_bytes``
+        in total, and ``misses`` serviced access misses. The probe stages
+        plain int adds between attribution boundaries and drains here,
+        so the per-event dict/tuple work stays off the hot path.
         """
         row = self._epochs[epoch] if epoch < len(self._epochs) else self._row(epoch)
         row[_MSGS] += msgs

@@ -25,12 +25,11 @@ concurrent writers' words, which a race-free program does not read).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.common.types import PageId, ProcId
 from repro.config import SimConfig
 from repro.hb.interval import Interval
-from repro.hb.write_notice import WriteNotice
 from repro.memory.page import PageEntry, PageState
 from repro.network.message import MessageKind
 from repro.protocols.lazy_base import LazyProtocol
@@ -84,38 +83,9 @@ class HomeLazy(LazyProtocol):
 
     # -- notices: invalidate, except at the page's home ------------------------
 
-    def _on_notice(self, proc: ProcId, notice: WriteNotice) -> None:
-        page = notice.page
-        state = self.lazy_state[proc]
-        if self.page_manager(page) == proc:
-            # The home already holds the flushed modification.
-            pending = state.pending.get(page)
-            if pending is not None:
-                pending.discard(notice.interval_id)
-                if not pending:
-                    del state.pending[page]
-            return
-        entry = self.procs[proc].pages.lookup(page)
-        if entry is not None and entry.state == PageState.VALID:
-            entry.state = PageState.INVALID
-
-    def _after_notices(self, proc: ProcId, pull_kinds: Tuple[MessageKind, MessageKind]) -> None:
-        """Data moves only at misses (invalidate policy)."""
-
-    # -- misses: one round trip to the home -------------------------------------
-
-    def _handle_miss(self, proc: ProcId, page: PageId, entry: PageEntry) -> None:
-        self.lazy_state[proc].pending.pop(page, None)
-        home = self.page_manager(page)
-        self._fetch_page_copy(proc, page, entry, server=home)
-
-    # -- tape kernels ---------------------------------------------------------
-
-    def _t_receive(self, proc, grouped, vc_after, pull_kinds):
-        # Home pages are skipped outright: the per-event loop adds their
-        # ids to pending and _on_notice immediately discards them (the
-        # home already holds the flushed data), so the key is transient
-        # within the batch and never observable outside it.
+    def _receive(self, proc, grouped, vc_after, pull_kinds):
+        # A home page is skipped outright: the home already holds the
+        # flushed modification, so nothing is pending and its copy stays.
         state = self.lazy_state[proc]
         if grouped:
             pending = state.pending
@@ -125,7 +95,7 @@ class HomeLazy(LazyProtocol):
             valid = PageState.VALID
             invalid = PageState.INVALID
             for page, interval_ids in grouped:
-                if page % n_procs == proc:  # this proc is the home
+                if page % n_procs == proc:  # page_manager, inlined
                     continue
                 page_pending = pending_get(page)
                 if page_pending is None:
@@ -136,3 +106,10 @@ class HomeLazy(LazyProtocol):
                     entry.state = invalid
         state.vc = vc_after
         self._after_notices(proc, pull_kinds)
+
+    # -- misses: one round trip to the home -------------------------------------
+
+    def _handle_miss(self, proc: ProcId, page: PageId, entry: PageEntry) -> None:
+        self.lazy_state[proc].pending.pop(page, None)
+        home = self.page_manager(page)
+        self._fetch_page_copy(proc, page, entry, server=home)

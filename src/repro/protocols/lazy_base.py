@@ -1,4 +1,4 @@
-"""Lazy release consistency: machinery shared by LI and LU (§4).
+"""Lazy release consistency: machinery shared by LI, LU, LH and HLRC (§4).
 
 Execution is divided into intervals; every special access closes the
 current interval (finalizing one diff per modified page) and begins a new
@@ -66,7 +66,8 @@ class LazyProcState:
 
 
 class LazyProtocol(Protocol):
-    """Common LRC implementation; LI/LU differ in how notices are consumed."""
+    """Common LRC implementation; the protocols differ only in how notices
+    are consumed (:meth:`_receive`, LU's :meth:`_after_notices`)."""
 
     lazy = True
 
@@ -92,9 +93,6 @@ class LazyProtocol(Protocol):
         self._planner: Optional[FetchPlanner] = FetchPlanner(
             self.store, self.costs, config.skip_overwritten_diffs
         )
-        # True when a subclass installed a per-notice hook; when False
-        # the notice-receive loop skips the no-op calls entirely.
-        self._has_notice_hook = type(self)._on_notice is not LazyProtocol._on_notice
         # Wire sizes that never change within a run, hoisted off the
         # per-acquire/per-barrier paths.
         self._vc_bytes = self.costs.vclock_bytes(config.n_procs)
@@ -121,44 +119,21 @@ class LazyProtocol(Protocol):
     def _close_interval(self, proc: ProcId) -> Optional[Interval]:
         """Close ``proc``'s open interval, finalizing its diffs.
 
-        The indexed path (inlined below — one call per special access)
-        visits only the dirty registry's entries and returns ``None`` for
-        an interval that modified nothing (the common case — such
-        intervals only advance the vector clock and are stored as
-        placeholders, see :meth:`IntervalStore.add_empty`); the tape
-        kernels take the same interval prebuilt from the skeleton, and
-        both end in :meth:`_closed`.
+        The indexed path drains only the dirty registry's entries and
+        closes through :meth:`IntervalStore.close`, as the skeleton does
+        for the tape kernels; it returns ``None`` for an interval that
+        modified nothing (the common case — such intervals only advance
+        the vector clock). Both end in :meth:`_closed`.
         """
         if not self._indexed:
             return self._close_interval_reference(proc)
-        prior = self.lazy_state[proc].vc
-        index = prior._entries[proc] + 1
-        vc = prior.advanced(proc, index)
-        # Inlined PageTable.drain_dirty (this runs per special access).
-        dirty_registry = self.procs[proc].pages._dirty
-        interval: Optional[Interval] = None
-        if dirty_registry:
-            # Nothing below mutates the registry (writes re-populate it
-            # only after the close), so iterate it in place.
-            for entry in dirty_registry.values():
-                if not entry.dirty_words:
-                    continue
-                if interval is None:
-                    interval = Interval(proc, index, vc)
-                # clear_dirty rebinds dirty_words, so the diff can own
-                # the dict without copying.
-                interval.add_diff(Diff(entry.page_id, proc, index, entry.dirty_words, copy=False))
+        pages = []
+        for entry in self.procs[proc].pages.drain_dirty():
+            if entry.dirty_words:
+                # clear_dirty rebinds dirty_words, so the diff owns the dict.
+                pages.append((entry.page_id, entry.dirty_words))
                 entry.clear_dirty()
-            dirty_registry.clear()
-        store = self.store
-        if interval is None:
-            # Inlined IntervalStore.add_empty: the close path alone grows
-            # the store, so the per-proc lists stay dense by construction.
-            store._by_proc[proc].append(vc)
-            store._notices_by_proc[proc].append(())
-        else:
-            interval.close()
-            store.add(interval)
+        index, vc, interval = self.store.close(proc, self.lazy_state[proc].vc, pages)
         self._closed(proc, index, vc, interval)
         return interval
 
@@ -259,65 +234,50 @@ class LazyProtocol(Protocol):
 
     # -- write-notice machinery ----------------------------------------------
 
-    def _notices_for_gap(
-        self, sender_vc: VectorClock, receiver_vc: VectorClock
-    ) -> List[WriteNotice]:
-        """Notices for every interval the sender knows and the receiver
-        lacks. A method testing ``_indexed``, not a bound method stored
-        on the instance: that would be a reference cycle through
-        ``self`` (the oracle's whole interval store waited for a full
-        collection)."""
+    def _gap(self, sender_vc: VectorClock, receiver_vc: VectorClock) -> Tuple[int, tuple]:
+        """The notices for every interval the sender knows and the
+        receiver lacks, as ``(count, grouped)`` (:meth:`IntervalStore.group`).
+        A method testing ``_indexed``, not a bound method stored on the
+        instance: that would be a reference cycle through ``self`` (the
+        oracle's whole interval store waited for a full collection)."""
         if self._indexed:
-            return self.store.gap_notices(sender_vc, receiver_vc)
+            return self.store.gap(sender_vc, receiver_vc)
         notices: List[WriteNotice] = []
         for creator, first, last in sender_vc.missing_from(receiver_vc):
             for interval in self.store.intervals_of(creator, first, last):
                 for page in interval.modified_pages:
                     notices.append(WriteNotice(creator, interval.index, page))
-        return notices
+        return self.store.group(notices)
 
-    def _receive_notices(
+    def _receive(
         self,
         proc: ProcId,
-        notices: List[WriteNotice],
-        sender_vc: VectorClock,
+        grouped: tuple,
+        vc_after: VectorClock,
         pull_kinds: Tuple[MessageKind, MessageKind],
     ) -> None:
-        """Record incoming notices at ``proc`` and merge the sender's clock.
+        """Record one notice batch at ``proc``: the lazy family's notice
+        policy, stated once for every loop (base: track only).
 
+        ``grouped`` pairs each page with its notice interval ids in
+        first-occurrence order (:meth:`IntervalStore.group`); ``proc``'s
+        clock becomes ``vc_after``, the merge with the sender's.
         ``pull_kinds`` are the request/reply message kinds an update
         protocol uses if it pulls diffs right away (lock-category kinds at
-        an acquire, barrier-category kinds at a barrier exit).
+        an acquire, barrier-category kinds at a barrier exit). LI, LH and
+        HLRC override this; LU only :meth:`_after_notices`.
         """
         state = self.lazy_state[proc]
-        pending = state.pending
-        pending_get = pending.get
-        interval_ids = self.store.ids
-        if self._has_notice_hook:
-            on_notice = self._on_notice
-            for notice in notices:
-                creator = notice[0]
-                if creator == proc:
-                    continue
-                page = notice[2]
+        if grouped:
+            pending = state.pending
+            pending_get = pending.get
+            for page, interval_ids in grouped:
                 page_pending = pending_get(page)
                 if page_pending is None:
                     pending[page] = page_pending = set()
-                page_pending.add(interval_ids[creator][notice[1]])
-                on_notice(proc, notice)
-        else:
-            for creator, index, page in notices:
-                if creator == proc:
-                    continue
-                page_pending = pending_get(page)
-                if page_pending is None:
-                    pending[page] = page_pending = set()
-                page_pending.add(interval_ids[creator][index])
-        state.vc = state.vc.merged(sender_vc)
+                page_pending.update(interval_ids)
+        state.vc = vc_after
         self._after_notices(proc, pull_kinds)
-
-    def _on_notice(self, proc: ProcId, notice: WriteNotice) -> None:
-        """Per-notice hook: LI invalidates the named page here."""
 
     def _after_notices(self, proc: ProcId, pull_kinds: Tuple[MessageKind, MessageKind]) -> None:
         """Post-batch hook: LU pulls diffs for cached pages here."""
@@ -701,9 +661,10 @@ class LazyProtocol(Protocol):
         if grantor == proc and self.config.free_local_lock_reacquire:
             return
         grantor_vc = self.lazy_state[grantor].vc
-        notices = self._notices_for_gap(grantor_vc, self.lazy_state[proc].vc)
-        self._grant(proc, self.locks.manager_of(lock), grantor, len(notices))
-        self._receive_notices(proc, notices, grantor_vc, _ACQUIRE_PULL_KINDS)
+        vc = self.lazy_state[proc].vc
+        n_notices, grouped = self._gap(grantor_vc, vc)
+        self._grant(proc, self.locks.manager_of(lock), grantor, n_notices)
+        self._receive(proc, grouped, vc.merged(grantor_vc), _ACQUIRE_PULL_KINDS)
 
     def _on_release(self, proc: ProcId, lock: LockId) -> None:
         """Releases are purely local operations in LRC — no messages (§4.2)."""
@@ -718,7 +679,7 @@ class LazyProtocol(Protocol):
         master = self.barriers.master
         if proc != master:
             merged = self._episode_clock(barrier)
-            self._arrive(proc, master, len(self._notices_for_gap(state.vc, merged)))
+            self._arrive(proc, master, self._gap(state.vc, merged)[0])
         episode.append((proc, state.vc))
 
     def _episode_clock(self, barrier: BarrierId) -> VectorClock:
@@ -733,9 +694,10 @@ class LazyProtocol(Protocol):
         merged = self._episode_clock(barrier)
         self._episodes[barrier] = []
         for proc in range(self.n_procs):
-            notices = self._notices_for_gap(merged, self.lazy_state[proc].vc)
-            self._exit(master, proc, len(notices))
-            self._receive_notices(proc, notices, merged, _BARRIER_PULL_KINDS)
+            vc = self.lazy_state[proc].vc
+            n_notices, grouped = self._gap(merged, vc)
+            self._exit(master, proc, n_notices)
+            self._receive(proc, grouped, vc.merged(merged), _BARRIER_PULL_KINDS)
         if self.config.gc_at_barriers:
             self._collect_garbage()
 
@@ -826,9 +788,10 @@ class LazyProtocol(Protocol):
     # the _on_* hooks: _walk_runs drives the _t_* kernels below over the
     # run program. A sync kernel takes its operation's skeleton record —
     # the closed interval, the merged clocks, the notice batches grouped
-    # by page — in place of the hooks' store scans and clock merges, and
-    # is otherwise the hooks' code: the close ends in _closed, every hop
-    # goes through _grant / _arrive / _exit to Network.send (ledger, a
+    # by page — in place of the hooks' store close and gap, and is
+    # otherwise the hooks' code: the close ends in _closed, every batch
+    # goes through _receive, every hop through _grant / _arrive / _exit
+    # to Network.send (ledger, a
     # stock probe's staged row, a recording run's capture, the tap). An
     # access run needs no kernel: it is its span's first touch, and
     # read_touch is the miss check. Under a stock probe (``self._obs``)
@@ -937,32 +900,6 @@ class LazyProtocol(Protocol):
                 counters[name] = dict(value) if isinstance(value, dict) else value
         return recorder.tape(counters)
 
-    def _t_receive(
-        self,
-        proc: ProcId,
-        grouped: tuple,
-        vc_after: VectorClock,
-        pull_kinds: Tuple[MessageKind, MessageKind],
-    ) -> None:
-        """Record one prebuilt notice batch at ``proc`` (base: track only).
-
-        ``grouped`` pairs each page with its notice interval ids in
-        first-occurrence order, so ``pending`` gains pages in the exact
-        order the per-event loop would insert them. LI/HLRC/LH override
-        this to fold their per-notice policy into the same loop.
-        """
-        state = self.lazy_state[proc]
-        if grouped:
-            pending = state.pending
-            pending_get = pending.get
-            for page, interval_ids in grouped:
-                page_pending = pending_get(page)
-                if page_pending is None:
-                    pending[page] = page_pending = set()
-                page_pending.update(interval_ids)
-        state.vc = vc_after
-        self._after_notices(proc, pull_kinds)
-
     def _stage_row(self, rows: Dict[int, List[int]], cause: str, ident: int):
         """Swap in ``(cause, ident)``'s staged row; returns the one to
         restore. Rows are created on first use, in wrapper order.
@@ -994,7 +931,7 @@ class LazyProtocol(Protocol):
         self._closed(proc, *close)
         if grantor != proc or not self.config.free_local_lock_reacquire:
             self._grant(proc, manager, grantor, n_notices)
-            self._t_receive(proc, grouped, vc_after, _ACQUIRE_PULL_KINDS)
+            self._receive(proc, grouped, vc_after, _ACQUIRE_PULL_KINDS)
         if obs:
             self._unstage(saved)
 
@@ -1025,7 +962,7 @@ class LazyProtocol(Protocol):
                 self._emit("barrier_complete", proc=proc, barrier=barrier)
             for p, (n_notices, grouped, vc_after) in enumerate(complete):
                 self._exit(master, p, n_notices)
-                self._t_receive(p, grouped, vc_after, _BARRIER_PULL_KINDS)
+                self._receive(p, grouped, vc_after, _BARRIER_PULL_KINDS)
             if self.config.gc_at_barriers:
                 self._collect_garbage()
             if obs:

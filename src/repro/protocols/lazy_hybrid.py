@@ -22,13 +22,11 @@ other protocol.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence
 
 from repro.common.types import PageId, ProcId
 from repro.config import SimConfig
-from repro.hb.write_notice import WriteNotice
 from repro.memory.page import PageState
-from repro.network.message import MessageKind
 from repro.protocols.lazy_base import LazyProtocol
 
 
@@ -85,37 +83,6 @@ class LazyHybrid(LazyProtocol):
 
     # -- policy decisions ---------------------------------------------------
 
-    def _on_notice(self, proc: ProcId, notice: WriteNotice) -> None:
-        entry = self.procs[proc].pages.lookup(notice.page)
-        if entry is None or entry.state == PageState.MISSING:
-            return
-        policy = self._page_policy(proc, notice.page)
-        if policy.update_mode and not policy.used_since_pull:
-            # The previous eager pull went unused: demote.
-            policy.update_mode = False
-            policy.miss_streak = 0
-            self.demotions += 1
-        if not policy.update_mode and entry.state == PageState.VALID:
-            entry.state = PageState.INVALID
-
-    def _after_notices(self, proc: ProcId, pull_kinds: Tuple[MessageKind, MessageKind]) -> None:
-        state = self.lazy_state[proc]
-        pages = self.procs[proc].pages
-        eager_pages: List[PageId] = []
-        for page in state.pending:
-            if not pages.has_copy(page):
-                continue
-            policy = self._page_policy(proc, page)
-            if policy.update_mode:
-                eager_pages.append(page)
-                policy.used_since_pull = False
-        if eager_pages:
-            h = self._collect_diffs(proc, eager_pages, pull_kinds[0], pull_kinds[1])
-            self.pull_h_histogram[h] = self.pull_h_histogram.get(h, 0) + 1
-            for page in eager_pages:
-                entry = pages.entry(page)
-                entry.state = PageState.VALID
-
     def _handle_miss(self, proc: ProcId, page: PageId, entry) -> None:
         if entry.state == PageState.INVALID:
             policy = self._page_policy(proc, page)
@@ -126,35 +93,42 @@ class LazyHybrid(LazyProtocol):
                 self.promotions += 1
         super()._handle_miss(proc, page, entry)
 
-    # -- tape kernels ---------------------------------------------------------
-
-    def _t_receive(self, proc, grouped, vc_after, pull_kinds):
-        # Per-page policy decisions are idempotent within a batch (a
-        # demote flips update_mode off, making every later notice for
-        # the page a no-op), so one pass per page replays the per-notice
-        # hook exactly.
+    def _receive(self, proc, grouped, vc_after, pull_kinds):
+        # Per page: an update-mode page whose last pull went unused
+        # demotes; an invalidate-mode page is invalidated. Then the
+        # update-mode pages with a copy are pulled eagerly, as in LU.
         state = self.lazy_state[proc]
-        if grouped:
-            pending = state.pending
-            pending_get = pending.get
-            lookup = self.procs[proc].pages.lookup
-            missing = PageState.MISSING
-            valid = PageState.VALID
-            invalid = PageState.INVALID
-            for page, interval_ids in grouped:
-                page_pending = pending_get(page)
-                if page_pending is None:
-                    pending[page] = page_pending = set()
-                page_pending.update(interval_ids)
-                entry = lookup(page)
-                if entry is None or entry.state is missing:
-                    continue
-                policy = self._page_policy(proc, page)
-                if policy.update_mode and not policy.used_since_pull:
-                    policy.update_mode = False
-                    policy.miss_streak = 0
-                    self.demotions += 1
-                if not policy.update_mode and entry.state is valid:
-                    entry.state = invalid
+        pending = state.pending
+        pages = self.procs[proc].pages
+        lookup = pages.lookup
+        missing = PageState.MISSING
+        valid = PageState.VALID
+        for page, interval_ids in grouped:
+            page_pending = pending.get(page)
+            if page_pending is None:
+                pending[page] = page_pending = set()
+            page_pending.update(interval_ids)
+            entry = lookup(page)
+            if entry is None or entry.state is missing:
+                continue
+            policy = self._page_policy(proc, page)
+            if policy.update_mode and not policy.used_since_pull:
+                policy.update_mode = False
+                policy.miss_streak = 0
+                self.demotions += 1
+            if not policy.update_mode and entry.state is valid:
+                entry.state = PageState.INVALID
         state.vc = vc_after
-        self._after_notices(proc, pull_kinds)
+        eager_pages: List[PageId] = []
+        for page in pending:
+            if not pages.has_copy(page):
+                continue
+            policy = self._page_policy(proc, page)
+            if policy.update_mode:
+                eager_pages.append(page)
+                policy.used_since_pull = False
+        if eager_pages:
+            h = self._collect_diffs(proc, eager_pages, pull_kinds[0], pull_kinds[1])
+            self.pull_h_histogram[h] = self.pull_h_histogram.get(h, 0) + 1
+            for page in eager_pages:
+                pages.entry(page).state = valid

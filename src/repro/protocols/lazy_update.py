@@ -25,7 +25,7 @@ class LazyUpdate(LazyProtocol):
     name = "LU"
     update = True
     # LU's only divergence from the base is _after_notices, which the
-    # tape's _t_receive calls unchanged.
+    # base's _receive calls on every loop.
     replay_certified = True
 
     def _after_notices(self, proc: ProcId, pull_kinds: Tuple[MessageKind, MessageKind]) -> None:

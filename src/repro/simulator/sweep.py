@@ -167,19 +167,6 @@ class SweepResult:
             lines.append("")
         return "\n".join(lines).rstrip()
 
-    def format_table(self, metric: str = "messages") -> str:
-        """A text rendering of one figure (rows: protocols, cols: page sizes)."""
-        header = f"{self.app} — {metric} by page size"
-        lines = [header, "-" * len(header)]
-        lines.append("proto " + "".join(f"{s:>12}" for s in self.page_sizes))
-        for protocol in self.protocols:
-            if metric == "messages":
-                cells = "".join(f"{v:>12}" for v in self.message_series(protocol))
-            else:
-                cells = "".join(f"{v:>12.1f}" for v in self.data_series(protocol))
-            lines.append(f"{protocol:<6}{cells}")
-        return "\n".join(lines)
-
 
 # -- parallel executor machinery -------------------------------------------
 #

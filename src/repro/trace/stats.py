@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Set
 
-from repro.common.types import PageId, ProcId, page_of, words_in_range
+from repro.common.types import PageId, ProcId, check_page_size, page_of, words_in_range
 from repro.trace.events import EventType
 from repro.trace.stream import TraceStream
 
@@ -79,6 +79,7 @@ class TraceStats:
 
 def compute_stats(trace: TraceStream, page_size: int) -> TraceStats:
     """Compute :class:`TraceStats` for ``trace`` at ``page_size``."""
+    check_page_size(page_size)
     pages: Dict[PageId, PageSharing] = {}
     n_reads = n_writes = n_acquires = n_releases = n_barriers = 0
 

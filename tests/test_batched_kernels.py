@@ -261,12 +261,12 @@ class TestBatchedGate:
         seen = []
 
         class Doubled(LazyInvalidate):
-            def _on_notice(self, proc, notice):
-                seen.append((proc, notice.page))
-                super()._on_notice(proc, notice)
+            def _receive(self, proc, grouped, vc_after, pull_kinds):
+                seen.extend((proc, page) for page, _ in grouped)
+                super()._receive(proc, grouped, vc_after, pull_kinds)
 
         # The engine takes the per-event path, so the override still
-        # observes every notice and the results match stock LI.
+        # observes every notice batch and the results match stock LI.
         doubled, stock = run_uncertified(water_trace, Doubled, "LI")
         assert seen
         assert ledger_fields(doubled) == ledger_fields(stock)

@@ -5,9 +5,10 @@ import pytest
 from repro.analysis.checker import check_consistency, check_protocol
 from repro.common.errors import ConsistencyViolation
 from repro.config import SimConfig
+from repro.protocols.registry import protocol_class
 from repro.simulator.engine import Engine, simulate
 from repro.trace.events import Event
-from tests.conftest import build_trace, lock_chain_trace
+from tests.conftest import build_trace, lock_chain_trace, small_trace
 
 
 class TestCheckerBasics:
@@ -50,23 +51,27 @@ class TestCheckerCatchesBugs:
         with pytest.raises(ConsistencyViolation):
             report.raise_on_failure()
 
-    def test_broken_protocol_detected(self):
-        """A protocol that drops invalidations returns stale reads."""
-        from repro.protocols.lazy_invalidate import LazyInvalidate
+    @pytest.mark.parametrize("trace_name", ["lock_chain", "water"])
+    @pytest.mark.parametrize("protocol", ["LI", "LU", "LH", "HLRC"])
+    def test_broken_protocol_detected(self, protocol, trace_name):
+        """A notice policy that drops every batch but merges the clock
+        returns stale reads, and Definition 1 says so; the stock policy
+        passes. ``_receive`` is the one policy every loop calls."""
+        stock = protocol_class(protocol)
 
-        class BrokenLI(LazyInvalidate):
+        class Broken(stock):
             name = "BROKEN"
 
-            def _on_notice(self, proc, notice):  # never invalidates
-                pass
+            def _receive(self, proc, grouped, vc_after, pull_kinds):
+                self.lazy_state[proc].vc = vc_after
 
-            def _handle_miss(self, proc, page, entry):
-                super()._handle_miss(proc, page, entry)
-
-        trace = lock_chain_trace(n_procs=3, rounds=2)
-        config = SimConfig(n_procs=3, page_size=512, record_values=True)
-        result = Engine(trace, config, BrokenLI).run()
-        report = check_consistency(trace, result)
+        if trace_name == "water":
+            trace, page_size = small_trace("water", 4), 1024
+        else:
+            trace, page_size = lock_chain_trace(n_procs=3, rounds=2), 512
+        config = SimConfig(n_procs=trace.n_procs, page_size=page_size, record_values=True)
+        assert check_consistency(trace, Engine(trace, config, stock).run()).ok
+        report = check_consistency(trace, Engine(trace, config, Broken).run())
         assert not report.ok
 
     def test_racy_reads_skipped_not_flagged(self):

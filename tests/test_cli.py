@@ -345,6 +345,23 @@ class TestUserErrors:
         assert named in lines[0]
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("page_size", ["0", "3", "-4096"])
+    @pytest.mark.parametrize(
+        "command",
+        ["run", "stats", "check", "compare", "mstats", "timeline", "report", "trace --spans"],
+    )
+    def test_every_page_size_command_checks_it(self, capsys, tmp_path, command, page_size):
+        argv = command.split()
+        if command == "trace --spans":
+            argv.append(str(tmp_path / "spans.json"))
+        extra = [*small_args("water"), "--scale", "0.25", "--page-size", page_size]
+        assert main([*argv, *extra]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lrc-sim: error: ")
+        assert page_size in lines[0]
+        assert "Traceback" not in captured.err
+
     def test_a_bug_keeps_its_traceback(self, monkeypatch):
         from repro import cli
         from repro.common.errors import SimulatorError

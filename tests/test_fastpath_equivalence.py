@@ -15,7 +15,7 @@ from repro.apps.synthetic import migratory, producer_consumer
 from repro.common.errors import ConfigError, SimulatorError
 from repro.config import SimConfig
 from repro.network.link import LinkModel
-from repro.protocols.registry import all_protocol_names
+from repro.protocols.registry import all_protocol_names, protocol_class
 from repro.simulator.engine import Engine, simulate
 from repro.simulator.results import SimulationResult
 from repro.simulator.sweep import run_sweep
@@ -34,6 +34,7 @@ from tests.conftest import (
     ledger_fields,
     lock_chain_trace,
     run_loop,
+    small_trace,
 )
 
 PROTOCOLS = ("LI", "LU", "EI", "EU")
@@ -188,6 +189,40 @@ class TestCoherenceIndexEquivalence:
             reference.counters["gc_collected_bytes"]
         )
         assert indexed.counters["gc_collected_bytes"] > 0
+
+
+class TestOneReceivePath:
+    """Every loop hands each notice batch to the same ``_receive``, with
+    the same ``(page, interval ids)`` batches, clocks and pull kinds."""
+
+    @pytest.mark.parametrize("protocol", LAZY_PROTOCOLS)
+    def test_every_loop_calls_receive_alike(self, protocol):
+        class Spy(protocol_class(protocol)):
+            replay_certified = True
+
+            def __init__(self, config):
+                super().__init__(config)
+                self.calls = []
+
+            def _receive(self, proc, grouped, vc_after, pull_kinds):
+                self.calls.append((proc, grouped, vc_after.entries(), pull_kinds))
+                super()._receive(proc, grouped, vc_after, pull_kinds)
+
+        trace = small_trace("water", 4)
+        config = SimConfig(n_procs=4, page_size=1024)
+        calls = {}
+        for loop, overrides in (
+            ("tape", {}),
+            ("per_event", {"record_values": True}),
+            ("reference", {}),
+        ):
+            engine = Engine(trace, config.with_options(**overrides), Spy)
+            result = engine.run_reference() if loop == "reference" else engine.run()
+            assert result.manifest["execution_path"] == loop
+            calls[loop] = engine.protocol.calls
+        assert calls["tape"]
+        assert calls["per_event"] == calls["tape"]
+        assert calls["reference"] == calls["tape"]
 
 
 class TestPlansAreSizedByTheConfig:

@@ -225,9 +225,9 @@ class TestMetricsRegistry:
 
     def test_merge_zero_pads_epochs(self):
         a = MetricsRegistry()
-        a.record_message(0, ("miss", -1), True, 10, 1)
+        a.record_segment(0, ("miss", -1), 1, 10, 1, 0)
         b = MetricsRegistry()
-        b.record_message(2, ("lock", 5), True, 0, 2)
+        b.record_segment(2, ("lock", 5), 1, 0, 2, 0)
         merged = merge_metrics([a.snapshot(), None, b.snapshot()])
         assert len(merged["epochs"]) == 3
         assert merged["epochs"][0]["messages"] == 1
@@ -356,8 +356,8 @@ class TestManifest:
         from repro.simulator.engine import Engine
 
         class Overriding(LazyInvalidate):
-            def _on_notice(self, proc, notice):
-                super()._on_notice(proc, notice)
+            def _receive(self, proc, grouped, vc_after, pull_kinds):
+                super()._receive(proc, grouped, vc_after, pull_kinds)
 
         class CountingSpanProbe(SpanProbe):
             messages = 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.report import format_figure_table
 from repro.common.errors import ConfigError
 from repro.config import PAPER_N_PROCS, PAPER_PAGE_SIZES, SimConfig
 from repro.protocols.registry import PROTOCOLS, protocol_class, protocol_names
@@ -164,9 +165,9 @@ class TestSweep:
     def test_format_table(self):
         trace = lock_chain_trace(n_procs=3, rounds=2)
         sweep = run_sweep(trace, page_sizes=[512])
-        text = sweep.format_table("messages")
+        text = format_figure_table(sweep, "Figure 5", "messages")
         assert "512" in text and "LI" in text
-        text = sweep.format_table("data")
+        text = format_figure_table(sweep, "Figure 6", "data")
         assert "hand" in text
 
 
