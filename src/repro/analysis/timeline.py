@@ -80,6 +80,7 @@ def message_timeline(
     base = config or SimConfig(n_procs=trace.n_procs)
     cls = protocol_class(protocol) if isinstance(protocol, str) else protocol
     proto: Protocol = cls(base.with_page_size(page_size))
+    proto.bind_interpreter()
     stats = proto.network.stats
     n_events = max(len(trace), 1)
     bucket_events = max(1, (n_events + n_buckets - 1) // n_buckets)

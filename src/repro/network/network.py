@@ -19,8 +19,12 @@ from repro.network.costs import CostModel
 from repro.network.message import MessageKind
 from repro.network.stats import NetworkStats
 
-#: Pure-acknowledgment kinds, precomputed (send() is a hot path).
-_ACK_KINDS = frozenset(kind for kind in MessageKind if kind.is_ack)
+#: Per ``count_acks`` policy, whether a kind's messages are counted, by
+#: ``kind.slot``: built once, so a new ledger hashes no kind.
+_COUNTED = {
+    True: (True,) * len(MessageKind),
+    False: tuple(not kind.is_ack for kind in MessageKind),
+}
 
 
 class Network:
@@ -52,15 +56,12 @@ class Network:
         self._count_header = self.cost_model.count_header_in_data
         self._count_control = self.cost_model.count_control_in_data
         self._header_bytes = self.cost_model.header_bytes
-        # Per-kind (bucket, counted) dispatch for send(), indexed by
-        # ``kind.slot`` (list indexing beats enum-keyed dicts).
-        self._buckets = [
-            (
-                self.stats.by_kind[kind],
-                self.cost_model.count_acks or kind not in _ACK_KINDS,
-            )
-            for kind in MessageKind
-        ]
+        self._counted = _COUNTED[self.cost_model.count_acks]
+        # The ledger's columns, indexed by ``kind.slot`` (list indexing
+        # beats enum-keyed dicts).
+        self._messages = self.stats.messages
+        self._data = self.stats.data_bytes
+        self._control = self.stats.control_bytes
 
     def attach_probe(self, probe, stages: Optional[bool] = None) -> None:
         """Mirror every counted send into ``probe.on_message``.
@@ -100,12 +101,11 @@ class Network:
         diff fetch its row and one tap call per message
         (``Protocol._tap``).
         """
-        buckets = self._buckets
+        ledger_messages, ledger_data, ledger_control = self._messages, self._data, self._control
         for slot, messages, data_bytes, control_bytes in deltas:
-            bucket = buckets[slot][0]
-            bucket.messages += messages
-            bucket.data_bytes += data_bytes
-            bucket.control_bytes += control_bytes
+            ledger_messages[slot] += messages
+            ledger_data[slot] += data_bytes
+            ledger_control[slot] += control_bytes
         if self._capture is not None:
             self._capture.append(deltas)
 
@@ -134,18 +134,19 @@ class Network:
         if not (0 <= src < n and 0 <= dst < n):
             self._check_proc(src)
             self._check_proc(dst)
-        bucket, counted = self._buckets[kind.slot]
+        slot = kind.slot
+        counted = self._counted[slot]
         if counted:
-            bucket.messages += 1
+            self._messages[slot] += 1
         data = payload_bytes
         if self._count_control:
             data += control_bytes
         if self._count_header:
             data += self._header_bytes
-        bucket.data_bytes += data
-        bucket.control_bytes += control_bytes
+        self._data[slot] += data
+        self._control[slot] += control_bytes
         if self._capture is not None:
-            self._capture.append(((kind.slot, 1 if counted else 0, data, control_bytes),))
+            self._capture.append(((slot, 1 if counted else 0, data, control_bytes),))
         probe = self._probe
         if probe is not None:
             if self._probe_stages:

@@ -10,9 +10,16 @@ messages, total data kbytes).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Dict
 
-from repro.network.message import CATEGORIES, MessageKind
+from repro.network.message import CATEGORIES, KIND_NAMES, MessageKind
+
+#: Every kind in ``kind.slot`` order, and each one's index into
+#: :data:`~repro.network.message.CATEGORIES`: built once, so neither a
+#: new ledger nor an aggregation hashes a kind.
+_KINDS = tuple(MessageKind)
+_CATEGORY_INDEX = tuple(CATEGORIES.index(kind.category) for kind in _KINDS)
 
 
 @dataclass
@@ -35,29 +42,54 @@ class CategoryStats:
 
 
 class NetworkStats:
-    """Ledger of every message sent, bucketed by kind and category."""
+    """Ledger of every message sent, bucketed by kind and category.
+
+    Three columns indexed by ``kind.slot`` — ``messages``, ``data_bytes``
+    and ``control_bytes`` — which :class:`~repro.network.network.Network`
+    adds to in place; every view below is read from them.
+    """
+
+    __slots__ = ("messages", "data_bytes", "control_bytes")
 
     def __init__(self) -> None:
-        self.by_kind: Dict[MessageKind, CategoryStats] = {
-            kind: CategoryStats() for kind in MessageKind
-        }
+        n = len(_KINDS)
+        self.messages = [0] * n
+        self.data_bytes = [0] * n
+        self.control_bytes = [0] * n
 
     # -- aggregation ----------------------------------------------------------
 
+    @property
+    def by_kind(self) -> Dict[MessageKind, CategoryStats]:
+        """Counters per kind, every kind in declaration order: fresh
+        :class:`CategoryStats` read from the columns, so writing to them
+        leaves the ledger as it was."""
+        return {
+            kind: CategoryStats(messages, data, control)
+            for kind, messages, data, control in zip(
+                _KINDS, self.messages, self.data_bytes, self.control_bytes
+            )
+        }
+
     def by_category(self) -> Dict[str, CategoryStats]:
         """Totals per Table-1 category (miss, lock, unlock, barrier)."""
-        out = {name: CategoryStats() for name in CATEGORIES}
-        for kind, bucket in self.by_kind.items():
-            out[kind.category].add(bucket)
-        return out
+        out = [CategoryStats() for _ in CATEGORIES]
+        for index, messages, data, control in zip(
+            _CATEGORY_INDEX, self.messages, self.data_bytes, self.control_bytes
+        ):
+            bucket = out[index]
+            bucket.messages += messages
+            bucket.data_bytes += data
+            bucket.control_bytes += control
+        return dict(zip(CATEGORIES, out))
 
     @property
     def total_messages(self) -> int:
-        return sum(bucket.messages for bucket in self.by_kind.values())
+        return sum(self.messages)
 
     @property
     def total_data_bytes(self) -> int:
-        return sum(bucket.data_bytes for bucket in self.by_kind.values())
+        return sum(self.data_bytes)
 
     @property
     def total_data_kbytes(self) -> float:
@@ -66,10 +98,10 @@ class NetworkStats:
     @property
     def total_control_bytes(self) -> int:
         """Raw protocol-metadata bytes (clocks, notices), all categories."""
-        return sum(bucket.control_bytes for bucket in self.by_kind.values())
+        return sum(self.control_bytes)
 
     def messages_of(self, kind: MessageKind) -> int:
-        return self.by_kind[kind].messages
+        return self.messages[kind.slot]
 
     def category_messages(self, category: str) -> int:
         return self.by_category()[category].messages
@@ -80,20 +112,17 @@ class NetworkStats:
     def merged_with(self, other: "NetworkStats") -> "NetworkStats":
         """A new ledger with the sum of both."""
         merged = NetworkStats()
-        for kind in MessageKind:
-            merged.by_kind[kind].add(self.by_kind[kind])
-            merged.by_kind[kind].add(other.by_kind[kind])
+        merged.messages[:] = map(add, self.messages, other.messages)
+        merged.data_bytes[:] = map(add, self.data_bytes, other.data_bytes)
+        merged.control_bytes[:] = map(add, self.control_bytes, other.control_bytes)
         return merged
 
     def snapshot(self) -> Dict[str, Dict[str, int]]:
         """A plain-dict view, convenient for reports and JSON dumps."""
         return {
-            kind.name: {
-                "messages": bucket.messages,
-                "data_bytes": bucket.data_bytes,
-            }
-            for kind, bucket in self.by_kind.items()
-            if bucket.messages or bucket.data_bytes
+            name: {"messages": messages, "data_bytes": data}
+            for name, messages, data in zip(KIND_NAMES, self.messages, self.data_bytes)
+            if messages or data
         }
 
     def __repr__(self) -> str:

@@ -1,8 +1,10 @@
 """Abstract protocol machinery shared by the lazy and eager families.
 
 A :class:`Protocol` owns all per-processor state (page tables), the
-network, and the synchronization managers. The trace-driven engine calls
-the public entry points (:meth:`read`, :meth:`write`, :meth:`acquire`,
+network, and the synchronization managers — the tables built by the loop
+that reads them (:meth:`Protocol.bind_interpreter`, or a tape's
+``bind_batch_plan``). The trace-driven engine calls the public entry
+points (:meth:`read`, :meth:`write`, :meth:`acquire`,
 :meth:`release`, :meth:`barrier`); subclasses implement the family-
 specific hooks.
 """
@@ -92,6 +94,14 @@ class Protocol(abc.ABC):
     #: tapes replay it exactly. Read from the class ``__dict__``, never
     #: inherited: a subclass is interpreted until it vouches for itself.
     replay_certified: bool = False
+    #: The class's own counters, beyond the miss and diff counts every
+    #: protocol keeps, that a result reports (``SimulationResult.counters``,
+    #: in this order). A class adds its own.
+    result_counters: Tuple[str, ...] = ()
+    #: Per-processor state, one entry per processor once a loop that
+    #: reads page tables has built them (:meth:`_bind_tables`); a fold
+    #: over a priced tape has none.
+    procs: Sequence[ProcState] = ()
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -99,9 +109,6 @@ class Protocol(abc.ABC):
         self.page_size = config.page_size
         self.costs = config.cost_model
         self.network = Network(config.n_procs, config.cost_model)
-        self.locks = LockDirectory(config.n_procs)
-        self.barriers = BarrierMaster(config.n_procs)
-        self.procs: List[ProcState] = [ProcState(p) for p in range(config.n_procs)]
         # Counters reported alongside network stats.
         self.cold_misses = 0
         self.invalid_misses = 0
@@ -127,6 +134,29 @@ class Protocol(abc.ABC):
         # forces the per-event path, which alone maintains them — so the
         # kernels keep page *state* and the ledger only.
         self._value_free = False
+
+    # -- the state each loop reads ------------------------------------------
+    #
+    # A protocol is built with its config, ledger and counters only. The
+    # tables a loop reads are built by that loop before its first event:
+    # bind_interpreter for the per-event hooks (Engine's interpreter and
+    # run_reference), bind_batch_plan for a tape replay (the lazy
+    # kernels' subset, over the plan's store and planner), and nothing
+    # for a fold over a priced tape, which reads only the ledger.
+
+    def bind_interpreter(self, reference: bool = False) -> None:
+        """Build what the per-event hooks read: the page tables, the lock
+        and barrier directories and the family's own bookkeeping.
+        ``reference`` asks for the oracle's (``Engine.run_reference``):
+        only the lazy family has one, its reference scans."""
+        self._bind_tables()
+        self.locks = LockDirectory(self.n_procs)
+
+    def _bind_tables(self) -> None:
+        """The per-processor page tables and the barrier directory: what
+        the interpreter and the lazy tape kernels both read."""
+        self.procs = [ProcState(p) for p in range(self.n_procs)]
+        self.barriers = BarrierMaster(self.n_procs)
 
     def attach_probe(self, probe: Probe) -> None:
         """Install ``probe`` on this protocol and its network.
@@ -339,10 +369,6 @@ class Protocol(abc.ABC):
 
     def finish(self) -> None:
         """Called once after the last trace event (default: no-op)."""
-
-    def use_reference_scans(self) -> None:
-        """Switch to the family's reference bookkeeping before the first
-        event (:meth:`Engine.run_reference`); only the lazy family has one."""
 
     # -- miss handling --------------------------------------------------------
 

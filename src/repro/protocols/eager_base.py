@@ -367,13 +367,19 @@ class EagerProtocol(EagerTapeMixin, Protocol):
     """Common eager implementation; EI/EU differ in what a flush pushes."""
 
     lazy = False
+    result_counters = ("flushes", "reconciles")
 
     def __init__(self, config: SimConfig):
         super().__init__(config)
-        self.directory = PageDirectory()
-        self._flush_counter = [0] * config.n_procs
         self.flushes = 0
         self.reconciles = 0
+
+    def bind_interpreter(self, reference: bool = False) -> None:
+        """The base tables plus the page directory and flush counters;
+        the tape reads none of them (see :class:`EagerTapeMixin`)."""
+        super().bind_interpreter(reference)
+        self.directory = PageDirectory()
+        self._flush_counter = [0] * self.n_procs
 
     # -- release-time propagation ------------------------------------------
 

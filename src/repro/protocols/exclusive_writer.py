@@ -44,17 +44,23 @@ class ExclusiveWriter(EagerTapeMixin, Protocol):
     lazy = False
     update = False
     replay_certified = True
+    result_counters = ("write_faults", "ping_pongs")
 
     def __init__(self, config: SimConfig):
         super().__init__(config)
+        self.write_faults = 0
+        self.ping_pongs = 0
+
+    def bind_interpreter(self, reference: bool = False) -> None:
+        """The base tables plus the ownership directory; the tape reads
+        none of it (see :class:`~repro.protocols.eager_base.EagerTapeMixin`)."""
+        super().bind_interpreter(reference)
         #: Current owner (the only processor allowed to write the page).
         self.owner: Dict[PageId, Optional[ProcId]] = {}
         #: Processors holding a (read-only or owned) valid copy.
         self.copyset: Dict[PageId, Set[ProcId]] = {}
         #: Pages each processor currently holds with write permission.
         self._writable: Set = set()
-        self.write_faults = 0
-        self.ping_pongs = 0
         self._last_owner: Dict[PageId, ProcId] = {}
 
     # -- helpers -----------------------------------------------------------

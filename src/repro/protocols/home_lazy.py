@@ -41,7 +41,7 @@ class HomeLazy(LazyProtocol):
     name = "HLRC"
     update = False
     replay_certified = True
-    priced_counters = LazyProtocol.priced_counters + ("home_flushes",)
+    result_counters = LazyProtocol.result_counters + ("home_flushes",)
 
     def __init__(self, config: SimConfig):
         super().__init__(config)

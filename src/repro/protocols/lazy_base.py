@@ -14,7 +14,7 @@ Two implementations of the happened-before bookkeeping coexist:
   last-modifier, and aggregate-size queries from the incremental
   coherence index — the store's write-notice index plus the memoized
   :class:`~repro.hb.index.FetchPlanner`;
-* the **reference** path (``use_reference_scans``, which
+* the **reference** path (``bind_interpreter(reference=True)``, which
   ``Engine.run_reference`` calls before the first event) keeps the
   original per-fetch scans over ``intervals_of`` and pairwise
   ``precedes``, structurally closest to the paper's description.
@@ -55,10 +55,12 @@ class LazyProcState:
 
     __slots__ = ("vc", "pending")
 
-    def __init__(self, proc: ProcId, n_procs: int):
+    def __init__(self, vc: VectorClock):
         #: Vector timestamp over *closed* intervals; own entry = index of
-        #: this processor's most recently closed interval (-1 initially).
-        self.vc = VectorClock.zero(n_procs)
+        #: this processor's most recently closed interval (-1 initially:
+        #: every processor starts from one shared zero clock, which is
+        #: immutable like every clock).
+        self.vc = vc
         #: Write notices received but not yet turned into applied diffs,
         #: grouped by page: page -> set of interval ids, each the
         #: store's own ``(creator, index)`` object (never a copy).
@@ -70,13 +72,17 @@ class LazyProtocol(Protocol):
     are consumed (:meth:`_receive`, LU's :meth:`_after_notices`)."""
 
     lazy = True
+    result_counters = (
+        "intervals_closed",
+        "notices_sent",
+        "retained_diff_bytes",
+        "peak_retained_diff_bytes",
+        "gc_collected_bytes",
+        "gc_runs",
+    )
 
     def __init__(self, config: SimConfig):
         super().__init__(config)
-        self.store = IntervalStore(config.n_procs)
-        self.lazy_state = [LazyProcState(p, config.n_procs) for p in range(config.n_procs)]
-        # In-flight barrier episodes: barrier id -> list of (proc, vc at arrival).
-        self._episodes: Dict[BarrierId, List[Tuple[ProcId, VectorClock]]] = {}
         self.intervals_closed = 0
         self.notices_sent = 0
         # Diff-retention accounting (LRC's memory cost; §5.1 assumes
@@ -85,14 +91,8 @@ class LazyProtocol(Protocol):
         self.peak_retained_diff_bytes = 0
         self.gc_collected_bytes = 0
         self.gc_runs = 0
-        #: Reference-path retention log, in interval-close order.
-        self._live_diffs: List[Tuple[Interval, PageId, int]] = []
-        #: Indexed-path retention log, per page in interval-close order.
-        self._live_by_page: Dict[PageId, List[Tuple[Interval, int]]] = {}
+        #: False under the oracle's reference scans (bind_interpreter).
         self._indexed = True
-        self._planner: Optional[FetchPlanner] = FetchPlanner(
-            self.store, self.costs, config.skip_overwritten_diffs
-        )
         # Wire sizes that never change within a run, hoisted off the
         # per-acquire/per-barrier paths.
         self._vc_bytes = self.costs.vclock_bytes(config.n_procs)
@@ -110,9 +110,34 @@ class LazyProtocol(Protocol):
         #: this tape run folds instead of running the kernels.
         self._priced: Optional[PricedTape] = None
 
-    def use_reference_scans(self) -> None:
-        self._indexed = False
-        self._planner = None
+    def bind_interpreter(self, reference: bool = False) -> None:
+        """The hooks' state: the base tables, this run's own interval
+        store, the in-flight barrier episodes, and the fetch planner —
+        none under the reference scans, which keep the per-fetch scans
+        and the reference retention log instead."""
+        super().bind_interpreter()
+        self.store = IntervalStore(self.n_procs)
+        # In-flight barrier episodes: barrier id -> list of (proc, vc at arrival).
+        self._episodes: Dict[BarrierId, List[Tuple[ProcId, VectorClock]]] = {}
+        self._indexed = not reference
+        if reference:
+            self._planner: Optional[FetchPlanner] = None
+            #: Reference-path retention log, in interval-close order.
+            self._live_diffs: List[Tuple[Interval, PageId, int]] = []
+        else:
+            self._planner = FetchPlanner(
+                self.store, self.costs, self.config.skip_overwritten_diffs
+            )
+
+    def _bind_tables(self) -> None:
+        """The base tables, each processor's clock and pending notices,
+        and the indexed retention log: what the hooks and the tape
+        kernels both read."""
+        super()._bind_tables()
+        zero = VectorClock.zero(self.n_procs)
+        self.lazy_state = [LazyProcState(zero) for _ in range(self.n_procs)]
+        #: Indexed-path retention log, per page in interval-close order.
+        self._live_by_page: Dict[PageId, List[Tuple[Interval, int]]] = {}
 
     # -- interval management -----------------------------------------------
 
@@ -801,19 +826,14 @@ class LazyProtocol(Protocol):
     # writes the window. Everything stays bit-identical to the per-event
     # interpreters — the equivalence suite pins it.
 
-    #: Every counter a lazy run's result reads (and ``instrumented_run``
-    #: the histograms): what a priced tape restores. A class adds its own.
+    #: What a priced tape restores besides the class's ``result_counters``:
+    #: the miss and diff counts every result reads, and the m and h
+    #: histograms ``instrumented_run`` reads.
     priced_counters = (
         "cold_misses",
         "invalid_misses",
         "diffs_fetched",
         "diff_bytes_fetched",
-        "intervals_closed",
-        "notices_sent",
-        "retained_diff_bytes",
-        "peak_retained_diff_bytes",
-        "gc_collected_bytes",
-        "gc_runs",
         "miss_m_histogram",
         "pull_h_histogram",
     )
@@ -832,9 +852,10 @@ class LazyProtocol(Protocol):
     def bind_batch_plan(self, plan) -> Callable[[], Optional[PricedTape]]:
         """Attach a prebuilt :class:`~repro.hb.skeleton.BatchPlan`.
 
-        Replaces the (empty) per-run store with the skeleton's fully
-        populated one, shares the plan's fetch planner for this config's
-        cost model, and returns the whole run as one callable:
+        Binds the skeleton's fully populated interval store and the
+        plan's fetch planner for this config's cost model, builds the
+        tables the kernels read (:meth:`_bind_tables`), and returns the
+        whole run as one callable:
         :func:`_walk_runs` over the plan's run program and four kernels,
         ``(touch, acquire, release, barrier)``. ``read_touch`` is the
         only access kernel; the sync kernels replay the skeleton's
@@ -852,6 +873,7 @@ class LazyProtocol(Protocol):
             return partial(self._fold, self._priced)
         self.store = plan.store
         self._planner = plan.planner_for(self.costs, self.config.skip_overwritten_diffs)
+        self._bind_tables()
         self._value_free = True
         self._next_record = iter(plan.skeleton.records).__next__
         runs, positions = plan.run_program
@@ -894,7 +916,7 @@ class LazyProtocol(Protocol):
         recorder.close(MISS_CAUSE, faults())  # the gap after the last sync
         self.network._capture = None
         counters = {}
-        for name in self.priced_counters:
+        for name in self.priced_counters + self.result_counters:
             value = getattr(self, name)
             if value:  # (the ones the run moved)
                 counters[name] = dict(value) if isinstance(value, dict) else value

@@ -48,18 +48,21 @@ class LazyHybrid(LazyProtocol):
     update = True  # pulls eagerly for update-mode pages
     replay_certified = True
 
-    priced_counters = LazyProtocol.priced_counters + ("promotions", "demotions")
+    result_counters = LazyProtocol.result_counters + ("promotions", "demotions")
 
     #: Invalidate->miss cycles before a page promotes to update mode.
     PROMOTE_AFTER = 2
 
     def __init__(self, config: SimConfig):
         super().__init__(config)
-        self._policy: List[Dict[PageId, _HybridPageState]] = [
-            {} for _ in range(config.n_procs)
-        ]
         self.promotions = 0
         self.demotions = 0
+
+    def _bind_tables(self) -> None:
+        """The lazy tables plus each processor's per-page policy, which
+        the hooks and the kernels' touches both read."""
+        super()._bind_tables()
+        self._policy: List[Dict[PageId, _HybridPageState]] = [{} for _ in range(self.n_procs)]
 
     def _page_policy(self, proc: ProcId, page: PageId) -> _HybridPageState:
         policy = self._policy[proc]

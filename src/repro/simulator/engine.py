@@ -229,7 +229,8 @@ class Engine:
             # Everything that can change send order, wire sizes or an
             # event is in the key; the link, which only the fold reads,
             # is not.
-            record = plan.cell_record((type(protocol), config.with_options(link_model=None)))
+            key = config if config.link_model is None else config.with_options(link_model=None)
+            record = plan.cell_record((type(protocol), key))
         self._record = record
         log = stream = None
         if observed:
@@ -301,6 +302,7 @@ class Engine:
         """Interpret every compiled op; returns the read values when
         recorded."""
         protocol = self.protocol
+        protocol.bind_interpreter()
         record = self.config.record_values
         read_values: Optional[List[Tuple[int, List[int]]]] = [] if record else None
         # Bind the protocol entry points once; the loop below runs for
@@ -406,7 +408,7 @@ class Engine:
         self._claim_run()
         self._execution_path = "reference"
         protocol = self.protocol
-        protocol.use_reference_scans()
+        protocol.bind_interpreter(reference=True)
         page_size = self.config.page_size
         record = self.config.record_values
         read_values: Optional[List[Tuple[int, List[int]]]] = [] if record else None
@@ -445,24 +447,7 @@ class Engine:
         self, read_values, timings: Optional[Dict[str, float]] = None
     ) -> SimulationResult:
         protocol = self.protocol
-        counters = {}
-        for attr in (
-            "intervals_closed",
-            "notices_sent",
-            "flushes",
-            "reconciles",
-            "write_faults",
-            "ping_pongs",
-            "retained_diff_bytes",
-            "peak_retained_diff_bytes",
-            "gc_collected_bytes",
-            "gc_runs",
-            "promotions",
-            "demotions",
-            "home_flushes",
-        ):
-            if hasattr(protocol, attr):
-                counters[attr] = getattr(protocol, attr)
+        counters = {name: getattr(protocol, name) for name in protocol.result_counters}
         probe = self.probe
         metrics_snapshot = None
         if probe is not None and probe.enabled:
@@ -523,11 +508,11 @@ class Engine:
 
     def _plan_cache_delta(self) -> Dict[str, int]:
         """Plan/tape cache activity attributable to this run alone."""
-        before = getattr(self, "_plan_stats_before", None) or {}
+        before = self._plan_stats_before
         return {
-            key: value - before.get(key, 0)
+            key: value - before[key]
             for key, value in plan_stats().items()
-            if value - before.get(key, 0)
+            if value != before[key]
         }
 
 

@@ -99,6 +99,7 @@ class SimulationResult:
         page size, seed, trace digest — so result rows from the CLI,
         sweeps, and the experiment pipeline are uniformly attributable.
         """
+        categories = self.stats.by_category()
         out: Dict[str, object] = {
             "app": self.app,
             "protocol": self.protocol,
@@ -112,8 +113,10 @@ class SimulationResult:
             "cold_misses": self.cold_misses,
             "invalid_misses": self.invalid_misses,
             "diffs_fetched": self.diffs_fetched,
-            "category_messages": self.category_messages(),
-            "category_data_bytes": self.category_data_bytes(),
+            "category_messages": {name: bucket.messages for name, bucket in categories.items()},
+            "category_data_bytes": {
+                name: bucket.data_bytes for name, bucket in categories.items()
+            },
             **self.counters,
         }
         if self.metrics is not None:

@@ -170,8 +170,9 @@ class SweepResult:
 
 # -- parallel executor machinery -------------------------------------------
 #
-# Workers receive the trace once, through the pool initializer — by
-# default as attached views over the parent's shared-memory segment
+# Workers receive the trace and the cell configs (one per page size,
+# built once per sweep) once, through the pool initializer — the trace
+# by default as attached views over the parent's shared-memory segment
 # (zero copies, see :mod:`repro.simulator.shm`), or pickled whole if the
 # shared path is unavailable. Each work unit is then just a
 # (protocol, page_size) pair, handed out a page size's row at a time when
@@ -179,24 +180,24 @@ class SweepResult:
 # share that page size's compiled trace and batch plan inside one worker.
 
 _worker_trace: Optional[TraceStream] = None
-_worker_config: Optional[SimConfig] = None
+_worker_configs: Dict[int, SimConfig] = {}
 _worker_metrics: bool = False
 _worker_spans: bool = False
 _worker_shm: Optional[shared_memory.SharedMemory] = None
 
 
 def _init_sweep_worker(
-    trace: TraceStream, config: SimConfig, metrics: bool, spans: bool = False
+    trace: TraceStream, configs: Dict[int, SimConfig], metrics: bool, spans: bool = False
 ) -> None:
-    global _worker_trace, _worker_config, _worker_metrics, _worker_spans
+    global _worker_trace, _worker_configs, _worker_metrics, _worker_spans
     _worker_trace = trace
-    _worker_config = config
+    _worker_configs = configs
     _worker_metrics = metrics
     _worker_spans = spans
 
 
 def _init_sweep_worker_shm(
-    descriptor, config: SimConfig, metrics: bool, spans: bool = False
+    descriptor, configs: Dict[int, SimConfig], metrics: bool, spans: bool = False
 ) -> None:
     # The handle must outlive the stream (its columns borrow the
     # buffer), so it parks in a module global for the worker's lifetime;
@@ -204,9 +205,9 @@ def _init_sweep_worker_shm(
     # segment belongs to the parent.
     from repro.simulator.shm import attach_trace
 
-    global _worker_trace, _worker_config, _worker_metrics, _worker_spans, _worker_shm
+    global _worker_trace, _worker_configs, _worker_metrics, _worker_spans, _worker_shm
     _worker_shm, _worker_trace = attach_trace(descriptor)
-    _worker_config = config
+    _worker_configs = configs
     _worker_metrics = metrics
     _worker_spans = spans
 
@@ -276,17 +277,13 @@ def _run_cell(
 @gc_paused()
 def _run_sweep_cell(cell: Tuple[str, int]) -> Tuple[str, int, SimulationResult, Dict[str, int]]:
     protocol, page_size = cell
-    assert _worker_trace is not None and _worker_config is not None
+    assert _worker_trace is not None
     # Plan/tape cache traffic happens inside this worker process; ship
     # the per-cell delta back so the parent can report the sweep-wide
     # hit rate (the counters themselves are process-local).
     before = plan_stats()
     result = _run_cell(
-        _worker_trace,
-        _worker_config.with_page_size(page_size),
-        protocol,
-        _worker_metrics,
-        _worker_spans,
+        _worker_trace, _worker_configs[page_size], protocol, _worker_metrics, _worker_spans
     )
     after = plan_stats()
     return protocol, page_size, result, {k: after[k] - before[k] for k in after}
@@ -381,6 +378,8 @@ def run_sweep(
     protocols = list(protocols) if protocols else protocol_names()
     page_sizes = list(page_sizes) if page_sizes else list(PAPER_PAGE_SIZES)
     base = config or SimConfig(n_procs=trace.n_procs)
+    # One config per page size, shared by every protocol's cell at it.
+    configs = {page_size: base.with_page_size(page_size) for page_size in page_sizes}
     sweep = SweepResult(app=trace.meta.app, protocols=protocols, page_sizes=page_sizes)
     if jobs is not None and jobs > 1:
         # More workers than cores only adds scheduling churn (each cell
@@ -419,7 +418,7 @@ def run_sweep(
 
             shared = SharedTraceColumns(trace)
             initializer = _init_sweep_worker_shm
-            initargs: tuple = (shared.descriptor, base, metrics, spans)
+            initargs: tuple = (shared.descriptor, configs, metrics, spans)
         except Exception:
             # Shared memory can be unavailable (tiny /dev/shm, exotic
             # trace types without columns); the sweep still runs, each
@@ -431,7 +430,7 @@ def run_sweep(
             )
             shared = None
             initializer = _init_sweep_worker
-            initargs = (trace, base, metrics, spans)
+            initargs = (trace, configs, metrics, spans)
         try:
             with ProcessPoolExecutor(
                 max_workers=jobs,
@@ -464,7 +463,7 @@ def run_sweep(
     for protocol in protocols:
         for page_size in page_sizes:
             sweep.grid[(protocol, page_size)] = _run_cell(
-                trace, base.with_page_size(page_size), protocol, metrics, spans
+                trace, configs[page_size], protocol, metrics, spans
             )
     after = plan_stats()
     _log_plan_cache({k: after[k] - before[k] for k in after})

@@ -194,6 +194,34 @@ def lazy_cell_recorded_then_folded(tmp):
 
 
 @entry
+def warm_folded_cells(tmp):
+    """Each family's cell run until it folds its priced tape — the run
+    that binds no table — kept with its engine and protocol."""
+    trace = small_trace("water")
+    config = SimConfig(n_procs=trace.n_procs, page_size=1024)
+    engines = []
+    for protocol in ("LI", "EU"):
+        for _ in range(3):
+            engine = Engine(trace, config, protocol)
+            engine.run()
+            engines.append(engine)
+    assert [e._record_parts.get("priced") for e in engines[2::3]] == ["reused", "reused"]
+    return trace, engines
+
+
+@entry
+def cold_lazy_tape_cell(tmp):
+    """A lazy cell's first tape run: its kernels' tables are built at
+    bind time over the plan's store and planner, and the engine that
+    holds them is kept alive with the trace."""
+    trace = small_trace("water")
+    engine = Engine(trace, SimConfig(n_procs=trace.n_procs, page_size=1024), "LH")
+    result = engine.run()
+    assert result.manifest["execution_path"] == "tape" and engine.protocol.procs
+    return trace, engine
+
+
+@entry
 def record_values_runs(tmp):
     trace = small_trace("cholesky")
     return trace, [simulate(trace, protocol, record_values=True) for protocol in ("LI", "EW")]
