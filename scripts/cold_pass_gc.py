@@ -16,13 +16,22 @@ objects reclaimed per generation, and exits non-zero unless
 * ``gc.isenabled()`` afterwards is what it was before, and
 * across every kept skeleton, the grouped notice batches hold exactly
   one id object per distinct interval: the store's own
-  (``IntervalStore.interval_id``), never a per-receiver copy.
+  (``IntervalStore.interval_id``), never a per-receiver copy, and
+* the grid keeps only plan state a later cell reads: no fetch planner
+  has a run-plan memo, each planner's memoized plans hold one
+  ``by_server`` object per distinct server list, and every compiled
+  access op is ``(code, proc, page, words)`` or ``(code, proc,
+  chunks)`` with one op per event (no ``seq`` field).
 
-Collection *counts* and id objects are host-independent where
-throughput is not, but the collector's heuristics differ by Python
-version, so CI runs this on every interpreter of the tier-1 matrix. It
-also prints the process's peak RSS (``ru_maxrss``), which depends on the
-host and is reported, not checked.
+Collection *counts*, id objects and retained objects are
+host-independent where throughput is not, but the collector's
+heuristics differ by Python version, so CI runs this on every
+interpreter of the tier-1 matrix. It also prints the process's peak RSS
+(``ru_maxrss``), which depends on the host and is reported, not checked,
+beside the fetch planner's traffic: page-plan calls (``FetchPlanner.plan``,
+including those ``plan_run`` makes) with their memo hits, and run-plan
+calls (``FetchPlanner.plan_run``) with how many repeat a run shape the
+same planner saw before.
 
 Usage: python scripts/cold_pass_gc.py
 """
@@ -42,13 +51,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.apps import APPS, generate  # noqa: E402
 from repro.config import PAPER_PAGE_SIZES  # noqa: E402
+from repro.hb.index import FetchPlanner  # noqa: E402
 from repro.protocols.registry import all_protocol_names  # noqa: E402
 from repro.simulator.sweep import run_sweep  # noqa: E402
 from repro.trace import load_trace, save_trace  # noqa: E402
+from repro.trace.precompile import OP_READ, OP_READ_N, OP_WRITE, OP_WRITE_N  # noqa: E402
 
 N_PROCS = 16
 SCALE = 0.25
 MAX_FULL_COLLECTIONS = 1
+#: The width of each compiled access op: no trailing seq.
+ACCESS_WIDTHS = {OP_READ: 4, OP_WRITE: 4, OP_READ_N: 3, OP_WRITE_N: 3}
 
 
 def _app_params(app: str) -> Dict[str, object]:
@@ -112,6 +125,76 @@ def _id_sharing(kept: List[tuple]) -> Tuple[int, int]:
     return len(objects), len(intervals)
 
 
+class PlannerTraffic:
+    """Counts the fetch planner's calls while installed on its class."""
+
+    def __init__(self) -> None:
+        self.page_calls = self.page_hits = 0
+        self.run_calls = self.run_repeats = 0
+        self._shapes: set = set()
+        self._plan = FetchPlanner.plan
+        self._plan_run = FetchPlanner.plan_run
+
+    def __enter__(self) -> "PlannerTraffic":
+        plan, plan_run = self._plan, self._plan_run
+
+        def counted_plan(planner, page, interval_ids):
+            self.page_calls += 1
+            self.page_hits += (page, interval_ids) in planner._memo
+            return plan(planner, page, interval_ids)
+
+        def counted_plan_run(planner, items):
+            self.run_calls += 1
+            shape = hash((id(planner), tuple(items)))
+            self.run_repeats += shape in self._shapes
+            self._shapes.add(shape)
+            return plan_run(planner, items)
+
+        FetchPlanner.plan = counted_plan
+        FetchPlanner.plan_run = counted_plan_run
+        return self
+
+    def __exit__(self, *exc) -> None:
+        FetchPlanner.plan = self._plan
+        FetchPlanner.plan_run = self._plan_run
+        self._shapes.clear()
+
+    def lines(self) -> List[str]:
+        return [
+            f"page-plan calls: {self.page_calls} ({self.page_hits} memo hits, "
+            f"{_percent(self.page_hits, self.page_calls)})",
+            f"run-plan calls: {self.run_calls} ({self.run_repeats} repeat a shape, "
+            f"{_percent(self.run_repeats, self.run_calls)})",
+        ]
+
+
+def _percent(part: int, whole: int) -> str:
+    return f"{100 * part / whole:.1f} %" if whole else "n/a"
+
+
+def _retained(kept: List[tuple]) -> Dict[str, int]:
+    """Plan state the kept traces hold: planners with a run-plan memo,
+    ``by_server`` objects and distinct server lists across the memoized
+    plans (each planner on its own), and compiled ops that are not one
+    per event or whose access width is not :data:`ACCESS_WIDTHS`'s."""
+    keys = ("planners", "run_memos", "server_objects", "server_lists", "wide_ops")
+    counts = dict.fromkeys(keys, 0)
+    for trace, _sweep in kept:
+        for compiled in trace._compiled.values():
+            counts["wide_ops"] += abs(len(compiled.ops) - len(trace))
+            for op in compiled.ops:
+                width = ACCESS_WIDTHS.get(op[0])
+                counts["wide_ops"] += width is not None and len(op) != width
+            for plan in compiled._batch_plans.values():
+                for planner in plan._planners.values():
+                    counts["planners"] += 1
+                    counts["run_memos"] += hasattr(planner, "_run_memo")
+                    lists = [fetch_plan.by_server for fetch_plan in planner._memo.values()]
+                    counts["server_objects"] += len({id(servers) for servers in lists})
+                    counts["server_lists"] += len(set(lists))
+    return counts
+
+
 def _peak_rss_mb() -> float:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # Kilobytes on Linux, bytes on macOS.
@@ -134,17 +217,19 @@ def main() -> int:
         try:
             kept: List[object] = []
             events = 0
-            for app, path in paths.items():
-                trace = load_trace(path)
-                sweep = run_sweep(trace, protocols=protocols, page_sizes=page_sizes)
-                events += len(trace) * len(sweep.grid)
-                kept.append((trace, sweep))
+            with PlannerTraffic() as traffic:
+                for app, path in paths.items():
+                    trace = load_trace(path)
+                    sweep = run_sweep(trace, protocols=protocols, page_sizes=page_sizes)
+                    events += len(trace) * len(sweep.grid)
+                    kept.append((trace, sweep))
         finally:
             gc.callbacks.remove(log)
         elapsed = time.perf_counter() - t0
         enabled_after = gc.isenabled()
         unreachable = gc.collect()
         id_objects, intervals = _id_sharing(kept)
+        retained = _retained(kept)
         del kept
 
     cells = len(APPS) * len(protocols) * len(page_sizes)
@@ -153,7 +238,15 @@ def main() -> int:
     print(log.table())
     print(f"final gc.collect(): {unreachable} unreachable objects")
     print(f"notice batches: {id_objects} id objects for {intervals} intervals")
+    print(
+        f"fetch planners: {retained['planners']}, {retained['run_memos']} with a run memo; "
+        f"{retained['server_objects']} by_server objects for "
+        f"{retained['server_lists']} distinct server lists"
+    )
+    print(f"compiled ops off one-per-event or the access widths: {retained['wide_ops']}")
     print(f"peak RSS (ru_maxrss): {_peak_rss_mb():.1f} MB")
+    for line in traffic.lines():
+        print(line)
 
     failures = []
     if log.collections[2] > MAX_FULL_COLLECTIONS:
@@ -172,6 +265,21 @@ def main() -> int:
         failures.append(
             f"notice batches hold {id_objects} id objects for {intervals} intervals: "
             f"an interval id is copied instead of shared"
+        )
+    if retained["run_memos"]:
+        failures.append(
+            f"{retained['run_memos']} fetch planners keep a run-plan memo: "
+            f"run plans are merged per call, not kept"
+        )
+    if retained["server_objects"] != retained["server_lists"]:
+        failures.append(
+            f"memoized plans hold {retained['server_objects']} by_server objects for "
+            f"{retained['server_lists']} distinct server lists: an equal list is copied"
+        )
+    if retained["wide_ops"]:
+        failures.append(
+            f"{retained['wide_ops']} compiled ops are not one per event or carry a "
+            f"field beyond their access width"
         )
     for failure in failures:
         print(f"cold_pass_gc: FAIL: {failure}", file=sys.stderr)

@@ -466,20 +466,18 @@ def build_skeleton(ops: List[tuple], n_procs: int) -> Skeleton:
         vcs[proc] = record[1]
         return record
 
-    for op in ops:
+    for token, op in enumerate(ops):  # an op's position is its write token
         code = op[0]
         if code == OP_WRITE:
             words = dirty[op[1]].get(op[2])
             if words is None:
                 dirty[op[1]][op[2]] = words = {}
-            token = op[4]
             for word in op[3]:
                 words[word] = token
         elif code <= OP_READ_N:  # OP_READ or OP_READ_N: no hb effect
             continue
         elif code == OP_WRITE_N:
             proc_dirty = dirty[op[1]]
-            token = op[3]
             for page, op_words in op[2]:
                 words = proc_dirty.get(page)
                 if words is None:
@@ -571,8 +569,8 @@ def eager_steps(ops: List[tuple], n_procs: int, policy: str):
             flush: the release's or barrier arrival's flush outcome;
                    None when nothing was dirty, on acquires and on EW
 
-    Record shapes (``at``: the missing or faulting access's seq, which
-    is the op's position in ``ops``)::
+    Record shapes (``at``: the missing or faulting access's position in
+    ``ops``, which is its event's seq)::
 
         (E_MISS, at, proc, page, cold, server, forward_or_None)
         (E_WFAULT, at, proc, page, miss_or_None, holders, ping)
@@ -591,22 +589,22 @@ def eager_steps(ops: List[tuple], n_procs: int, policy: str):
         states, miss, write, flush = _flush_policy(n_procs, gap.append, update=(policy == "EU"))
     else:
         raise ValueError(f"unknown eager tape policy: {policy!r}")
-    for op in ops:
+    for at, op in enumerate(ops):
         code = op[0]
         if code == OP_READ:  # a hit, nearly always: tested here, not in a call
             if states[op[1]].get(op[2]) != _VALID:
-                miss(op[4], op[1], op[2])
+                miss(at, op[1], op[2])
         elif code == OP_WRITE:
-            write(op[4], op[1], op[2], op[3])
+            write(at, op[1], op[2], op[3])
         elif code == OP_READ_N:
             proc = op[1]
             for page, _ in op[2]:
                 if states[proc].get(page) != _VALID:
-                    miss(op[3], proc, page)
+                    miss(at, proc, page)
         elif code == OP_WRITE_N:
             proc = op[1]
             for page, words in op[2]:
-                write(op[3], proc, page, words)
+                write(at, proc, page, words)
         else:  # OP_ACQUIRE / OP_RELEASE / OP_BARRIER
             yield op, tuple(gap), flush(op[1]) if code != OP_ACQUIRE else None
             del gap[:]

@@ -339,7 +339,8 @@ class LazyProtocol(Protocol):
         request_kind: MessageKind,
         reply_kind: MessageKind,
     ) -> int:
-        """Indexed fetch: one memoized run-level plan over the faulting pages."""
+        """Indexed fetch: one run-level plan over the faulting pages'
+        memoized page plans."""
         pending = self.lazy_state[proc].pending
         planner = self._planner
         items = []
@@ -358,9 +359,7 @@ class LazyProtocol(Protocol):
             run_plan = planner.plan(page, interval_ids)
             plans = (run_plan,)
         else:
-            # The cross-page server merge is memoized per run shape —
-            # repeated barrier crossings and hand-offs are a dict hit.
-            run_plan = planner.plan_run(tuple(items))
+            run_plan = planner.plan_run(items)
             plans = run_plan.plans
         by_server = run_plan.by_server
         m = len(by_server)

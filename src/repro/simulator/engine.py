@@ -315,13 +315,15 @@ class Engine:
         barrier = protocol.barrier
 
         t0 = time.perf_counter()
-        for op in ops:
+        # An op's position is its event's seq: the write token and the
+        # recorded read's key.
+        for seq, op in enumerate(ops):
             code = op[0]
             if code == OP_WRITE:
-                write(op[1], op[2], op[3], op[4])
+                write(op[1], op[2], op[3], seq)
             elif code == OP_READ:
                 if record:
-                    read_values.append((op[4], read(op[1], op[2], op[3])))
+                    read_values.append((seq, read(op[1], op[2], op[3])))
                 else:
                     read_touch(op[1], op[2])
             elif code == OP_ACQUIRE:
@@ -335,14 +337,14 @@ class Engine:
                     values = []
                     for page, words in op[2]:
                         values.extend(read(op[1], page, words))
-                    read_values.append((op[3], values))
+                    read_values.append((seq, values))
                 else:
                     for page, _ in op[2]:
                         read_touch(op[1], page)
             else:  # OP_WRITE_N
-                proc, token = op[1], op[3]
+                proc = op[1]
                 for page, words in op[2]:
-                    write(proc, page, words, token)
+                    write(proc, page, words, seq)
 
         self._finish(timings, t0)
         return read_values

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.common.errors import ConfigError
 from repro.common.gcpause import gc_paused
 from repro.hb.skeleton import plan_stats
 from repro.obs.metrics import merge_metrics
@@ -355,7 +356,8 @@ def run_sweep(
     """Run ``trace`` across the protocol and page-size grid.
 
     ``jobs=N`` with ``N > 1`` distributes the grid over ``N`` worker
-    processes; ``jobs=None`` (or 1) runs serially in-process. Both paths
+    processes; ``jobs=None`` (or 1) runs serially in-process, and
+    ``jobs < 1`` raises :class:`~repro.common.errors.ConfigError`. Both paths
     produce identical grids. ``metrics=True`` attaches a per-cell
     :class:`~repro.obs.probe.RecordingProbe`, so every cell's result
     carries a metrics snapshot (and parallel workers' snapshots travel
@@ -375,6 +377,8 @@ def run_sweep(
     ``protocol/page_size``), whose ``partial`` is a :class:`SweepResult`
     of the cells that did come back.
     """
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     protocols = list(protocols) if protocols else protocol_names()
     page_sizes = list(page_sizes) if page_sizes else list(PAPER_PAGE_SIZES)
     base = config or SimConfig(n_procs=trace.n_procs)

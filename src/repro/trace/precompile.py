@@ -17,10 +17,10 @@ Instruction encoding (first element is the opcode):
 ==============  =======================================  =================
 opcode          operands                                 engine action
 ==============  =======================================  =================
-``OP_READ``     ``(proc, page, words, seq)``             single-page read
-``OP_READ_N``   ``(proc, chunks, seq)``                  multi-page read
-``OP_WRITE``    ``(proc, page, words, seq)``             single-page write
-``OP_WRITE_N``  ``(proc, chunks, seq)``                  multi-page write
+``OP_READ``     ``(proc, page, words)``                  single-page read
+``OP_READ_N``   ``(proc, chunks)``                       multi-page read
+``OP_WRITE``    ``(proc, page, words)``                  single-page write
+``OP_WRITE_N``  ``(proc, chunks)``                       multi-page write
 ``OP_ACQUIRE``  ``(proc, lock)``                         lock acquire
 ``OP_RELEASE``  ``(proc, lock)``                         lock release
 ``OP_BARRIER``  ``(proc, barrier)``                      barrier arrival
@@ -30,6 +30,8 @@ opcode          operands                                 engine action
 ``chunks`` is a tuple of ``(page, words)`` pairs in ascending page order.
 The single-page forms cover the overwhelmingly common case (accesses
 rarely straddle pages) and let the engine skip chunk iteration entirely.
+There is exactly one op per event, so an op's position in ``ops`` is its
+event's ``seq`` — the write-token space — and no op stores it.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def compile_trace(trace, page_size: int) -> CompiledTrace:
     reuse one chunk tuple (the per-compile cache below), and the whole
     compiled trace is reused across every protocol run at this page size.
     Columnar streams compile straight off their typed arrays — no Event
-    objects are materialized; the event's column index is its ``seq``.
+    objects are materialized. One op per event, in event order.
     """
     ops: List[tuple] = []
     append = ops.append
@@ -140,21 +142,21 @@ def compile_trace(trace, page_size: int) -> CompiledTrace:
             )
             for e in trace
         )
-    for seq, (code, proc, value, size) in enumerate(rows):
+    for code, proc, value, size in rows:
         if code <= 1:
             chunks = split_access(value, size, page_size, cache)
             if code == 0:
                 if len(chunks) == 1:
                     page, words = chunks[0]
-                    append((OP_READ, proc, page, words, seq))
+                    append((OP_READ, proc, page, words))
                 else:
-                    append((OP_READ_N, proc, chunks, seq))
+                    append((OP_READ_N, proc, chunks))
             else:
                 if len(chunks) == 1:
                     page, words = chunks[0]
-                    append((OP_WRITE, proc, page, words, seq))
+                    append((OP_WRITE, proc, page, words))
                 else:
-                    append((OP_WRITE_N, proc, chunks, seq))
+                    append((OP_WRITE_N, proc, chunks))
         elif code == 2:
             append((OP_ACQUIRE, proc, value))
         elif code == 3:

@@ -362,6 +362,22 @@ class TestUserErrors:
         assert page_size in lines[0]
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", *small_args("water"), "--scale", "0.25"],
+            ["figures", "--apps", "water", "--n-procs", "2"],
+        ],
+        ids=["sweep", "figures"],
+    )
+    def test_jobs_below_one_is_refused(self, capsys, argv, jobs):
+        assert main([*argv, "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines == [f"lrc-sim: error: jobs must be at least 1, got {jobs}"]
+
     def test_a_bug_keeps_its_traceback(self, monkeypatch):
         from repro import cli
         from repro.common.errors import SimulatorError

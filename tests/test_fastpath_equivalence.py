@@ -314,9 +314,8 @@ class TestPrecompile:
         )
         compiled = compile_trace(trace, 512)
         assert [op[0] for op in compiled.ops] == [OP_ACQUIRE, OP_READ, OP_WRITE]
-        read_op = compiled.ops[1]
-        assert read_op[1:4] == (0, 0, (4, 5))
-        assert read_op[4] == 1  # event seq doubles as the write token space
+        # No seq field: the op's position (1) is its event's seq.
+        assert compiled.ops[1][1:] == (0, 0, (4, 5))
 
     def test_straddling_access_compiles_to_chunk_list(self):
         trace = build_trace(1, [Event.read(0, 508, 8)])

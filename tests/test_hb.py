@@ -219,12 +219,17 @@ class TestRunFetchPlanner:
         # Page plans ride along in faulting order for the apply loop.
         assert tuple(p.page for p in run_plan.plans) == tuple(p for p, _ in items)
 
-    def test_run_plan_memoized(self):
+    def test_run_plan_is_rebuilt_equal(self):
+        # Run plans are not memoized: a repeat is a new, equal merge
+        # over the same memoized page plans.
         planner, store, pages = self._planner_and_pages()
         items = tuple((page, tuple(sorted(store.page_mods(page)))) for page in pages[:4])
-        assert planner.plan_run(items) is planner.plan_run(items)
+        first, again = planner.plan_run(items), planner.plan_run(items)
+        assert first is not again
+        assert again.by_server == first.by_server
+        assert all(a is b for a, b in zip(again.plans, first.plans))
         # A different run shape is a different plan.
-        assert planner.plan_run(items[:1]) is not planner.plan_run(items)
+        assert planner.plan_run(items[:1]).by_server != first.by_server
 
     def test_run_plan_subset_pending(self):
         planner, store, pages = self._planner_and_pages()

@@ -33,8 +33,6 @@ def _memo_keys(plan):
     """Every ``(page, ids)`` key in the plan's fetch planners' memos."""
     for planner in plan._planners.values():
         yield from planner._memo
-        for items in planner._run_memo:
-            yield from items
 
 
 @pytest.fixture(scope="module", params=["LI", "LU"])

@@ -38,6 +38,7 @@ from repro.protocols.registry import all_protocol_names, protocol_class
 from repro.simulator.engine import Engine, simulate
 from repro.simulator.sweep import run_sweep
 from repro.trace.events import Event
+from repro.trace.precompile import OP_READ_N, OP_WRITE_N
 from tests.conftest import (
     SMALL_SCALE,
     MessageLogProbe,
@@ -393,11 +394,15 @@ class TestPlanCache:
             steps = plan.eager_steps(policy)
             assert [sync for sync, _gap, _flush in steps[:-1]] == syncs
             # A miss or fault record keeps its access's position: the
-            # op's own seq, a send log's key for the messages it sends.
+            # op's index (its event's seq), a send log's key for the
+            # messages it sends.
             ops = plan.ops
             for _sync, gap, _flush in steps:
                 for rec in gap:
-                    assert rec[1] is ops[rec[1]][-1] and ops[rec[1]][1] == rec[2]
+                    op = ops[rec[1]]
+                    multi = op[0] in (OP_READ_N, OP_WRITE_N)
+                    pages = [page for page, _ in op[2]] if multi else [op[2]]
+                    assert op[1] == rec[2] and rec[3] in pages
 
 
 class TestDrainSequence:
