@@ -39,10 +39,8 @@ tuple* of the store's own interval-id objects
 (``IntervalStore.ids``): a tuple is a
 fraction of a frozenset's size, and sharing the ids means a key adds
 only its own pointers. The memo is what lets LU and LH reuse LI's
-plans, so it keeps every key it sees (up to its bound). Memoized plans
-with equal server lists share one ``by_server`` tuple. A multi-page
-fetch is not memoized: its cross-page merge is rebuilt from the
-memoized page plans on every call.
+plans, so it keeps every key it sees (up to its bound); plans with
+equal server lists share one ``by_server`` tuple.
 """
 
 from __future__ import annotations
@@ -160,19 +158,10 @@ class FetchPlanner:
             if len(interval_ids) == 1:
                 # One pending modification: nothing to prune or route.
                 (interval_id,) = interval_ids
-                creator, diff = mods[interval_id][1], mods[interval_id][4]
-                return self._keep(
-                    key,
-                    (
-                        (
-                            creator,
-                            1,
-                            len(diff.runs()) * self._run_header_bytes
-                            + len(diff.words) * self._word_bytes,
-                        ),
-                    ),
-                    (diff,),
-                )
+                _, creator, _, _, diff = mods[interval_id]
+                size = len(diff.runs()) * self._run_header_bytes
+                size += len(diff.words) * self._word_bytes
+                return self._keep(key, ((creator, 1, size),), (diff,))
             recs = sorted(mods[interval_id] for interval_id in interval_ids)
         except KeyError as exc:  # pragma: no cover - notices name real diffs
             raise AssertionError(
@@ -182,12 +171,7 @@ class FetchPlanner:
             recs = self._pruned(recs)
         return self._keep(key, self._assign_servers(recs), tuple(rec[4] for rec in recs))
 
-    def _keep(
-        self,
-        key: Tuple[PageId, Tuple[IntervalId, ...]],
-        by_server: ServerList,
-        apply: Tuple[Diff, ...],
-    ) -> FetchPlan:
+    def _keep(self, key: tuple, by_server: ServerList, apply: Tuple[Diff, ...]) -> FetchPlan:
         """Memoize a new plan under ``key``, sharing an equal server list."""
         memo = self._memo
         servers = self._servers
