@@ -21,14 +21,20 @@ objects reclaimed per generation, and exits non-zero unless
   has a run-plan memo, each planner's memoized plans hold one
   ``by_server`` object per distinct server list, and every compiled
   access op is ``(code, proc, page, words)`` or ``(code, proc,
-  chunks)`` with one op per event (no ``seq`` field).
+  chunks)`` with one op per event (no ``seq`` field), and
+* each builder of per-page-size state handed out one object per
+  distinct value: each compiled trace one op object per distinct op,
+  each run program one touch object per (proc, page), and each skeleton
+  one tuple per distinct ``(page, ids)`` notice pair across its batches.
 
 Collection *counts*, id objects and retained objects are
 host-independent where throughput is not, but the collector's
 heuristics differ by Python version, so CI runs this on every
 interpreter of the tier-1 matrix. It also prints the process's peak RSS
 (``ru_maxrss``), which depends on the host and is reported, not checked,
-beside the fetch planner's traffic: page-plan calls (``FetchPlanner.plan``,
+beside the exact counts of those objects (op objects against ops, touch
+objects against touches, pair objects against pairs) and the fetch
+planner's traffic: page-plan calls (``FetchPlanner.plan``,
 including those ``plan_run`` makes) with their memo hits, and run-plan
 calls (``FetchPlanner.plan_run``) with how many repeat a run shape the
 same planner saw before.
@@ -56,6 +62,7 @@ from repro.protocols.registry import all_protocol_names  # noqa: E402
 from repro.simulator.sweep import run_sweep  # noqa: E402
 from repro.trace import load_trace, save_trace  # noqa: E402
 from repro.trace.precompile import OP_READ, OP_READ_N, OP_WRITE, OP_WRITE_N  # noqa: E402
+from repro.trace.runs import R_TOUCH  # noqa: E402
 
 N_PROCS = 16
 SCALE = 0.25
@@ -98,6 +105,18 @@ class CollectorLog:
         return "\n".join(lines)
 
 
+def _notice_pairs(skeleton) -> List[tuple]:
+    """Every ``(page, ids)`` pair of every grouped batch ``skeleton`` keeps."""
+    pairs: List[tuple] = []
+    for record in skeleton.records:
+        if len(record) == 6:  # acquire
+            pairs += record[4]
+        elif len(record) == 3 and record[2] is not None:  # completing arrival
+            for _n, grouped, _vc in record[2]:
+                pairs += grouped
+    return pairs
+
+
 def _id_sharing(kept: List[tuple]) -> Tuple[int, int]:
     """(distinct id objects, distinct intervals) named by the grouped
     notice batches of every skeleton the kept traces memoize. Each
@@ -110,18 +129,10 @@ def _id_sharing(kept: List[tuple]) -> Tuple[int, int]:
                 skeleton = plan._skeleton
                 if skeleton is None:
                     continue
-                for record in skeleton.records:
-                    if len(record) == 6:  # acquire
-                        batches = (record[4],)
-                    elif len(record) == 3 and record[2] is not None:
-                        batches = tuple(grouped for _n, grouped, _vc in record[2])
-                    else:
-                        continue
-                    for grouped in batches:
-                        for _page, interval_ids in grouped:
-                            for interval_id in interval_ids:
-                                objects.add(id(interval_id))
-                                intervals.add((id(skeleton), interval_id))
+                for _page, interval_ids in _notice_pairs(skeleton):
+                    for interval_id in interval_ids:
+                        objects.add(id(interval_id))
+                        intervals.add((id(skeleton), interval_id))
     return len(objects), len(intervals)
 
 
@@ -195,6 +206,29 @@ def _retained(kept: List[tuple]) -> Dict[str, int]:
     return counts
 
 
+def _sharing(kept: List[tuple]) -> Dict[str, Tuple[int, int, int]]:
+    """(objects, distinct values, total) of the compiled ops, run-program
+    touches and skeleton notice pairs the kept traces hold, each summed
+    over the builds that made them (a compiled trace, a plan)."""
+    found = {"ops": [], "touches": [], "pairs": []}
+    for trace, _sweep in kept:
+        for compiled in trace._compiled.values():
+            found["ops"].append(compiled.ops)
+            for plan in compiled._batch_plans.values():
+                if plan._runs is not None:
+                    found["touches"].append([run for run in plan._runs[0] if run[0] == R_TOUCH])
+                if plan._skeleton is not None:
+                    found["pairs"].append(_notice_pairs(plan._skeleton))
+    return {
+        kind: (
+            sum(len({id(value) for value in values}) for values in builds),
+            sum(len(set(values)) for values in builds),
+            sum(len(values) for values in builds),
+        )
+        for kind, builds in found.items()
+    }
+
+
 def _peak_rss_mb() -> float:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # Kilobytes on Linux, bytes on macOS.
@@ -230,6 +264,7 @@ def main() -> int:
         unreachable = gc.collect()
         id_objects, intervals = _id_sharing(kept)
         retained = _retained(kept)
+        sharing = _sharing(kept)
         del kept
 
     cells = len(APPS) * len(protocols) * len(page_sizes)
@@ -245,6 +280,8 @@ def main() -> int:
     )
     print(f"compiled ops off one-per-event or the access widths: {retained['wide_ops']}")
     print(f"peak RSS (ru_maxrss): {_peak_rss_mb():.1f} MB")
+    for kind, (objects, values, total) in sharing.items():
+        print(f"{kind}: {objects} objects for {total} {kind} ({values} distinct)")
     for line in traffic.lines():
         print(line)
 
@@ -281,6 +318,12 @@ def main() -> int:
             f"{retained['wide_ops']} compiled ops are not one per event or carry a "
             f"field beyond their access width"
         )
+    for kind, (objects, values, _total) in sharing.items():
+        if objects != values:
+            failures.append(
+                f"{objects} {kind} objects for {values} distinct {kind}: an equal value "
+                f"is built twice"
+            )
     for failure in failures:
         print(f"cold_pass_gc: FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

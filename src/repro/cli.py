@@ -296,10 +296,12 @@ def _cmd_sweep(args) -> int:
     from repro.config import SimConfig
     from repro.experiments.figures import FIGURES, run_figure
     from repro.obs.manifest import execution_paths_line
+    from repro.simulator.sweep import check_jobs
 
     if args.rollups_csv and not args.spans:
         logger.error("--rollups-csv requires --spans")
         return 2
+    check_jobs(args.jobs)
     trace = _generate(args)
     link = _parse_network(args)
     config = None

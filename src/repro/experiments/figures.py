@@ -29,7 +29,7 @@ from repro.apps.synthetic import single_lock_chain
 from repro.config import PAPER_PAGE_SIZES, SimConfig
 from repro.simulator.engine import simulate
 from repro.simulator.results import SimulationResult
-from repro.simulator.sweep import SweepResult, run_sweep
+from repro.simulator.sweep import SweepResult, check_jobs, run_sweep
 from repro.trace.stream import TraceStream
 
 
@@ -70,8 +70,10 @@ def run_figure(
     ``spans=True`` additionally attaches critical-path shape rollups to
     every cell. ``config`` overrides the base simulation config (its
     page size is replaced per cell) — the hook for timed sweeps, which
-    set ``config.link_model``.
+    set ``config.link_model``. A ``jobs`` below 1 is refused before the
+    trace is generated.
     """
+    check_jobs(jobs)
     if trace is None:
         trace = APPS[app](n_procs=n_procs, seed=seed)
     sizes = list(page_sizes) if page_sizes else list(PAPER_PAGE_SIZES)

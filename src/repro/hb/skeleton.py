@@ -43,7 +43,8 @@ Sync record shapes (plain tuples, hot-path friendly)::
         present only on the completing arrival
 
 ``grouped`` is the gap's notices as ``(page, (interval_id, ...))`` pairs
-(each id the store's own object) in first-occurrence order — what every
+(each id the store's own object, each pair one tuple per distinct value
+across the skeleton's batches) in first-occurrence order — what every
 loop hands a protocol's ``_receive``, which inserts pages into
 ``pending`` in that order (LU's pull scan and diff-apply emission
 iterate it).
@@ -457,6 +458,13 @@ def build_skeleton(ops: List[tuple], n_procs: int) -> Skeleton:
     append_record = records.append
     store_close = store.close
     gap = store.gap
+    # One tuple per distinct (page, ids) pair across every kept batch:
+    # a barrier sends every processor the same notices.
+    share = {}.setdefault
+
+    def notices(sender_vc: VectorClock, receiver_vc: VectorClock) -> Tuple[int, tuple]:
+        n, grouped = gap(sender_vc, receiver_vc)
+        return n, tuple(map(share, grouped, grouped))
 
     def close(proc: ProcId) -> tuple:
         pages = dirty[proc]
@@ -490,7 +498,7 @@ def build_skeleton(ops: List[tuple], n_procs: int) -> Skeleton:
             grantor = locks.grantor_of(lock)
             manager = locks.manager_of(lock)
             grantor_vc = vcs[grantor]
-            n, grouped = gap(grantor_vc, vcs[proc])
+            n, grouped = notices(grantor_vc, vcs[proc])
             vc_after = vcs[proc].merged(grantor_vc)
             append_record((close_rec, grantor, manager, n, grouped, vc_after))
             # Config-independent: when free_local_lock_reacquire skips
@@ -522,7 +530,7 @@ def build_skeleton(ops: List[tuple], n_procs: int) -> Skeleton:
                 episodes[barrier] = []
                 per_proc = []
                 for p in range(n_procs):
-                    n, grouped = gap(merged, vcs[p])
+                    n, grouped = notices(merged, vcs[p])
                     per_proc.append((n, grouped, vcs[p].merged(merged)))
                 for p in range(n_procs):
                     vcs[p] = per_proc[p][2]

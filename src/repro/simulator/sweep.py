@@ -343,6 +343,13 @@ def _usable_cpus() -> int:
 _clamp_logged: set = set()
 
 
+def check_jobs(jobs: Optional[int]) -> None:
+    """Raise :class:`~repro.common.errors.ConfigError` when ``jobs`` is
+    given and below 1."""
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+
+
 @gc_paused()
 def run_sweep(
     trace: TraceStream,
@@ -377,8 +384,7 @@ def run_sweep(
     ``protocol/page_size``), whose ``partial`` is a :class:`SweepResult`
     of the cells that did come back.
     """
-    if jobs is not None and jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    check_jobs(jobs)
     protocols = list(protocols) if protocols else protocol_names()
     page_sizes = list(page_sizes) if page_sizes else list(PAPER_PAGE_SIZES)
     base = config or SimConfig(n_procs=trace.n_procs)

@@ -119,11 +119,15 @@ def compile_trace(trace, page_size: int) -> CompiledTrace:
     reuse one chunk tuple (the per-compile cache below), and the whole
     compiled trace is reused across every protocol run at this page size.
     Columnar streams compile straight off their typed arrays — no Event
-    objects are materialized. One op per event, in event order.
+    objects are materialized. One op per event, in event order, and one
+    op object per distinct ``(code, proc, value, size)`` row: the apps
+    repeat their accesses every timestep, so an event whose row was
+    lowered before re-appends that op. Both tables are dropped on return.
     """
     ops: List[tuple] = []
     append = ops.append
     cache: Dict[Tuple[int, int], Tuple[Chunk, ...]] = {}
+    built: Dict[tuple, tuple] = {}
     get_columns = getattr(trace, "columns", None)
     if get_columns is not None:
         codes, procs, values, sizes = get_columns()
@@ -142,25 +146,33 @@ def compile_trace(trace, page_size: int) -> CompiledTrace:
             )
             for e in trace
         )
-    for code, proc, value, size in rows:
-        if code <= 1:
-            chunks = split_access(value, size, page_size, cache)
-            if code == 0:
-                if len(chunks) == 1:
-                    page, words = chunks[0]
-                    append((OP_READ, proc, page, words))
-                else:
-                    append((OP_READ_N, proc, chunks))
-            else:
-                if len(chunks) == 1:
-                    page, words = chunks[0]
-                    append((OP_WRITE, proc, page, words))
-                else:
-                    append((OP_WRITE_N, proc, chunks))
-        elif code == 2:
-            append((OP_ACQUIRE, proc, value))
-        elif code == 3:
-            append((OP_RELEASE, proc, value))
-        else:
-            append((OP_BARRIER, proc, value))
+    for row in rows:
+        op = built.get(row)
+        if op is None:
+            op = built[row] = _lower(*row, page_size, cache)
+        append(op)
     return CompiledTrace(page_size, trace.n_procs, len(trace), ops)
+
+
+def _lower(
+    code: int,
+    proc: int,
+    value: int,
+    size: int,
+    page_size: int,
+    cache: Dict[Tuple[int, int], Tuple[Chunk, ...]],
+) -> tuple:
+    """The op of one event row ``(code, proc, value, size)``: ``code``
+    0-4 is read, write, acquire, release, barrier; ``value`` the address
+    or the lock or barrier id."""
+    if code <= 1:
+        chunks = split_access(value, size, page_size, cache)
+        if len(chunks) == 1:
+            page, words = chunks[0]
+            return (OP_READ if code == 0 else OP_WRITE, proc, page, words)
+        return (OP_READ_N if code == 0 else OP_WRITE_N, proc, chunks)
+    if code == 2:
+        return (OP_ACQUIRE, proc, value)
+    if code == 3:
+        return (OP_RELEASE, proc, value)
+    return (OP_BARRIER, proc, value)

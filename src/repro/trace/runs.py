@@ -25,11 +25,13 @@ kind            meaning
 ==============  ==========================================================
 
 The three synchronization kinds *are* the compiled opcodes, and a sync
-instruction is the compiled op tuple itself, not a copy (as in
-an eager walk's step, :func:`repro.hb.skeleton.eager_steps`). A span ends at its processor's own synchronization
-operations and, for everyone, at each barrier completion. The program
-carries no values: page contents exist only on the ``record_values``
-interpreter (see docs/PERFORMANCE.md).
+instruction is the compiled op tuple itself, not a copy (as in an eager
+walk's step, :func:`repro.hb.skeleton.eager_steps`). The apps reopen the
+same spans every timestep, so each (proc, page) has one touch tuple,
+shared by every span of it. A span ends at its processor's own
+synchronization operations and, for everyone, at each barrier
+completion. The program carries no values: page contents exist only on
+the ``record_values`` interpreter (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ def segment_runs(ops: List[tuple], n_procs: int) -> Tuple[List[tuple], array]:
     """Segment compiled ``ops`` into the run program for ``n_procs``.
 
     One pass over the ops; ``open_pages[proc]`` holds the pages
-    of ``proc``'s live spans. The program stays in strict trace order
+    of ``proc``'s live spans, and ``touches[proc]`` the one touch tuple
+    each (proc, page) gets however many of its spans the program opens
+    (dropped on return). The program stays in strict trace order
     with every touch at its span's first access. Returns the
     instructions and, beside them, each one's position in ``ops`` — the
     op a send log files the instruction's messages under.
@@ -73,6 +77,7 @@ def segment_runs(ops: List[tuple], n_procs: int) -> Tuple[List[tuple], array]:
     positions = array("I")
     at = positions.append
     open_pages: List[Set[int]] = [set() for _ in range(n_procs)]
+    touches: List[Dict[int, tuple]] = [{} for _ in range(n_procs)]
     arrivals: Dict[int, int] = {}
     for pos, op in enumerate(ops):
         code = op[0]
@@ -81,7 +86,10 @@ def segment_runs(ops: List[tuple], n_procs: int) -> Tuple[List[tuple], array]:
             opened = open_pages[proc]
             if page not in opened:
                 opened.add(page)
-                append((R_TOUCH, proc, page))
+                touch = touches[proc].get(page)
+                if touch is None:
+                    touch = touches[proc][page] = (R_TOUCH, proc, page)
+                append(touch)
                 at(pos)
         elif code == OP_READ_N or code == OP_WRITE_N:  # one span per page
             proc = op[1]
@@ -89,7 +97,10 @@ def segment_runs(ops: List[tuple], n_procs: int) -> Tuple[List[tuple], array]:
             for page, _words in op[2]:
                 if page not in opened:
                     opened.add(page)
-                    append((R_TOUCH, proc, page))
+                    touch = touches[proc].get(page)
+                    if touch is None:
+                        touch = touches[proc][page] = (R_TOUCH, proc, page)
+                    append(touch)
                     at(pos)
         else:
             open_pages[op[1]].clear()

@@ -371,7 +371,13 @@ class TestUserErrors:
         ],
         ids=["sweep", "figures"],
     )
-    def test_jobs_below_one_is_refused(self, capsys, argv, jobs):
+    def test_jobs_below_one_is_refused(self, capsys, monkeypatch, argv, jobs):
+        from repro.apps import APPS
+
+        def generator(**_params):
+            raise AssertionError("a trace was generated before --jobs was checked")
+
+        monkeypatch.setitem(APPS, "water", generator)
         assert main([*argv, "--jobs", jobs]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

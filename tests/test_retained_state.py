@@ -8,7 +8,10 @@ What the fetch planner and the compiled ops retain, pinned:
   and the table that shares them holds exactly the memoized plans'
   lists, also across a memo clear;
 - a compiled access op stores no seq: there is one op per event, so an
-  op's position is its event's seq.
+  op's position is its event's seq;
+- each builder of per-page-size state hands out one object per distinct
+  value: a compiled trace one op per distinct op, a run program one
+  touch per (proc, page), a skeleton one tuple per distinct notice pair.
 """
 
 from __future__ import annotations
@@ -21,11 +24,25 @@ from repro.hb.index import FetchPlanner
 from repro.hb.skeleton import batch_plan
 from repro.network.costs import CostModel
 from repro.simulator.engine import Engine
-from repro.trace.precompile import OP_READ, OP_READ_N, OP_WRITE, OP_WRITE_N
+from repro.trace.events import EventType
+from repro.trace.precompile import (
+    OP_ACQUIRE,
+    OP_BARRIER,
+    OP_READ,
+    OP_READ_N,
+    OP_RELEASE,
+    OP_WRITE,
+    OP_WRITE_N,
+    split_access,
+)
+from repro.trace.runs import R_TOUCH
 from tests.conftest import small_trace
 
 PAGE = 1024
 ACCESS_WIDTHS = {OP_READ: 4, OP_WRITE: 4, OP_READ_N: 3, OP_WRITE_N: 3}
+#: Page sizes at which every fixture app repeats an op, a touch and a
+#: notice pair (at 2048 B and up some send each pair once).
+REPEATING_PAGE_SIZES = [512, 1024]
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +120,62 @@ def test_access_ops_carry_no_seq(app, page_size):
         if width is not None:
             assert len(op) == width
 
+
+
+def _lowered(event, page_size: int) -> tuple:
+    """``event``'s op, lowered on its own: no table, no shared chunks."""
+    if event.type.is_ordinary:
+        chunks = split_access(event.addr, event.size, page_size)
+        read = event.type is EventType.READ
+        if len(chunks) == 1:
+            return (OP_READ if read else OP_WRITE, event.proc, *chunks[0])
+        return (OP_READ_N if read else OP_WRITE_N, event.proc, chunks)
+    if event.type is EventType.ACQUIRE:
+        return (OP_ACQUIRE, event.proc, event.lock)
+    if event.type is EventType.RELEASE:
+        return (OP_RELEASE, event.proc, event.lock)
+    return (OP_BARRIER, event.proc, event.barrier)
+
+
+def _objects_and_values(values) -> tuple:
+    values = list(values)
+    return len({id(value) for value in values}), len(set(values)), len(values)
+
+
+@pytest.mark.parametrize("page_size", REPEATING_PAGE_SIZES)
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_equal_ops_are_one_object(app, page_size):
+    trace = small_trace(app)
+    ops = trace.compiled(page_size).ops
+    assert ops == [_lowered(event, page_size) for event in trace]
+    objects, values, total = _objects_and_values(ops)
+    assert objects == values < total
+
+
+@pytest.mark.parametrize("page_size", REPEATING_PAGE_SIZES)
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_each_proc_page_has_one_touch(app, page_size):
+    trace = small_trace(app)
+    runs = batch_plan(trace.compiled(page_size), trace.n_procs).runs
+    touches = [instruction for instruction in runs if instruction[0] == R_TOUCH]
+    objects, values, total = _objects_and_values(touches)
+    assert objects == values < total
+
+
+def _notice_pairs(skeleton):
+    """Every ``(page, ids)`` pair of every batch the skeleton keeps."""
+    for record in skeleton.records:
+        if len(record) == 6:  # acquire
+            yield from record[4]
+        elif len(record) == 3 and record[2] is not None:  # completing arrival
+            for _n, grouped, _vc in record[2]:
+                yield from grouped
+
+
+@pytest.mark.parametrize("page_size", REPEATING_PAGE_SIZES)
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_equal_notice_pairs_are_one_tuple(app, page_size):
+    trace = small_trace(app)
+    skeleton = batch_plan(trace.compiled(page_size), trace.n_procs).skeleton
+    objects, values, total = _objects_and_values(_notice_pairs(skeleton))
+    assert objects == values < total
