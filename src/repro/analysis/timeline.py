@@ -12,10 +12,15 @@ from dataclasses import dataclass
 from typing import List, Optional, Union
 
 from repro.config import SimConfig
-from repro.protocols.base import Protocol
-from repro.protocols.registry import protocol_class
-from repro.simulator.engine import _split_access
-from repro.trace.events import EventType
+from repro.simulator.engine import Engine
+from repro.trace.precompile import (
+    OP_ACQUIRE,
+    OP_BARRIER,
+    OP_READ,
+    OP_READ_N,
+    OP_RELEASE,
+    OP_WRITE,
+)
 from repro.trace.stream import TraceStream
 
 _SPARKS = " ▁▂▃▄▅▆▇█"
@@ -74,12 +79,15 @@ def message_timeline(
     n_buckets: int = 40,
     config: Optional[SimConfig] = None,
 ) -> Timeline:
-    """Run ``protocol`` over ``trace``, bucketing traffic by position."""
+    """Run ``protocol`` over ``trace``, bucketing traffic by position.
+
+    The run is the engine's interpreter, one compiled op at a time, so
+    it takes the engine's trace and config checks; the network's totals
+    are read after every op."""
     if n_buckets < 1:
         raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
     base = config or SimConfig(n_procs=trace.n_procs)
-    cls = protocol_class(protocol) if isinstance(protocol, str) else protocol
-    proto: Protocol = cls(base.with_page_size(page_size))
+    proto = Engine(trace, base.with_page_size(page_size), protocol).protocol
     proto.bind_interpreter()
     stats = proto.network.stats
     n_events = max(len(trace), 1)
@@ -89,20 +97,26 @@ def message_timeline(
     last_msgs = 0
     last_bytes = 0
 
-    for event in trace:
-        if event.type == EventType.READ:
-            for page, words in _split_access(event.addr, event.size, page_size):
-                proto.read(event.proc, page, words)
-        elif event.type == EventType.WRITE:
-            for page, words in _split_access(event.addr, event.size, page_size):
-                proto.write(event.proc, page, words, token=event.seq)
-        elif event.type == EventType.ACQUIRE:
-            proto.acquire(event.proc, event.lock)
-        elif event.type == EventType.RELEASE:
-            proto.release(event.proc, event.lock)
-        else:
-            proto.barrier(event.proc, event.barrier)
-        bucket = min(event.seq // bucket_events, n_buckets - 1)
+    # An op's position is its event's seq.
+    for seq, op in enumerate(trace.compiled(page_size).ops):
+        code, proc = op[0], op[1]
+        if code == OP_WRITE:
+            proto.write(proc, op[2], op[3], seq)
+        elif code == OP_READ:
+            proto.read_touch(proc, op[2])
+        elif code == OP_ACQUIRE:
+            proto.acquire(proc, op[2])
+        elif code == OP_RELEASE:
+            proto.release(proc, op[2])
+        elif code == OP_BARRIER:
+            proto.barrier(proc, op[2])
+        elif code == OP_READ_N:
+            for page, _ in op[2]:
+                proto.read_touch(proc, page)
+        else:  # OP_WRITE_N
+            for page, words in op[2]:
+                proto.write(proc, page, words, seq)
+        bucket = min(seq // bucket_events, n_buckets - 1)
         messages[bucket] += stats.total_messages - last_msgs
         data[bucket] += stats.total_data_bytes - last_bytes
         last_msgs = stats.total_messages

@@ -8,9 +8,10 @@ collector makes of it finds nothing. Reference counting frees what a run
 drops; the collector's prior state comes back on exit.
 
 The paused entry points: :func:`~repro.simulator.sweep.run_sweep` and its
-pool worker's cell, :meth:`Engine.run <repro.simulator.engine.Engine.run>`,
-:meth:`Engine.run_reference <repro.simulator.engine.Engine.run_reference>`
-and :func:`~repro.obs.spans.timeline_from_records` (a timeline is tens of
+pool worker's cell, :meth:`Engine.run <repro.simulator.engine.Engine.run>`
+(and the test oracle's ``ReferenceEngine.run``, in
+``tests/reference_oracle.py``) and
+:func:`~repro.obs.spans.timeline_from_records` (a timeline is tens of
 thousands of spans, none in a cycle).
 """
 

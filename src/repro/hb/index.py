@@ -10,7 +10,7 @@ of pending modifying intervals:
    terms — the hb-maximal modifying intervals), and
 3. how many wire bytes each server's aggregate diff occupies.
 
-The reference implementation in :mod:`repro.protocols.lazy_base`
+The test oracle (``tests/reference_oracle.py::ReferenceScans``)
 recomputes all three per fetch with pairwise ``Interval.precedes`` calls
 and per-fetch word-set sorts. This module computes them once per
 ``(page, pending-interval-set)`` into an immutable :class:`FetchPlan`

@@ -7,7 +7,7 @@ code only ever *reads* intervals it has legitimately learned about
 through write notices, and diff payloads are charged to the network when
 they are fetched from their creators.
 
-Every indexed loop closes intervals through :meth:`IntervalStore.close`
+Every loop closes intervals through :meth:`IntervalStore.close`
 and takes notice batches from :meth:`IntervalStore.gap`. The store
 doubles as the lazy protocols' **write-notice index**,
 maintained incrementally at :meth:`add` time:
@@ -95,7 +95,7 @@ class IntervalStore:
 
         Empty intervals exist only to advance the vector clocks — no
         notice ever names them and no diff is ever fetched from them —
-        so the indexed close path stores just the timestamp and the
+        so :meth:`close` stores just the timestamp and the
         :class:`Interval` object is materialized lazily if anything ever
         asks for it (most intervals of a real trace are empty: every
         special access closes one).
@@ -155,7 +155,7 @@ class IntervalStore:
     def close(
         self, proc: ProcId, prior_vc: VectorClock, pages: Iterable[Tuple[PageId, Dict[int, int]]]
     ) -> Tuple[int, VectorClock, Optional[Interval]]:
-        """Close ``proc``'s open interval: the one close of every indexed loop.
+        """Close ``proc``'s open interval: the one close of every loop.
 
         ``prior_vc`` is ``proc``'s clock before the close; ``pages`` pairs
         each page the interval modified with its written words (each
@@ -186,7 +186,8 @@ class IntervalStore:
 
         Concatenates the cached per-interval notice tuples over the
         vector-clock gap — the indexed equivalent of walking
-        :meth:`intervals_of` and building a notice per modified page.
+        :meth:`intervals_of` and building a notice per modified page,
+        as the test oracle's ``ReferenceStore`` does.
         """
         notices: List[WriteNotice] = []
         mine = sender_vc.entries()

@@ -93,7 +93,7 @@ class Network:
         :meth:`send` calls: an epoch of a
         :class:`~repro.hb.skeleton.PricedTape` (``Protocol._fold``), or
         one diff fetch of the lazy kernels
-        (``LazyProtocol._collect_diffs_indexed``). Callers certify what
+        (``LazyProtocol._collect_diffs``). Callers certify what
         :meth:`send` would have done per message (endpoints in range,
         locals excluded, the ack policy applied); probe staging and the
         tap's records, when either is attached, are the caller's

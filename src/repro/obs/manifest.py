@@ -103,8 +103,9 @@ def build_manifest(
     replay key — the derived ``network_seed`` feeding the loss/jitter
     RNG plus the full link configuration — making lossy runs replayable
     from the manifest alone. ``execution_path`` names the engine loop
-    that produced the ledger (``tape``, ``per_event`` or
-    ``reference``), ``decline_reason`` why it was not the tape replay
+    that produced the ledger (``tape``, ``per_event``, or ``reference``
+    for the test oracle, ``tests/reference_oracle.py::ReferenceEngine``),
+    ``decline_reason`` why it was not the tape replay
     (see :func:`repro.protocols.base.certify_replay`; absent on a tape
     run), and ``record`` which parts of the cell's record the run
     ``recorded`` (wrote and kept) or ``reused`` (read): ``log``, a timed

@@ -59,8 +59,8 @@ def certify_replay(protocol: "Protocol") -> Tuple[str, Optional[str]]:
       cell's record keeps (:meth:`observe_on_tape`). The reason is None.
 
     The engine dispatches on the path; the pair goes into the run's
-    manifest. (``reference`` is ``Engine.run_reference``, never chosen
-    here.)
+    manifest. (``reference`` is the test oracle's path,
+    ``tests/reference_oracle.py::ReferenceEngine``, never chosen here.)
     """
     if protocol.config.record_values:
         return "per_event", "record_values"
@@ -140,15 +140,13 @@ class Protocol(abc.ABC):
     # A protocol is built with its config, ledger and counters only. The
     # tables a loop reads are built by that loop before its first event:
     # bind_interpreter for the per-event hooks (Engine's interpreter and
-    # run_reference), bind_batch_plan for a tape replay (the lazy
+    # the test oracle), bind_batch_plan for a tape replay (the lazy
     # kernels' subset, over the plan's store and planner), and nothing
     # for a fold over a priced tape, which reads only the ledger.
 
-    def bind_interpreter(self, reference: bool = False) -> None:
+    def bind_interpreter(self) -> None:
         """Build what the per-event hooks read: the page tables, the lock
-        and barrier directories and the family's own bookkeeping.
-        ``reference`` asks for the oracle's (``Engine.run_reference``):
-        only the lazy family has one, its reference scans."""
+        and barrier directories and the family's own bookkeeping."""
         self._bind_tables()
         self.locks = LockDirectory(self.n_procs)
 

@@ -374,10 +374,10 @@ class EagerProtocol(EagerTapeMixin, Protocol):
         self.flushes = 0
         self.reconciles = 0
 
-    def bind_interpreter(self, reference: bool = False) -> None:
+    def bind_interpreter(self) -> None:
         """The base tables plus the page directory and flush counters;
         the tape reads none of them (see :class:`EagerTapeMixin`)."""
-        super().bind_interpreter(reference)
+        super().bind_interpreter()
         self.directory = PageDirectory()
         self._flush_counter = [0] * self.n_procs
 

@@ -51,10 +51,10 @@ class ExclusiveWriter(EagerTapeMixin, Protocol):
         self.write_faults = 0
         self.ping_pongs = 0
 
-    def bind_interpreter(self, reference: bool = False) -> None:
+    def bind_interpreter(self) -> None:
         """The base tables plus the ownership directory; the tape reads
         none of it (see :class:`~repro.protocols.eager_base.EagerTapeMixin`)."""
-        super().bind_interpreter(reference)
+        super().bind_interpreter()
         #: Current owner (the only processor allowed to write the page).
         self.owner: Dict[PageId, Optional[ProcId]] = {}
         #: Processors holding a (read-only or owned) valid copy.

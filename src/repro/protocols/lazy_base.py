@@ -8,20 +8,13 @@ lacks; releases exchange no messages at all. Diffs are pulled from their
 creators — LI at the next access miss, LU immediately on notice receipt —
 and applied in happened-before order.
 
-Two implementations of the happened-before bookkeeping coexist:
-
-* the **indexed** path (every :meth:`Engine.run`) answers notice-gap,
-  last-modifier, and aggregate-size queries from the incremental
-  coherence index — the store's write-notice index plus the memoized
-  :class:`~repro.hb.index.FetchPlanner`;
-* the **reference** path (``bind_interpreter(reference=True)``, which
-  ``Engine.run_reference`` calls before the first event) keeps the
-  original per-fetch scans over ``intervals_of`` and pairwise
-  ``precedes``, structurally closest to the paper's description.
-
-Both produce bit-identical :class:`~repro.simulator.results
-.SimulationResult` fields — the equivalence suite asserts it: the oracle
-is one entry point, raw-event loop and reference scans together.
+Every loop answers notice-gap, last-modifier and aggregate-size
+queries from the coherence index: the store's write-notice index
+(:meth:`IntervalStore.gap <repro.hb.store.IntervalStore.gap>`) plus the
+memoized :class:`~repro.hb.index.FetchPlanner`. The test oracle,
+``tests/reference_oracle.py``, states the same rules again as per-fetch
+scans over ``intervals_of`` and pairwise ``precedes``, the way §4.3
+words them; the equivalence suite pins every loop to it field by field.
 """
 
 from __future__ import annotations
@@ -35,8 +28,6 @@ from repro.hb.index import FetchPlanner
 from repro.hb.interval import Interval, IntervalId
 from repro.hb.skeleton import PriceRecorder, PricedTape
 from repro.hb.store import IntervalStore
-from repro.hb.write_notice import WriteNotice
-from repro.memory.diff import Diff
 from repro.memory.page import PageEntry, PageState
 from repro.network.message import MessageKind
 from repro.obs.probe import MISS_CAUSE
@@ -91,8 +82,6 @@ class LazyProtocol(Protocol):
         self.peak_retained_diff_bytes = 0
         self.gc_collected_bytes = 0
         self.gc_runs = 0
-        #: False under the oracle's reference scans (bind_interpreter).
-        self._indexed = True
         # Wire sizes that never change within a run, hoisted off the
         # per-acquire/per-barrier paths.
         self._vc_bytes = self.costs.vclock_bytes(config.n_procs)
@@ -110,48 +99,34 @@ class LazyProtocol(Protocol):
         #: this tape run folds instead of running the kernels.
         self._priced: Optional[PricedTape] = None
 
-    def bind_interpreter(self, reference: bool = False) -> None:
+    def bind_interpreter(self) -> None:
         """The hooks' state: the base tables, this run's own interval
-        store, the in-flight barrier episodes, and the fetch planner —
-        none under the reference scans, which keep the per-fetch scans
-        and the reference retention log instead."""
+        store and its fetch planner, and the in-flight barrier episodes."""
         super().bind_interpreter()
         self.store = IntervalStore(self.n_procs)
+        self._planner = FetchPlanner(self.store, self.costs, self.config.skip_overwritten_diffs)
         # In-flight barrier episodes: barrier id -> list of (proc, vc at arrival).
         self._episodes: Dict[BarrierId, List[Tuple[ProcId, VectorClock]]] = {}
-        self._indexed = not reference
-        if reference:
-            self._planner: Optional[FetchPlanner] = None
-            #: Reference-path retention log, in interval-close order.
-            self._live_diffs: List[Tuple[Interval, PageId, int]] = []
-        else:
-            self._planner = FetchPlanner(
-                self.store, self.costs, self.config.skip_overwritten_diffs
-            )
 
     def _bind_tables(self) -> None:
         """The base tables, each processor's clock and pending notices,
-        and the indexed retention log: what the hooks and the tape
-        kernels both read."""
+        and the retention log: what the hooks and the tape kernels both
+        read."""
         super()._bind_tables()
         zero = VectorClock.zero(self.n_procs)
         self.lazy_state = [LazyProcState(zero) for _ in range(self.n_procs)]
-        #: Indexed-path retention log, per page in interval-close order.
+        #: The retention log, per page in interval-close order.
         self._live_by_page: Dict[PageId, List[Tuple[Interval, int]]] = {}
 
     # -- interval management -----------------------------------------------
 
-    def _close_interval(self, proc: ProcId) -> Optional[Interval]:
+    def _close_interval(self, proc: ProcId) -> None:
         """Close ``proc``'s open interval, finalizing its diffs.
 
-        The indexed path drains only the dirty registry's entries and
-        closes through :meth:`IntervalStore.close`, as the skeleton does
-        for the tape kernels; it returns ``None`` for an interval that
-        modified nothing (the common case — such intervals only advance
-        the vector clock). Both end in :meth:`_closed`.
+        Drains only the dirty registry's entries and closes through
+        :meth:`IntervalStore.close`, as the skeleton does for the tape
+        kernels, then ends in :meth:`_closed`, like a kernel's close.
         """
-        if not self._indexed:
-            return self._close_interval_reference(proc)
         pages = []
         for entry in self.procs[proc].pages.drain_dirty():
             if entry.dirty_words:
@@ -160,15 +135,14 @@ class LazyProtocol(Protocol):
                 entry.clear_dirty()
         index, vc, interval = self.store.close(proc, self.lazy_state[proc].vc, pages)
         self._closed(proc, index, vc, interval)
-        return interval
 
     def _closed(
         self, proc: ProcId, index: int, vc: VectorClock, interval: Optional[Interval]
     ) -> None:
-        """The tail of an indexed close, the interpreter's or a tape
-        kernel's: ``proc``'s clock becomes ``vc``; ``interval`` (None: it
-        modified nothing) enters the live retention books, per page for
-        the indexed GC; its events; then :meth:`_on_close`."""
+        """The tail of a close, the interpreter's or a tape kernel's:
+        ``proc``'s clock becomes ``vc``; ``interval`` (None: it modified
+        nothing) enters the retention log, per page for the GC; its
+        events; then :meth:`_on_close`."""
         self.lazy_state[proc].vc = vc
         self.intervals_closed += 1
         if interval is not None:
@@ -194,34 +168,6 @@ class LazyProtocol(Protocol):
         """Hook for every closed interval that modified something, after
         its events (HLRC flushes to the homes here)."""
 
-    def _close_interval_reference(self, proc: ProcId) -> Interval:
-        state = self.lazy_state[proc]
-        index = state.vc[proc] + 1
-        vc = state.vc.advanced(proc, index)
-        interval = Interval(proc, index, vc)
-        # First-write order, like every other loop: it fixes the order of
-        # the interval's diffs, hence of its notices and their events.
-        for entry in self.procs[proc].pages.drain_dirty():
-            if entry.is_dirty:
-                diff = Diff(entry.page_id, proc, index, entry.dirty_words)
-                interval.add_diff(diff)
-                entry.clear_dirty()
-                wire = diff.wire_bytes(self.costs)
-                self.retained_diff_bytes += wire
-                self._live_diffs.append((interval, diff.page, wire))
-        self.peak_retained_diff_bytes = max(
-            self.peak_retained_diff_bytes, self.retained_diff_bytes
-        )
-        interval.close()
-        self.store.add(interval)
-        state.vc = vc
-        self.intervals_closed += 1
-        if self._obs_events:
-            self._emit_interval_close(proc, index, interval)
-        if interval.diffs:
-            self._on_close(proc, interval)
-        return interval
-
     def _emit_interval_close(self, proc: ProcId, index: int, interval: Optional[Interval]) -> None:
         """Telemetry for one interval close (probe-enabled runs only)."""
         emit = self._emit
@@ -236,43 +182,18 @@ class LazyProtocol(Protocol):
 
     def _drop_retained(self, interval: Interval, pages: Iterable[PageId]) -> None:
         """Forget retained diffs of ``interval`` for ``pages`` (HLRC flushes)."""
-        if self._indexed:
-            live = self._live_by_page
-            for page in pages:
-                page_live = live.get(page, ())
-                # The flushed diff was appended by this interval's close,
-                # so it sits at (or near) the end of the page's log.
-                for k in range(len(page_live) - 1, -1, -1):
-                    if page_live[k][0] is interval:
-                        self.retained_diff_bytes -= page_live[k][1]
-                        del page_live[k]
-                        break
-            return
-        dropped = set(pages)
-        kept = []
-        for live_interval, page, wire in self._live_diffs:
-            if live_interval is interval and page in dropped:
-                self.retained_diff_bytes -= wire
-            else:
-                kept.append((live_interval, page, wire))
-        self._live_diffs = kept
+        live = self._live_by_page
+        for page in pages:
+            page_live = live.get(page, ())
+            # The flushed diff was appended by this interval's close,
+            # so it sits at (or near) the end of the page's log.
+            for k in range(len(page_live) - 1, -1, -1):
+                if page_live[k][0] is interval:
+                    self.retained_diff_bytes -= page_live[k][1]
+                    del page_live[k]
+                    break
 
     # -- write-notice machinery ----------------------------------------------
-
-    def _gap(self, sender_vc: VectorClock, receiver_vc: VectorClock) -> Tuple[int, tuple]:
-        """The notices for every interval the sender knows and the
-        receiver lacks, as ``(count, grouped)`` (:meth:`IntervalStore.group`).
-        A method testing ``_indexed``, not a bound method stored on the
-        instance: that would be a reference cycle through ``self`` (the
-        oracle's whole interval store waited for a full collection)."""
-        if self._indexed:
-            return self.store.gap(sender_vc, receiver_vc)
-        notices: List[WriteNotice] = []
-        for creator, first, last in sender_vc.missing_from(receiver_vc):
-            for interval in self.store.intervals_of(creator, first, last):
-                for page in interval.modified_pages:
-                    notices.append(WriteNotice(creator, interval.index, page))
-        return self.store.group(notices)
 
     def _receive(
         self,
@@ -326,21 +247,9 @@ class LazyProtocol(Protocol):
         covering those too; only pairwise-concurrent modifiers (false
         sharing) force contacting more than one processor. Diffs are
         applied in happened-before order. Returns the number of distinct
-        modifiers contacted.
+        modifiers contacted. The fetch is one run-level plan over the
+        faulting pages' memoized page plans (:class:`FetchPlanner`).
         """
-        if self._indexed:
-            return self._collect_diffs_indexed(proc, pages, request_kind, reply_kind)
-        return self._collect_diffs_reference(proc, pages, request_kind, reply_kind)
-
-    def _collect_diffs_indexed(
-        self,
-        proc: ProcId,
-        pages: List[PageId],
-        request_kind: MessageKind,
-        reply_kind: MessageKind,
-    ) -> int:
-        """Indexed fetch: one run-level plan over the faulting pages'
-        memoized page plans."""
         pending = self.lazy_state[proc].pending
         planner = self._planner
         items = []
@@ -421,164 +330,6 @@ class LazyProtocol(Protocol):
                     "diff_apply", proc=proc, page=plan.page, count=len(plan.apply)
                 )
         return m
-
-    def _collect_diffs_reference(
-        self,
-        proc: ProcId,
-        pages: List[PageId],
-        request_kind: MessageKind,
-        reply_kind: MessageKind,
-    ) -> int:
-        state = self.lazy_state[proc]
-        needed: List[Diff] = []
-        for page in pages:
-            for interval_id in state.pending.pop(page, ()):
-                diff = self.store.get(interval_id).diff_for(page)
-                if diff is None:  # pragma: no cover - notices name real diffs
-                    raise AssertionError(f"notice without diff: {interval_id}, page {page}")
-                needed.append(diff)
-        if not needed:
-            return 0
-        if self.config.skip_overwritten_diffs:
-            needed = self._prune_overwritten(needed)
-        by_server = self._assign_servers(needed)
-        for server in sorted(by_server):
-            diffs = by_server[server]
-            self.network.send(request_kind, proc, server)
-            payload = self._aggregate_wire_bytes(diffs)
-            self.network.send(reply_kind, server, proc, payload_bytes=payload)
-            self.diffs_fetched += len(diffs)
-            self.diff_bytes_fetched += payload
-            if self._obs_events:
-                self._emit(
-                    "diff_fetch", proc=proc, server=server, count=len(diffs), bytes=payload
-                )
-        self._apply_diffs(proc, needed)
-        return len(by_server)
-
-    def _assign_servers(self, needed: List[Diff]) -> Dict[ProcId, List[Diff]]:
-        """Route each needed diff to a concurrent last modifier of its page.
-
-        Per page, the hb-maximal modifying intervals are found; every
-        needed diff is served by the maximal interval that hb-follows it
-        (its creator's copy provably contains the modification), choosing
-        the latest such interval for determinism.
-        """
-        by_page: Dict[PageId, List[Diff]] = {}
-        for diff in needed:
-            by_page.setdefault(diff.page, []).append(diff)
-        by_server: Dict[ProcId, List[Diff]] = {}
-        for page_diffs in by_page.values():
-            intervals = {
-                diff: self.store.get((diff.creator, diff.interval))
-                for diff in page_diffs
-            }
-            maximal = [
-                diff
-                for diff in page_diffs
-                if not any(
-                    intervals[diff].precedes(intervals[other])
-                    for other in page_diffs
-                    if other is not diff
-                )
-            ]
-            for diff in page_diffs:
-                covering = [
-                    top
-                    for top in maximal
-                    if top is diff or intervals[diff].precedes(intervals[top])
-                ]
-                server = max(
-                    covering, key=lambda top: (sum(intervals[top].vc), top.creator)
-                ).creator
-                by_server.setdefault(server, []).append(diff)
-        return by_server
-
-    def _aggregate_wire_bytes(self, diffs: List[Diff]) -> int:
-        """Wire size of the aggregate diffs one server sends.
-
-        Per page, hb-ordered diffs collapse into one aggregate (the union
-        of their modified words, each word once), run-length encoded.
-        """
-        by_page: Dict[PageId, set] = {}
-        for diff in diffs:
-            by_page.setdefault(diff.page, set()).update(diff.words)
-        total = 0
-        for words in by_page.values():
-            indices = sorted(words)
-            runs = 1
-            for prev, cur in zip(indices, indices[1:]):
-                if cur != prev + 1:
-                    runs += 1
-            total += runs * self.costs.diff_run_header_bytes
-            total += len(indices) * self.costs.word_bytes
-        return total
-
-    def _prune_overwritten(self, needed: List[Diff]) -> List[Diff]:
-        """Drop diffs every word of which a later (hb) needed diff rewrites.
-
-        The pairwise scan is the reference path's hottest loop (every
-        miss and every eager pull runs it), so interval lookups are
-        hoisted out of the O(n^2) inner loop and word sets are compared
-        as dict key views instead of freshly built sets. The indexed
-        path's planner does the same pruning once per pending set.
-        """
-        if len(needed) < 2:
-            return needed
-        get = self.store.get
-        intervals = [get((diff.creator, diff.interval)) for diff in needed]
-        word_keys = [diff.words.keys() for diff in needed]
-        pages = [diff.page for diff in needed]
-        # Interval.precedes inlined over these arrays: (p, idx) precedes
-        # j iff same-processor order (idx < indices[j]) or j's timestamp
-        # covers it (vc_entries[j][p] >= idx).
-        procs = [interval.proc for interval in intervals]
-        indices = [interval.index for interval in intervals]
-        vc_entries = [interval.vc.entries() for interval in intervals]
-        kept: List[Diff] = []
-        n = len(needed)
-        for i in range(n):
-            keys = word_keys[i]
-            page = pages[i]
-            p = procs[i]
-            idx = indices[i]
-            for j in range(n):
-                if j == i or pages[j] != page:
-                    continue
-                if procs[j] == p:
-                    if idx >= indices[j]:
-                        continue
-                elif vc_entries[j][p] < idx:
-                    continue
-                if keys <= word_keys[j]:
-                    break
-            else:
-                kept.append(needed[i])
-        return kept
-
-    def _apply_diffs(self, proc: ProcId, diffs: List[Diff]) -> None:
-        """Apply diffs in hb order, preserving the local open interval's writes.
-
-        For intervals ordered by hb, the creator's interval timestamp of
-        the later one dominates the earlier one's pointwise, so the sum of
-        entries is a valid topological key (ties are concurrent and, in a
-        race-free program, touch disjoint words).
-        """
-        def order_key(diff: Diff):
-            interval = self.store.get((diff.creator, diff.interval))
-            return (sum(interval.vc), diff.creator, diff.interval)
-
-        by_page: Dict[PageId, List[Diff]] = {}
-        for diff in diffs:
-            by_page.setdefault(diff.page, []).append(diff)
-        for page, page_diffs in by_page.items():
-            entry = self.entry(proc, page)
-            for diff in sorted(page_diffs, key=order_key):
-                diff.apply_to(entry.page.words)
-            # A concurrent local writer's uncommitted words survive merges.
-            entry.page.words.update(entry.dirty_words)
-            if self._obs_events:
-                self._emit("diff_apply", proc=proc, page=page, count=len(page_diffs))
 
     # -- access misses ---------------------------------------------------------
 
@@ -686,7 +437,7 @@ class LazyProtocol(Protocol):
             return
         grantor_vc = self.lazy_state[grantor].vc
         vc = self.lazy_state[proc].vc
-        n_notices, grouped = self._gap(grantor_vc, vc)
+        n_notices, grouped = self.store.gap(grantor_vc, vc)
         self._grant(proc, self.locks.manager_of(lock), grantor, n_notices)
         self._receive(proc, grouped, vc.merged(grantor_vc), _ACQUIRE_PULL_KINDS)
 
@@ -703,7 +454,7 @@ class LazyProtocol(Protocol):
         master = self.barriers.master
         if proc != master:
             merged = self._episode_clock(barrier)
-            self._arrive(proc, master, self._gap(state.vc, merged)[0])
+            self._arrive(proc, master, self.store.gap(state.vc, merged)[0])
         episode.append((proc, state.vc))
 
     def _episode_clock(self, barrier: BarrierId) -> VectorClock:
@@ -719,7 +470,7 @@ class LazyProtocol(Protocol):
         self._episodes[barrier] = []
         for proc in range(self.n_procs):
             vc = self.lazy_state[proc].vc
-            n_notices, grouped = self._gap(merged, vc)
+            n_notices, grouped = self.store.gap(merged, vc)
             self._exit(master, proc, n_notices)
             self._receive(proc, grouped, vc.merged(merged), _BARRIER_PULL_KINDS)
         if self.config.gc_at_barriers:
@@ -742,10 +493,7 @@ class LazyProtocol(Protocol):
         is unaffected.
         """
         collected_before = self.gc_collected_bytes
-        if self._indexed:
-            self._collect_garbage_indexed()
-        else:
-            self._collect_garbage_reference()
+        self._sweep_garbage()
         if self._obs_events:
             self._emit(
                 "gc_sweep",
@@ -753,15 +501,13 @@ class LazyProtocol(Protocol):
                 retained=self.retained_diff_bytes,
             )
 
-    def _collect_garbage_indexed(self) -> None:
-        """Indexed GC over the per-page retention logs.
+    def _sweep_garbage(self) -> None:
+        """The GC sweep over the per-page retention logs.
 
         ``min_entries`` is the globally covered frontier: interval
         ``(q, k)`` is known everywhere iff ``k <= min_entries[q]``. Pages
         whose log holds fewer than two diffs, or no covered dominator,
-        are skipped without building survivor lists — the reference
-        path's full ``_live_diffs`` scan visits every retained diff of
-        every page on every run.
+        are skipped without building survivor lists.
         """
         lazy_state = self.lazy_state
         min_entries = [
@@ -778,7 +524,7 @@ class LazyProtocol(Protocol):
             if len(page_live) < 2:
                 continue
             # Chain-maximal globally-covered modifying interval, folded
-            # in close order (matching the reference scan's order).
+            # in close order.
             dominator: Optional[Interval] = None
             for interval, _wire in page_live:
                 if interval.index <= min_entries[interval.proc] and (
@@ -992,41 +738,6 @@ class LazyProtocol(Protocol):
                 self._next_epoch()
         if obs:
             self._unstage(saved)
-
-    def _collect_garbage_reference(self) -> None:
-        min_entries = [
-            min(state.vc[r] for state in self.lazy_state) for r in range(self.n_procs)
-        ]
-        pending_refs = {
-            (interval_id, page)
-            for state in self.lazy_state
-            for page, interval_ids in state.pending.items()
-            for interval_id in interval_ids
-        }
-        # Chain-maximal globally-covered modifying interval per page.
-        dominators: Dict[PageId, Interval] = {}
-        for interval, page, _wire in self._live_diffs:
-            if interval.index <= min_entries[interval.proc]:
-                current = dominators.get(page)
-                if current is None or current.precedes(interval):
-                    dominators[page] = interval
-        survivors: List[Tuple[Interval, PageId, int]] = []
-        for interval, page, wire in self._live_diffs:
-            dominator = dominators.get(page)
-            collectable = (
-                interval.index <= min_entries[interval.proc]
-                and (interval.id, page) not in pending_refs
-                and dominator is not None
-                and dominator is not interval
-                and interval.precedes(dominator)
-            )
-            if collectable:
-                self.gc_collected_bytes += wire
-                self.retained_diff_bytes -= wire
-            else:
-                survivors.append((interval, page, wire))
-        self._live_diffs = survivors
-        self.gc_runs += 1
 
 
 def _walk_runs(instructions: List[tuple], touch, acquire, release, barrier) -> None:

@@ -6,18 +6,16 @@ store. Lock waiters queue FIFO; barrier arrivals block until every live
 processor has arrived. The interleaving is chosen by a seeded PRNG (or
 strict round-robin), so traces are reproducible bit-for-bit.
 
-Two execution loops produce identical traces for a given seed:
-
-* :meth:`Scheduler.run` — the generation fast path. The runnable set is
-  maintained incrementally (blocking and finishing are rare next to data
-  accesses, so almost every step skips the O(n_procs) rebuild), the
-  PRNG draw and operation dispatch are inlined with hot callables bound
-  to locals, and data accesses append straight into the trace's typed
-  columns — no :class:`~repro.trace.events.Event` is constructed on the
-  hot path.
-* :meth:`Scheduler.run_reference` — the original step-at-a-time loop,
-  kept as the behavioural pin; the equivalence suite asserts both loops
-  emit byte-identical ``.trcb`` files for every app and seed.
+:meth:`Scheduler.run` is the one loop. The runnable set is maintained
+incrementally (blocking and finishing are rare next to data accesses, so
+almost every step skips the O(n_procs) rebuild), the PRNG draw and
+operation dispatch are inlined with hot callables bound to locals, and
+data accesses append straight into the trace's typed columns — no
+:class:`~repro.trace.events.Event` is constructed on the hot path. The
+original step-at-a-time loop is the test oracle
+``tests/reference_oracle.py::scheduler_reference_run``; the equivalence
+suite asserts both emit byte-identical ``.trcb`` files for every app and
+seed.
 """
 
 from __future__ import annotations
@@ -104,9 +102,9 @@ class Scheduler:
     def run(self) -> TraceStream:
         """Run every thread to completion and return the recorded trace.
 
-        This is the generation fast path; it emits the same trace as
-        :meth:`run_reference` bit for bit (same seed, same draws) while
-        skipping the per-step runnable rebuild and Event construction.
+        It emits the same trace as the step-at-a-time oracle bit for bit
+        (same seed, same draws) while skipping the per-step runnable
+        rebuild and Event construction.
         """
         runnable = self._init_run()
         threads = self._threads
@@ -180,7 +178,10 @@ class Scheduler:
                     lock_holder[lock] = proc
                     c_app(2); p_app(proc); v_app(lock); s_app(0)
                 else:
-                    self._acquire(proc, op)
+                    # Contended: queue FIFO behind the holder's release.
+                    lock_waiters.setdefault(lock, deque()).append(proc)
+                    self._blocked[proc] = op
+                    self._unrun(proc)
             elif kind is release_k:
                 thread.pending_result = None
                 lock = op.lock
@@ -206,23 +207,6 @@ class Scheduler:
             self._raise_deadlock()
         return trace
 
-    def run_reference(self) -> TraceStream:
-        """The original loop: rebuild the runnable list every step.
-
-        Kept as the fast loop's behavioural pin (the equivalence suite
-        runs apps through both and compares the ``.trcb`` bytes).
-        """
-        self._init_run()
-        while True:
-            runnable = self._runnable_list()
-            if not runnable:
-                if all(t.done for t in self._threads if t):
-                    break
-                self._raise_deadlock()
-            proc = self._pick(runnable)
-            self._step(proc)
-        return self.trace
-
     def _runnable_list(self) -> List[ProcId]:
         return [
             t.proc
@@ -242,22 +226,6 @@ class Scheduler:
                     return candidate
         return self._rng.choice(runnable)
 
-    def _step(self, proc: ProcId) -> None:
-        thread = self._threads[proc]
-        assert thread is not None
-        self.steps += 1
-        try:
-            op = thread.gen.send(thread.pending_result)
-        except StopIteration:
-            thread.done = True
-            self._unrun(proc)
-            self._check_barrier_stranding()
-            return
-        thread.pending_result = None
-        if not isinstance(op, Op):
-            raise TraceError(f"thread p{proc} yielded {op!r}, expected an Op")
-        self._execute(thread, op)
-
     # -- runnable bookkeeping --------------------------------------------------
 
     def _unrun(self, proc: ProcId) -> None:
@@ -273,56 +241,6 @@ class Scheduler:
             self._runnable_set.add(proc)
 
     # -- operation semantics ---------------------------------------------------
-
-    def _execute(self, thread: _Thread, op: Op) -> None:
-        proc = thread.proc
-        if op.kind == OpKind.READ:
-            values = [
-                self.memory.get(op.addr + i * WORD_SIZE, 0) for i in range(op.n_words)
-            ]
-            thread.pending_result = values if op.n_words > 1 else values[0]
-            self.trace.append_raw(0, proc, op.addr, op.size)
-        elif op.kind == OpKind.WRITE:
-            for i, value in enumerate(op.write_values()):
-                self.memory[op.addr + i * WORD_SIZE] = value
-            self.trace.append_raw(1, proc, op.addr, op.size)
-        elif op.kind == OpKind.ACQUIRE:
-            self._acquire(proc, op)
-        elif op.kind == OpKind.RELEASE:
-            self._release(proc, op)
-        else:
-            self._barrier(proc, op)
-
-    def _acquire(self, proc: ProcId, op: Op) -> None:
-        lock = op.lock
-        assert lock is not None
-        holder = self._lock_holder.get(lock)
-        if holder is None and not self._lock_waiters.get(lock):
-            self._grant(proc, lock)
-        else:
-            self._lock_waiters.setdefault(lock, deque()).append(proc)
-            self._blocked[proc] = op
-            self._unrun(proc)
-
-    def _grant(self, proc: ProcId, lock: LockId) -> None:
-        self._lock_holder[lock] = proc
-        self.trace.append_raw(2, proc, lock, 0)
-
-    def _release(self, proc: ProcId, op: Op) -> None:
-        lock = op.lock
-        assert lock is not None
-        if self._lock_holder.get(lock) != proc:
-            raise TraceError(
-                f"p{proc} releases lock {lock} held by {self._lock_holder.get(lock)}"
-            )
-        self.trace.append_raw(3, proc, lock, 0)
-        self._lock_holder[lock] = None
-        waiters = self._lock_waiters.get(lock)
-        if waiters:
-            next_proc = waiters.popleft()
-            del self._blocked[next_proc]
-            self._rerun(next_proc)
-            self._grant(next_proc, lock)
 
     def _barrier(self, proc: ProcId, op: Op) -> None:
         barrier = op.barrier

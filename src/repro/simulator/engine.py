@@ -12,9 +12,9 @@ The hot loop dispatches on a precompiled instruction list (see
 size, and the single-page common case reaches the protocol without any
 per-event list building. Which loop replays a run follows from what it
 observes (:func:`~repro.protocols.base.certify_replay`; path table in
-``docs/OBSERVABILITY.md``). :meth:`Engine.run_reference` is the oracle —
-the original event-by-event interpreter — and every path must produce
-bit-identical :class:`SimulationResult` fields; the suite asserts it.
+``docs/OBSERVABILITY.md``). Every path must produce bit-identical
+:class:`SimulationResult` fields; the suite asserts it against the test
+oracle, ``tests/reference_oracle.py::ReferenceEngine``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.trace.precompile import (
     OP_WRITE,
     OP_WRITE_N,
     CompiledTrace,
-    split_access,
 )
 from repro.trace.stream import TraceStream
 from repro.trace.validate import validate_trace
@@ -391,60 +390,6 @@ class Engine:
         self._finish(timings, t0)
         return priced
 
-    @gc_paused()
-    def run_reference(self) -> SimulationResult:
-        """The oracle: the original event-by-event interpreter.
-
-        Splits every access at replay time instead of dispatching on the
-        precompiled form, and switches the lazy family to its reference
-        scans (no coherence index, no fetch planner) before the first
-        event. Slower, but structurally closest to the paper's
-        description — the equivalence tests assert :meth:`run` matches
-        this path field for field. Counting only: a configured
-        ``link_model`` is refused, since no clock would be folded.
-        """
-        if self.config.link_model is not None:
-            raise ConfigError(
-                "run_reference() is counting-only; drop link_model or call run()"
-            )
-        self._claim_run()
-        self._execution_path = "reference"
-        protocol = self.protocol
-        protocol.bind_interpreter(reference=True)
-        page_size = self.config.page_size
-        record = self.config.record_values
-        read_values: Optional[List[Tuple[int, List[int]]]] = [] if record else None
-
-        t0 = time.perf_counter()
-        for event in self.trace:
-            if event.type == EventType.READ:
-                assert event.addr is not None and event.size is not None
-                values: List[int] = []
-                for page, words in _split_access(event.addr, event.size, page_size):
-                    observed = protocol.read(event.proc, page, words)
-                    if record:
-                        values.extend(observed)
-                if record:
-                    assert read_values is not None
-                    read_values.append((event.seq, values))
-            elif event.type == EventType.WRITE:
-                assert event.addr is not None and event.size is not None
-                for page, words in _split_access(event.addr, event.size, page_size):
-                    protocol.write(event.proc, page, words, token=event.seq)
-            elif event.type == EventType.ACQUIRE:
-                assert event.lock is not None
-                protocol.acquire(event.proc, event.lock)
-            elif event.type == EventType.RELEASE:
-                assert event.lock is not None
-                protocol.release(event.proc, event.lock)
-            else:
-                assert event.barrier is not None
-                protocol.barrier(event.proc, event.barrier)
-
-        timings: Dict[str, float] = {}
-        self._finish(timings, t0)
-        return self._result(read_values, timings)
-
     def _result(
         self, read_values, timings: Optional[Dict[str, float]] = None
     ) -> SimulationResult:
@@ -516,25 +461,6 @@ class Engine:
             for key, value in plan_stats().items()
             if value != before[key]
         }
-
-
-#: Per-page-size caches backing :func:`_split_access`; bounded so a long
-#: run over many distinct (addr, size) pairs cannot grow without limit.
-_SPLIT_CACHES: Dict[int, Dict[Tuple[int, int], tuple]] = {}
-_SPLIT_CACHE_LIMIT = 1 << 16
-
-
-def _split_access(addr: int, size: int, page_size: int) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Split a byte-range access into (page, word-indices) chunks.
-
-    ``words`` is an immutable tuple, shared between repeated
-    ``(addr, size)`` pairs via a per-page-size memo — traces revisit the
-    same addresses constantly, so most calls are cache hits.
-    """
-    cache = _SPLIT_CACHES.setdefault(page_size, {})
-    if len(cache) > _SPLIT_CACHE_LIMIT:
-        cache.clear()
-    return list(split_access(addr, size, page_size, cache))
 
 
 def simulate(

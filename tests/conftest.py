@@ -15,6 +15,7 @@ from repro.simulator.engine import Engine
 from repro.simulator.results import SimulationResult
 from repro.trace.events import Event
 from repro.trace.stream import TraceMeta, TraceStream
+from tests.reference_oracle import ReferenceEngine
 
 #: Small-scale parameters per app so whole-suite runs stay fast.
 SMALL_SCALE = {
@@ -75,6 +76,15 @@ def lock_chain_trace(n_procs: int = 3, rounds: int = 2, addr: int = 0x100) -> Tr
                 Event.release(proc, 0),
             ]
     return build_trace(n_procs, events)
+
+
+def straddling_trace(barrier: bool = True) -> TraceStream:
+    """Accesses across one and several 512-byte pages, two processors."""
+    events = [Event.acquire(0, 0), Event.write(0, 500, 1050), Event.release(0, 0)]
+    events += [Event.acquire(1, 0), Event.read(1, 508, 8), Event.write(1, 1020, 8)]
+    events += [Event.release(1, 0)] + [Event.at_barrier(p, 0) for p in (0, 1) if barrier]
+    events += [Event.acquire(0, 0), Event.read(0, 500, 1050), Event.release(0, 0)]
+    return build_trace(2, events)
 
 
 def ledger_fields(result: SimulationResult) -> dict:
@@ -172,7 +182,8 @@ LOOPS = {
     "alias": ({}, ("per_event", "uncertified_class")),
     # Values exist only on the interpreter; recording them asks for it.
     "per_event": ({"record_values": True}, ("per_event", "record_values")),
-    # The oracle is asked for by name (``Engine.run_reference()``).
+    # The test oracle, asked for by class: ``ReferenceEngine`` in
+    # ``tests/reference_oracle.py`` (its scans, store and raw-event loop).
     "reference": ({}, ("reference", None)),
     # The tape once the cell has run before: a lazy cell's kernels record
     # its priced tape, and a sink or span probe gets the record stream
@@ -242,8 +253,9 @@ def run_loop(trace, protocol, config, loop, make_probe=None, sink=None):
         name = protocol_class(protocol).name
         cost_key = (name, config.cost_model, config.free_local_lock_reacquire)
         eager_kept = cost_key in plan._priced_tapes
-    engine = Engine(trace, config.with_options(**overrides), protocol, probe=probe)
-    result = engine.run_reference() if loop == "reference" else engine.run()
+    engine_class = ReferenceEngine if loop == "reference" else Engine
+    engine = engine_class(trace, config.with_options(**overrides), protocol, probe=probe)
+    result = engine.run()
     assert path_and_reason(result) == expected
     record = result.manifest.get("record", {})
     if memo:

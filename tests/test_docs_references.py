@@ -7,10 +7,11 @@ listed in :func:`test_the_scan_reads_every_reference_form` — is a claim
 that the object exists. So is a backticked ``…_builds`` / ``…_hits``
 counter (a ``PLAN_STATS`` key) and a backticked ``manifest["…"]`` /
 ``manifest.get("…")`` read (a key some run's manifest carries), and
-so is the path table's list of decline reasons. This scans the package
-sources, ``docs/*.md``, ``DESIGN.md``, ``README.md``
-and ``EXPERIMENTS.md`` and checks each one, so a rename or a removal
-cannot leave a stale reference behind.
+so is the path table's list of decline reasons, and so is a backticked
+test, script, example or benchmark path, with the ``::Name`` it may
+carry. This scans the package sources, ``docs/*.md``, ``DESIGN.md``,
+``README.md`` and ``EXPERIMENTS.md`` and checks each one, so a rename or
+a removal cannot leave a stale reference behind.
 
 The docs also name what exists: DESIGN's CLI row lists the parser's
 subcommands and README's Architecture block every subpackage. And
@@ -19,6 +20,7 @@ CHANGES.md stays a list of leads, so it cannot regrow into a history.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -40,6 +42,11 @@ def scanned_files():
     return files + [ROOT / name for name in ("DESIGN.md", "README.md", "EXPERIMENTS.md")]
 
 
+#: A repository path: a test, script or example file, or anything under
+#: ``benchmarks/``; then the ``::Name`` it may carry.
+REPO_PATH = re.compile(
+    r"(?<![\w/.])((?:tests|scripts|examples)/[\w/.-]*?\.py|benchmarks/[\w/.-]*)(?:::(\w+))?"
+)
 #: A plan cache counter.
 COUNTER = re.compile(r"\w+_(?:builds|hits)")
 #: A manifest read: its (first) key.
@@ -111,6 +118,38 @@ def test_the_scan_reads_every_reference_form():
     ]
     with pytest.raises(AttributeError):
         resolve("repro.hb.skeleton.LazyTape")  # a removed class
+
+
+def defined_names(path: Path) -> set:
+    """Every ``def``, ``class`` and assigned name in the Python file ``path``."""
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    names = {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return names | {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+
+def test_every_backticked_repo_path_exists():
+    found = [(file, line, *m.groups()) for file, line, text in spans() for m in REPO_PATH.finditer(text)]
+    assert len(found) > 50  # not vacuous: the scan finds the paths
+    stale = []
+    for file, line, path, name in found:
+        target = ROOT / path
+        if not target.exists():
+            stale.append(f"{file}:{line}: {path}")
+        elif name is not None and name not in defined_names(target):
+            stale.append(f"{file}:{line}: {path}::{name}")
+    assert not stale, "stale paths:\n" + "\n".join(stale)
+
+
+def test_the_path_scan_reads_every_form():
+    text = "`tests/conftest.py::LOOPS`, ``pytest -m tier2 tests/test_claims.py``, `src/repro/cli.py`"
+    text += ", `python scripts/cold_pass_gc.py` and `benchmarks/lrcbench/`"
+    found = [m.groups() for content in SPAN.findall(text) for m in REPO_PATH.finditer(content)]
+    assert found == [
+        ("tests/conftest.py", "LOOPS"),
+        ("tests/test_claims.py", None),
+        ("scripts/cold_pass_gc.py", None),
+        ("benchmarks/lrcbench/", None),
+    ]
 
 
 def test_every_backticked_plan_counter_is_live():

@@ -3,8 +3,8 @@
 The acceptance bar for the simulation-core overhaul: every
 :class:`~repro.simulator.results.SimulationResult` field produced by the
 precompiled fast path (and by a parallel sweep) must be bit-identical to
-the original event-by-event interpreter, which survives as
-:meth:`Engine.run_reference`.
+the original event-by-event interpreter, which survives as the test
+oracle's ``ReferenceEngine`` (``tests/reference_oracle.py``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from tests.conftest import (
     lock_chain_trace,
     run_loop,
     small_trace,
+    straddling_trace,
 )
+from tests.reference_oracle import ReferenceEngine, ReferenceScans, ReferenceStore
 
 PROTOCOLS = ("LI", "LU", "EI", "EU")
 
@@ -53,7 +55,7 @@ class TestFastPathEquivalence:
             n_procs=water_trace.n_procs, page_size=page_size, record_values=True
         )
         fast = Engine(water_trace, config, protocol).run()
-        reference = Engine(water_trace, config, protocol).run_reference()
+        reference = ReferenceEngine(water_trace, config, protocol).run()
         assert result_fields(fast) == result_fields(reference)
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -61,29 +63,17 @@ class TestFastPathEquivalence:
         trace = lock_chain_trace(n_procs=4, rounds=3)
         config = SimConfig(n_procs=4, page_size=512, record_values=True)
         fast = Engine(trace, config, protocol).run()
-        reference = Engine(trace, config, protocol).run_reference()
+        reference = ReferenceEngine(trace, config, protocol).run()
         assert result_fields(fast) == result_fields(reference)
 
     def test_page_straddling_accesses_bit_identical(self):
         # Accesses crossing one and several page boundaries exercise the
         # OP_READ_N/OP_WRITE_N multi-chunk instructions.
-        events = [
-            Event.acquire(0, 0),
-            Event.write(0, 500, 1050),
-            Event.release(0, 0),
-            Event.acquire(1, 0),
-            Event.read(1, 508, 8),
-            Event.write(1, 1020, 8),
-            Event.release(1, 0),
-            Event.acquire(0, 0),
-            Event.read(0, 500, 1050),
-            Event.release(0, 0),
-        ]
-        trace = build_trace(2, events)
+        trace = straddling_trace(barrier=False)
         config = SimConfig(n_procs=2, page_size=512, record_values=True)
         for protocol in PROTOCOLS:
             fast = Engine(trace, config, protocol).run()
-            reference = Engine(trace, config, protocol).run_reference()
+            reference = ReferenceEngine(trace, config, protocol).run()
             assert result_fields(fast) == result_fields(reference), protocol
 
 
@@ -95,11 +85,14 @@ def run_indexed_and_reference(trace, protocol, **overrides):
     """``run()`` (coherence index) and the oracle (reference scans), same cell."""
     config = SimConfig(n_procs=trace.n_procs, record_values=True, **overrides)
     indexed = Engine(trace, config, protocol)
-    reference = Engine(trace, config, protocol)
-    results = indexed.run(), reference.run_reference()
-    # Not vacuous: the oracle really left the index and the planner behind.
-    assert indexed.protocol._indexed and indexed.protocol._planner is not None
-    assert not reference.protocol._indexed and reference.protocol._planner is None
+    reference = ReferenceEngine(trace, config, protocol)
+    results = indexed.run(), reference.run()
+    # Not vacuous: run() read the index through its planner, and the
+    # oracle's scans ran over a ReferenceStore with no planner at all.
+    ran, oracle = indexed.protocol, reference.protocol
+    assert type(ran.store) is not ReferenceStore and ran._planner._store is ran.store
+    assert isinstance(oracle, ReferenceScans) and type(oracle.store) is ReferenceStore
+    assert not hasattr(oracle, "_planner")
     assert results[1].manifest["execution_path"] == "reference"
     return results
 
@@ -107,10 +100,10 @@ def run_indexed_and_reference(trace, protocol, **overrides):
 class TestCoherenceIndexEquivalence:
     """Indexed lazy bookkeeping is bit-identical to the reference scans.
 
-    ``Engine.run_reference`` keeps the original full-scan
-    implementations of notice gaps, diff-server assignment, overwrite
-    pruning, and garbage collection; these tests pin the indexed
-    ``run()`` to it field-by-field.
+    ``ReferenceEngine`` keeps the original full-scan implementations of
+    notice gaps, diff-server assignment, overwrite pruning, and garbage
+    collection; these tests pin the indexed ``run()`` to it
+    field-by-field.
     """
 
     @pytest.mark.parametrize("protocol", LAZY_PROTOCOLS)
@@ -122,37 +115,22 @@ class TestCoherenceIndexEquivalence:
 
     @pytest.mark.parametrize("protocol", LAZY_PROTOCOLS)
     def test_page_straddling_trace_bit_identical(self, protocol):
-        events = [
-            Event.acquire(0, 0),
-            Event.write(0, 500, 1050),
-            Event.release(0, 0),
-            Event.acquire(1, 0),
-            Event.read(1, 508, 8),
-            Event.write(1, 1020, 8),
-            Event.release(1, 0),
-            Event.at_barrier(0, 0),
-            Event.at_barrier(1, 0),
-            Event.acquire(0, 0),
-            Event.read(0, 500, 1050),
-            Event.release(0, 0),
-        ]
-        trace = build_trace(2, events)
-        indexed, reference = run_indexed_and_reference(trace, protocol, page_size=512)
+        indexed, reference = run_indexed_and_reference(straddling_trace(), protocol, page_size=512)
         assert result_fields(indexed) == result_fields(reference)
 
     def test_full_sweep_grid_identical(self, water_trace):
         config = SimConfig(n_procs=water_trace.n_procs, record_values=True)
         indexed = run_sweep(water_trace, config=config)
         for (protocol, page_size), cell in indexed.grid.items():
-            reference = Engine(
+            reference = ReferenceEngine(
                 water_trace, config.with_page_size(page_size), protocol
-            ).run_reference()
+            ).run()
             assert result_fields(cell) == result_fields(reference), (protocol, page_size)
 
     @pytest.mark.parametrize("protocol", LAZY_PROTOCOLS)
     def test_gc_accounting_bit_identical(self, water_trace, protocol):
         # gc_at_barriers exercises _collect_garbage (indexed: per-page
-        # dominator fold over _live_by_page; reference: _live_diffs scan)
+        # dominator fold over _live_by_page; oracle: _live_diffs scan)
         # and the retained/collected byte counters it maintains.
         indexed, reference = run_indexed_and_reference(
             water_trace, protocol, page_size=1024, gc_at_barriers=True
@@ -216,8 +194,9 @@ class TestOneReceivePath:
             ("per_event", {"record_values": True}),
             ("reference", {}),
         ):
-            engine = Engine(trace, config.with_options(**overrides), Spy)
-            result = engine.run_reference() if loop == "reference" else engine.run()
+            engine_class = ReferenceEngine if loop == "reference" else Engine
+            engine = engine_class(trace, config.with_options(**overrides), Spy)
+            result = engine.run()
             assert result.manifest["execution_path"] == loop
             calls[loop] = engine.protocol.calls
         assert calls["tape"]
@@ -255,7 +234,7 @@ class TestOracle:
     def test_reference_is_counting_only(self, water_trace):
         config = SimConfig(n_procs=water_trace.n_procs, link_model=LinkModel.ideal())
         with pytest.raises(ConfigError, match="counting-only"):
-            Engine(water_trace, config, "LI").run_reference()
+            ReferenceEngine(water_trace, config, "LI").run()
 
 
 class TestParallelSweepEquivalence:
@@ -295,8 +274,8 @@ class TestRunOnceGuard:
 
     def test_reference_path_shares_the_guard(self):
         trace = lock_chain_trace(n_procs=3, rounds=2)
-        engine = Engine(trace, SimConfig(n_procs=3, page_size=512), "LI")
-        engine.run_reference()
+        engine = ReferenceEngine(trace, SimConfig(n_procs=3, page_size=512), "LI")
+        engine.run()
         with pytest.raises(SimulatorError):
             engine.run()
 
@@ -345,7 +324,7 @@ class TestPrecompile:
         for page_size in (512, 8192):
             config = SimConfig(n_procs=app_trace.n_procs, page_size=page_size)
             fast = Engine(app_trace, config, "LI").run()
-            reference = Engine(app_trace, config, "LI").run_reference()
+            reference = ReferenceEngine(app_trace, config, "LI").run()
             assert (fast.messages, fast.data_bytes) == (
                 reference.messages,
                 reference.data_bytes,

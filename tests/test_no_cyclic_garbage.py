@@ -33,6 +33,7 @@ from repro.simulator.sweep import run_sweep
 from repro.trace import load_trace, save_trace
 from repro.trace.precompile import compile_trace
 from tests.conftest import SMALL_SCALE, kept_parts, small_trace
+from tests.reference_oracle import ReferenceEngine
 
 #: name -> entry. An entry takes a scratch directory, runs one entry
 #: point and returns whatever should outlive the first collection.
@@ -232,7 +233,7 @@ def reference_runs(tmp):
     trace = small_trace("water")
     config = SimConfig(n_procs=trace.n_procs, page_size=1024)
     return trace, [
-        Engine(trace, config, protocol).run_reference()
+        ReferenceEngine(trace, config, protocol).run()
         for protocol in ("LI", "LU", "LH", "HLRC", "EI")
     ]
 
@@ -333,7 +334,7 @@ class TestGcPaused:
         assert gc.isenabled() == was_enabled
         Engine(trace, config, "LI").run()
         assert gc.isenabled() == was_enabled
-        Engine(trace, config, "LU").run_reference()
+        ReferenceEngine(trace, config, "LU").run()
         assert gc.isenabled() == was_enabled
         # ...including when the call raises: a second run() is refused.
         engine = Engine(trace, config, "EI")

@@ -3,7 +3,8 @@
 The acceptance bar for the trace-generation overhaul: for any app, seed,
 and processor count, :meth:`Scheduler.run` (incremental runnable set,
 inlined dispatch, direct column appends) must produce a ``.trcb`` file
-byte-identical to :meth:`Scheduler.run_reference` (the original
+byte-identical to the test oracle's
+``tests/reference_oracle.py::scheduler_reference_run`` (the original
 rebuild-per-step loop, kept as the behavioural pin).
 """
 
@@ -18,6 +19,7 @@ from repro.common.errors import RuntimeDeadlockError
 from repro.runtime.scheduler import Scheduler
 from repro.trace.codec import dump_binary
 from tests.conftest import SMALL_SCALE
+from tests.reference_oracle import scheduler_reference_run
 
 APP_NAMES = sorted(APPS)
 
@@ -30,7 +32,7 @@ def trcb_bytes(trace) -> bytes:
 
 def reference_loop(monkeypatch) -> None:
     """Route Program.run (and everything else) through the slow loop."""
-    monkeypatch.setattr(Scheduler, "run", Scheduler.run_reference)
+    monkeypatch.setattr(Scheduler, "run", scheduler_reference_run)
 
 
 class TestFastLoopByteIdentical:
@@ -82,11 +84,11 @@ def _lock_pingpong(dsm, proc):
 class TestSchedules:
     def test_round_robin_matches_reference(self):
         traces = []
-        for loop in ("run", "run_reference"):
+        for loop in (Scheduler.run, scheduler_reference_run):
             scheduler = Scheduler(4, seed=0, schedule="round_robin")
             for proc in range(4):
                 scheduler.spawn(proc, _lock_pingpong)
-            traces.append(trcb_bytes(getattr(scheduler, loop)()))
+            traces.append(trcb_bytes(loop(scheduler)))
         assert traces[0] == traces[1]
 
     def test_round_robin_is_fair(self):
@@ -104,11 +106,11 @@ class TestSchedules:
         # Heavy contention exercises the blocked/rerun transitions that
         # the incremental runnable set must get exactly right.
         traces = []
-        for loop in ("run", "run_reference"):
+        for loop in (Scheduler.run, scheduler_reference_run):
             scheduler = Scheduler(8, seed=5)
             for proc in range(8):
                 scheduler.spawn(proc, _lock_pingpong)
-            traces.append(trcb_bytes(getattr(scheduler, loop)()))
+            traces.append(trcb_bytes(loop(scheduler)))
         assert traces[0] == traces[1]
 
     def test_deadlock_still_detected(self):

@@ -7,9 +7,10 @@ from repro.common.errors import ConfigError
 from repro.config import PAPER_N_PROCS, PAPER_PAGE_SIZES, SimConfig
 from repro.protocols.registry import PROTOCOLS, protocol_class, protocol_names
 from repro.simulator.costs import CostConventions
-from repro.simulator.engine import Engine, _split_access, simulate
+from repro.simulator.engine import Engine, simulate
 from repro.simulator.sweep import run_sweep
 from repro.trace.events import Event
+from repro.trace.precompile import split_access
 from tests.conftest import build_trace, lock_chain_trace
 
 
@@ -58,14 +59,14 @@ class TestRegistry:
 
 class TestSplitAccess:
     def test_within_one_page(self):
-        assert _split_access(0, 8, 512) == [(0, (0, 1))]
+        assert split_access(0, 8, 512) == ((0, (0, 1)),)
 
     def test_straddles_pages(self):
-        chunks = _split_access(508, 8, 512)
-        assert chunks == [(0, (127,)), (1, (0,))]
+        chunks = split_access(508, 8, 512)
+        assert chunks == ((0, (127,)), (1, (0,)))
 
     def test_spans_many_pages(self):
-        chunks = _split_access(500, 1050, 512)
+        chunks = split_access(500, 1050, 512)
         # Bytes [500, 1550) touch pages 0..3.
         assert [page for page, _ in chunks] == [0, 1, 2, 3]
         assert chunks[0][1] == (125, 126, 127)
@@ -73,13 +74,15 @@ class TestSplitAccess:
         assert chunks[3][1] == tuple(range(0, 4))
 
     def test_unaligned_word(self):
-        assert _split_access(6, 4, 512) == [(0, (1, 2))]
+        assert split_access(6, 4, 512) == ((0, (1, 2)),)
 
     def test_repeated_pairs_share_cached_tuples(self):
-        # The (addr, size) split memo returns the same immutable chunk
-        # tuple for repeated accesses — the common case in real traces.
-        first = _split_access(0x40, 8, 512)
-        second = _split_access(0x40, 8, 512)
+        # Given a cache, the (addr, size) split returns the same
+        # immutable chunk tuple for repeated accesses — the common case
+        # in real traces.
+        cache = {}
+        first = split_access(0x40, 8, 512, cache)
+        second = split_access(0x40, 8, 512, cache)
         assert first == second
         assert first[0][1] is second[0][1]
 

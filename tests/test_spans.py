@@ -238,6 +238,7 @@ class TestTapeWritesTheStream:
         from repro.config import SimConfig
         from repro.obs.spans import timeline_from_records
         from repro.simulator.engine import Engine
+        from tests.reference_oracle import ReferenceEngine
 
         overrides = KERNEL_BRANCHES[branch]
         trace = one_episode_trace() if "n_procs" in overrides else small_trace("water")
@@ -245,8 +246,8 @@ class TestTapeWritesTheStream:
 
         def traced(oracle):
             probe = SpanProbe()
-            engine = Engine(trace, config, protocol, probe=probe)
-            result = engine.run_reference() if oracle else engine.run()
+            engine = (ReferenceEngine if oracle else Engine)(trace, config, protocol, probe=probe)
+            result = engine.run()
             assert result.manifest["execution_path"] == ("reference" if oracle else "tape")
             timeline = timeline_from_records(
                 probe.records, trace.compiled(1024), config.n_procs

@@ -11,8 +11,8 @@ and ``FetchPlanner`` — around each loop:
   every protocol;
 - a lazy tape replay binds the plan's own store and planner, and builds
   only the page tables its kernels touch;
-- the interpreter (``record_values``) and ``run_reference()`` build the
-  tables their hooks read.
+- the interpreter (``record_values``) and the test oracle's
+  ``ReferenceEngine`` build the tables their hooks read.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.memory.page import PageTable
 from repro.protocols.registry import all_protocol_names, protocol_class
 from repro.simulator.engine import Engine
 from tests.conftest import small_trace
+from tests.reference_oracle import ReferenceEngine, ReferenceScans, ReferenceStore
 
 ALL = all_protocol_names()
 LAZY = [name for name in ALL if protocol_class(name).lazy]
@@ -114,14 +115,16 @@ def test_interpreter_builds_every_table_its_hooks_read(monkeypatch, protocol):
 @pytest.mark.parametrize("protocol", ALL)
 def test_reference_builds_the_tables_its_scans_read(monkeypatch, protocol):
     """The oracle builds the page tables and a lazy protocol's own
-    interval store; its reference scans read no fetch planner, so none
-    is built."""
+    interval store, a ReferenceStore; its reference scans read no fetch
+    planner, so none is built."""
     trace = small_trace("water")
     with counting_builds(monkeypatch) as built:
-        engine = Engine(trace, config_for(trace), protocol)
-        engine.run_reference()
+        engine = ReferenceEngine(trace, config_for(trace), protocol)
+        engine.run()
     expected = {"PageTable": trace.n_procs}
     if protocol_class(protocol).lazy:
         expected["IntervalStore"] = 1
-        assert engine.protocol._planner is None
+        ran = engine.protocol
+        assert isinstance(ran, ReferenceScans) and type(ran.store) is ReferenceStore
+        assert not hasattr(ran, "_planner")
     assert dict(built) == expected

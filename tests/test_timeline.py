@@ -3,19 +3,42 @@
 import pytest
 
 from repro.analysis.timeline import Timeline, message_timeline
+from repro.apps.synthetic import producer_consumer
+from repro.common.errors import ConfigError
+from repro.config import SimConfig
+from repro.protocols.registry import all_protocol_names
+from repro.simulator.engine import simulate
 from repro.trace.events import Event
-from tests.conftest import build_trace, lock_chain_trace, small_trace
+from tests.conftest import build_trace, lock_chain_trace, small_trace, straddling_trace
 
 
 class TestTimeline:
-    def test_buckets_cover_all_messages(self):
-        trace = lock_chain_trace(n_procs=4, rounds=4)
-        timeline = message_timeline(trace, "LI", page_size=512, n_buckets=10)
-        from repro.simulator.engine import simulate
-
-        reference = simulate(trace, "LI", page_size=512)
-        assert timeline.total_messages == reference.messages
+    @pytest.mark.parametrize("straddling", [False, True], ids=["lock_chain", "straddling"])
+    @pytest.mark.parametrize("protocol", all_protocol_names())
+    def test_buckets_cover_all_messages(self, protocol, straddling):
+        trace = straddling_trace() if straddling else lock_chain_trace(n_procs=4, rounds=4)
+        timeline = message_timeline(trace, protocol, page_size=512, n_buckets=10)
+        reference = simulate(trace, protocol, page_size=512)
+        assert timeline.total_messages == reference.messages > 0
         assert sum(timeline.data_byte_buckets) == reference.data_bytes
+
+    def test_buckets_are_pinned(self):  # as recorded from the raw-event walk
+        timeline = message_timeline(small_trace("mp3d"), "LU", page_size=512, n_buckets=13)
+        assert timeline.bucket_events == 32
+        assert timeline.message_buckets == [6, 0, 4, 28, 22, 30, 0, 0, 3, 14, 34, 0, 30]
+        assert timeline.data_byte_buckets == [1536, 0, 0, 2132, 364, 864, 0, 0, 0, 252, 920, 0, 936]
+
+    @pytest.mark.parametrize(
+        ("trace_of", "n_procs", "message"),
+        [
+            (lock_chain_trace, 2, "trace uses 4 processors but config allows 2"),
+            (producer_consumer, 7, "barrier 0 is re-entered"),
+        ],
+        ids=["narrower", "re-entered_barrier"],
+    )
+    def test_takes_the_engines_trace_checks(self, trace_of, n_procs, message):
+        with pytest.raises(ConfigError, match=message):
+            message_timeline(trace_of(n_procs=4), "LI", config=SimConfig(n_procs=n_procs))
 
     def test_bucket_count(self):
         trace = lock_chain_trace(n_procs=2, rounds=3)
