@@ -13,14 +13,6 @@ from typing import List, Optional, Union
 
 from repro.config import SimConfig
 from repro.simulator.engine import Engine
-from repro.trace.precompile import (
-    OP_ACQUIRE,
-    OP_BARRIER,
-    OP_READ,
-    OP_READ_N,
-    OP_RELEASE,
-    OP_WRITE,
-)
 from repro.trace.stream import TraceStream
 
 _SPARKS = " ▁▂▃▄▅▆▇█"
@@ -81,50 +73,35 @@ def message_timeline(
 ) -> Timeline:
     """Run ``protocol`` over ``trace``, bucketing traffic by position.
 
-    The run is the engine's interpreter, one compiled op at a time, so
-    it takes the engine's trace and config checks; the network's totals
-    are read after every op."""
+    The run is the engine's interpreter, so it takes the engine's trace
+    and config checks; the loop is fed the compiled ops one at a time,
+    and each op's ledger delta is booked to its bucket when the loop
+    asks for the next."""
     if n_buckets < 1:
         raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
     base = config or SimConfig(n_procs=trace.n_procs)
-    proto = Engine(trace, base.with_page_size(page_size), protocol).protocol
-    proto.bind_interpreter()
-    stats = proto.network.stats
+    engine = Engine(trace, base.with_page_size(page_size), protocol)
+    stats = engine.protocol.network.stats
     n_events = max(len(trace), 1)
     bucket_events = max(1, (n_events + n_buckets - 1) // n_buckets)
     messages = [0] * n_buckets
     data = [0] * n_buckets
-    last_msgs = 0
-    last_bytes = 0
 
-    # An op's position is its event's seq.
-    for seq, op in enumerate(trace.compiled(page_size).ops):
-        code, proc = op[0], op[1]
-        if code == OP_WRITE:
-            proto.write(proc, op[2], op[3], seq)
-        elif code == OP_READ:
-            proto.read_touch(proc, op[2])
-        elif code == OP_ACQUIRE:
-            proto.acquire(proc, op[2])
-        elif code == OP_RELEASE:
-            proto.release(proc, op[2])
-        elif code == OP_BARRIER:
-            proto.barrier(proc, op[2])
-        elif code == OP_READ_N:
-            for page, _ in op[2]:
-                proto.read_touch(proc, page)
-        else:  # OP_WRITE_N
-            for page, words in op[2]:
-                proto.write(proc, page, words, seq)
-        bucket = min(seq // bucket_events, n_buckets - 1)
-        messages[bucket] += stats.total_messages - last_msgs
-        data[bucket] += stats.total_data_bytes - last_bytes
-        last_msgs = stats.total_messages
-        last_bytes = stats.total_data_bytes
+    def booked(ops):
+        last_msgs = last_bytes = 0
+        # An op's position is its event's seq.
+        for seq, op in enumerate(ops):
+            yield op
+            bucket = min(seq // bucket_events, n_buckets - 1)
+            messages[bucket] += stats.total_messages - last_msgs
+            data[bucket] += stats.total_data_bytes - last_bytes
+            last_msgs = stats.total_messages
+            last_bytes = stats.total_data_bytes
 
-    proto.finish()
+    compiled = trace.compiled(page_size)
+    engine._run_per_event(booked(compiled.ops), {}, engine._plan(compiled))
     return Timeline(
-        protocol=proto.name,
+        protocol=engine.protocol.name,
         bucket_events=bucket_events,
         message_buckets=messages,
         data_byte_buckets=data,

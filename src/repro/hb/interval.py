@@ -79,8 +79,5 @@ class Interval:
             return self.index < other.index
         return other.vc[self.proc] >= self.index
 
-    def concurrent_with(self, other: "Interval") -> bool:
-        return not self.precedes(other) and not other.precedes(self)
-
     def __repr__(self) -> str:
         return f"Interval(p{self.proc}.i{self.index}, pages={list(self.diffs)})"

@@ -14,22 +14,23 @@ once per (compiled trace, n_procs), producing:
 
 * a fully populated :class:`~repro.hb.store.IntervalStore` — every
   interval of the whole run, with its diffs finalized in first-write
-  order (identical dict contents to what the per-event close would
-  build), which also means the store's write-notice index and the
+  order, which also means the store's write-notice index and the
   :class:`~repro.hb.index.FetchPlanner` built over it answer queries for
   any prefix of the run correctly (plans only ever touch the interval
   ids they are asked about);
 * one *sync record* per special access, in trace order — the run
   program's sync instructions' order — carrying the closed interval, the
-  merged clocks, and the notice batches already grouped by page:
-  everything the lazy ``_t_*`` kernels in
-  :mod:`repro.protocols.lazy_base` read in place of the store close,
-  gap and clock merges their hooks do. Both close intervals through
-  :meth:`IntervalStore.close <repro.hb.store.IntervalStore.close>` and
-  take notice batches from
-  :meth:`IntervalStore.gap <repro.hb.store.IntervalStore.gap>`. The
-  skeleton holds no cost: the kernels price every hop live, through
-  ``Network.send``, as the hooks do.
+  merged clocks, and the notice batches already grouped by page.
+
+This is the one statement of §4's sync rules in ``src/``: intervals
+close through :meth:`IntervalStore.close
+<repro.hb.store.IntervalStore.close>`, clocks merge at acquires and
+barrier episodes, and notice batches come from :meth:`IntervalStore.gap
+<repro.hb.store.IntervalStore.gap>`. Both loops of
+:mod:`repro.protocols.lazy_base` replay the records — the interpreter's
+hooks and the tape's ``_t_*`` kernels call the same bodies on them — and
+only the test oracle states the rules again. The skeleton holds no
+cost: both loops price every hop live, through ``Network.send``.
 
 Sync record shapes (plain tuples, hot-path friendly)::
 

@@ -7,7 +7,8 @@ code only ever *reads* intervals it has legitimately learned about
 through write notices, and diff payloads are charged to the network when
 they are fetched from their creators.
 
-Every loop closes intervals through :meth:`IntervalStore.close`
+The skeleton (:func:`repro.hb.skeleton.build_skeleton`), which every
+lazy loop replays, closes intervals through :meth:`IntervalStore.close`
 and takes notice batches from :meth:`IntervalStore.gap`. The store
 doubles as the lazy protocols' **write-notice index**,
 maintained incrementally at :meth:`add` time:
@@ -148,14 +149,11 @@ class IntervalStore:
             for i in range(first, last + 1)
         ]
 
-    def modifying_intervals(self, proc: ProcId, page: PageId, first: int, last: int) -> List[Interval]:
-        """Intervals of ``proc`` in ``first..last`` that modified ``page``."""
-        return [iv for iv in self.intervals_of(proc, first, last) if page in iv.diffs]
-
     def close(
         self, proc: ProcId, prior_vc: VectorClock, pages: Iterable[Tuple[PageId, Dict[int, int]]]
     ) -> Tuple[int, VectorClock, Optional[Interval]]:
-        """Close ``proc``'s open interval: the one close of every loop.
+        """Close ``proc``'s open interval: the one close of the skeleton,
+        which every lazy loop replays.
 
         ``prior_vc`` is ``proc``'s clock before the close; ``pages`` pairs
         each page the interval modified with its written words (each

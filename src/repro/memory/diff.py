@@ -1,10 +1,10 @@
 """Word-granularity diffs.
 
 A diff records, for one page, the words an interval modified and their new
-values. Diffs are created against a twin (or accumulated write-through, an
-equivalent shortcut when the exact write set is known — see
-:mod:`repro.memory.twin`), merged run-length encoded onto the wire, and
-applied to page copies in happened-before order (§4.3.3: "The happened
+values. A real DSM finds them by comparing the page with its twin; the
+simulator takes them from the trace's write set (see :mod:`repro.memory`).
+Diffs are merged run-length encoded onto the wire and applied to page
+copies in happened-before order (§4.3.3: "The happened
 before partial order specifies the order in which the diffs need to be
 applied").
 """

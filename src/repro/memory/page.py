@@ -13,7 +13,6 @@ import enum
 from typing import Dict, Iterator, List, Optional, Set
 
 from repro.common.types import PageId, ProcId
-from repro.memory.twin import Twin
 
 
 class Page:
@@ -49,18 +48,18 @@ class PageState(enum.Enum):
 class PageEntry:
     """One processor's view of one page.
 
-    ``dirty_words`` accumulates the write set of the current interval
-    (equivalent to a twin comparison — see :mod:`repro.memory.twin`);
-    ``twin`` is kept when protocols are configured to diff by comparison.
+    ``dirty_words`` accumulates the write set of the current interval,
+    word -> token. A real DSM finds it by comparing the page with a twin
+    snapshotted at the interval's first write; the trace gives every
+    write's word, and every token is unique, so the two agree.
     """
 
-    __slots__ = ("page", "state", "dirty_words", "twin")
+    __slots__ = ("page", "state", "dirty_words")
 
     def __init__(self, page_id: PageId):
         self.page = Page(page_id)
         self.state = PageState.MISSING
         self.dirty_words: Dict[int, int] = {}
-        self.twin: Optional[Twin] = None
 
     @property
     def page_id(self) -> PageId:
@@ -70,14 +69,9 @@ class PageEntry:
     def is_dirty(self) -> bool:
         return bool(self.dirty_words)
 
-    def make_twin(self) -> None:
-        """Snapshot the page before the interval's first write."""
-        if self.twin is None:
-            self.twin = Twin(self.page_id, self.page.words)
-
     def clear_dirty(self) -> None:
+        """Start a new write set; a diff built from the old one keeps it."""
         self.dirty_words = {}
-        self.twin = None
 
 
 class PageTable:

@@ -572,7 +572,7 @@ class SpanBuilder:
         self._laid = [False] * n_procs     # current chunk already laid?
         # -- causality state --
         self._release_point: Dict[int, Tuple[float, int]] = {}
-        self._episodes: Dict[int, List[Tuple[int, float, int]]] = {}
+        self._arrivals: Dict[int, List[Tuple[int, float, int]]] = {}
         # -- epoch accounting (mirrors RecordingProbe staging exactly):
         # one row per epoch, the last one current --
         self._erows: List[List[int]] = [[0] * _ROW_WIDTH]
@@ -830,7 +830,7 @@ class SpanBuilder:
         elif marker == _RELEASE:
             self._release(ident, proc, close_s, sums[_FLUSH], ser_s, rtx_s)
         elif per is not None:
-            self._complete_barrier(ident, self._episodes.pop(ident), per)
+            self._complete_barrier(ident, self._arrivals.pop(ident), per)
         elif marker is not None:
             self._barrier_arrive(ident, proc, close_s, sums, ser_s, rtx_s)
 
@@ -902,7 +902,7 @@ class SpanBuilder:
             proc, "barrier_arrive", t_arrive, self.prev[proc], buckets,
             f"barrier {bid} arrive", {"barrier": bid}, ser_s, rtx_s,
         )
-        episode = self._episodes.setdefault(bid, [])
+        episode = self._arrivals.setdefault(bid, [])
         episode.append((proc, t_arrive, arrive_sid))
         self._ptr[proc] += 1
         self._laid[proc] = False

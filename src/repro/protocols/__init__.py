@@ -9,8 +9,8 @@
   at each release, modifications (or invalidations) are pushed to every
   other cacher of each modified page.
 
-All four are multiple-writer protocols built on twin/diff machinery and
-carry real data values, so simulations are checkable end-to-end.
+All four are multiple-writer protocols built on word-granularity diffs
+and carry real data values, so simulations are checkable end-to-end.
 """
 
 from repro.protocols.base import Protocol, ProcState

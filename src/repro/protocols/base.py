@@ -130,7 +130,7 @@ class Protocol(abc.ABC):
         self._probe_fast = False
         self._span = self._log = self._tap = None
         # Set by a tape replay (bind_batch_plan): nothing there can
-        # observe page contents, twins or dirty words — record_values
+        # observe page contents or dirty words — record_values
         # forces the per-event path, which alone maintains them — so the
         # kernels keep page *state* and the ledger only.
         self._value_free = False
@@ -140,9 +140,11 @@ class Protocol(abc.ABC):
     # A protocol is built with its config, ledger and counters only. The
     # tables a loop reads are built by that loop before its first event:
     # bind_interpreter for the per-event hooks (Engine's interpreter and
-    # the test oracle), bind_batch_plan for a tape replay (the lazy
-    # kernels' subset, over the plan's store and planner), and nothing
-    # for a fold over a priced tape, which reads only the ledger.
+    # the test oracle; the interpreter then binds a lazy protocol's
+    # skeleton, as a tape replay does), bind_batch_plan for a tape replay
+    # (the lazy kernels' subset, over the plan's store, planner and
+    # records), and nothing for a fold over a priced tape, which reads
+    # only the ledger.
 
     def bind_interpreter(self) -> None:
         """Build what the per-event hooks read: the page tables, the lock
@@ -296,7 +298,6 @@ class Protocol(abc.ABC):
         if entry.state is not PageState.VALID:
             self._service_miss(proc, page, entry)
         if not entry.dirty_words:
-            entry.make_twin()
             table.mark_dirty(page, entry)
         page_words = entry.page.words
         dirty_words = entry.dirty_words

@@ -8,13 +8,17 @@ lacks; releases exchange no messages at all. Diffs are pulled from their
 creators — LI at the next access miss, LU immediately on notice receipt —
 and applied in happened-before order.
 
-Every loop answers notice-gap, last-modifier and aggregate-size
-queries from the coherence index: the store's write-notice index
-(:meth:`IntervalStore.gap <repro.hb.store.IntervalStore.gap>`) plus the
-memoized :class:`~repro.hb.index.FetchPlanner`. The test oracle,
-``tests/reference_oracle.py``, states the same rules again as per-fetch
-scans over ``intervals_of`` and pairwise ``precedes``, the way §4.3
-words them; the equivalence suite pins every loop to it field by field.
+Both loops replay the trace's happened-before skeleton
+(:func:`~repro.hb.skeleton.build_skeleton`): its interval store holds
+every interval and diff of the run, and one sync record per special
+access carries the close, the merged vector timestamps and the notice
+batches. The interpreter's hooks and the tape kernels call the same
+bodies on those records, and plan fetches with the memoized
+:class:`~repro.hb.index.FetchPlanner` over that store. The test oracle,
+``tests/reference_oracle.py``, states the sync rules again (closes,
+clock merges, the notice gap) and the fetch rules as per-fetch scans
+over ``intervals_of`` and pairwise ``precedes``, the way §4.3 words
+them; the equivalence suite pins every loop to it field by field.
 """
 
 from __future__ import annotations
@@ -24,10 +28,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.types import BarrierId, LockId, PageId, ProcId
 from repro.common.vector_clock import VectorClock
-from repro.hb.index import FetchPlanner
 from repro.hb.interval import Interval, IntervalId
 from repro.hb.skeleton import PriceRecorder, PricedTape
-from repro.hb.store import IntervalStore
 from repro.memory.page import PageEntry, PageState
 from repro.network.message import MessageKind
 from repro.obs.probe import MISS_CAUSE
@@ -99,14 +101,15 @@ class LazyProtocol(Protocol):
         #: this tape run folds instead of running the kernels.
         self._priced: Optional[PricedTape] = None
 
-    def bind_interpreter(self) -> None:
-        """The hooks' state: the base tables, this run's own interval
-        store and its fetch planner, and the in-flight barrier episodes."""
-        super().bind_interpreter()
-        self.store = IntervalStore(self.n_procs)
-        self._planner = FetchPlanner(self.store, self.costs, self.config.skip_overwritten_diffs)
-        # In-flight barrier episodes: barrier id -> list of (proc, vc at arrival).
-        self._episodes: Dict[BarrierId, List[Tuple[ProcId, VectorClock]]] = {}
+    def bind_skeleton(self, plan) -> None:
+        """Bind what both loops replay of ``plan``, a
+        :class:`~repro.hb.skeleton.BatchPlan`: the skeleton's fully
+        populated interval store, the plan's fetch planner for this
+        config's cost model, and the skeleton's sync records, one per
+        special access in trace order (:meth:`_next_record`)."""
+        self.store = plan.store
+        self._planner = plan.planner_for(self.costs, self.config.skip_overwritten_diffs)
+        self._next_record = iter(plan.skeleton.records).__next__
 
     def _bind_tables(self) -> None:
         """The base tables, each processor's clock and pending notices,
@@ -120,29 +123,19 @@ class LazyProtocol(Protocol):
 
     # -- interval management -----------------------------------------------
 
-    def _close_interval(self, proc: ProcId) -> None:
-        """Close ``proc``'s open interval, finalizing its diffs.
-
-        Drains only the dirty registry's entries and closes through
-        :meth:`IntervalStore.close`, as the skeleton does for the tape
-        kernels, then ends in :meth:`_closed`, like a kernel's close.
-        """
-        pages = []
+    def _drain(self, proc: ProcId) -> None:
+        """The interpreter's share of a close: the open interval's writes
+        are the skeleton's diffs already, so its dirty words are cleared."""
         for entry in self.procs[proc].pages.drain_dirty():
-            if entry.dirty_words:
-                # clear_dirty rebinds dirty_words, so the diff owns the dict.
-                pages.append((entry.page_id, entry.dirty_words))
-                entry.clear_dirty()
-        index, vc, interval = self.store.close(proc, self.lazy_state[proc].vc, pages)
-        self._closed(proc, index, vc, interval)
+            entry.clear_dirty()
 
     def _closed(
         self, proc: ProcId, index: int, vc: VectorClock, interval: Optional[Interval]
     ) -> None:
-        """The tail of a close, the interpreter's or a tape kernel's:
-        ``proc``'s clock becomes ``vc``; ``interval`` (None: it modified
-        nothing) enters the retention log, per page for the GC; its
-        events; then :meth:`_on_close`."""
+        """A sync record's close, on either loop: ``proc``'s clock
+        becomes ``vc``; ``interval`` (None: it modified nothing) enters
+        the retention log, per page for the GC; its events; then
+        :meth:`_on_close`."""
         self.lazy_state[proc].vc = vc
         self.intervals_closed += 1
         if interval is not None:
@@ -428,53 +421,58 @@ class LazyProtocol(Protocol):
                 MessageKind.BARRIER_EXIT, MessageKind.BARRIER_NOTICE, master, proc, n_notices
             )
 
-    # -- locks -------------------------------------------------------------------
+    # -- synchronization: the skeleton's records ------------------------------
+    #
+    # Both loops replay build_skeleton's sync records, one per special
+    # access in trace order (repro.hb.skeleton documents their shapes):
+    # the hooks below and the _t_* kernels call the same three bodies,
+    # which close through _closed, take every notice batch through
+    # _receive and send every hop through _grant / _arrive / _exit.
+
+    def _acquired(self, proc: ProcId, record: tuple) -> None:
+        """An acquire's record: the close, then the grant and its notices
+        unless the reacquire is free (the grantor is ``proc``)."""
+        close, grantor, manager, n_notices, grouped, vc_after = record
+        self._closed(proc, *close)
+        if grantor != proc or not self.config.free_local_lock_reacquire:
+            self._grant(proc, manager, grantor, n_notices)
+            self._receive(proc, grouped, vc_after, _ACQUIRE_PULL_KINDS)
+
+    def _arrived(self, proc: ProcId, record: tuple) -> Optional[tuple]:
+        """A barrier arrival's record: the close, then the arrival hop
+        unless ``proc`` is the master. Returns the exits when this
+        arrival completes the episode, else None."""
+        close, n_to_master, complete = record
+        self._closed(proc, *close)
+        if n_to_master >= 0:
+            self._arrive(proc, self.barriers.master, n_to_master)
+        return complete
+
+    def _completed(self, complete: tuple) -> None:
+        """A completed episode: each processor's exit and notice batch,
+        then the optional GC."""
+        master = self.barriers.master
+        for proc, (n_notices, grouped, vc_after) in enumerate(complete):
+            self._exit(master, proc, n_notices)
+            self._receive(proc, grouped, vc_after, _BARRIER_PULL_KINDS)
+        if self.config.gc_at_barriers:
+            self._collect_garbage()
 
     def _on_acquire(self, proc: ProcId, lock: LockId) -> None:
-        self._close_interval(proc)
-        grantor = self.locks.grantor_of(lock)
-        if grantor == proc and self.config.free_local_lock_reacquire:
-            return
-        grantor_vc = self.lazy_state[grantor].vc
-        vc = self.lazy_state[proc].vc
-        n_notices, grouped = self.store.gap(grantor_vc, vc)
-        self._grant(proc, self.locks.manager_of(lock), grantor, n_notices)
-        self._receive(proc, grouped, vc.merged(grantor_vc), _ACQUIRE_PULL_KINDS)
+        self._drain(proc)
+        self._acquired(proc, self._next_record())
 
     def _on_release(self, proc: ProcId, lock: LockId) -> None:
         """Releases are purely local operations in LRC — no messages (§4.2)."""
-        self._close_interval(proc)
-
-    # -- barriers ------------------------------------------------------------------
+        self._drain(proc)
+        self._closed(proc, *self._next_record()[0])
 
     def _on_barrier_arrive(self, proc: ProcId, barrier: BarrierId) -> None:
-        self._close_interval(proc)
-        state = self.lazy_state[proc]
-        episode = self._episodes.setdefault(barrier, [])
-        master = self.barriers.master
-        if proc != master:
-            merged = self._episode_clock(barrier)
-            self._arrive(proc, master, self.store.gap(state.vc, merged)[0])
-        episode.append((proc, state.vc))
-
-    def _episode_clock(self, barrier: BarrierId) -> VectorClock:
-        """The running merge of the episode's arrivals plus the master's clock."""
-        merged = self.lazy_state[self.barriers.master].vc
-        for _, vc in self._episodes.get(barrier, ()):
-            merged = merged.merged(vc)
-        return merged
+        self._drain(proc)
+        self._exits = self._arrived(proc, self._next_record())
 
     def _on_barrier_complete(self, barrier: BarrierId) -> None:
-        master = self.barriers.master
-        merged = self._episode_clock(barrier)
-        self._episodes[barrier] = []
-        for proc in range(self.n_procs):
-            vc = self.lazy_state[proc].vc
-            n_notices, grouped = self.store.gap(merged, vc)
-            self._exit(master, proc, n_notices)
-            self._receive(proc, grouped, vc.merged(merged), _BARRIER_PULL_KINDS)
-        if self.config.gc_at_barriers:
-            self._collect_garbage()
+        self._completed(self._exits)
 
     # -- diff garbage collection -----------------------------------------------
 
@@ -556,20 +554,16 @@ class LazyProtocol(Protocol):
     # A certified run (certify_replay: nothing watches individual
     # messages, values or send order) never calls the public wrappers or
     # the _on_* hooks: _walk_runs drives the _t_* kernels below over the
-    # run program. A sync kernel takes its operation's skeleton record —
-    # the closed interval, the merged clocks, the notice batches grouped
-    # by page — in place of the hooks' store close and gap, and is
-    # otherwise the hooks' code: the close ends in _closed, every batch
-    # goes through _receive, every hop through _grant / _arrive / _exit
-    # to Network.send (ledger, a
+    # run program. A sync kernel is its hook's body in the wrappers'
+    # staging shell, and sends every hop to Network.send (ledger, a
     # stock probe's staged row, a recording run's capture, the tap). An
     # access run needs no kernel: it is its span's first touch, and
     # read_touch is the miss check. Under a stock probe (``self._obs``)
     # a kernel stages its operation's row as the base wrappers would;
     # under a sink or a span probe (``self._obs_events``; ``self._span``,
     # the records being written) it also emits the wrappers' events and
-    # writes the window. Everything stays bit-identical to the per-event
-    # interpreters — the equivalence suite pins it.
+    # writes the window. Everything stays bit-identical to the
+    # interpreter and to the test oracle — the equivalence suite pins it.
 
     #: What a priced tape restores besides the class's ``result_counters``:
     #: the miss and diff counts every result reads, and the m and h
@@ -597,17 +591,16 @@ class LazyProtocol(Protocol):
     def bind_batch_plan(self, plan) -> Callable[[], Optional[PricedTape]]:
         """Attach a prebuilt :class:`~repro.hb.skeleton.BatchPlan`.
 
-        Binds the skeleton's fully populated interval store and the
-        plan's fetch planner for this config's cost model, builds the
-        tables the kernels read (:meth:`_bind_tables`), and returns the
-        whole run as one callable:
-        :func:`_walk_runs` over the plan's run program and four kernels,
+        Binds the plan as the interpreter does (:meth:`bind_skeleton`),
+        builds the tables the kernels read (:meth:`_bind_tables`), and
+        returns the whole run as one callable: :func:`_walk_runs` over
+        the plan's run program and four kernels,
         ``(touch, acquire, release, barrier)``. ``read_touch`` is the
         only access kernel; the sync kernels replay the skeleton's
         records, one per sync instruction, in place of the base wrappers
         (lock/barrier directory upkeep is dead state here).
-        The replay is value-free: page *state* is maintained, contents,
-        twins and dirty words are not. A send log being recorded follows
+        The replay is value-free: page *state* is maintained, contents
+        and dirty words are not. A send log being recorded follows
         the walk: each instruction moves its cursor to the instruction's
         op position. A run handed its cell's priced tape
         (:meth:`fold_priced`) is :meth:`~repro.protocols.base.Protocol._fold`
@@ -616,11 +609,9 @@ class LazyProtocol(Protocol):
         """
         if self._priced is not None:
             return partial(self._fold, self._priced)
-        self.store = plan.store
-        self._planner = plan.planner_for(self.costs, self.config.skip_overwritten_diffs)
+        self.bind_skeleton(plan)
         self._bind_tables()
         self._value_free = True
-        self._next_record = iter(plan.skeleton.records).__next__
         runs, positions = plan.run_program
         if self._log is not None:
             runs = self._log.track(runs, positions)
@@ -689,49 +680,36 @@ class LazyProtocol(Protocol):
             self._span.end()
 
     def _t_acquire(self, proc: ProcId, lock: LockId) -> None:
-        close, grantor, manager, n_notices, grouped, vc_after = self._next_record()
         obs = self._obs
         if obs:
             saved = self._stage_row(self.probe._lock_rows, "lock", lock)
             if self._obs_events:
                 self._emit("acquire", proc=proc, lock=lock)
-        self._closed(proc, *close)
-        if grantor != proc or not self.config.free_local_lock_reacquire:
-            self._grant(proc, manager, grantor, n_notices)
-            self._receive(proc, grouped, vc_after, _ACQUIRE_PULL_KINDS)
+        self._acquired(proc, self._next_record())
         if obs:
             self._unstage(saved)
 
     def _t_release(self, proc: ProcId, lock: LockId) -> None:
-        close = self._next_record()[0]
         obs = self._obs
         if obs:
             saved = self._stage_row(self.probe._lock_rows, "lock", lock)
             if self._obs_events:
                 self._emit("release", proc=proc, lock=lock)
-        self._closed(proc, *close)
+        self._closed(proc, *self._next_record()[0])
         if obs:
             self._unstage(saved)
 
     def _t_barrier(self, proc: ProcId, barrier: BarrierId) -> None:
-        close, n_to_master, complete = self._next_record()
         obs = self._obs
         if obs:
             saved = self._stage_row(self.probe._barrier_rows, "barrier", barrier)
             if self._obs_events:
                 self._emit("barrier_arrive", proc=proc, barrier=barrier)
-        self._closed(proc, *close)
-        master = self.barriers.master
-        if n_to_master >= 0:
-            self._arrive(proc, master, n_to_master)
+        complete = self._arrived(proc, self._next_record())
         if complete is not None:
             if self._obs_events:
                 self._emit("barrier_complete", proc=proc, barrier=barrier)
-            for p, (n_notices, grouped, vc_after) in enumerate(complete):
-                self._exit(master, p, n_notices)
-                self._receive(p, grouped, vc_after, _BARRIER_PULL_KINDS)
-            if self.config.gc_at_barriers:
-                self._collect_garbage()
+            self._completed(complete)
             if obs:
                 # Exit traffic belongs to the episode it closes; the
                 # staged rows are zeroed in place, so ``saved`` stays live.
@@ -750,7 +728,7 @@ def _walk_runs(instructions: List[tuple], touch, acquire, release, barrier) -> N
     miss at the span's first access stays VALID for the rest of it; LH's
     used-since-pull flag, set by that touch, is cleared only at the same
     two places. And the span's writes need no bookkeeping: page
-    contents, twins and the dirty registry are unobservable under a
+    contents and the dirty registry are unobservable under a
     tape replay (``record_values`` forces the per-event path, and the
     closes take prebuilt diffs from the skeleton).
     """

@@ -165,6 +165,8 @@ class Engine:
         if tape and (protocol._obs_events or protocol.lazy) or config.link_model is not None:
             plan = self._plan(compiled)
             log, stream = self._use_record(plan, tape)
+        elif protocol.lazy:
+            plan = self._plan(compiled)  # the skeleton the hooks replay
         writes_log = protocol._log is not None
         if writes_log:
             ops = log.track(ops, range(len(ops)))
@@ -173,7 +175,7 @@ class Engine:
             if tape:
                 priced = self._run_tape(compiled, timings, plan)
             else:
-                read_values = self._run_per_event(ops, timings)
+                read_values = self._run_per_event(ops, timings, plan)
         except BaseException:
             if stream is not None and parts.get("stream") != "reused":
                 # What the run wrote before the raise reaches the sinks,
@@ -296,12 +298,16 @@ class Engine:
         timings["simulate_s"] += elapsed
 
     def _run_per_event(
-        self, ops: Iterable[tuple], timings: Dict[str, float]
+        self, ops: Iterable[tuple], timings: Dict[str, float], plan
     ) -> Optional[List[Tuple[int, List[int]]]]:
-        """Interpret every compiled op; returns the read values when
-        recorded."""
+        """Interpret ``ops``, the compiled ops in trace order; returns the
+        read values when recorded. A lazy protocol's hooks replay
+        ``plan``'s skeleton (None for the eager family), as its tape
+        kernels do."""
         protocol = self.protocol
         protocol.bind_interpreter()
+        if protocol.lazy:
+            protocol.bind_skeleton(plan)
         record = self.config.record_values
         read_values: Optional[List[Tuple[int, List[int]]]] = [] if record else None
         # Bind the protocol entry points once; the loop below runs for

@@ -1,8 +1,10 @@
 """The test oracle, written apart from the code it checks and on no
-measured path: §4.3's lazy rules as the paper words them, as plain scans
-(:class:`ReferenceScans`, :class:`ReferenceStore`), the raw-event
-interpreter (:class:`ReferenceEngine`) and the scheduler's step-at-a-time
-loop (:func:`scheduler_reference_run`)."""
+measured path: §4's lazy rules as the paper words them — closes, clock
+merges and notice gaps stated apart from ``src/``'s one statement of
+them, and fetches as plain scans (:class:`ReferenceScans`,
+:class:`ReferenceStore`) — the raw-event interpreter
+(:class:`ReferenceEngine`) and the scheduler's step-at-a-time loop
+(:func:`scheduler_reference_run`)."""
 
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from repro.hb.interval import Interval
 from repro.hb.store import IntervalStore
 from repro.hb.write_notice import WriteNotice
 from repro.memory.diff import Diff
+from repro.network.message import MessageKind
 from repro.protocols.base import Protocol
 from repro.protocols.lazy_base import LazyProtocol
 from repro.protocols.registry import protocol_class
@@ -43,13 +46,24 @@ class ReferenceStore(IntervalStore):
         )
 
 
+#: The request/reply kinds of an update protocol's pull at an acquire
+#: and at a barrier exit.
+_ACQUIRE_PULL_KINDS = (MessageKind.ACQUIRE_DIFF_REQUEST, MessageKind.ACQUIRE_DIFF_REPLY)
+_BARRIER_PULL_KINDS = (MessageKind.BARRIER_UPDATE_REQUEST, MessageKind.BARRIER_UPDATE)
+
+
 class ReferenceScans(LazyProtocol):
-    """The lazy hooks as per-fetch scans over a :class:`ReferenceStore`,
-    with no planner; it sits between a lazy protocol and ``LazyProtocol``."""
+    """The lazy hooks as §4 states them, over a :class:`ReferenceStore`
+    and with no skeleton or planner: each special access closes the
+    interval from the page table's dirty words, an acquire merges the
+    grantor's timestamp, a barrier the running merge of its episode, and
+    every notice batch is the store's gap; fetches are per-fetch scans.
+    It sits between a lazy protocol and ``LazyProtocol``."""
 
     def bind_interpreter(self) -> None:
         Protocol.bind_interpreter(self)
         self.store = ReferenceStore(self.n_procs)
+        #: In-flight barrier episodes: barrier id -> each arrival's clock.
         self._episodes = {}
         #: Every retained diff as ``(interval, page, wire bytes)``, in close order.
         self._live_diffs = []
@@ -81,6 +95,47 @@ class ReferenceScans(LazyProtocol):
             self._emit_interval_close(proc, index, interval)
         if interval.diffs:
             self._on_close(proc, interval)
+
+    def _on_acquire(self, proc, lock) -> None:
+        self._close_interval(proc)
+        grantor = self.locks.grantor_of(lock)
+        if grantor == proc and self.config.free_local_lock_reacquire:
+            return
+        grantor_vc = self.lazy_state[grantor].vc
+        vc = self.lazy_state[proc].vc
+        n_notices, grouped = self.store.gap(grantor_vc, vc)
+        self._grant(proc, self.locks.manager_of(lock), grantor, n_notices)
+        self._receive(proc, grouped, vc.merged(grantor_vc), _ACQUIRE_PULL_KINDS)
+
+    def _on_release(self, proc, lock) -> None:
+        self._close_interval(proc)
+
+    def _on_barrier_arrive(self, proc, barrier) -> None:
+        self._close_interval(proc)
+        vc = self.lazy_state[proc].vc
+        master = self.barriers.master
+        if proc != master:
+            self._arrive(proc, master, self.store.gap(vc, self._episode_clock(barrier))[0])
+        self._episodes.setdefault(barrier, []).append(vc)
+
+    def _episode_clock(self, barrier):
+        """The running merge of the episode's arrivals plus the master's clock."""
+        merged = self.lazy_state[self.barriers.master].vc
+        for vc in self._episodes.get(barrier, ()):
+            merged = merged.merged(vc)
+        return merged
+
+    def _on_barrier_complete(self, barrier) -> None:
+        master = self.barriers.master
+        merged = self._episode_clock(barrier)
+        self._episodes[barrier] = []
+        for proc in range(self.n_procs):
+            vc = self.lazy_state[proc].vc
+            n_notices, grouped = self.store.gap(merged, vc)
+            self._exit(master, proc, n_notices)
+            self._receive(proc, grouped, vc.merged(merged), _BARRIER_PULL_KINDS)
+        if self.config.gc_at_barriers:
+            self._collect_garbage()
 
     def _drop_retained(self, interval, pages) -> None:
         dropped = {live for live in self._live_diffs if live[0] is interval and live[1] in pages}

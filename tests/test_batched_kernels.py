@@ -30,6 +30,7 @@ from tests.conftest import (
     interpreter_result,
     ledger_fields,
     lock_chain_trace,
+    small_trace,
 )
 
 LAZY_PROTOCOLS = ("LI", "LU", "LH", "HLRC")
@@ -364,16 +365,24 @@ class TestValueTrackingLivesOnOnePath:
         assert report.ok and report.reads_checked == 17 * n_procs
 
     @pytest.mark.parametrize("protocol", ALL_BATCHED)
-    def test_batched_replay_leaves_contents_untouched(self, water_trace, protocol):
-        config = SimConfig(n_procs=water_trace.n_procs, page_size=1024)
-        engine = Engine(water_trace, config, protocol)
+    def test_batched_replay_leaves_contents_untouched(self, protocol):
+        # A fresh trace, so a lazy cell has no kept priced tape to fold:
+        # its kernels run over page tables whose contents stay empty.
+        trace = small_trace("water")
+        config = SimConfig(n_procs=trace.n_procs, page_size=1024)
+        engine = Engine(trace, config, protocol)
         result = engine.run()
         assert result.manifest["execution_path"] == "tape"
         assert result.messages > 0
-        for state in engine.protocol.procs:
+        procs = engine.protocol.procs
+        if protocol_class(protocol).lazy:
+            assert "record" not in result.manifest  # the kernels ran
+            assert len(procs) == trace.n_procs
+            assert any(len(state.pages) for state in procs)
+        for state in procs:
             for entry in state.pages:
                 assert not entry.page.words
-                assert not entry.dirty_words and entry.twin is None
+                assert not entry.dirty_words
             assert not state.pages._dirty
 
 

@@ -1,10 +1,9 @@
-"""Unit and property tests for diffs and twins."""
+"""Unit and property tests for diffs."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.memory.diff import Diff, apply_in_order
-from repro.memory.twin import Twin
 from repro.network.costs import CostModel
 
 words_strategy = st.dictionaries(
@@ -79,38 +78,6 @@ class TestApplyOrder:
         apply_in_order([a, b], one)
         apply_in_order([b, a], two)
         assert one == two
-
-
-class TestTwin:
-    def test_diff_against_detects_changes(self):
-        twin = Twin(0, {0: 1, 1: 2})
-        diff = twin.diff_against({0: 1, 1: 3, 2: 4}, creator=2, interval=7)
-        assert diff.words == {1: 3, 2: 4}
-        assert (diff.creator, diff.interval) == (2, 7)
-
-    def test_diff_against_no_change(self):
-        twin = Twin(0, {0: 1})
-        assert twin.diff_against({0: 1}, 0, 0) is None
-
-    def test_missing_words_compare_to_zero(self):
-        twin = Twin(0, {0: 5})
-        diff = twin.diff_against({}, 0, 0)
-        assert diff.words == {0: 0}
-
-    @given(words_strategy, words_strategy)
-    def test_twin_diff_equals_write_through_tracking(self, initial, updates):
-        """Diffing against a twin == accumulating the write set directly,
-        provided every write changes its word (the simulator's unique
-        tokens guarantee that)."""
-        current = dict(initial)
-        twin = Twin(0, current)
-        applied = {}
-        for word, value in updates.items():
-            new_value = value + current.get(word, 0) + 1  # guaranteed change
-            current[word] = new_value
-            applied[word] = new_value
-        diff = twin.diff_against(current, 0, 0)
-        assert diff is not None and diff.words == applied
 
 
 class TestRunsPatterns:

@@ -48,11 +48,6 @@ class TestInterval:
         assert a.precedes(b)
         assert not b.precedes(a)
 
-    def test_concurrent(self):
-        a = make_interval(0, 0, [0, -1])
-        b = make_interval(1, 0, [-1, 0])
-        assert a.concurrent_with(b)
-
 
 class TestIntervalStore:
     def test_dense_indices_enforced(self):
@@ -78,14 +73,6 @@ class TestIntervalStore:
         assert [iv.index for iv in store.intervals_of(0, 1, 2)] == [1, 2]
         with pytest.raises(KeyError):
             store.intervals_of(0, 0, 9)
-
-    def test_modifying_intervals(self):
-        store = IntervalStore(1)
-        store.add(make_interval(0, 0, [0], pages=(7,)))
-        store.add(make_interval(0, 1, [1]))
-        store.add(make_interval(0, 2, [2], pages=(7, 8)))
-        mods = store.modifying_intervals(0, 7, 0, 2)
-        assert [iv.index for iv in mods] == [0, 2]
 
     def test_len_and_iter(self):
         store = IntervalStore(2)

@@ -31,27 +31,13 @@ class TestPageEntry:
         assert entry.state == PageState.MISSING
         assert not entry.is_dirty
 
-    def test_twin_snapshot(self):
+    def test_clear_dirty_starts_a_new_write_set(self):
         entry = PageEntry(0)
-        entry.page.write(0, 10)
-        entry.make_twin()
-        entry.page.write(0, 20)
-        assert entry.twin.words[0] == 10
-
-    def test_make_twin_idempotent(self):
-        entry = PageEntry(0)
-        entry.page.write(0, 1)
-        entry.make_twin()
-        entry.page.write(0, 2)
-        entry.make_twin()
-        assert entry.twin.words[0] == 1
-
-    def test_clear_dirty_drops_twin(self):
-        entry = PageEntry(0)
-        entry.make_twin()
         entry.dirty_words[3] = 9
+        words = entry.dirty_words
         entry.clear_dirty()
-        assert entry.twin is None and not entry.is_dirty
+        # A diff built from the old write set keeps it.
+        assert not entry.is_dirty and words == {3: 9}
 
 
 class TestPageTable:

@@ -1,6 +1,8 @@
 """The oracle lives in ``tests/reference_oracle.py``; ``src/`` keeps one
 body per lazy hook, one run loop each in ``Engine`` and ``Scheduler``,
-and no knob that selects a second implementation."""
+and no knob that selects a second implementation. The sync rules are
+stated twice, once on each side: ``build_skeleton`` in ``src/``, the
+oracle's hooks in the test tree."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from repro.protocols.registry import all_protocol_names, protocol_class
 from repro.runtime.scheduler import Scheduler
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ORACLE = Path(__file__).resolve().parent / "reference_oracle.py"
 
 
 def bound_names(path: Path):
@@ -58,3 +61,39 @@ def test_src_names_no_oracle_and_imports_no_test():
         or name.split(".")[0] == "import tests"
     )
     assert not stale
+
+
+def test_sync_rules_live_in_the_skeleton_and_the_oracle_apart():
+    """No protocol module takes a notice gap, merges a clock or closes an
+    interval in the store (the hooks and kernels replay the skeleton's
+    records), and the oracle reads no skeleton, record or fetch planner."""
+    stated = sorted(
+        f"{path.relative_to(SRC)}:{node.lineno}: .{node.attr}"
+        for path in (SRC / "protocols").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and (
+            node.attr in ("gap", "merged")
+            or node.attr == "close"
+            and "store" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))
+        )
+    )
+    assert not stated
+    tree = ast.parse(ORACLE.read_text(encoding="utf-8"))
+    names = {
+        name
+        for node in ast.walk(tree)
+        for name in (
+            getattr(node, "id", None),
+            getattr(node, "attr", None),
+            getattr(node, "name", None),
+            getattr(node, "module", None),
+        )
+        if isinstance(name, str)
+    }
+    borrowed = sorted(
+        name
+        for name in names
+        if "skeleton" in name or name in ("_next_record", "planner_for", "FetchPlanner")
+    )
+    assert not borrowed

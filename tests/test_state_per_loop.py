@@ -11,8 +11,10 @@ and ``FetchPlanner`` — around each loop:
   every protocol;
 - a lazy tape replay binds the plan's own store and planner, and builds
   only the page tables its kernels touch;
-- the interpreter (``record_values``) and the test oracle's
-  ``ReferenceEngine`` build the tables their hooks read.
+- the interpreter (``record_values``) builds the page tables its
+  hooks read and, lazy, binds the plan's store and planner as a tape
+  replay does; the test oracle's ``ReferenceEngine`` builds its own
+  store.
 """
 
 from __future__ import annotations
@@ -94,22 +96,23 @@ def test_lazy_tape_replay_binds_the_plans_store_and_planner(monkeypatch, protoco
 
 @pytest.mark.parametrize("protocol", ALL)
 def test_interpreter_builds_every_table_its_hooks_read(monkeypatch, protocol):
+    """The hooks' page tables and directories; a lazy protocol's hooks
+    replay the plan's skeleton, so they bind its store and planner as
+    the kernels do and build neither."""
     trace = small_trace("water")
     config = config_for(trace, record_values=True)
+    plan = batch_plan(trace.compiled(PAGE), trace.n_procs)
+    planner = plan.planner_for(config.cost_model, config.skip_overwritten_diffs)
     with counting_builds(monkeypatch) as built:
         engine = Engine(trace, config, protocol)
         result = engine.run()
     assert result.manifest["execution_path"] == "per_event"
-    lazy = protocol_class(protocol).lazy
-    expected = {"PageTable": trace.n_procs}
-    if lazy:
-        expected.update(IntervalStore=1, FetchPlanner=1)
-    assert dict(built) == expected
+    assert dict(built) == {"PageTable": trace.n_procs}
     ran = engine.protocol
     assert len(ran.procs) == trace.n_procs
     assert ran.locks is not None and ran.barriers is not None
-    if lazy:
-        assert ran._planner is not None and ran._planner._store is ran.store
+    if protocol_class(protocol).lazy:
+        assert ran.store is plan.store and ran._planner is planner
 
 
 @pytest.mark.parametrize("protocol", ALL)
